@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from . import __version__
-from .poly import GrowthLimitError, PolyError, set_degree_limit
+from .poly import GrowthLimitError, PolyError, get_degree_limit, set_degree_limit
 from .forms import VForm
 from .gder import GenDer
 from .lifts import cotangent_lift, linearize, tangent_lift
@@ -105,7 +105,12 @@ def _do_lift(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.max_degree is not None and args.max_degree < 1:
+        parser.error("--max-degree must be positive")
+    # the degree bound is a process global: restore it on every exit path
+    previous_limit = get_degree_limit()
     if args.max_degree is not None:
         set_degree_limit(args.max_degree)
     try:
@@ -139,6 +144,8 @@ def main(argv: list[str] | None = None) -> int:
     except PolyError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        set_degree_limit(previous_limit)
     return EXIT_INPUT
 
 

@@ -89,6 +89,17 @@ class _Alternating:
                 clean[tuple(idx)] = p
         self.coeffs = clean
 
+    @classmethod
+    def _trusted(cls, chart: Chart, degree: int, coeffs: Mapping[Index, Poly]):
+        """Build from keys known to be valid for ``degree``: taken from
+        existing objects or produced by ``sort_index``.  Only zero
+        coefficients are dropped; nothing is checked."""
+        self = object.__new__(cls)
+        self.chart = chart
+        self.degree = degree
+        self.coeffs = {k: p for k, p in coeffs.items() if p.terms}
+        return self
+
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -109,10 +120,25 @@ class _Alternating:
             raise PolyError("chart/degree mismatch")
         keys = set(self.coeffs) | set(other.coeffs)
         z = Poly.zero(self.chart)
-        return {k: fn(self.coeffs.get(k, z), other.coeffs.get(k, z)) for k in keys}
+        return self._trusted(self.chart, self.degree,
+                             {k: fn(self.coeffs.get(k, z), other.coeffs.get(k, z))
+                              for k in keys})
 
-    def _scaled(self, f: Poly | int | Fraction) -> dict[Index, Poly]:
-        return {k: p * f for k, p in self.coeffs.items()}
+    def __add__(self, other):
+        return self._binop(other, lambda a, b: a + b)
+
+    def __sub__(self, other):
+        return self._binop(other, lambda a, b: a - b)
+
+    def __neg__(self):
+        return self._trusted(self.chart, self.degree,
+                             {k: -p for k, p in self.coeffs.items()})
+
+    def __mul__(self, f: Poly | int | Fraction):
+        return self._trusted(self.chart, self.degree,
+                             {k: p * f for k, p in self.coeffs.items()})
+
+    __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, _Alternating):
@@ -138,27 +164,13 @@ class _Alternating:
 class DiffForm(_Alternating):
     """Differential form of a fixed degree with polynomial coefficients."""
 
-    def __add__(self, other: "DiffForm") -> "DiffForm":
-        return DiffForm(self.chart, self.degree, self._binop(other, lambda a, b: a + b))
-
-    def __sub__(self, other: "DiffForm") -> "DiffForm":
-        return DiffForm(self.chart, self.degree, self._binop(other, lambda a, b: a - b))
-
-    def __neg__(self) -> "DiffForm":
-        return DiffForm(self.chart, self.degree, {k: -p for k, p in self.coeffs.items()})
-
-    def __mul__(self, f: Poly | int | Fraction) -> "DiffForm":
-        return DiffForm(self.chart, self.degree, self._scaled(f))
-
-    __rmul__ = __mul__
-
     @staticmethod
     def zero(chart: Chart, degree: int) -> "DiffForm":
         return DiffForm(chart, degree, {})
 
     @staticmethod
     def from_poly(p: Poly) -> "DiffForm":
-        return DiffForm(p.chart, 0, {(): p})
+        return DiffForm._trusted(p.chart, 0, {(): p})
 
     @staticmethod
     def basis(chart: Chart, idx: Sequence[int]) -> "DiffForm":
@@ -174,20 +186,6 @@ class DiffForm(_Alternating):
 
 class Multivector(_Alternating):
     """Alternating multivector field; degree 2 houses bivectors."""
-
-    def __add__(self, other: "Multivector") -> "Multivector":
-        return Multivector(self.chart, self.degree, self._binop(other, lambda a, b: a + b))
-
-    def __sub__(self, other: "Multivector") -> "Multivector":
-        return Multivector(self.chart, self.degree, self._binop(other, lambda a, b: a - b))
-
-    def __neg__(self) -> "Multivector":
-        return Multivector(self.chart, self.degree, {k: -p for k, p in self.coeffs.items()})
-
-    def __mul__(self, f: Poly | int | Fraction) -> "Multivector":
-        return Multivector(self.chart, self.degree, self._scaled(f))
-
-    __rmul__ = __mul__
 
     @staticmethod
     def zero(chart: Chart, degree: int) -> "Multivector":
@@ -218,7 +216,7 @@ def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
     deg = a.degree + b.degree
     if deg > a.chart.dim:
         return DiffForm.zero(a.chart, deg)
-    return DiffForm(a.chart, deg, _wedge_coeffs(a, b))
+    return DiffForm._trusted(a.chart, deg, _wedge_coeffs(a, b))
 
 
 def mv_wedge(a: Multivector, b: Multivector) -> Multivector:
@@ -227,7 +225,7 @@ def mv_wedge(a: Multivector, b: Multivector) -> Multivector:
     deg = a.degree + b.degree
     if deg > a.chart.dim:
         return Multivector.zero(a.chart, deg)
-    return Multivector(a.chart, deg, _wedge_coeffs(a, b))
+    return Multivector._trusted(a.chart, deg, _wedge_coeffs(a, b))
 
 
 def exterior_d(a: DiffForm) -> DiffForm:
@@ -249,7 +247,7 @@ def exterior_d(a: DiffForm) -> DiffForm:
             term = dp * sign
             prev = out.get(key)
             out[key] = term if prev is None else prev + term
-    return DiffForm(chart, deg, out)
+    return DiffForm._trusted(chart, deg, out)
 
 
 def interior_vector(comps: Sequence[Poly], a: DiffForm) -> DiffForm:
@@ -266,7 +264,7 @@ def interior_vector(comps: Sequence[Poly], a: DiffForm) -> DiffForm:
             term = p * comps[i] * ((-1) ** pos)
             prev = out.get(rest)
             out[rest] = term if prev is None else prev + term
-    return DiffForm(chart, a.degree - 1, out)
+    return DiffForm._trusted(chart, a.degree - 1, out)
 
 
 class VForm:
@@ -288,6 +286,8 @@ class VForm:
         for (idx, v), p in (coeffs or {}).items():
             if len(idx) != degree or list(idx) != sorted(set(idx)):
                 raise ValueError(f"bad index {idx} for degree {degree}")
+            if any(not 0 <= i < chart.dim for i in idx):
+                raise ValueError(f"index {idx} out of range for {chart}")
             if not 0 <= v < vals:
                 raise ValueError(f"value index {v} out of range ({vals})")
             if not p.is_zero:
@@ -297,29 +297,44 @@ class VForm:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    def _trusted(chart: Chart, degree: int, vals: int,
+                 coeffs: Mapping[tuple[Index, int], Poly]) -> "VForm":
+        """Build from keys known to be valid for ``degree`` and ``vals``;
+        only zero coefficients are dropped, nothing is checked."""
+        self = object.__new__(VForm)
+        self.chart = chart
+        self.degree = degree
+        self.vals = vals
+        self.coeffs = {k: p for k, p in coeffs.items() if p.terms}
+        return self
+
+    @staticmethod
     def zero(chart: Chart, degree: int, vals: int) -> "VForm":
         return VForm(chart, degree, vals, {})
 
     @staticmethod
     def from_components(forms: Sequence[DiffForm], degree: int) -> "VForm":
         """Assemble from one scalar form per value index."""
+        if any(f.degree != degree for f in forms):
+            raise ValueError(f"component degrees must all be {degree}")
         chart = forms[0].chart
         coeffs: dict[tuple[Index, int], Poly] = {}
         for v, f in enumerate(forms):
             for idx, p in f.coeffs.items():
                 coeffs[(idx, v)] = p
-        return VForm(chart, degree, len(forms), coeffs)
+        return VForm._trusted(chart, degree, len(forms), coeffs)
 
     @staticmethod
     def section(chart: Chart, comps: Sequence[Poly]) -> "VForm":
-        return VForm(chart, 0, len(comps), {((), v): p for v, p in enumerate(comps)
-                                            if not p.is_zero})
+        return VForm._trusted(chart, 0, len(comps),
+                              {((), v): p for v, p in enumerate(comps)})
 
     @staticmethod
     def identity(chart: Chart) -> "VForm":
         """The identity endomorphism of the tangent frame as a degree-1 form."""
         one = Poly.const(chart, 1)
-        return VForm(chart, 1, chart.dim, {((i,), i): one for i in range(chart.dim)})
+        return VForm._trusted(chart, 1, chart.dim,
+                              {((i,), i): one for i in range(chart.dim)})
 
     # -- arithmetic --------------------------------------------------------
 
@@ -331,19 +346,20 @@ class VForm:
         self._compat(other)
         keys = set(self.coeffs) | set(other.coeffs)
         z = Poly.zero(self.chart)
-        return VForm(self.chart, self.degree, self.vals,
-                     {k: self.coeffs.get(k, z) + other.coeffs.get(k, z) for k in keys})
+        return VForm._trusted(self.chart, self.degree, self.vals,
+                              {k: self.coeffs.get(k, z) + other.coeffs.get(k, z)
+                               for k in keys})
 
     def __sub__(self, other: "VForm") -> "VForm":
         return self + (-other)
 
     def __neg__(self) -> "VForm":
-        return VForm(self.chart, self.degree, self.vals,
-                     {k: -p for k, p in self.coeffs.items()})
+        return VForm._trusted(self.chart, self.degree, self.vals,
+                              {k: -p for k, p in self.coeffs.items()})
 
     def __mul__(self, f: Poly | int | Fraction) -> "VForm":
-        return VForm(self.chart, self.degree, self.vals,
-                     {k: p * f for k, p in self.coeffs.items()})
+        return VForm._trusted(self.chart, self.degree, self.vals,
+                              {k: p * f for k, p in self.coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -365,8 +381,8 @@ class VForm:
 
     def component(self, v: int) -> DiffForm:
         """Scalar form multiplying the v-th frame vector."""
-        return DiffForm(self.chart, self.degree,
-                        {idx: p for (idx, vv), p in self.coeffs.items() if vv == v})
+        return DiffForm._trusted(self.chart, self.degree,
+                                 {idx: p for (idx, vv), p in self.coeffs.items() if vv == v})
 
     def section_components(self) -> list[Poly]:
         """Component vector of a degree-0 VForm."""
@@ -390,17 +406,17 @@ class VForm:
     def decomposables(self) -> Iterable[tuple[DiffForm, int]]:
         """Entries as (scalar form, value index) pairs."""
         for (idx, v), p in self.coeffs.items():
-            yield DiffForm(self.chart, self.degree, {idx: p}), v
+            yield DiffForm._trusted(self.chart, self.degree, {idx: p}), v
 
     def wedge_scalar(self, a: DiffForm) -> "VForm":
         """a ^ K, value slot untouched."""
         out: dict[tuple[Index, int], Poly] = {}
         for (idx, v), p in self.coeffs.items():
-            w = wedge(a, DiffForm(self.chart, self.degree, {idx: p}))
+            w = wedge(a, DiffForm._trusted(self.chart, self.degree, {idx: p}))
             for i2, p2 in w.coeffs.items():
                 key = (i2, v)
                 out[key] = out.get(key, Poly.zero(self.chart)) + p2
-        return VForm(self.chart, self.degree + a.degree, self.vals, out)
+        return VForm._trusted(self.chart, self.degree + a.degree, self.vals, out)
 
     def apply_endo(self, X: "VForm") -> "VForm":
         """Apply a degree-1 tangent-valued form to a vector field."""
@@ -520,14 +536,14 @@ def frolicher_nijenhuis(K: VForm, L: VForm) -> VForm:
             acc[key] = acc.get(key, Poly.zero(chart)) + p2
 
     for (ia, va), pa in K.coeffs.items():
-        phi = DiffForm(chart, k, {ia: pa})
+        phi = DiffForm._trusted(chart, k, {ia: pa})
         for (ib, vb), pb in L.coeffs.items():
-            psi = DiffForm(chart, l, {ib: pb})
+            psi = DiffForm._trusted(chart, l, {ib: pb})
             # phi ^ (d_{va} psi) (x) d/dx_vb
-            dpsi = DiffForm(chart, l, {ib: pb.diff(va)})
+            dpsi = DiffForm._trusted(chart, l, {ib: pb.diff(va)})
             add(wedge(phi, dpsi), vb)
             # - (d_{vb} phi) ^ psi (x) d/dx_va
-            dphi = DiffForm(chart, k, {ia: pa.diff(vb)})
+            dphi = DiffForm._trusted(chart, k, {ia: pa.diff(vb)})
             add(-wedge(dphi, psi), va)
             # (-1)^k ( d phi ^ i_{va} psi (x) d/dx_vb + i_{vb} phi ^ d psi (x) d/dx_va )
             ev = [Poly.zero(chart)] * chart.dim
@@ -538,7 +554,7 @@ def frolicher_nijenhuis(K: VForm, L: VForm) -> VForm:
             ew[vb] = Poly.const(chart, 1)
             t2 = wedge(interior_vector(ew, phi), exterior_d(psi))
             add(t2 * sign_k, va)
-    return VForm(chart, deg, chart.dim, acc)
+    return VForm._trusted(chart, deg, chart.dim, acc)
 
 
 def nijenhuis_torsion(r: VForm) -> VForm:
@@ -561,7 +577,7 @@ def nijenhuis_torsion(r: VForm) -> VForm:
             for v, p in enumerate(val.section_components()):
                 if not p.is_zero:
                     coeffs[((i, j), v)] = p
-    return VForm(chart, 2, n, coeffs)
+    return VForm._trusted(chart, 2, n, coeffs)
 
 
 # -- multivector calculus ----------------------------------------------------
@@ -580,7 +596,7 @@ def _mv_interior_exact(f: Poly, Q: Multivector) -> Multivector:
             term = p * g * ((-1) ** pos)
             prev = out.get(rest)
             out[rest] = term if prev is None else prev + term
-    return Multivector(chart, Q.degree - 1, out)
+    return Multivector._trusted(chart, Q.degree - 1, out)
 
 
 def schouten(P: Multivector, Q: Multivector) -> Multivector:
@@ -639,7 +655,7 @@ def schouten(P: Multivector, Q: Multivector) -> Multivector:
                     else:
                         # [d/di, e d/dj] = (d_i e) d/dj ; factor c remains
                         add((J[0],) + rest, e.diff(I[s]) * c * sgn)
-    return Multivector(chart, deg, out)
+    return Multivector._trusted(chart, deg, out)
 
 
 def sharp(P: Multivector, a: DiffForm) -> VForm:
@@ -687,4 +703,4 @@ def bivector_from_sharp(chart: Chart, S: Sequence[Sequence[Poly]]) -> Multivecto
             p = S[j][i]
             if not p.is_zero:
                 coeffs[(i, j)] = p
-    return Multivector(chart, 2, coeffs)
+    return Multivector._trusted(chart, 2, coeffs)

@@ -1,9 +1,10 @@
 """Exact multivariate polynomial arithmetic in named chart coordinates.
 
-Coefficients are rationals (``fractions.Fraction``) and monomials are exponent
-tuples, so equality-to-zero is decidable: a polynomial is zero iff its term map
-is empty. Every verdict downstream of this module is therefore a certificate,
-not a numeric approximation.
+Coefficients are exact rationals (``int`` when integral, else
+``fractions.Fraction``) and monomials are exponent tuples, so equality-to-zero
+is decidable: a polynomial is zero iff its term map is empty. Every verdict
+downstream of this module is therefore a certificate, not a numeric
+approximation.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from operator import add
+from typing import Mapping, Union
 
 __all__ = [
     "Chart",
@@ -86,18 +88,47 @@ class Chart:
 Scalar = Union[int, Fraction]
 
 
+def _rational(c: Scalar) -> Scalar:
+    """Canonical coefficient: ``int`` when integral, else ``Fraction``."""
+    if c.__class__ is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def _make(chart: Chart, terms: dict[tuple[int, ...], Scalar]) -> "Poly":
+    """Wrap a term map that is already canonical, without checking it.
+
+    Only for results of operations on valid Polys: exponents of the right
+    length, nonnegative and within the degree bound, no zero coefficients,
+    integral coefficients stored as ``int``.
+    """
+    p = object.__new__(Poly)
+    p.chart = chart
+    p.terms = terms
+    p._hash = None
+    return p
+
+
 class Poly:
     """Canonical multivariate polynomial over Q on a chart.
 
-    Invariants: no stored zero coefficients; every exponent tuple has length
-    ``chart.dim``.  Two Polys are equal iff charts and term maps are equal.
+    Invariants: every exponent tuple has length ``chart.dim``, nonnegative
+    entries and total degree within the degree limit; no stored zero
+    coefficients; each coefficient is an exact rational, stored as ``int``
+    when integral and as ``Fraction`` otherwise (the two compare and hash
+    equal).  Two Polys are equal iff charts and term maps are equal.
     Instances are immutable; all operations return new values.
+
+    Input is validated once, here and in the named constructors and the
+    parser.  Results of ``+ - * neg diff **`` are built from valid operands
+    and bypass that validation; the degree bound is enforced by ``*`` on
+    the product's total degree.
     """
 
     __slots__ = ("chart", "terms", "_hash")
 
     def __init__(self, chart: Chart, terms: Mapping[tuple[int, ...], Scalar]) -> None:
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], Scalar] = {}
         for exp, c in terms.items():
             if len(exp) != chart.dim:
                 raise PolyError(f"exponent tuple {exp} has wrong length for {chart}")
@@ -107,68 +138,93 @@ class Poly:
                 raise GrowthLimitError(
                     f"monomial degree {sum(exp)} exceeds limit {_DEGREE_LIMIT}"
                 )
-            c = Fraction(c)
+            c = _rational(Fraction(c))
             if c != 0:
                 clean[tuple(exp)] = c
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+        self.chart = chart
+        self.terms = clean
+        self._hash = None
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(chart: Chart) -> "Poly":
-        return Poly(chart, {})
+        return _make(chart, {})
 
     @staticmethod
     def const(chart: Chart, c: Scalar) -> "Poly":
-        return Poly(chart, {(0,) * chart.dim: Fraction(c)})
+        # the zero exponent is always valid; only the value needs checking
+        c = _rational(Fraction(c))
+        return _make(chart, {(0,) * chart.dim: c} if c else {})
 
     @staticmethod
     def var(chart: Chart, name: str) -> "Poly":
         i = chart.index(name)
         exp = tuple(1 if j == i else 0 for j in range(chart.dim))
-        return Poly(chart, {exp: Fraction(1)})
+        return Poly(chart, {exp: 1})
 
     @staticmethod
     def coord(chart: Chart, i: int) -> "Poly":
         if not 0 <= i < chart.dim:
             raise IndexError(f"coordinate index {i} out of range for {chart}")
         exp = tuple(1 if j == i else 0 for j in range(chart.dim))
-        return Poly(chart, {exp: Fraction(1)})
+        return Poly(chart, {exp: 1})
 
     # -- ring operations ---------------------------------------------------
 
     def _check(self, other: "Poly") -> None:
-        if self.chart != other.chart:
+        if self.chart is not other.chart and self.chart != other.chart:
             raise PolyError(f"chart mismatch: {self.chart} vs {other.chart}")
 
     def __add__(self, other: "Poly | Scalar") -> "Poly":
         other = self._coerce(other)
         self._check(other)
         terms = dict(self.terms)
+        get = terms.get
         for exp, c in other.terms.items():
-            terms[exp] = terms.get(exp, Fraction(0)) + c
-        return Poly(self.chart, terms)
+            s = get(exp)
+            if s is None:
+                terms[exp] = c
+                continue
+            s += c
+            if s:
+                terms[exp] = _rational(s)
+            else:
+                del terms[exp]
+        return _make(self.chart, terms)
 
     def __sub__(self, other: "Poly | Scalar") -> "Poly":
         return self + (-self._coerce(other))
 
     def __neg__(self) -> "Poly":
-        return Poly(self.chart, {e: -c for e, c in self.terms.items()})
+        return _make(self.chart, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return Poly.zero(self.chart)
-            return Poly(self.chart, {e: c * other for e, c in self.terms.items()})
+            other = _rational(other)
+            return _make(self.chart,
+                         {e: _rational(c * other) for e, c in self.terms.items()})
         self._check(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return Poly(self.chart, out)
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return Poly.zero(self.chart)
+        limit = _DEGREE_LIMIT
+        if max(map(sum, a)) + max(map(sum, b)) > limit:
+            # Over Q the product has exactly this total degree.  Report the
+            # first monomial past the bound, in product order.
+            d = next(s + t for s in map(sum, a) for t in map(sum, b) if s + t > limit)
+            raise GrowthLimitError(f"monomial degree {d} exceeds limit {limit}")
+        out = {}
+        get = out.get
+        bitems = b.items()
+        for e1, c1 in a.items():
+            for e2, c2 in bitems:
+                e = tuple(map(add, e1, e2))
+                prev = get(e)
+                out[e] = c1 * c2 if prev is None else prev + c1 * c2
+        return _make(self.chart, {e: _rational(c) for e, c in out.items() if c})
 
     __rmul__ = __mul__
     __radd__ = __add__
@@ -199,14 +255,14 @@ class Poly:
         """Formal partial derivative with respect to coordinate ``i``."""
         if not 0 <= i < self.chart.dim:
             raise IndexError(f"coordinate index {i} out of range for {self.chart}")
-        out: dict[tuple[int, ...], Fraction] = {}
+        # exp -> exp - e_i is injective on the terms it keeps, so no two
+        # terms collide and no coefficient cancels
+        out: dict[tuple[int, ...], Scalar] = {}
         for exp, c in self.terms.items():
-            if exp[i] == 0:
-                continue
-            e = list(exp)
-            e[i] -= 1
-            out[tuple(e)] = out.get(tuple(e), Fraction(0)) + c * exp[i]
-        return Poly(self.chart, out)
+            k = exp[i]
+            if k:
+                out[exp[:i] + (k - 1,) + exp[i + 1:]] = _rational(c * k)
+        return _make(self.chart, out)
 
     # -- predicates & misc -------------------------------------------------
 
@@ -221,7 +277,7 @@ class Poly:
         if len(self.terms) == 1:
             (exp, c), = self.terms.items()
             if all(e == 0 for e in exp):
-                return c
+                return Fraction(c)
         raise PolyError(f"not a constant: {self}")
 
     def total_degree(self) -> int:
@@ -238,7 +294,7 @@ class Poly:
         h = self._hash
         if h is None:
             h = hash((self.chart, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
+            self._hash = h
         return h
 
     def __bool__(self) -> bool:
@@ -407,6 +463,3 @@ def parse_poly(chart: Chart, text: str) -> Poly:
     """Parse and canonicalize a polynomial expression on the chart."""
     return _Parser(chart, text).parse()
 
-
-def parse_many(chart: Chart, texts: Iterable[str]) -> list[Poly]:
-    return [parse_poly(chart, t) for t in texts]

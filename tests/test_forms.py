@@ -275,3 +275,39 @@ class TestSharp:
         rng = random.Random(22)
         P = rnd_mv(rng, CH3, 2)
         assert bivector_from_sharp(CH3, sharp_matrix(P)) == P
+
+
+class TestConstructorValidation:
+    """The public constructors check their keys; operation results do not."""
+
+    BAD_INDICES = [(1, 0), (1, 1), (0, 3), (-1, 0), (0,), (0, 1, 2)]
+
+    @pytest.mark.parametrize("cls", [DiffForm, Multivector])
+    @pytest.mark.parametrize("idx", BAD_INDICES)
+    def test_alternating_rejects_bad_index(self, cls, idx):
+        with pytest.raises(ValueError):
+            cls(CH3, 2, {idx: Poly.const(CH3, 1)})
+
+    @pytest.mark.parametrize("idx", BAD_INDICES)
+    def test_vform_rejects_bad_index(self, idx):
+        with pytest.raises(ValueError):
+            VForm(CH3, 2, 3, {(idx, 0): Poly.const(CH3, 1)})
+
+    @pytest.mark.parametrize("v", [-1, 3])
+    def test_vform_rejects_bad_value_slot(self, v):
+        with pytest.raises(ValueError):
+            VForm(CH3, 1, 3, {((0,), v): Poly.const(CH3, 1)})
+
+    def test_vform_from_components_rejects_degree_mismatch(self):
+        one = Poly.const(CH3, 1)
+        forms = [DiffForm(CH3, 1, {(0,): one}), DiffForm(CH3, 2, {(0, 1): one})]
+        with pytest.raises(ValueError):
+            VForm.from_components(forms, 1)
+
+    def test_valid_keys_kept_and_zeros_dropped(self):
+        one, zero = Poly.const(CH3, 1), Poly.zero(CH3)
+        for form in (DiffForm(CH3, 2, {(0, 2): one, (1, 2): zero}),
+                     Multivector(CH3, 2, {(0, 2): one, (1, 2): zero})):
+            assert form.coeffs == {(0, 2): one}
+        v = VForm(CH3, 1, 2, {((2,), 1): one, ((0,), 0): zero})
+        assert v.coeffs == {((2,), 1): one}

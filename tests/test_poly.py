@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lnlab.poly import (Chart, GrowthLimitError, ParseError, Poly, PolyError,
@@ -111,3 +111,135 @@ class TestGrowthLimit:
 def test_exact_rationals():
     p = Fraction(1, 3) * X + Fraction(1, 6) * X
     assert p == Fraction(1, 2) * X
+
+
+# -- the kernel against a naive reference ------------------------------------
+#
+# The reference works on plain {exponent tuple: Fraction} maps and shares no
+# code with lnlab.poly.
+
+def ref_clean(d):
+    return {e: Fraction(c) for e, c in d.items() if c != 0}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return ref_clean(out)
+
+
+def ref_neg(a):
+    return {e: -c for e, c in a.items()}
+
+
+def ref_scale(a, s):
+    return ref_clean({e: c * s for e, c in a.items()})
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_diff(a, i):
+    out = {}
+    for e, c in a.items():
+        if e[i]:
+            out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
+    return out
+
+
+def ref_pow(a, n):
+    out = {(0,) * CH.dim: Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def assert_canonical(p, reference):
+    """Same terms as the reference, no stored zeros, and every integral
+    coefficient stored as int (every other one as Fraction)."""
+    assert p.terms == reference
+    for e, c in p.terms.items():
+        assert len(e) == CH.dim and min(e) >= 0
+        assert c != 0
+        if type(c) is Fraction:
+            assert c.denominator != 1
+        else:
+            assert type(c) is int
+
+
+MIXED_COEFF = st.one_of(st.integers(-3, 3),
+                        st.fractions(min_value=-3, max_value=3, max_denominator=4))
+TERM_MAPS = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                            MIXED_COEFF, max_size=4)
+HALF = Fraction(1, 2)
+
+
+class TestKernelOracle:
+    @given(TERM_MAPS, TERM_MAPS, MIXED_COEFF, st.integers(0, 3))
+    @example({(1, 0): HALF, (0, 0): 1}, {(1, 0): HALF, (0, 0): -1}, 2, 2)  # 1/2+1/2, 1/2*2
+    @example({(1, 0): 1, (0, 1): Fraction(1, 3)},
+             {(1, 0): -1, (0, 1): Fraction(-1, 3)}, Fraction(3), 1)  # p + q cancels
+    @example({(2, 1): Fraction(3, 2)}, {(0, 0): Fraction(2, 3)}, Fraction(-2, 3), 3)
+    @settings(max_examples=150, deadline=None)
+    def test_ops_match_reference(self, d1, d2, s, n):
+        p, q = Poly(CH, d1), Poly(CH, d2)
+        a, b = ref_clean(d1), ref_clean(d2)
+        assert_canonical(p, a)
+        assert_canonical(p + q, ref_add(a, b))
+        assert_canonical(p - q, ref_add(a, ref_neg(b)))
+        assert_canonical(p - p, {})
+        assert_canonical(-p, ref_neg(a))
+        assert_canonical(p * q, ref_mul(a, b))
+        assert_canonical(p * s, ref_scale(a, Fraction(s)))
+        assert_canonical(s * p, ref_scale(a, Fraction(s)))
+        assert_canonical(p ** n, ref_pow(a, n))
+        for i in range(CH.dim):
+            assert_canonical(p.diff(i), ref_diff(a, i))
+
+    def test_constant_value_is_a_fraction(self):
+        c = (Poly.const(CH, HALF) * 4).constant_value()
+        assert c == 2 and type(c) is Fraction
+
+
+class TestBoundary:
+    def test_rejects_wrong_length_exponent(self):
+        with pytest.raises(PolyError):
+            Poly(CH, {(1,): 1})
+        with pytest.raises(PolyError):
+            Poly(CH, {(1, 0, 0): 1})
+
+    def test_rejects_negative_exponent(self):
+        with pytest.raises(PolyError):
+            Poly(CH, {(1, -1): 1})
+
+    def test_rejects_exponent_over_the_limit(self):
+        old = get_degree_limit()
+        set_degree_limit(4)
+        try:
+            assert Poly(CH, {(2, 2): 1}).total_degree() == 4
+            with pytest.raises(GrowthLimitError):
+                Poly(CH, {(3, 2): 1})
+        finally:
+            set_degree_limit(old)
+
+    @given(small_polys(), small_polys(), st.integers(1, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_mul_raises_iff_degree_sum_exceeds_limit(self, p, q, limit):
+        over = not p.is_zero and not q.is_zero and p.total_degree() + q.total_degree() > limit
+        old = get_degree_limit()
+        set_degree_limit(limit)
+        try:
+            if over:
+                with pytest.raises(GrowthLimitError):
+                    _ = p * q
+            else:
+                assert (p * q).total_degree() <= limit
+        finally:
+            set_degree_limit(old)

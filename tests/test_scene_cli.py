@@ -157,6 +157,36 @@ class TestCheckCommand:
             set_degree_limit(old)
         assert "resource bound" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("case, expected", [
+        ("pass", 0), ("fail", 1), ("input", 2), ("resource", 3)])
+    def test_max_degree_is_scoped_to_the_run(self, scene_file, capsys, case, expected):
+        scenes = {
+            "pass": PN_SCENE,
+            "fail": PN_SCENE.replace('[["x", "0"], ["0", "x"]]',
+                                     '[["0", "-1"], ["1", "0"]]'),
+            "input": "{not json",
+            "resource": PN_SCENE.replace('[["x", "0"], ["0", "x"]]',
+                                         '[["0", "y^3"], ["x^3", "0"]]'),
+        }
+        assert get_degree_limit() == 64
+        assert main(["--max-degree", "4", "check", scene_file(scenes[case])]) == expected
+        assert get_degree_limit() == 64
+
+    def test_max_degree_restored_after_exception(self, scene_file, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("lnlab.cli.run", boom)
+        with pytest.raises(RuntimeError):
+            main(["--max-degree", "4", "check", scene_file(PN_SCENE)])
+        assert get_degree_limit() == 64
+
+    def test_nonpositive_max_degree_is_a_usage_error(self, scene_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--max-degree", "0", "check", scene_file(PN_SCENE)])
+        assert exc.value.code == 2
+        assert get_degree_limit() == 64
+
 
 class TestLiftCommand:
     def test_endomorphism_shows_both_lifts(self, scene_file, capsys):
