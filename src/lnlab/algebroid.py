@@ -8,14 +8,15 @@ frame tuples certify the structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping
 
 from .poly import Chart, Poly, PolyError
-from .forms import (DiffForm, Multivector, VForm, exterior_d, sharp,
-                    sharp_matrix, schouten, vf_bracket)
+from .forms import (Multivector, VForm, _Alternating, derivative, sharp_matrix,
+                    schouten, vf_bracket)
 from .gder import (FramedBundle, GenDer, build_drT, cotangent_bundle,
                    tangent_bundle)
+from .matrix import identity, mat_vec, transpose
 from .report import CheckReport
 
 __all__ = [
@@ -31,77 +32,41 @@ __all__ = [
 ]
 
 
-@dataclass
-class FrameBivector:
-    """Section of the second exterior power of a framed bundle."""
+class FrameBivector(_Alternating):
+    """Section of the second exterior power of a framed bundle: a degree-2
+    alternating tensor whose indices run over the frame, not the chart."""
 
-    bundle: FramedBundle
-    coeffs: dict[tuple[int, int], Poly] = field(default_factory=dict)
+    __slots__ = ("bundle",)
 
-    def __post_init__(self) -> None:
-        clean = {}
-        for (a, b), p in self.coeffs.items():
-            if not a < b:
-                raise ValueError("indices must be strictly increasing")
-            if not p.is_zero:
-                clean[(a, b)] = p
-        self.coeffs = clean
+    def __init__(self, bundle: FramedBundle,
+                 coeffs: Mapping[tuple[int, int], Poly] | None = None) -> None:
+        self.bundle = bundle
+        super().__init__(bundle.chart, 2, coeffs)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def _span(self) -> int:
+        return self.bundle.rank
 
-    def coeff(self, a: int, b: int) -> Poly:
-        z = Poly.zero(self.bundle.chart)
-        if a == b:
-            return z
-        if a < b:
-            return self.coeffs.get((a, b), z)
-        return -self.coeffs.get((b, a), z)
+    def _shape(self) -> tuple:
+        return (self.bundle,)
 
-    def __add__(self, other: "FrameBivector") -> "FrameBivector":
-        keys = set(self.coeffs) | set(other.coeffs)
-        z = Poly.zero(self.bundle.chart)
-        return FrameBivector(self.bundle,
-                             {k: self.coeffs.get(k, z) + other.coeffs.get(k, z)
-                              for k in keys})
-
-    def __sub__(self, other: "FrameBivector") -> "FrameBivector":
-        return self + (-other)
-
-    def __neg__(self) -> "FrameBivector":
-        return FrameBivector(self.bundle, {k: -p for k, p in self.coeffs.items()})
-
-    def __mul__(self, f: Poly) -> "FrameBivector":
-        return FrameBivector(self.bundle, {k: p * f for k, p in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FrameBivector):
-            return NotImplemented
-        return self.bundle == other.bundle and self.coeffs == other.coeffs
+    @classmethod
+    def _trusted(cls, bundle: FramedBundle, coeffs: Mapping) -> "FrameBivector":
+        self = super()._trusted(bundle.chart, 2, coeffs)
+        self.bundle = bundle
+        return self
 
     @staticmethod
     def wedge_sections(s: VForm, t: VForm, bundle: FramedBundle) -> "FrameBivector":
         sc, tc = s.section_components(), t.section_components()
-        out = {}
-        for a in range(bundle.rank):
-            for b in range(a + 1, bundle.rank):
-                p = sc[a] * tc[b] - sc[b] * tc[a]
-                if not p.is_zero:
-                    out[(a, b)] = p
-        return FrameBivector(bundle, out)
+        return FrameBivector._trusted(bundle, {
+            (a, b): sc[a] * tc[b] - sc[b] * tc[a]
+            for a in range(bundle.rank) for b in range(a + 1, bundle.rank)})
 
     def render(self) -> str:
-        if not self.coeffs:
-            return "0"
         f = self.bundle.frame
-        return " + ".join(f"({p}) {f[a]}^{f[b]}"
-                          for (a, b), p in sorted(self.coeffs.items()))
+        return self._terms(lambda idx, p: f"({p}) {f[idx[0]]}^{f[idx[1]]}")
 
-    def __str__(self) -> str:
-        return self.render()
+    __str__ = render
 
 
 @dataclass
@@ -109,7 +74,8 @@ class AlgebroidStructure:
     """Anchored bracket bundle in a frame.
 
     ``anchor[a][i]`` is the i-th component of rho(u_a); ``structure[(a, b)]``
-    (a < b) lists the frame components of [u_a, u_b].
+    (a < b) lists the frame components of [u_a, u_b].  Brackets whose
+    components all vanish are dropped.
     """
 
     bundle: FramedBundle
@@ -124,6 +90,8 @@ class AlgebroidStructure:
         for (a, b), comps in self.structure.items():
             if not (0 <= a < b < rank) or len(comps) != rank:
                 raise PolyError(f"bad structure entry {(a, b)}")
+        self.structure = {k: comps for k, comps in self.structure.items()
+                          if any(not p.is_zero for p in comps)}
 
     @property
     def chart(self) -> Chart:
@@ -131,30 +99,21 @@ class AlgebroidStructure:
 
     def anchor_of(self, section: VForm) -> VForm:
         """rho applied to a polynomial section; a vector field."""
-        chart = self.chart
-        out = [Poly.zero(chart) for _ in range(chart.dim)]
-        for a, f in enumerate(section.section_components()):
-            if f.is_zero:
-                continue
-            for i in range(chart.dim):
-                out[i] = out[i] + f * self.anchor[a][i]
-        return VForm.section(chart, out)
+        return VForm.section(self.chart, mat_vec(transpose(self.anchor),
+                                                 section.section_components()))
 
     def frame_bracket(self, a: int, b: int) -> VForm:
-        chart, rank = self.chart, self.bundle.rank
-        if a == b:
-            return VForm.section(chart, [Poly.zero(chart)] * rank)
         key, sign = ((a, b), 1) if a < b else ((b, a), -1)
         comps = self.structure.get(key)
-        if comps is None:
-            return VForm.section(chart, [Poly.zero(chart)] * rank)
-        return VForm.section(chart, [sign * p for p in comps])
+        if a == b or comps is None:
+            return self.bundle.zero_form(0)
+        return VForm.section(self.chart, [sign * p for p in comps])
 
     def section_bracket(self, s: VForm, t: VForm) -> VForm:
         """[s, t] for polynomial sections, via bilinearity and Leibniz."""
-        chart, rank = self.chart, self.bundle.rank
+        rank = self.bundle.rank
         sc, tc = s.section_components(), t.section_components()
-        out = VForm.section(chart, [Poly.zero(chart)] * rank)
+        out = self.bundle.zero_form(0)
         for a in range(rank):
             for b in range(rank):
                 if sc[a].is_zero or tc[b].is_zero:
@@ -163,13 +122,9 @@ class AlgebroidStructure:
         rho_s = self.anchor_of(s).section_components()
         rho_t = self.anchor_of(t).section_components()
         for b in range(rank):
-            acc = Poly.zero(chart)
-            for i in range(chart.dim):
-                acc = acc + rho_s[i] * tc[b].diff(i) - rho_t[i] * sc[b].diff(i)
+            acc = derivative(rho_s, tc[b]) - derivative(rho_t, sc[b])
             if not acc.is_zero:
-                e = [Poly.zero(chart)] * rank
-                e[b] = acc
-                out = out + VForm.section(chart, e)
+                out = out + self.bundle.frame_section(b) * acc
         return out
 
     def validate(self) -> CheckReport:
@@ -199,16 +154,13 @@ class AlgebroidStructure:
 
     def lie_on_bivector(self, s: VForm, P: FrameBivector) -> FrameBivector:
         """L_s P: the bracket extended as a derivation of the wedge."""
-        chart, rank = self.chart, self.bundle.rank
-        frames = [self.bundle.frame_section(a) for a in range(rank)]
+        frames = [self.bundle.frame_section(a) for a in range(self.bundle.rank)]
         rho_s = self.anchor_of(s).section_components()
         out = FrameBivector(self.bundle, {})
         for (a, b), p in P.coeffs.items():
-            dp = Poly.zero(chart)
-            for i in range(chart.dim):
-                dp = dp + rho_s[i] * p.diff(i)
+            dp = derivative(rho_s, p)
             if not dp.is_zero:
-                out = out + FrameBivector(self.bundle, {(a, b): dp})
+                out = out + FrameBivector._trusted(self.bundle, {(a, b): dp})
             out = out + FrameBivector.wedge_sections(
                 self.section_bracket(s, frames[a]), frames[b], self.bundle) * p
             out = out + FrameBivector.wedge_sections(
@@ -218,10 +170,7 @@ class AlgebroidStructure:
 
 def tangent_algebroid(chart: Chart) -> AlgebroidStructure:
     """TM with the identity anchor and vanishing structure functions."""
-    n = chart.dim
-    one, zero = Poly.const(chart, 1), Poly.zero(chart)
-    anchor = [[one if i == a else zero for i in range(n)] for a in range(n)]
-    return AlgebroidStructure(tangent_bundle(chart), anchor, {})
+    return AlgebroidStructure(tangent_bundle(chart), identity(chart, chart.dim), {})
 
 
 def cotangent_of_poisson(pi: Multivector) -> AlgebroidStructure:
@@ -234,15 +183,12 @@ def cotangent_of_poisson(pi: Multivector) -> AlgebroidStructure:
     """
     chart = pi.chart
     n = chart.dim
-    S = sharp_matrix(pi)  # S[j][i]: j-th component of sharp(dx_i)
-    anchor = [[S[j][a] for j in range(n)] for a in range(n)]
+    anchor = transpose(sharp_matrix(pi))  # row a: sharp(dx_a)
     structure: dict[tuple[int, int], list[Poly]] = {}
     for a in range(n):
         for b in range(a + 1, n):
             p = pi.coeff((a, b))
-            comps = [p.diff(k) for k in range(n)]
-            if any(not c.is_zero for c in comps):
-                structure[(a, b)] = comps
+            structure[(a, b)] = [p.diff(k) for k in range(n)]
     flagged = not schouten(pi, pi).is_zero
     return AlgebroidStructure(cotangent_bundle(chart), anchor, structure,
                               pre_lie_only=flagged)
@@ -256,7 +202,6 @@ def ce_differential(Astar: AlgebroidStructure, section: VForm) -> FrameBivector:
 
     evaluated on the dual frame; returns a wedge-square section of A.
     """
-    chart = Astar.chart
     rank = Astar.bundle.rank
     comps = section.section_components()
     if len(comps) != rank:
@@ -265,17 +210,14 @@ def ce_differential(Astar: AlgebroidStructure, section: VForm) -> FrameBivector:
     out: dict[tuple[int, int], Poly] = {}
     for a in range(rank):
         for b in range(a + 1, rank):
-            acc = Poly.zero(chart)
-            for i in range(chart.dim):
-                acc = acc + Astar.anchor[a][i] * comps[b].diff(i)
-                acc = acc - Astar.anchor[b][i] * comps[a].diff(i)
+            acc = (derivative(Astar.anchor[a], comps[b])
+                   - derivative(Astar.anchor[b], comps[a]))
             cab = Astar.structure.get((a, b))
             if cab is not None:
                 for k in range(rank):
                     acc = acc - cab[k] * comps[k]
-            if not acc.is_zero:
-                out[(a, b)] = acc
-    return FrameBivector(A_bundle, out)
+            out[(a, b)] = acc
+    return FrameBivector._trusted(A_bundle, out)
 
 
 def check_bialgebroid(A: AlgebroidStructure, Astar: AlgebroidStructure,
@@ -306,7 +248,7 @@ def check_bialgebroid(A: AlgebroidStructure, Astar: AlgebroidStructure,
     sections: list[tuple[str, VForm]] = [
         (names[a], A.bundle.frame_section(a)) for a in range(rank)]
     if probe_coefficients:
-        for i, c in enumerate(chart.coords):
+        for c in chart.coords:
             for a in range(rank):
                 sections.append((f"{c}*{names[a]}",
                                  A.bundle.frame_section(a) * Poly.var(chart, c)))
@@ -342,9 +284,7 @@ class DeformedBracket:
         rank = self.bundle.rank
         for a in range(rank):
             for b in range(a + 1, rank):
-                comps = self.table[a][b].section_components()
-                if any(not p.is_zero for p in comps):
-                    structure[(a, b)] = comps
+                structure[(a, b)] = self.table[a][b].section_components()
         return AlgebroidStructure(self.bundle, self.anchor_l, structure,
                                   pre_lie_only=pre_lie_only)
 
@@ -352,7 +292,7 @@ class DeformedBracket:
 def deformed_bracket(A: AlgebroidStructure, D: GenDer) -> DeformedBracket:
     if D.bundle != A.bundle or D.degree != 1:
         raise PolyError("need a degree-1 derivation on the same bundle")
-    chart, rank = A.chart, A.bundle.rank
+    rank = A.bundle.rank
     frames = [A.bundle.frame_section(a) for a in range(rank)]
     table: list[list[VForm]] = []
     for a in range(rank):
@@ -364,15 +304,9 @@ def deformed_bracket(A: AlgebroidStructure, D: GenDer) -> DeformedBracket:
         table.append(row)
     skew = all((table[a][b] + table[b][a]).is_zero
                for a in range(rank) for b in range(a, rank))
-    n = chart.dim
-    anchor_l = []
-    anchor_r = []
+    anchor_l = [A.anchor_of(D.apply_l(u)).section_components() for u in frames]
     rmat = D.r.matrix()
-    for a in range(rank):
-        la = D.apply_l(frames[a])
-        anchor_l.append(A.anchor_of(la).section_components())
-        anchor_r.append([sum((rmat[j][i] * A.anchor[a][i] for i in range(n)),
-                             Poly.zero(chart)) for j in range(n)])
+    anchor_r = [mat_vec(rmat, row) for row in A.anchor]
     return DeformedBracket(A.bundle, table, anchor_l, anchor_r, skew)
 
 
@@ -392,9 +326,7 @@ def check_im(A: AlgebroidStructure, D: GenDer) -> CheckReport:
     chart, rank, n = A.chart, A.bundle.rank, A.chart.dim
     names = A.bundle.frame
     frames = [A.bundle.frame_section(a) for a in range(rank)]
-    coord_fields = [VForm.section(chart, [Poly.const(chart, 1) if j == i
-                                          else Poly.zero(chart) for j in range(n)])
-                    for i in range(n)]
+    coord_fields = [tangent_bundle(chart).frame_section(i) for i in range(n)]
     drT = build_drT(D.r)
 
     def D_at(s: VForm, X: VForm) -> VForm:
@@ -432,9 +364,8 @@ def check_im(A: AlgebroidStructure, D: GenDer) -> CheckReport:
     for a in range(rank):
         la = D.apply_l(frames[a])
         rho_la = A.anchor_of(la).section_components()
-        for j in range(n):
-            p = sum((rmat[j][i] * A.anchor[a][i] for i in range(n)),
-                    Poly.zero(chart)) - rho_la[j]
+        for j, r_rho in enumerate(mat_vec(rmat, A.anchor[a])):
+            p = r_rho - rho_la[j]
             if not p.is_zero:
                 im4.append(((a, j), p))
     report.add("IM symbol square", not im4,

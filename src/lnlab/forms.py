@@ -1,8 +1,19 @@
 """Exterior calculus on a chart with exact polynomial coefficients.
 
-Differential forms, multivector fields, and vector-valued forms are stored as
-maps from strictly increasing index tuples to polynomials.  Brackets follow the
-conventions that make the classical identities hold literally:
+Every alternating tensor in the package is one container, ``_Alternating``: a
+sparse map from strictly increasing index tuples to nonzero polynomials.  It
+owns key validation at the public constructors, ``+ - neg`` and scaling,
+equality and hashing, signed coefficient lookup and rendering.  Subclasses
+add only what differs:
+
+* ``DiffForm`` and ``Multivector`` index the chart coordinates and render
+  with ``dx`` and ``@x`` bases;
+* ``VForm`` takes values in a rank-``vals`` frame, so each key also carries
+  a value slot: ``(index tuple, v)``;
+* ``algebroid.FrameBivector`` has degree 2 and indexes the frame of a bundle.
+
+Brackets follow the conventions that make the classical identities hold
+literally:
 
 * the Frolicher-Nijenhuis bracket restricts to the Lie bracket on vector
   fields and satisfies ``[r, r] = 2 N_r`` for a degree-1 form ``r``;
@@ -15,6 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from .matrix import identity, mat_vec
 from .poly import Chart, Poly, PolyError
 
 __all__ = [
@@ -28,6 +40,7 @@ __all__ = [
     "interior_vvf",
     "lie_derivative_vvf",
     "vf_bracket",
+    "derivative",
     "frolicher_nijenhuis",
     "nijenhuis_torsion",
     "schouten",
@@ -62,12 +75,13 @@ def sort_index(idx: Sequence[int]) -> tuple[Index, int] | None:
     return tuple(lst), sign
 
 
-def _merge_sign(left: Index, right: Index) -> tuple[Index, int] | None:
-    return sort_index(left + right)
-
-
 class _Alternating:
-    """Shared storage/arithmetic for forms and multivectors."""
+    """Sparse alternating tensor (see the module docstring).
+
+    Index entries run below ``_span()``, the chart dimension unless a
+    subclass says otherwise.  ``_shape()`` lists the constructor arguments
+    before ``coeffs``; two tensors combine only when their shapes agree.
+    """
 
     __slots__ = ("chart", "degree", "coeffs")
 
@@ -77,28 +91,45 @@ class _Alternating:
             raise ValueError("degree must be nonnegative")
         self.chart = chart
         self.degree = degree
-        clean: dict[Index, Poly] = {}
-        for idx, p in (coeffs or {}).items():
-            if len(idx) != degree:
-                raise ValueError(f"index {idx} has wrong length for degree {degree}")
-            if list(idx) != sorted(set(idx)):
-                raise ValueError(f"index {idx} must be strictly increasing")
-            if any(not 0 <= i < chart.dim for i in idx):
-                raise ValueError(f"index {idx} out of range for {chart}")
+        clean = {}
+        for key, p in (coeffs or {}).items():
+            key = self._check_key(key)
             if not p.is_zero:
-                clean[tuple(idx)] = p
+                clean[key] = p
         self.coeffs = clean
 
+    def _span(self) -> int:
+        return self.chart.dim
+
+    def _shape(self) -> tuple:
+        return (self.chart, self.degree)
+
+    def _check_key(self, idx: Sequence[int]):
+        if len(idx) != self.degree:
+            raise ValueError(f"index {idx} has wrong length for degree {self.degree}")
+        if list(idx) != sorted(set(idx)):
+            raise ValueError(f"index {idx} must be strictly increasing")
+        if any(not 0 <= i < self._span() for i in idx):
+            raise ValueError(f"index {idx} out of range for {self.chart}")
+        return tuple(idx)
+
     @classmethod
-    def _trusted(cls, chart: Chart, degree: int, coeffs: Mapping[Index, Poly]):
-        """Build from keys known to be valid for ``degree``: taken from
-        existing objects or produced by ``sort_index``.  Only zero
-        coefficients are dropped; nothing is checked."""
+    def _trusted(cls, chart: Chart, degree: int, coeffs: Mapping):
+        """Build from keys known to be valid: taken from existing objects or
+        produced by ``sort_index``.  Only zero coefficients are dropped;
+        nothing is checked.  Subclasses take their shape arguments here too."""
         self = object.__new__(cls)
         self.chart = chart
         self.degree = degree
         self.coeffs = {k: p for k, p in coeffs.items() if p.terms}
         return self
+
+    def _like(self, coeffs: Mapping):
+        return self._trusted(*self._shape(), coeffs)
+
+    @classmethod
+    def zero(cls, *shape):
+        return cls(*shape)
 
     @property
     def is_zero(self) -> bool:
@@ -116,13 +147,12 @@ class _Alternating:
         return p if sign == 1 else -p
 
     def _binop(self, other, fn):
-        if self.chart != other.chart or self.degree != other.degree:
-            raise PolyError("chart/degree mismatch")
+        if self._shape() != other._shape():
+            raise PolyError(f"{type(self).__name__} shape mismatch")
         keys = set(self.coeffs) | set(other.coeffs)
         z = Poly.zero(self.chart)
-        return self._trusted(self.chart, self.degree,
-                             {k: fn(self.coeffs.get(k, z), other.coeffs.get(k, z))
-                              for k in keys})
+        return self._like({k: fn(self.coeffs.get(k, z), other.coeffs.get(k, z))
+                           for k in keys})
 
     def __add__(self, other):
         return self._binop(other, lambda a, b: a + b)
@@ -131,42 +161,40 @@ class _Alternating:
         return self._binop(other, lambda a, b: a - b)
 
     def __neg__(self):
-        return self._trusted(self.chart, self.degree,
-                             {k: -p for k, p in self.coeffs.items()})
+        return self._like({k: -p for k, p in self.coeffs.items()})
 
     def __mul__(self, f: Poly | int | Fraction):
-        return self._trusted(self.chart, self.degree,
-                             {k: p * f for k, p in self.coeffs.items()})
+        return self._like({k: p * f for k, p in self.coeffs.items()})
 
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, _Alternating):
             return NotImplemented
-        return (type(self) is type(other) and self.chart == other.chart
-                and self.degree == other.degree and self.coeffs == other.coeffs)
+        return (type(self) is type(other) and self._shape() == other._shape()
+                and self.coeffs == other.coeffs)
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self.chart, self.degree,
+        return hash((type(self).__name__, self._shape(),
                      frozenset(self.coeffs.items())))
 
-    def render(self, basis: str) -> str:
+    def _terms(self, term) -> str:
+        """Rendering: ``term(key, coefficient)`` joined in key order."""
         if not self.coeffs:
             return "0"
+        return " + ".join(term(k, self.coeffs[k]) for k in sorted(self.coeffs))
+
+    def render(self, basis: str) -> str:
         names = self.chart.coords
-        parts = []
-        for idx in sorted(self.coeffs):
+
+        def term(idx: Index, p: Poly) -> str:
             sym = "^".join(basis.format(names[i]) for i in idx) or "1"
-            parts.append(f"({self.coeffs[idx]}) {sym}".strip())
-        return " + ".join(parts)
+            return f"({p}) {sym}".strip()
+        return self._terms(term)
 
 
 class DiffForm(_Alternating):
     """Differential form of a fixed degree with polynomial coefficients."""
-
-    @staticmethod
-    def zero(chart: Chart, degree: int) -> "DiffForm":
-        return DiffForm(chart, degree, {})
 
     @staticmethod
     def from_poly(p: Poly) -> "DiffForm":
@@ -187,45 +215,33 @@ class DiffForm(_Alternating):
 class Multivector(_Alternating):
     """Alternating multivector field; degree 2 houses bivectors."""
 
-    @staticmethod
-    def zero(chart: Chart, degree: int) -> "Multivector":
-        return Multivector(chart, degree, {})
-
     def __str__(self) -> str:
         return self.render("@{}")
 
 
-def _wedge_coeffs(a: _Alternating, b: _Alternating) -> dict[Index, Poly]:
+def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
+    """Exterior product of two forms (or of two multivectors).
+    Graded-commutative and associative."""
+    if a.chart != b.chart:
+        raise PolyError("chart mismatch in wedge")
+    deg = a.degree + b.degree
+    if deg > a.chart.dim:
+        return a.zero(a.chart, deg)
     out: dict[Index, Poly] = {}
     for ia, pa in a.coeffs.items():
         for ib, pb in b.coeffs.items():
-            m = _merge_sign(ia, ib)
+            m = sort_index(ia + ib)
             if m is None:
                 continue
             key, sign = m
             term = pa * pb * sign
             prev = out.get(key)
             out[key] = term if prev is None else prev + term
-    return out
-
-
-def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
-    """Exterior product.  Graded-commutative and associative."""
-    if a.chart != b.chart:
-        raise PolyError("chart mismatch in wedge")
-    deg = a.degree + b.degree
-    if deg > a.chart.dim:
-        return DiffForm.zero(a.chart, deg)
-    return DiffForm._trusted(a.chart, deg, _wedge_coeffs(a, b))
+    return a._trusted(a.chart, deg, out)
 
 
 def mv_wedge(a: Multivector, b: Multivector) -> Multivector:
-    if a.chart != b.chart:
-        raise PolyError("chart mismatch in wedge")
-    deg = a.degree + b.degree
-    if deg > a.chart.dim:
-        return Multivector.zero(a.chart, deg)
-    return Multivector._trusted(a.chart, deg, _wedge_coeffs(a, b))
+    return wedge(a, b)
 
 
 def exterior_d(a: DiffForm) -> DiffForm:
@@ -240,7 +256,7 @@ def exterior_d(a: DiffForm) -> DiffForm:
             dp = p.diff(i)
             if dp.is_zero:
                 continue
-            m = _merge_sign((i,), idx)
+            m = sort_index((i,) + idx)
             if m is None:
                 continue
             key, sign = m
@@ -251,10 +267,11 @@ def exterior_d(a: DiffForm) -> DiffForm:
 
 
 def interior_vector(comps: Sequence[Poly], a: DiffForm) -> DiffForm:
-    """Interior product i_X a for a vector field given by its components."""
+    """Interior product i_X a for a vector field given by its components;
+    for a multivector, contraction with the 1-form of those components."""
     chart = a.chart
     if a.degree == 0:
-        return DiffForm.zero(chart, 0)
+        return a.zero(chart, 0)
     out: dict[Index, Poly] = {}
     for idx, p in a.coeffs.items():
         for pos, i in enumerate(idx):
@@ -264,53 +281,41 @@ def interior_vector(comps: Sequence[Poly], a: DiffForm) -> DiffForm:
             term = p * comps[i] * ((-1) ** pos)
             prev = out.get(rest)
             out[rest] = term if prev is None else prev + term
-    return DiffForm._trusted(chart, a.degree - 1, out)
+    return a._trusted(chart, a.degree - 1, out)
 
 
-class VForm:
+class VForm(_Alternating):
     """Vector-valued form: a form with values in a rank-``vals`` frame.
 
     ``vals == chart.dim`` with the coordinate frame gives tangent-valued forms;
     other values house sections/forms valued in a framed bundle.  Degree 0 is a
-    plain section (a vector field when tangent-valued).
+    plain section (a vector field when tangent-valued).  Keys are pairs
+    ``(index tuple, value slot)``.
     """
 
-    __slots__ = ("chart", "degree", "vals", "coeffs")
+    __slots__ = ("vals",)
 
     def __init__(self, chart: Chart, degree: int, vals: int,
                  coeffs: Mapping[tuple[Index, int], Poly] | None = None) -> None:
-        self.chart = chart
-        self.degree = degree
         self.vals = vals
-        clean: dict[tuple[Index, int], Poly] = {}
-        for (idx, v), p in (coeffs or {}).items():
-            if len(idx) != degree or list(idx) != sorted(set(idx)):
-                raise ValueError(f"bad index {idx} for degree {degree}")
-            if any(not 0 <= i < chart.dim for i in idx):
-                raise ValueError(f"index {idx} out of range for {chart}")
-            if not 0 <= v < vals:
-                raise ValueError(f"value index {v} out of range ({vals})")
-            if not p.is_zero:
-                clean[(tuple(idx), v)] = p
-        self.coeffs = clean
+        super().__init__(chart, degree, coeffs)
 
-    # -- constructors ------------------------------------------------------
+    def _shape(self) -> tuple:
+        return (self.chart, self.degree, self.vals)
 
-    @staticmethod
-    def _trusted(chart: Chart, degree: int, vals: int,
-                 coeffs: Mapping[tuple[Index, int], Poly]) -> "VForm":
-        """Build from keys known to be valid for ``degree`` and ``vals``;
-        only zero coefficients are dropped, nothing is checked."""
-        self = object.__new__(VForm)
-        self.chart = chart
-        self.degree = degree
+    @classmethod
+    def _trusted(cls, chart: Chart, degree: int, vals: int, coeffs: Mapping):
+        self = super()._trusted(chart, degree, coeffs)
         self.vals = vals
-        self.coeffs = {k: p for k, p in coeffs.items() if p.terms}
         return self
 
-    @staticmethod
-    def zero(chart: Chart, degree: int, vals: int) -> "VForm":
-        return VForm(chart, degree, vals, {})
+    def _check_key(self, key: tuple[Index, int]) -> tuple[Index, int]:
+        idx, v = key
+        if not 0 <= v < self.vals:
+            raise ValueError(f"value index {v} out of range ({self.vals})")
+        return super()._check_key(idx), v
+
+    # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_components(forms: Sequence[DiffForm], degree: int) -> "VForm":
@@ -336,48 +341,11 @@ class VForm:
         return VForm._trusted(chart, 1, chart.dim,
                               {((i,), i): one for i in range(chart.dim)})
 
-    # -- arithmetic --------------------------------------------------------
-
-    def _compat(self, other: "VForm") -> None:
-        if (self.chart, self.degree, self.vals) != (other.chart, other.degree, other.vals):
-            raise PolyError("VForm shape mismatch")
-
-    def __add__(self, other: "VForm") -> "VForm":
-        self._compat(other)
-        keys = set(self.coeffs) | set(other.coeffs)
-        z = Poly.zero(self.chart)
-        return VForm._trusted(self.chart, self.degree, self.vals,
-                              {k: self.coeffs.get(k, z) + other.coeffs.get(k, z)
-                               for k in keys})
-
-    def __sub__(self, other: "VForm") -> "VForm":
-        return self + (-other)
-
-    def __neg__(self) -> "VForm":
-        return VForm._trusted(self.chart, self.degree, self.vals,
-                              {k: -p for k, p in self.coeffs.items()})
-
-    def __mul__(self, f: Poly | int | Fraction) -> "VForm":
-        return VForm._trusted(self.chart, self.degree, self.vals,
-                              {k: p * f for k, p in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VForm):
-            return NotImplemented
-        return (self.chart == other.chart and self.degree == other.degree
-                and self.vals == other.vals and self.coeffs == other.coeffs)
-
-    def __hash__(self) -> int:
-        return hash((self.chart, self.degree, self.vals,
-                     frozenset(self.coeffs.items())))
-
     # -- access ------------------------------------------------------------
+
+    def coeff(self, idx: Sequence[int], v: int) -> Poly:
+        """Coefficient of the v-th frame vector on an arbitrary index tuple."""
+        return self.component(v).coeff(idx)
 
     def component(self, v: int) -> DiffForm:
         """Scalar form multiplying the v-th frame vector."""
@@ -393,7 +361,7 @@ class VForm:
 
     def value_at(self, idx: Sequence[int]) -> list[Poly]:
         """Evaluate on a tuple of coordinate frame directions."""
-        return [self.component(v).coeff(idx) for v in range(self.vals)]
+        return [self.coeff(idx, v) for v in range(self.vals)]
 
     def matrix(self) -> list[list[Poly]]:
         """Degree-1 form as a vals x dim matrix: M[v][i] = <frame_v part of K(d/dx_i)>."""
@@ -444,16 +412,13 @@ class VForm:
         return out
 
     def render(self, frame: Sequence[str]) -> str:
-        if not self.coeffs:
-            return "0"
         names = self.chart.coords
-        parts = []
-        for (idx, v) in sorted(self.coeffs):
+
+        def term(key: tuple[Index, int], p: Poly) -> str:
+            idx, v = key
             sym = "^".join(f"d{names[i]}" for i in idx)
-            head = f"({self.coeffs[(idx, v)]})"
-            body = f"{head} {sym} (x) {frame[v]}" if sym else f"{head} {frame[v]}"
-            parts.append(body)
-        return " + ".join(parts)
+            return f"({p}) {sym} (x) {frame[v]}" if sym else f"({p}) {frame[v]}"
+        return self._terms(term)
 
     def __repr__(self) -> str:
         return f"VForm(deg={self.degree}, vals={self.vals}, {len(self.coeffs)} terms)"
@@ -499,18 +464,21 @@ def lie_derivative_vvf(K: VForm, a: DiffForm) -> DiffForm:
     return first + second if (k - 1) % 2 else first - second
 
 
+def derivative(comps: Sequence[Poly], p: Poly) -> Poly:
+    """X(p) = sum_i X^i d_i p for the vector field with components ``comps``."""
+    acc = Poly.zero(p.chart)
+    for i, c in enumerate(comps):
+        if c.terms:
+            acc = acc + c * p.diff(i)
+    return acc
+
+
 def vf_bracket(X: VForm, Y: VForm) -> VForm:
     """Lie bracket of vector fields."""
     _check_tangent(X)
     xs, ys = X.section_components(), Y.section_components()
-    n = X.chart.dim
-    out = []
-    for j in range(n):
-        acc = Poly.zero(X.chart)
-        for i in range(n):
-            acc = acc + xs[i] * ys[j].diff(i) - ys[i] * xs[j].diff(i)
-        out.append(acc)
-    return VForm.section(X.chart, out)
+    return VForm.section(X.chart, [derivative(xs, y) - derivative(ys, x)
+                                   for x, y in zip(xs, ys)])
 
 
 def frolicher_nijenhuis(K: VForm, L: VForm) -> VForm:
@@ -528,6 +496,7 @@ def frolicher_nijenhuis(K: VForm, L: VForm) -> VForm:
     k, l = K.degree, L.degree
     deg = k + l
     sign_k = (-1) ** k
+    units = identity(chart, chart.dim)
     acc: dict[tuple[Index, int], Poly] = {}
 
     def add(idx_form: DiffForm, v: int) -> None:
@@ -546,13 +515,9 @@ def frolicher_nijenhuis(K: VForm, L: VForm) -> VForm:
             dphi = DiffForm._trusted(chart, k, {ia: pa.diff(vb)})
             add(-wedge(dphi, psi), va)
             # (-1)^k ( d phi ^ i_{va} psi (x) d/dx_vb + i_{vb} phi ^ d psi (x) d/dx_va )
-            ev = [Poly.zero(chart)] * chart.dim
-            ev[va] = Poly.const(chart, 1)
-            t1 = wedge(exterior_d(phi), interior_vector(ev, psi))
+            t1 = wedge(exterior_d(phi), interior_vector(units[va], psi))
             add(t1 * sign_k, vb)
-            ew = [Poly.zero(chart)] * chart.dim
-            ew[vb] = Poly.const(chart, 1)
-            t2 = wedge(interior_vector(ew, phi), exterior_d(psi))
+            t2 = wedge(interior_vector(units[vb], phi), exterior_d(psi))
             add(t2 * sign_k, va)
     return VForm._trusted(chart, deg, chart.dim, acc)
 
@@ -565,8 +530,7 @@ def nijenhuis_torsion(r: VForm) -> VForm:
     chart = r.chart
     n = chart.dim
     coeffs: dict[tuple[Index, int], Poly] = {}
-    frame = [VForm.section(chart, [Poly.const(chart, 1) if j == i else Poly.zero(chart)
-                                   for j in range(n)]) for i in range(n)]
+    frame = [VForm.section(chart, row) for row in identity(chart, n)]
     for i in range(n):
         for j in range(i + 1, n):
             ri, rj = r.apply_endo(frame[i]), r.apply_endo(frame[j])
@@ -575,28 +539,11 @@ def nijenhuis_torsion(r: VForm) -> VForm:
                    - r.apply_endo(vf_bracket(ri, frame[j]))
                    - r.apply_endo(vf_bracket(frame[i], rj)))
             for v, p in enumerate(val.section_components()):
-                if not p.is_zero:
-                    coeffs[((i, j), v)] = p
+                coeffs[((i, j), v)] = p
     return VForm._trusted(chart, 2, n, coeffs)
 
 
 # -- multivector calculus ----------------------------------------------------
-
-
-def _mv_interior_exact(f: Poly, Q: Multivector) -> Multivector:
-    """Interior product of the exact 1-form df with a multivector."""
-    chart = Q.chart
-    out: dict[Index, Poly] = {}
-    for idx, p in Q.coeffs.items():
-        for pos, i in enumerate(idx):
-            g = f.diff(i)
-            if g.is_zero:
-                continue
-            rest = idx[:pos] + idx[pos + 1:]
-            term = p * g * ((-1) ** pos)
-            prev = out.get(rest)
-            out[rest] = term if prev is None else prev + term
-    return Multivector._trusted(chart, Q.degree - 1, out)
 
 
 def schouten(P: Multivector, Q: Multivector) -> Multivector:
@@ -616,12 +563,10 @@ def schouten(P: Multivector, Q: Multivector) -> Multivector:
     deg = p + q - 1
     if deg < 0 or deg > chart.dim:
         return Multivector.zero(chart, max(deg, 0))
-    if p == 0:
-        f = P.coeffs.get((), Poly.zero(chart))
-        return _mv_interior_exact(f, Q) * ((-1) ** q)
-    if q == 0:
-        f = Q.coeffs.get((), Poly.zero(chart))
-        return _mv_interior_exact(f, P)
+    if p == 0 or q == 0:
+        f, R = (P, Q) if p == 0 else (Q, P)
+        out = interior_vector([f.coeff(()).diff(i) for i in range(chart.dim)], R)
+        return -out if p == 0 and q % 2 else out
     out: dict[Index, Poly] = {}
 
     def add(idx: Sequence[int], coeff: Poly) -> None:
@@ -664,16 +609,8 @@ def sharp(P: Multivector, a: DiffForm) -> VForm:
         raise ValueError("sharp needs a bivector and a 1-form")
     if P.chart != a.chart:
         raise PolyError("chart mismatch")
-    chart = P.chart
-    n = chart.dim
-    alpha = [a.coeff((i,)) for i in range(n)]
-    out = []
-    for j in range(n):
-        acc = Poly.zero(chart)
-        for i in range(n):
-            acc = acc + alpha[i] * P.coeff((i, j))
-        out.append(acc)
-    return VForm.section(chart, out)
+    alpha = [a.coeff((i,)) for i in range(P.chart.dim)]
+    return VForm.section(P.chart, mat_vec(sharp_matrix(P), alpha))
 
 
 def sharp_matrix(P: Multivector) -> list[list[Poly]]:
@@ -700,7 +637,5 @@ def bivector_from_sharp(chart: Chart, S: Sequence[Sequence[Poly]]) -> Multivecto
     n = chart.dim
     for i in range(n):
         for j in range(i + 1, n):
-            p = S[j][i]
-            if not p.is_zero:
-                coeffs[(i, j)] = p
+            coeffs[(i, j)] = S[j][i]
     return Multivector._trusted(chart, 2, coeffs)

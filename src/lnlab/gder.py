@@ -23,7 +23,8 @@ from typing import Sequence
 
 from .poly import Chart, Poly, PolyError
 from .forms import (DiffForm, VForm, exterior_d, frolicher_nijenhuis,
-                    lie_derivative_vvf, vf_bracket, wedge)
+                    lie_derivative_vvf, vf_bracket)
+from .matrix import mat_vec, transpose
 
 __all__ = [
     "FramedBundle",
@@ -156,8 +157,8 @@ class GenDer:
                 out = out + self.l_frame[a].wedge_scalar(exterior_d(alpha)) * sj
             lr = lie_derivative_vvf(self.r, alpha)
             if not lr.is_zero:
-                term = VForm(chart, j + k, self.bundle.rank,
-                             {(idx, a): p * sjk for idx, p in lr.coeffs.items()})
+                term = VForm._trusted(chart, j + k, self.bundle.rank,
+                                      {(idx, a): p * sjk for idx, p in lr.coeffs.items()})
                 out = out + term
         return out
 
@@ -173,8 +174,8 @@ class GenDer:
             if g.is_zero:
                 continue
             comp = rdf * g
-            out = out + VForm(self.bundle.chart, self.degree, self.bundle.rank,
-                              {(idx, a): p for idx, p in comp.coeffs.items()})
+            out = out + VForm._trusted(self.bundle.chart, self.degree, self.bundle.rank,
+                                       {(idx, a): p for idx, p in comp.coeffs.items()})
         return out
 
     def __add__(self, other: "GenDer") -> "GenDer":
@@ -203,17 +204,14 @@ class GenDer:
     @staticmethod
     def zero(bundle: FramedBundle, degree: int) -> "GenDer":
         k = degree
-        lf = None if k == 0 else [VForm.zero(bundle.chart, k - 1, bundle.rank)
-                                  for _ in range(bundle.rank)]
-        return GenDer(bundle, k,
-                      [VForm.zero(bundle.chart, k, bundle.rank)
-                       for _ in range(bundle.rank)],
+        lf = None if k == 0 else [bundle.zero_form(k - 1) for _ in range(bundle.rank)]
+        return GenDer(bundle, k, [bundle.zero_form(k) for _ in range(bundle.rank)],
                       lf, VForm.zero(bundle.chart, k, bundle.chart.dim))
 
 
 def _l_on_valued_form(D: GenDer, eta: VForm) -> VForm:
     """Function-linear extension of l to E-valued forms: l(a (x) u) = a ^ l(u)."""
-    out = VForm.zero(D.bundle.chart, eta.degree + D.degree - 1, D.bundle.rank)
+    out = D.bundle.zero_form(eta.degree + D.degree - 1)
     for alpha, a in eta.decomposables():
         out = out + D.l_frame[a].wedge_scalar(alpha)
     return out
@@ -235,12 +233,15 @@ def bracket(D1: GenDer, D2: GenDer) -> GenDer:
     bundle = D1.bundle
     d_out: list[VForm] = []
     l_out: list[VForm] = []
+    k = k1 + k2
     for a in range(bundle.rank):
         u = bundle.frame_section(a)
         d_val = D2.extend(D1.apply(u)) - D1.extend(D2.apply(u)) * sign
         d_out.append(d_val)
+        if k == 0:
+            continue
         # graded commutators [D2, l1] and [D1, l2] on the frame section
-        parts = VForm.zero(bundle.chart, k1 + k2 - 1, bundle.rank)
+        parts = bundle.zero_form(k - 1)
         if D1.l_frame is not None:
             s = (-1) ** (k2 * (k1 - 1))
             parts = parts + D2.extend(D1.apply_l(u)) - _l_on_valued_form(D1, D2.apply(u)) * s
@@ -250,7 +251,6 @@ def bracket(D1: GenDer, D2: GenDer) -> GenDer:
             parts = parts - t * sign
         l_out.append(parts)
     r_out = frolicher_nijenhuis(D1.r, D2.r)
-    k = k1 + k2
     return GenDer(bundle, k, d_out, l_out if k > 0 else None, r_out)
 
 
@@ -318,9 +318,7 @@ def build_drTstar(r: VForm) -> GenDer:
         coeffs = {}
         for i in range(n):
             for a in range(n):
-                p = rm[b][a].diff(i) - rm[b][i].diff(a)
-                if not p.is_zero:
-                    coeffs[((i,), a)] = p
+                coeffs[((i,), a)] = rm[b][a].diff(i) - rm[b][i].diff(a)
         d_out.append(VForm(chart, 1, n, coeffs))
         l_out.append(VForm.section(chart, [rm[b][a] for a in range(n)]))
     return GenDer(bundle, 1, d_out, l_out, r)
@@ -342,30 +340,18 @@ def build_from_connection(bundle: FramedBundle,
     from itertools import combinations
 
     def nabla(i: int, comps: Sequence[Poly]) -> list[Poly]:
-        out = []
-        for b in range(rank):
-            acc = Poly.zero(chart)
-            for a in range(rank):
-                acc = acc + gamma[i][b][a] * comps[a]
-            out.append(acc)
-        return out
+        return mat_vec(gamma[i], comps)
 
     d_out = []
     for a in range(rank):
-        ua = [Poly.const(chart, 1) if c == a else Poly.zero(chart) for c in range(rank)]
+        ua = bundle.frame_section(a).section_components()
         coeffs: dict[tuple[tuple[int, ...], int], Poly] = {}
         for I in combinations(range(n), k):
             val = [Poly.zero(chart)] * rank
             for t, i in enumerate(I):
                 rest = I[:t] + I[t + 1:]
-                nab = nabla(i, ua)
-                lv = [Poly.zero(chart)] * rank
-                for b in range(rank):
-                    if nab[b].is_zero:
-                        continue
-                    part = l_frame[b].value_at(rest)
-                    for c in range(rank):
-                        lv[c] = lv[c] + nab[b] * part[c]
+                parts = [l_frame[b].value_at(rest) for b in range(rank)]
+                lv = mat_vec(transpose(parts), nabla(i, ua))
                 s = (-1) ** t
                 val = [v + s * w for v, w in zip(val, lv)]
             rI = r.value_at(I)
@@ -377,8 +363,7 @@ def build_from_connection(bundle: FramedBundle,
                 grad = [g + rI[i] * w for g, w in zip(grad, nab)]
             val = [v - g for v, g in zip(val, grad)]
             for c in range(rank):
-                if not val[c].is_zero:
-                    coeffs[(I, c)] = val[c]
+                coeffs[(I, c)] = val[c]
         d_out.append(VForm(chart, k, rank, coeffs))
     return GenDer(bundle, k, d_out, list(l_frame) if k > 0 else None, r)
 
@@ -401,35 +386,23 @@ def build_from_theta(A, theta: VForm) -> GenDer:
     d_out = []
     l_out = []
     r_coeffs: dict[tuple[tuple[int, ...], int], Poly] = {}
-    theta_cols = [VForm.section(chart, [theta.coeffs.get(((i,), v), Poly.zero(chart))
-                                        for v in range(rank)]) for i in range(n)]
+    coord_fields = [tangent_bundle(chart).frame_section(i) for i in range(n)]
+    theta_cols = [theta.apply_endo(X) for X in coord_fields]
     for i in range(n):
         rho_theta = A.anchor_of(theta_cols[i])
         for j, p in enumerate(rho_theta.section_components()):
-            if not p.is_zero:
-                r_coeffs[((i,), j)] = p
+            r_coeffs[((i,), j)] = p
     r = VForm(chart, 1, n, r_coeffs)
     for a in range(rank):
         ua = bundle.frame_section(a)
         rho_a = A.anchor_of(ua)
         coeffs: dict[tuple[tuple[int, ...], int], Poly] = {}
         for i in range(n):
-            ei = VForm.section(chart, [Poly.const(chart, 1) if t == i else Poly.zero(chart)
-                                       for t in range(n)])
             br = A.section_bracket(ua, theta_cols[i])
-            lie = vf_bracket(rho_a, ei)
-            theta_lie = VForm.section(chart, [Poly.zero(chart)] * rank)
-            for t, q in enumerate(lie.section_components()):
-                if not q.is_zero:
-                    theta_lie = theta_lie + theta_cols[t] * q
-            val = br - theta_lie
+            lie = vf_bracket(rho_a, coord_fields[i])
+            val = br - theta.apply_endo(lie)
             for v, p in enumerate(val.section_components()):
-                if not p.is_zero:
-                    coeffs[((i,), v)] = p
+                coeffs[((i,), v)] = p
         d_out.append(VForm(chart, 1, rank, coeffs))
-        lval = VForm.section(chart, [Poly.zero(chart)] * rank)
-        for i, q in enumerate(rho_a.section_components()):
-            if not q.is_zero:
-                lval = lval + theta_cols[i] * q
-        l_out.append(lval)
+        l_out.append(theta.apply_endo(rho_a))
     return GenDer(bundle, 1, d_out, l_out, r)

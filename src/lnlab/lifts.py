@@ -20,7 +20,6 @@ from .report import CheckReport
 __all__ = [
     "TotalChart",
     "LinVVForm",
-    "total_chart",
     "vertical_lift",
     "euler",
     "v_map",
@@ -115,10 +114,6 @@ class LinVVForm:
     @property
     def degree(self) -> int:
         return self.form.degree
-
-
-def total_chart(bundle: FramedBundle) -> TotalChart:
-    return TotalChart.of(bundle)
 
 
 def vertical_lift(tc: TotalChart, u: VForm) -> VForm:

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import Chart, Poly, PolyError
-from .forms import Multivector, VForm, bivector_from_sharp, nijenhuis_torsion
-from .gder import FramedBundle, GenDer, bracket, dual
+from .forms import VForm, bivector_from_sharp
+from .gder import FramedBundle, GenDer, bracket, dual, tangent_bundle
 from .algebroid import AlgebroidStructure, check_bialgebroid, check_im
+from .matrix import identity, mat_mul, mat_vec, transpose
 from .pnlab import PNCandidate, check_pn
 from .report import CheckReport
 
@@ -54,24 +55,13 @@ class LNCandidate:
 
 def _l_matrix(D: GenDer) -> list[list[Poly]]:
     """Matrix of the l symbol on the frame: L[b][a] = component b of l(u_a)."""
-    rank = D.bundle.rank
     cols = [D.apply_l(D.bundle.frame_section(a)).section_components()
-            for a in range(rank)]
-    return [[cols[a][b] for a in range(rank)] for b in range(rank)]
-
-
-def _mat_mul(A: list[list[Poly]], B: list[list[Poly]]) -> list[list[Poly]]:
-    z = Poly.zero(A[0][0].chart)
-    return [[sum((A[i][k] * B[k][j] for k in range(len(B))), z)
-             for j in range(len(B[0]))] for i in range(len(A))]
+            for a in range(D.bundle.rank)]
+    return transpose(cols)
 
 
 def _mat_apply(M: list[list[Poly]], s: VForm) -> VForm:
-    comps = s.section_components()
-    chart = s.chart
-    out = [sum((M[b][a] * comps[a] for a in range(len(comps))), Poly.zero(chart))
-           for b in range(len(M))]
-    return VForm.section(chart, out)
+    return VForm.section(s.chart, mat_vec(M, s.section_components()))
 
 
 def deform_algebroid(A: AlgebroidStructure, M: list[list[Poly]]) -> AlgebroidStructure:
@@ -81,20 +71,16 @@ def deform_algebroid(A: AlgebroidStructure, M: list[list[Poly]]) -> AlgebroidStr
 
     A Lie algebroid again exactly when the torsion of M vanishes.
     """
-    chart, rank = A.chart, A.bundle.rank
+    rank = A.bundle.rank
     frames = [A.bundle.frame_section(a) for a in range(rank)]
-    anchor = [[sum((M[b][a] * A.anchor[b][i] for b in range(rank)),
-                   Poly.zero(chart)) for i in range(chart.dim)]
-              for a in range(rank)]
+    anchor = mat_mul(transpose(M), A.anchor)
     structure: dict[tuple[int, int], list[Poly]] = {}
     for a in range(rank):
         for b in range(a + 1, rank):
             val = (A.section_bracket(_mat_apply(M, frames[a]), frames[b])
                    + A.section_bracket(frames[a], _mat_apply(M, frames[b]))
                    - _mat_apply(M, A.frame_bracket(a, b)))
-            comps = val.section_components()
-            if any(not p.is_zero for p in comps):
-                structure[(a, b)] = comps
+            structure[(a, b)] = val.section_components()
     return AlgebroidStructure(A.bundle, anchor, structure)
 
 
@@ -144,10 +130,9 @@ def base_pn(c: LNCandidate) -> tuple[PNCandidate, CheckReport]:
     if not check_lnb(c).passed:
         raise PolyError("candidate is not a Lie-Nijenhuis bialgebroid")
     chart = c.chart
-    n, rank = chart.dim, c.A.bundle.rank
-    z = Poly.zero(chart)
-    S = [[sum((c.A.anchor[a][i] * c.Astar.anchor[a][j] for a in range(rank)), z)
-          for i in range(n)] for j in range(n)]
+    n = chart.dim
+    # S[j][i] = sum_a rho*(u^a)_j rho(u_a)_i
+    S = mat_mul(transpose(c.Astar.anchor), c.A.anchor)
     for i in range(n):
         for j in range(i, n):
             if not (S[j][i] + S[i][j]).is_zero:
@@ -165,9 +150,8 @@ def deform_hierarchy(c: LNCandidate, depth: int) -> tuple[list[LNCandidate], Che
         raise PolyError("depth must be at least 1")
     if not check_lnb(c).passed:
         raise PolyError("candidate is not a Lie-Nijenhuis bialgebroid")
-    rank = c.A.bundle.rank
     L = _l_matrix(c.D)
-    Lstar = [[L[b][a] for b in range(rank)] for a in range(rank)]
+    Lstar = transpose(L)
     report = CheckReport(f"deformation hierarchy to depth {depth}")
     report.extend(algebroid_torsion(c.A, L), prefix="N_l: ")
     members = [c]
@@ -178,7 +162,7 @@ def deform_hierarchy(c: LNCandidate, depth: int) -> tuple[list[LNCandidate], Che
         rep = check_lnb(member)
         report.add(f"dual deformation (power {j})", rep.passed,
                    detail=f"{len(rep.failures())} failing laws" if not rep.passed else "")
-        power = _mat_mul(Lstar, power)
+        power = mat_mul(Lstar, power)
     side = LNCandidate(deform_algebroid(c.A, L), c.Astar, c.D)
     members.append(side)
     rep = check_lnb(side)
@@ -196,24 +180,14 @@ def holomorphic_detect(c: LNCandidate) -> CheckReport:
     chart = c.chart
     n, rank = chart.dim, c.A.bundle.rank
     report = CheckReport("holomorphic structure")
-    rm = c.D.r.matrix()
-    r2 = _mat_mul(rm, rm)
-    defect_r = [r2[i][j] + (Poly.const(chart, 1) if i == j else Poly.zero(chart))
-                for i in range(n) for j in range(n)]
-    report.add("r squares to minus identity",
-               all(p.is_zero for p in defect_r),
-               defect=[p for p in defect_r if not p.is_zero] or None)
-    L = _l_matrix(c.D)
-    L2 = _mat_mul(L, L)
-    defect_l = [L2[a][b] + (Poly.const(chart, 1) if a == b else Poly.zero(chart))
-                for a in range(rank) for b in range(rank)]
-    report.add("l squares to minus identity",
-               all(p.is_zero for p in defect_l),
-               defect=[p for p in defect_l if not p.is_zero] or None)
+    for side, M in (("r", c.D.r.matrix()), ("l", _l_matrix(c.D))):
+        sums = [p + q for row, unit in zip(mat_mul(M, M), identity(chart, len(M)))
+                for p, q in zip(row, unit)]
+        defect = [p for p in sums if not p.is_zero]
+        report.add(f"{side} squares to minus identity", not defect,
+                   defect=defect or None)
     frames = [c.A.bundle.frame_section(a) for a in range(rank)]
-    coord_fields = [VForm.section(chart, [Poly.const(chart, 1) if j == i
-                                          else Poly.zero(chart)
-                                          for j in range(n)]) for i in range(n)]
+    coord_fields = [tangent_bundle(chart).frame_section(i) for i in range(n)]
     names = c.A.bundle.frame
     for a in range(rank):
         for i in range(n):
@@ -240,9 +214,9 @@ class CourantOperator:
 def courant_operator(c: LNCandidate) -> CourantOperator:
     """Builds diag(l, -l*) when l squares to a rational multiple of the
     identity; raises otherwise.  No torsion condition is verified here."""
-    chart, rank = c.chart, c.A.bundle.rank
+    rank = c.A.bundle.rank
     L = _l_matrix(c.D)
-    L2 = _mat_mul(L, L)
+    L2 = mat_mul(L, L)
     lam = None
     for a in range(rank):
         for b in range(rank):
@@ -259,5 +233,5 @@ def courant_operator(c: LNCandidate) -> CourantOperator:
             lam = val
         elif lam != val:
             raise PolyError("l squared is not a scalar multiple of the identity")
-    lstar = [[-L[b][a] for b in range(rank)] for a in range(rank)]
+    lstar = [[-p for p in row] for row in transpose(L)]
     return CourantOperator(c.A.bundle, L, lstar, lam if lam is not None else Fraction(0))

@@ -8,17 +8,16 @@ property, and cross-checks it against the bialgebroid characterization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .poly import Chart, Poly, PolyError
 from .forms import (DiffForm, Multivector, VForm, bivector_from_sharp,
                     exterior_d, frolicher_nijenhuis, interior_vector,
-                    lie_derivative_vvf, nijenhuis_torsion, pairing, schouten,
-                    sharp, sharp_matrix, vf_bracket)
-from .gder import build_drT, build_drTstar, dual
+                    lie_derivative_vvf, nijenhuis_torsion, schouten, sharp,
+                    sharp_matrix, vf_bracket)
 from .algebroid import (AlgebroidStructure, check_bialgebroid,
-                        cotangent_of_poisson, tangent_algebroid)
+                        cotangent_of_poisson)
 from .gder import tangent_bundle
+from .matrix import mat_mul, mat_vec, transpose
 from .report import CheckReport
 
 __all__ = [
@@ -52,38 +51,21 @@ class PNCandidate:
         return self.pi.chart
 
 
-def _map_apply(M: list[list[Poly]], comps: list[Poly]) -> list[Poly]:
-    chart = comps[0].chart if comps else None
-    return [sum((M[j][i] * comps[i] for i in range(len(comps))),
-                Poly.zero(M[j][0].chart)) for j in range(len(M))]
+def _comps(a: DiffForm) -> list[Poly]:
+    return [a.coeff((i,)) for i in range(a.chart.dim)]
 
 
 def _map_bracket(M: list[list[Poly]], a: DiffForm, b: DiffForm) -> DiffForm:
     """[a, b]_M = L_{M(a)} b - i_{M(b)} da for a bundle map M: T*M -> TM."""
-    chart = a.chart
-    n = chart.dim
-    Ma = VForm.section(chart, _map_apply(M, [a.coeff((i,)) for i in range(n)]))
-    Mb = _map_apply(M, [b.coeff((i,)) for i in range(n)])
+    Ma = VForm.section(a.chart, mat_vec(M, _comps(a)))
+    Mb = mat_vec(M, _comps(b))
     return lie_derivative_vvf(Ma, b) - interior_vector(Mb, exterior_d(a))
 
 
 def _transpose_apply(rm: list[list[Poly]], a: DiffForm) -> DiffForm:
     """The 1-form a o r, i.e. (r* a)_i = sum_j a_j r^j_i."""
-    chart = a.chart
-    n = chart.dim
-    comps = {}
-    for i in range(n):
-        p = sum((a.coeff((j,)) * rm[j][i] for j in range(n)), Poly.zero(chart))
-        if not p.is_zero:
-            comps[(i,)] = p
-    return DiffForm(chart, 1, comps)
-
-
-def _compose(A: list[list[Poly]], B: list[list[Poly]]) -> list[list[Poly]]:
-    n, m, k = len(A), len(B), len(B[0]) if B else 0
-    z = Poly.zero(A[0][0].chart)
-    return [[sum((A[j][t] * B[t][i] for t in range(m)), z) for i in range(k)]
-            for j in range(n)]
+    comps = mat_vec(transpose(rm), _comps(a))
+    return DiffForm._trusted(a.chart, 1, {(i,): p for i, p in enumerate(comps)})
 
 
 def concomitant_C(pi: Multivector, r: VForm, a: DiffForm, b: DiffForm) -> DiffForm:
@@ -95,7 +77,7 @@ def concomitant_C(pi: Multivector, r: VForm, a: DiffForm, b: DiffForm) -> DiffFo
     """
     S = sharp_matrix(pi)
     rm = r.matrix()
-    B = _compose(rm, S)
+    B = mat_mul(rm, S)
     return (_map_bracket(B, a, b)
             - _map_bracket(S, _transpose_apply(rm, a), b)
             - _map_bracket(S, a, _transpose_apply(rm, b))
@@ -107,7 +89,6 @@ def concomitant_R(pi: Multivector, r: VForm, a: DiffForm, X: VForm) -> VForm:
 
         R(a, X) = pi#( L_X(r* a) - L_{r(X)} a ) - (L_{pi# a} r)(X).
     """
-    chart = pi.chart
     rm = r.matrix()
     rX = r.apply_endo(X)
     inner = (lie_derivative_vvf(X, _transpose_apply(rm, a))
@@ -120,10 +101,31 @@ def selfadj_defect(pi: Multivector, r: VForm) -> list[list[Poly]]:
     """Matrix of r o pi# - pi# o r*."""
     S = sharp_matrix(pi)
     rm = r.matrix()
-    left = _compose(rm, S)
-    rt = [[rm[i][j] for i in range(len(rm))] for j in range(len(rm))]
-    right = _compose(S, rt)
+    left = mat_mul(rm, S)
+    right = mat_mul(S, transpose(rm))
     return [[l - q for l, q in zip(lr, qr)] for lr, qr in zip(left, right)]
+
+
+def _pi_r(c: PNCandidate, defect: list[list[Poly]]) -> Multivector | list[list[Poly]]:
+    """pi_r when the selfadjointness defect vanishes, else the raw composite
+    matrix of r o pi#."""
+    B = mat_mul(c.r.matrix(), sharp_matrix(c.pi))
+    if all(p.is_zero for row in defect for p in row):
+        return bivector_from_sharp(c.chart, B)
+    return B
+
+
+def _C_table(c: PNCandidate) -> dict[tuple[int, int], DiffForm]:
+    """C on the coframe pairs (dx_a, dx_b), a < b."""
+    chart = c.chart
+    n = chart.dim
+    C_table = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            C_table[(a, b)] = concomitant_C(c.pi, c.r,
+                                            DiffForm.basis(chart, (a,)),
+                                            DiffForm.basis(chart, (b,)))
+    return C_table
 
 
 def concomitants(c: PNCandidate):
@@ -132,25 +134,15 @@ def concomitants(c: PNCandidate):
     chart = c.chart
     n = chart.dim
     defect = selfadj_defect(c.pi, c.r)
-    B = _compose(c.r.matrix(), sharp_matrix(c.pi))
-    pi_r = None
-    if all(p.is_zero for row in defect for p in row):
-        pi_r = bivector_from_sharp(chart, B)
-    C_table = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            C_table[(a, b)] = concomitant_C(c.pi, c.r,
-                                            DiffForm.basis(chart, (a,)),
-                                            DiffForm.basis(chart, (b,)))
+    pi_r = _pi_r(c, defect)
+    C_table = _C_table(c)
     R_table = {}
-    fields = [VForm.section(chart, [Poly.const(chart, 1) if j == i
-                                    else Poly.zero(chart) for j in range(n)])
-              for i in range(n)]
+    fields = [tangent_bundle(chart).frame_section(i) for i in range(n)]
     for a in range(n):
         for i in range(n):
             R_table[(a, i)] = concomitant_R(c.pi, c.r,
                                             DiffForm.basis(chart, (a,)), fields[i])
-    return pi_r if pi_r is not None else B, C_table, R_table, defect
+    return pi_r, C_table, R_table, defect
 
 
 def check_pn(c: PNCandidate) -> CheckReport:
@@ -163,7 +155,8 @@ def check_pn(c: PNCandidate) -> CheckReport:
     flat = [p for row in defect for p in row if not p.is_zero]
     report.add("selfadjoint composite r o pi#", not flat,
                defect=flat or None)
-    pi_r_obj, C_table, R_table, _ = concomitants(c)
+    pi_r_obj = _pi_r(c, defect)
+    C_table = _C_table(c)
     for key in sorted(C_table):
         a, b = key
         report.add_zero("concomitant C", C_table[key],
@@ -182,19 +175,14 @@ def nijenhuis_deformed_tangent(r: VForm) -> AlgebroidStructure:
     chart = r.chart
     n = chart.dim
     bundle = tangent_bundle(chart)
-    rm = r.matrix()
-    anchor = [[rm[i][a] for i in range(n)] for a in range(n)]
-    frames = [VForm.section(chart, [Poly.const(chart, 1) if j == i
-                                    else Poly.zero(chart) for j in range(n)])
-              for i in range(n)]
+    anchor = transpose(r.matrix())
+    frames = [bundle.frame_section(i) for i in range(n)]
     structure = {}
     for a in range(n):
         for b in range(a + 1, n):
             val = (vf_bracket(r.apply_endo(frames[a]), frames[b])
                    + vf_bracket(frames[a], r.apply_endo(frames[b])))
-            comps = val.section_components()
-            if any(not p.is_zero for p in comps):
-                structure[(a, b)] = comps
+            structure[(a, b)] = val.section_components()
     return AlgebroidStructure(bundle, anchor, structure)
 
 
@@ -267,7 +255,7 @@ def hierarchy(c: PNCandidate, depth: int) -> tuple[list[Multivector], CheckRepor
     out = [c.pi]
     power = S
     for _ in range(depth):
-        power = _compose(rm, power)
+        power = mat_mul(rm, power)
         out.append(bivector_from_sharp(chart, power))
     report = CheckReport(f"hierarchy to depth {depth}")
     for i in range(len(out)):

@@ -85,6 +85,23 @@ def _need(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _dict(value, key: str, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise SceneError(f"{where}: '{key}' must be an object")
+    return value
+
+
+def _matrix(value, rows: int, cols: int, what: str, where: str) -> list:
+    if (not isinstance(value, list) or len(value) != rows
+            or any(not isinstance(row, list) or len(row) != cols for row in value)):
+        raise SceneError(f"{where}: {what} must be {rows}x{cols}")
+    return value
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _poly(chart: Chart, text, where: str) -> Poly:
     if not isinstance(text, str):
         raise SceneError(f"{where}: polynomial entries must be strings")
@@ -100,8 +117,8 @@ def _coord_pair(chart: Chart, key: str, where: str) -> tuple[int, int]:
         raise SceneError(f"{where}: index key '{key}' must name two coordinates")
     try:
         i, j = chart.index(parts[0]), chart.index(parts[1])
-    except PolyError as e:
-        raise SceneError(f"{where}: {e}") from e
+    except KeyError as e:
+        raise SceneError(f"{where}: {e.args[0]}") from None
     if not i < j:
         raise SceneError(f"{where}: key '{key}' must be in chart order")
     return i, j
@@ -115,13 +132,11 @@ def _build_object(chart: Chart, name: str, spec: dict, env: dict) -> object:
     n = chart.dim
     if kind == "bivector":
         coeffs = {}
-        for key, text in _need(spec, "coeffs", where).items():
+        for key, text in _dict(_need(spec, "coeffs", where), "coeffs", where).items():
             coeffs[_coord_pair(chart, key, where)] = _poly(chart, text, where)
         return Multivector(chart, 2, coeffs)
     if kind == "endomorphism":
-        rows = _need(spec, "matrix", where)
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise SceneError(f"{where}: matrix must be {n}x{n}")
+        rows = _matrix(_need(spec, "matrix", where), n, n, "matrix", where)
         coeffs = {}
         for j, row in enumerate(rows):
             for i, text in enumerate(row):
@@ -131,7 +146,7 @@ def _build_object(chart: Chart, name: str, spec: dict, env: dict) -> object:
         return VForm(chart, 1, n, coeffs)
     if kind == "vector_field":
         comps = _need(spec, "components", where)
-        if len(comps) != n:
+        if not isinstance(comps, list) or len(comps) != n:
             raise SceneError(f"{where}: need {n} components")
         return VForm.section(chart, [_poly(chart, t, where) for t in comps])
     if kind == "tangent_algebroid":
@@ -140,22 +155,23 @@ def _build_object(chart: Chart, name: str, spec: dict, env: dict) -> object:
         pi = _resolve(env, _need(spec, "bivector", where), Multivector, where)
         return cotangent_of_poisson(pi)
     if kind == "algebroid":
-        frame = tuple(_need(spec, "frame", where))
+        frame = _need(spec, "frame", where)
+        if not isinstance(frame, list) or not all(isinstance(f, str) for f in frame):
+            raise SceneError(f"{where}: 'frame' must be a list of section names")
+        frame = tuple(frame)
         from .gder import FramedBundle
         bundle = FramedBundle(chart, frame)
-        rows = _need(spec, "anchor", where)
-        if len(rows) != len(frame) or any(len(r) != n for r in rows):
-            raise SceneError(f"{where}: anchor must be {len(frame)}x{n}")
+        rows = _matrix(_need(spec, "anchor", where), len(frame), n, "anchor", where)
         anchor = [[_poly(chart, t, where) for t in row] for row in rows]
         structure = {}
-        for key, comps in spec.get("brackets", {}).items():
+        for key, comps in _dict(spec.get("brackets", {}), "brackets", where).items():
             parts = [p.strip() for p in key.split(",")]
             if len(parts) != 2 or any(p not in frame for p in parts):
                 raise SceneError(f"{where}: bracket key '{key}' must name two frame sections")
             a, b = frame.index(parts[0]), frame.index(parts[1])
             if not a < b:
                 raise SceneError(f"{where}: bracket key '{key}' must be in frame order")
-            if len(comps) != len(frame):
+            if not isinstance(comps, list) or len(comps) != len(frame):
                 raise SceneError(f"{where}: bracket '{key}' needs {len(frame)} components")
             structure[(a, b)] = [_poly(chart, t, where) for t in comps]
         return AlgebroidStructure(bundle, anchor, structure)
@@ -191,9 +207,12 @@ def parse_scene(text: str) -> Scene:
     if (not isinstance(coords, list) or not coords
             or not all(isinstance(c, str) for c in coords)):
         raise SceneError("scene: 'chart' must be a non-empty list of coordinate names")
-    chart = Chart(tuple(coords))
+    try:
+        chart = Chart(tuple(coords))
+    except ValueError as e:
+        raise SceneError(f"scene: {e}") from None
     env: dict[str, object] = {}
-    for name, spec in data.get("objects", {}).items():
+    for name, spec in _dict(data.get("objects", {}), "objects", "scene").items():
         env[name] = _build_object(chart, name, spec, env)
     checks = data.get("checks", [])
     if not isinstance(checks, list):
@@ -261,6 +280,12 @@ def _validate_check(chart: Chart, ck: dict, env: dict, where: str) -> None:
     kind = ck["check"]
     if kind not in _CHECKS:
         raise SceneError(f"{where}: unknown check '{kind}'")
+    for key in ("depth", "count", "seed"):
+        if key in ck and not _is_int(ck[key]):
+            raise SceneError(f"{where}: '{key}' must be an integer")
+    dims = ck.get("dims", [])
+    if not isinstance(dims, list) or not all(map(_is_int, dims)):
+        raise SceneError(f"{where}: 'dims' must be a list of integers")
     if kind == "algebroid":
         _resolve(env, _need(ck, "target", where), AlgebroidStructure, where)
     elif kind == "bialgebroid":

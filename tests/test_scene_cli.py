@@ -2,13 +2,20 @@
 contract of the command line."""
 
 import json
+import pathlib
 
 import pytest
 
-from lnlab.poly import get_degree_limit, set_degree_limit
+from lnlab.poly import Chart, Poly, get_degree_limit, set_degree_limit
+from lnlab.forms import DiffForm, Multivector, VForm
+from lnlab.gder import FramedBundle
+from lnlab.algebroid import AlgebroidStructure, check_bialgebroid
 from lnlab.catalog import example_names, example_source
 from lnlab.cli import main
+from lnlab.report import CheckItem
 from lnlab.scene import SceneError, parse_scene, render, run
+
+GOLDENS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "goldens"
 
 PN_SCENE = """{
   "chart": ["x", "y"],
@@ -86,6 +93,32 @@ class TestRunAndRender:
         with pytest.raises(SceneError):
             render(run(scene), "yaml")
 
+    def test_defect_rendering_per_container(self):
+        """Failing items print their defect through CheckItem.line()."""
+        ch = Chart(("x", "y"))
+        zero, one = Poly.zero(ch), Poly.const(ch, 1)
+        x, y = Poly.var(ch, "x"), Poly.var(ch, "y")
+        E = FramedBundle(ch, ("e1", "e2", "e3"))
+        zrow = [[zero, zero]] * 3
+        A = AlgebroidStructure(E, zrow, {(0, 1): [zero, zero, one]})
+        pert = AlgebroidStructure(E.dual(), zrow, {(0, 1): [one, zero, zero]})
+        first = check_bialgebroid(A, pert).failures()[0]
+        assert first.line() == ("[FAIL] cocycle condition  ((e1,e2))\n"
+                                "       defect: (-1) e2^e3")
+        w = DiffForm(ch, 1, {(0,): x * y, (1,): one * -2})
+        assert str(w) == "(x*y) dx + (-2) dy"
+        assert str(DiffForm(ch, 0, {(): x + 1})) == "(x + 1) 1"
+        assert str(Multivector(ch, 2, {(0, 1): x - y})) == "(x - y) @x^@y"
+        V = VForm(ch, 0, 2, {((), 0): x, ((), 1): one * 3})
+        assert V.render(["e1", "e2"]) == "(x) e1 + (3) e2"
+        K = VForm(ch, 1, 2, {((0,), 1): y, ((1,), 0): one})
+        assert K.render(["@x", "@y"]) == "(y) dx (x) @y + (1) dy (x) @x"
+        assert repr(V) == "VForm(deg=0, vals=2, 2 terms)"
+        assert CheckItem("law", False, V).line() == (
+            "[FAIL] law\n       defect: VForm(deg=0, vals=2, 2 terms)")
+        assert CheckItem("law", False, w).line() == (
+            "[FAIL] law\n       defect: (x*y) dx + (-2) dy")
+
 
 class TestCatalog:
     def test_catalog_size(self):
@@ -101,6 +134,13 @@ class TestCatalog:
             code = main(["examples", "run", name, "--format", "table"])
             capsys.readouterr()
             assert code == (1 if name == "pn-J2" else 0), name
+
+    @pytest.mark.parametrize("name", example_names())
+    def test_table_output_matches_golden(self, name, capsys):
+        """The bytes the benchmark checks, recorded in bench/goldens/."""
+        code = main(["examples", "run", name, "--format", "table"])
+        assert code == (1 if name == "pn-J2" else 0)
+        assert capsys.readouterr().out == (GOLDENS / f"{name}.txt").read_text()
 
     def test_show_is_verbatim(self, capsys):
         main(["examples", "show", "pn-xid"])
@@ -136,6 +176,31 @@ class TestCheckCommand:
 
     def test_malformed_scene_exits_two(self, scene_file, capsys):
         assert main(["check", scene_file("{not json")]) == 2
+
+    @pytest.mark.parametrize("edit", [
+        lambda s: s["objects"]["pi0"].update(coeffs={"x,z": "1"}),
+        lambda s: s.update(objects=[]),
+        lambda s: s["objects"]["pi0"].update(coeffs=["1"]),
+        lambda s: s["objects"].update(A={"type": "algebroid", "frame": ["e"],
+                                         "anchor": [["1", "0"]], "brackets": []}),
+        lambda s: s["objects"].update(A={"type": "algebroid", "frame": "ef",
+                                         "anchor": [["1", "0"], ["0", "1"]]}),
+        lambda s: s["checks"].append({"check": "hierarchy", "bivector": "pi0",
+                                      "endomorphism": "rx", "depth": "2"}),
+        lambda s: s["checks"].append({"check": "mm1_random", "dims": "23"}),
+        lambda s: s["checks"].append({"check": "mm1_random", "count": "5"}),
+        lambda s: s["checks"].append({"check": "mm1_random", "seed": [7]}),
+        lambda s: s.update(chart=["x", "x"]),
+        lambda s: s["objects"]["rx"].update(matrix=7),
+    ], ids=["unknown-coordinate", "objects-list", "coeffs-list", "brackets-list",
+            "frame-string", "depth-string", "dims-string", "count-string",
+            "seed-list", "duplicate-coordinate", "matrix-number"])
+    def test_malformed_scene_reports_input_error(self, scene_file, capsys, edit):
+        scene = json.loads(PN_SCENE)
+        edit(scene)
+        assert main(["check", scene_file(json.dumps(scene))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_table_output_is_byte_identical(self, scene_file, capsys):
         path = scene_file(PN_SCENE)
