@@ -86,21 +86,18 @@ def _do_lift(args) -> int:
         raise SceneError(f"scene has no object named '{args.object}'")
     obj = scene.objects[args.object]
     if isinstance(obj, VForm) and obj.degree == 1 and obj.vals == scene.chart.dim:
-        for label, lifted in (("tangent lift", tangent_lift(obj)),
-                              ("cotangent lift", cotangent_lift(obj))):
-            names = lifted.total.chart.coords
-            frame = [f"@{c}" for c in names]
-            print(f"{label} on chart {names}:")
-            print(f"  {lifted.form.render(frame)}")
+        lifts = (("tangent lift", tangent_lift(obj)),
+                 ("cotangent lift", cotangent_lift(obj)))
     elif isinstance(obj, GenDer):
-        lifted = linearize(obj)
-        names = lifted.total.chart.coords
-        frame = [f"@{c}" for c in names]
-        print(f"linearization on chart {names}:")
-        print(f"  {lifted.form.render(frame)}")
+        lifts = (("linearization", linearize(obj)),)
     else:
         raise SceneError(f"object '{args.object}' is not liftable "
                          "(need an endomorphism or a derivation)")
+    for label, lifted in lifts:
+        names = lifted.total.chart.coords
+        frame = [f"@{c}" for c in names]
+        print(f"{label} on chart {names}:")
+        print(f"  {lifted.form.render(frame)}")
     return EXIT_PASS
 
 
@@ -135,13 +132,10 @@ def main(argv: list[str] | None = None) -> int:
                 return EXIT_PASS
             scene = parse_scene(source)
             return _emit(run(scene, seed=args.seed), args.format, None)
-    except SceneError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
     except GrowthLimitError as e:
         print(f"resource bound: {e}", file=sys.stderr)
         return EXIT_RESOURCE
-    except PolyError as e:
+    except (SceneError, PolyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     finally:

@@ -19,6 +19,7 @@ decidable by exact zero-testing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 from .poly import Chart, Poly, PolyError
@@ -337,7 +338,6 @@ def build_from_connection(bundle: FramedBundle,
     """
     chart = bundle.chart
     n, rank, k = chart.dim, bundle.rank, r.degree
-    from itertools import combinations
 
     def nabla(i: int, comps: Sequence[Poly]) -> list[Poly]:
         return mat_vec(gamma[i], comps)

@@ -102,14 +102,10 @@ class TotalChart:
 
 @dataclass
 class LinVVForm:
-    """Tangent-valued form on a total chart, linear over the fibers.
-
-    ``source`` records the generalized derivation it linearizes when known.
-    """
+    """Tangent-valued form on a total chart, linear over the fibers."""
 
     total: TotalChart
     form: VForm
-    source: GenDer | None = None
 
     @property
     def degree(self) -> int:
@@ -166,7 +162,7 @@ def phi_up(tc: TotalChart, phi_frame: list[VForm]) -> LinVVForm:
             term = tc.pull(p) * xi
             prev = coeffs.get(key)
             coeffs[key] = term if prev is None else prev + term
-    return LinVVForm(tc, VForm(tc.chart, k, tc.dim, coeffs), None)
+    return LinVVForm(tc, VForm(tc.chart, k, tc.dim, coeffs))
 
 
 def linearize(D: GenDer) -> LinVVForm:
@@ -202,7 +198,7 @@ def linearize(D: GenDer) -> LinVVForm:
                 s = sort_index((tc.fiber_index(a),) + idx)
                 key, sign = s
                 add((key, tc.fiber_index(b)), tc.pull(p) * sign)
-    return LinVVForm(tc, VForm(tc.chart, k, tc.dim, coeffs), D)
+    return LinVVForm(tc, VForm(tc.chart, k, tc.dim, coeffs))
 
 
 def _probe_sections(bundle: FramedBundle) -> list[tuple[str, VForm]]:

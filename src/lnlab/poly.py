@@ -159,9 +159,7 @@ class Poly:
 
     @staticmethod
     def var(chart: Chart, name: str) -> "Poly":
-        i = chart.index(name)
-        exp = tuple(1 if j == i else 0 for j in range(chart.dim))
-        return Poly(chart, {exp: 1})
+        return Poly.coord(chart, chart.index(name))
 
     @staticmethod
     def coord(chart: Chart, i: int) -> "Poly":
@@ -358,12 +356,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             if text[pos:].strip():
                 raise ParseError(f"unexpected character {text[pos]!r}", pos)
             break
-        if m.group("num"):
-            tokens.append(("num", m.group("num"), m.start()))
-        elif m.group("name"):
-            tokens.append(("name", m.group("name"), m.start()))
-        else:
-            tokens.append(("op", m.group("op"), m.start()))
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     return tokens
 
@@ -442,7 +436,10 @@ class _Parser:
         tok = self.next()
         kind, text, pos = tok
         if kind == "num":
-            return Poly.const(self.chart, Fraction(text))
+            try:
+                return Poly.const(self.chart, Fraction(text))
+            except ZeroDivisionError:
+                raise ParseError("zero denominator", pos) from None
         if kind == "name":
             try:
                 return Poly.var(self.chart, text)

@@ -23,9 +23,26 @@ rational coefficients, ``+ - * ^`` and parentheses).  Object types:
                         the tangent frame)
     gder_cotangent      endomorphism: <name>   (likewise on the coframe)
 
-Check names: algebroid, bialgebroid, im, pn, kosmann, mm1, mm1_random,
-hierarchy, lnb, base_pn, deform_hierarchy, holomorphic, torsion,
-correspondence.
+Checks and the keys each reads.  bivector, endomorphism and field name
+objects of those types (field: a vector_field); target, algebroid, base and
+dual name algebroids of any of the three algebroid types; gder names a
+gder_tangent or gder_cotangent object.
+
+    algebroid           target
+    bialgebroid         base, dual
+    im                  algebroid, gder
+    pn                  bivector, endomorphism
+    kosmann             bivector, endomorphism
+    mm1                 bivector, endomorphism, field
+    mm1_random          dims: non-empty, each >= 1 (default [2, 3]),
+                        count >= 1 (default 5), seed (default: the run's seed)
+    hierarchy           bivector, endomorphism, depth >= 0 (default 2)
+    lnb                 base, dual, gder
+    base_pn             base, dual, gder
+    deform_hierarchy    base, dual, gder, depth >= 1 (default 1)
+    holomorphic         base, dual, gder
+    torsion             endomorphism
+    correspondence      gder
 """
 
 from __future__ import annotations
@@ -36,12 +53,13 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from . import __version__
 from .poly import Chart, GrowthLimitError, Poly, PolyError, parse_poly
 from .forms import (Multivector, VForm, frolicher_nijenhuis,
                     nijenhuis_torsion)
-from .gder import GenDer, build_drT, build_drTstar
+from .gder import FramedBundle, GenDer, build_drT, build_drTstar
 from .algebroid import (AlgebroidStructure, check_bialgebroid, check_im,
                         cotangent_of_poisson, tangent_algebroid)
 from .pnlab import PNCandidate, check_pn, hierarchy, kosmann_equivalence, mm1_identity
@@ -61,7 +79,7 @@ class SceneError(Exception):
 class Scene:
     chart: Chart
     objects: dict[str, object]
-    checks: list[dict]
+    checks: list[tuple[str, Callable[[int], CheckReport]]]
     source: str
 
 
@@ -159,7 +177,6 @@ def _build_object(chart: Chart, name: str, spec: dict, env: dict) -> object:
         if not isinstance(frame, list) or not all(isinstance(f, str) for f in frame):
             raise SceneError(f"{where}: 'frame' must be a list of section names")
         frame = tuple(frame)
-        from .gder import FramedBundle
         bundle = FramedBundle(chart, frame)
         rows = _matrix(_need(spec, "anchor", where), len(frame), n, "anchor", where)
         anchor = [[_poly(chart, t, where) for t in row] for row in rows]
@@ -175,12 +192,9 @@ def _build_object(chart: Chart, name: str, spec: dict, env: dict) -> object:
                 raise SceneError(f"{where}: bracket '{key}' needs {len(frame)} components")
             structure[(a, b)] = [_poly(chart, t, where) for t in comps]
         return AlgebroidStructure(bundle, anchor, structure)
-    if kind == "gder_tangent":
+    if kind in ("gder_tangent", "gder_cotangent"):
         r = _resolve(env, _need(spec, "endomorphism", where), VForm, where)
-        return build_drT(r)
-    if kind == "gder_cotangent":
-        r = _resolve(env, _need(spec, "endomorphism", where), VForm, where)
-        return build_drTstar(r)
+        return build_drT(r) if kind == "gder_tangent" else build_drTstar(r)
     raise SceneError(f"{where}: unknown type '{kind}'")
 
 
@@ -217,30 +231,16 @@ def parse_scene(text: str) -> Scene:
     checks = data.get("checks", [])
     if not isinstance(checks, list):
         raise SceneError("scene: 'checks' must be a list")
+    bound = []
     for pos, ck in enumerate(checks):
+        where = f"check #{pos + 1}"
         if not isinstance(ck, dict) or "check" not in ck:
-            raise SceneError(f"check #{pos + 1}: must be an object with a 'check' key")
-        _validate_check(chart, ck, env, f"check #{pos + 1}")
-    return Scene(chart, env, checks, text)
-
-
-def _pn_candidate(chart: Chart, ck: dict, env: dict, where: str) -> PNCandidate:
-    pi = _resolve(env, _need(ck, "bivector", where), Multivector, where)
-    r = _resolve(env, _need(ck, "endomorphism", where), VForm, where)
-    try:
-        return PNCandidate(pi, r)
-    except PolyError as e:
-        raise SceneError(f"{where}: {e}") from e
-
-
-def _ln_candidate(ck: dict, env: dict, where: str) -> LNCandidate:
-    A = _resolve(env, _need(ck, "base", where), AlgebroidStructure, where)
-    Astar = _resolve(env, _need(ck, "dual", where), AlgebroidStructure, where)
-    D = _resolve(env, _need(ck, "gder", where), GenDer, where)
-    try:
-        return LNCandidate(A, Astar, D)
-    except PolyError as e:
-        raise SceneError(f"{where}: {e}") from e
+            raise SceneError(f"{where}: must be an object with a 'check' key")
+        try:
+            bound.append((ck["check"], _bind_check(ck, env, where)))
+        except PolyError as e:  # a candidate's shape precondition
+            raise SceneError(f"{where}: {e}") from e
+    return Scene(chart, env, bound, text)
 
 
 def _random_linear(rng: random.Random, chart: Chart) -> Poly:
@@ -251,9 +251,7 @@ def _random_linear(rng: random.Random, chart: Chart) -> Poly:
     return Poly(chart, terms)
 
 
-def _run_mm1_random(ck: dict, seed: int) -> CheckReport:
-    dims = ck.get("dims", [2, 3])
-    count = ck.get("count", 5)
+def _run_mm1_random(dims: list[int], count: int, seed: int) -> CheckReport:
     rng = random.Random(seed)
     report = CheckReport("randomized concomitant derivation identity")
     for dim in dims:
@@ -271,105 +269,112 @@ def _run_mm1_random(ck: dict, seed: int) -> CheckReport:
     return report
 
 
-_CHECKS = ("algebroid", "bialgebroid", "im", "pn", "kosmann", "mm1",
-           "mm1_random", "hierarchy", "lnb", "base_pn", "deform_hierarchy",
-           "holomorphic", "torsion", "correspondence")
+def _run_torsion(r: VForm) -> CheckReport:
+    torsion = nijenhuis_torsion(r)
+    report = CheckReport("Nijenhuis torsion")
+    report.add_zero("torsion of the endomorphism", torsion)
+    half = frolicher_nijenhuis(r, r) * Fraction(1, 2)
+    report.add_zero("torsion equals half the self-bracket", torsion - half)
+    return report
 
 
-def _validate_check(chart: Chart, ck: dict, env: dict, where: str) -> None:
-    kind = ck["check"]
-    if kind not in _CHECKS:
-        raise SceneError(f"{where}: unknown check '{kind}'")
+def _bind_check(ck: dict, env: dict, where: str) -> Callable[[int], CheckReport]:
+    """Resolve a check's references and numeric keys and build its
+    candidate once; return its runner, which takes the run's seed.
+
+    Runners call the checkers through this module's globals, looked up when
+    they run, so that a rebinding of a checker (a tracer's, say) applies."""
     for key in ("depth", "count", "seed"):
         if key in ck and not _is_int(ck[key]):
             raise SceneError(f"{where}: '{key}' must be an integer")
-    dims = ck.get("dims", [])
+    dims = ck.get("dims", [2, 3])
     if not isinstance(dims, list) or not all(map(_is_int, dims)):
         raise SceneError(f"{where}: 'dims' must be a list of integers")
-    if kind == "algebroid":
-        _resolve(env, _need(ck, "target", where), AlgebroidStructure, where)
-    elif kind == "bialgebroid":
-        _resolve(env, _need(ck, "base", where), AlgebroidStructure, where)
-        _resolve(env, _need(ck, "dual", where), AlgebroidStructure, where)
-    elif kind == "im":
-        _resolve(env, _need(ck, "algebroid", where), AlgebroidStructure, where)
-        _resolve(env, _need(ck, "gder", where), GenDer, where)
-    elif kind in ("pn", "kosmann", "hierarchy"):
-        _pn_candidate(chart, ck, env, where)
-    elif kind == "mm1":
-        _pn_candidate(chart, ck, env, where)
-        _resolve(env, _need(ck, "field", where), VForm, where)
-    elif kind in ("lnb", "base_pn", "deform_hierarchy", "holomorphic"):
-        _ln_candidate(ck, env, where)
-    elif kind == "torsion":
-        _resolve(env, _need(ck, "endomorphism", where), VForm, where)
-    elif kind == "correspondence":
-        _resolve(env, _need(ck, "gder", where), GenDer, where)
 
+    def ref(key: str, expected: type):
+        return _resolve(env, _need(ck, key, where), expected, where)
 
-def _run_check(chart: Chart, ck: dict, env: dict, seed: int) -> CheckReport:
+    def at_least(key: str, default: int, low: int) -> int:
+        value = ck.get(key, default)
+        if value < low:
+            raise SceneError(f"{where}: '{key}' must be at least {low}")
+        return value
+
+    def pn() -> PNCandidate:
+        return PNCandidate(ref("bivector", Multivector), ref("endomorphism", VForm))
+
+    def ln() -> LNCandidate:
+        return LNCandidate(ref("base", AlgebroidStructure),
+                           ref("dual", AlgebroidStructure), ref("gder", GenDer))
+
     kind = ck["check"]
-    where = f"check '{kind}'"
     if kind == "algebroid":
-        return _resolve(env, ck["target"], AlgebroidStructure, where).validate()
+        A = ref("target", AlgebroidStructure)
+        return lambda seed: A.validate()
     if kind == "bialgebroid":
-        return check_bialgebroid(_resolve(env, ck["base"], AlgebroidStructure, where),
-                                 _resolve(env, ck["dual"], AlgebroidStructure, where))
+        A, Astar = ref("base", AlgebroidStructure), ref("dual", AlgebroidStructure)
+        return lambda seed: check_bialgebroid(A, Astar)
     if kind == "im":
-        return check_im(_resolve(env, ck["algebroid"], AlgebroidStructure, where),
-                        _resolve(env, ck["gder"], GenDer, where))
+        A, D = ref("algebroid", AlgebroidStructure), ref("gder", GenDer)
+        return lambda seed: check_im(A, D)
     if kind == "pn":
-        return check_pn(_pn_candidate(chart, ck, env, where))
+        c = pn()
+        return lambda seed: check_pn(c)
     if kind == "kosmann":
-        return kosmann_equivalence(_pn_candidate(chart, ck, env, where))
+        c = pn()
+        return lambda seed: kosmann_equivalence(c)
     if kind == "mm1":
-        return mm1_identity(_pn_candidate(chart, ck, env, where),
-                            _resolve(env, ck["field"], VForm, where))
+        c, X = pn(), ref("field", VForm)
+        if X.degree != 0:
+            raise SceneError(f"{where}: 'field' must name a vector field")
+        return lambda seed: mm1_identity(c, X)
     if kind == "mm1_random":
-        return _run_mm1_random(ck, ck.get("seed", seed))
+        count = at_least("count", 5, 1)
+        if not dims or min(dims) < 1:
+            raise SceneError(f"{where}: 'dims' must list dimensions of at least 1")
+        return lambda seed: _run_mm1_random(dims, count, ck.get("seed", seed))
     if kind == "hierarchy":
-        _, report = hierarchy(_pn_candidate(chart, ck, env, where),
-                              ck.get("depth", 2))
-        return report
+        depth = at_least("depth", 2, 0)
+        c = pn()
+        return lambda seed: hierarchy(c, depth)[1]
     if kind == "lnb":
-        return check_lnb(_ln_candidate(ck, env, where))
+        c = ln()
+        return lambda seed: check_lnb(c)
     if kind == "base_pn":
-        _, report = base_pn(_ln_candidate(ck, env, where))
-        return report
+        c = ln()
+        return lambda seed: base_pn(c)[1]
     if kind == "deform_hierarchy":
-        _, report = deform_hierarchy(_ln_candidate(ck, env, where),
-                                     ck.get("depth", 1))
-        return report
+        depth = at_least("depth", 1, 1)
+        c = ln()
+        return lambda seed: deform_hierarchy(c, depth)[1]
     if kind == "holomorphic":
-        return holomorphic_detect(_ln_candidate(ck, env, where))
+        c = ln()
+        return lambda seed: holomorphic_detect(c)
     if kind == "torsion":
-        r = _resolve(env, ck["endomorphism"], VForm, where)
-        report = CheckReport("Nijenhuis torsion")
-        report.add_zero("torsion of the endomorphism", nijenhuis_torsion(r))
-        half = frolicher_nijenhuis(r, r) * Fraction(1, 2)
-        report.add_zero("torsion equals half the self-bracket",
-                        nijenhuis_torsion(r) - half)
-        return report
+        r = ref("endomorphism", VForm)
+        if r.degree != 1:
+            raise SceneError(f"{where}: 'endomorphism' must name an endomorphism")
+        return lambda seed: _run_torsion(r)
     if kind == "correspondence":
-        D = _resolve(env, ck["gder"], GenDer, where)
-        return verify_correspondence(linearize(D), D)
-    raise SceneError(f"unknown check '{kind}'")
+        D = ref("gder", GenDer)
+        return lambda seed: verify_correspondence(linearize(D), D)
+    raise SceneError(f"{where}: unknown check '{kind}'")
 
 
 def run(scene: Scene, seed: int = 0) -> Report:
     digest = hashlib.sha256(scene.source.encode()).hexdigest()[:16]
     report = Report(digest, __version__)
-    for pos, ck in enumerate(scene.checks):
-        label = f"{pos + 1}:{ck['check']}"
+    for pos, (name, runner) in enumerate(scene.checks):
+        label = f"{pos + 1}:{name}"
         start = time.monotonic()
         try:
-            sub = _run_check(scene.chart, ck, scene.objects, seed)
+            sub = runner(seed)
         except GrowthLimitError as e:
-            sub = CheckReport(ck["check"])
+            sub = CheckReport(name)
             sub.add("resource bound", False, detail=str(e))
             report.resource_errors += 1
         except PolyError as e:
-            sub = CheckReport(ck["check"])
+            sub = CheckReport(name)
             sub.add("precondition", False, detail=str(e))
         report.items.append((label, sub, time.monotonic() - start))
     return report
@@ -378,9 +383,8 @@ def run(scene: Scene, seed: int = 0) -> Report:
 def render(report: Report, fmt: str = "text") -> str:
     if fmt not in ("text", "table"):
         raise SceneError(f"unknown format '{fmt}'")
-    head = [f"lnlab {report.version}  scene {report.digest}",
-            f"overall: {'PASS' if report.passed else 'FAIL'}"]
-    lines = list(head)
+    lines = [f"lnlab {report.version}  scene {report.digest}",
+             f"overall: {'PASS' if report.passed else 'FAIL'}"]
     for label, sub, elapsed in report.items:
         lines.append("")
         if fmt == "text":

@@ -83,6 +83,10 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_poly(CH, "x + * y")
 
+    def test_zero_denominator(self):
+        with pytest.raises(ParseError, match=r"zero denominator \(at position 4\)"):
+            parse_poly(CH, "x + 1/00 * y")
+
     def test_render_parse_round_trip(self):
         p = 2 * X * Y * Y - Fraction(7, 3) * X + 1
         assert parse_poly(CH, str(p)) == p

@@ -1,11 +1,18 @@
 """Scene parsing, report rendering, the shipped catalog, and the exit-status
 contract of the command line."""
 
+import contextlib
+import io
 import json
 import pathlib
+import re
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from lnlab import scene as scene_module
 from lnlab.poly import Chart, Poly, get_degree_limit, set_degree_limit
 from lnlab.forms import DiffForm, Multivector, VForm
 from lnlab.gder import FramedBundle
@@ -15,7 +22,8 @@ from lnlab.cli import main
 from lnlab.report import CheckItem
 from lnlab.scene import SceneError, parse_scene, render, run
 
-GOLDENS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "goldens"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDENS = ROOT / "bench" / "goldens"
 
 PN_SCENE = """{
   "chart": ["x", "y"],
@@ -28,6 +36,14 @@ PN_SCENE = """{
   ]
 }
 """
+
+LN_OBJECTS = {
+    "A": {"type": "tangent_algebroid"},
+    "Astar": {"type": "cotangent_algebroid", "bivector": "pi0"},
+    "D": {"type": "gder_tangent", "endomorphism": "rx"},
+}
+
+VECTOR_FIELD = {"type": "vector_field", "components": ["y", "x"]}
 
 
 @pytest.fixture
@@ -69,6 +85,25 @@ class TestParsing:
         bad = PN_SCENE.replace('"bivector": "pi0"', '"bivector": "rx"')
         with pytest.raises(SceneError, match="wrong type"):
             parse_scene(bad)
+
+    def test_documented_check_names(self):
+        """The README and the module docstring list the same checks, each of
+        them is a check parse_scene knows, and an unlisted name is not."""
+        doc = scene_module.__doc__.split("Checks and the keys each reads")[1]
+        doc_names = re.findall(r"^    (\w+) ", doc, re.M)
+        readme = (ROOT / "README.md").read_text()
+        section = readme.split("## Scene files")[1].split("\n## ")[0]
+        assert re.findall(r"^- `(\w+)`:", section, re.M) == doc_names
+        assert len(doc_names) == len(set(doc_names)) > 0
+        for name in doc_names + ["nijenhuis"]:
+            text = json.dumps({"chart": ["x"], "checks": [{"check": name}]})
+            try:
+                parse_scene(text)
+            except SceneError as e:
+                expected = "unknown check" if name == "nijenhuis" else "missing required key"
+                assert expected in str(e), name
+            else:
+                assert name == "mm1_random"
 
 
 class TestRunAndRender:
@@ -192,9 +227,25 @@ class TestCheckCommand:
         lambda s: s["checks"].append({"check": "mm1_random", "seed": [7]}),
         lambda s: s.update(chart=["x", "x"]),
         lambda s: s["objects"]["rx"].update(matrix=7),
+        lambda s: s["objects"]["pi0"].update(coeffs={"x,y": "1/0"}),
+        lambda s: s["checks"].append({"check": "mm1_random", "dims": [-1]}),
+        lambda s: s["checks"].append({"check": "mm1_random", "dims": [2, 0]}),
+        lambda s: s["checks"].append({"check": "mm1_random", "dims": []}),
+        lambda s: s["checks"].append({"check": "mm1_random", "count": 0}),
+        lambda s: s["checks"].append({"check": "hierarchy", "bivector": "pi0",
+                                      "endomorphism": "rx", "depth": -3}),
+        lambda s: s.update(objects={**s["objects"], **LN_OBJECTS},
+                           checks=[{"check": "deform_hierarchy", "base": "A",
+                                    "dual": "Astar", "gder": "D", "depth": 0}]),
+        lambda s: s["checks"].append({"check": "mm1", "bivector": "pi0",
+                                      "endomorphism": "rx", "field": "rx"}),
+        lambda s: s.update(objects={**s["objects"], "X": VECTOR_FIELD},
+                           checks=[{"check": "torsion", "endomorphism": "X"}]),
     ], ids=["unknown-coordinate", "objects-list", "coeffs-list", "brackets-list",
             "frame-string", "depth-string", "dims-string", "count-string",
-            "seed-list", "duplicate-coordinate", "matrix-number"])
+            "seed-list", "duplicate-coordinate", "matrix-number", "zero-denominator",
+            "dims-negative", "dims-zero", "dims-empty", "count-zero", "hierarchy-depth-negative",
+            "deform-depth-zero", "field-not-a-vector-field", "torsion-of-a-vector-field"])
     def test_malformed_scene_reports_input_error(self, scene_file, capsys, edit):
         scene = json.loads(PN_SCENE)
         edit(scene)
@@ -251,6 +302,75 @@ class TestCheckCommand:
             main(["--max-degree", "0", "check", scene_file(PN_SCENE)])
         assert exc.value.code == 2
         assert get_degree_limit() == 64
+
+
+_DELETE = object()
+
+
+def _json_paths(node, path=()):
+    """The path of every value nested in a JSON document."""
+    if isinstance(node, dict):
+        children = list(node.items())
+    elif isinstance(node, list):
+        children = list(enumerate(node))
+    else:
+        children = []
+    for key, child in children:
+        yield path + (key,), child
+        yield from _json_paths(child, path + (key,))
+
+
+def _mutate(name: str, path: tuple, value) -> str:
+    """The catalog scene with the value at path replaced, or deleted."""
+    scene = json.loads(example_source(name))
+    node = scene
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return json.dumps(scene)
+
+
+# every key and string in the catalog: object and check names, types, polys
+_CATALOG_STRINGS = sorted({
+    s for name in example_names()
+    for path, value in _json_paths(json.loads(example_source(name)))
+    for s in (path[-1], value) if isinstance(s, str)})
+
+_VALUES = st.one_of(
+    st.none(),
+    st.integers(-3, 5),
+    st.sampled_from(_CATALOG_STRINGS + ["1/0", "x^9", ""]),
+    st.text(max_size=4),
+    st.lists(st.integers(-2, 3) | st.sampled_from(_CATALOG_STRINGS), max_size=3),
+    st.dictionaries(st.sampled_from(_CATALOG_STRINGS), st.integers(-2, 3), max_size=2),
+)
+
+
+@st.composite
+def mutated_catalog_scenes(draw) -> str:
+    name = draw(st.sampled_from(example_names()))
+    paths = [path for path, _ in _json_paths(json.loads(example_source(name)))]
+    path = draw(st.sampled_from(paths))
+    return _mutate(name, path, draw(st.just(_DELETE) | _VALUES))
+
+
+class TestSceneFuzz:
+    @given(mutated_catalog_scenes())
+    @example(_mutate("pn-xid", ("objects", "pi0", "coeffs", "x,y"), "1/0"))
+    @example(_mutate("mm1-random", ("checks", 1, "dims"), [-1]))
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    def test_mutated_catalog_scene_exits_with_a_status(self, text):
+        """Any edit of a catalog scene gives an exit status, never an exception."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "scene.json"
+            path.write_text(text)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                code = main(["--max-degree", "8", "check", str(path)])
+        assert code in (0, 1, 2, 3)
 
 
 class TestLiftCommand:
