@@ -6,9 +6,9 @@
     lnlab examples show <name>
     lnlab examples run <name> [--format text|table]
 
-Global flags: --max-degree N bounds monomial growth, --seed N seeds the
-randomized property checks.  Exit codes: 0 all verdicts pass, 1 some verdict
-failed, 2 malformed input, 3 resource bound exceeded.
+Global flags: --max-degree N (1 to 65535) bounds monomial growth, --seed N
+seeds the randomized property checks.  Exit codes: 0 all verdicts pass, 1 some
+verdict failed, 2 malformed input, 3 resource bound exceeded.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import argparse
 import sys
 
 from . import __version__
-from .poly import GrowthLimitError, PolyError, get_degree_limit, set_degree_limit
+from .poly import (MAX_DEGREE_LIMIT, GrowthLimitError, PolyError, get_degree_limit,
+                   set_degree_limit)
 from .forms import VForm
 from .gder import GenDer
 from .lifts import cotangent_lift, linearize, tangent_lift
@@ -38,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact verification of bracket identities from scene files.")
     parser.add_argument("--version", action="version", version=f"lnlab {__version__}")
     parser.add_argument("--max-degree", type=int, default=None, metavar="N",
-                        help="bound on monomial total degree")
+                        help=f"bound on monomial total degree, 1 to {MAX_DEGREE_LIMIT}")
     parser.add_argument("--seed", type=int, default=0, metavar="N",
                         help="seed for randomized property checks")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -104,8 +105,8 @@ def _do_lift(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.max_degree is not None and args.max_degree < 1:
-        parser.error("--max-degree must be positive")
+    if args.max_degree is not None and not 1 <= args.max_degree <= MAX_DEGREE_LIMIT:
+        parser.error(f"--max-degree must be from 1 to {MAX_DEGREE_LIMIT}")
     # the degree bound is a process global: restore it on every exit path
     previous_limit = get_degree_limit()
     if args.max_degree is not None:

@@ -75,6 +75,12 @@ def sort_index(idx: Sequence[int]) -> tuple[Index, int] | None:
     return tuple(lst), sign
 
 
+def _accumulate(out: dict, key, term: Poly) -> None:
+    """Add ``term`` into ``out[key]``; the first term is stored as it is."""
+    prev = out.get(key)
+    out[key] = term if prev is None else prev + term
+
+
 class _Alternating:
     """Sparse alternating tensor (see the module docstring).
 
@@ -121,7 +127,7 @@ class _Alternating:
         self = object.__new__(cls)
         self.chart = chart
         self.degree = degree
-        self.coeffs = {k: p for k, p in coeffs.items() if p.terms}
+        self.coeffs = {k: p for k, p in coeffs.items() if p}
         return self
 
     def _like(self, coeffs: Mapping):
@@ -234,9 +240,7 @@ def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
             if m is None:
                 continue
             key, sign = m
-            term = pa * pb * sign
-            prev = out.get(key)
-            out[key] = term if prev is None else prev + term
+            _accumulate(out, key, pa * pb * sign)
     return a._trusted(a.chart, deg, out)
 
 
@@ -260,9 +264,7 @@ def exterior_d(a: DiffForm) -> DiffForm:
             if m is None:
                 continue
             key, sign = m
-            term = dp * sign
-            prev = out.get(key)
-            out[key] = term if prev is None else prev + term
+            _accumulate(out, key, dp * sign)
     return DiffForm._trusted(chart, deg, out)
 
 
@@ -278,9 +280,7 @@ def interior_vector(comps: Sequence[Poly], a: DiffForm) -> DiffForm:
             if comps[i].is_zero:
                 continue
             rest = idx[:pos] + idx[pos + 1:]
-            term = p * comps[i] * ((-1) ** pos)
-            prev = out.get(rest)
-            out[rest] = term if prev is None else prev + term
+            _accumulate(out, rest, p * comps[i] * ((-1) ** pos))
     return a._trusted(chart, a.degree - 1, out)
 
 
@@ -382,8 +382,7 @@ class VForm(_Alternating):
         for (idx, v), p in self.coeffs.items():
             w = wedge(a, DiffForm._trusted(self.chart, self.degree, {idx: p}))
             for i2, p2 in w.coeffs.items():
-                key = (i2, v)
-                out[key] = out.get(key, Poly.zero(self.chart)) + p2
+                _accumulate(out, (i2, v), p2)
         return VForm._trusted(self.chart, self.degree + a.degree, self.vals, out)
 
     def apply_endo(self, X: "VForm") -> "VForm":
@@ -419,6 +418,13 @@ class VForm(_Alternating):
             sym = "^".join(f"d{names[i]}" for i in idx)
             return f"({p}) {sym} (x) {frame[v]}" if sym else f"({p}) {frame[v]}"
         return self._terms(term)
+
+    def __str__(self) -> str:
+        """In the coordinate frame ``@x`` when tangent-valued, else in the
+        frame ``e1 .. e{vals}``."""
+        if self.vals == self.chart.dim:
+            return self.render([f"@{c}" for c in self.chart.coords])
+        return self.render([f"e{v + 1}" for v in range(self.vals)])
 
     def __repr__(self) -> str:
         return f"VForm(deg={self.degree}, vals={self.vals}, {len(self.coeffs)} terms)"
@@ -468,7 +474,7 @@ def derivative(comps: Sequence[Poly], p: Poly) -> Poly:
     """X(p) = sum_i X^i d_i p for the vector field with components ``comps``."""
     acc = Poly.zero(p.chart)
     for i, c in enumerate(comps):
-        if c.terms:
+        if c:
             acc = acc + c * p.diff(i)
     return acc
 
@@ -501,8 +507,7 @@ def frolicher_nijenhuis(K: VForm, L: VForm) -> VForm:
 
     def add(idx_form: DiffForm, v: int) -> None:
         for i2, p2 in idx_form.coeffs.items():
-            key = (i2, v)
-            acc[key] = acc.get(key, Poly.zero(chart)) + p2
+            _accumulate(acc, (i2, v), p2)
 
     for (ia, va), pa in K.coeffs.items():
         phi = DiffForm._trusted(chart, k, {ia: pa})
@@ -574,9 +579,7 @@ def schouten(P: Multivector, Q: Multivector) -> Multivector:
         if s is None or coeff.is_zero:
             return
         key, sign = s
-        term = coeff * sign
-        prev = out.get(key)
-        out[key] = term if prev is None else prev + term
+        _accumulate(out, key, coeff * sign)
 
     # monomial c xi_I wedges as (c d/dx_{I_0}) ^ d/dx_{I_1} ^ ...; the
     # coordinate-frame factors commute, so only pairs touching slot 0 act

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import Chart, Poly, PolyError
-from .forms import (DiffForm, VForm, frolicher_nijenhuis, sort_index,
-                    vf_bracket)
+from .poly import Chart, Poly, PolyError, _rechart
+from .forms import (DiffForm, VForm, _accumulate, frolicher_nijenhuis,
+                    sort_index, vf_bracket)
 from .gder import FramedBundle, GenDer, build_drT, build_drTstar
 from .report import CheckReport
 
@@ -81,18 +81,14 @@ class TotalChart:
         """Pull a base polynomial back to the total chart."""
         if p.chart != self.bundle.chart:
             raise PolyError("polynomial does not live on the base chart")
-        pad = (0,) * self.rank
-        return Poly(self.chart, {exp + pad: c for exp, c in p.terms.items()})
+        return _rechart(p, self.chart)
 
     def restrict(self, p: Poly) -> Poly:
         """Push a fiberwise-constant total polynomial down to the base."""
-        m = self.base_dim
-        terms = {}
-        for exp, c in p.terms.items():
-            if any(exp[m:]):
-                raise PolyError("polynomial depends on the fiber coordinates")
-            terms[exp[:m]] = c
-        return Poly(self.bundle.chart, terms)
+        q = _rechart(p, self.bundle.chart)
+        if q is None:
+            raise PolyError("polynomial depends on the fiber coordinates")
+        return q
 
     def pull_form(self, a: DiffForm) -> DiffForm:
         """Pull a base form back along the projection (indices unchanged)."""
@@ -158,10 +154,7 @@ def phi_up(tc: TotalChart, phi_frame: list[VForm]) -> LinVVForm:
             raise PolyError("phi_frame entry has wrong shape")
         xi = Poly.coord(tc.chart, tc.fiber_index(a))
         for (idx, b), p in val.coeffs.items():
-            key = (idx, tc.fiber_index(b))
-            term = tc.pull(p) * xi
-            prev = coeffs.get(key)
-            coeffs[key] = term if prev is None else prev + term
+            _accumulate(coeffs, (idx, tc.fiber_index(b)), tc.pull(p) * xi)
     return LinVVForm(tc, VForm(tc.chart, k, tc.dim, coeffs))
 
 
@@ -178,26 +171,17 @@ def linearize(D: GenDer) -> LinVVForm:
     tc = TotalChart.of(D.bundle)
     k = D.degree
     coeffs: dict[tuple[tuple[int, ...], int], Poly] = {}
-
-    def add(key: tuple[tuple[int, ...], int], p: Poly) -> None:
-        prev = coeffs.get(key)
-        q = p if prev is None else prev + p
-        if q.is_zero:
-            coeffs.pop(key, None)
-        else:
-            coeffs[key] = q
-
     for (idx, j), p in D.r.coeffs.items():
-        add((idx, j), tc.pull(p))
+        _accumulate(coeffs, (idx, j), tc.pull(p))
     for a in range(tc.rank):
         xi = Poly.coord(tc.chart, tc.fiber_index(a))
         for (idx, b), p in D.d_frame[a].coeffs.items():
-            add((idx, tc.fiber_index(b)), tc.pull(p) * xi)
+            _accumulate(coeffs, (idx, tc.fiber_index(b)), tc.pull(p) * xi)
         if D.l_frame is not None:
             for (idx, b), p in D.l_frame[a].coeffs.items():
                 s = sort_index((tc.fiber_index(a),) + idx)
                 key, sign = s
-                add((key, tc.fiber_index(b)), tc.pull(p) * sign)
+                _accumulate(coeffs, (key, tc.fiber_index(b)), tc.pull(p) * sign)
     return LinVVForm(tc, VForm(tc.chart, k, tc.dim, coeffs))
 
 

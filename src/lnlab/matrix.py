@@ -21,7 +21,7 @@ Matrix = list[list[Poly]]
 def _dot(xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:
     acc = Poly.zero(xs[0].chart)
     for x, y in zip(xs, ys):
-        if x.terms and y.terms:
+        if x and y:
             acc = acc + x * y
     return acc
 

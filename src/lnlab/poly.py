@@ -1,10 +1,19 @@
 """Exact multivariate polynomial arithmetic in named chart coordinates.
 
-Coefficients are exact rationals (``int`` when integral, else
-``fractions.Fraction``) and monomials are exponent tuples, so equality-to-zero
-is decidable: a polynomial is zero iff its term map is empty. Every verdict
-downstream of this module is therefore a certificate, not a numeric
-approximation.
+Coefficients are exact rationals and equality-to-zero is decidable: a
+polynomial is zero iff it has no terms.  Every verdict downstream of this
+module is therefore a certificate, not a numeric approximation.
+
+A polynomial is stored as integer numerators over one shared denominator,
+keyed by packed exponents (Monagan & Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007).  On a chart
+of dimension ``n`` the exponent of coordinate ``i`` occupies the ``SLOT_BITS``
+bits at ``SLOT_BITS * (n - 1 - i)`` and the total degree the bits above
+``SLOT_BITS * n``.  A monomial product is then one integer addition, and
+descending key order is graded-lex order.  A slot holds at most
+``MAX_DEGREE_LIMIT``, so the degree limit cannot be set above it; since a
+product is checked against the limit before it is formed, no slot ever
+carries into its neighbour.
 """
 
 from __future__ import annotations
@@ -12,7 +21,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from math import gcd, lcm
+from types import MappingProxyType
 from typing import Mapping, Union
 
 __all__ = [
@@ -23,6 +33,7 @@ __all__ = [
     "ParseError",
     "set_degree_limit",
     "get_degree_limit",
+    "MAX_DEGREE_LIMIT",
 ]
 
 
@@ -42,14 +53,22 @@ class ParseError(PolyError):
         self.pos = pos
 
 
+SLOT_BITS = 16
+_SLOT_MASK = (1 << SLOT_BITS) - 1
+MAX_DEGREE_LIMIT = _SLOT_MASK
+
 # Total-degree guardrail.  Exceeding it raises, never truncates.
 _DEGREE_LIMIT = 64
 
 
 def set_degree_limit(limit: int) -> None:
+    """Bound the total degree of every polynomial, from 1 to
+    ``MAX_DEGREE_LIMIT`` (the largest exponent a packed slot holds)."""
     global _DEGREE_LIMIT
     if limit < 1:
         raise ValueError("degree limit must be positive")
+    if limit > MAX_DEGREE_LIMIT:
+        raise ValueError(f"degree limit must be at most {MAX_DEGREE_LIMIT}")
     _DEGREE_LIMIT = limit
 
 
@@ -88,36 +107,48 @@ class Chart:
 Scalar = Union[int, Fraction]
 
 
-def _rational(c: Scalar) -> Scalar:
-    """Canonical coefficient: ``int`` when integral, else ``Fraction``."""
-    if c.__class__ is Fraction and c.denominator == 1:
-        return c.numerator
-    return c
+def _unpack(key: int, dim: int) -> tuple[int, ...]:
+    return tuple((key >> SLOT_BITS * (dim - 1 - i)) & _SLOT_MASK for i in range(dim))
 
 
-def _make(chart: Chart, terms: dict[tuple[int, ...], Scalar]) -> "Poly":
-    """Wrap a term map that is already canonical, without checking it.
+def _make(chart: Chart, num: dict[int, int], den: int) -> "Poly":
+    """Wrap a representation that is already canonical, without checking it.
 
-    Only for results of operations on valid Polys: exponents of the right
-    length, nonnegative and within the degree bound, no zero coefficients,
-    integral coefficients stored as ``int``.
+    Only for results of operations on valid Polys: packed keys within the
+    degree bound, no zero numerators, ``den > 0`` and coprime to the
+    numerators (so ``den == 1`` when ``num`` is empty).
     """
     p = object.__new__(Poly)
     p.chart = chart
-    p.terms = terms
-    p._hash = None
+    p._num = num
+    p._den = den
     return p
+
+
+def _reduced(chart: Chart, num: dict[int, int], den: int) -> "Poly":
+    """``_make`` after dividing out the common factor of ``den`` and the
+    numerators.  With no numerators that factor is ``den`` itself, so zero
+    always ends with ``den == 1``."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {k: c // g for k, c in num.items()}
+            den //= g
+    return _make(chart, num, den)
 
 
 class Poly:
     """Canonical multivariate polynomial over Q on a chart.
 
-    Invariants: every exponent tuple has length ``chart.dim``, nonnegative
-    entries and total degree within the degree limit; no stored zero
-    coefficients; each coefficient is an exact rational, stored as ``int``
-    when integral and as ``Fraction`` otherwise (the two compare and hash
-    equal).  Two Polys are equal iff charts and term maps are equal.
-    Instances are immutable; all operations return new values.
+    Representation: ``_num`` maps packed exponents (see the module
+    docstring) to nonzero integer numerators and ``_den`` is their one
+    positive denominator, coprime to them all and 1 for zero.  Two Polys are
+    equal iff charts, numerators and denominators are equal.  Instances are
+    immutable; all operations return new values.
+
+    ``terms`` is a read-only view ``{exponent tuple: coefficient}``, with an
+    ``int`` coefficient when it is integral and a ``Fraction`` otherwise,
+    built on first use; the arithmetic never builds it.
 
     Input is validated once, here and in the named constructors and the
     parser.  Results of ``+ - * neg diff **`` are built from valid operands
@@ -125,37 +156,60 @@ class Poly:
     the product's total degree.
     """
 
-    __slots__ = ("chart", "terms", "_hash")
+    # _hash and _terms are caches, unset until first asked for
+    __slots__ = ("chart", "_num", "_den", "_hash", "_terms")
 
     def __init__(self, chart: Chart, terms: Mapping[tuple[int, ...], Scalar]) -> None:
-        clean: dict[tuple[int, ...], Scalar] = {}
+        dim = chart.dim
+        deg_shift = SLOT_BITS * dim
+        coeffs: dict[int, Scalar] = {}
+        den = 1
         for exp, c in terms.items():
-            if len(exp) != chart.dim:
+            if len(exp) != dim:
                 raise PolyError(f"exponent tuple {exp} has wrong length for {chart}")
-            if any(e < 0 for e in exp):
-                raise PolyError(f"negative exponent in {exp}")
-            if sum(exp) > _DEGREE_LIMIT:
+            key = 0
+            for e in exp:
+                if e < 0:
+                    raise PolyError(f"negative exponent in {exp}")
+                key = key << SLOT_BITS | e
+            deg = sum(exp)
+            if deg > _DEGREE_LIMIT:
                 raise GrowthLimitError(
-                    f"monomial degree {sum(exp)} exceeds limit {_DEGREE_LIMIT}"
+                    f"monomial degree {deg} exceeds limit {_DEGREE_LIMIT}"
                 )
-            c = _rational(Fraction(c))
-            if c != 0:
-                clean[tuple(exp)] = c
+            if c.__class__ is not int:
+                if c.__class__ is not Fraction:
+                    c = Fraction(c)
+                if c.denominator == 1:
+                    c = c.numerator
+                else:
+                    den = lcm(den, c.denominator)
+            if c:
+                coeffs[deg << deg_shift | key] = c
+        if den != 1:
+            # every prime power of den divides some denominator exactly, and
+            # that coefficient's scaled numerator is prime to it: no gcd pass
+            coeffs = {k: c * den if c.__class__ is int
+                      else c.numerator * (den // c.denominator)
+                      for k, c in coeffs.items()}
         self.chart = chart
-        self.terms = clean
-        self._hash = None
+        self._num = coeffs
+        self._den = den
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(chart: Chart) -> "Poly":
-        return _make(chart, {})
+        return _make(chart, {}, 1)
 
     @staticmethod
     def const(chart: Chart, c: Scalar) -> "Poly":
-        # the zero exponent is always valid; only the value needs checking
-        c = _rational(Fraction(c))
-        return _make(chart, {(0,) * chart.dim: c} if c else {})
+        # the zero exponent packs to key 0; only the value needs checking
+        if c.__class__ is not int:
+            c = Fraction(c)
+            if c:
+                return _make(chart, {0: c.numerator}, c.denominator)
+        return _make(chart, {0: c} if c else {}, 1)
 
     @staticmethod
     def var(chart: Chart, name: str) -> "Poly":
@@ -165,8 +219,8 @@ class Poly:
     def coord(chart: Chart, i: int) -> "Poly":
         if not 0 <= i < chart.dim:
             raise IndexError(f"coordinate index {i} out of range for {chart}")
-        exp = tuple(1 if j == i else 0 for j in range(chart.dim))
-        return Poly(chart, {exp: 1})
+        n = chart.dim
+        return _make(chart, {(1 << SLOT_BITS * n) | (1 << SLOT_BITS * (n - 1 - i)): 1}, 1)
 
     # -- ring operations ---------------------------------------------------
 
@@ -175,54 +229,82 @@ class Poly:
             raise PolyError(f"chart mismatch: {self.chart} vs {other.chart}")
 
     def __add__(self, other: "Poly | Scalar") -> "Poly":
-        other = self._coerce(other)
-        self._check(other)
-        terms = dict(self.terms)
-        get = terms.get
-        for exp, c in other.terms.items():
-            s = get(exp)
+        if other.__class__ is not Poly:
+            other = Poly.const(self.chart, other)
+        if self.chart is not other.chart:
+            self._check(other)
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            num = dict(self._num)
+            b = other._num
+            den = d1
+        else:
+            den = lcm(d1, d2)
+            m1, m2 = den // d1, den // d2
+            num = {k: c * m1 for k, c in self._num.items()}
+            b = {k: c * m2 for k, c in other._num.items()}
+        get = num.get
+        for k, c in b.items():
+            s = get(k)
             if s is None:
-                terms[exp] = c
+                num[k] = c
                 continue
             s += c
             if s:
-                terms[exp] = _rational(s)
+                num[k] = s
             else:
-                del terms[exp]
-        return _make(self.chart, terms)
+                del num[k]
+        if den == 1:
+            return _make(self.chart, num, 1)
+        return _reduced(self.chart, num, den)
 
     def __sub__(self, other: "Poly | Scalar") -> "Poly":
         return self + (-self._coerce(other))
 
     def __neg__(self) -> "Poly":
-        return _make(self.chart, {e: -c for e, c in self.terms.items()})
+        return _make(self.chart, {k: -c for k, c in self._num.items()}, self._den)
 
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return Poly.zero(self.chart)
-            other = _rational(other)
-            return _make(self.chart,
-                         {e: _rational(c * other) for e, c in self.terms.items()})
-        self._check(other)
-        a, b = self.terms, other.terms
+            # the part of the scalar's numerator shared with _den cancels at
+            # once; only its denominator needs a gcd pass
+            a, b = other.numerator, other.denominator
+            g = gcd(a, self._den)
+            if g != 1:
+                a //= g
+            num = {k: c * a for k, c in self._num.items()}
+            den = self._den // g
+            if b == 1:
+                return _make(self.chart, num, den)
+            return _reduced(self.chart, num, den * b)
+        if self.chart is not other.chart:
+            self._check(other)
+        a, b = self._num, other._num
         if not a or not b:
             return Poly.zero(self.chart)
         limit = _DEGREE_LIMIT
-        if max(map(sum, a)) + max(map(sum, b)) > limit:
+        shift = SLOT_BITS * len(self.chart.coords)
+        if (max(a) >> shift) + (max(b) >> shift) > limit:
             # Over Q the product has exactly this total degree.  Report the
             # first monomial past the bound, in product order.
-            d = next(s + t for s in map(sum, a) for t in map(sum, b) if s + t > limit)
+            d = next(s + t for s in (k >> shift for k in a)
+                     for t in (k >> shift for k in b) if s + t > limit)
             raise GrowthLimitError(f"monomial degree {d} exceeds limit {limit}")
-        out = {}
+        out: dict[int, int] = {}
         get = out.get
         bitems = b.items()
-        for e1, c1 in a.items():
-            for e2, c2 in bitems:
-                e = tuple(map(add, e1, e2))
-                prev = get(e)
-                out[e] = c1 * c2 if prev is None else prev + c1 * c2
-        return _make(self.chart, {e: _rational(c) for e, c in out.items() if c})
+        for k1, c1 in a.items():
+            for k2, c2 in bitems:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        if 0 in out.values():
+            out = {k: c for k, c in out.items() if c}
+        den = self._den * other._den
+        if den == 1:
+            return _make(self.chart, out, 1)
+        return _reduced(self.chart, out, den)
 
     __rmul__ = __mul__
     __radd__ = __add__
@@ -251,52 +333,69 @@ class Poly:
 
     def diff(self, i: int) -> "Poly":
         """Formal partial derivative with respect to coordinate ``i``."""
-        if not 0 <= i < self.chart.dim:
+        n = len(self.chart.coords)
+        if not 0 <= i < n:
             raise IndexError(f"coordinate index {i} out of range for {self.chart}")
-        # exp -> exp - e_i is injective on the terms it keeps, so no two
-        # terms collide and no coefficient cancels
-        out: dict[tuple[int, ...], Scalar] = {}
-        for exp, c in self.terms.items():
-            k = exp[i]
-            if k:
-                out[exp[:i] + (k - 1,) + exp[i + 1:]] = _rational(c * k)
-        return _make(self.chart, out)
+        # lowering slot i and the total degree by one is injective on the
+        # terms it keeps, so no two terms collide and no numerator cancels
+        shift = SLOT_BITS * (n - 1 - i)
+        step = (1 << shift) | (1 << SLOT_BITS * n)
+        out: dict[int, int] = {}
+        for k, c in self._num.items():
+            e = (k >> shift) & _SLOT_MASK
+            if e:
+                out[k - step] = c * e
+        if self._den == 1:
+            return _make(self.chart, out, 1)
+        return _reduced(self.chart, out, self._den)
 
     # -- predicates & misc -------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
+
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], Scalar]:
+        """Read-only ``{exponent tuple: int | Fraction}`` view, built once."""
+        try:
+            return self._terms
+        except AttributeError:
+            dim, den = self.chart.dim, self._den
+            self._terms = MappingProxyType({
+                _unpack(k, dim): c // den if c % den == 0 else Fraction(c, den)
+                for k, c in self._num.items()})
+            return self._terms
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (errors if non-constant)."""
-        if not self.terms:
+        num = self._num
+        if not num:
             return Fraction(0)
-        if len(self.terms) == 1:
-            (exp, c), = self.terms.items()
-            if all(e == 0 for e in exp):
-                return Fraction(c)
+        if len(num) == 1 and 0 in num:
+            return Fraction(num[0], self._den)
         raise PolyError(f"not a constant: {self}")
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max(self._num, default=0) >> SLOT_BITS * self.chart.dim
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.chart, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.chart == other.chart and self.terms == other.terms
+        return (self.chart == other.chart and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.chart, frozenset(self.terms.items())))
-            self._hash = h
-        return h
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.chart, self._den, frozenset(self._num.items())))
+            return self._hash
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return bool(self._num)
 
     # -- rendering ---------------------------------------------------------
 
@@ -305,6 +404,27 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({render(self)})"
+
+
+def _rechart(p: Poly, chart: Chart) -> Poly | None:
+    """``p`` moved to a chart whose leading coordinates are ``p.chart``'s,
+    or the other way round: coordinates are appended or dropped at the end.
+    None when ``p`` depends on a dropped coordinate."""
+    old, new = SLOT_BITS * p.chart.dim, SLOT_BITS * chart.dim
+    low = (1 << old) - 1
+    num = {}
+    if new >= old:
+        up = new - old
+        for k, c in p._num.items():
+            num[(k >> old << new) | (k & low) << up] = c
+    else:
+        down = old - new
+        tail = (1 << down) - 1
+        for k, c in p._num.items():
+            if k & tail:
+                return None
+            num[(k >> old << new) | (k & low) >> down] = c
+    return _make(chart, num, p._den)
 
 
 def _monomial_str(chart: Chart, exp: tuple[int, ...]) -> str:
@@ -319,14 +439,14 @@ def _monomial_str(chart: Chart, exp: tuple[int, ...]) -> str:
 
 def render(p: Poly) -> str:
     """Deterministic textual form: graded-lex monomial order, leading first."""
-    if not p.terms:
+    if not p._num:
         return "0"
-    keys = sorted(p.terms, key=lambda e: (sum(e), e), reverse=True)
+    dim, den = p.chart.dim, p._den
     out = []
-    for exp in keys:
-        c = p.terms[exp]
-        mono = _monomial_str(p.chart, exp)
-        mag = abs(c)
+    for k in sorted(p._num, reverse=True):
+        c = p._num[k]
+        mono = _monomial_str(p.chart, _unpack(k, dim))
+        mag = abs(c) if den == 1 else Fraction(abs(c), den)
         if mono and mag == 1:
             body = mono
         elif mono:
@@ -353,8 +473,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos]!r}", pos)
+            rest = text[pos:].lstrip()
+            if rest:
+                bad = len(text) - len(rest)
+                raise ParseError(f"unexpected character {text[bad]!r}", bad)
             break
         kind = m.lastgroup
         tokens.append((kind, m.group(kind), m.start(kind)))

@@ -91,6 +91,12 @@ class TestParser:
         p = 2 * X * Y * Y - Fraction(7, 3) * X + 1
         assert parse_poly(CH, str(p)) == p
 
+    @pytest.mark.parametrize("text, pos", [("x $", 2), ("x+ $", 3)])
+    def test_unexpected_character_after_whitespace(self, text, pos):
+        with pytest.raises(ParseError,
+                           match=rf"unexpected character '\$' \(at position {pos}\)"):
+            parse_poly(CH, text)
+
 
 class TestGrowthLimit:
     def test_degree_cap(self):
@@ -245,5 +251,153 @@ class TestBoundary:
                     _ = p * q
             else:
                 assert (p * q).total_degree() <= limit
+        finally:
+            set_degree_limit(old)
+
+
+# -- packed exponents over one shared denominator ----------------------------
+
+CH3 = Chart(("x", "y", "z"))
+FRACTIONAL = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+EXPS3 = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+
+
+def ref_render(chart, d):
+    """Graded-lex order, leading term first, written without lnlab.poly."""
+    out = []
+    for e in sorted(d, key=lambda e: (sum(e), e), reverse=True):
+        c = d[e]
+        mono = "*".join(n if k == 1 else f"{n}^{k}"
+                        for n, k in zip(chart.coords, e) if k)
+        mag = abs(c)
+        mag_s = str(mag.numerator) if mag.denominator == 1 else str(mag)
+        if mono:
+            body = mono if mag == 1 else f"{mag_s}*{mono}"
+        else:
+            body = mag_s
+        if out:
+            out.append(f"{'-' if c < 0 else '+'} {body}")
+        else:
+            out.append(f"-{body}" if c < 0 else body)
+    return " ".join(out) or "0"
+
+
+def assert_same(p, reference):
+    """assert_canonical, and equal with an equal hash to the Poly built from
+    the reference: equality sees the stored form, not only the terms view."""
+    assert_canonical(p, reference)
+    q = Poly(p.chart, reference)
+    assert p == q and hash(p) == hash(q)
+
+
+class TestSharedDenominator:
+    @given(TERM_MAPS, st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                                      st.integers(-3, 3), max_size=4))
+    @example({(1, 0): HALF}, {(1, 0): 1})  # x/2 + x/2
+    @example({(1, 0): Fraction(1, 6), (0, 1): Fraction(1, 4)},
+             {(1, 0): 1, (0, 1): 1})  # x/6 + 5x/6, y/4 + 3y/4
+    @settings(max_examples=80, deadline=None)
+    def test_mixed_denominators_summing_to_integers(self, d, target):
+        """q is built by the reference so that p + q has integer coefficients."""
+        a = ref_clean(d)
+        q_terms = {e: Fraction(target.get(e, 0)) - a.get(e, Fraction(0))
+                   for e in set(a) | set(target)}
+        total = Poly(CH, d) + Poly(CH, q_terms)
+        assert_same(total, ref_clean(target))
+        assert all(type(c) is int for c in total.terms.values())
+
+    def test_shared_denominator_reduces(self):
+        p = Poly(CH, {(1, 0): Fraction(1, 6)}) + Poly(CH, {(1, 0): Fraction(1, 3)})
+        assert_same(p, {(1, 0): HALF})  # x/6 + x/3
+        assert p == parse_poly(CH, "1/2*x")
+
+    @given(st.integers(1, 4), st.integers(0, 2), st.integers(-9, 9).filter(bool))
+    @example(2, 0, 1)  # x^2/2 -> x
+    @settings(max_examples=40, deadline=None)
+    def test_diff_clears_a_denominator(self, k, j, a):
+        p = Poly(CH, {(k, j): Fraction(a, k), (0, j): Fraction(1, 7)})
+        assert_same(p.diff(0), {(k - 1, j): Fraction(a)})
+
+    @given(TERM_MAPS, FRACTIONAL, st.integers(-9, -1))
+    @example({(1, 0): Fraction(2, 3), (0, 1): Fraction(4, 9)}, Fraction(3, 2), -3)
+    @settings(max_examples=80, deadline=None)
+    def test_scalar_by_fraction_and_negative_int(self, d, s, n):
+        p, a = Poly(CH, d), ref_clean(d)
+        assert_same(p * s, ref_scale(a, s))
+        assert_same(s * p, ref_scale(a, s))
+        assert_same(p * n, ref_scale(a, Fraction(n)))
+        assert_same(p * s * n, ref_scale(a, s * n))
+
+    @given(st.dictionaries(EXPS3, FRACTIONAL, max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_one_value_three_ways(self, d):
+        built = Poly(CH3, d)
+        text = " + ".join(f"({c.numerator}/{c.denominator})*x^{e[0]}*y^{e[1]}*z^{e[2]}"
+                          for e, c in d.items()) or "0"
+        parsed = parse_poly(CH3, text)
+        x, y, z = (Poly.var(CH3, n) for n in "xyz")
+        summed = Poly.zero(CH3)
+        for (i, j, k), c in d.items():
+            summed = summed + c * x ** i * y ** j * z ** k
+        assert built == parsed == summed
+        assert hash(built) == hash(parsed) == hash(summed)
+        assert built.terms == parsed.terms == summed.terms == ref_clean(d)
+
+    @given(st.dictionaries(EXPS3, MIXED_COEFF, max_size=8))
+    @example({(2, 0, 0): 1, (1, 1, 0): 1, (1, 0, 1): 1, (0, 2, 0): 1,
+              (0, 1, 1): 1, (0, 0, 2): 1, (0, 0, 1): 2})
+    @settings(max_examples=80, deadline=None)
+    def test_render_order_on_degree_ties(self, d):
+        assert str(Poly(CH3, d)) == ref_render(CH3, ref_clean(d))
+
+    def test_render_tie_order_literal(self):
+        p = parse_poly(CH3, "z^2 + y*z + x*z + y^2 + x*y + x^2 - 1/2*z")
+        assert str(p) == "x^2 + x*y + x*z + y^2 + y*z + z^2 - 1/2*z"
+
+    @given(TERM_MAPS)
+    @settings(max_examples=40, deadline=None)
+    def test_terms_view_is_read_only(self, d):
+        p = Poly(CH, d)
+        with pytest.raises(TypeError):
+            p.terms[(5, 5)] = 1
+        with pytest.raises(AttributeError):
+            p.terms = {}
+        for c in p.terms.values():
+            assert (type(c) is int) == (Fraction(c).denominator == 1)
+        assert p.terms == ref_clean(d)
+
+
+class TestSlotWidth:
+    TOP = 2 ** 16 - 1
+
+    def test_limit_capped_at_slot_width(self):
+        old = get_degree_limit()
+        try:
+            set_degree_limit(self.TOP)
+            assert get_degree_limit() == self.TOP
+            with pytest.raises(ValueError):
+                set_degree_limit(self.TOP + 1)
+            assert get_degree_limit() == self.TOP
+        finally:
+            set_degree_limit(old)
+
+    def test_growth_limit_at_the_top_without_carry(self):
+        old = get_degree_limit()
+        set_degree_limit(self.TOP)
+        try:
+            xt = Poly(CH, {(self.TOP, 0): 1})
+            yt = Poly(CH, {(0, self.TOP): 1})
+            assert (Poly(CH, {(40000, 0): 1}) * Poly(CH, {(25535, 0): 1})).terms == {
+                (self.TOP, 0): 1}
+            assert (Poly(CH, {(0, 30000): HALF}) * Poly(CH, {(35535, 0): 2})).terms == {
+                (35535, 30000): 1}
+            assert Y ** self.TOP == yt
+            assert yt.diff(1).terms == {(0, self.TOP - 1): self.TOP}
+            assert xt.total_degree() == yt.total_degree() == self.TOP
+            for p, q in ((xt, X), (yt, Y), (X, yt), (yt, X + 1)):
+                with pytest.raises(GrowthLimitError, match=f"degree {self.TOP + 1} "):
+                    _ = p * q
+            with pytest.raises(GrowthLimitError):
+                Poly(CH, {(self.TOP, 1): 1})
         finally:
             set_degree_limit(old)

@@ -150,7 +150,7 @@ class TestRunAndRender:
         assert K.render(["@x", "@y"]) == "(y) dx (x) @y + (1) dy (x) @x"
         assert repr(V) == "VForm(deg=0, vals=2, 2 terms)"
         assert CheckItem("law", False, V).line() == (
-            "[FAIL] law\n       defect: VForm(deg=0, vals=2, 2 terms)")
+            "[FAIL] law\n       defect: (x) @x + (3) @y")
         assert CheckItem("law", False, w).line() == (
             "[FAIL] law\n       defect: (x*y) dx + (-2) dy")
 
@@ -301,6 +301,14 @@ class TestCheckCommand:
         with pytest.raises(SystemExit) as exc:
             main(["--max-degree", "0", "check", scene_file(PN_SCENE)])
         assert exc.value.code == 2
+        assert get_degree_limit() == 64
+
+    def test_oversized_max_degree_is_a_usage_error(self, scene_file, capsys):
+        """A packed exponent slot holds at most 2**16 - 1."""
+        with pytest.raises(SystemExit) as exc:
+            main(["--max-degree", "70000", "check", scene_file(PN_SCENE)])
+        assert exc.value.code == 2
+        assert "--max-degree must be from 1 to 65535" in capsys.readouterr().err
         assert get_degree_limit() == 64
 
 
