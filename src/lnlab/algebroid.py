@@ -16,18 +16,18 @@ from .forms import (Multivector, VForm, _Alternating, derivative, sharp_matrix,
                     schouten, vf_bracket)
 from .gder import (FramedBundle, GenDer, build_drT, cotangent_bundle,
                    tangent_bundle)
-from .matrix import identity, mat_vec, transpose
+from .matrix import identity, mat_mul, mat_vec, transpose
 from .report import CheckReport
 
 __all__ = [
     "AlgebroidStructure",
     "FrameBivector",
-    "DeformedBracket",
     "tangent_algebroid",
     "cotangent_of_poisson",
+    "deform_algebroid",
+    "algebroid_torsion",
     "ce_differential",
     "check_bialgebroid",
-    "deformed_bracket",
     "check_im",
 ]
 
@@ -114,11 +114,14 @@ class AlgebroidStructure:
         rank = self.bundle.rank
         sc, tc = s.section_components(), t.section_components()
         out = self.bundle.zero_form(0)
-        for a in range(rank):
-            for b in range(rank):
-                if sc[a].is_zero or tc[b].is_zero:
-                    continue
-                out = out + self.frame_bracket(a, b) * (sc[a] * tc[b])
+        for (a, b), comps in self.structure.items():
+            f = Poly.zero(self.chart)
+            if sc[a] and tc[b]:
+                f = sc[a] * tc[b]
+            if sc[b] and tc[a]:
+                f = f - sc[b] * tc[a]
+            if f:
+                out = out + VForm.section(self.chart, comps) * f
         rho_s = self.anchor_of(s).section_components()
         rho_t = self.anchor_of(t).section_components()
         for b in range(rank):
@@ -194,6 +197,51 @@ def cotangent_of_poisson(pi: Multivector) -> AlgebroidStructure:
                               pre_lie_only=flagged)
 
 
+def _mat_apply(M: list[list[Poly]], s: VForm) -> VForm:
+    return VForm.section(s.chart, mat_vec(M, s.section_components()))
+
+
+def deform_algebroid(A: AlgebroidStructure, M: list[list[Poly]]) -> AlgebroidStructure:
+    """Bracket deformed by a bundle endomorphism (frame matrix M):
+
+        [a, b]_M = [M a, b] + [a, M b] - M([a, b]),    anchor rho o M.
+
+    A Lie algebroid again exactly when the torsion of M vanishes.
+    """
+    rank = A.bundle.rank
+    frames = [A.bundle.frame_section(a) for a in range(rank)]
+    anchor = mat_mul(transpose(M), A.anchor)
+    structure: dict[tuple[int, int], list[Poly]] = {}
+    for a in range(rank):
+        for b in range(a + 1, rank):
+            val = (A.section_bracket(_mat_apply(M, frames[a]), frames[b])
+                   + A.section_bracket(frames[a], _mat_apply(M, frames[b]))
+                   - _mat_apply(M, A.frame_bracket(a, b)))
+            structure[(a, b)] = val.section_components()
+    return AlgebroidStructure(A.bundle, anchor, structure)
+
+
+def algebroid_torsion(A: AlgebroidStructure, M: list[list[Poly]]) -> CheckReport:
+    """Torsion of a bundle endomorphism with respect to the algebroid bracket,
+
+        N(a, b) = [M a, M b] - M([a, b]_M),
+
+    evaluated on frame pairs."""
+    rank = A.bundle.rank
+    frames = [A.bundle.frame_section(a) for a in range(rank)]
+    names = A.bundle.frame
+    deformed = deform_algebroid(A, M)
+    report = CheckReport("endomorphism torsion")
+    for a in range(rank):
+        for b in range(a + 1, rank):
+            defect = (A.section_bracket(_mat_apply(M, frames[a]),
+                                        _mat_apply(M, frames[b]))
+                      - _mat_apply(M, deformed.frame_bracket(a, b)))
+            report.add_zero("torsion component", defect,
+                            detail=f"({names[a]},{names[b]})")
+    return report
+
+
 def ce_differential(Astar: AlgebroidStructure, section: VForm) -> FrameBivector:
     """Differential on sections of A induced by the structure on A*:
 
@@ -220,15 +268,14 @@ def ce_differential(Astar: AlgebroidStructure, section: VForm) -> FrameBivector:
     return FrameBivector._trusted(A_bundle, out)
 
 
-def check_bialgebroid(A: AlgebroidStructure, Astar: AlgebroidStructure,
-                      probe_coefficients: bool = True) -> CheckReport:
+def check_bialgebroid(A: AlgebroidStructure, Astar: AlgebroidStructure) -> CheckReport:
     """Cocycle condition making (A, A*) a dual pair:
 
         delta([a, b]) = L_a delta(b) - L_b delta(a)
 
-    with delta the differential induced by A*.  Checked on frame pairs and,
-    when requested, on coordinate-function multiples of frame sections (which
-    exercises the anchor compatibility hidden in the Leibniz terms).
+    with delta the differential induced by A*.  Checked on frame pairs and on
+    coordinate-function multiples of frame sections (which exercises the
+    anchor compatibility hidden in the Leibniz terms).
     """
     report = CheckReport("bialgebroid pair")
     va = A.validate()
@@ -247,11 +294,10 @@ def check_bialgebroid(A: AlgebroidStructure, Astar: AlgebroidStructure,
     names = A.bundle.frame
     sections: list[tuple[str, VForm]] = [
         (names[a], A.bundle.frame_section(a)) for a in range(rank)]
-    if probe_coefficients:
-        for c in chart.coords:
-            for a in range(rank):
-                sections.append((f"{c}*{names[a]}",
-                                 A.bundle.frame_section(a) * Poly.var(chart, c)))
+    for c in chart.coords:
+        for a in range(rank):
+            sections.append((f"{c}*{names[a]}",
+                             A.bundle.frame_section(a) * Poly.var(chart, c)))
     for ia, (la, sa) in enumerate(sections):
         for lb, sb in sections[ia + 1:]:
             defect = (ce_differential(Astar, A.section_bracket(sa, sb))
@@ -259,55 +305,6 @@ def check_bialgebroid(A: AlgebroidStructure, Astar: AlgebroidStructure,
                       + A.lie_on_bivector(sb, ce_differential(Astar, sa)))
             report.add_zero("cocycle condition", defect, detail=f"({la},{lb})")
     return report
-
-
-@dataclass
-class DeformedBracket:
-    """Bracket deformed by a degree-1 generalized derivation:
-
-        [a, b]_D = [l(a), b] + D_{rho(b)}(a)
-
-    with anchors rho o l and r o rho recorded.  Skewness is a theorem only
-    under the second IM equation, so it is reported, not assumed.
-    """
-
-    bundle: FramedBundle
-    table: list[list[VForm]]
-    anchor_l: list[list[Poly]]
-    anchor_r: list[list[Poly]]
-    skew: bool
-
-    def to_algebroid(self, pre_lie_only: bool = False) -> AlgebroidStructure:
-        if not self.skew:
-            raise PolyError("deformed bracket is not skew; no algebroid structure")
-        structure = {}
-        rank = self.bundle.rank
-        for a in range(rank):
-            for b in range(a + 1, rank):
-                structure[(a, b)] = self.table[a][b].section_components()
-        return AlgebroidStructure(self.bundle, self.anchor_l, structure,
-                                  pre_lie_only=pre_lie_only)
-
-
-def deformed_bracket(A: AlgebroidStructure, D: GenDer) -> DeformedBracket:
-    if D.bundle != A.bundle or D.degree != 1:
-        raise PolyError("need a degree-1 derivation on the same bundle")
-    rank = A.bundle.rank
-    frames = [A.bundle.frame_section(a) for a in range(rank)]
-    table: list[list[VForm]] = []
-    for a in range(rank):
-        row = []
-        for b in range(rank):
-            val = (A.section_bracket(D.apply_l(frames[a]), frames[b])
-                   + D.apply(frames[a]).insert_vector(A.anchor_of(frames[b])))
-            row.append(val)
-        table.append(row)
-    skew = all((table[a][b] + table[b][a]).is_zero
-               for a in range(rank) for b in range(a, rank))
-    anchor_l = [A.anchor_of(D.apply_l(u)).section_components() for u in frames]
-    rmat = D.r.matrix()
-    anchor_r = [mat_vec(rmat, row) for row in A.anchor]
-    return DeformedBracket(A.bundle, table, anchor_l, anchor_r, skew)
 
 
 def check_im(A: AlgebroidStructure, D: GenDer) -> CheckReport:

@@ -172,6 +172,4 @@ def example_names() -> list[str]:
 
 
 def example_source(name: str) -> str:
-    if name not in EXAMPLES:
-        raise KeyError(name)
     return EXAMPLES[name]

@@ -34,7 +34,6 @@ __all__ = [
     "Multivector",
     "VForm",
     "wedge",
-    "mv_wedge",
     "exterior_d",
     "interior_vector",
     "interior_vvf",
@@ -242,10 +241,6 @@ def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
             key, sign = m
             _accumulate(out, key, pa * pb * sign)
     return a._trusted(a.chart, deg, out)
-
-
-def mv_wedge(a: Multivector, b: Multivector) -> Multivector:
-    return wedge(a, b)
 
 
 def exterior_d(a: DiffForm) -> DiffForm:

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import Chart, Poly, PolyError
-from .forms import VForm, bivector_from_sharp
+from .forms import bivector_from_sharp
 from .gder import FramedBundle, GenDer, bracket, dual, tangent_bundle
-from .algebroid import AlgebroidStructure, check_bialgebroid, check_im
-from .matrix import identity, mat_mul, mat_vec, transpose
+from .algebroid import (AlgebroidStructure, algebroid_torsion, check_bialgebroid,
+                        check_im, deform_algebroid)
+from .matrix import identity, mat_mul, transpose
 from .pnlab import PNCandidate, check_pn
 from .report import CheckReport
 
@@ -25,8 +26,6 @@ __all__ = [
     "check_lnb",
     "base_pn",
     "deform_hierarchy",
-    "deform_algebroid",
-    "algebroid_torsion",
     "holomorphic_detect",
     "CourantOperator",
     "courant_operator",
@@ -58,51 +57,6 @@ def _l_matrix(D: GenDer) -> list[list[Poly]]:
     cols = [D.apply_l(D.bundle.frame_section(a)).section_components()
             for a in range(D.bundle.rank)]
     return transpose(cols)
-
-
-def _mat_apply(M: list[list[Poly]], s: VForm) -> VForm:
-    return VForm.section(s.chart, mat_vec(M, s.section_components()))
-
-
-def deform_algebroid(A: AlgebroidStructure, M: list[list[Poly]]) -> AlgebroidStructure:
-    """Bracket deformed by a bundle endomorphism (frame matrix M):
-
-        [a, b]_M = [M a, b] + [a, M b] - M([a, b]),    anchor rho o M.
-
-    A Lie algebroid again exactly when the torsion of M vanishes.
-    """
-    rank = A.bundle.rank
-    frames = [A.bundle.frame_section(a) for a in range(rank)]
-    anchor = mat_mul(transpose(M), A.anchor)
-    structure: dict[tuple[int, int], list[Poly]] = {}
-    for a in range(rank):
-        for b in range(a + 1, rank):
-            val = (A.section_bracket(_mat_apply(M, frames[a]), frames[b])
-                   + A.section_bracket(frames[a], _mat_apply(M, frames[b]))
-                   - _mat_apply(M, A.frame_bracket(a, b)))
-            structure[(a, b)] = val.section_components()
-    return AlgebroidStructure(A.bundle, anchor, structure)
-
-
-def algebroid_torsion(A: AlgebroidStructure, M: list[list[Poly]]) -> CheckReport:
-    """Torsion of a bundle endomorphism with respect to the algebroid bracket,
-
-        N(a, b) = [M a, M b] - M([a, b]_M),
-
-    evaluated on frame pairs."""
-    rank = A.bundle.rank
-    frames = [A.bundle.frame_section(a) for a in range(rank)]
-    names = A.bundle.frame
-    deformed = deform_algebroid(A, M)
-    report = CheckReport("endomorphism torsion")
-    for a in range(rank):
-        for b in range(a + 1, rank):
-            defect = (A.section_bracket(_mat_apply(M, frames[a]),
-                                        _mat_apply(M, frames[b]))
-                      - _mat_apply(M, deformed.frame_bracket(a, b)))
-            report.add_zero("torsion component", defect,
-                            detail=f"({names[a]},{names[b]})")
-    return report
 
 
 def check_lnb(c: LNCandidate) -> CheckReport:

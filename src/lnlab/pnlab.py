@@ -13,9 +13,9 @@ from .poly import Chart, Poly, PolyError
 from .forms import (DiffForm, Multivector, VForm, bivector_from_sharp,
                     exterior_d, frolicher_nijenhuis, interior_vector,
                     lie_derivative_vvf, nijenhuis_torsion, schouten, sharp,
-                    sharp_matrix, vf_bracket)
-from .algebroid import (AlgebroidStructure, check_bialgebroid,
-                        cotangent_of_poisson)
+                    sharp_matrix)
+from .algebroid import (check_bialgebroid, cotangent_of_poisson,
+                        deform_algebroid, tangent_algebroid)
 from .gder import tangent_bundle
 from .matrix import mat_mul, mat_vec, transpose
 from .report import CheckReport
@@ -29,7 +29,6 @@ __all__ = [
     "kosmann_equivalence",
     "mm1_identity",
     "hierarchy",
-    "nijenhuis_deformed_tangent",
 ]
 
 
@@ -169,23 +168,6 @@ def check_pn(c: PNCandidate) -> CheckReport:
     return report
 
 
-def nijenhuis_deformed_tangent(r: VForm) -> AlgebroidStructure:
-    """TM with the deformed bracket [X,Y]_r = [rX,Y] + [X,rY] - r[X,Y] and
-    anchor r."""
-    chart = r.chart
-    n = chart.dim
-    bundle = tangent_bundle(chart)
-    anchor = transpose(r.matrix())
-    frames = [bundle.frame_section(i) for i in range(n)]
-    structure = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            val = (vf_bracket(r.apply_endo(frames[a]), frames[b])
-                   + vf_bracket(frames[a], r.apply_endo(frames[b])))
-            structure[(a, b)] = val.section_components()
-    return AlgebroidStructure(bundle, anchor, structure)
-
-
 def kosmann_equivalence(c: PNCandidate) -> CheckReport:
     """Bialgebroid characterization: (pi, r) is PN exactly when the deformed
     tangent algebroid TM_r pairs with the cotangent algebroid of pi as a
@@ -193,7 +175,7 @@ def kosmann_equivalence(c: PNCandidate) -> CheckReport:
     if not schouten(c.pi, c.pi).is_zero:
         raise PolyError("bivector is not Poisson")
     report = CheckReport("bialgebroid characterization")
-    tmr = nijenhuis_deformed_tangent(c.r)
+    tmr = deform_algebroid(tangent_algebroid(c.chart), c.r.matrix())
     ctg = cotangent_of_poisson(c.pi)
     vt = tmr.validate()
     report.add("deformed tangent algebroid valid", vt.passed,

@@ -14,17 +14,6 @@ from typing import Any
 __all__ = ["CheckItem", "CheckReport"]
 
 
-def _render(obj: Any) -> str:
-    if obj is None:
-        return ""
-    if hasattr(obj, "render"):
-        try:
-            return obj.render()  # type: ignore[call-arg]
-        except TypeError:
-            pass
-    return str(obj)
-
-
 @dataclass
 class CheckItem:
     """One verified identity: the law name and its computed defect."""
@@ -40,7 +29,7 @@ class CheckItem:
         if self.detail:
             out += f"  ({self.detail})"
         if not self.passed and self.defect is not None:
-            out += f"\n       defect: {_render(self.defect)}"
+            out += f"\n       defect: {self.defect}"
         return out
 
 

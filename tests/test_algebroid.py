@@ -11,7 +11,7 @@ from lnlab.gder import (FramedBundle, build_drT, build_drTstar,
                         build_from_connection)
 from lnlab.algebroid import (AlgebroidStructure, FrameBivector,
                              ce_differential, check_bialgebroid, check_im,
-                             cotangent_of_poisson, deformed_bracket,
+                             cotangent_of_poisson, deform_algebroid,
                              tangent_algebroid)
 
 from helpers import CH2, CH3, rnd_endo, rnd_poly, rnd_vf
@@ -166,38 +166,17 @@ class TestBialgebroid:
         assert rep.items[0].law == "base structure valid"
 
 
-class TestDeformedBracket:
+class TestDeformAlgebroid:
     def test_scaling_endomorphism(self):
-        A = tangent_algebroid(CH2)
-        db = deformed_bracket(A, build_drT(XID))
-        assert db.skew
+        A = deform_algebroid(tangent_algebroid(CH2), XID.matrix())
         # [d/dx, d/dy] deformed by x-scaling picks up the derivative of x
-        assert db.table[0][1].section_components() == [ZERO, ONE]
-        assert db.to_algebroid().validate().passed
+        assert A.frame_bracket(0, 1).section_components() == [ZERO, ONE]
+        assert A.validate().passed
 
     def test_rotation_endomorphism(self):
-        A = tangent_algebroid(CH2)
-        db = deformed_bracket(A, build_drT(J2))
-        assert db.skew
-        assert db.table[0][1].is_zero
-        assert db.to_algebroid().validate().passed
-
-    def test_anchors_agree_for_drT(self):
-        rng = random.Random(54)
-        A = tangent_algebroid(CH2)
-        db = deformed_bracket(A, build_drT(rnd_endo(rng, CH2)))
-        for a in range(2):
-            for j in range(2):
-                assert db.anchor_l[a][j] == db.anchor_r[a][j]
-
-    def test_degree_mismatch(self):
-        A = tangent_algebroid(CH2)
-        from lnlab.gder import GenDer
-        D0 = GenDer(A.bundle, 0,
-                    [A.bundle.frame_section(a) for a in range(2)],
-                    None, VForm.zero(CH2, 0, 2))
-        with pytest.raises(PolyError):
-            deformed_bracket(A, D0)
+        A = deform_algebroid(tangent_algebroid(CH2), J2.matrix())
+        assert A.frame_bracket(0, 1).is_zero
+        assert A.validate().passed
 
 
 class TestIMEquations:
@@ -206,6 +185,27 @@ class TestIMEquations:
         A = tangent_algebroid(CH2)
         for _ in range(3):
             assert check_im(A, build_drT(rnd_endo(rng, CH2))).passed
+
+    def test_anchors_agree_for_drT(self):
+        # IM (4) says the anchors r o rho and rho o l agree; IM (2) is what
+        # makes the bracket [l a, b] + D_{rho(b)}(a) skew
+        rng = random.Random(54)
+        A = tangent_algebroid(CH2)
+        laws = ("IM symbol square", "IM symbol-bracket compatibility")
+        for _ in range(3):
+            rep = check_im(A, build_drT(rnd_endo(rng, CH2)))
+            items = [i for i in rep.items if i.law in laws]
+            assert {i.law for i in items} == set(laws)
+            assert all(i.passed for i in items)
+
+    def test_degree_mismatch(self):
+        A = tangent_algebroid(CH2)
+        from lnlab.gder import GenDer
+        D0 = GenDer(A.bundle, 0,
+                    [A.bundle.frame_section(a) for a in range(2)],
+                    None, VForm.zero(CH2, 0, 2))
+        with pytest.raises(PolyError):
+            check_im(A, D0)
 
     def test_cotangent_with_selfadjoint_endo(self):
         ctg = cotangent_of_poisson(PI0)

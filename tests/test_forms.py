@@ -9,9 +9,9 @@ import pytest
 from lnlab.poly import Chart, Poly
 from lnlab.forms import (DiffForm, Multivector, VForm, bivector_from_sharp,
                          exterior_d, frolicher_nijenhuis, interior_vector,
-                         interior_vvf, lie_derivative_vvf, mv_wedge,
-                         nijenhuis_torsion, pairing, schouten, sharp,
-                         sharp_matrix, sort_index, vf_bracket, wedge)
+                         interior_vvf, lie_derivative_vvf, nijenhuis_torsion,
+                         pairing, schouten, sharp, sharp_matrix, sort_index,
+                         vf_bracket, wedge)
 
 from helpers import (CH2, CH3, rnd_form, rnd_mv, rnd_one_form, rnd_poly,
                      rnd_vf, rnd_vvform)
@@ -225,9 +225,9 @@ class TestSchouten:
         P = rnd_mv(rng, CH3, 1)
         Q = rnd_mv(rng, CH3, 1)
         S = rnd_mv(rng, CH3, 2)
-        lhs = schouten(P, mv_wedge(Q, S))
-        rhs = (mv_wedge(schouten(P, Q), S)
-               + mv_wedge(Q, schouten(P, S)))
+        lhs = schouten(P, wedge(Q, S))
+        rhs = (wedge(schouten(P, Q), S)
+               + wedge(Q, schouten(P, S)))
         assert lhs == rhs
 
     def test_graded_jacobi(self):

@@ -7,15 +7,14 @@ import random
 import pytest
 
 from lnlab.poly import Chart, Poly, PolyError
-from lnlab.forms import Multivector, VForm
+from lnlab.forms import Multivector, VForm, vf_bracket
 from lnlab.gder import GenDer, build_drT, dual, tangent_bundle
-from lnlab.algebroid import cotangent_of_poisson, tangent_algebroid
-from lnlab.lnb import (CourantOperator, LNCandidate, algebroid_torsion,
-                       base_pn, check_lnb, courant_operator, deform_algebroid,
-                       deform_hierarchy, holomorphic_detect)
-from lnlab.pnlab import nijenhuis_deformed_tangent
+from lnlab.algebroid import (algebroid_torsion, cotangent_of_poisson,
+                             deform_algebroid, tangent_algebroid)
+from lnlab.lnb import (CourantOperator, LNCandidate, base_pn, check_lnb,
+                       courant_operator, deform_hierarchy, holomorphic_detect)
 
-from helpers import CH2, rnd_poly
+from helpers import CH2, rnd_endo, rnd_poly
 
 X = Poly.var(CH2, "x")
 ONE = Poly.const(CH2, 1)
@@ -90,12 +89,18 @@ class TestBasePN:
 
 class TestDeformations:
     def test_deform_tangent_matches_nijenhuis_bracket(self):
+        # on the coordinate frame [e_a, e_b] = 0, so the deformed bracket is
+        # [r e_a, e_b] + [e_a, r e_b] and the anchor sends e_a to r e_a
         TM = tangent_algebroid(CH2)
-        got = deform_algebroid(TM, XID.matrix())
-        want = nijenhuis_deformed_tangent(XID)
-        assert got.anchor == want.anchor
-        for key in set(got.structure) | set(want.structure):
-            assert got.structure[key] == want.structure[key]
+        frames = [TM.bundle.frame_section(a) for a in range(2)]
+        for r in (XID, J2, rnd_endo(random.Random(81), CH2)):
+            got = deform_algebroid(TM, r.matrix())
+            assert got.anchor == [r.apply_endo(u).section_components()
+                                  for u in frames]
+            want = (vf_bracket(r.apply_endo(frames[0]), frames[1])
+                    + vf_bracket(frames[0], r.apply_endo(frames[1])))
+            assert (got.frame_bracket(0, 1).section_components()
+                    == want.section_components())
 
     def test_torsion_report(self):
         TM = tangent_algebroid(CH2)

@@ -7,9 +7,10 @@ import pytest
 
 from lnlab.poly import Chart, Poly, PolyError
 from lnlab.forms import DiffForm, Multivector, VForm, schouten
+from lnlab.algebroid import deform_algebroid, tangent_algebroid
 from lnlab.pnlab import (PNCandidate, check_pn, concomitant_C, concomitant_R,
                          hierarchy, kosmann_equivalence, mm1_identity,
-                         nijenhuis_deformed_tangent, selfadj_defect)
+                         selfadj_defect)
 
 from helpers import (CH2, CH3, rnd_bivector, rnd_endo, rnd_one_form, rnd_poly,
                      rnd_vf)
@@ -145,9 +146,10 @@ class TestKosmann:
             kosmann_equivalence(PNCandidate(pi, VForm(CH3, 1, 3, {})))
 
     def test_deformed_tangent_validity_tracks_torsion(self):
-        assert nijenhuis_deformed_tangent(XID).validate().passed
+        TM = tangent_algebroid(CH2)
+        assert deform_algebroid(TM, XID.matrix()).validate().passed
         yendo = VForm(CH2, 1, 2, {((0,), 0): Poly.var(CH2, "y")})
-        assert not nijenhuis_deformed_tangent(yendo).validate().passed
+        assert not deform_algebroid(TM, yendo.matrix()).validate().passed
 
 
 class TestHierarchy:
