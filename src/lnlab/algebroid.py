@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .poly import Chart, Poly, PolyError
-from .forms import (Multivector, VForm, _Alternating, derivative, sharp_matrix,
-                    schouten, vf_bracket)
+from .forms import (Multivector, VForm, _Alternating, _accumulate, derivative,
+                    sharp_matrix, schouten, vf_bracket)
 from .gder import (FramedBundle, GenDer, build_drT, cotangent_bundle,
                    tangent_bundle)
 from .matrix import identity, mat_mul, mat_vec, transpose
@@ -54,13 +54,6 @@ class FrameBivector(_Alternating):
         self = super()._trusted(bundle.chart, 2, coeffs)
         self.bundle = bundle
         return self
-
-    @staticmethod
-    def wedge_sections(s: VForm, t: VForm, bundle: FramedBundle) -> "FrameBivector":
-        sc, tc = s.section_components(), t.section_components()
-        return FrameBivector._trusted(bundle, {
-            (a, b): sc[a] * tc[b] - sc[b] * tc[a]
-            for a in range(bundle.rank) for b in range(a + 1, bundle.rank)})
 
     def render(self) -> str:
         f = self.bundle.frame
@@ -113,7 +106,7 @@ class AlgebroidStructure:
         """[s, t] for polynomial sections, via bilinearity and Leibniz."""
         rank = self.bundle.rank
         sc, tc = s.section_components(), t.section_components()
-        out = self.bundle.zero_form(0)
+        out: dict = {}
         for (a, b), comps in self.structure.items():
             f = Poly.zero(self.chart)
             if sc[a] and tc[b]:
@@ -121,14 +114,16 @@ class AlgebroidStructure:
             if sc[b] and tc[a]:
                 f = f - sc[b] * tc[a]
             if f:
-                out = out + VForm.section(self.chart, comps) * f
+                for v, c in enumerate(comps):
+                    if c:
+                        _accumulate(out, ((), v), c * f)
         rho_s = self.anchor_of(s).section_components()
         rho_t = self.anchor_of(t).section_components()
         for b in range(rank):
             acc = derivative(rho_s, tc[b]) - derivative(rho_t, sc[b])
-            if not acc.is_zero:
-                out = out + self.bundle.frame_section(b) * acc
-        return out
+            if acc:
+                _accumulate(out, ((), b), acc)
+        return VForm._trusted(self.chart, 0, rank, out)
 
     def validate(self) -> CheckReport:
         """Jacobi identity on frame triples, anchor morphism on frame pairs."""
@@ -156,19 +151,24 @@ class AlgebroidStructure:
         return report
 
     def lie_on_bivector(self, s: VForm, P: FrameBivector) -> FrameBivector:
-        """L_s P: the bracket extended as a derivation of the wedge."""
-        frames = [self.bundle.frame_section(a) for a in range(self.bundle.rank)]
+        """L_s P: the bracket extended as a derivation of the wedge,
+        L_s (p a ^ b) = rho(s)(p) a ^ b + p [s, a] ^ b + p a ^ [s, b]."""
+        rank = self.bundle.rank
         rho_s = self.anchor_of(s).section_components()
-        out = FrameBivector(self.bundle, {})
+        brackets = {a: self.section_bracket(s, self.bundle.frame_section(a))
+                    .section_components() for key in P.coeffs for a in key}
+        out: dict = {}
         for (a, b), p in P.coeffs.items():
             dp = derivative(rho_s, p)
-            if not dp.is_zero:
-                out = out + FrameBivector._trusted(self.bundle, {(a, b): dp})
-            out = out + FrameBivector.wedge_sections(
-                self.section_bracket(s, frames[a]), frames[b], self.bundle) * p
-            out = out + FrameBivector.wedge_sections(
-                frames[a], self.section_bracket(s, frames[b]), self.bundle) * p
-        return out
+            if dp:
+                _accumulate(out, (a, b), dp)
+            # p [s, u_a] ^ u_b + p u_a ^ [s, u_b], expanded over the frame
+            for c in range(rank):
+                for x, y, f in ((c, b, brackets[a][c]), (a, c, brackets[b][c])):
+                    if f and x != y:
+                        t = f * p
+                        _accumulate(out, (min(x, y), max(x, y)), t if x < y else -t)
+        return FrameBivector._trusted(self.bundle, out)
 
 
 def tangent_algebroid(chart: Chart) -> AlgebroidStructure:

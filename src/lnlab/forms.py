@@ -24,7 +24,7 @@ literally:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .matrix import identity, mat_vec
 from .poly import Chart, Poly, PolyError
@@ -366,19 +366,27 @@ class VForm(_Alternating):
         return [[self.coeffs.get(((i,), v), z) for i in range(self.chart.dim)]
                 for v in range(self.vals)]
 
-    def decomposables(self) -> Iterable[tuple[DiffForm, int]]:
-        """Entries as (scalar form, value index) pairs."""
+    def slot_components(self) -> dict[int, DiffForm]:
+        """The scalar form multiplying each value slot, for nonzero slots."""
+        parts: dict[int, dict[Index, Poly]] = {}
         for (idx, v), p in self.coeffs.items():
-            yield DiffForm._trusted(self.chart, self.degree, {idx: p}), v
+            parts.setdefault(v, {})[idx] = p
+        return {v: DiffForm._trusted(self.chart, self.degree, c) for v, c in parts.items()}
 
     def wedge_scalar(self, a: DiffForm) -> "VForm":
         """a ^ K, value slot untouched."""
+        if a.chart != self.chart:
+            raise PolyError("chart mismatch in wedge")
+        deg = a.degree + self.degree
         out: dict[tuple[Index, int], Poly] = {}
-        for (idx, v), p in self.coeffs.items():
-            w = wedge(a, DiffForm._trusted(self.chart, self.degree, {idx: p}))
-            for i2, p2 in w.coeffs.items():
-                _accumulate(out, (i2, v), p2)
-        return VForm._trusted(self.chart, self.degree + a.degree, self.vals, out)
+        if deg <= self.chart.dim:
+            for ia, pa in a.coeffs.items():
+                for (idx, v), p in self.coeffs.items():
+                    m = sort_index(ia + idx)
+                    if m is not None:
+                        t = pa * p
+                        _accumulate(out, (m[0], v), t if m[1] > 0 else -t)
+        return VForm._trusted(self.chart, deg, self.vals, out)
 
     def apply_endo(self, X: "VForm") -> "VForm":
         """Apply a degree-1 tangent-valued form to a vector field."""
@@ -398,12 +406,11 @@ class VForm(_Alternating):
 
     def contract_value(self, covec: Sequence[Poly]) -> DiffForm:
         """Pair the value slot with a covector, leaving a scalar form."""
-        out = DiffForm.zero(self.chart, self.degree)
-        for v in range(self.vals):
-            if covec[v].is_zero:
-                continue
-            out = out + self.component(v) * covec[v]
-        return out
+        out: dict[Index, Poly] = {}
+        for (idx, v), p in self.coeffs.items():
+            if covec[v]:
+                _accumulate(out, idx, p * covec[v])
+        return DiffForm._trusted(self.chart, self.degree, out)
 
     def render(self, frame: Sequence[str]) -> str:
         names = self.chart.coords
@@ -443,16 +450,20 @@ def interior_vvf(K: VForm, a: DiffForm) -> DiffForm:
     if K.chart != a.chart:
         raise PolyError("chart mismatch")
     deg = K.degree + a.degree - 1
-    if a.degree == 0:
-        return DiffForm.zero(K.chart, max(deg, 0))
-    out = DiffForm.zero(K.chart, deg)
-    basis = [Poly.zero(K.chart)] * K.chart.dim
+    out: dict[Index, Poly] = {}
+    if a.degree == 0 or deg > K.chart.dim:
+        return DiffForm._trusted(K.chart, max(deg, 0), out)
+    # p dx_idx (x) d/dx_v contracts d/dx_v out of q dx_J at position pos
     for (idx, v), p in K.coeffs.items():
-        comps = list(basis)
-        comps[v] = p
-        inner = interior_vector(comps, a)
-        out = out + wedge(DiffForm.basis(K.chart, idx), inner)
-    return out
+        for J, q in a.coeffs.items():
+            if v not in J:
+                continue
+            pos = J.index(v)
+            m = sort_index(idx + J[:pos] + J[pos + 1:])
+            if m is not None:
+                t = q * p
+                _accumulate(out, m[0], t if m[1] == (-1) ** pos else -t)
+    return DiffForm._trusted(K.chart, deg, out)
 
 
 def lie_derivative_vvf(K: VForm, a: DiffForm) -> DiffForm:
@@ -494,32 +505,39 @@ def frolicher_nijenhuis(K: VForm, L: VForm) -> VForm:
     if K.chart != L.chart:
         raise PolyError("chart mismatch")
     chart = K.chart
-    k, l = K.degree, L.degree
-    deg = k + l
-    sign_k = (-1) ** k
-    units = identity(chart, chart.dim)
+    n, k = chart.dim, K.degree
     acc: dict[tuple[Index, int], Poly] = {}
+    dK = [(ia, va, pa, [pa.diff(i) for i in range(n)])
+          for (ia, va), pa in K.coeffs.items()]
+    dL = [(ib, vb, pb, [pb.diff(i) for i in range(n)])
+          for (ib, vb), pb in L.coeffs.items()]
 
-    def add(idx_form: DiffForm, v: int) -> None:
-        for i2, p2 in idx_form.coeffs.items():
-            _accumulate(acc, (i2, v), p2)
+    def add(idx: Index, v: int, x: Poly, y: Poly, sign: int) -> None:
+        # sign * x * y dx_idx (x) d/dx_v
+        m = sort_index(idx) if x and y else None
+        if m is not None:
+            t = x * y
+            _accumulate(acc, (m[0], v), t if m[1] == sign else -t)
 
-    for (ia, va), pa in K.coeffs.items():
-        phi = DiffForm._trusted(chart, k, {ia: pa})
-        for (ib, vb), pb in L.coeffs.items():
-            psi = DiffForm._trusted(chart, l, {ib: pb})
-            # phi ^ (d_{va} psi) (x) d/dx_vb
-            dpsi = DiffForm._trusted(chart, l, {ib: pb.diff(va)})
-            add(wedge(phi, dpsi), vb)
-            # - (d_{vb} phi) ^ psi (x) d/dx_va
-            dphi = DiffForm._trusted(chart, k, {ia: pa.diff(vb)})
-            add(-wedge(dphi, psi), va)
-            # (-1)^k ( d phi ^ i_{va} psi (x) d/dx_vb + i_{vb} phi ^ d psi (x) d/dx_va )
-            t1 = wedge(exterior_d(phi), interior_vector(units[va], psi))
-            add(t1 * sign_k, vb)
-            t2 = wedge(interior_vector(units[vb], phi), exterior_d(psi))
-            add(t2 * sign_k, va)
-    return VForm._trusted(chart, deg, chart.dim, acc)
+    # phi = pa dx_ia (x) d/dx_va, psi = pb dx_ib (x) d/dx_vb
+    for ia, va, pa, dpa in dK:
+        for ib, vb, pb, dpb in dL:
+            # phi ^ d_va psi (x) d/dx_vb - d_vb phi ^ psi (x) d/dx_va
+            add(ia + ib, vb, pa, dpb[va], 1)
+            add(ia + ib, va, dpa[vb], pb, -1)
+            # (-1)^k (d phi ^ i_va psi (x) d/dx_vb + i_vb phi ^ d psi (x) d/dx_va)
+            # with i_v dx_J = (-1)^pos dx_(J without v) for v = J[pos]
+            if va in ib:
+                pos = ib.index(va)
+                rest = ib[:pos] + ib[pos + 1:]
+                for i in range(n):
+                    add((i,) + ia + rest, vb, dpa[i], pb, (-1) ** (pos + k))
+            if vb in ia:
+                pos = ia.index(vb)
+                rest = ia[:pos] + ia[pos + 1:]
+                for i in range(n):
+                    add(rest + (i,) + ib, va, pa, dpb[i], (-1) ** (pos + k))
+    return VForm._trusted(chart, K.degree + L.degree, n, acc)
 
 
 def nijenhuis_torsion(r: VForm) -> VForm:

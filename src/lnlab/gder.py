@@ -23,8 +23,8 @@ from itertools import combinations
 from typing import Sequence
 
 from .poly import Chart, Poly, PolyError
-from .forms import (DiffForm, VForm, exterior_d, frolicher_nijenhuis,
-                    lie_derivative_vvf, vf_bracket)
+from .forms import (DiffForm, VForm, _accumulate, exterior_d,
+                    frolicher_nijenhuis, lie_derivative_vvf, vf_bracket)
 from .matrix import mat_vec, transpose
 
 __all__ = [
@@ -130,11 +130,12 @@ class GenDer:
         """l on a section; function-linear."""
         if self.l_frame is None:
             raise PolyError("degree-0 derivation has no l")
-        out = self.bundle.zero_form(self.degree - 1)
+        out: dict = {}
         for a, f in enumerate(section.section_components()):
-            if not f.is_zero:
-                out = out + self.l_frame[a] * f
-        return out
+            if f:
+                for key, p in self.l_frame[a].coeffs.items():
+                    _accumulate(out, key, p * f)
+        return VForm._trusted(self.bundle.chart, self.degree - 1, self.bundle.rank, out)
 
     def extend(self, eta: VForm) -> VForm:
         """Extension to E-valued forms.
@@ -144,40 +145,38 @@ class GenDer:
             D(a (x) u) = a ^ D(u)
                          + (-1)^j da ^ l(u)
                          - (-1)^(j k) (L_r a) (x) u
+
+        Each term is linear over constants in a, so it acts once per value slot.
         """
         chart, k = self.bundle.chart, self.degree
         j = eta.degree
         if eta.vals != self.bundle.rank or eta.chart != chart:
             raise PolyError("argument does not live in this bundle")
-        out = self.bundle.zero_form(j + k)
-        sj = (-1) ** j
-        sjk = -((-1) ** (j * k))
-        for alpha, a in eta.decomposables():
-            out = out + self.d_frame[a].wedge_scalar(alpha)
+        out: dict = {}
+        for a, alpha in eta.slot_components().items():
+            _add_into(out, self.d_frame[a].wedge_scalar(alpha).coeffs, 1)
             if self.l_frame is not None:
-                out = out + self.l_frame[a].wedge_scalar(exterior_d(alpha)) * sj
+                _add_into(out, self.l_frame[a].wedge_scalar(exterior_d(alpha)).coeffs,
+                          (-1) ** j)
             lr = lie_derivative_vvf(self.r, alpha)
-            if not lr.is_zero:
-                term = VForm._trusted(chart, j + k, self.bundle.rank,
-                                      {(idx, a): p * sjk for idx, p in lr.coeffs.items()})
-                out = out + term
-        return out
+            _add_into(out, {(idx, a): p for idx, p in lr.coeffs.items()},
+                      -((-1) ** (j * k)))
+        return VForm._trusted(chart, j + k, self.bundle.rank, out)
 
     def leibniz_defect(self, f: Poly, section: VForm) -> VForm:
         """D(f u) - f D(u) - df ^ l(u) + <df, r> (x) u; zero by construction,
         kept as an executable statement of the rule."""
         df = exterior_d(DiffForm.from_poly(f))
-        out = self.apply(section * f) - self.apply(section) * f
+        out: dict = {}
+        _add_into(out, self.apply(section * f).coeffs, 1)
+        _add_into(out, (self.apply(section) * f).coeffs, -1)
         if self.l_frame is not None:
-            out = out - self.apply_l(section).wedge_scalar(df)
+            _add_into(out, self.apply_l(section).wedge_scalar(df).coeffs, -1)
         rdf = self.r_pair(df)
         for a, g in enumerate(section.section_components()):
-            if g.is_zero:
-                continue
-            comp = rdf * g
-            out = out + VForm._trusted(self.bundle.chart, self.degree, self.bundle.rank,
-                                       {(idx, a): p for idx, p in comp.coeffs.items()})
-        return out
+            if g:
+                _add_into(out, {(idx, a): p * g for idx, p in rdf.coeffs.items()}, 1)
+        return VForm._trusted(self.bundle.chart, self.degree, self.bundle.rank, out)
 
     def __add__(self, other: "GenDer") -> "GenDer":
         if self.bundle != other.bundle or self.degree != other.degree:
@@ -210,11 +209,18 @@ class GenDer:
                       lf, VForm.zero(bundle.chart, k, bundle.chart.dim))
 
 
-def _l_on_valued_form(D: GenDer, eta: VForm) -> VForm:
-    """Function-linear extension of l to E-valued forms: l(a (x) u) = a ^ l(u)."""
-    out = D.bundle.zero_form(eta.degree + D.degree - 1)
-    for alpha, a in eta.decomposables():
-        out = out + D.l_frame[a].wedge_scalar(alpha)
+def _add_into(out: dict, coeffs: dict, sign: int) -> None:
+    """Accumulate ``sign`` times the coefficient map ``coeffs`` into ``out``."""
+    for key, p in coeffs.items():
+        _accumulate(out, key, p if sign > 0 else -p)
+
+
+def _l_on_valued_form(D: GenDer, eta: VForm) -> dict:
+    """Function-linear extension of l to E-valued forms, l(a (x) u) = a ^ l(u),
+    as a coefficient map."""
+    out: dict = {}
+    for a, alpha in eta.slot_components().items():
+        _add_into(out, D.l_frame[a].wedge_scalar(alpha).coeffs, 1)
     return out
 
 
@@ -237,20 +243,24 @@ def bracket(D1: GenDer, D2: GenDer) -> GenDer:
     k = k1 + k2
     for a in range(bundle.rank):
         u = bundle.frame_section(a)
-        d_val = D2.extend(D1.apply(u)) - D1.extend(D2.apply(u)) * sign
-        d_out.append(d_val)
+        D1u, D2u = D1.apply(u), D2.apply(u)
+        d_val: dict = {}
+        _add_into(d_val, D2.extend(D1u).coeffs, 1)
+        _add_into(d_val, D1.extend(D2u).coeffs, -sign)
+        d_out.append(VForm._trusted(bundle.chart, k, bundle.rank, d_val))
         if k == 0:
             continue
         # graded commutators [D2, l1] and [D1, l2] on the frame section
-        parts = bundle.zero_form(k - 1)
+        parts: dict = {}
         if D1.l_frame is not None:
-            s = (-1) ** (k2 * (k1 - 1))
-            parts = parts + D2.extend(D1.apply_l(u)) - _l_on_valued_form(D1, D2.apply(u)) * s
+            _add_into(parts, D2.extend(D1.apply_l(u)).coeffs, 1)
+            _add_into(parts, _l_on_valued_form(D1, D2u),
+                      -((-1) ** (k2 * (k1 - 1))))
         if D2.l_frame is not None:
-            s = (-1) ** (k1 * (k2 - 1))
-            t = D1.extend(D2.apply_l(u)) - _l_on_valued_form(D2, D1.apply(u)) * s
-            parts = parts - t * sign
-        l_out.append(parts)
+            _add_into(parts, D1.extend(D2.apply_l(u)).coeffs, -sign)
+            _add_into(parts, _l_on_valued_form(D2, D1u),
+                      sign * (-1) ** (k1 * (k2 - 1)))
+        l_out.append(VForm._trusted(bundle.chart, k - 1, bundle.rank, parts))
     r_out = frolicher_nijenhuis(D1.r, D2.r)
     return GenDer(bundle, k, d_out, l_out if k > 0 else None, r_out)
 

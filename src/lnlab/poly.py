@@ -265,7 +265,8 @@ class Poly:
         return _make(self.chart, {k: -c for k, c in self._num.items()}, self._den)
 
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
-        if isinstance(other, (int, Fraction)):
+        # Poly x Poly is the common case; test it before the scalar isinstance
+        if other.__class__ is not Poly and isinstance(other, (int, Fraction)):
             if other == 0:
                 return Poly.zero(self.chart)
             # the part of the scalar's numerator shared with _den cancels at

@@ -1,12 +1,16 @@
 """Shared random generators for the identity tests.
 
-All draws use small integer coefficients and degree at most one, which keeps
-intermediate expressions well inside the growth limit while still exercising
-every derivative term.
+The ``rnd_*`` draws use small integer coefficients and degree at most one,
+which keeps intermediate expressions well inside the growth limit while still
+exercising every derivative term.  The ``st_*`` Hypothesis strategies at the
+end draw rational coefficients for the kernel oracles.
 """
 
 from fractions import Fraction
+from itertools import combinations
 import random
+
+from hypothesis import strategies as st
 
 from lnlab.poly import Chart, Poly
 from lnlab.forms import DiffForm, Multivector, VForm
@@ -62,3 +66,37 @@ def rnd_vvform(rng: random.Random, chart: Chart, degree: int) -> VForm:
     return VForm(chart, degree, n,
                  {(idx, v): rnd_poly(rng, chart)
                   for idx in combinations(range(n), degree) for v in range(n)})
+
+
+# -- Hypothesis strategies for the kernel oracles ----------------------------
+# Rational coefficients over mixed denominators on monomials of degree <= 2,
+# so products need a common denominator and every derivative term survives.
+
+def _monomials(chart: Chart) -> list[tuple[int, ...]]:
+    n = chart.dim
+    unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    return [(0,) * n] + unit + [tuple(a + b for a, b in zip(unit[0], u)) for u in unit]
+
+
+def st_polys(chart: Chart):
+    coeff = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3, 6)))
+    return st.dictionaries(st.sampled_from(_monomials(chart)), coeff,
+                           min_size=1, max_size=3).map(lambda t: Poly(chart, t))
+
+
+def st_forms(chart: Chart, degree: int):
+    """Forms with one to three entries (zero above dim)."""
+    keys = list(combinations(range(chart.dim), degree))
+    if not keys:
+        return st.just(DiffForm(chart, degree))
+    return st.dictionaries(st.sampled_from(keys), st_polys(chart), min_size=1,
+                           max_size=3).map(lambda c: DiffForm(chart, degree, c))
+
+
+def st_vvforms(chart: Chart, degree: int, vals: int):
+    keys = [(idx, v) for idx in combinations(range(chart.dim), degree)
+            for v in range(vals)]
+    if not keys:
+        return st.just(VForm(chart, degree, vals))
+    return st.dictionaries(st.sampled_from(keys), st_polys(chart), min_size=1,
+                           max_size=3).map(lambda c: VForm(chart, degree, vals, c))

@@ -121,9 +121,9 @@ class TestDualDifferential:
         # delta(f s) = f delta(s) + df_pi ^ s with df taken through the anchor
         df = [sum((ctg.anchor[a][i] * f.diff(i) for i in range(2)), ZERO)
               for a in range(2)]
-        rhs = (ce_differential(ctg, s) * f
-               + FrameBivector.wedge_sections(
-                   VForm.section(CH2, df), s, TM.bundle))
+        sc = s.section_components()
+        df_s = FrameBivector(TM.bundle, {(0, 1): df[0] * sc[1] - df[1] * sc[0]})
+        rhs = ce_differential(ctg, s) * f + df_s
         assert (lhs - rhs).is_zero
 
 

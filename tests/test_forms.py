@@ -5,8 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lnlab.poly import Chart, Poly
+from lnlab.poly import Chart, Poly, PolyError
 from lnlab.forms import (DiffForm, Multivector, VForm, bivector_from_sharp,
                          exterior_d, frolicher_nijenhuis, interior_vector,
                          interior_vvf, lie_derivative_vvf, nijenhuis_torsion,
@@ -14,11 +16,12 @@ from lnlab.forms import (DiffForm, Multivector, VForm, bivector_from_sharp,
                          vf_bracket, wedge)
 
 from helpers import (CH2, CH3, rnd_form, rnd_mv, rnd_one_form, rnd_poly,
-                     rnd_vf, rnd_vvform)
+                     rnd_vf, rnd_vvform, st_forms, st_vvforms)
 
 X2 = Poly.var(CH2, "x")
 Y2 = Poly.var(CH2, "y")
 ONE2 = Poly.const(CH2, 1)
+ONE3 = Poly.const(CH3, 1)
 
 
 class TestSortIndex:
@@ -311,3 +314,147 @@ class TestConstructorValidation:
             assert form.coeffs == {(0, 2): one}
         v = VForm(CH3, 1, 2, {((2,), 1): one, ((0,), 0): zero})
         assert v.coeffs == {((2,), 1): one}
+
+
+# -- oracles for the fused kernels -------------------------------------------
+# Each reference expands one decomposable at a time from the definitions,
+# using only wedge, interior_vector, exterior_d, DiffForm.basis and the
+# container's + and scaling.
+
+DIM_CHARTS = st.sampled_from((CH2, CH3))
+
+
+def ref_interior_vvf(K: VForm, a: DiffForm) -> DiffForm:
+    """i_K a = sum over entries p dx_idx (x) d/dx_v of dx_idx ^ i_{p d/dx_v} a."""
+    chart = K.chart
+    deg = max(K.degree + a.degree - 1, 0)
+    out = DiffForm.zero(chart, deg)
+    if a.degree == 0:
+        return out
+    for (idx, v), p in K.coeffs.items():
+        comps = [Poly.zero(chart)] * chart.dim
+        comps[v] = p
+        out = out + wedge(DiffForm.basis(chart, idx), interior_vector(comps, a))
+    return out
+
+
+def ref_wedge_scalar(a: DiffForm, K: VForm) -> VForm:
+    return VForm.from_components([wedge(a, K.component(v)) for v in range(K.vals)],
+                                 a.degree + K.degree)
+
+
+def ref_frolicher_nijenhuis(K: VForm, L: VForm) -> VForm:
+    """Four-term expansion on phi (x) d/dx_va, psi (x) d/dx_vb:
+    phi ^ d_va psi (x) d_vb - d_vb phi ^ psi (x) d_va
+    + (-1)^k (d phi ^ i_va psi (x) d_vb + i_vb phi ^ d psi (x) d_va)."""
+    chart = K.chart
+    n, k, l = chart.dim, K.degree, L.degree
+    units = [[Poly.const(chart, int(i == j)) for j in range(n)] for i in range(n)]
+    slots = [DiffForm.zero(chart, k + l) for _ in range(n)]
+    for (ia, va), pa in K.coeffs.items():
+        phi = DiffForm.basis(chart, ia) * pa
+        for (ib, vb), pb in L.coeffs.items():
+            psi = DiffForm.basis(chart, ib) * pb
+            slots[vb] = slots[vb] + wedge(phi, DiffForm.basis(chart, ib) * pb.diff(va))
+            slots[va] = slots[va] - wedge(DiffForm.basis(chart, ia) * pa.diff(vb), psi)
+            if l > 0:
+                t = wedge(exterior_d(phi), interior_vector(units[va], psi))
+                slots[vb] = slots[vb] + t * (-1) ** k
+            if k > 0:
+                t = wedge(interior_vector(units[vb], phi), exterior_d(psi))
+                slots[va] = slots[va] + t * (-1) ** k
+    return VForm.from_components(slots, k + l)
+
+
+class TestFusedKernelOracles:
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_interior_vvf(self, data):
+        chart = data.draw(DIM_CHARTS)
+        K = data.draw(st_vvforms(chart, data.draw(st.integers(0, 2)), chart.dim))
+        a = data.draw(st_forms(chart, data.draw(st.integers(0, 3))))
+        assert interior_vvf(K, a) == ref_interior_vvf(K, a)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_wedge_scalar(self, data):
+        chart = data.draw(DIM_CHARTS)
+        K = data.draw(st_vvforms(chart, data.draw(st.integers(0, 2)),
+                                 data.draw(st.integers(1, 3))))
+        a = data.draw(st_forms(chart, data.draw(st.integers(0, 3))))
+        assert K.wedge_scalar(a) == ref_wedge_scalar(a, K)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_frolicher_nijenhuis(self, data):
+        chart = data.draw(DIM_CHARTS)
+        K = data.draw(st_vvforms(chart, data.draw(st.integers(0, 2)), chart.dim))
+        L = data.draw(st_vvforms(chart, data.draw(st.integers(0, 3)), chart.dim))
+        assert frolicher_nijenhuis(K, L) == ref_frolicher_nijenhuis(K, L)
+
+
+X3, Y3, Z3 = (Poly.var(CH3, c) for c in "xyz")
+# pairs where both contraction terms act, with K of odd and of even degree
+CONTRACTING = [
+    (VForm(CH3, 1, 3, {((1,), 2): X3}), VForm(CH3, 1, 3, {((2,), 0): ONE3})),
+    (VForm(CH3, 1, 3, {((0,), 1): X3 + Z3, ((2,), 0): Y3 * X3}),
+     VForm(CH3, 2, 3, {((1, 2), 0): Y3 * Z3, ((0, 1), 2): X3 + ONE3})),
+]
+
+
+@pytest.mark.parametrize("K, L", CONTRACTING + [(L, K) for K, L in CONTRACTING])
+def test_frolicher_nijenhuis_contraction_terms(K, L):
+    assert frolicher_nijenhuis(K, L) == ref_frolicher_nijenhuis(K, L)
+
+
+class TestKernelErrorContract:
+    """The fused kernels keep the errors and shapes of the expansions."""
+
+    K2 = VForm(CH2, 1, 2, {((0,), 1): X2})
+    A3 = DiffForm(CH3, 1, {(0,): Poly.var(CH3, "x")})
+
+    def test_chart_mismatch(self):
+        with pytest.raises(PolyError):
+            self.K2.wedge_scalar(self.A3)
+        with pytest.raises(PolyError):
+            interior_vvf(self.K2, self.A3)
+        with pytest.raises(PolyError):
+            frolicher_nijenhuis(self.K2, VForm(CH3, 1, 3, {((0,), 1): ONE3}))
+
+    def test_non_tangent_form(self):
+        bundle_valued = VForm(CH2, 1, 3, {((0,), 2): X2})
+        with pytest.raises(PolyError):
+            interior_vvf(bundle_valued, DiffForm(CH2, 1, {(1,): ONE2}))
+        with pytest.raises(PolyError):
+            frolicher_nijenhuis(bundle_valued, self.K2)
+        with pytest.raises(PolyError):
+            frolicher_nijenhuis(self.K2, bundle_valued)
+
+    def test_degree_above_dim_is_zero_of_the_right_shape(self):
+        top = DiffForm(CH2, 2, {(0, 1): X2})
+        K2deg = VForm(CH2, 2, 2, {((0, 1), 0): Y2})
+        assert self.K2.wedge_scalar(top) == VForm.zero(CH2, 3, 2)
+        assert VForm(CH2, 1, 3, {((1,), 2): X2}).wedge_scalar(top) == VForm.zero(CH2, 3, 3)
+        assert interior_vvf(K2deg, top) == DiffForm.zero(CH2, 3)
+        assert frolicher_nijenhuis(K2deg, self.K2) == VForm.zero(CH2, 3, 2)
+        assert frolicher_nijenhuis(K2deg, K2deg) == VForm.zero(CH2, 4, 2)
+
+
+def test_kernels_build_no_per_term_wedge(monkeypatch):
+    """The bracket kernels multiply coefficient maps directly: none of them
+    calls wedge, which stays public for callers that want it."""
+    from lnlab import forms, gder
+
+    def no_wedge(a, b):
+        raise AssertionError("wedge called from a fused kernel")
+
+    monkeypatch.setattr(forms, "wedge", no_wedge)
+    r = VForm(CH2, 1, 2, {((0,), 0): X2, ((0,), 1): Y2, ((1,), 1): ONE2 + X2})
+    s = VForm(CH2, 1, 2, {((1,), 0): X2 * Y2, ((0,), 1): ONE2})
+    a = DiffForm(CH2, 1, {(0,): Y2, (1,): X2})
+    assert not frolicher_nijenhuis(r, s).is_zero
+    assert not interior_vvf(r, a).is_zero
+    assert not r.wedge_scalar(a).is_zero
+    D1, D2 = gder.build_drT(r), gder.build_drT(s)
+    assert not gder.bracket(D1, D2).is_zero
+    assert gder.dual(D1).r == r

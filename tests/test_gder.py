@@ -4,17 +4,21 @@ the constructors from endomorphisms, connections, and bundle maps."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lnlab.poly import Chart, Poly, PolyError
 from lnlab.forms import (DiffForm, VForm, exterior_d, frolicher_nijenhuis,
-                         lie_derivative_vvf, vf_bracket)
+                         interior_vector, lie_derivative_vvf, vf_bracket,
+                         wedge)
 from lnlab.gder import (FramedBundle, GenDer, bracket, build_drT,
                         build_drTstar, build_from_connection,
                         build_from_theta, cotangent_bundle, dual,
                         tangent_bundle)
 from lnlab.algebroid import tangent_algebroid
 
-from helpers import CH2, rnd_endo, rnd_poly, rnd_vf, rnd_vvform
+from helpers import (CH2, CH3, rnd_endo, rnd_poly, rnd_vf, rnd_vvform,
+                     st_vvforms)
 
 X = Poly.var(CH2, "x")
 Y = Poly.var(CH2, "y")
@@ -238,3 +242,85 @@ def pairing_scalar(form: DiffForm, Xf: VForm) -> Poly:
 
 def TM_frame(b: int) -> VForm:
     return cotangent_bundle(CH2).frame_section(b)
+
+
+# -- oracle for the fused extension ------------------------------------------
+# The reference applies the defining formula to one decomposable at a time,
+# using only wedge, interior_vector, exterior_d, DiffForm.basis and the
+# container's + and scaling.
+
+E2 = ("e1", "e2")
+
+
+def ref_interior_vvf(K: VForm, a: DiffForm) -> DiffForm:
+    chart = K.chart
+    out = DiffForm.zero(chart, max(K.degree + a.degree - 1, 0))
+    if a.degree == 0:
+        return out
+    for (idx, v), p in K.coeffs.items():
+        comps = [Poly.zero(chart)] * chart.dim
+        comps[v] = p
+        out = out + wedge(DiffForm.basis(chart, idx), interior_vector(comps, a))
+    return out
+
+
+def ref_lie(K: VForm, a: DiffForm) -> DiffForm:
+    """L_K a = i_K da - (-1)^(k-1) d i_K a."""
+    first = ref_interior_vvf(K, exterior_d(a))
+    if a.degree == 0:
+        return first
+    second = exterior_d(ref_interior_vvf(K, a))
+    return first + second if (K.degree - 1) % 2 else first - second
+
+
+def ref_wedge_scalar(a: DiffForm, K: VForm) -> VForm:
+    return VForm.from_components([wedge(a, K.component(v)) for v in range(K.vals)],
+                                 a.degree + K.degree)
+
+
+def ref_extend(D: GenDer, eta: VForm) -> VForm:
+    """D(a (x) u) = a ^ D(u) + (-1)^j da ^ l(u) - (-1)^(j k) (L_r a) (x) u."""
+    chart, k, j, rank = D.bundle.chart, D.degree, eta.degree, D.bundle.rank
+    out = D.bundle.zero_form(j + k)
+    for (idx, a), p in eta.coeffs.items():
+        alpha = DiffForm.basis(chart, idx) * p
+        out = out + ref_wedge_scalar(alpha, D.d_frame[a])
+        if D.l_frame is not None:
+            out = out + ref_wedge_scalar(exterior_d(alpha), D.l_frame[a]) * (-1) ** j
+        slots = [DiffForm.zero(chart, j + k)] * rank
+        slots[a] = ref_lie(D.r, alpha) * -((-1) ** (j * k))
+        out = out + VForm.from_components(slots, j + k)
+    return out
+
+
+@st.composite
+def st_gder(draw, chart: Chart) -> GenDer:
+    bundle = FramedBundle(chart, E2)
+    k = draw(st.integers(0, 2))
+    d = [draw(st_vvforms(chart, k, 2)) for _ in range(2)]
+    lf = None if k == 0 else [draw(st_vvforms(chart, k - 1, 2)) for _ in range(2)]
+    return GenDer(bundle, k, d, lf, draw(st_vvforms(chart, k, chart.dim)))
+
+
+class TestFusedExtensionOracle:
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_extend_matches_decomposable_expansion(self, data):
+        chart = data.draw(st.sampled_from((CH2, CH3)))
+        D = data.draw(st_gder(chart))
+        eta = data.draw(st_vvforms(chart, data.draw(st.integers(0, 3)), 2))
+        assert D.extend(eta) == ref_extend(D, eta)
+
+
+class TestExtensionErrorContract:
+    def test_eta_from_another_bundle(self):
+        D = build_drT(VForm(CH2, 1, 2, {((0,), 1): X}))
+        with pytest.raises(PolyError):
+            D.extend(VForm(CH2, 1, 3, {((0,), 2): X}))
+        with pytest.raises(PolyError):
+            D.extend(VForm(CH3, 1, 2, {((0,), 1): Poly.var(CH3, "x")}))
+
+    def test_degree_above_dim_is_zero_of_the_right_shape(self):
+        D = build_drT(VForm(CH2, 1, 2, {((0,), 1): X, ((1,), 0): Y}))
+        eta = VForm(CH2, 2, 2, {((0, 1), 0): X * Y, ((0, 1), 1): ONE})
+        assert D.extend(eta) == VForm.zero(CH2, 3, 2)

@@ -218,6 +218,25 @@ class TestKernelOracle:
         assert c == 2 and type(c) is Fraction
 
 
+class TestScalarDispatch:
+    """``*`` tries Poly x Poly first; every int and Fraction, including bool
+    and int subclasses, still takes the scalar branch."""
+
+    def test_bool_and_int_subclasses_scale(self):
+        class Three(int):
+            pass
+
+        p = Poly(CH, {(1, 0): HALF, (0, 0): 1})
+        assert p * True == p == True * p
+        assert (p * False).is_zero and (False * p).is_zero
+        assert p * Three(3) == p * 3 == Three(3) * p
+        assert_canonical(p * Fraction(2, 3), {(1, 0): Fraction(1, 3), (0, 0): Fraction(2, 3)})
+
+    def test_poly_factor_still_checks_the_chart(self):
+        with pytest.raises(PolyError):
+            Poly(CH, {(1, 0): 1}) * Poly(Chart(("u", "v")), {(0, 1): 1})
+
+
 class TestBoundary:
     def test_rejects_wrong_length_exponent(self):
         with pytest.raises(PolyError):
