@@ -13,7 +13,7 @@ import random
 from hypothesis import strategies as st
 
 from lnlab.poly import Chart, Poly
-from lnlab.forms import DiffForm, Multivector, VForm
+from lnlab.forms import DiffForm, Multivector, VForm, interior_vector, wedge
 
 CH2 = Chart(("x", "y"))
 CH3 = Chart(("x", "y", "z"))
@@ -100,3 +100,24 @@ def st_vvforms(chart: Chart, degree: int, vals: int):
         return st.just(VForm(chart, degree, vals))
     return st.dictionaries(st.sampled_from(keys), st_polys(chart), min_size=1,
                            max_size=3).map(lambda c: VForm(chart, degree, vals, c))
+
+
+# -- per-decomposable references for the fused kernels -----------------------
+
+def ref_interior_vvf(K: VForm, a: DiffForm) -> DiffForm:
+    """i_K a = sum over entries p dx_idx (x) d/dx_v of dx_idx ^ i_{p d/dx_v} a."""
+    chart = K.chart
+    deg = max(K.degree + a.degree - 1, 0)
+    out = DiffForm.zero(chart, deg)
+    if a.degree == 0:
+        return out
+    for (idx, v), p in K.coeffs.items():
+        comps = [Poly.zero(chart)] * chart.dim
+        comps[v] = p
+        out = out + wedge(DiffForm.basis(chart, idx), interior_vector(comps, a))
+    return out
+
+
+def ref_wedge_scalar(a: DiffForm, K: VForm) -> VForm:
+    return VForm.from_components([wedge(a, K.component(v)) for v in range(K.vals)],
+                                 a.degree + K.degree)

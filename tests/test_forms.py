@@ -15,8 +15,9 @@ from lnlab.forms import (DiffForm, Multivector, VForm, bivector_from_sharp,
                          pairing, schouten, sharp, sharp_matrix, sort_index,
                          vf_bracket, wedge)
 
-from helpers import (CH2, CH3, rnd_form, rnd_mv, rnd_one_form, rnd_poly,
-                     rnd_vf, rnd_vvform, st_forms, st_vvforms)
+from helpers import (CH2, CH3, ref_interior_vvf, ref_wedge_scalar, rnd_form,
+                     rnd_mv, rnd_one_form, rnd_poly, rnd_vf, rnd_vvform,
+                     st_forms, st_vvforms)
 
 X2 = Poly.var(CH2, "x")
 Y2 = Poly.var(CH2, "y")
@@ -324,25 +325,6 @@ class TestConstructorValidation:
 DIM_CHARTS = st.sampled_from((CH2, CH3))
 
 
-def ref_interior_vvf(K: VForm, a: DiffForm) -> DiffForm:
-    """i_K a = sum over entries p dx_idx (x) d/dx_v of dx_idx ^ i_{p d/dx_v} a."""
-    chart = K.chart
-    deg = max(K.degree + a.degree - 1, 0)
-    out = DiffForm.zero(chart, deg)
-    if a.degree == 0:
-        return out
-    for (idx, v), p in K.coeffs.items():
-        comps = [Poly.zero(chart)] * chart.dim
-        comps[v] = p
-        out = out + wedge(DiffForm.basis(chart, idx), interior_vector(comps, a))
-    return out
-
-
-def ref_wedge_scalar(a: DiffForm, K: VForm) -> VForm:
-    return VForm.from_components([wedge(a, K.component(v)) for v in range(K.vals)],
-                                 a.degree + K.degree)
-
-
 def ref_frolicher_nijenhuis(K: VForm, L: VForm) -> VForm:
     """Four-term expansion on phi (x) d/dx_va, psi (x) d/dx_vb:
     phi ^ d_va psi (x) d_vb - d_vb phi ^ psi (x) d_va
@@ -376,7 +358,7 @@ class TestFusedKernelOracles:
         assert interior_vvf(K, a) == ref_interior_vvf(K, a)
 
     @given(st.data())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=25, deadline=None)
     def test_wedge_scalar(self, data):
         chart = data.draw(DIM_CHARTS)
         K = data.draw(st_vvforms(chart, data.draw(st.integers(0, 2)),

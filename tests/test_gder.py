@@ -9,16 +9,15 @@ from hypothesis import strategies as st
 
 from lnlab.poly import Chart, Poly, PolyError
 from lnlab.forms import (DiffForm, VForm, exterior_d, frolicher_nijenhuis,
-                         interior_vector, lie_derivative_vvf, vf_bracket,
-                         wedge)
+                         lie_derivative_vvf, vf_bracket)
 from lnlab.gder import (FramedBundle, GenDer, bracket, build_drT,
                         build_drTstar, build_from_connection,
                         build_from_theta, cotangent_bundle, dual,
                         tangent_bundle)
 from lnlab.algebroid import tangent_algebroid
 
-from helpers import (CH2, CH3, rnd_endo, rnd_poly, rnd_vf, rnd_vvform,
-                     st_vvforms)
+from helpers import (CH2, CH3, ref_interior_vvf, ref_wedge_scalar, rnd_endo,
+                     rnd_poly, rnd_vf, rnd_vvform, st_vvforms)
 
 X = Poly.var(CH2, "x")
 Y = Poly.var(CH2, "y")
@@ -252,18 +251,6 @@ def TM_frame(b: int) -> VForm:
 E2 = ("e1", "e2")
 
 
-def ref_interior_vvf(K: VForm, a: DiffForm) -> DiffForm:
-    chart = K.chart
-    out = DiffForm.zero(chart, max(K.degree + a.degree - 1, 0))
-    if a.degree == 0:
-        return out
-    for (idx, v), p in K.coeffs.items():
-        comps = [Poly.zero(chart)] * chart.dim
-        comps[v] = p
-        out = out + wedge(DiffForm.basis(chart, idx), interior_vector(comps, a))
-    return out
-
-
 def ref_lie(K: VForm, a: DiffForm) -> DiffForm:
     """L_K a = i_K da - (-1)^(k-1) d i_K a."""
     first = ref_interior_vvf(K, exterior_d(a))
@@ -271,11 +258,6 @@ def ref_lie(K: VForm, a: DiffForm) -> DiffForm:
         return first
     second = exterior_d(ref_interior_vvf(K, a))
     return first + second if (K.degree - 1) % 2 else first - second
-
-
-def ref_wedge_scalar(a: DiffForm, K: VForm) -> VForm:
-    return VForm.from_components([wedge(a, K.component(v)) for v in range(K.vals)],
-                                 a.degree + K.degree)
 
 
 def ref_extend(D: GenDer, eta: VForm) -> VForm:
