@@ -323,44 +323,38 @@ def check_im(A: AlgebroidStructure, D: GenDer) -> CheckReport:
     chart, rank, n = A.chart, A.bundle.rank, A.chart.dim
     names = A.bundle.frame
     frames = [A.bundle.frame_section(a) for a in range(rank)]
+    anchors = [A.anchor_of(s) for s in frames]
     coord_fields = [tangent_bundle(chart).frame_section(i) for i in range(n)]
-    drT = build_drT(D.r)
-
-    def D_at(s: VForm, X: VForm) -> VForm:
-        return D.apply(s).insert_vector(X)
-
+    Du = D.d_frame
     for a in range(rank):
         for b in range(a + 1, rank):
             ab = A.frame_bracket(a, b)
-            for i in range(n):
-                X = coord_fields[i]
-                rho_a = A.anchor_of(frames[a])
-                rho_b = A.anchor_of(frames[b])
-                defect = (D_at(ab, X)
-                          - A.section_bracket(frames[a], D_at(frames[b], X))
-                          + A.section_bracket(frames[b], D_at(frames[a], X))
-                          - D_at(frames[a], vf_bracket(rho_b, X))
-                          + D_at(frames[b], vf_bracket(rho_a, X)))
+            D_ab = D.extend(ab)
+            for i, X in enumerate(coord_fields):
+                defect = (D_ab.insert_vector(X)
+                          - A.section_bracket(frames[a], Du[b].insert_vector(X))
+                          + A.section_bracket(frames[b], Du[a].insert_vector(X))
+                          - Du[a].insert_vector(vf_bracket(anchors[b], X))
+                          + Du[b].insert_vector(vf_bracket(anchors[a], X)))
                 report.add_zero("IM bracket compatibility", defect,
                                 detail=f"({names[a]},{names[b]};d/d{chart.coords[i]})")
             defect2 = (D.apply_l(ab)
-                       - A.section_bracket(frames[a], D.apply_l(frames[b]))
-                       + D_at(frames[a], A.anchor_of(frames[b])))
+                       - A.section_bracket(frames[a], D.l_frame[b])
+                       + Du[a].insert_vector(anchors[b]))
             report.add_zero("IM symbol-bracket compatibility", defect2,
                             detail=f"({names[a]},{names[b]})")
+    drT = build_drT(D.r)
     for a in range(rank):
-        rho_a = A.anchor_of(frames[a])
-        for i in range(n):
-            X = coord_fields[i]
-            defect3 = (drT.apply(rho_a).insert_vector(X)
-                       - A.anchor_of(D_at(frames[a], X)))
+        drT_rho_a = drT.extend(anchors[a])
+        for i, X in enumerate(coord_fields):
+            defect3 = (drT_rho_a.insert_vector(X)
+                       - A.anchor_of(Du[a].insert_vector(X)))
             report.add_zero("IM anchor intertwining", defect3,
                             detail=f"({names[a]};d/d{chart.coords[i]})")
     rmat = D.r.matrix()
     im4 = []
     for a in range(rank):
-        la = D.apply_l(frames[a])
-        rho_la = A.anchor_of(la).section_components()
+        rho_la = A.anchor_of(D.l_frame[a]).section_components()
         for j, r_rho in enumerate(mat_vec(rmat, A.anchor[a])):
             p = r_rho - rho_la[j]
             if not p.is_zero:

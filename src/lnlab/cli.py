@@ -95,10 +95,8 @@ def _do_lift(args) -> int:
         raise SceneError(f"object '{args.object}' is not liftable "
                          "(need an endomorphism or a derivation)")
     for label, lifted in lifts:
-        names = lifted.total.chart.coords
-        frame = [f"@{c}" for c in names]
-        print(f"{label} on chart {names}:")
-        print(f"  {lifted.form.render(frame)}")
+        print(f"{label} on chart {lifted.chart.coords}:")
+        print(f"  {lifted}")
     return EXIT_PASS
 
 

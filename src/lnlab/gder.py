@@ -122,20 +122,24 @@ class GenDer:
         chart = self.bundle.chart
         return self.r.contract_value([a.coeff((i,)) for i in range(chart.dim)])
 
-    def apply(self, section: VForm) -> VForm:
-        """D on an arbitrary polynomial section, via the Leibniz rule."""
-        return self.extend(section)
+    def _slots(self, eta: VForm):
+        """The nonzero value slots of an E-valued form; PolyError outside E."""
+        if eta.vals != self.bundle.rank or eta.chart != self.bundle.chart:
+            raise PolyError("argument does not live in this bundle")
+        return eta.slot_components().items()
 
-    def apply_l(self, section: VForm) -> VForm:
-        """l on a section; function-linear."""
+    def apply_l(self, eta: VForm) -> VForm:
+        """Function-linear extension of l to E-valued forms:
+
+            l(a (x) u) = a ^ l(u)    for u a frame section.
+        """
         if self.l_frame is None:
             raise PolyError("degree-0 derivation has no l")
         out: dict = {}
-        for a, f in enumerate(section.section_components()):
-            if f:
-                for key, p in self.l_frame[a].coeffs.items():
-                    _accumulate(out, key, p * f)
-        return VForm._trusted(self.bundle.chart, self.degree - 1, self.bundle.rank, out)
+        for a, alpha in self._slots(eta):
+            _add_into(out, self.l_frame[a].wedge_scalar(alpha).coeffs, 1)
+        return VForm._trusted(self.bundle.chart, eta.degree + self.degree - 1,
+                              self.bundle.rank, out)
 
     def extend(self, eta: VForm) -> VForm:
         """Extension to E-valued forms.
@@ -150,10 +154,8 @@ class GenDer:
         """
         chart, k = self.bundle.chart, self.degree
         j = eta.degree
-        if eta.vals != self.bundle.rank or eta.chart != chart:
-            raise PolyError("argument does not live in this bundle")
         out: dict = {}
-        for a, alpha in eta.slot_components().items():
+        for a, alpha in self._slots(eta):
             _add_into(out, self.d_frame[a].wedge_scalar(alpha).coeffs, 1)
             if self.l_frame is not None:
                 _add_into(out, self.l_frame[a].wedge_scalar(exterior_d(alpha)).coeffs,
@@ -168,8 +170,8 @@ class GenDer:
         kept as an executable statement of the rule."""
         df = exterior_d(DiffForm.from_poly(f))
         out: dict = {}
-        _add_into(out, self.apply(section * f).coeffs, 1)
-        _add_into(out, (self.apply(section) * f).coeffs, -1)
+        _add_into(out, self.extend(section * f).coeffs, 1)
+        _add_into(out, (self.extend(section) * f).coeffs, -1)
         if self.l_frame is not None:
             _add_into(out, self.apply_l(section).wedge_scalar(df).coeffs, -1)
         rdf = self.r_pair(df)
@@ -201,27 +203,11 @@ class GenDer:
         return (all(v.is_zero for v in self.d_frame) and self.r.is_zero
                 and (self.l_frame is None or all(v.is_zero for v in self.l_frame)))
 
-    @staticmethod
-    def zero(bundle: FramedBundle, degree: int) -> "GenDer":
-        k = degree
-        lf = None if k == 0 else [bundle.zero_form(k - 1) for _ in range(bundle.rank)]
-        return GenDer(bundle, k, [bundle.zero_form(k) for _ in range(bundle.rank)],
-                      lf, VForm.zero(bundle.chart, k, bundle.chart.dim))
-
 
 def _add_into(out: dict, coeffs: dict, sign: int) -> None:
     """Accumulate ``sign`` times the coefficient map ``coeffs`` into ``out``."""
     for key, p in coeffs.items():
         _accumulate(out, key, p if sign > 0 else -p)
-
-
-def _l_on_valued_form(D: GenDer, eta: VForm) -> dict:
-    """Function-linear extension of l to E-valued forms, l(a (x) u) = a ^ l(u),
-    as a coefficient map."""
-    out: dict = {}
-    for a, alpha in eta.slot_components().items():
-        _add_into(out, D.l_frame[a].wedge_scalar(alpha).coeffs, 1)
-    return out
 
 
 def bracket(D1: GenDer, D2: GenDer) -> GenDer:
@@ -242,8 +228,7 @@ def bracket(D1: GenDer, D2: GenDer) -> GenDer:
     l_out: list[VForm] = []
     k = k1 + k2
     for a in range(bundle.rank):
-        u = bundle.frame_section(a)
-        D1u, D2u = D1.apply(u), D2.apply(u)
+        D1u, D2u = D1.d_frame[a], D2.d_frame[a]
         d_val: dict = {}
         _add_into(d_val, D2.extend(D1u).coeffs, 1)
         _add_into(d_val, D1.extend(D2u).coeffs, -sign)
@@ -253,12 +238,12 @@ def bracket(D1: GenDer, D2: GenDer) -> GenDer:
         # graded commutators [D2, l1] and [D1, l2] on the frame section
         parts: dict = {}
         if D1.l_frame is not None:
-            _add_into(parts, D2.extend(D1.apply_l(u)).coeffs, 1)
-            _add_into(parts, _l_on_valued_form(D1, D2u),
+            _add_into(parts, D2.extend(D1.l_frame[a]).coeffs, 1)
+            _add_into(parts, D1.apply_l(D2u).coeffs,
                       -((-1) ** (k2 * (k1 - 1))))
         if D2.l_frame is not None:
-            _add_into(parts, D1.extend(D2.apply_l(u)).coeffs, -sign)
-            _add_into(parts, _l_on_valued_form(D2, D1u),
+            _add_into(parts, D1.extend(D2.l_frame[a]).coeffs, -sign)
+            _add_into(parts, D2.apply_l(D1u).coeffs,
                       sign * (-1) ** (k1 * (k2 - 1)))
         l_out.append(VForm._trusted(bundle.chart, k - 1, bundle.rank, parts))
     r_out = frolicher_nijenhuis(D1.r, D2.r)

@@ -4,7 +4,8 @@ A framed bundle E over a chart gets a total chart with coordinates
 (x_1, ..., x_m, xi^1, ..., xi^n), base first.  Sections lift to vertical
 vector fields, generalized derivations linearize to tangent-valued forms on
 the total space, and the tangent and cotangent lifts of an endomorphism are
-obtained by linearizing the derivations it induces on TM and T*M.
+obtained by linearizing the derivations it induces on TM and T*M.  A lifted
+form is a plain ``VForm`` on ``TotalChart.of(bundle).chart``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .report import CheckReport
 
 __all__ = [
     "TotalChart",
-    "LinVVForm",
     "vertical_lift",
     "euler",
     "v_map",
@@ -96,18 +96,6 @@ class TotalChart:
                         {idx: self.pull(p) for idx, p in a.coeffs.items()})
 
 
-@dataclass
-class LinVVForm:
-    """Tangent-valued form on a total chart, linear over the fibers."""
-
-    total: TotalChart
-    form: VForm
-
-    @property
-    def degree(self) -> int:
-        return self.form.degree
-
-
 def vertical_lift(tc: TotalChart, u: VForm) -> VForm:
     """Vertical lift of a section: sum of u^a d/dxi^a with pulled-back
     coefficients."""
@@ -138,7 +126,7 @@ def v_map(tc: TotalChart, gamma: VForm) -> VForm:
     return VForm(tc.chart, gamma.degree, tc.dim, coeffs)
 
 
-def phi_up(tc: TotalChart, phi_frame: list[VForm]) -> LinVVForm:
+def phi_up(tc: TotalChart, phi_frame: list[VForm]) -> VForm:
     """Fiberwise-linear vertical form of an endomorphism-valued k-form.
 
     ``phi_frame[a]`` is the bundle-valued k-form obtained by feeding the a-th
@@ -155,11 +143,11 @@ def phi_up(tc: TotalChart, phi_frame: list[VForm]) -> LinVVForm:
         xi = Poly.coord(tc.chart, tc.fiber_index(a))
         for (idx, b), p in val.coeffs.items():
             _accumulate(coeffs, (idx, tc.fiber_index(b)), tc.pull(p) * xi)
-    return LinVVForm(tc, VForm(tc.chart, k, tc.dim, coeffs))
+    return VForm(tc.chart, k, tc.dim, coeffs)
 
 
-def linearize(D: GenDer) -> LinVVForm:
-    """Linear tangent-valued k-form on the total space of the bundle whose
+def linearize(D: GenDer) -> VForm:
+    """Linear tangent-valued k-form on ``TotalChart.of(D.bundle).chart`` whose
     vertical-lift brackets reproduce the derivation.
 
     In the total chart it is the three-block sum
@@ -182,7 +170,7 @@ def linearize(D: GenDer) -> LinVVForm:
                 s = sort_index((tc.fiber_index(a),) + idx)
                 key, sign = s
                 _accumulate(coeffs, (key, tc.fiber_index(b)), tc.pull(p) * sign)
-    return LinVVForm(tc, VForm(tc.chart, k, tc.dim, coeffs))
+    return VForm(tc.chart, k, tc.dim, coeffs)
 
 
 def _probe_sections(bundle: FramedBundle) -> list[tuple[str, VForm]]:
@@ -199,29 +187,30 @@ def _probe_sections(bundle: FramedBundle) -> list[tuple[str, VForm]]:
     return out
 
 
-def verify_correspondence(K: LinVVForm, D: GenDer) -> CheckReport:
+def verify_correspondence(K: VForm, D: GenDer) -> CheckReport:
     """Defect tables of the three lift/derivation equations:
 
         V(D(u)) = L_{u^}K,   V(l(u)) = K(u^, .),   q*<b, r> = <K, q*b>
 
     for probe sections u and base coordinate 1-forms b; all zero exactly when
-    K is the linearization of the derivation.
+    K is the linearization of the derivation.  K must be a tangent-valued
+    form on ``TotalChart.of(D.bundle).chart``.
     """
-    tc = K.total
-    if D.bundle != tc.bundle:
-        raise PolyError("form and derivation live on different bundles")
+    tc = TotalChart.of(D.bundle)
+    if K.chart != tc.chart:
+        raise PolyError("form does not live on the total chart of the bundle")
     report = CheckReport("lift/derivation correspondence")
     for name, u in _probe_sections(D.bundle):
         up = vertical_lift(tc, u)
-        lhs = v_map(tc, D.apply(u))
-        rhs = frolicher_nijenhuis(up, K.form)
+        lhs = v_map(tc, D.extend(u))
+        rhs = frolicher_nijenhuis(up, K)
         report.add_zero("vertical lift of D", lhs - rhs, detail=name)
         if D.degree > 0:
             lhs2 = v_map(tc, D.apply_l(u))
-            rhs2 = K.form.insert_vector(up)
+            rhs2 = K.insert_vector(up)
             report.add_zero("vertical lift of l", lhs2 - rhs2, detail=name)
     for j in range(tc.base_dim):
-        defect = tc.pull_form(D.r.component(j)) - K.form.component(j)
+        defect = tc.pull_form(D.r.component(j)) - K.component(j)
         report.add_zero("symbol pairing", defect,
                         detail=f"d{tc.bundle.chart.coords[j]}")
     return report
@@ -235,21 +224,23 @@ def check_linearity(tc: TotalChart, K: VForm) -> CheckReport:
     return report
 
 
-def derivation_from_linear_fields(K: LinVVForm, fields: list[VForm]) -> GenDer:
+def derivation_from_linear_fields(tc: TotalChart, K: VForm,
+                                  fields: list[VForm]) -> GenDer:
     """Degree-0 derivation of the linear vector field K(U_1, ..., U_k).
 
-    Each U_i must be a linear vector field on the total chart.  The result G
+    K and each U_i live on ``tc.chart``; each U_i must be linear.  The result G
     acts on frame sections by the vertical-lift bracket, G(u)^ = [U, u^],
     and its symbol is minus the base part of U.
     """
-    tc = K.total
+    if K.chart != tc.chart:
+        raise PolyError("form does not live on the total chart")
     if len(fields) != K.degree:
         raise PolyError("need one linear field per form slot")
     E = euler(tc)
     for U in fields:
         if not vf_bracket(E, U).is_zero:
             raise PolyError("argument field is not linear")
-    U = K.form
+    U = K
     for X in fields:
         U = U.insert_vector(X)
     U = VForm.section(tc.chart, U.section_components())
@@ -270,11 +261,11 @@ def derivation_from_linear_fields(K: LinVVForm, fields: list[VForm]) -> GenDer:
     return GenDer(bundle, 0, d_out, None, symbol)
 
 
-def tangent_lift(r: VForm) -> LinVVForm:
+def tangent_lift(r: VForm) -> VForm:
     """Linear tangent-valued form on TM induced by a tangent-valued form."""
     return linearize(build_drT(r))
 
 
-def cotangent_lift(r: VForm) -> LinVVForm:
+def cotangent_lift(r: VForm) -> VForm:
     """Linear tangent-valued form on T*M induced by an endomorphism."""
     return linearize(build_drTstar(r))

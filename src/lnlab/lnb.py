@@ -54,9 +54,7 @@ class LNCandidate:
 
 def _l_matrix(D: GenDer) -> list[list[Poly]]:
     """Matrix of the l symbol on the frame: L[b][a] = component b of l(u_a)."""
-    cols = [D.apply_l(D.bundle.frame_section(a)).section_components()
-            for a in range(D.bundle.rank)]
-    return transpose(cols)
+    return transpose([v.section_components() for v in D.l_frame])
 
 
 def check_lnb(c: LNCandidate) -> CheckReport:
@@ -140,15 +138,14 @@ def holomorphic_detect(c: LNCandidate) -> CheckReport:
         defect = [p for p in sums if not p.is_zero]
         report.add(f"{side} squares to minus identity", not defect,
                    defect=defect or None)
-    frames = [c.A.bundle.frame_section(a) for a in range(rank)]
     coord_fields = [tangent_bundle(chart).frame_section(i) for i in range(n)]
     names = c.A.bundle.frame
     for a in range(rank):
+        Da = c.D.d_frame[a]
         for i in range(n):
             X = coord_fields[i]
-            rX = c.D.r.apply_endo(X)
-            defect = (c.D.apply(frames[a]).insert_vector(rX)
-                      + c.D.apply_l(c.D.apply(frames[a]).insert_vector(X)))
+            defect = (Da.insert_vector(c.D.r.apply_endo(X))
+                      + c.D.apply_l(Da.insert_vector(X)))
             report.add_zero("derivation anticommutes with the symbol", defect,
                             detail=f"({names[a]};d/d{chart.coords[i]})")
     return report

@@ -7,7 +7,7 @@ import pytest
 
 from lnlab.poly import Chart, Poly, PolyError
 from lnlab.forms import Multivector, VForm, vf_bracket
-from lnlab.gder import (FramedBundle, build_drT, build_drTstar,
+from lnlab.gder import (FramedBundle, GenDer, build_drT, build_drTstar,
                         build_from_connection)
 from lnlab.algebroid import (AlgebroidStructure, FrameBivector,
                              ce_differential, check_bialgebroid, check_im,
@@ -198,9 +198,21 @@ class TestIMEquations:
             assert {i.law for i in items} == set(laws)
             assert all(i.passed for i in items)
 
+    def test_extends_once_per_frame_pair_and_anchor(self, monkeypatch):
+        # D(u_a) and l(u_a) are read from the frame data: the only
+        # extensions are D([u_x, u_y]) and D^{r,T}(rho(u_a)) for each a
+        calls = []
+        extend = GenDer.extend
+
+        def counted(self, eta):
+            calls.append(eta)
+            return extend(self, eta)
+        monkeypatch.setattr(GenDer, "extend", counted)
+        assert check_im(tangent_algebroid(CH2), build_drT(XID)).passed
+        assert len(calls) == 3
+
     def test_degree_mismatch(self):
         A = tangent_algebroid(CH2)
-        from lnlab.gder import GenDer
         D0 = GenDer(A.bundle, 0,
                     [A.bundle.frame_section(a) for a in range(2)],
                     None, VForm.zero(CH2, 0, 2))

@@ -98,7 +98,7 @@ class TestLeibniz:
         rng = random.Random(31)
         D = rnd_gder(rng, TM, 1)
         u, v = rnd_vf(rng, CH2), rnd_vf(rng, CH2)
-        assert (D.apply(u + v) - D.apply(u) - D.apply(v)).is_zero
+        assert (D.extend(u + v) - D.extend(u) - D.extend(v)).is_zero
 
 
 class TestExtension:
@@ -109,12 +109,52 @@ class TestExtension:
         eta = rnd_vvform(rng, CH2, 1)
         assert (D.extend(eta) - frolicher_nijenhuis(eta, r)).is_zero
 
-    def test_extension_degree_zero_base(self):
+    BUNDLES = (TM, FramedBundle(CH2, ("e1", "e2", "e3")))
+
+    def test_extension_on_frame_is_d_frame(self):
         rng = random.Random(33)
-        r = rnd_endo(rng, CH2)
-        D = build_drT(r)
-        u = rnd_vf(rng, CH2)
-        assert (D.extend(u) - D.apply(u)).is_zero
+        for bundle in self.BUNDLES:
+            for degree in (0, 1):
+                D = rnd_gder(rng, bundle, degree)
+                for a in range(bundle.rank):
+                    assert D.extend(bundle.frame_section(a)) == D.d_frame[a]
+
+    def test_l_on_frame_is_l_frame(self):
+        rng = random.Random(44)
+        for bundle in self.BUNDLES:
+            D = rnd_gder(rng, bundle, 1)
+            for a in range(bundle.rank):
+                assert D.apply_l(bundle.frame_section(a)) == D.l_frame[a]
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_l_is_function_linear_on_valued_forms(self, data):
+        # l(sum_a alpha_a (x) u_a) = sum_a alpha_a ^ l(u_a)
+        chart = data.draw(st.sampled_from((CH2, CH3)))
+        D = data.draw(st_gder(chart, data.draw(st.integers(1, 2))))
+        eta = data.draw(st_vvforms(chart, data.draw(st.integers(1, 2)), 2))
+        expect = D.bundle.zero_form(eta.degree + D.degree - 1)
+        for a in range(2):
+            expect = expect + ref_wedge_scalar(eta.component(a), D.l_frame[a])
+        assert D.apply_l(eta) == expect
+
+
+class TestOutsideTheBundle:
+    # x id on TM over (x, y); the arguments have too many value slots, too
+    # few, or live on another chart
+    D = build_drT(VForm(CH2, 1, 2, {((0,), 0): X, ((1,), 1): X}))
+    ARGS = (VForm.section(CH2, [ONE, X, Y]), VForm.section(CH2, [ONE]),
+            VForm.section(CH3, [Poly.const(CH3, 1)] * 2))
+
+    @pytest.mark.parametrize("eta", ARGS, ids=("rank3", "rank1", "chart"))
+    def test_apply_l_rejects(self, eta):
+        with pytest.raises(PolyError):
+            self.D.apply_l(eta)
+
+    @pytest.mark.parametrize("eta", ARGS, ids=("rank3", "rank1", "chart"))
+    def test_extend_rejects(self, eta):
+        with pytest.raises(PolyError):
+            self.D.extend(eta)
 
 
 class TestBracket:
@@ -175,7 +215,7 @@ class TestConstructors:
         r = rnd_endo(rng, CH2)
         D = build_drT(r)
         Xf, Yf = rnd_vf(rng, CH2), rnd_vf(rng, CH2)
-        lhs = D.apply(Yf).insert_vector(Xf)
+        lhs = D.extend(Yf).insert_vector(Xf)
         rhs = (vf_bracket(Yf, r.apply_endo(Xf))
                - r.apply_endo(vf_bracket(Yf, Xf)))
         assert (lhs - rhs).is_zero
@@ -276,9 +316,8 @@ def ref_extend(D: GenDer, eta: VForm) -> VForm:
 
 
 @st.composite
-def st_gder(draw, chart: Chart) -> GenDer:
+def st_gder(draw, chart: Chart, k: int) -> GenDer:
     bundle = FramedBundle(chart, E2)
-    k = draw(st.integers(0, 2))
     d = [draw(st_vvforms(chart, k, 2)) for _ in range(2)]
     lf = None if k == 0 else [draw(st_vvforms(chart, k - 1, 2)) for _ in range(2)]
     return GenDer(bundle, k, d, lf, draw(st_vvforms(chart, k, chart.dim)))
@@ -289,7 +328,7 @@ class TestFusedExtensionOracle:
     @settings(max_examples=30, deadline=None)
     def test_extend_matches_decomposable_expansion(self, data):
         chart = data.draw(st.sampled_from((CH2, CH3)))
-        D = data.draw(st_gder(chart))
+        D = data.draw(st_gder(chart, data.draw(st.integers(0, 2))))
         eta = data.draw(st_vvforms(chart, data.draw(st.integers(0, 3)), 2))
         assert D.extend(eta) == ref_extend(D, eta)
 

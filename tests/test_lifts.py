@@ -9,7 +9,7 @@ from lnlab.poly import Chart, Poly, PolyError
 from lnlab.forms import (DiffForm, VForm, exterior_d, frolicher_nijenhuis,
                          vf_bracket)
 from lnlab.gder import (FramedBundle, GenDer, bracket, build_drT,
-                        build_drTstar, tangent_bundle)
+                        build_drTstar, cotangent_bundle, tangent_bundle)
 from lnlab.lifts import (TotalChart, check_linearity, cotangent_lift,
                          derivation_from_linear_fields, euler, linearize,
                          phi_up, tangent_lift, v_map, vertical_lift,
@@ -46,7 +46,6 @@ def tensor(tc: TotalChart, form: DiffForm, vec: VForm) -> VForm:
 
 class TestTotalChart:
     def test_tangent_and_cotangent_names(self):
-        from lnlab.gder import cotangent_bundle
         assert TotalChart.of(tangent_bundle(CH2)).chart.coords == \
             ("x", "y", "vx", "vy")
         assert TotalChart.of(cotangent_bundle(CH2)).chart.coords == \
@@ -92,23 +91,23 @@ class TestVerticalStructure:
         tc = TotalChart.of(tangent_bundle(CH2))
         bundle = tc.bundle
         K = phi_up(tc, [bundle.frame_section(a) for a in range(2)])
-        assert (K.form - euler(tc)).is_zero
+        assert (K - euler(tc)).is_zero
 
 
 class TestLinearize:
     def test_rotation_gives_constant_form(self):
         K = linearize(build_drT(J2))
-        tc = K.total
-        one = Poly.const(tc.chart, 1)
-        expect = VForm(tc.chart, 1, 4, {((0,), 1): one, ((1,), 0): -one,
-                                        ((2,), 3): one, ((3,), 2): -one})
-        assert (K.form - expect).is_zero
+        assert K.chart == TotalChart.of(tangent_bundle(CH2)).chart
+        one = Poly.const(K.chart, 1)
+        expect = VForm(K.chart, 1, 4, {((0,), 1): one, ((1,), 0): -one,
+                                       ((2,), 3): one, ((3,), 2): -one})
+        assert (K - expect).is_zero
 
     def test_fiberwise_linear(self):
         rng = random.Random(74)
         for build in (build_drT, build_drTstar):
-            K = linearize(build(rnd_endo(rng, CH2)))
-            assert check_linearity(K.total, K.form).passed
+            D = build(rnd_endo(rng, CH2))
+            assert check_linearity(TotalChart.of(D.bundle), linearize(D)).passed
 
     def test_bracket_homomorphism(self):
         rng = random.Random(75)
@@ -116,8 +115,8 @@ class TestLinearize:
         D1a = build_drT(rnd_endo(rng, CH2))
         D1b = build_drT(rnd_endo(rng, CH2))
         for Da, Db in ((D0a, D0b), (D0a, D1a), (D1a, D1b)):
-            lhs = frolicher_nijenhuis(linearize(Da).form, linearize(Db).form)
-            rhs = linearize(bracket(Da, Db)).form
+            lhs = frolicher_nijenhuis(linearize(Da), linearize(Db))
+            rhs = linearize(bracket(Da, Db))
             assert (lhs - rhs).is_zero
 
 
@@ -140,12 +139,18 @@ class TestCorrespondence:
         assert {i.law for i in rep.failures()} == {
             "vertical lift of D", "vertical lift of l", "symbol pairing"}
 
+    def test_form_on_another_total_chart_is_rejected(self):
+        # the lift of D* lives on (x, y, px, py), D's total chart is (x, y, vx, vy)
+        with pytest.raises(PolyError, match="total chart"):
+            verify_correspondence(linearize(build_drTstar(XID)), build_drT(XID))
+
 
 class TestDerivationRoundTrip:
     def test_degree_zero_inverse_up_to_sign(self):
         rng = random.Random(76)
         D0 = rnd_gder0(rng)
-        G = derivation_from_linear_fields(linearize(D0), [])
+        G = derivation_from_linear_fields(TotalChart.of(D0.bundle),
+                                          linearize(D0), [])
         assert all((G.d_frame[a] + D0.d_frame[a]).is_zero for a in range(2))
         assert (G.r + D0.r).is_zero
 
@@ -155,25 +160,32 @@ class TestDerivationRoundTrip:
         rng = random.Random(77)
         D0 = rnd_gder0(rng)
         D = build_drT(rnd_endo(rng, CH2))
-        K = linearize(D)
-        U0 = VForm.section(K.total.chart,
-                           linearize(D0).form.section_components())
-        G = derivation_from_linear_fields(K, [U0])
+        tc = TotalChart.of(D.bundle)
+        U0 = VForm.section(tc.chart, linearize(D0).section_components())
+        G = derivation_from_linear_fields(tc, linearize(D), [U0])
         for a in range(2):
-            u = tangent_bundle(CH2).frame_section(a)
-            expect = (D.apply_l(-D0.apply(u))
-                      - D.apply(u).insert_vector(D0.r))
+            expect = (D.apply_l(-D0.d_frame[a])
+                      - D.d_frame[a].insert_vector(D0.r))
             assert (G.d_frame[a] - expect).is_zero
         assert (G.r + D.r.apply_endo(D0.r)).is_zero
 
     def test_rejects_nonlinear_field(self):
         K = linearize(build_drT(J2))
-        tc = K.total
+        tc = TotalChart.of(tangent_bundle(CH2))
         const_vertical = VForm.section(
             tc.chart, [Poly.zero(tc.chart)] * 2
             + [Poly.const(tc.chart, 1), Poly.zero(tc.chart)])
         with pytest.raises(PolyError):
-            derivation_from_linear_fields(K, [const_vertical])
+            derivation_from_linear_fields(tc, K, [const_vertical])
+
+    def test_rejects_form_on_another_chart(self):
+        rng = random.Random(80)
+        ctg = cotangent_bundle(CH2)
+        D0 = GenDer(ctg, 0, [rnd_vf(rng, CH2) for _ in range(2)], None,
+                    rnd_vf(rng, CH2))
+        with pytest.raises(PolyError, match="total chart"):
+            derivation_from_linear_fields(TotalChart.of(tangent_bundle(CH2)),
+                                          linearize(D0), [])
 
 
 class TestClassicalFormulas:
@@ -193,7 +205,7 @@ class TestClassicalFormulas:
         al, Xf, r = self.decomposable(rng)
         Xc = Xf.section_components()
         K = tangent_lift(r)
-        tc = K.total
+        tc = TotalChart.of(tangent_bundle(CH2))
         n = 2
         vx = [Poly.coord(tc.chart, n + i) for i in range(n)]
         # complete lift of X: base components plus velocity derivatives
@@ -214,14 +226,14 @@ class TestClassicalFormulas:
         oracle = (tensor(tc, tc.pull_form(al), Xtg)
                   + tensor(tc, DiffForm(tc.chart, 1, altg),
                            vertical_lift(tc, Xf)))
-        assert (K.form - oracle).is_zero
+        assert (K - oracle).is_zero
 
     def test_cotangent_lift_of_decomposable(self):
         rng = random.Random(79)
         al, Xf, r = self.decomposable(rng)
         Xc = Xf.section_components()
         K = cotangent_lift(r)
-        tc = K.total
+        tc = TotalChart.of(cotangent_bundle(CH2))
         n = 2
         p = [Poly.coord(tc.chart, n + i) for i in range(n)]
         ellX = sum((p[i] * tc.pull(Xc[i]) for i in range(n)),
@@ -241,4 +253,4 @@ class TestClassicalFormulas:
         oracle = (tensor(tc, tc.pull_form(al), Xctg)
                   + tensor(tc, dellX, Val)
                   - v_map(tc, dtil) * ellX)
-        assert (K.form - oracle).is_zero
+        assert (K - oracle).is_zero

@@ -390,6 +390,23 @@ class TestLiftCommand:
         assert "cotangent lift" in out
         assert "vx" in out and "px" in out
 
+    TANGENT = ("on chart ('x', 'y', 'vx', 'vy'):\n"
+               "  (x) dx (x) @x + (vx) dx (x) @vx + (x) dy (x) @y"
+               " + (vx) dy (x) @vy + (x) dvx (x) @vx + (x) dvy (x) @vy\n")
+    COTANGENT = ("on chart ('x', 'y', 'px', 'py'):\n"
+                 "  (x) dx (x) @x + (py) dx (x) @py + (x) dy (x) @y"
+                 " + (-py) dy (x) @px + (x) dpx (x) @px + (x) dpy (x) @py\n")
+
+    @pytest.mark.parametrize("obj, expect", [
+        ("r", "tangent lift " + TANGENT + "cotangent lift " + COTANGENT),
+        ("D", "linearization " + TANGENT),
+        ("Dstar", "linearization " + COTANGENT),
+    ])
+    def test_lift_xid_bytes(self, obj, expect, scene_file, capsys):
+        code = main(["lift", scene_file(example_source("lift-xid")), obj])
+        assert code == 0
+        assert capsys.readouterr().out == expect
+
     def test_unknown_object_exits_two(self, scene_file, capsys):
         assert main(["lift", scene_file(PN_SCENE), "missing"]) == 2
 
