@@ -290,6 +290,14 @@ def check_bialgebroid(A: AlgebroidStructure, Astar: AlgebroidStructure) -> Check
         return report
     report.add("base structure valid", True)
     report.add("dual structure valid", True)
+    _add_cocycle(report, A, Astar)
+    return report
+
+
+def _add_cocycle(report: CheckReport, A: AlgebroidStructure,
+                 Astar: AlgebroidStructure) -> None:
+    """The cocycle items of ``check_bialgebroid``, for a pair whose two
+    structures are already known to be valid."""
     chart, rank = A.chart, A.bundle.rank
     names = A.bundle.frame
     sections: list[tuple[str, VForm]] = [
@@ -304,7 +312,6 @@ def check_bialgebroid(A: AlgebroidStructure, Astar: AlgebroidStructure) -> Check
                       - A.lie_on_bivector(sa, ce_differential(Astar, sb))
                       + A.lie_on_bivector(sb, ce_differential(Astar, sa)))
             report.add_zero("cocycle condition", defect, detail=f"({la},{lb})")
-    return report
 
 
 def check_im(A: AlgebroidStructure, D: GenDer) -> CheckReport:

@@ -338,9 +338,8 @@ class VForm(_Alternating):
 
     # -- access ------------------------------------------------------------
 
-    def coeff(self, idx: Sequence[int], v: int) -> Poly:
-        """Coefficient of the v-th frame vector on an arbitrary index tuple."""
-        return self.component(v).coeff(idx)
+    # keys carry a value slot; read ``coeffs.get((idx, v))`` instead
+    coeff = None
 
     def component(self, v: int) -> DiffForm:
         """Scalar form multiplying the v-th frame vector."""
@@ -353,10 +352,6 @@ class VForm(_Alternating):
             raise ValueError("not a section")
         z = Poly.zero(self.chart)
         return [self.coeffs.get(((), v), z) for v in range(self.vals)]
-
-    def value_at(self, idx: Sequence[int]) -> list[Poly]:
-        """Evaluate on a tuple of coordinate frame directions."""
-        return [self.coeff(idx, v) for v in range(self.vals)]
 
     def matrix(self) -> list[list[Poly]]:
         """Degree-1 form as a vals x dim matrix: M[v][i] = <frame_v part of K(d/dx_i)>."""
@@ -388,29 +383,22 @@ class VForm(_Alternating):
                         _accumulate(out, (m[0], v), t if m[1] > 0 else -t)
         return VForm._trusted(self.chart, deg, self.vals, out)
 
-    def apply_endo(self, X: "VForm") -> "VForm":
-        """Apply a degree-1 tangent-valued form to a vector field."""
-        if self.degree != 1 or X.degree != 0:
-            raise ValueError("apply_endo needs a degree-1 operator and a vector field")
-        comps = X.section_components()
-        out = [Poly.zero(self.chart) for _ in range(self.vals)]
-        for (idx, v), p in self.coeffs.items():
-            out[v] = out[v] + p * comps[idx[0]]
-        return VForm.section(self.chart, out)
-
     def insert_vector(self, X: "VForm") -> "VForm":
-        """Contract a vector field into the first form slot."""
+        """Contract a vector field into the first form slot, slot by slot:
+        i_X (p dx_idx (x) e_v) = (i_X p dx_idx) (x) e_v."""
+        if self.degree == 0:
+            raise ValueError("cannot contract a vector field into a degree-0 form")
+        if (X.chart, X.degree, X.vals) != (self.chart, 0, self.chart.dim):
+            raise PolyError("insert_vector needs a vector field on the form's chart")
         comps = X.section_components()
-        parts = [interior_vector(comps, self.component(v)) for v in range(self.vals)]
-        return VForm.from_components(parts, self.degree - 1)
-
-    def contract_value(self, covec: Sequence[Poly]) -> DiffForm:
-        """Pair the value slot with a covector, leaving a scalar form."""
-        out: dict[Index, Poly] = {}
+        out: dict[tuple[Index, int], Poly] = {}
         for (idx, v), p in self.coeffs.items():
-            if covec[v]:
-                _accumulate(out, idx, p * covec[v])
-        return DiffForm._trusted(self.chart, self.degree, out)
+            for pos, i in enumerate(idx):
+                if comps[i]:
+                    t = p * comps[i]
+                    rest = idx[:pos] + idx[pos + 1:]
+                    _accumulate(out, (rest, v), -t if pos % 2 else t)
+        return VForm._trusted(self.chart, self.degree - 1, self.vals, out)
 
     def render(self, frame: Sequence[str]) -> str:
         names = self.chart.coords
@@ -551,11 +539,11 @@ def nijenhuis_torsion(r: VForm) -> VForm:
     frame = [VForm.section(chart, row) for row in identity(chart, n)]
     for i in range(n):
         for j in range(i + 1, n):
-            ri, rj = r.apply_endo(frame[i]), r.apply_endo(frame[j])
+            ri, rj = r.insert_vector(frame[i]), r.insert_vector(frame[j])
             # [d/dx_i, d/dx_j] = 0, so the r^2 term drops
             val = (vf_bracket(ri, rj)
-                   - r.apply_endo(vf_bracket(ri, frame[j]))
-                   - r.apply_endo(vf_bracket(frame[i], rj)))
+                   - r.insert_vector(vf_bracket(ri, frame[j]))
+                   - r.insert_vector(vf_bracket(frame[i], rj)))
             for v, p in enumerate(val.section_components()):
                 coeffs[((i, j), v)] = p
     return VForm._trusted(chart, 2, n, coeffs)

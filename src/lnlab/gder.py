@@ -24,7 +24,8 @@ from typing import Sequence
 
 from .poly import Chart, Poly, PolyError
 from .forms import (DiffForm, VForm, _accumulate, exterior_d,
-                    frolicher_nijenhuis, lie_derivative_vvf, vf_bracket)
+                    frolicher_nijenhuis, interior_vvf, lie_derivative_vvf,
+                    vf_bracket)
 from .matrix import mat_vec, transpose
 
 __all__ = [
@@ -117,11 +118,6 @@ class GenDer:
 
     # -- evaluation --------------------------------------------------------
 
-    def r_pair(self, a: DiffForm) -> DiffForm:
-        """The scalar k-form <a, r> for a 1-form a."""
-        chart = self.bundle.chart
-        return self.r.contract_value([a.coeff((i,)) for i in range(chart.dim)])
-
     def _slots(self, eta: VForm):
         """The nonzero value slots of an E-valued form; PolyError outside E."""
         if eta.vals != self.bundle.rank or eta.chart != self.bundle.chart:
@@ -174,24 +170,11 @@ class GenDer:
         _add_into(out, (self.extend(section) * f).coeffs, -1)
         if self.l_frame is not None:
             _add_into(out, self.apply_l(section).wedge_scalar(df).coeffs, -1)
-        rdf = self.r_pair(df)
+        rdf = interior_vvf(self.r, df)
         for a, g in enumerate(section.section_components()):
             if g:
                 _add_into(out, {(idx, a): p * g for idx, p in rdf.coeffs.items()}, 1)
         return VForm._trusted(self.bundle.chart, self.degree, self.bundle.rank, out)
-
-    def __add__(self, other: "GenDer") -> "GenDer":
-        if self.bundle != other.bundle or self.degree != other.degree:
-            raise PolyError("can only add derivations of equal shape")
-        lf = None
-        if self.l_frame is not None:
-            lf = [a + b for a, b in zip(self.l_frame, other.l_frame)]
-        return GenDer(self.bundle, self.degree,
-                      [a + b for a, b in zip(self.d_frame, other.d_frame)],
-                      lf, self.r + other.r)
-
-    def __sub__(self, other: "GenDer") -> "GenDer":
-        return self + (-other)
 
     def __neg__(self) -> "GenDer":
         lf = None if self.l_frame is None else [-v for v in self.l_frame]
@@ -299,25 +282,13 @@ def build_drT(r: VForm) -> GenDer:
 
 def build_drTstar(r: VForm) -> GenDer:
     """Degree-1 derivation on the cotangent frame induced by an endomorphism:
+    the dual of ``build_drT(r)``, so that
 
         D_X(a) = L_X(a o r) - L_{r(X)} a,   l = transpose of r, symbol r.
     """
-    chart = r.chart
-    if r.degree != 1 or r.vals != chart.dim:
+    if r.degree != 1 or r.vals != r.chart.dim:
         raise PolyError("expected a degree-1 tangent-valued form")
-    n = chart.dim
-    bundle = cotangent_bundle(chart)
-    rm = r.matrix()  # rm[v][i] = component v of r(d/dx_i)
-    d_out = []
-    l_out = []
-    for b in range(n):
-        coeffs = {}
-        for i in range(n):
-            for a in range(n):
-                coeffs[((i,), a)] = rm[b][a].diff(i) - rm[b][i].diff(a)
-        d_out.append(VForm(chart, 1, n, coeffs))
-        l_out.append(VForm.section(chart, [rm[b][a] for a in range(n)]))
-    return GenDer(bundle, 1, d_out, l_out, r)
+    return dual(build_drT(r))
 
 
 def build_from_connection(bundle: FramedBundle,
@@ -337,20 +308,23 @@ def build_from_connection(bundle: FramedBundle,
     def nabla(i: int, comps: Sequence[Poly]) -> list[Poly]:
         return mat_vec(gamma[i], comps)
 
+    zero = Poly.zero(chart)
     d_out = []
     for a in range(rank):
         ua = bundle.frame_section(a).section_components()
         coeffs: dict[tuple[tuple[int, ...], int], Poly] = {}
+        # index tuples from combinations are sorted, so coeffs is read directly
         for I in combinations(range(n), k):
-            val = [Poly.zero(chart)] * rank
+            val = [zero] * rank
             for t, i in enumerate(I):
                 rest = I[:t] + I[t + 1:]
-                parts = [l_frame[b].value_at(rest) for b in range(rank)]
+                parts = [[l_frame[b].coeffs.get((rest, c), zero) for c in range(rank)]
+                         for b in range(rank)]
                 lv = mat_vec(transpose(parts), nabla(i, ua))
                 s = (-1) ** t
                 val = [v + s * w for v, w in zip(val, lv)]
-            rI = r.value_at(I)
-            grad = [Poly.zero(chart)] * rank
+            rI = [r.coeffs.get((I, v), zero) for v in range(r.vals)]
+            grad = [zero] * rank
             for i in range(n):
                 if rI[i].is_zero:
                     continue
@@ -382,7 +356,7 @@ def build_from_theta(A, theta: VForm) -> GenDer:
     l_out = []
     r_coeffs: dict[tuple[tuple[int, ...], int], Poly] = {}
     coord_fields = [tangent_bundle(chart).frame_section(i) for i in range(n)]
-    theta_cols = [theta.apply_endo(X) for X in coord_fields]
+    theta_cols = [theta.insert_vector(X) for X in coord_fields]
     for i in range(n):
         rho_theta = A.anchor_of(theta_cols[i])
         for j, p in enumerate(rho_theta.section_components()):
@@ -395,9 +369,9 @@ def build_from_theta(A, theta: VForm) -> GenDer:
         for i in range(n):
             br = A.section_bracket(ua, theta_cols[i])
             lie = vf_bracket(rho_a, coord_fields[i])
-            val = br - theta.apply_endo(lie)
+            val = br - theta.insert_vector(lie)
             for v, p in enumerate(val.section_components()):
                 coeffs[((i,), v)] = p
         d_out.append(VForm(chart, 1, rank, coeffs))
-        l_out.append(theta.apply_endo(rho_a))
+        l_out.append(theta.insert_vector(rho_a))
     return GenDer(bundle, 1, d_out, l_out, r)

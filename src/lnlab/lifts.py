@@ -131,11 +131,11 @@ def phi_up(tc: TotalChart, phi_frame: list[VForm]) -> VForm:
 
     ``phi_frame[a]`` is the bundle-valued k-form obtained by feeding the a-th
     frame section to the endomorphism slot.  The identity endomorphism (k = 0)
-    produces the Euler vector field.
+    produces the Euler vector field; a rank-0 bundle the zero vector field.
     """
     if len(phi_frame) != tc.rank:
         raise PolyError("one value per frame section is required")
-    k = phi_frame[0].degree
+    k = phi_frame[0].degree if phi_frame else 0
     coeffs: dict[tuple[tuple[int, ...], int], Poly] = {}
     for a, val in enumerate(phi_frame):
         if (val.chart, val.degree, val.vals) != (tc.bundle.chart, k, tc.rank):
@@ -157,20 +157,15 @@ def linearize(D: GenDer) -> VForm:
         + sum l^{I,b}_a dxi^a ^ dx_I (x) d/dxi^b.
     """
     tc = TotalChart.of(D.bundle)
-    k = D.degree
-    coeffs: dict[tuple[tuple[int, ...], int], Poly] = {}
+    # the three blocks have disjoint keys: base, vertical, vertical with dxi
+    coeffs = dict(phi_up(tc, D.d_frame).coeffs)
     for (idx, j), p in D.r.coeffs.items():
-        _accumulate(coeffs, (idx, j), tc.pull(p))
-    for a in range(tc.rank):
-        xi = Poly.coord(tc.chart, tc.fiber_index(a))
-        for (idx, b), p in D.d_frame[a].coeffs.items():
-            _accumulate(coeffs, (idx, tc.fiber_index(b)), tc.pull(p) * xi)
-        if D.l_frame is not None:
-            for (idx, b), p in D.l_frame[a].coeffs.items():
-                s = sort_index((tc.fiber_index(a),) + idx)
-                key, sign = s
-                _accumulate(coeffs, (key, tc.fiber_index(b)), tc.pull(p) * sign)
-    return VForm(tc.chart, k, tc.dim, coeffs)
+        coeffs[(idx, j)] = tc.pull(p)
+    for a, val in enumerate(D.l_frame or ()):
+        for (idx, b), p in val.coeffs.items():
+            key, sign = sort_index((tc.fiber_index(a),) + idx)
+            coeffs[(key, tc.fiber_index(b))] = tc.pull(p) * sign
+    return VForm(tc.chart, D.degree, tc.dim, coeffs)
 
 
 def _probe_sections(bundle: FramedBundle) -> list[tuple[str, VForm]]:

@@ -144,7 +144,7 @@ def holomorphic_detect(c: LNCandidate) -> CheckReport:
         Da = c.D.d_frame[a]
         for i in range(n):
             X = coord_fields[i]
-            defect = (Da.insert_vector(c.D.r.apply_endo(X))
+            defect = (Da.insert_vector(c.D.r.insert_vector(X))
                       + c.D.apply_l(Da.insert_vector(X)))
             report.add_zero("derivation anticommutes with the symbol", defect,
                             detail=f"({names[a]};d/d{chart.coords[i]})")

@@ -14,8 +14,8 @@ from .forms import (DiffForm, Multivector, VForm, bivector_from_sharp,
                     exterior_d, frolicher_nijenhuis, interior_vector,
                     lie_derivative_vvf, nijenhuis_torsion, schouten, sharp,
                     sharp_matrix)
-from .algebroid import (check_bialgebroid, cotangent_of_poisson,
-                        deform_algebroid, tangent_algebroid)
+from .algebroid import (_add_cocycle, cotangent_of_poisson, deform_algebroid,
+                        tangent_algebroid)
 from .gder import tangent_bundle
 from .matrix import mat_mul, mat_vec, transpose
 from .report import CheckReport
@@ -89,7 +89,7 @@ def concomitant_R(pi: Multivector, r: VForm, a: DiffForm, X: VForm) -> VForm:
         R(a, X) = pi#( L_X(r* a) - L_{r(X)} a ) - (L_{pi# a} r)(X).
     """
     rm = r.matrix()
-    rX = r.apply_endo(X)
+    rX = r.insert_vector(X)
     inner = (lie_derivative_vvf(X, _transpose_apply(rm, a))
              - lie_derivative_vvf(rX, a))
     lr = frolicher_nijenhuis(sharp(pi, a), r)
@@ -183,12 +183,12 @@ def kosmann_equivalence(c: PNCandidate) -> CheckReport:
     vc = ctg.validate()
     report.add("cotangent algebroid valid", vc.passed)
     if vt.passed and vc.passed:
-        fwd = check_bialgebroid(tmr, ctg)
-        report.add("cocycle (deformed tangent side)", fwd.passed,
-                   detail=f"{len(fwd.failures())} failing pairs" if not fwd.passed else "")
-        bwd = check_bialgebroid(ctg, tmr)
-        report.add("cocycle (cotangent side)", bwd.passed,
-                   detail=f"{len(bwd.failures())} failing pairs" if not bwd.passed else "")
+        for side, pair in (("deformed tangent", (tmr, ctg)), ("cotangent", (ctg, tmr))):
+            cocycle = CheckReport("bialgebroid pair")
+            _add_cocycle(cocycle, *pair)
+            report.add(f"cocycle ({side} side)", cocycle.passed,
+                       detail="" if cocycle.passed
+                       else f"{len(cocycle.failures())} failing pairs")
     return report
 
 

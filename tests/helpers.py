@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from lnlab.poly import Chart, Poly
 from lnlab.forms import DiffForm, Multivector, VForm, interior_vector, wedge
+from lnlab.gder import GenDer
 
 CH2 = Chart(("x", "y"))
 CH3 = Chart(("x", "y", "z"))
@@ -121,3 +122,23 @@ def ref_interior_vvf(K: VForm, a: DiffForm) -> DiffForm:
 def ref_wedge_scalar(a: DiffForm, K: VForm) -> VForm:
     return VForm.from_components([wedge(a, K.component(v)) for v in range(K.vals)],
                                  a.degree + K.degree)
+
+
+def ref_insert_vector(K: VForm, X: VForm) -> VForm:
+    """i_X K one value slot at a time, through ``interior_vector``."""
+    comps = X.section_components()
+    return VForm.from_components([interior_vector(comps, K.component(v))
+                                  for v in range(K.vals)], K.degree - 1)
+
+
+# -- equality of derivations --------------------------------------------------
+
+def gd_equal(D1: GenDer, D2: GenDer) -> bool:
+    if D1.degree != D2.degree:
+        return False
+    if any(not (a - b).is_zero for a, b in zip(D1.d_frame, D2.d_frame)):
+        return False
+    if D1.l_frame is not None:
+        if any(not (a - b).is_zero for a, b in zip(D1.l_frame, D2.l_frame)):
+            return False
+    return (D1.r - D2.r).is_zero

@@ -27,7 +27,7 @@ from lnlab.catalog import example_names, example_source
 from lnlab.cli import main
 from lnlab.scene import parse_scene, render, run
 
-from helpers import CH2, CH3, rnd_bivector, rnd_endo, rnd_poly, rnd_vf
+from helpers import CH2, CH3, gd_equal, rnd_bivector, rnd_endo, rnd_poly, rnd_vf
 
 X = Poly.var(CH2, "x")
 ONE = Poly.const(CH2, 1)
@@ -61,17 +61,6 @@ def rnd_gder(rng: random.Random, degree: int) -> GenDer:
                   [rnd_vf(rng, CH2) for _ in range(2)],
                   VForm(CH2, 1, 2, {((i,), v): rnd_poly(rng, CH2)
                                     for i in range(2) for v in range(2)}))
-
-
-def gd_equal(D1: GenDer, D2: GenDer) -> bool:
-    if D1.degree != D2.degree:
-        return False
-    if any(not (a - b).is_zero for a, b in zip(D1.d_frame, D2.d_frame)):
-        return False
-    if D1.l_frame is not None:
-        if any(not (a - b).is_zero for a, b in zip(D1.l_frame, D2.l_frame)):
-            return False
-    return (D1.r - D2.r).is_zero
 
 
 def test_criterion_1_duality_homomorphism():

@@ -15,9 +15,9 @@ from lnlab.forms import (DiffForm, Multivector, VForm, bivector_from_sharp,
                          pairing, schouten, sharp, sharp_matrix, sort_index,
                          vf_bracket, wedge)
 
-from helpers import (CH2, CH3, ref_interior_vvf, ref_wedge_scalar, rnd_form,
-                     rnd_mv, rnd_one_form, rnd_poly, rnd_vf, rnd_vvform,
-                     st_forms, st_vvforms)
+from helpers import (CH2, CH3, ref_insert_vector, ref_interior_vvf,
+                     ref_wedge_scalar, rnd_form, rnd_mv, rnd_one_form, rnd_poly,
+                     rnd_vf, rnd_vvform, st_forms, st_vvforms)
 
 X2 = Poly.var(CH2, "x")
 Y2 = Poly.var(CH2, "y")
@@ -374,6 +374,16 @@ class TestFusedKernelOracles:
         L = data.draw(st_vvforms(chart, data.draw(st.integers(0, 3)), chart.dim))
         assert frolicher_nijenhuis(K, L) == ref_frolicher_nijenhuis(K, L)
 
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_insert_vector(self, data):
+        # value slots from 1 to 4, so bundle-valued forms (vals != dim) occur
+        chart = data.draw(DIM_CHARTS)
+        K = data.draw(st_vvforms(chart, data.draw(st.integers(1, 3)),
+                                 data.draw(st.integers(1, 4))))
+        X = data.draw(st_vvforms(chart, 0, chart.dim))
+        assert K.insert_vector(X) == ref_insert_vector(K, X)
+
 
 X3, Y3, Z3 = (Poly.var(CH3, c) for c in "xyz")
 # pairs where both contraction terms act, with K of odd and of even degree
@@ -420,6 +430,20 @@ class TestKernelErrorContract:
         assert interior_vvf(K2deg, top) == DiffForm.zero(CH2, 3)
         assert frolicher_nijenhuis(K2deg, self.K2) == VForm.zero(CH2, 3, 2)
         assert frolicher_nijenhuis(K2deg, K2deg) == VForm.zero(CH2, 4, 2)
+
+    def test_insert_vector_into_degree_zero(self):
+        field = VForm.section(CH2, [X2, ONE2])
+        with pytest.raises(ValueError, match="degree-0 form"):
+            VForm.section(CH2, [Y2, X2, ONE2]).insert_vector(field)
+
+    def test_insert_vector_needs_a_vector_field_on_the_chart(self):
+        not_fields = [VForm.section(CH2, [X2]),                # too short
+                      VForm.section(CH2, [X2, Y2, ONE2]),      # too long
+                      VForm.section(CH3, [ONE3, ONE3, ONE3]),  # other chart
+                      self.K2]                                 # degree 1
+        for X in not_fields:
+            with pytest.raises(PolyError):
+                self.K2.insert_vector(X)
 
 
 def test_kernels_build_no_per_term_wedge(monkeypatch):

@@ -119,6 +119,13 @@ class TestLinearize:
             rhs = linearize(bracket(Da, Db))
             assert (lhs - rhs).is_zero
 
+    def test_rank_zero_bundle_keeps_only_the_symbol(self):
+        D = GenDer(FramedBundle(CH2, ()), 0, [], None, VForm.section(CH2, [X, ONE]))
+        tc = TotalChart.of(D.bundle)
+        assert tc.chart == CH2
+        assert linearize(D) == VForm.section(CH2, [X, ONE])
+        assert phi_up(tc, []) == VForm.zero(CH2, 0, 2)
+
 
 class TestCorrespondence:
     ENDOS = [("scaling", XID), ("rotation", J2), ("nilpotent", NILP)]
@@ -167,7 +174,7 @@ class TestDerivationRoundTrip:
             expect = (D.apply_l(-D0.d_frame[a])
                       - D.d_frame[a].insert_vector(D0.r))
             assert (G.d_frame[a] - expect).is_zero
-        assert (G.r + D.r.apply_endo(D0.r)).is_zero
+        assert (G.r + D.r.insert_vector(D0.r)).is_zero
 
     def test_rejects_nonlinear_field(self):
         K = linearize(build_drT(J2))

@@ -95,10 +95,10 @@ class TestDeformations:
         frames = [TM.bundle.frame_section(a) for a in range(2)]
         for r in (XID, J2, rnd_endo(random.Random(81), CH2)):
             got = deform_algebroid(TM, r.matrix())
-            assert got.anchor == [r.apply_endo(u).section_components()
+            assert got.anchor == [r.insert_vector(u).section_components()
                                   for u in frames]
-            want = (vf_bracket(r.apply_endo(frames[0]), frames[1])
-                    + vf_bracket(frames[0], r.apply_endo(frames[1])))
+            want = (vf_bracket(r.insert_vector(frames[0]), frames[1])
+                    + vf_bracket(frames[0], r.insert_vector(frames[1])))
             assert (got.frame_bracket(0, 1).section_components()
                     == want.section_components())
 

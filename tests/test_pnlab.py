@@ -7,7 +7,8 @@ import pytest
 
 from lnlab.poly import Chart, Poly, PolyError
 from lnlab.forms import DiffForm, Multivector, VForm, schouten
-from lnlab.algebroid import deform_algebroid, tangent_algebroid
+from lnlab.algebroid import (AlgebroidStructure, deform_algebroid,
+                             tangent_algebroid)
 from lnlab.pnlab import (PNCandidate, check_pn, concomitant_C, concomitant_R,
                          hierarchy, kosmann_equivalence, mm1_identity,
                          selfadj_defect)
@@ -137,6 +138,21 @@ class TestKosmann:
         assert got["cotangent algebroid valid"]
         assert not got["cocycle (deformed tangent side)"]
         assert not got["cocycle (cotangent side)"]
+
+    def test_validates_each_algebroid_once(self, monkeypatch):
+        # the cocycle runs in both orientations on the pair validated for
+        # the first two items, so TM_r and T*M are validated once each
+        calls = []
+        validate = AlgebroidStructure.validate
+
+        def counted(self):
+            calls.append(self)
+            return validate(self)
+        monkeypatch.setattr(AlgebroidStructure, "validate", counted)
+        for r in (XID, J2):
+            calls.clear()
+            kosmann_equivalence(PNCandidate(PI0, r))
+            assert len(calls) == 2
 
     def test_requires_poisson(self):
         Y3 = Poly.var(CH3, "y")
