@@ -17,7 +17,8 @@ literally:
 
 * the Frolicher-Nijenhuis bracket restricts to the Lie bracket on vector
   fields and satisfies ``[r, r] = 2 N_r`` for a degree-1 form ``r``;
-* the Schouten bracket satisfies ``[X, Q] = L_X Q`` for a vector field ``X``;
+* the Schouten bracket satisfies ``[X, Q] = L_X Q`` for a vector field ``X``,
+  and on a function ``[P, f] = (-1)^(p-1) i_{df} P`` and ``[f, Q] = -i_{df} Q``;
 * ``sharp(pi, a) = pi(a, .)``.
 """
 
@@ -553,57 +554,42 @@ def nijenhuis_torsion(r: VForm) -> VForm:
 
 
 def schouten(P: Multivector, Q: Multivector) -> Multivector:
-    """Schouten bracket, computed on decomposables:
+    """Schouten bracket by the coordinate formula (Vaisman, Lectures on the
+    Geometry of Poisson Manifolds, 1994, sec. 1): for monomials c xi_I of
+    degree p and e xi_J of degree q, with xi_i = d/dx_i,
 
-        [X_1^..^X_p, Y_1^..^Y_q] = sum_{s,t} (-1)^{s+t} [X_s, Y_t]
-                                   ^ X_1..^X_s..X_p ^ Y_1..^Y_t..Y_q
+        [c xi_I, e xi_J] = sum_s (-1)^(p-1-s) c (d_{I_s} e) xi_(I-s) ^ xi_J
+                           - sum_t (-1)^t e (d_{J_t} c) xi_I ^ xi_(J-t)
 
-    (hats mark omissions) together with [P, f] = i_{df} P and
-    [f, Q] = (-1)^q i_{df} Q.  Normalized so [X, Q] = L_X Q and
-    [X, Y] is the Lie bracket.
+    where I-s omits the s-th index (0-based).  For p, q >= 1 this is the
+    decomposable expansion sum (-1)^(s+t) [X_s, Y_t] ^ (the rest), so
+    [X, Q] = L_X Q and [X, Y] is the Lie bracket.  Functions are covered by
+    the same formula: [P, f] = (-1)^(p-1) i_{df} P and [f, Q] = -i_{df} Q.
     """
     if P.chart != Q.chart:
         raise PolyError("chart mismatch")
     chart = P.chart
-    p, q = P.degree, Q.degree
+    n, p, q = chart.dim, P.degree, Q.degree
     deg = p + q - 1
-    if deg < 0 or deg > chart.dim:
-        return Multivector.zero(chart, max(deg, 0))
-    if p == 0 or q == 0:
-        f, R = (P, Q) if p == 0 else (Q, P)
-        out = interior_vector([f.coeff(()).diff(i) for i in range(chart.dim)], R)
-        return -out if p == 0 and q % 2 else out
     out: dict[Index, Poly] = {}
+    if deg < 0 or deg > n:
+        return Multivector._trusted(chart, max(deg, 0), out)
+    dP = [(I, c, [c.diff(i) for i in range(n)]) for I, c in P.coeffs.items()]
+    dQ = [(J, e, [e.diff(i) for i in range(n)]) for J, e in Q.coeffs.items()]
 
-    def add(idx: Sequence[int], coeff: Poly) -> None:
-        s = sort_index(idx)
-        if s is None or coeff.is_zero:
-            return
-        key, sign = s
-        _accumulate(out, key, coeff * sign)
+    def add(idx: Index, x: Poly, y: Poly, sign: int) -> None:
+        # sign * x * y xi_idx
+        m = sort_index(idx) if x and y else None
+        if m is not None:
+            t = x * y
+            _accumulate(out, m[0], t if m[1] == sign else -t)
 
-    # monomial c xi_I wedges as (c d/dx_{I_0}) ^ d/dx_{I_1} ^ ...; the
-    # coordinate-frame factors commute, so only pairs touching slot 0 act
-    for I, c in P.coeffs.items():
-        for J, e in Q.coeffs.items():
-            for s in range(p):
-                for t in range(q):
-                    if s > 0 and t > 0:
-                        continue
-                    rest = I[:s] + I[s + 1:] + J[:t] + J[t + 1:]
-                    sgn = (-1) ** (s + t)
-                    if s == 0 and t == 0:
-                        # [c d/di, e d/dj] = c (d_i e) d/dj - e (d_j c) d/di
-                        de = c * e.diff(I[0])
-                        dc = e * c.diff(J[0])
-                        add((J[0],) + rest, de * sgn)
-                        add((I[0],) + rest, -dc * sgn)
-                    elif s == 0:
-                        # [c d/di, d/dj] = -(d_j c) d/di ; factor e remains
-                        add((I[0],) + rest, -c.diff(J[t]) * e * sgn)
-                    else:
-                        # [d/di, e d/dj] = (d_i e) d/dj ; factor c remains
-                        add((J[0],) + rest, e.diff(I[s]) * c * sgn)
+    for I, c, dc in dP:
+        for J, e, de in dQ:
+            for s, i in enumerate(I):
+                add(I[:s] + I[s + 1:] + J, c, de[i], (-1) ** (p - 1 - s))
+            for t, j in enumerate(J):
+                add(I + J[:t] + J[t + 1:], e, dc[j], -(-1) ** t)
     return Multivector._trusted(chart, deg, out)
 
 

@@ -19,14 +19,12 @@ decidable by exact zero-testing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 from .poly import Chart, Poly, PolyError
 from .forms import (DiffForm, VForm, _accumulate, exterior_d,
                     frolicher_nijenhuis, interior_vvf, lie_derivative_vvf,
                     vf_bracket)
-from .matrix import mat_vec, transpose
 
 __all__ = [
     "FramedBundle",
@@ -300,41 +298,30 @@ def build_from_connection(bundle: FramedBundle,
         D_(X1..Xk)(u) = sum_i (-1)^(i+1) l_(X1..^Xi..Xk)(grad_{Xi} u)
                         - grad_{r(X1..Xk)} u
 
-    with grad_{d/dx_i} u_a = sum_b gamma[i][b][a] u_b.
+    with grad_{d/dx_i} u_a = sum_b gamma[i][b][a] u_b.  With grad u_a the
+    E-valued 1-form sum_i dx_i (x) grad_{d/dx_i} u_a, this is
+
+        D(u_a) = l(grad u_a) - i_r grad u_a,
+
+    l extended to E-valued forms as in ``GenDer.apply_l`` and i_r acting on
+    each value slot.
     """
-    chart = bundle.chart
-    n, rank, k = chart.dim, bundle.rank, r.degree
-
-    def nabla(i: int, comps: Sequence[Poly]) -> list[Poly]:
-        return mat_vec(gamma[i], comps)
-
-    zero = Poly.zero(chart)
+    chart, rank, k = bundle.chart, bundle.rank, r.degree
+    # carries l and r; its own D is never read
+    lr = GenDer(bundle, k, [bundle.zero_form(k)] * rank,
+                list(l_frame) if k > 0 else None, r)
     d_out = []
     for a in range(rank):
-        ua = bundle.frame_section(a).section_components()
-        coeffs: dict[tuple[tuple[int, ...], int], Poly] = {}
-        # index tuples from combinations are sorted, so coeffs is read directly
-        for I in combinations(range(n), k):
-            val = [zero] * rank
-            for t, i in enumerate(I):
-                rest = I[:t] + I[t + 1:]
-                parts = [[l_frame[b].coeffs.get((rest, c), zero) for c in range(rank)]
-                         for b in range(rank)]
-                lv = mat_vec(transpose(parts), nabla(i, ua))
-                s = (-1) ** t
-                val = [v + s * w for v, w in zip(val, lv)]
-            rI = [r.coeffs.get((I, v), zero) for v in range(r.vals)]
-            grad = [zero] * rank
-            for i in range(n):
-                if rI[i].is_zero:
-                    continue
-                nab = nabla(i, ua)
-                grad = [g + rI[i] * w for g, w in zip(grad, nab)]
-            val = [v - g for v, g in zip(val, grad)]
-            for c in range(rank):
-                coeffs[(I, c)] = val[c]
-        d_out.append(VForm(chart, k, rank, coeffs))
-    return GenDer(bundle, k, d_out, list(l_frame) if k > 0 else None, r)
+        grad = VForm(chart, 1, rank, {((i,), b): gamma[i][b][a]
+                                      for i in range(chart.dim) for b in range(rank)})
+        out: dict = {}
+        if lr.l_frame is not None:
+            _add_into(out, lr.apply_l(grad).coeffs, 1)
+        for b, w in grad.slot_components().items():
+            ir = interior_vvf(r, w).coeffs
+            _add_into(out, {(idx, b): p for idx, p in ir.items()}, -1)
+        d_out.append(VForm._trusted(chart, k, rank, out))
+    return GenDer(bundle, k, d_out, lr.l_frame, r)
 
 
 def build_from_theta(A, theta: VForm) -> GenDer:

@@ -101,10 +101,7 @@ def vertical_lift(tc: TotalChart, u: VForm) -> VForm:
     coefficients."""
     if u.degree != 0 or u.vals != tc.rank or u.chart != tc.bundle.chart:
         raise PolyError("expected a section of the bundle")
-    comps = [Poly.zero(tc.chart)] * tc.dim
-    for a, p in enumerate(u.section_components()):
-        comps[tc.fiber_index(a)] = tc.pull(p)
-    return VForm.section(tc.chart, comps)
+    return v_map(tc, u)
 
 
 def euler(tc: TotalChart) -> VForm:

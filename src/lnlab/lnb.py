@@ -165,24 +165,11 @@ class CourantOperator:
 def courant_operator(c: LNCandidate) -> CourantOperator:
     """Builds diag(l, -l*) when l squares to a rational multiple of the
     identity; raises otherwise.  No torsion condition is verified here."""
-    rank = c.A.bundle.rank
     L = _l_matrix(c.D)
     L2 = mat_mul(L, L)
-    lam = None
-    for a in range(rank):
-        for b in range(rank):
-            if a == b:
-                continue
-            if not L2[a][b].is_zero:
-                raise PolyError("l squared is not a scalar multiple of the identity")
-    for a in range(rank):
-        p = L2[a][a]
-        if not (p.is_zero or p.total_degree() == 0):
-            raise PolyError("l squared is not a scalar multiple of the identity")
-        val = Fraction(0) if p.is_zero else p.constant_value()
-        if lam is None:
-            lam = val
-        elif lam != val:
-            raise PolyError("l squared is not a scalar multiple of the identity")
+    lam = L2[0][0] if L2 else Poly.zero(c.chart)
+    scalar = [[lam * p for p in row] for row in identity(c.chart, len(L))]
+    if lam.total_degree() or L2 != scalar:
+        raise PolyError("l squared is not a scalar multiple of the identity")
     lstar = [[-p for p in row] for row in transpose(L)]
-    return CourantOperator(c.A.bundle, L, lstar, lam if lam is not None else Fraction(0))
+    return CourantOperator(c.A.bundle, L, lstar, lam.constant_value())

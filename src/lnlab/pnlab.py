@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from .poly import Chart, Poly, PolyError
 from .forms import (DiffForm, Multivector, VForm, bivector_from_sharp,
                     exterior_d, frolicher_nijenhuis, interior_vector,
-                    lie_derivative_vvf, nijenhuis_torsion, schouten, sharp,
-                    sharp_matrix)
+                    interior_vvf, lie_derivative_vvf, nijenhuis_torsion,
+                    schouten, sharp, sharp_matrix)
 from .algebroid import (_add_cocycle, cotangent_of_poisson, deform_algebroid,
                         tangent_algebroid)
 from .gder import tangent_bundle
@@ -61,26 +61,20 @@ def _map_bracket(M: list[list[Poly]], a: DiffForm, b: DiffForm) -> DiffForm:
     return lie_derivative_vvf(Ma, b) - interior_vector(Mb, exterior_d(a))
 
 
-def _transpose_apply(rm: list[list[Poly]], a: DiffForm) -> DiffForm:
-    """The 1-form a o r, i.e. (r* a)_i = sum_j a_j r^j_i."""
-    comps = mat_vec(transpose(rm), _comps(a))
-    return DiffForm._trusted(a.chart, 1, {(i,): p for i, p in enumerate(comps)})
-
-
 def concomitant_C(pi: Multivector, r: VForm, a: DiffForm, b: DiffForm) -> DiffForm:
     """The 1-form concomitant
 
         C(a, b) = [a, b]_{r o pi} - [r*a, b]_pi - [a, r*b]_pi + r*([a, b]_pi)
 
-    defined for arbitrary polynomial 1-forms, skewness of r o pi not required.
+    defined for arbitrary polynomial 1-forms, skewness of r o pi not required;
+    r*a = a o r is ``interior_vvf(r, a)``.
     """
     S = sharp_matrix(pi)
-    rm = r.matrix()
-    B = mat_mul(rm, S)
+    B = mat_mul(r.matrix(), S)
     return (_map_bracket(B, a, b)
-            - _map_bracket(S, _transpose_apply(rm, a), b)
-            - _map_bracket(S, a, _transpose_apply(rm, b))
-            + _transpose_apply(rm, _map_bracket(S, a, b)))
+            - _map_bracket(S, interior_vvf(r, a), b)
+            - _map_bracket(S, a, interior_vvf(r, b))
+            + interior_vvf(r, _map_bracket(S, a, b)))
 
 
 def concomitant_R(pi: Multivector, r: VForm, a: DiffForm, X: VForm) -> VForm:
@@ -88,9 +82,8 @@ def concomitant_R(pi: Multivector, r: VForm, a: DiffForm, X: VForm) -> VForm:
 
         R(a, X) = pi#( L_X(r* a) - L_{r(X)} a ) - (L_{pi# a} r)(X).
     """
-    rm = r.matrix()
     rX = r.insert_vector(X)
-    inner = (lie_derivative_vvf(X, _transpose_apply(rm, a))
+    inner = (lie_derivative_vvf(X, interior_vvf(r, a))
              - lie_derivative_vvf(rX, a))
     lr = frolicher_nijenhuis(sharp(pi, a), r)
     return sharp(pi, inner) - lr.insert_vector(X)

@@ -7,13 +7,14 @@ end draw rational coefficients for the kernel oracles.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 import random
 
 from hypothesis import strategies as st
 
 from lnlab.poly import Chart, Poly
-from lnlab.forms import DiffForm, Multivector, VForm, interior_vector, wedge
+from lnlab.forms import (DiffForm, Multivector, VForm, interior_vector,
+                         vf_bracket, wedge)
 from lnlab.gder import GenDer
 
 CH2 = Chart(("x", "y"))
@@ -85,13 +86,14 @@ def st_polys(chart: Chart):
                            min_size=1, max_size=3).map(lambda t: Poly(chart, t))
 
 
-def st_forms(chart: Chart, degree: int):
-    """Forms with one to three entries (zero above dim)."""
+def st_forms(chart: Chart, degree: int, cls=DiffForm):
+    """Forms (or, with ``cls=Multivector``, multivectors) with one to three
+    entries (zero above dim)."""
     keys = list(combinations(range(chart.dim), degree))
     if not keys:
-        return st.just(DiffForm(chart, degree))
+        return st.just(cls(chart, degree))
     return st.dictionaries(st.sampled_from(keys), st_polys(chart), min_size=1,
-                           max_size=3).map(lambda c: DiffForm(chart, degree, c))
+                           max_size=3).map(lambda c: cls(chart, degree, c))
 
 
 def st_vvforms(chart: Chart, degree: int, vals: int):
@@ -129,6 +131,46 @@ def ref_insert_vector(K: VForm, X: VForm) -> VForm:
     comps = X.section_components()
     return VForm.from_components([interior_vector(comps, K.component(v))
                                   for v in range(K.vals)], K.degree - 1)
+
+
+def ref_schouten(P: Multivector, Q: Multivector) -> Multivector:
+    """Decomposable expansion, for degrees p, q >= 1, through ``vf_bracket``
+    and ``wedge`` only: the monomial c xi_I is X_0 ^ .. ^ X_(p-1) with
+    X_0 = c d/dx_(I_0) and X_s = d/dx_(I_s), and
+
+        [X_0^..^X_(p-1), Y_0^..^Y_(q-1)]
+            = sum_(s,t) (-1)^(s+t) [X_s, Y_t] ^ X_0..^X_s..X_(p-1)
+                                              ^ Y_0..^Y_t..Y_(q-1).
+    """
+    chart = P.chart
+    one = Poly.const(chart, 1)
+
+    def fields(idx, c):
+        out = []
+        for s, i in enumerate(idx):
+            comps = [Poly.zero(chart)] * chart.dim
+            comps[i] = c if s == 0 else one
+            out.append(VForm.section(chart, comps))
+        return out
+
+    def wedge_all(vfs):
+        acc = Multivector(chart, 0, {(): one})
+        for X in vfs:
+            comps = X.section_components()
+            acc = wedge(acc, Multivector(chart, 1, {(i,): p for i, p in
+                                                    enumerate(comps) if p}))
+        return acc
+
+    out = Multivector.zero(chart, P.degree + Q.degree - 1)
+    for I, c in P.coeffs.items():
+        Xs = fields(I, c)
+        for J, e in Q.coeffs.items():
+            Ys = fields(J, e)
+            for s, t in product(range(len(Xs)), range(len(Ys))):
+                rest = Xs[:s] + Xs[s + 1:] + Ys[:t] + Ys[t + 1:]
+                term = wedge_all([vf_bracket(Xs[s], Ys[t])] + rest)
+                out = out + term * (-1) ** (s + t)
+    return out
 
 
 # -- equality of derivations --------------------------------------------------

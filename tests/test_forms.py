@@ -16,8 +16,9 @@ from lnlab.forms import (DiffForm, Multivector, VForm, bivector_from_sharp,
                          vf_bracket, wedge)
 
 from helpers import (CH2, CH3, ref_insert_vector, ref_interior_vvf,
-                     ref_wedge_scalar, rnd_form, rnd_mv, rnd_one_form, rnd_poly,
-                     rnd_vf, rnd_vvform, st_forms, st_vvforms)
+                     ref_schouten, ref_wedge_scalar, rnd_form, rnd_mv,
+                     rnd_one_form, rnd_poly, rnd_vf, rnd_vvform, st_forms,
+                     st_vvforms)
 
 X2 = Poly.var(CH2, "x")
 Y2 = Poly.var(CH2, "y")
@@ -219,9 +220,10 @@ class TestSchouten:
 
     def test_graded_antisymmetry(self):
         rng = random.Random(18)
-        for p, q in [(1, 2), (2, 2), (2, 3), (1, 3)]:
+        for p, q in [(1, 2), (2, 2), (2, 3), (1, 3),
+                     (2, 0), (0, 2), (1, 0), (0, 3)]:
             P, Q = rnd_mv(rng, CH3, p), rnd_mv(rng, CH3, q)
-            sign = -((-1) ** ((p - 1) * (q - 1)))
+            sign = -((-1) ** ((p - 1) * (q - 1) % 2))
             assert schouten(P, Q) == schouten(Q, P) * sign
 
     def test_leibniz(self):
@@ -233,6 +235,28 @@ class TestSchouten:
         rhs = (wedge(schouten(P, Q), S)
                + wedge(Q, schouten(P, S)))
         assert lhs == rhs
+
+    def test_leibniz_with_a_function(self):
+        # [P, Q ^ f] = [P, Q] ^ f + (-1)^((p-1) q) Q ^ [P, f]
+        rng = random.Random(21)
+        f = rnd_mv(rng, CH3, 0)
+        for p in (1, 2, 3):
+            for q in (0, 1, 2):
+                P, Q = rnd_mv(rng, CH3, p), rnd_mv(rng, CH3, q)
+                lhs = schouten(P, wedge(Q, f))
+                rhs = (wedge(schouten(P, Q), f)
+                       + wedge(Q, schouten(P, f)) * (-1) ** ((p - 1) * q))
+                assert lhs == rhs, (p, q)
+
+    def test_function_values(self):
+        # [P, f] = (-1)^(p-1) i_df P and [f, Q] = -i_df Q
+        rng = random.Random(22)
+        f = rnd_mv(rng, CH3, 0)
+        df = [f.coeff(()).diff(i) for i in range(3)]
+        for p in (1, 2, 3):
+            P = rnd_mv(rng, CH3, p)
+            assert schouten(P, f) == interior_vector(df, P) * (-1) ** (p - 1)
+            assert schouten(f, P) == -interior_vector(df, P)
 
     def test_graded_jacobi(self):
         rng = random.Random(20)
@@ -323,6 +347,7 @@ class TestConstructorValidation:
 # container's + and scaling.
 
 DIM_CHARTS = st.sampled_from((CH2, CH3))
+CH4 = Chart(("x", "y", "z", "w"))
 
 
 def ref_frolicher_nijenhuis(K: VForm, L: VForm) -> VForm:
@@ -373,6 +398,14 @@ class TestFusedKernelOracles:
         K = data.draw(st_vvforms(chart, data.draw(st.integers(0, 2)), chart.dim))
         L = data.draw(st_vvforms(chart, data.draw(st.integers(0, 3)), chart.dim))
         assert frolicher_nijenhuis(K, L) == ref_frolicher_nijenhuis(K, L)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_schouten(self, data):
+        chart = data.draw(st.sampled_from((CH2, CH3, CH4)))
+        P = data.draw(st_forms(chart, data.draw(st.integers(1, 3)), Multivector))
+        Q = data.draw(st_forms(chart, data.draw(st.integers(1, 3)), Multivector))
+        assert schouten(P, Q) == ref_schouten(P, Q)
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -458,6 +491,9 @@ def test_kernels_build_no_per_term_wedge(monkeypatch):
     r = VForm(CH2, 1, 2, {((0,), 0): X2, ((0,), 1): Y2, ((1,), 1): ONE2 + X2})
     s = VForm(CH2, 1, 2, {((1,), 0): X2 * Y2, ((0,), 1): ONE2})
     a = DiffForm(CH2, 1, {(0,): Y2, (1,): X2})
+    P = Multivector(CH2, 1, {(0,): X2 * Y2, (1,): ONE2})
+    Q = Multivector(CH2, 2, {(0, 1): X2 + Y2})
+    assert not schouten(P, Q).is_zero
     assert not frolicher_nijenhuis(r, s).is_zero
     assert not interior_vvf(r, a).is_zero
     assert not r.wedge_scalar(a).is_zero

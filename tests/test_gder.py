@@ -260,6 +260,68 @@ class TestConstructors:
         u = VForm.section(CH2, [rnd_poly(rng, CH2), rnd_poly(rng, CH2)])
         assert D.leibniz_defect(f, u).is_zero
 
+    # rank 3 over CH2: D_(X1..Xk)(u) = sum_i (-1)^(i+1) l_(X1..^Xi..Xk)(grad_Xi u)
+    #                                  - grad_(r(X1..Xk)) u
+    E3 = FramedBundle(CH2, ("e1", "e2", "e3"))
+
+    @staticmethod
+    def rnd_gamma(rng):
+        return [[[rnd_poly(rng, CH2) for _ in range(3)] for _ in range(3)]
+                for _ in range(2)]
+
+    @staticmethod
+    def grad(gamma, vec, a):
+        """grad_X u_a for the vector field with components ``vec``."""
+        return [sum((vec[i] * gamma[i][b][a] for i in range(2)), Poly.zero(CH2))
+                for b in range(3)]
+
+    def check_leibniz(self, rng, D):
+        f = rnd_poly(rng, CH2)
+        u = VForm.section(CH2, [rnd_poly(rng, CH2) for _ in range(3)])
+        assert D.leibniz_defect(f, u).is_zero
+
+    def test_connection_degree_zero_formula(self):
+        # D(u) = -grad_r u
+        rng = random.Random(44)
+        gamma, r = self.rnd_gamma(rng), rnd_vf(rng, CH2)
+        D = build_from_connection(self.E3, gamma, [], r)
+        assert D.l_frame is None and D.r == r
+        for a in range(3):
+            expect = [-g for g in self.grad(gamma, r.section_components(), a)]
+            assert D.d_frame[a].section_components() == expect
+        self.check_leibniz(rng, D)
+
+    def test_connection_degree_two_formula(self):
+        # D_(X1,X2)(u) = l_X2(grad_X1 u) - l_X1(grad_X2 u) - grad_(r(X1,X2)) u
+        rng = random.Random(45)
+        gamma = self.rnd_gamma(rng)
+        lf = [VForm(CH2, 1, 3, {((i,), c): rnd_poly(rng, CH2)
+                                for i in range(2) for c in range(3)})
+              for _ in range(3)]
+        r = VForm(CH2, 2, 2, {((0, 1), v): rnd_poly(rng, CH2) for v in range(2)})
+        D = build_from_connection(self.E3, gamma, lf, r)
+        unit = [TM.frame_section(i) for i in range(2)]
+
+        def l_at(X, w):
+            # l_X applied to the section with components w
+            out = [Poly.zero(CH2)] * 3
+            for b in range(3):
+                lb = lf[b].insert_vector(X).section_components()
+                out = [o + w[b] * p for o, p in zip(out, lb)]
+            return out
+
+        for a in range(3):
+            for i, j in ((0, 1), (1, 0)):
+                X1, X2 = unit[i], unit[j]
+                g1 = self.grad(gamma, X1.section_components(), a)
+                g2 = self.grad(gamma, X2.section_components(), a)
+                rX = r.insert_vector(X1).insert_vector(X2).section_components()
+                expect = [p - q - s for p, q, s in
+                          zip(l_at(X2, g1), l_at(X1, g2), self.grad(gamma, rX, a))]
+                got = D.d_frame[a].insert_vector(X1).insert_vector(X2)
+                assert got.section_components() == expect
+        self.check_leibniz(rng, D)
+
 
 def pairing_scalar(form: DiffForm, Xf: VForm) -> Poly:
     comps = Xf.section_components()

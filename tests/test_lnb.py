@@ -153,3 +153,15 @@ class TestCourant:
     def test_identity_squares_to_one(self):
         op = courant_operator(candidate(PI0, IDENT))
         assert op.square_scalar == 1
+
+    def test_unequal_diagonal_constants_are_rejected(self):
+        # l = diag(1, 2): l^2 = diag(1, 4)
+        r = VForm(CH2, 1, 2, {((0,), 0): ONE, ((1,), 1): 2 * ONE})
+        with pytest.raises(PolyError, match="not a scalar multiple"):
+            courant_operator(candidate(PI0, r))
+
+    def test_off_diagonal_entry_is_rejected(self):
+        # l = [[1, 1], [0, 1]]: l^2 = [[1, 2], [0, 1]]
+        r = VForm(CH2, 1, 2, {((0,), 0): ONE, ((1,), 0): ONE, ((1,), 1): ONE})
+        with pytest.raises(PolyError, match="not a scalar multiple"):
+            courant_operator(candidate(PI0, r))
