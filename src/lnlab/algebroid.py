@@ -91,9 +91,13 @@ class AlgebroidStructure:
         return self.bundle.chart
 
     def anchor_of(self, section: VForm) -> VForm:
-        """rho applied to a polynomial section; a vector field."""
-        return VForm.section(self.chart, mat_vec(transpose(self.anchor),
-                                                 section.section_components()))
+        """rho applied to a polynomial section; a vector field:
+        rho(s) = sum_a s_a rho(u_a)."""
+        out = [Poly.zero(self.chart)] * self.chart.dim
+        for s_a, row in zip(section.section_components(), self.anchor):
+            if s_a:
+                out = [acc + s_a * p if p else acc for acc, p in zip(out, row)]
+        return VForm.section(self.chart, out)
 
     def frame_bracket(self, a: int, b: int) -> VForm:
         key, sign = ((a, b), 1) if a < b else ((b, a), -1)
@@ -153,10 +157,16 @@ class AlgebroidStructure:
     def lie_on_bivector(self, s: VForm, P: FrameBivector) -> FrameBivector:
         """L_s P: the bracket extended as a derivation of the wedge,
         L_s (p a ^ b) = rho(s)(p) a ^ b + p [s, a] ^ b + p a ^ [s, b]."""
-        rank = self.bundle.rank
-        rho_s = self.anchor_of(s).section_components()
         brackets = {a: self.section_bracket(s, self.bundle.frame_section(a))
                     .section_components() for key in P.coeffs for a in key}
+        return self._lie_on_bivector(self.anchor_of(s).section_components(),
+                                     brackets, P)
+
+    def _lie_on_bivector(self, rho_s: list[Poly], brackets, P: FrameBivector
+                         ) -> FrameBivector:
+        """``lie_on_bivector`` from rho(s) and the components of [s, u_a],
+        given for every frame index a that P's keys name."""
+        rank = self.bundle.rank
         out: dict = {}
         for (a, b), p in P.coeffs.items():
             dp = derivative(rho_s, p)
@@ -300,17 +310,19 @@ def _add_cocycle(report: CheckReport, A: AlgebroidStructure,
     structures are already known to be valid."""
     chart, rank = A.chart, A.bundle.rank
     names = A.bundle.frame
-    sections: list[tuple[str, VForm]] = [
-        (names[a], A.bundle.frame_section(a)) for a in range(rank)]
-    for c in chart.coords:
-        for a in range(rank):
-            sections.append((f"{c}*{names[a]}",
-                             A.bundle.frame_section(a) * Poly.var(chart, c)))
-    for ia, (la, sa) in enumerate(sections):
-        for lb, sb in sections[ia + 1:]:
+    frames = [A.bundle.frame_section(a) for a in range(rank)]
+    sections = list(zip(names, frames)) + [
+        (f"{c}*{names[a]}", frames[a] * Poly.var(chart, c))
+        for c in chart.coords for a in range(rank)]
+    # delta(s), rho(s) and [s, u_a] depend on one probe section only
+    probes = [(label, s, ce_differential(Astar, s), A.anchor_of(s).section_components(),
+               [A.section_bracket(s, u).section_components() for u in frames])
+              for label, s in sections]
+    for ia, (la, sa, da, rho_a, br_a) in enumerate(probes):
+        for lb, sb, db, rho_b, br_b in probes[ia + 1:]:
             defect = (ce_differential(Astar, A.section_bracket(sa, sb))
-                      - A.lie_on_bivector(sa, ce_differential(Astar, sb))
-                      + A.lie_on_bivector(sb, ce_differential(Astar, sa)))
+                      - A._lie_on_bivector(rho_a, br_a, db)
+                      + A._lie_on_bivector(rho_b, br_b, da))
             report.add_zero("cocycle condition", defect, detail=f"({la},{lb})")
 
 

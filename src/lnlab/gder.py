@@ -23,8 +23,7 @@ from typing import Sequence
 
 from .poly import Chart, Poly, PolyError
 from .forms import (DiffForm, VForm, _accumulate, exterior_d,
-                    frolicher_nijenhuis, interior_vvf, lie_derivative_vvf,
-                    vf_bracket)
+                    frolicher_nijenhuis, interior_vvf, vf_bracket)
 
 __all__ = [
     "FramedBundle",
@@ -145,18 +144,22 @@ class GenDer:
                          - (-1)^(j k) (L_r a) (x) u
 
         Each term is linear over constants in a, so it acts once per value slot.
+        da serves both the l-term and L_r a = i_r da + (-1)^k d i_r a, whose
+        second term is absent for j = 0 (as in ``lie_derivative_vvf``).
         """
         chart, k = self.bundle.chart, self.degree
         j = eta.degree
+        sign = -((-1) ** (j * k))
         out: dict = {}
         for a, alpha in self._slots(eta):
             _add_into(out, self.d_frame[a].wedge_scalar(alpha).coeffs, 1)
+            dalpha = exterior_d(alpha)
             if self.l_frame is not None:
-                _add_into(out, self.l_frame[a].wedge_scalar(exterior_d(alpha)).coeffs,
-                          (-1) ** j)
-            lr = lie_derivative_vvf(self.r, alpha)
-            _add_into(out, {(idx, a): p for idx, p in lr.coeffs.items()},
-                      -((-1) ** (j * k)))
+                _add_into(out, self.l_frame[a].wedge_scalar(dalpha).coeffs, (-1) ** j)
+            _add_into(out, _in_slot(interior_vvf(self.r, dalpha), a), sign)
+            if j:
+                _add_into(out, _in_slot(exterior_d(interior_vvf(self.r, alpha)), a),
+                          sign * (-1) ** k)
         return VForm._trusted(chart, j + k, self.bundle.rank, out)
 
     def leibniz_defect(self, f: Poly, section: VForm) -> VForm:
@@ -189,6 +192,11 @@ def _add_into(out: dict, coeffs: dict, sign: int) -> None:
     """Accumulate ``sign`` times the coefficient map ``coeffs`` into ``out``."""
     for key, p in coeffs.items():
         _accumulate(out, key, p if sign > 0 else -p)
+
+
+def _in_slot(a: DiffForm, v: int) -> dict:
+    """The coefficient map of the E-valued form a (x) u_v."""
+    return {(idx, v): p for idx, p in a.coeffs.items()}
 
 
 def bracket(D1: GenDer, D2: GenDer) -> GenDer:
@@ -307,6 +315,9 @@ def build_from_connection(bundle: FramedBundle,
     each value slot.
     """
     chart, rank, k = bundle.chart, bundle.rank, r.degree
+    if len(gamma) != chart.dim or any(
+            len(m) != rank or any(len(row) != rank for row in m) for m in gamma):
+        raise PolyError("gamma must list one rank x rank matrix per coordinate")
     # carries l and r; its own D is never read
     lr = GenDer(bundle, k, [bundle.zero_form(k)] * rank,
                 list(l_frame) if k > 0 else None, r)
@@ -318,8 +329,7 @@ def build_from_connection(bundle: FramedBundle,
         if lr.l_frame is not None:
             _add_into(out, lr.apply_l(grad).coeffs, 1)
         for b, w in grad.slot_components().items():
-            ir = interior_vvf(r, w).coeffs
-            _add_into(out, {(idx, b): p for idx, p in ir.items()}, -1)
+            _add_into(out, _in_slot(interior_vvf(r, w), b), -1)
         d_out.append(VForm._trusted(chart, k, rank, out))
     return GenDer(bundle, k, d_out, lr.l_frame, r)
 

@@ -11,13 +11,12 @@ from dataclasses import dataclass
 
 from .poly import Chart, Poly, PolyError
 from .forms import (DiffForm, Multivector, VForm, bivector_from_sharp,
-                    exterior_d, frolicher_nijenhuis, interior_vector,
-                    interior_vvf, lie_derivative_vvf, nijenhuis_torsion,
-                    schouten, sharp, sharp_matrix)
+                    frolicher_nijenhuis, interior_vvf, lie_derivative_vvf,
+                    nijenhuis_torsion, schouten, sharp, sharp_matrix)
 from .algebroid import (_add_cocycle, cotangent_of_poisson, deform_algebroid,
                         tangent_algebroid)
 from .gder import tangent_bundle
-from .matrix import mat_mul, mat_vec, transpose
+from .matrix import _dot, mat_mul, mat_vec, transpose
 from .report import CheckReport
 
 __all__ = [
@@ -54,11 +53,20 @@ def _comps(a: DiffForm) -> list[Poly]:
     return [a.coeff((i,)) for i in range(a.chart.dim)]
 
 
-def _map_bracket(M: list[list[Poly]], a: DiffForm, b: DiffForm) -> DiffForm:
-    """[a, b]_M = L_{M(a)} b - i_{M(b)} da for a bundle map M: T*M -> TM."""
-    Ma = VForm.section(a.chart, mat_vec(M, _comps(a)))
-    Mb = mat_vec(M, _comps(b))
-    return lie_derivative_vvf(Ma, b) - interior_vector(Mb, exterior_d(a))
+def _grad(comps: list[Poly]) -> list[list[Poly]]:
+    """g[j][k] = d_k comps[j]."""
+    return [[p.diff(k) if p else p for k in range(p.chart.dim)] for p in comps]
+
+
+def _curl(comps: list[Poly]) -> list[list[Poly]]:
+    """c[i][k] = d_i comps[k] - d_k comps[i], the components of d(comps)."""
+    g = _grad(comps)
+    c = [[Poly.zero(p.chart)] * len(comps) for p in comps]
+    for i in range(len(comps)):
+        for k in range(i + 1, len(comps)):
+            c[i][k] = g[k][i] - g[i][k]
+            c[k][i] = -c[i][k]
+    return c
 
 
 def concomitant_C(pi: Multivector, r: VForm, a: DiffForm, b: DiffForm) -> DiffForm:
@@ -67,14 +75,38 @@ def concomitant_C(pi: Multivector, r: VForm, a: DiffForm, b: DiffForm) -> DiffFo
         C(a, b) = [a, b]_{r o pi} - [r*a, b]_pi - [a, r*b]_pi + r*([a, b]_pi)
 
     defined for arbitrary polynomial 1-forms, skewness of r o pi not required;
-    r*a = a o r is ``interior_vvf(r, a)``.
+    r*a = a o r.  For a bundle map M: T*M -> TM the bracket is
+    [a, b]_M = L_{M a} b - i_{M b} da, in components
+
+        ([a, b]_M)_k = X^i d_i b_k + b_i d_k X^i + Y^i (da)_ki,
+        X = M a,  Y = M b,  (da)_ki = d_k a_i - d_i a_k.
+
+    The first two brackets share b and the first and third share da, so with
+    U = (r pi# - pi# r*) a and V = (r pi# - pi# r*) b the sum is one pass
+
+        C_k = U^i d_i b_k + b_i d_k U^i + V^i (da)_ki
+              - (pi# a)^i d_i (r*b)_k - (r*b)_i d_k (pi# a)^i
+              - (pi# b)^i (d r*a)_ki + (r*([a, b]_pi))_k,
+
+    with each sharp image and each gradient taken once.
     """
-    S = sharp_matrix(pi)
-    B = mat_mul(r.matrix(), S)
-    return (_map_bracket(B, a, b)
-            - _map_bracket(S, interior_vvf(r, a), b)
-            - _map_bracket(S, a, interior_vvf(r, b))
-            + interior_vvf(r, _map_bracket(S, a, b)))
+    S, M = sharp_matrix(pi), r.matrix()
+    Mt = transpose(M)
+    av, bv = _comps(a), _comps(b)
+    ra, rb = mat_vec(Mt, av), mat_vec(Mt, bv)
+    pa, pb, pra, prb = (mat_vec(S, v) for v in (av, bv, ra, rb))
+    U = [x - y for x, y in zip(mat_vec(M, pa), pra)]
+    V = [x - y for x, y in zip(mat_vec(M, pb), prb)]
+    db, drb = _grad(bv), _grad(rb)
+    dUt, dpat = transpose(_grad(U)), transpose(_grad(pa))
+    da, dra = _curl(av), _curl(ra)
+    ab = [_dot(pa + bv + pb, db[v] + dpat[v] + da[v]) for v in range(len(av))]
+    rab = mat_vec(Mt, ab)
+    pos, neg = U + bv + V, pa + rb + pb
+    return DiffForm._trusted(a.chart, 1, {
+        (k,): _dot(pos, db[k] + dUt[k] + da[k])
+        - _dot(neg, drb[k] + dpat[k] + dra[k]) + rab[k]
+        for k in range(len(av))})
 
 
 def concomitant_R(pi: Multivector, r: VForm, a: DiffForm, X: VForm) -> VForm:

@@ -13,9 +13,11 @@ import random
 from hypothesis import strategies as st
 
 from lnlab.poly import Chart, Poly
-from lnlab.forms import (DiffForm, Multivector, VForm, interior_vector,
-                         vf_bracket, wedge)
+from lnlab.forms import (DiffForm, Multivector, VForm, exterior_d,
+                         interior_vector, interior_vvf, lie_derivative_vvf,
+                         sharp_matrix, vf_bracket, wedge)
 from lnlab.gder import GenDer
+from lnlab.matrix import mat_mul, mat_vec
 
 CH2 = Chart(("x", "y"))
 CH3 = Chart(("x", "y", "z"))
@@ -171,6 +173,29 @@ def ref_schouten(P: Multivector, Q: Multivector) -> Multivector:
                 term = wedge_all([vf_bracket(Xs[s], Ys[t])] + rest)
                 out = out + term * (-1) ** (s + t)
     return out
+
+
+def ref_concomitant_C(pi: Multivector, r: VForm, a: DiffForm,
+                      b: DiffForm) -> DiffForm:
+    """C(a, b) = [a, b]_{r o pi} - [r*a, b]_pi - [a, r*b]_pi + r*([a, b]_pi),
+    composed bracket by bracket with [a, b]_M = L_{M a} b - i_{M b} da
+    through ``lie_derivative_vvf`` and ``interior_vector``."""
+    n = a.chart.dim
+
+    def comps(f):
+        return [f.coeff((i,)) for i in range(n)]
+
+    def map_bracket(M, a, b):
+        Ma = VForm.section(a.chart, mat_vec(M, comps(a)))
+        return (lie_derivative_vvf(Ma, b)
+                - interior_vector(mat_vec(M, comps(b)), exterior_d(a)))
+
+    S = sharp_matrix(pi)
+    B = mat_mul(r.matrix(), S)
+    return (map_bracket(B, a, b)
+            - map_bracket(S, interior_vvf(r, a), b)
+            - map_bracket(S, a, interior_vvf(r, b))
+            + interior_vvf(r, map_bracket(S, a, b)))
 
 
 # -- equality of derivations --------------------------------------------------

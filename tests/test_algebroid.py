@@ -9,10 +9,13 @@ from lnlab.poly import Chart, Poly, PolyError
 from lnlab.forms import Multivector, VForm, vf_bracket
 from lnlab.gder import (FramedBundle, GenDer, build_drT, build_drTstar,
                         build_from_connection)
-from lnlab.algebroid import (AlgebroidStructure, FrameBivector,
+from lnlab.algebroid import (AlgebroidStructure, FrameBivector, _add_cocycle,
                              ce_differential, check_bialgebroid, check_im,
                              cotangent_of_poisson, deform_algebroid,
                              tangent_algebroid)
+from lnlab.catalog import example_names, example_source
+from lnlab.report import CheckReport
+from lnlab.scene import parse_scene
 
 from helpers import CH2, CH3, rnd_endo, rnd_poly, rnd_vf
 
@@ -164,6 +167,92 @@ class TestBialgebroid:
         rep = check_bialgebroid(bad, triv)
         assert not rep.passed
         assert rep.items[0].law == "base structure valid"
+
+
+def catalog_pairs():
+    """Every dual pair of valid algebroids defined in a catalog scene, in
+    both orientations."""
+    pairs = []
+    for name in example_names():
+        algs = [(key, obj) for key, obj in parse_scene(example_source(name)).objects.items()
+                if isinstance(obj, AlgebroidStructure) and obj.validate().passed]
+        pairs += [(f"{name}:{ka}/{kb}", A, B) for ka, A in algs for kb, B in algs
+                  if A.bundle.dual() == B.bundle]
+    return pairs
+
+
+def kosmann_pairs():
+    """The deformed-tangent/cotangent pairs of ``kosmann_equivalence``, both
+    orientations, in dimensions 2 and 3.  (pi0, J2) and (z @x^@y, Jxy) are
+    not PN, so their pairs fail the cocycle."""
+    Z3, O3 = Poly.var(CH3, "z"), Poly.const(CH3, 1)
+    zpi = Multivector(CH3, 2, {(0, 1): Z3})
+    cases = [("pi0,x*id", PI0, XID), ("pi0,J2", PI0, J2),
+             ("z*pi0,id", zpi, VForm(CH3, 1, 3, {((i,), i): O3 for i in range(3)})),
+             ("z*pi0,Jxy", zpi, VForm(CH3, 1, 3, {((0,), 1): O3, ((1,), 0): -O3}))]
+    pairs = []
+    for label, pi, r in cases:
+        tmr = deform_algebroid(tangent_algebroid(pi.chart), r.matrix())
+        ctg = cotangent_of_poisson(pi)
+        pairs += [(f"{label}:TM_r/T*M", tmr, ctg), (f"{label}:T*M/TM_r", ctg, tmr)]
+    return pairs
+
+
+def heisenberg_pair():
+    """Criterion 7: [e1,e2] = e3 with the dual bracket [e1*,e2*] = e1*."""
+    E = FramedBundle(CH2, ("e1", "e2", "e3"))
+    zrow = [[ZERO, ZERO]] * 3
+    return [("heisenberg", AlgebroidStructure(E, zrow, {(0, 1): [ZERO, ZERO, ONE]}),
+             AlgebroidStructure(E.dual(), zrow, {(0, 1): [ONE, ZERO, ZERO]}))]
+
+
+def cocycle_by_pairs(A, Astar):
+    """(detail, defect) for every probe pair, each defect recomputed pair by
+    pair with the public ``lie_on_bivector``."""
+    names, rank = A.bundle.frame, A.bundle.rank
+    sections = [(names[a], A.bundle.frame_section(a)) for a in range(rank)]
+    sections += [(f"{c}*{names[a]}", A.bundle.frame_section(a) * Poly.var(A.chart, c))
+                 for c in A.chart.coords for a in range(rank)]
+    out = []
+    for i, (la, sa) in enumerate(sections):
+        for lb, sb in sections[i + 1:]:
+            defect = (ce_differential(Astar, A.section_bracket(sa, sb))
+                      - A.lie_on_bivector(sa, ce_differential(Astar, sb))
+                      + A.lie_on_bivector(sb, ce_differential(Astar, sa)))
+            out.append((f"({la},{lb})", defect))
+    return out
+
+
+COCYCLE_PAIRS = catalog_pairs() + kosmann_pairs() + heisenberg_pair()
+
+
+def cocycle_report(A, Astar) -> CheckReport:
+    report = CheckReport("cocycle")
+    _add_cocycle(report, A, Astar)
+    return report
+
+
+class TestCocycleItems:
+    @pytest.mark.parametrize("label, A, Astar", COCYCLE_PAIRS,
+                             ids=[p[0] for p in COCYCLE_PAIRS])
+    def test_items_match_pairwise_recomputation(self, label, A, Astar):
+        assert A.validate().passed and Astar.validate().passed
+        expect = [("cocycle condition", detail, d.is_zero, None if d.is_zero else d)
+                  for detail, d in cocycle_by_pairs(A, Astar)]
+        assert [(i.law, i.detail, i.passed, i.defect)
+                for i in cocycle_report(A, Astar).items] == expect
+
+    def test_corpus_has_passing_and_failing_pairs(self):
+        assert len(catalog_pairs()) == 6
+        failing = {label for label, A, Astar in COCYCLE_PAIRS
+                   if not cocycle_report(A, Astar).passed}
+        assert {"pi0,J2:TM_r/T*M", "z*pi0,Jxy:T*M/TM_r", "heisenberg"} <= failing
+        assert not {"lnb-tangent-xid:A/Astar", "z*pi0,id:TM_r/T*M"} & failing
+
+    def test_heisenberg_fails_on_exactly_e1_e2_among_frame_pairs(self):
+        _, A, Astar = heisenberg_pair()[0]
+        failing = [i.detail for i in cocycle_report(A, Astar).failures()]
+        assert [d for d in failing if "*" not in d] == ["(e1,e2)"]
 
 
 class TestDeformAlgebroid:

@@ -14,11 +14,12 @@ from lnlab.forms import (DiffForm, Multivector, VForm, bivector_from_sharp,
                          interior_vvf, lie_derivative_vvf, nijenhuis_torsion,
                          pairing, schouten, sharp, sharp_matrix, sort_index,
                          vf_bracket, wedge)
+from lnlab.pnlab import concomitant_C
 
-from helpers import (CH2, CH3, ref_insert_vector, ref_interior_vvf,
-                     ref_schouten, ref_wedge_scalar, rnd_form, rnd_mv,
-                     rnd_one_form, rnd_poly, rnd_vf, rnd_vvform, st_forms,
-                     st_vvforms)
+from helpers import (CH2, CH3, ref_concomitant_C, ref_insert_vector,
+                     ref_interior_vvf, ref_schouten, ref_wedge_scalar,
+                     rnd_form, rnd_mv, rnd_one_form, rnd_poly, rnd_vf,
+                     rnd_vvform, st_forms, st_vvforms)
 
 X2 = Poly.var(CH2, "x")
 Y2 = Poly.var(CH2, "y")
@@ -347,6 +348,7 @@ class TestConstructorValidation:
 # container's + and scaling.
 
 DIM_CHARTS = st.sampled_from((CH2, CH3))
+CH1 = Chart(("x",))
 CH4 = Chart(("x", "y", "z", "w"))
 
 
@@ -406,6 +408,18 @@ class TestFusedKernelOracles:
         P = data.draw(st_forms(chart, data.draw(st.integers(1, 3)), Multivector))
         Q = data.draw(st_forms(chart, data.draw(st.integers(1, 3)), Multivector))
         assert schouten(P, Q) == ref_schouten(P, Q)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_concomitant_C(self, data):
+        # r o pi# is rarely selfadjoint here, so every term of C is exercised
+        chart = data.draw(st.sampled_from((CH1, CH2, CH3, CH4)))
+        pi = data.draw(st_forms(chart, 2, Multivector))
+        r = data.draw(st_vvforms(chart, 1, chart.dim))
+        a, b = (data.draw(st_forms(chart, 1).filter(
+            lambda f: any(p.total_degree() for p in f.coeffs.values())))
+            for _ in range(2))
+        assert concomitant_C(pi, r, a, b) == ref_concomitant_C(pi, r, a, b)
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)

@@ -280,6 +280,16 @@ class TestConstructors:
         u = VForm.section(CH2, [rnd_poly(rng, CH2) for _ in range(3)])
         assert D.leibniz_defect(f, u).is_zero
 
+    def test_connection_rejects_misshapen_gamma(self):
+        # one matrix per chart coordinate, each rank x rank
+        lf = [self.E3.frame_section(a) for a in range(3)]
+        r = VForm(CH2, 1, 2, {})
+        Z = Poly.zero(CH2)
+        square = [[Z] * 3] * 3
+        for gamma in ([square], [square, square[:2]], [square, [[Z] * 2] * 3]):
+            with pytest.raises(PolyError, match="gamma"):
+                build_from_connection(self.E3, gamma, lf, r)
+
     def test_connection_degree_zero_formula(self):
         # D(u) = -grad_r u
         rng = random.Random(44)
@@ -397,3 +407,23 @@ class TestExtensionErrorContract:
         D = build_drT(VForm(CH2, 1, 2, {((0,), 1): X, ((1,), 0): Y}))
         eta = VForm(CH2, 2, 2, {((0, 1), 0): X * Y, ((0, 1), 1): ONE})
         assert D.extend(eta) == VForm.zero(CH2, 3, 2)
+
+
+def test_extend_takes_each_exterior_derivative_once(monkeypatch):
+    """Per value slot, extend takes da once for the l-term and L_r a, and
+    d(i_r a) once more when a has positive degree."""
+    from lnlab import forms, gder
+    D = build_drT(VForm(CH2, 1, 2, {((0,), 0): X, ((1,), 0): Y, ((1,), 1): ONE}))
+    calls = []
+    exterior_d = forms.exterior_d
+
+    def counted(a):
+        calls.append(a)
+        return exterior_d(a)
+    monkeypatch.setattr(forms, "exterior_d", counted)
+    monkeypatch.setattr(gder, "exterior_d", counted)
+    for eta, expected in ((VForm.section(CH2, [X * Y, X + ONE]), 2),
+                          (VForm(CH2, 1, 2, {((0,), 0): Y, ((1,), 1): X * X}), 4)):
+        calls.clear()
+        assert not D.extend(eta).is_zero
+        assert len(calls) == expected
