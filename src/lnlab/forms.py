@@ -457,12 +457,16 @@ def interior_vvf(K: VForm, a: DiffForm) -> DiffForm:
 
 def lie_derivative_vvf(K: VForm, a: DiffForm) -> DiffForm:
     """Lie derivative along a tangent-valued k-form: L_K = [i_K, d]."""
-    k = K.degree
-    first = interior_vvf(K, exterior_d(a))
+    return _lie_vvf(K, a, exterior_d(a))
+
+
+def _lie_vvf(K: VForm, a: DiffForm, da: DiffForm) -> DiffForm:
+    """L_K a = i_K da + (-1)^k d i_K a, given da = ``exterior_d(a)``."""
+    first = interior_vvf(K, da)
     if a.degree == 0:
         return first
     second = exterior_d(interior_vvf(K, a))
-    return first + second if (k - 1) % 2 else first - second
+    return first + second if (K.degree - 1) % 2 else first - second
 
 
 def derivative(comps: Sequence[Poly], p: Poly) -> Poly:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .poly import Chart, Poly, PolyError
-from .forms import (DiffForm, VForm, _accumulate, exterior_d,
+from .forms import (DiffForm, VForm, _accumulate, _lie_vvf, exterior_d,
                     frolicher_nijenhuis, interior_vvf, vf_bracket)
 
 __all__ = [
@@ -143,23 +143,19 @@ class GenDer:
                          + (-1)^j da ^ l(u)
                          - (-1)^(j k) (L_r a) (x) u
 
-        Each term is linear over constants in a, so it acts once per value slot.
-        da serves both the l-term and L_r a = i_r da + (-1)^k d i_r a, whose
-        second term is absent for j = 0 (as in ``lie_derivative_vvf``).
+        Each term is linear over constants in a, so it acts once per value slot;
+        da serves both the l-term and L_r a.
         """
         chart, k = self.bundle.chart, self.degree
         j = eta.degree
-        sign = -((-1) ** (j * k))
         out: dict = {}
         for a, alpha in self._slots(eta):
             _add_into(out, self.d_frame[a].wedge_scalar(alpha).coeffs, 1)
             dalpha = exterior_d(alpha)
             if self.l_frame is not None:
                 _add_into(out, self.l_frame[a].wedge_scalar(dalpha).coeffs, (-1) ** j)
-            _add_into(out, _in_slot(interior_vvf(self.r, dalpha), a), sign)
-            if j:
-                _add_into(out, _in_slot(exterior_d(interior_vvf(self.r, alpha)), a),
-                          sign * (-1) ** k)
+            _add_into(out, _in_slot(_lie_vvf(self.r, alpha, dalpha), a),
+                      -((-1) ** (j * k)))
         return VForm._trusted(chart, j + k, self.bundle.rank, out)
 
     def leibniz_defect(self, f: Poly, section: VForm) -> VForm:

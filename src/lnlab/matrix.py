@@ -19,11 +19,11 @@ Matrix = list[list[Poly]]
 
 
 def _dot(xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:
-    acc = None
+    acc = Poly.zero(xs[0].chart)
     for x, y in zip(xs, ys):
         if x and y:
-            acc = x * y if acc is None else acc + x * y
-    return Poly.zero(xs[0].chart) if acc is None else acc
+            acc = acc + x * y
+    return acc
 
 
 def mat_vec(M: Sequence[Sequence[Poly]], v: Sequence[Poly]) -> list[Poly]:

@@ -10,9 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .poly import Chart, Poly, PolyError
-from .forms import (DiffForm, Multivector, VForm, bivector_from_sharp,
-                    frolicher_nijenhuis, interior_vvf, lie_derivative_vvf,
-                    nijenhuis_torsion, schouten, sharp, sharp_matrix)
+from .forms import (DiffForm, Multivector, VForm, _check_tangent,
+                    bivector_from_sharp, frolicher_nijenhuis, interior_vvf,
+                    lie_derivative_vvf, nijenhuis_torsion, schouten, sharp,
+                    sharp_matrix)
 from .algebroid import (_add_cocycle, cotangent_of_poisson, deform_algebroid,
                         tangent_algebroid)
 from .gder import tangent_bundle
@@ -90,6 +91,9 @@ def concomitant_C(pi: Multivector, r: VForm, a: DiffForm, b: DiffForm) -> DiffFo
 
     with each sharp image and each gradient taken once.
     """
+    _check_tangent(r)
+    if not pi.chart == r.chart == a.chart == b.chart:
+        raise PolyError("chart mismatch")
     S, M = sharp_matrix(pi), r.matrix()
     Mt = transpose(M)
     av, bv = _comps(a), _comps(b)

@@ -112,6 +112,15 @@ class TestConcomitants:
         a, b = rnd_one_form(rng, CH2), rnd_one_form(rng, CH2)
         assert concomitant_C(PI0, XID, a, b).is_zero
 
+    def test_C_rejects_non_tangent_r_and_chart_mismatch(self):
+        rng = random.Random(64)
+        a, b = rnd_one_form(rng, CH2), rnd_one_form(rng, CH2)
+        rank3 = VForm(CH2, 1, 3, {((0,), 2): ONE, ((1,), 0): X})
+        with pytest.raises(PolyError):
+            concomitant_C(PI0, rank3, a, b)
+        with pytest.raises(PolyError):
+            concomitant_C(PI0, XID, a, rnd_one_form(rng, CH3))
+
 
 class TestMM1:
     def test_holds_for_random_data(self):
