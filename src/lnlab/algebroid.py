@@ -90,14 +90,17 @@ class AlgebroidStructure:
     def chart(self) -> Chart:
         return self.bundle.chart
 
-    def anchor_of(self, section: VForm) -> VForm:
-        """rho applied to a polynomial section; a vector field:
-        rho(s) = sum_a s_a rho(u_a)."""
+    def _rho(self, comps: list[Poly]) -> list[Poly]:
+        """rho(s) = sum_a s_a rho(u_a) on a component list."""
         out = [Poly.zero(self.chart)] * self.chart.dim
-        for s_a, row in zip(section.section_components(), self.anchor):
+        for s_a, row in zip(comps, self.anchor):
             if s_a:
                 out = [acc + s_a * p if p else acc for acc, p in zip(out, row)]
-        return VForm.section(self.chart, out)
+        return out
+
+    def anchor_of(self, section: VForm) -> VForm:
+        """rho applied to a polynomial section; a vector field."""
+        return VForm.section(self.chart, self._rho(section.section_components()))
 
     def frame_bracket(self, a: int, b: int) -> VForm:
         key, sign = ((a, b), 1) if a < b else ((b, a), -1)
@@ -108,8 +111,13 @@ class AlgebroidStructure:
 
     def section_bracket(self, s: VForm, t: VForm) -> VForm:
         """[s, t] for polynomial sections, via bilinearity and Leibniz."""
-        rank = self.bundle.rank
         sc, tc = s.section_components(), t.section_components()
+        return self._bracket(sc, self._rho(sc), tc, self._rho(tc))
+
+    def _bracket(self, sc: list[Poly], rho_s: list[Poly], tc: list[Poly],
+                 rho_t: list[Poly]) -> VForm:
+        """``section_bracket`` on component lists, given rho of both."""
+        rank = self.bundle.rank
         out: dict = {}
         for (a, b), comps in self.structure.items():
             f = Poly.zero(self.chart)
@@ -121,8 +129,6 @@ class AlgebroidStructure:
                 for v, c in enumerate(comps):
                     if c:
                         _accumulate(out, ((), v), c * f)
-        rho_s = self.anchor_of(s).section_components()
-        rho_t = self.anchor_of(t).section_components()
         for b in range(rank):
             acc = derivative(rho_s, tc[b]) - derivative(rho_t, sc[b])
             if acc:
@@ -132,22 +138,24 @@ class AlgebroidStructure:
     def validate(self) -> CheckReport:
         """Jacobi identity on frame triples, anchor morphism on frame pairs."""
         report = CheckReport(f"algebroid on {self.bundle.frame}")
-        rank = self.bundle.rank
-        frames = [self.bundle.frame_section(a) for a in range(rank)]
-        names = self.bundle.frame
+        chart, rank, anchor = self.chart, self.bundle.rank, self.anchor
+        units, names = identity(chart, rank), self.bundle.frame
+        brackets = {}  # [u_a, u_b] and its rho, once per frame pair a < b
         for a in range(rank):
             for b in range(a + 1, rank):
-                defect = (self.anchor_of(self.frame_bracket(a, b))
-                          - vf_bracket(self.anchor_of(frames[a]),
-                                       self.anchor_of(frames[b])))
+                comps = self.frame_bracket(a, b).section_components()
+                brackets[(a, b)] = comps, self._rho(comps)
+                defect = (VForm.section(chart, brackets[(a, b)][1])
+                          - vf_bracket(VForm.section(chart, anchor[a]),
+                                       VForm.section(chart, anchor[b])))
                 report.add_zero("anchor morphism", defect,
                                 detail=f"({names[a]},{names[b]})")
         for a in range(rank):
             for b in range(a + 1, rank):
                 for c in range(b + 1, rank):
-                    jac = (self.section_bracket(self.frame_bracket(a, b), frames[c])
-                           + self.section_bracket(self.frame_bracket(b, c), frames[a])
-                           + self.section_bracket(self.frame_bracket(c, a), frames[b]))
+                    jac = (self._bracket(*brackets[(a, b)], units[c], anchor[c])
+                           + self._bracket(*brackets[(b, c)], units[a], anchor[a])
+                           - self._bracket(*brackets[(a, c)], units[b], anchor[b]))
                     report.add_zero("Jacobi identity", jac,
                                     detail=f"({names[a]},{names[b]},{names[c]})")
         if self.pre_lie_only:
@@ -308,19 +316,27 @@ def _add_cocycle(report: CheckReport, A: AlgebroidStructure,
                  Astar: AlgebroidStructure) -> None:
     """The cocycle items of ``check_bialgebroid``, for a pair whose two
     structures are already known to be valid."""
-    chart, rank = A.chart, A.bundle.rank
-    names = A.bundle.frame
-    frames = [A.bundle.frame_section(a) for a in range(rank)]
-    sections = list(zip(names, frames)) + [
-        (f"{c}*{names[a]}", frames[a] * Poly.var(chart, c))
-        for c in chart.coords for a in range(rank)]
-    # delta(s), rho(s) and [s, u_a] depend on one probe section only
-    probes = [(label, s, ce_differential(Astar, s), A.anchor_of(s).section_components(),
-               [A.section_bracket(s, u).section_components() for u in frames])
-              for label, s in sections]
-    for ia, (la, sa, da, rho_a, br_a) in enumerate(probes):
-        for lb, sb, db, rho_b, br_b in probes[ia + 1:]:
-            defect = (ce_differential(Astar, A.section_bracket(sa, sb))
+    chart, rank, names = A.chart, A.bundle.rank, A.bundle.frame
+    units, xs = identity(chart, rank), [Poly.var(chart, c) for c in chart.coords]
+    # probe g u_b, g = x_k or 1 for k = None; delta, rho, [s, u_c] once each
+    probes = []
+    for k in (None, *range(chart.dim)):
+        for b in range(rank):
+            sc = units[b] if k is None else [xs[k] if v == b else p
+                                              for v, p in enumerate(units[b])]
+            rho = A._rho(sc)
+            rows = [A._bracket(sc, rho, u, A.anchor[c]).section_components()
+                    for c, u in enumerate(units)]
+            label = names[b] if k is None else f"{chart.coords[k]}*{names[b]}"
+            probes.append((label, b, k, ce_differential(Astar, VForm.section(chart, sc)),
+                           rho, rows))
+    for ia, (la, _, _, da, rho_a, br_a) in enumerate(probes):
+        for lb, b, k, db, rho_b, br_b in probes[ia + 1:]:
+            # [s, g u_b] = g [s, u_b] + rho(s)(g) u_b, and rho(s)(x_k) = rho(s)^k
+            st = br_a[b] if k is None else [xs[k] * p if p else p for p in br_a[b]]
+            if k is not None and rho_a[k]:
+                st[b] = st[b] + rho_a[k]
+            defect = (ce_differential(Astar, VForm.section(chart, st))
                       - A._lie_on_bivector(rho_a, br_a, db)
                       + A._lie_on_bivector(rho_b, br_b, da))
             report.add_zero("cocycle condition", defect, detail=f"({la},{lb})")
@@ -340,25 +356,31 @@ def check_im(A: AlgebroidStructure, D: GenDer) -> CheckReport:
         raise PolyError("need a degree-1 derivation on the same bundle")
     report = CheckReport("IM equations")
     chart, rank, n = A.chart, A.bundle.rank, A.chart.dim
-    names = A.bundle.frame
-    frames = [A.bundle.frame_section(a) for a in range(rank)]
-    anchors = [A.anchor_of(s) for s in frames]
+    names, units = A.bundle.frame, identity(chart, rank)
+    anchors = [VForm.section(chart, row) for row in A.anchor]
     coord_fields = [tangent_bundle(chart).frame_section(i) for i in range(n)]
     Du = D.d_frame
+    # D_{d/dx_i}(u_b), its rho and [rho(u_b), d/dx_i] once per (b, i)
+    DX = [[Du[b].insert_vector(X).section_components() for X in coord_fields]
+          for b in range(rank)]
+    rho_DX = [[A._rho(c) for c in row] for row in DX]
+    W = [[vf_bracket(anchors[b], X) for X in coord_fields] for b in range(rank)]
+    l_rows = [v.section_components() for v in D.l_frame]
+    rho_l = [A._rho(c) for c in l_rows]
     for a in range(rank):
         for b in range(a + 1, rank):
             ab = A.frame_bracket(a, b)
             D_ab = D.extend(ab)
-            for i, X in enumerate(coord_fields):
-                defect = (D_ab.insert_vector(X)
-                          - A.section_bracket(frames[a], Du[b].insert_vector(X))
-                          + A.section_bracket(frames[b], Du[a].insert_vector(X))
-                          - Du[a].insert_vector(vf_bracket(anchors[b], X))
-                          + Du[b].insert_vector(vf_bracket(anchors[a], X)))
+            for i in range(n):
+                defect = (D_ab.insert_vector(coord_fields[i])
+                          - A._bracket(units[a], A.anchor[a], DX[b][i], rho_DX[b][i])
+                          + A._bracket(units[b], A.anchor[b], DX[a][i], rho_DX[a][i])
+                          - Du[a].insert_vector(W[b][i])
+                          + Du[b].insert_vector(W[a][i]))
                 report.add_zero("IM bracket compatibility", defect,
                                 detail=f"({names[a]},{names[b]};d/d{chart.coords[i]})")
             defect2 = (D.apply_l(ab)
-                       - A.section_bracket(frames[a], D.l_frame[b])
+                       - A._bracket(units[a], A.anchor[a], l_rows[b], rho_l[b])
                        + Du[a].insert_vector(anchors[b]))
             report.add_zero("IM symbol-bracket compatibility", defect2,
                             detail=f"({names[a]},{names[b]})")
@@ -366,16 +388,14 @@ def check_im(A: AlgebroidStructure, D: GenDer) -> CheckReport:
     for a in range(rank):
         drT_rho_a = drT.extend(anchors[a])
         for i, X in enumerate(coord_fields):
-            defect3 = (drT_rho_a.insert_vector(X)
-                       - A.anchor_of(Du[a].insert_vector(X)))
+            defect3 = drT_rho_a.insert_vector(X) - VForm.section(chart, rho_DX[a][i])
             report.add_zero("IM anchor intertwining", defect3,
                             detail=f"({names[a]};d/d{chart.coords[i]})")
     rmat = D.r.matrix()
     im4 = []
     for a in range(rank):
-        rho_la = A.anchor_of(D.l_frame[a]).section_components()
         for j, r_rho in enumerate(mat_vec(rmat, A.anchor[a])):
-            p = r_rho - rho_la[j]
+            p = r_rho - rho_l[a][j]
             if not p.is_zero:
                 im4.append(((a, j), p))
     report.add("IM symbol square", not im4,

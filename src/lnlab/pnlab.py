@@ -17,7 +17,7 @@ from .forms import (DiffForm, Multivector, VForm, _check_tangent,
 from .algebroid import (_add_cocycle, cotangent_of_poisson, deform_algebroid,
                         tangent_algebroid)
 from .gder import tangent_bundle
-from .matrix import _dot, mat_mul, mat_vec, transpose
+from .matrix import _dot, identity, mat_mul, mat_vec, transpose
 from .report import CheckReport
 
 __all__ = [
@@ -70,6 +70,43 @@ def _curl(comps: list[Poly]) -> list[list[Poly]]:
     return c
 
 
+def _prep(pi: Multivector, r: VForm):
+    """(pi#, r, r*) as matrices, read by every concomitant of (pi, r)."""
+    M = r.matrix()
+    return sharp_matrix(pi), M, transpose(M)
+
+
+def _core(prep, v: list[Poly]):
+    """(v, r*v, pi# v, U = (r pi# - pi# r*) v) for the components v of a form."""
+    S, M, Mt = prep
+    rv, pv = mat_vec(Mt, v), mat_vec(S, v)
+    return v, rv, pv, [x - y for x, y in zip(mat_vec(M, pv), mat_vec(S, rv))]
+
+
+def _a_role(core):
+    """What C(a, .) reads of a: pi# a, U, (grad U)^T, (grad pi# a)^T, da, d(r*a)."""
+    av, ra, pa, U = core
+    return pa, U, transpose(_grad(U)), transpose(_grad(pa)), _curl(av), _curl(ra)
+
+
+def _b_role(core):
+    """What C(., b) reads of b: its core and the gradients of b and r*b."""
+    return (*core, _grad(core[0]), _grad(core[1]))
+
+
+def _pair(chart: Chart, prep, a_role, b_role) -> DiffForm:
+    """C(a, b) from the role data of a and b (see ``concomitant_C``)."""
+    pa, U, dUt, dpat, da, dra = a_role
+    bv, rb, pb, V, db, drb = b_role
+    ab = [_dot(pa + bv + pb, db[v] + dpat[v] + da[v]) for v in range(len(bv))]
+    rab = mat_vec(prep[2], ab)
+    pos, neg = U + bv + V, pa + rb + pb
+    return DiffForm._trusted(chart, 1, {
+        (k,): _dot(pos, db[k] + dUt[k] + da[k])
+        - _dot(neg, drb[k] + dpat[k] + dra[k]) + rab[k]
+        for k in range(len(bv))})
+
+
 def concomitant_C(pi: Multivector, r: VForm, a: DiffForm, b: DiffForm) -> DiffForm:
     """The 1-form concomitant
 
@@ -94,23 +131,16 @@ def concomitant_C(pi: Multivector, r: VForm, a: DiffForm, b: DiffForm) -> DiffFo
     _check_tangent(r)
     if not pi.chart == r.chart == a.chart == b.chart:
         raise PolyError("chart mismatch")
-    S, M = sharp_matrix(pi), r.matrix()
-    Mt = transpose(M)
-    av, bv = _comps(a), _comps(b)
-    ra, rb = mat_vec(Mt, av), mat_vec(Mt, bv)
-    pa, pb, pra, prb = (mat_vec(S, v) for v in (av, bv, ra, rb))
-    U = [x - y for x, y in zip(mat_vec(M, pa), pra)]
-    V = [x - y for x, y in zip(mat_vec(M, pb), prb)]
-    db, drb = _grad(bv), _grad(rb)
-    dUt, dpat = transpose(_grad(U)), transpose(_grad(pa))
-    da, dra = _curl(av), _curl(ra)
-    ab = [_dot(pa + bv + pb, db[v] + dpat[v] + da[v]) for v in range(len(av))]
-    rab = mat_vec(Mt, ab)
-    pos, neg = U + bv + V, pa + rb + pb
-    return DiffForm._trusted(a.chart, 1, {
-        (k,): _dot(pos, db[k] + dUt[k] + da[k])
-        - _dot(neg, drb[k] + dpat[k] + dra[k]) + rab[k]
-        for k in range(len(av))})
+    prep = _prep(pi, r)
+    return _pair(a.chart, prep, _a_role(_core(prep, _comps(a))),
+                 _b_role(_core(prep, _comps(b))))
+
+
+def _coframe_roles(prep, vectors: list[list[Poly]]):
+    """For the pairs (f_a, f_b), a < b: a-roles but the last, b-roles but the first."""
+    cores = [_core(prep, v) for v in vectors]
+    return ({a: _a_role(c) for a, c in enumerate(cores[:-1])},
+            {b: _b_role(c) for b, c in enumerate(cores) if b})
 
 
 def concomitant_R(pi: Multivector, r: VForm, a: DiffForm, X: VForm) -> VForm:
@@ -145,15 +175,9 @@ def _pi_r(c: PNCandidate, defect: list[list[Poly]]) -> Multivector | list[list[P
 
 def _C_table(c: PNCandidate) -> dict[tuple[int, int], DiffForm]:
     """C on the coframe pairs (dx_a, dx_b), a < b."""
-    chart = c.chart
-    n = chart.dim
-    C_table = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            C_table[(a, b)] = concomitant_C(c.pi, c.r,
-                                            DiffForm.basis(chart, (a,)),
-                                            DiffForm.basis(chart, (b,)))
-    return C_table
+    prep = _prep(c.pi, c.r)
+    A, B = _coframe_roles(prep, identity(c.chart, c.chart.dim))
+    return {(a, b): _pair(c.chart, prep, A[a], B[b]) for a in A for b in B if a < b}
 
 
 def concomitants(c: PNCandidate):
@@ -234,14 +258,19 @@ def mm1_identity(c: PNCandidate, X: VForm) -> CheckReport:
     report = CheckReport("Lie-derivative expansion of the concomitant")
     Xpi = schouten(X_to_mv(X), c.pi)
     Xr = frolicher_nijenhuis(X, c.r)
+    # one prep per (bivector, endomorphism), and role data once per form
+    basis = identity(chart, n)
+    p0, p1, p2 = _prep(c.pi, c.r), _prep(Xpi, c.r), _prep(c.pi, Xr)
+    (A0, B0), (A1, B1), (A2, B2) = (_coframe_roles(p, basis) for p in (p0, p1, p2))
+    lx = [_comps(lie_derivative_vvf(X, DiffForm.basis(chart, (a,)))) for a in range(n)]
+    LA, LB = _coframe_roles(p0, lx)
     for a in range(n):
         for b in range(a + 1, n):
-            da, db = DiffForm.basis(chart, (a,)), DiffForm.basis(chart, (b,))
-            lhs = (lie_derivative_vvf(X, concomitant_C(c.pi, c.r, da, db))
-                   - concomitant_C(c.pi, c.r, lie_derivative_vvf(X, da), db)
-                   - concomitant_C(c.pi, c.r, da, lie_derivative_vvf(X, db)))
-            rhs = (concomitant_C(Xpi, c.r, da, db)
-                   + concomitant_C(c.pi, Xr, da, db))
+            lhs = (lie_derivative_vvf(X, _pair(chart, p0, A0[a], B0[b]))
+                   - _pair(chart, p0, LA[a], B0[b])
+                   - _pair(chart, p0, A0[a], LB[b]))
+            rhs = (_pair(chart, p1, A1[a], B1[b])
+                   + _pair(chart, p2, A2[a], B2[b]))
             report.add_zero("concomitant Lie-derivative identity", lhs - rhs,
                             detail=f"(d{chart.coords[a]},d{chart.coords[b]})")
     return report

@@ -16,7 +16,7 @@ from lnlab.poly import Chart, Poly
 from lnlab.forms import (DiffForm, Multivector, VForm, exterior_d,
                          interior_vector, interior_vvf, lie_derivative_vvf,
                          sharp_matrix, vf_bracket, wedge)
-from lnlab.gder import GenDer
+from lnlab.gder import GenDer, build_drT, tangent_bundle
 from lnlab.matrix import mat_mul, mat_vec
 
 CH2 = Chart(("x", "y"))
@@ -196,6 +196,84 @@ def ref_concomitant_C(pi: Multivector, r: VForm, a: DiffForm,
             - map_bracket(S, interior_vvf(r, a), b)
             - map_bracket(S, a, interior_vvf(r, b))
             + interior_vvf(r, map_bracket(S, a, b)))
+
+
+
+# -- pair-by-pair references for the algebroid checkers ----------------------
+# Each returns (law, detail, passed, defect) per item, with every bracket,
+# anchor image and vector-field bracket recomputed through the public API.
+
+def ref_validate(A) -> list[tuple]:
+    """``AlgebroidStructure.validate`` with each frame bracket formed anew
+    for every pair and triple that reads it."""
+    rank, names = A.bundle.rank, A.bundle.frame
+    frames = [A.bundle.frame_section(a) for a in range(rank)]
+    items = []
+
+    def item(law, defect, detail):
+        items.append((law, detail, defect.is_zero, None if defect.is_zero else defect))
+
+    def br(x, y, z):
+        """[[u_x, u_y], u_z]"""
+        return A.section_bracket(A.section_bracket(frames[x], frames[y]), frames[z])
+    for a in range(rank):
+        for b in range(a + 1, rank):
+            item("anchor morphism",
+                 A.anchor_of(A.section_bracket(frames[a], frames[b]))
+                 - vf_bracket(A.anchor_of(frames[a]), A.anchor_of(frames[b])),
+                 f"({names[a]},{names[b]})")
+    for a in range(rank):
+        for b in range(a + 1, rank):
+            for c in range(b + 1, rank):
+                item("Jacobi identity", br(a, b, c) + br(b, c, a) + br(c, a, b),
+                     f"({names[a]},{names[b]},{names[c]})")
+    return items
+
+
+def ref_check_im(A, D: GenDer) -> list[tuple]:
+    """``check_im`` with every section bracket, anchor image, contraction and
+    vector-field bracket recomputed for each (a, b, X)."""
+    chart, rank, n = A.chart, A.bundle.rank, A.chart.dim
+    names = A.bundle.frame
+    frames = [A.bundle.frame_section(a) for a in range(rank)]
+    fields = [tangent_bundle(chart).frame_section(i) for i in range(n)]
+    Du, lf = D.d_frame, D.l_frame
+    items = []
+
+    def item(law, defect, detail):
+        items.append((law, detail, defect.is_zero, None if defect.is_zero else defect))
+    for a in range(rank):
+        for b in range(a + 1, rank):
+            ab = A.section_bracket(frames[a], frames[b])
+            for i, X in enumerate(fields):
+                item("IM bracket compatibility",
+                     D.extend(ab).insert_vector(X)
+                     - A.section_bracket(frames[a], Du[b].insert_vector(X))
+                     + A.section_bracket(frames[b], Du[a].insert_vector(X))
+                     - Du[a].insert_vector(vf_bracket(A.anchor_of(frames[b]), X))
+                     + Du[b].insert_vector(vf_bracket(A.anchor_of(frames[a]), X)),
+                     f"({names[a]},{names[b]};d/d{chart.coords[i]})")
+            item("IM symbol-bracket compatibility",
+                 D.apply_l(ab) - A.section_bracket(frames[a], lf[b])
+                 + Du[a].insert_vector(A.anchor_of(frames[b])),
+                 f"({names[a]},{names[b]})")
+    drT = build_drT(D.r)
+    for a in range(rank):
+        for i, X in enumerate(fields):
+            item("IM anchor intertwining",
+                 drT.extend(A.anchor_of(frames[a])).insert_vector(X)
+                 - A.anchor_of(Du[a].insert_vector(X)),
+                 f"({names[a]};d/d{chart.coords[i]})")
+    im4 = []
+    for a in range(rank):
+        r_rho = D.r.insert_vector(A.anchor_of(frames[a])).section_components()
+        rho_l = A.anchor_of(lf[a]).section_components()
+        for j, (p, q) in enumerate(zip(r_rho, rho_l)):
+            p = p - q
+            if not p.is_zero:
+                im4.append(((a, j), p))
+    items.append(("IM symbol square", "r o rho - rho o l", not im4, im4 or None))
+    return items
 
 
 # -- equality of derivations --------------------------------------------------

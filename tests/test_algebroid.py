@@ -8,7 +8,7 @@ import pytest
 from lnlab.poly import Chart, Poly, PolyError
 from lnlab.forms import Multivector, VForm, vf_bracket
 from lnlab.gder import (FramedBundle, GenDer, build_drT, build_drTstar,
-                        build_from_connection)
+                        build_from_connection, dual)
 from lnlab.algebroid import (AlgebroidStructure, FrameBivector, _add_cocycle,
                              ce_differential, check_bialgebroid, check_im,
                              cotangent_of_poisson, deform_algebroid,
@@ -17,7 +17,8 @@ from lnlab.catalog import example_names, example_source
 from lnlab.report import CheckReport
 from lnlab.scene import parse_scene
 
-from helpers import CH2, CH3, rnd_endo, rnd_poly, rnd_vf
+from helpers import (CH2, CH3, ref_check_im, ref_validate, rnd_endo, rnd_poly,
+                     rnd_vf)
 
 X = Poly.var(CH2, "x")
 Y = Poly.var(CH2, "y")
@@ -326,3 +327,96 @@ class TestIMEquations:
         rep = check_im(A, D)
         assert not rep.passed
         assert {i.law for i in rep.failures()} == {"IM symbol square"}
+
+
+def catalog_im_pairs():
+    """(A, D) for every catalog algebroid and degree-1 derivation on one
+    bundle, and (A*, dual D) for the algebroid on the dual bundle."""
+    out = []
+    for name in example_names():
+        objs = parse_scene(example_source(name)).objects
+        for kd, D in objs.items():
+            if not (isinstance(D, GenDer) and D.degree == 1):
+                continue
+            for ka, A in objs.items():
+                if isinstance(A, AlgebroidStructure) and A.bundle == D.bundle:
+                    out.append((f"{name}:{ka},{kd}", A, D))
+                elif isinstance(A, AlgebroidStructure) and A.bundle == D.bundle.dual():
+                    out.append((f"{name}:{ka},dual({kd})", A, dual(D)))
+    return out
+
+
+def random_gder(rng: random.Random, bundle: FramedBundle) -> GenDer:
+    """A degree-1 derivation with random D(u_a), l(u_a) and symbol."""
+    chart, rank = bundle.chart, bundle.rank
+    d_frame = [VForm(chart, 1, rank, {((i,), v): rnd_poly(rng, chart)
+                                      for i in range(chart.dim) for v in range(rank)})
+               for _ in range(rank)]
+    l_frame = [VForm.section(chart, [rnd_poly(rng, chart) for _ in range(rank)])
+               for _ in range(rank)]
+    return GenDer(bundle, 1, d_frame, l_frame, rnd_endo(rng, chart))
+
+
+def im_cases():
+    xpi = cotangent_of_poisson(Multivector(CH2, 2, {(0, 1): X}))
+    tm = tangent_algebroid(CH2)
+    return catalog_im_pairs() + [
+        ("T*M_pi0,drTstar(J2)", cotangent_of_poisson(PI0), build_drTstar(J2)),
+        ("TM,random", tm, random_gder(random.Random(61), tm.bundle)),
+        ("T*M_xpi0,random", xpi, random_gder(random.Random(62), xpi.bundle))]
+
+
+IM_CASES = im_cases()
+
+
+def items(report: CheckReport) -> list[tuple]:
+    return [(i.law, i.detail, i.passed, i.defect) for i in report.items]
+
+
+class TestIMItems:
+    @pytest.mark.parametrize("label, A, D", IM_CASES, ids=[c[0] for c in IM_CASES])
+    def test_items_match_pairwise_recomputation(self, label, A, D):
+        assert items(check_im(A, D)) == ref_check_im(A, D)
+
+    def test_corpus_passes_and_fails_on_every_law(self):
+        assert len(catalog_im_pairs()) == 4
+        assert all(check_im(A, D).passed for _, A, D in catalog_im_pairs())
+        failing = {label: {law for law, _, passed, _ in ref_check_im(A, D) if not passed}
+                   for label, A, D in IM_CASES}
+        assert failing["T*M_pi0,drTstar(J2)"] == {"IM symbol square"}
+        laws = {"IM bracket compatibility", "IM anchor intertwining"}
+        assert laws <= failing["TM,random"] and laws <= failing["T*M_xpi0,random"]
+
+
+def validate_cases():
+    ch = Chart(("t",))
+    z, o = Poly.zero(ch), Poly.const(ch, 1)
+    jacobi = AlgebroidStructure(FramedBundle(ch, ("e1", "e2", "e3")), [[z]] * 3,
+                                {(0, 1): [z, z, o], (1, 2): [o, z, z], (0, 2): [-o, z, z]})
+    Y3, X3 = Poly.var(CH3, "y"), Poly.var(CH3, "x")
+    non_poisson = cotangent_of_poisson(Multivector(CH3, 2, {(0, 1): Y3, (1, 2): X3}))
+    twisted = deform_algebroid(tangent_algebroid(CH3),
+                               rnd_endo(random.Random(63), CH3).matrix())
+    cases = [(f"{name}:{key}", obj) for name in example_names()
+             for key, obj in parse_scene(example_source(name)).objects.items()
+             if isinstance(obj, AlgebroidStructure)]
+    return cases + [("rank3-jacobi", jacobi), ("non-poisson", non_poisson),
+                    ("deformed-TM", twisted)]
+
+
+VALIDATE_CASES = validate_cases()
+
+
+class TestValidateItems:
+    @pytest.mark.parametrize("label, A", VALIDATE_CASES,
+                             ids=[c[0] for c in VALIDATE_CASES])
+    def test_items_match_pairwise_recomputation(self, label, A):
+        assert items(A.validate()) == ref_validate(A)
+
+    def test_corpus_fails_both_laws(self):
+        failing = {label: {law for law, _, passed, _ in ref_validate(A) if not passed}
+                   for label, A in VALIDATE_CASES}
+        assert failing["rank3-jacobi"] == {"Jacobi identity"}
+        assert failing["non-poisson"] == {"anchor morphism", "Jacobi identity"}
+        assert failing["deformed-TM"] == {"anchor morphism", "Jacobi identity"}
+        assert not any(failing[label] for label, _ in VALIDATE_CASES if ":" in label)

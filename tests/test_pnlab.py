@@ -9,6 +9,7 @@ from lnlab.poly import Chart, Poly, PolyError
 from lnlab.forms import DiffForm, Multivector, VForm, schouten
 from lnlab.algebroid import (AlgebroidStructure, deform_algebroid,
                              tangent_algebroid)
+from lnlab import pnlab
 from lnlab.pnlab import (PNCandidate, check_pn, concomitant_C, concomitant_R,
                          hierarchy, kosmann_equivalence, mm1_identity,
                          selfadj_defect)
@@ -133,6 +134,40 @@ class TestMM1:
         rng = random.Random(106)
         c = PNCandidate(rnd_bivector(rng, CH3), rnd_endo(rng, CH3))
         assert mm1_identity(c, rnd_vf(rng, CH3)).passed
+
+    def test_holds_in_dimensions_one_to_four(self):
+        """Non-selfadjoint composites r o pi# in dimensions 2-4, so each of
+        the three (bivector, endomorphism) preps and each role enters."""
+        for seed in range(20):
+            rng = random.Random(1300 + seed)
+            chart = Chart(("x", "y", "z", "w")[:1 + seed % 4])
+            c = PNCandidate(rnd_bivector(rng, chart), rnd_endo(rng, chart))
+            if chart.dim > 1:
+                assert any(not p.is_zero for row in selfadj_defect(c.pi, c.r)
+                           for p in row)
+            rep = mm1_identity(c, rnd_vf(rng, chart))
+            assert rep.passed
+            assert len(rep.items) == chart.dim * (chart.dim - 1) // 2
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_shares_preps_and_lie_derivatives(self, monkeypatch, n):
+        """Three sharp matrices, one per (bivector, endomorphism), and one Lie
+        derivative per L_X dx_a and per L_X C(dx_a, dx_b)."""
+        counts = {"sharp": 0, "lie": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+        monkeypatch.setattr(pnlab, "sharp_matrix", counted("sharp", pnlab.sharp_matrix))
+        monkeypatch.setattr(pnlab, "lie_derivative_vvf",
+                            counted("lie", pnlab.lie_derivative_vvf))
+        rng = random.Random(1400 + n)
+        chart = Chart(("x", "y", "z", "w")[:n])
+        c = PNCandidate(rnd_bivector(rng, chart), rnd_endo(rng, chart))
+        assert mm1_identity(c, rnd_vf(rng, chart)).passed
+        assert counts == {"sharp": 3, "lie": n + n * (n - 1) // 2}
 
 
 class TestKosmann:
