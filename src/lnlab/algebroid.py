@@ -360,23 +360,22 @@ def check_im(A: AlgebroidStructure, D: GenDer) -> CheckReport:
     anchors = [VForm.section(chart, row) for row in A.anchor]
     coord_fields = [tangent_bundle(chart).frame_section(i) for i in range(n)]
     Du = D.d_frame
-    # D_{d/dx_i}(u_b), its rho and [rho(u_b), d/dx_i] once per (b, i)
+    # D_{d/dx_i}(u_b) and its rho once per (b, i)
     DX = [[Du[b].insert_vector(X).section_components() for X in coord_fields]
           for b in range(rank)]
     rho_DX = [[A._rho(c) for c in row] for row in DX]
-    W = [[vf_bracket(anchors[b], X) for X in coord_fields] for b in range(rank)]
     l_rows = [v.section_components() for v in D.l_frame]
     rho_l = [A._rho(c) for c in l_rows]
     for a in range(rank):
         for b in range(a + 1, rank):
             ab = A.frame_bracket(a, b)
             D_ab = D.extend(ab)
-            for i in range(n):
-                defect = (D_ab.insert_vector(coord_fields[i])
+            for i, X in enumerate(coord_fields):
+                defect = (D_ab.insert_vector(X)
                           - A._bracket(units[a], A.anchor[a], DX[b][i], rho_DX[b][i])
                           + A._bracket(units[b], A.anchor[b], DX[a][i], rho_DX[a][i])
-                          - Du[a].insert_vector(W[b][i])
-                          + Du[b].insert_vector(W[a][i]))
+                          - Du[a].insert_vector(vf_bracket(anchors[b], X))
+                          + Du[b].insert_vector(vf_bracket(anchors[a], X)))
                 report.add_zero("IM bracket compatibility", defect,
                                 detail=f"({names[a]},{names[b]};d/d{chart.coords[i]})")
             defect2 = (D.apply_l(ab)

@@ -14,7 +14,6 @@ verdict failed, 2 malformed input, 3 resource bound exceeded.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 
 from . import __version__
@@ -34,7 +33,6 @@ EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lnlab",

@@ -18,7 +18,7 @@ from lnlab.forms import DiffForm, Multivector, VForm
 from lnlab.gder import FramedBundle
 from lnlab.algebroid import AlgebroidStructure, check_bialgebroid
 from lnlab.catalog import example_names, example_source
-from lnlab.cli import _build_parser, main
+from lnlab.cli import main
 from lnlab.report import CheckItem
 from lnlab.scene import SceneError, parse_scene, render, run
 
@@ -309,41 +309,6 @@ class TestCheckCommand:
             main(["--max-degree", "70000", "check", scene_file(PN_SCENE)])
         assert exc.value.code == 2
         assert "--max-degree must be from 1 to 65535" in capsys.readouterr().err
-        assert get_degree_limit() == 64
-
-    def test_consecutive_calls_match_calls_made_alone(self, scene_file):
-        """The parser is built once per process; a run's flags still reach
-        only that run."""
-        mm1 = scene_file(json.dumps({
-            "chart": ["x", "y"], "objects": {},
-            "checks": [{"check": "mm1_random", "dims": [2, 3], "count": 2}]}),
-            "mm1.json")
-        heavy = scene_file(PN_SCENE.replace('[["x", "0"], ["0", "x"]]',
-                                            '[["0", "y^3"], ["x^3", "0"]]'))
-        calls = [["--seed", "3", "check", mm1],
-                 ["--max-degree", "4", "check", heavy, "--format", "table"],
-                 ["--seed", "4", "check", mm1, "--format", "table"],
-                 ["check", heavy]]
-
-        def call(argv):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-            return code, re.sub(r"\(\d+\.\d+s\)", "(N.NNs)", out.getvalue()), err.getvalue()
-
-        alone = []
-        for argv in calls:
-            _build_parser.cache_clear()
-            alone.append(call(argv))
-        assert [c for c, _, _ in alone] == [0, 3, 0, 1]
-        assert alone[0][1] != alone[2][1]
-        _build_parser.cache_clear()
-        assert [call(argv) for argv in calls] == alone
-        assert _build_parser.cache_info().misses == 1
-        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
-            main(["--max-degree", "0", "check", mm1])
-        assert exc.value.code == 2
-        assert call(calls[0]) == alone[0]
         assert get_degree_limit() == 64
 
 
