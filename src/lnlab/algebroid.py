@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .poly import Chart, Poly, PolyError
-from .forms import (Multivector, VForm, _Alternating, _accumulate, derivative,
-                    sharp_matrix, schouten, vf_bracket)
+from .poly import Chart, Poly, PolyError, _Sum
+from .forms import (Multivector, VForm, _Alternating, _accumulate, _derive_into,
+                    _sums, sharp_matrix, schouten, vf_bracket)
 from .gder import (FramedBundle, GenDer, build_drT, cotangent_bundle,
                    tangent_bundle)
 from .matrix import identity, mat_mul, mat_vec, transpose
@@ -92,11 +92,12 @@ class AlgebroidStructure:
 
     def _rho(self, comps: list[Poly]) -> list[Poly]:
         """rho(s) = sum_a s_a rho(u_a) on a component list."""
-        out = [Poly.zero(self.chart)] * self.chart.dim
+        out = [_Sum(self.chart) for _ in range(self.chart.dim)]
         for s_a, row in zip(comps, self.anchor):
             if s_a:
-                out = [acc + s_a * p if p else acc for acc, p in zip(out, row)]
-        return out
+                for acc, p in zip(out, row):
+                    acc.add(s_a, p)
+        return [acc.poly() for acc in out]
 
     def anchor_of(self, section: VForm) -> VForm:
         """rho applied to a polynomial section; a vector field."""
@@ -120,20 +121,18 @@ class AlgebroidStructure:
         rank = self.bundle.rank
         out: dict = {}
         for (a, b), comps in self.structure.items():
-            f = Poly.zero(self.chart)
-            if sc[a] and tc[b]:
-                f = sc[a] * tc[b]
-            if sc[b] and tc[a]:
-                f = f - sc[b] * tc[a]
+            acc = _Sum(self.chart)
+            acc.add(sc[a], tc[b])
+            acc.add(sc[b], tc[a], -1)
+            f = acc.poly()
             if f:
                 for v, c in enumerate(comps):
                     if c:
-                        _accumulate(out, ((), v), c * f)
+                        _accumulate(out, ((), v), c, f)
         for b in range(rank):
-            acc = derivative(rho_s, tc[b]) - derivative(rho_t, sc[b])
-            if acc:
-                _accumulate(out, ((), b), acc)
-        return VForm._trusted(self.chart, 0, rank, out)
+            _derive_into(out, ((), b), rho_s, tc[b])
+            _derive_into(out, ((), b), rho_t, sc[b], -1)
+        return VForm._trusted(self.chart, 0, rank, _sums(out))
 
     def validate(self) -> CheckReport:
         """Jacobi identity on frame triples, anchor morphism on frame pairs."""
@@ -177,16 +176,14 @@ class AlgebroidStructure:
         rank = self.bundle.rank
         out: dict = {}
         for (a, b), p in P.coeffs.items():
-            dp = derivative(rho_s, p)
-            if dp:
-                _accumulate(out, (a, b), dp)
+            _derive_into(out, (a, b), rho_s, p)
             # p [s, u_a] ^ u_b + p u_a ^ [s, u_b], expanded over the frame
             for c in range(rank):
                 for x, y, f in ((c, b, brackets[a][c]), (a, c, brackets[b][c])):
                     if f and x != y:
-                        t = f * p
-                        _accumulate(out, (min(x, y), max(x, y)), t if x < y else -t)
-        return FrameBivector._trusted(self.bundle, out)
+                        _accumulate(out, (min(x, y), max(x, y)), f, p,
+                                    1 if x < y else -1)
+        return FrameBivector._trusted(self.bundle, _sums(out))
 
 
 def tangent_algebroid(chart: Chart) -> AlgebroidStructure:
@@ -273,17 +270,14 @@ def ce_differential(Astar: AlgebroidStructure, section: VForm) -> FrameBivector:
     if len(comps) != rank:
         raise PolyError("section rank does not match the dual structure")
     A_bundle = Astar.bundle.dual()
-    out: dict[tuple[int, int], Poly] = {}
+    out: dict = {}
     for a in range(rank):
         for b in range(a + 1, rank):
-            acc = (derivative(Astar.anchor[a], comps[b])
-                   - derivative(Astar.anchor[b], comps[a]))
-            cab = Astar.structure.get((a, b))
-            if cab is not None:
-                for k in range(rank):
-                    acc = acc - cab[k] * comps[k]
-            out[(a, b)] = acc
-    return FrameBivector._trusted(A_bundle, out)
+            _derive_into(out, (a, b), Astar.anchor[a], comps[b])
+            _derive_into(out, (a, b), Astar.anchor[b], comps[a], -1)
+            for c, s in zip(Astar.structure.get((a, b), ()), comps):
+                _accumulate(out, (a, b), c, s, -1)
+    return FrameBivector._trusted(A_bundle, _sums(out))
 
 
 def check_bialgebroid(A: AlgebroidStructure, Astar: AlgebroidStructure) -> CheckReport:

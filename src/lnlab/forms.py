@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .matrix import identity, mat_vec
-from .poly import Chart, Poly, PolyError
+from .poly import Chart, Poly, PolyError, _Sum
 
 __all__ = [
     "DiffForm",
@@ -75,10 +75,18 @@ def sort_index(idx: Sequence[int]) -> tuple[Index, int] | None:
     return tuple(lst), sign
 
 
-def _accumulate(out: dict, key, term: Poly) -> None:
-    """Add ``term`` into ``out[key]``; the first term is stored as it is."""
-    prev = out.get(key)
-    out[key] = term if prev is None else prev + term
+def _accumulate(out: dict, key, x: Poly, y: Poly | None = None, sign: int = 1) -> None:
+    """Add ``sign * x * y`` (``sign * x`` without ``y``) into the sum at
+    ``out[key]``; ``_sums`` finishes the map."""
+    acc = out.get(key)
+    if acc is None:
+        acc = out[key] = _Sum(x.chart)
+    acc.add(x, y, sign)
+
+
+def _sums(out: dict) -> dict:
+    """The coefficient map of finished sums that ``_accumulate`` built."""
+    return {key: acc.poly() for key, acc in out.items()}
 
 
 class _Alternating:
@@ -239,9 +247,8 @@ def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
             m = sort_index(ia + ib)
             if m is None:
                 continue
-            key, sign = m
-            _accumulate(out, key, pa * pb * sign)
-    return a._trusted(a.chart, deg, out)
+            _accumulate(out, m[0], pa, pb, m[1])
+    return a._trusted(a.chart, deg, _sums(out))
 
 
 def exterior_d(a: DiffForm) -> DiffForm:
@@ -259,9 +266,8 @@ def exterior_d(a: DiffForm) -> DiffForm:
             m = sort_index((i,) + idx)
             if m is None:
                 continue
-            key, sign = m
-            _accumulate(out, key, dp * sign)
-    return DiffForm._trusted(chart, deg, out)
+            _accumulate(out, m[0], dp, None, m[1])
+    return DiffForm._trusted(chart, deg, _sums(out))
 
 
 def interior_vector(comps: Sequence[Poly], a: DiffForm) -> DiffForm:
@@ -276,8 +282,8 @@ def interior_vector(comps: Sequence[Poly], a: DiffForm) -> DiffForm:
             if comps[i].is_zero:
                 continue
             rest = idx[:pos] + idx[pos + 1:]
-            _accumulate(out, rest, p * comps[i] * ((-1) ** pos))
-    return a._trusted(chart, a.degree - 1, out)
+            _accumulate(out, rest, p, comps[i], (-1) ** pos)
+    return a._trusted(chart, a.degree - 1, _sums(out))
 
 
 class VForm(_Alternating):
@@ -380,9 +386,8 @@ class VForm(_Alternating):
                 for (idx, v), p in self.coeffs.items():
                     m = sort_index(ia + idx)
                     if m is not None:
-                        t = pa * p
-                        _accumulate(out, (m[0], v), t if m[1] > 0 else -t)
-        return VForm._trusted(self.chart, deg, self.vals, out)
+                        _accumulate(out, (m[0], v), pa, p, m[1])
+        return VForm._trusted(self.chart, deg, self.vals, _sums(out))
 
     def insert_vector(self, X: "VForm") -> "VForm":
         """Contract a vector field into the first form slot, slot by slot:
@@ -396,10 +401,9 @@ class VForm(_Alternating):
         for (idx, v), p in self.coeffs.items():
             for pos, i in enumerate(idx):
                 if comps[i]:
-                    t = p * comps[i]
                     rest = idx[:pos] + idx[pos + 1:]
-                    _accumulate(out, (rest, v), -t if pos % 2 else t)
-        return VForm._trusted(self.chart, self.degree - 1, self.vals, out)
+                    _accumulate(out, (rest, v), p, comps[i], -1 if pos % 2 else 1)
+        return VForm._trusted(self.chart, self.degree - 1, self.vals, _sums(out))
 
     def render(self, frame: Sequence[str]) -> str:
         names = self.chart.coords
@@ -450,9 +454,8 @@ def interior_vvf(K: VForm, a: DiffForm) -> DiffForm:
             pos = J.index(v)
             m = sort_index(idx + J[:pos] + J[pos + 1:])
             if m is not None:
-                t = q * p
-                _accumulate(out, m[0], t if m[1] == (-1) ** pos else -t)
-    return DiffForm._trusted(K.chart, deg, out)
+                _accumulate(out, m[0], q, p, m[1] * (-1) ** pos)
+    return DiffForm._trusted(K.chart, deg, _sums(out))
 
 
 def lie_derivative_vvf(K: VForm, a: DiffForm) -> DiffForm:
@@ -471,19 +474,27 @@ def _lie_vvf(K: VForm, a: DiffForm, da: DiffForm) -> DiffForm:
 
 def derivative(comps: Sequence[Poly], p: Poly) -> Poly:
     """X(p) = sum_i X^i d_i p for the vector field with components ``comps``."""
-    acc = Poly.zero(p.chart)
+    out: dict = {}
+    _derive_into(out, 0, comps, p)
+    return out[0].poly() if out else Poly.zero(p.chart)
+
+
+def _derive_into(out: dict, key, comps: Sequence[Poly], p: Poly, sign: int = 1) -> None:
+    """Add ``sign * derivative(comps, p)`` into the sum at ``out[key]``."""
     for i, c in enumerate(comps):
         if c:
-            acc = acc + c * p.diff(i)
-    return acc
+            _accumulate(out, key, c, p.diff(i), sign)
 
 
 def vf_bracket(X: VForm, Y: VForm) -> VForm:
     """Lie bracket of vector fields."""
     _check_tangent(X)
     xs, ys = X.section_components(), Y.section_components()
-    return VForm.section(X.chart, [derivative(xs, y) - derivative(ys, x)
-                                   for x, y in zip(xs, ys)])
+    out: dict = {}
+    for v, (x, y) in enumerate(zip(xs, ys)):
+        _derive_into(out, ((), v), xs, y)
+        _derive_into(out, ((), v), ys, x, -1)
+    return VForm._trusted(X.chart, 0, len(xs), _sums(out))
 
 
 def frolicher_nijenhuis(K: VForm, L: VForm) -> VForm:
@@ -509,8 +520,7 @@ def frolicher_nijenhuis(K: VForm, L: VForm) -> VForm:
         # sign * x * y dx_idx (x) d/dx_v
         m = sort_index(idx) if x and y else None
         if m is not None:
-            t = x * y
-            _accumulate(acc, (m[0], v), t if m[1] == sign else -t)
+            _accumulate(acc, (m[0], v), x, y, m[1] * sign)
 
     # phi = pa dx_ia (x) d/dx_va, psi = pb dx_ib (x) d/dx_vb
     for ia, va, pa, dpa in dK:
@@ -530,7 +540,7 @@ def frolicher_nijenhuis(K: VForm, L: VForm) -> VForm:
                 rest = ia[:pos] + ia[pos + 1:]
                 for i in range(n):
                     add(rest + (i,) + ib, va, pa, dpb[i], (-1) ** (pos + k))
-    return VForm._trusted(chart, K.degree + L.degree, n, acc)
+    return VForm._trusted(chart, K.degree + L.degree, n, _sums(acc))
 
 
 def nijenhuis_torsion(r: VForm) -> VForm:
@@ -585,8 +595,7 @@ def schouten(P: Multivector, Q: Multivector) -> Multivector:
         # sign * x * y xi_idx
         m = sort_index(idx) if x and y else None
         if m is not None:
-            t = x * y
-            _accumulate(out, m[0], t if m[1] == sign else -t)
+            _accumulate(out, m[0], x, y, m[1] * sign)
 
     for I, c, dc in dP:
         for J, e, de in dQ:
@@ -594,7 +603,7 @@ def schouten(P: Multivector, Q: Multivector) -> Multivector:
                 add(I[:s] + I[s + 1:] + J, c, de[i], (-1) ** (p - 1 - s))
             for t, j in enumerate(J):
                 add(I + J[:t] + J[t + 1:], e, dc[j], -(-1) ** t)
-    return Multivector._trusted(chart, deg, out)
+    return Multivector._trusted(chart, deg, _sums(out))
 
 
 def sharp(P: Multivector, a: DiffForm) -> VForm:
@@ -619,10 +628,10 @@ def pairing(a: DiffForm, X: VForm) -> Poly:
     if a.degree != 1 or X.degree != 0:
         raise ValueError("pairing needs a 1-form and a vector field")
     comps = X.section_components()
-    acc = Poly.zero(a.chart)
+    acc = _Sum(a.chart)
     for i in range(a.chart.dim):
-        acc = acc + a.coeff((i,)) * comps[i]
-    return acc
+        acc.add(a.coeff((i,)), comps[i])
+    return acc.poly()
 
 
 def bivector_from_sharp(chart: Chart, S: Sequence[Sequence[Poly]]) -> Multivector:

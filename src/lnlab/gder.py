@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .poly import Chart, Poly, PolyError
-from .forms import (DiffForm, VForm, _accumulate, _lie_vvf, exterior_d,
+from .forms import (DiffForm, VForm, _accumulate, _lie_vvf, _sums, exterior_d,
                     frolicher_nijenhuis, interior_vvf, vf_bracket)
 
 __all__ = [
@@ -132,7 +132,7 @@ class GenDer:
         for a, alpha in self._slots(eta):
             _add_into(out, self.l_frame[a].wedge_scalar(alpha).coeffs, 1)
         return VForm._trusted(self.bundle.chart, eta.degree + self.degree - 1,
-                              self.bundle.rank, out)
+                              self.bundle.rank, _sums(out))
 
     def extend(self, eta: VForm) -> VForm:
         """Extension to E-valued forms.
@@ -156,7 +156,7 @@ class GenDer:
                 _add_into(out, self.l_frame[a].wedge_scalar(dalpha).coeffs, (-1) ** j)
             _add_into(out, _in_slot(_lie_vvf(self.r, alpha, dalpha), a),
                       -((-1) ** (j * k)))
-        return VForm._trusted(chart, j + k, self.bundle.rank, out)
+        return VForm._trusted(chart, j + k, self.bundle.rank, _sums(out))
 
     def leibniz_defect(self, f: Poly, section: VForm) -> VForm:
         """D(f u) - f D(u) - df ^ l(u) + <df, r> (x) u; zero by construction,
@@ -169,9 +169,10 @@ class GenDer:
             _add_into(out, self.apply_l(section).wedge_scalar(df).coeffs, -1)
         rdf = interior_vvf(self.r, df)
         for a, g in enumerate(section.section_components()):
-            if g:
-                _add_into(out, {(idx, a): p * g for idx, p in rdf.coeffs.items()}, 1)
-        return VForm._trusted(self.bundle.chart, self.degree, self.bundle.rank, out)
+            for idx, p in rdf.coeffs.items():
+                _accumulate(out, (idx, a), p, g)
+        return VForm._trusted(self.bundle.chart, self.degree, self.bundle.rank,
+                              _sums(out))
 
     def __neg__(self) -> "GenDer":
         lf = None if self.l_frame is None else [-v for v in self.l_frame]
@@ -187,7 +188,7 @@ class GenDer:
 def _add_into(out: dict, coeffs: dict, sign: int) -> None:
     """Accumulate ``sign`` times the coefficient map ``coeffs`` into ``out``."""
     for key, p in coeffs.items():
-        _accumulate(out, key, p if sign > 0 else -p)
+        _accumulate(out, key, p, None, sign)
 
 
 def _in_slot(a: DiffForm, v: int) -> dict:
@@ -217,7 +218,7 @@ def bracket(D1: GenDer, D2: GenDer) -> GenDer:
         d_val: dict = {}
         _add_into(d_val, D2.extend(D1u).coeffs, 1)
         _add_into(d_val, D1.extend(D2u).coeffs, -sign)
-        d_out.append(VForm._trusted(bundle.chart, k, bundle.rank, d_val))
+        d_out.append(VForm._trusted(bundle.chart, k, bundle.rank, _sums(d_val)))
         if k == 0:
             continue
         # graded commutators [D2, l1] and [D1, l2] on the frame section
@@ -230,7 +231,7 @@ def bracket(D1: GenDer, D2: GenDer) -> GenDer:
             _add_into(parts, D1.extend(D2.l_frame[a]).coeffs, -sign)
             _add_into(parts, D2.apply_l(D1u).coeffs,
                       sign * (-1) ** (k1 * (k2 - 1)))
-        l_out.append(VForm._trusted(bundle.chart, k - 1, bundle.rank, parts))
+        l_out.append(VForm._trusted(bundle.chart, k - 1, bundle.rank, _sums(parts)))
     r_out = frolicher_nijenhuis(D1.r, D2.r)
     return GenDer(bundle, k, d_out, l_out if k > 0 else None, r_out)
 
@@ -326,7 +327,7 @@ def build_from_connection(bundle: FramedBundle,
             _add_into(out, lr.apply_l(grad).coeffs, 1)
         for b, w in grad.slot_components().items():
             _add_into(out, _in_slot(interior_vvf(r, w), b), -1)
-        d_out.append(VForm._trusted(chart, k, rank, out))
+        d_out.append(VForm._trusted(chart, k, rank, _sums(out)))
     return GenDer(bundle, k, d_out, lr.l_frame, r)
 
 

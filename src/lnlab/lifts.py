@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .poly import Chart, Poly, PolyError, _rechart
-from .forms import (DiffForm, VForm, _accumulate, frolicher_nijenhuis,
+from .forms import (DiffForm, VForm, _accumulate, _sums, frolicher_nijenhuis,
                     sort_index, vf_bracket)
 from .gder import FramedBundle, GenDer, build_drT, build_drTstar
 from .report import CheckReport
@@ -139,8 +139,8 @@ def phi_up(tc: TotalChart, phi_frame: list[VForm]) -> VForm:
             raise PolyError("phi_frame entry has wrong shape")
         xi = Poly.coord(tc.chart, tc.fiber_index(a))
         for (idx, b), p in val.coeffs.items():
-            _accumulate(coeffs, (idx, tc.fiber_index(b)), tc.pull(p) * xi)
-    return VForm(tc.chart, k, tc.dim, coeffs)
+            _accumulate(coeffs, (idx, tc.fiber_index(b)), tc.pull(p), xi)
+    return VForm(tc.chart, k, tc.dim, _sums(coeffs))
 
 
 def linearize(D: GenDer) -> VForm:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .poly import Chart, Poly
+from .poly import Chart, Poly, _Sum
 
 __all__ = ["Matrix", "mat_mul", "mat_vec", "transpose", "identity"]
 
@@ -19,11 +19,15 @@ Matrix = list[list[Poly]]
 
 
 def _dot(xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:
-    acc = Poly.zero(xs[0].chart)
+    acc = _Sum(xs[0].chart)
+    _dot_into(acc, xs, ys)
+    return acc.poly()
+
+
+def _dot_into(acc: _Sum, xs: Sequence[Poly], ys: Sequence[Poly], sign: int = 1) -> None:
+    """Add ``sign`` times the dot product of xs and ys into ``acc``."""
     for x, y in zip(xs, ys):
-        if x and y:
-            acc = acc + x * y
-    return acc
+        acc.add(x, y, sign)
 
 
 def mat_vec(M: Sequence[Sequence[Poly]], v: Sequence[Poly]) -> list[Poly]:

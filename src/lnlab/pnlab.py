@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import Chart, Poly, PolyError
+from .poly import Chart, Poly, PolyError, _Sum
 from .forms import (DiffForm, Multivector, VForm, _check_tangent,
                     bivector_from_sharp, frolicher_nijenhuis, interior_vvf,
                     lie_derivative_vvf, nijenhuis_torsion, schouten, sharp,
@@ -17,7 +17,7 @@ from .forms import (DiffForm, Multivector, VForm, _check_tangent,
 from .algebroid import (_add_cocycle, cotangent_of_poisson, deform_algebroid,
                         tangent_algebroid)
 from .gder import tangent_bundle
-from .matrix import _dot, identity, mat_mul, mat_vec, transpose
+from .matrix import _dot, _dot_into, identity, mat_mul, mat_vec, transpose
 from .report import CheckReport
 
 __all__ = [
@@ -99,12 +99,16 @@ def _pair(chart: Chart, prep, a_role, b_role) -> DiffForm:
     pa, U, dUt, dpat, da, dra = a_role
     bv, rb, pb, V, db, drb = b_role
     ab = [_dot(pa + bv + pb, db[v] + dpat[v] + da[v]) for v in range(len(bv))]
-    rab = mat_vec(prep[2], ab)
+    # one sum per k; the products of r*([a, b]_pi) go in first for every k,
+    # which fixes the product that a degree-bound error reports
+    sums = [_Sum(chart) for _ in bv]
+    for acc, row in zip(sums, prep[2]):
+        _dot_into(acc, row, ab)
     pos, neg = U + bv + V, pa + rb + pb
-    return DiffForm._trusted(chart, 1, {
-        (k,): _dot(pos, db[k] + dUt[k] + da[k])
-        - _dot(neg, drb[k] + dpat[k] + dra[k]) + rab[k]
-        for k in range(len(bv))})
+    for k, acc in enumerate(sums):
+        _dot_into(acc, pos, db[k] + dUt[k] + da[k])
+        _dot_into(acc, neg, drb[k] + dpat[k] + dra[k], -1)
+    return DiffForm._trusted(chart, 1, {(k,): acc.poly() for k, acc in enumerate(sums)})
 
 
 def concomitant_C(pi: Multivector, r: VForm, a: DiffForm, b: DiffForm) -> DiffForm:

@@ -14,6 +14,14 @@ descending key order is graded-lex order.  A slot holds at most
 ``MAX_DEGREE_LIMIT``, so the degree limit cannot be set above it; since a
 product is checked against the limit before it is formed, no slot ever
 carries into its neighbour.
+
+A sum of products (a bracket, a wedge, a matrix product) is built by the
+private accumulator ``_Sum``: its terms are added in place into one map of
+numerators over one shared denominator, and the finished sum gets one gcd
+pass, not one per term.  Each product is checked against the chart and the
+degree bound as it is added.  ``+``, ``-`` and ``Poly * Poly`` are each one
+step of a fresh accumulator, so the merge loop, the product loop and the
+degree check exist once.
 """
 
 from __future__ import annotations
@@ -152,8 +160,9 @@ class Poly:
 
     Input is validated once, here and in the named constructors and the
     parser.  Results of ``+ - * neg diff **`` are built from valid operands
-    and bypass that validation; the degree bound is enforced by ``*`` on
-    the product's total degree.
+    and bypass that validation; the degree bound is enforced on each
+    product's total degree by the sum accumulator ``_Sum``, which ``*``
+    goes through.
     """
 
     # _hash and _terms are caches, unset until first asked for
@@ -224,42 +233,19 @@ class Poly:
 
     # -- ring operations ---------------------------------------------------
 
-    def _check(self, other: "Poly") -> None:
-        if self.chart is not other.chart and self.chart != other.chart:
-            raise PolyError(f"chart mismatch: {self.chart} vs {other.chart}")
-
     def __add__(self, other: "Poly | Scalar") -> "Poly":
-        if other.__class__ is not Poly:
-            other = Poly.const(self.chart, other)
-        if self.chart is not other.chart:
-            self._check(other)
-        d1, d2 = self._den, other._den
-        if d1 == d2:
-            num = dict(self._num)
-            b = other._num
-            den = d1
-        else:
-            den = lcm(d1, d2)
-            m1, m2 = den // d1, den // d2
-            num = {k: c * m1 for k, c in self._num.items()}
-            b = {k: c * m2 for k, c in other._num.items()}
-        get = num.get
-        for k, c in b.items():
-            s = get(k)
-            if s is None:
-                num[k] = c
-                continue
-            s += c
-            if s:
-                num[k] = s
-            else:
-                del num[k]
-        if den == 1:
-            return _make(self.chart, num, 1)
-        return _reduced(self.chart, num, den)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Poly | Scalar") -> "Poly":
-        return self + (-self._coerce(other))
+        return self._plus(other, -1)
+
+    def _plus(self, other: "Poly | Scalar", sign: int) -> "Poly":
+        if other.__class__ is not Poly:
+            other = Poly.const(self.chart, other)
+        acc = _Sum(self.chart)
+        acc.num, acc.den = dict(self._num), self._den
+        acc.add(other, None, sign)
+        return acc.poly()
 
     def __neg__(self) -> "Poly":
         return _make(self.chart, {k: -c for k, c in self._num.items()}, self._den)
@@ -280,32 +266,9 @@ class Poly:
             if b == 1:
                 return _make(self.chart, num, den)
             return _reduced(self.chart, num, den * b)
-        if self.chart is not other.chart:
-            self._check(other)
-        a, b = self._num, other._num
-        if not a or not b:
-            return Poly.zero(self.chart)
-        limit = _DEGREE_LIMIT
-        shift = SLOT_BITS * len(self.chart.coords)
-        if (max(a) >> shift) + (max(b) >> shift) > limit:
-            # Over Q the product has exactly this total degree.  Report the
-            # first monomial past the bound, in product order.
-            d = next(s + t for s in (k >> shift for k in a)
-                     for t in (k >> shift for k in b) if s + t > limit)
-            raise GrowthLimitError(f"monomial degree {d} exceeds limit {limit}")
-        out: dict[int, int] = {}
-        get = out.get
-        bitems = b.items()
-        for k1, c1 in a.items():
-            for k2, c2 in bitems:
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
-        if 0 in out.values():
-            out = {k: c for k, c in out.items() if c}
-        den = self._den * other._den
-        if den == 1:
-            return _make(self.chart, out, 1)
-        return _reduced(self.chart, out, den)
+        acc = _Sum(self.chart)
+        acc.add(self, other)
+        return acc.poly()
 
     __rmul__ = __mul__
     __radd__ = __add__
@@ -405,6 +368,70 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({render(self)})"
+
+
+def _check_chart(chart: Chart, p: Poly) -> None:
+    if chart is not p.chart and chart != p.chart:
+        raise PolyError(f"chart mismatch: {chart} vs {p.chart}")
+
+
+class _Sum:
+    """A sum of terms ``sign * x * y`` (``sign * x`` when ``y`` is None),
+    built in place over one shared denominator (see the module docstring)."""
+
+    __slots__ = ("chart", "num", "den")
+
+    def __init__(self, chart: Chart) -> None:
+        self.chart, self.num, self.den = chart, {}, 1
+
+    def add(self, x: Poly, y: Poly | None = None, sign: int = 1) -> None:
+        chart = self.chart
+        if x.chart is not chart:
+            _check_chart(chart, x)
+        a = x._num
+        if y is None:
+            d = x._den
+        else:
+            if y.chart is not chart:
+                _check_chart(chart, y)
+            b, d = y._num, x._den * y._den
+            if not b:
+                return
+            shift, limit = SLOT_BITS * len(chart.coords), _DEGREE_LIMIT
+            if a and (max(a) >> shift) + (max(b) >> shift) > limit:
+                # Over Q the product has exactly this total degree.  Report
+                # the first monomial past the bound, in product order.
+                deg = next(s + t for s in (k >> shift for k in a)
+                           for t in (k >> shift for k in b) if s + t > limit)
+                raise GrowthLimitError(f"monomial degree {deg} exceeds limit {limit}")
+        if not a:
+            return
+        den = self.den
+        if den % d:  # grow the shared denominator to a multiple of d
+            new = lcm(den, d)
+            f = new // den
+            self.num = {k: c * f for k, c in self.num.items()}
+            self.den = den = new
+        m = den // d * sign
+        num = self.num
+        get = num.get
+        if y is None:
+            for k, c in a.items():
+                num[k] = get(k, 0) + c * m
+            return
+        bitems = b.items()
+        for k1, c1 in a.items():
+            c1 *= m
+            for k2, c2 in bitems:
+                k = k1 + k2
+                num[k] = get(k, 0) + c1 * c2
+
+    def poly(self) -> Poly:
+        """The finished sum; the accumulator is not used after it."""
+        num = self.num
+        if 0 in num.values():
+            num = {k: c for k, c in num.items() if c}
+        return _reduced(self.chart, num, self.den)
 
 
 def _rechart(p: Poly, chart: Chart) -> Poly | None:

@@ -34,12 +34,12 @@ gder_tangent or gder_cotangent object.
     pn                  bivector, endomorphism
     kosmann             bivector, endomorphism
     mm1                 bivector, endomorphism, field
-    mm1_random          dims: non-empty, each >= 1 (default [2, 3]),
-                        count >= 1 (default 5), seed (default: the run's seed)
-    hierarchy           bivector, endomorphism, depth >= 0 (default 2)
+    mm1_random          dims: 1 to 5 entries, each 1 to 6 (default [2, 3]),
+                        count 1 to 50 (default 5), seed (default: the run's seed)
+    hierarchy           bivector, endomorphism, depth 0 to 16 (default 2)
     lnb                 base, dual, gder
     base_pn             base, dual, gder
-    deform_hierarchy    base, dual, gder, depth >= 1 (default 1)
+    deform_hierarchy    base, dual, gder, depth 1 to 16 (default 1)
     holomorphic         base, dual, gder
     torsion             endomorphism
     correspondence      gder
@@ -294,10 +294,12 @@ def _bind_check(ck: dict, env: dict, where: str) -> Callable[[int], CheckReport]
     def ref(key: str, expected: type):
         return _resolve(env, _need(ck, key, where), expected, where)
 
-    def at_least(key: str, default: int, low: int) -> int:
+    def bounded(key: str, default: int, low: int, high: int) -> int:
         value = ck.get(key, default)
         if value < low:
             raise SceneError(f"{where}: '{key}' must be at least {low}")
+        if value > high:
+            raise SceneError(f"{where}: '{key}' must be at most {high}")
         return value
 
     def pn() -> PNCandidate:
@@ -329,12 +331,14 @@ def _bind_check(ck: dict, env: dict, where: str) -> Callable[[int], CheckReport]
             raise SceneError(f"{where}: 'field' must name a vector field")
         return lambda seed: mm1_identity(c, X)
     if kind == "mm1_random":
-        count = at_least("count", 5, 1)
+        count = bounded("count", 5, 1, 50)
         if not dims or min(dims) < 1:
             raise SceneError(f"{where}: 'dims' must list dimensions of at least 1")
+        if len(dims) > 5 or max(dims) > 6:
+            raise SceneError(f"{where}: 'dims' must list at most 5 dimensions of at most 6")
         return lambda seed: _run_mm1_random(dims, count, ck.get("seed", seed))
     if kind == "hierarchy":
-        depth = at_least("depth", 2, 0)
+        depth = bounded("depth", 2, 0, 16)
         c = pn()
         return lambda seed: hierarchy(c, depth)[1]
     if kind == "lnb":
@@ -344,7 +348,7 @@ def _bind_check(ck: dict, env: dict, where: str) -> Callable[[int], CheckReport]
         c = ln()
         return lambda seed: base_pn(c)[1]
     if kind == "deform_hierarchy":
-        depth = at_least("depth", 1, 1)
+        depth = bounded("depth", 1, 1, 16)
         c = ln()
         return lambda seed: deform_hierarchy(c, depth)[1]
     if kind == "holomorphic":

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from lnlab.poly import Chart, Poly, PolyError
 from lnlab.forms import (DiffForm, Multivector, VForm, bivector_from_sharp,
-                         exterior_d, frolicher_nijenhuis, interior_vector,
+                         derivative, exterior_d, frolicher_nijenhuis, interior_vector,
                          interior_vvf, lie_derivative_vvf, nijenhuis_torsion,
                          pairing, schouten, sharp, sharp_matrix, sort_index,
                          vf_bracket, wedge)
@@ -125,6 +125,7 @@ class TestLieDerivative:
         f = DiffForm.from_poly(X2 * Y2)
         out = lie_derivative_vvf(Xf, f)
         assert out.coeff(()) == X2 * Y2 + Y2 * Y2 * X2
+        assert derivative(Xf.section_components(), X2 * Y2) == out.coeff(())
 
     def test_bracket_compatibility(self):
         # L_[X,Y] = L_X L_Y - L_Y L_X on forms

@@ -1,12 +1,13 @@
 """Polynomial kernel: ring axioms, parsing, differentiation, growth limits."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lnlab.poly import (Chart, GrowthLimitError, ParseError, Poly, PolyError,
+from lnlab.poly import (Chart, GrowthLimitError, ParseError, Poly, PolyError, _Sum,
                         get_degree_limit, parse_poly, set_degree_limit)
 
 CH = Chart(("x", "y"))
@@ -233,8 +234,15 @@ class TestScalarDispatch:
         assert_canonical(p * Fraction(2, 3), {(1, 0): Fraction(1, 3), (0, 0): Fraction(2, 3)})
 
     def test_poly_factor_still_checks_the_chart(self):
+        other = Poly(Chart(("u", "v")), {(0, 1): 1})
         with pytest.raises(PolyError):
-            Poly(CH, {(1, 0): 1}) * Poly(Chart(("u", "v")), {(0, 1): 1})
+            Poly(CH, {(1, 0): 1}) * other
+        # an accumulator checks every term and factor, as + and * did
+        for args in ((other,), (X, other), (other, X), (X, other * 0)):
+            acc = _Sum(CH)
+            acc.add(X)
+            with pytest.raises(PolyError, match="chart mismatch"):
+                acc.add(*args)
 
 
 class TestBoundary:
@@ -265,11 +273,20 @@ class TestBoundary:
         old = get_degree_limit()
         set_degree_limit(limit)
         try:
+            # the same product added to an accumulator that already holds terms
+            acc = _Sum(CH)
+            acc.add(X)
+            acc.add(Y, None, -1)
             if over:
-                with pytest.raises(GrowthLimitError):
+                with pytest.raises(GrowthLimitError) as by_mul:
                     _ = p * q
+                with pytest.raises(GrowthLimitError) as by_sum:
+                    acc.add(p, q, -1)
+                assert str(by_sum.value) == str(by_mul.value)
             else:
                 assert (p * q).total_degree() <= limit
+                acc.add(p, q, -1)
+                assert acc.poly() == X - Y - p * q
         finally:
             set_degree_limit(old)
 
@@ -420,3 +437,59 @@ class TestSlotWidth:
                 Poly(CH, {(self.TOP, 1): 1})
         finally:
             set_degree_limit(old)
+
+
+# -- the accumulator against a reference fold ----------------------------------
+
+CHARTS = (Chart(()), Chart(("x",)), CH, CH3)
+
+
+@st.composite
+def sums(draw):
+    """A chart of dimension 0-3 and terms (x, y or None, sign) on it, drawn
+    with integer or mixed-denominator coefficients; with ``cancel`` every
+    term comes back with the opposite sign, in reverse order."""
+    chart = draw(st.sampled_from(CHARTS))
+    coeff = draw(st.sampled_from((st.integers(-3, 3), MIXED_COEFF, FRACTIONAL)))
+    maps = st.dictionaries(st.tuples(*[st.integers(0, 2)] * chart.dim), coeff, max_size=4)
+    terms = draw(st.lists(st.tuples(maps, st.none() | maps, st.sampled_from((1, -1))),
+                          max_size=6))
+    if draw(st.booleans()):
+        terms += [(x, y, -s) for x, y, s in reversed(terms)]
+    return chart, terms
+
+
+def ref_sum(terms):
+    out = {}
+    for x, y, s in terms:
+        t = ref_clean(x) if y is None else ref_mul(ref_clean(x), ref_clean(y))
+        out = ref_add(out, ref_scale(t, s))
+    return out
+
+
+class TestAccumulator:
+    @given(sums())
+    @example((CH, [({(1, 0): HALF}, {(0, 1): Fraction(2, 3)}, 1),
+                   ({(1, 1): Fraction(1, 3)}, None, -1)]))  # x/2 * 2y/3 - xy/3
+    @example((CH3, [({(1, 0, 0): Fraction(1, 4)}, None, 1),
+                    ({(1, 0, 0): Fraction(1, 6)}, {(0, 0, 0): Fraction(3, 2)}, -1),
+                    ({(0, 0, 1): 2}, None, 1), ({(0, 0, 1): 1}, {(0, 0, 0): 2}, -1)]))
+    @example((Chart(()), [({(): Fraction(1, 3)}, {(): 3}, 1), ({(): 1}, None, 1)]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_a_reference_fold(self, drawn):
+        chart, terms = drawn
+        acc, fold = _Sum(chart), Poly.zero(chart)
+        for x, y, s in terms:
+            px = Poly(chart, x)
+            py = None if y is None else Poly(chart, y)
+            acc.add(px, py, s)
+            t = px if py is None else px * py
+            fold = fold + t if s > 0 else fold - t
+        p = acc.poly()
+        assert p.terms == ref_sum(terms)
+        num, den = p._num, p._den
+        # canonical: no zero numerator, and den > 0 shares no factor with all
+        # of them together (x/2 + y keeps den 2 over the numerators 1, 2)
+        assert den > 0 and all(num.values()) and gcd(den, *num.values()) == 1
+        assert num or den == 1
+        assert p == fold and hash(p) == hash(fold)

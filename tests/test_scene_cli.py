@@ -237,6 +237,14 @@ class TestCheckCommand:
         lambda s: s.update(objects={**s["objects"], **LN_OBJECTS},
                            checks=[{"check": "deform_hierarchy", "base": "A",
                                     "dual": "Astar", "gder": "D", "depth": 0}]),
+        lambda s: s["checks"].append({"check": "mm1_random", "dims": [2, 7]}),
+        lambda s: s["checks"].append({"check": "mm1_random", "dims": [2] * 6}),
+        lambda s: s["checks"].append({"check": "mm1_random", "count": 51}),
+        lambda s: s["checks"].append({"check": "hierarchy", "bivector": "pi0",
+                                      "endomorphism": "rx", "depth": 17}),
+        lambda s: s.update(objects={**s["objects"], **LN_OBJECTS},
+                           checks=[{"check": "deform_hierarchy", "base": "A",
+                                    "dual": "Astar", "gder": "D", "depth": 17}]),
         lambda s: s["checks"].append({"check": "mm1", "bivector": "pi0",
                                       "endomorphism": "rx", "field": "rx"}),
         lambda s: s.update(objects={**s["objects"], "X": VECTOR_FIELD},
@@ -245,13 +253,27 @@ class TestCheckCommand:
             "frame-string", "depth-string", "dims-string", "count-string",
             "seed-list", "duplicate-coordinate", "matrix-number", "zero-denominator",
             "dims-negative", "dims-zero", "dims-empty", "count-zero", "hierarchy-depth-negative",
-            "deform-depth-zero", "field-not-a-vector-field", "torsion-of-a-vector-field"])
+            "deform-depth-zero", "dims-over-bound", "dims-too-many", "count-over-bound",
+            "hierarchy-depth-over-bound", "deform-depth-over-bound",
+            "field-not-a-vector-field", "torsion-of-a-vector-field"])
     def test_malformed_scene_reports_input_error(self, scene_file, capsys, edit):
         scene = json.loads(PN_SCENE)
         edit(scene)
         assert main(["check", scene_file(json.dumps(scene))]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("check, key", [
+        ({"check": "mm1_random", "count": 10 ** 9}, "count"),
+        ({"check": "mm1_random", "dims": [40]}, "dims"),
+        ({"check": "hierarchy", "bivector": "pi0", "endomorphism": "rx",
+          "depth": 10 ** 9}, "depth"),
+    ])
+    def test_over_bound_keys_are_named_at_parse_time(self, check, key):
+        scene = json.loads(PN_SCENE)
+        scene["checks"] = [check]
+        with pytest.raises(SceneError, match=f"'{key}' must .* at most"):
+            parse_scene(json.dumps(scene))
 
     def test_table_output_is_byte_identical(self, scene_file, capsys):
         path = scene_file(PN_SCENE)
@@ -271,7 +293,8 @@ class TestCheckCommand:
             assert main(["--max-degree", "4", "check", scene_file(scene)]) == 3
         finally:
             set_degree_limit(old)
-        assert "resource bound" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "resource bound" in out and "monomial degree 5 exceeds limit 4" in out
 
     @pytest.mark.parametrize("case, expected", [
         ("pass", 0), ("fail", 1), ("input", 2), ("resource", 3)])
