@@ -379,15 +379,9 @@ class VForm(_Alternating):
         """a ^ K, value slot untouched."""
         if a.chart != self.chart:
             raise PolyError("chart mismatch in wedge")
-        deg = a.degree + self.degree
-        out: dict[tuple[Index, int], Poly] = {}
-        if deg <= self.chart.dim:
-            for ia, pa in a.coeffs.items():
-                for (idx, v), p in self.coeffs.items():
-                    m = sort_index(ia + idx)
-                    if m is not None:
-                        _accumulate(out, (m[0], v), pa, p, m[1])
-        return VForm._trusted(self.chart, deg, self.vals, _sums(out))
+        out: dict = {}
+        _wedge_into(out, a, self)
+        return VForm._trusted(self.chart, a.degree + self.degree, self.vals, _sums(out))
 
     def insert_vector(self, X: "VForm") -> "VForm":
         """Contract a vector field into the first form slot, slot by slot:
@@ -423,6 +417,16 @@ class VForm(_Alternating):
 
     def __repr__(self) -> str:
         return f"VForm(deg={self.degree}, vals={self.vals}, {len(self.coeffs)} terms)"
+
+
+def _wedge_into(out: dict, a: DiffForm, K: VForm, sign: int = 1) -> None:
+    """Add ``sign * (a ^ K)`` into the sums at ``out``, keyed like VForm."""
+    if a.degree + K.degree <= K.chart.dim:
+        for ia, pa in a.coeffs.items():
+            for (idx, v), p in K.coeffs.items():
+                m = sort_index(ia + idx)
+                if m is not None:
+                    _accumulate(out, (m[0], v), pa, p, m[1] * sign)
 
 
 # -- tangent-valued calculus ------------------------------------------------

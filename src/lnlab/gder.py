@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .poly import Chart, Poly, PolyError
-from .forms import (DiffForm, VForm, _accumulate, _lie_vvf, _sums, exterior_d,
-                    frolicher_nijenhuis, interior_vvf, vf_bracket)
+from .forms import (DiffForm, VForm, _accumulate, _lie_vvf, _sums, _wedge_into,
+                    exterior_d, frolicher_nijenhuis, interior_vvf, vf_bracket)
 
 __all__ = [
     "FramedBundle",
@@ -129,10 +129,8 @@ class GenDer:
         if self.l_frame is None:
             raise PolyError("degree-0 derivation has no l")
         out: dict = {}
-        for a, alpha in self._slots(eta):
-            _add_into(out, self.l_frame[a].wedge_scalar(alpha).coeffs, 1)
-        return VForm._trusted(self.bundle.chart, eta.degree + self.degree - 1,
-                              self.bundle.rank, _sums(out))
+        self._l_into(out, eta, 1)
+        return self._finish(eta.degree + self.degree - 1, out)
 
     def extend(self, eta: VForm) -> VForm:
         """Extension to E-valued forms.
@@ -144,35 +142,44 @@ class GenDer:
                          - (-1)^(j k) (L_r a) (x) u
 
         Each term is linear over constants in a, so it acts once per value slot;
-        da serves both the l-term and L_r a.
+        da serves both the l-term and L_r a.  Wedge terms go into one map per
+        result, which is finished once; L_r a is formed whole, then added.
         """
-        chart, k = self.bundle.chart, self.degree
-        j = eta.degree
         out: dict = {}
+        self._extend_into(out, eta, 1)
+        return self._finish(eta.degree + self.degree, out)
+
+    def _l_into(self, out: dict, eta: VForm, sign: int) -> None:
+        """Add ``sign * apply_l(eta)`` into the sums at ``out``."""
         for a, alpha in self._slots(eta):
-            _add_into(out, self.d_frame[a].wedge_scalar(alpha).coeffs, 1)
+            _wedge_into(out, alpha, self.l_frame[a], sign)
+
+    def _extend_into(self, out: dict, eta: VForm, sign: int) -> None:
+        """Add ``sign * extend(eta)`` into the sums at ``out``."""
+        j = eta.degree
+        lie_sign = -sign * (-1) ** (j * self.degree)
+        for a, alpha in self._slots(eta):
+            _wedge_into(out, alpha, self.d_frame[a], sign)
             dalpha = exterior_d(alpha)
             if self.l_frame is not None:
-                _add_into(out, self.l_frame[a].wedge_scalar(dalpha).coeffs, (-1) ** j)
-            _add_into(out, _in_slot(_lie_vvf(self.r, alpha, dalpha), a),
-                      -((-1) ** (j * k)))
-        return VForm._trusted(chart, j + k, self.bundle.rank, _sums(out))
+                _wedge_into(out, dalpha, self.l_frame[a], sign * (-1) ** j)
+            for idx, p in _lie_vvf(self.r, alpha, dalpha).coeffs.items():
+                _accumulate(out, (idx, a), p, None, lie_sign)
+
+    def _finish(self, degree: int, out: dict) -> VForm:
+        """The E-valued ``degree``-form of the sums at ``out``."""
+        return VForm._trusted(self.bundle.chart, degree, self.bundle.rank, _sums(out))
 
     def leibniz_defect(self, f: Poly, section: VForm) -> VForm:
         """D(f u) - f D(u) - df ^ l(u) + <df, r> (x) u; zero by construction,
         kept as an executable statement of the rule."""
         df = exterior_d(DiffForm.from_poly(f))
-        out: dict = {}
-        _add_into(out, self.extend(section * f).coeffs, 1)
-        _add_into(out, (self.extend(section) * f).coeffs, -1)
+        defect = self.extend(section * f) - self.extend(section) * f
         if self.l_frame is not None:
-            _add_into(out, self.apply_l(section).wedge_scalar(df).coeffs, -1)
+            defect = defect - self.apply_l(section).wedge_scalar(df)
         rdf = interior_vvf(self.r, df)
-        for a, g in enumerate(section.section_components()):
-            for idx, p in rdf.coeffs.items():
-                _accumulate(out, (idx, a), p, g)
-        return VForm._trusted(self.bundle.chart, self.degree, self.bundle.rank,
-                              _sums(out))
+        return defect + VForm.from_components(
+            [rdf * g for g in section.section_components()], self.degree)
 
     def __neg__(self) -> "GenDer":
         lf = None if self.l_frame is None else [-v for v in self.l_frame]
@@ -183,17 +190,6 @@ class GenDer:
     def is_zero(self) -> bool:
         return (all(v.is_zero for v in self.d_frame) and self.r.is_zero
                 and (self.l_frame is None or all(v.is_zero for v in self.l_frame)))
-
-
-def _add_into(out: dict, coeffs: dict, sign: int) -> None:
-    """Accumulate ``sign`` times the coefficient map ``coeffs`` into ``out``."""
-    for key, p in coeffs.items():
-        _accumulate(out, key, p, None, sign)
-
-
-def _in_slot(a: DiffForm, v: int) -> dict:
-    """The coefficient map of the E-valued form a (x) u_v."""
-    return {(idx, v): p for idx, p in a.coeffs.items()}
 
 
 def bracket(D1: GenDer, D2: GenDer) -> GenDer:
@@ -209,31 +205,28 @@ def bracket(D1: GenDer, D2: GenDer) -> GenDer:
         raise PolyError("derivations act on different bundles")
     k1, k2 = D1.degree, D2.degree
     sign = (-1) ** (k1 * k2)
-    bundle = D1.bundle
     d_out: list[VForm] = []
     l_out: list[VForm] = []
     k = k1 + k2
-    for a in range(bundle.rank):
+    for a in range(D1.bundle.rank):
         D1u, D2u = D1.d_frame[a], D2.d_frame[a]
         d_val: dict = {}
-        _add_into(d_val, D2.extend(D1u).coeffs, 1)
-        _add_into(d_val, D1.extend(D2u).coeffs, -sign)
-        d_out.append(VForm._trusted(bundle.chart, k, bundle.rank, _sums(d_val)))
+        D2._extend_into(d_val, D1u, 1)
+        D1._extend_into(d_val, D2u, -sign)
+        d_out.append(D1._finish(k, d_val))
         if k == 0:
             continue
         # graded commutators [D2, l1] and [D1, l2] on the frame section
         parts: dict = {}
         if D1.l_frame is not None:
-            _add_into(parts, D2.extend(D1.l_frame[a]).coeffs, 1)
-            _add_into(parts, D1.apply_l(D2u).coeffs,
-                      -((-1) ** (k2 * (k1 - 1))))
+            D2._extend_into(parts, D1.l_frame[a], 1)
+            D1._l_into(parts, D2u, -((-1) ** (k2 * (k1 - 1))))
         if D2.l_frame is not None:
-            _add_into(parts, D1.extend(D2.l_frame[a]).coeffs, -sign)
-            _add_into(parts, D2.apply_l(D1u).coeffs,
-                      sign * (-1) ** (k1 * (k2 - 1)))
-        l_out.append(VForm._trusted(bundle.chart, k - 1, bundle.rank, _sums(parts)))
+            D1._extend_into(parts, D2.l_frame[a], -sign)
+            D2._l_into(parts, D1u, sign * (-1) ** (k1 * (k2 - 1)))
+        l_out.append(D1._finish(k - 1, parts))
     r_out = frolicher_nijenhuis(D1.r, D2.r)
-    return GenDer(bundle, k, d_out, l_out if k > 0 else None, r_out)
+    return GenDer(D1.bundle, k, d_out, l_out if k > 0 else None, r_out)
 
 
 def dual(D: GenDer) -> GenDer:
@@ -324,10 +317,12 @@ def build_from_connection(bundle: FramedBundle,
                                       for i in range(chart.dim) for b in range(rank)})
         out: dict = {}
         if lr.l_frame is not None:
-            _add_into(out, lr.apply_l(grad).coeffs, 1)
-        for b, w in grad.slot_components().items():
-            _add_into(out, _in_slot(interior_vvf(r, w), b), -1)
-        d_out.append(VForm._trusted(chart, k, rank, _sums(out)))
+            lr._l_into(out, grad, 1)
+        # i_r grad u_a: the symbol term p dx_idx (x) d/dx_v meets dx_v in slot b
+        for b in range(rank):
+            for (idx, v), p in r.coeffs.items():
+                _accumulate(out, (idx, b), gamma[v][b][a], p, -1)
+        d_out.append(lr._finish(k, out))
     return GenDer(bundle, k, d_out, lr.l_frame, r)
 
 

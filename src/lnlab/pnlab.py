@@ -161,20 +161,21 @@ def concomitant_R(pi: Multivector, r: VForm, a: DiffForm, X: VForm) -> VForm:
 
 def selfadj_defect(pi: Multivector, r: VForm) -> list[list[Poly]]:
     """Matrix of r o pi# - pi# o r*."""
+    return _pi_r(pi, r)[1]
+
+
+def _pi_r(pi: Multivector, r: VForm) -> tuple[Multivector | list[list[Poly]],
+                                              list[list[Poly]]]:
+    """pi_r when the selfadjointness defect vanishes, else the raw composite
+    matrix of r o pi#; and the defect matrix."""
     S = sharp_matrix(pi)
     rm = r.matrix()
     left = mat_mul(rm, S)
     right = mat_mul(S, transpose(rm))
-    return [[l - q for l, q in zip(lr, qr)] for lr, qr in zip(left, right)]
-
-
-def _pi_r(c: PNCandidate, defect: list[list[Poly]]) -> Multivector | list[list[Poly]]:
-    """pi_r when the selfadjointness defect vanishes, else the raw composite
-    matrix of r o pi#."""
-    B = mat_mul(c.r.matrix(), sharp_matrix(c.pi))
+    defect = [[l - q for l, q in zip(lr, qr)] for lr, qr in zip(left, right)]
     if all(p.is_zero for row in defect for p in row):
-        return bivector_from_sharp(c.chart, B)
-    return B
+        return bivector_from_sharp(pi.chart, left), defect
+    return left, defect
 
 
 def _C_table(c: PNCandidate) -> dict[tuple[int, int], DiffForm]:
@@ -189,8 +190,7 @@ def concomitants(c: PNCandidate):
     selfadjointness defect matrix)."""
     chart = c.chart
     n = chart.dim
-    defect = selfadj_defect(c.pi, c.r)
-    pi_r = _pi_r(c, defect)
+    pi_r, defect = _pi_r(c.pi, c.r)
     C_table = _C_table(c)
     R_table = {}
     fields = [tangent_bundle(chart).frame_section(i) for i in range(n)]
@@ -207,11 +207,10 @@ def check_pn(c: PNCandidate) -> CheckReport:
     report = CheckReport("Poisson-Nijenhuis pair")
     chart = c.chart
     report.add_zero("Poisson condition [pi,pi]", schouten(c.pi, c.pi))
-    defect = selfadj_defect(c.pi, c.r)
+    pi_r_obj, defect = _pi_r(c.pi, c.r)
     flat = [p for row in defect for p in row if not p.is_zero]
     report.add("selfadjoint composite r o pi#", not flat,
                defect=flat or None)
-    pi_r_obj = _pi_r(c, defect)
     C_table = _C_table(c)
     for key in sorted(C_table):
         a, b = key

@@ -465,6 +465,18 @@ def _monomial_str(chart: Chart, exp: tuple[int, ...]) -> str:
     return "*".join(parts)
 
 
+def _decimal(n: int) -> str:
+    """``str(n)`` for a nonnegative int of any size.  Below 2,000 bits (602
+    digits) this is ``str`` itself; larger numbers are split in halves, so the
+    interpreter's int/str digit limit, which is process-global and at least
+    640 digits, never applies."""
+    if n.bit_length() <= 2000:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
+    high, low = divmod(n, 10 ** k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
 def render(p: Poly) -> str:
     """Deterministic textual form: graded-lex monomial order, leading first."""
     if not p._num:
@@ -477,10 +489,12 @@ def render(p: Poly) -> str:
         mag = abs(c) if den == 1 else Fraction(abs(c), den)
         if mono and mag == 1:
             body = mono
-        elif mono:
-            body = f"{mag}*{mono}"
         else:
-            body = str(mag)
+            body = _decimal(mag.numerator)
+            if mag.denominator != 1:
+                body += "/" + _decimal(mag.denominator)
+            if mono:
+                body += "*" + mono
         if not out:
             out.append(body if c > 0 else f"-{body}")
         else:
@@ -579,17 +593,24 @@ class _Parser:
             etok = self.next()
             if etok[0] != "num" or "/" in etok[1]:
                 raise ParseError("exponent must be a nonnegative integer", etok[2])
-            return base ** int(etok[1])
+            return base ** int(self.number(etok))
         return base
+
+    @staticmethod
+    def number(tok: tuple[str, str, int]) -> Fraction:
+        try:
+            return Fraction(tok[1])
+        except ZeroDivisionError:
+            raise ParseError("zero denominator", tok[2]) from None
+        except ValueError:  # past the interpreter's int/str digit limit
+            raise ParseError(f"number with {len(tok[1])} characters is too long",
+                             tok[2]) from None
 
     def atom(self) -> Poly:
         tok = self.next()
         kind, text, pos = tok
         if kind == "num":
-            try:
-                return Poly.const(self.chart, Fraction(text))
-            except ZeroDivisionError:
-                raise ParseError("zero denominator", pos) from None
+            return Poly.const(self.chart, self.number(tok))
         if kind == "name":
             try:
                 return Poly.var(self.chart, text)

@@ -287,3 +287,13 @@ def gd_equal(D1: GenDer, D2: GenDer) -> bool:
         if any(not (a - b).is_zero for a, b in zip(D1.l_frame, D2.l_frame)):
             return False
     return (D1.r - D2.r).is_zero
+
+
+def decimal(n: int) -> str:
+    """Decimal digits of a nonnegative int of any size, joined from 100-digit
+    pieces that each stay inside the interpreter's int/str digit limit."""
+    pieces = []
+    while n >= 10 ** 100:
+        n, low = divmod(n, 10 ** 100)
+        pieces.append(f"{low:0100d}")
+    return str(n) + "".join(reversed(pieces))

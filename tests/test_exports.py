@@ -1,8 +1,10 @@
 """Export hygiene: each public name of lnlab is defined once, in the submodule
-whose ``__all__`` lists it."""
+whose ``__all__`` lists it, and no module imports a name it never uses."""
 
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import lnlab
@@ -26,3 +28,27 @@ def test_every_export_has_one_home():
             assert name not in home, (
                 f"{name} is exported from {home.get(name)} and {mod.__name__}")
             home[name] = mod.__name__
+
+
+def test_every_import_is_used():
+    # a name bound by a top-level import is read in its module or listed in
+    # its __all__; __future__ imports only switch on language features
+    unused = []
+    for path in sorted(pathlib.Path(lnlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound, exported = {}, set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = node.lineno
+            elif (isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+                exported = set(ast.literal_eval(node.value))
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unused += [f"{path.name}:{line} {name}" for name, line in bound.items()
+                   if name not in read and name not in exported]
+    assert not unused, f"unused imports: {', '.join(unused)}"

@@ -2,6 +2,7 @@
 the constructors from endomorphisms, connections, and bundle maps."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -160,6 +161,26 @@ class TestBracket:
         D0 = rnd_gder(rng, TM, 0)
         D1 = rnd_gder(rng, TM, 1)
         assert gd_equal(bracket(D0, D1), -bracket(D1, D0))
+
+    @pytest.mark.parametrize("bundle", [TM, FramedBundle(CH3, ("e1", "e2"))],
+                             ids=["TM", "rank2-over-CH3"])
+    @pytest.mark.parametrize("degrees", list(product((0, 1), repeat=3)),
+                             ids=lambda ks: "".join(map(str, ks)))
+    def test_graded_jacobi(self, bundle, degrees):
+        # [D1,[D2,D3]] = [[D1,D2],D3] + (-1)^(k1 k2) [D2,[D1,D3]] holds for
+        # any graded Lie bracket, whatever signs its definition carries
+        k1, k2, k3 = degrees
+        rng = random.Random(46 + 4 * k1 + 2 * k2 + k3)
+        D1, D2, D3 = (rnd_gder(rng, bundle, k) for k in degrees)
+        lhs = bracket(D1, bracket(D2, D3))
+        p, q = bracket(bracket(D1, D2), D3), bracket(D2, bracket(D1, D3))
+        assert not (lhs.is_zero or p.is_zero or q.is_zero)
+        sign = (-1) ** (k1 * k2)
+
+        def parts(D):
+            return D.d_frame + (D.l_frame or []) + [D.r]
+        for x, y, z in zip(parts(lhs), parts(p), parts(q), strict=True):
+            assert x == y + z * sign
 
 
 class TestDual:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import decimal
 from lnlab.poly import (Chart, GrowthLimitError, ParseError, Poly, PolyError, _Sum,
                         get_degree_limit, parse_poly, set_degree_limit)
 
@@ -91,6 +92,20 @@ class TestParser:
     def test_render_parse_round_trip(self):
         p = 2 * X * Y * Y - Fraction(7, 3) * X + 1
         assert parse_poly(CH, str(p)) == p
+
+    @pytest.mark.parametrize("text, pos", [("x + " + "7" * 5000, 4),
+                                           ("x^" + "1" * 5000, 2),
+                                           ("y - 1/" + "3" * 5000, 4)],
+                             ids=["literal", "exponent", "denominator"])
+    def test_number_past_the_digit_limit(self, text, pos):
+        with pytest.raises(ParseError, match=rf"too long \(at position {pos}\)"):
+            parse_poly(CH, text)
+
+    def test_render_coefficients_of_any_size(self):
+        c, d = 3 ** 20000, 7 ** 3000
+        p = Fraction(c, d) * X * Y - c * c
+        assert str(p) == f"{decimal(c)}/{decimal(d)}*x*y - {decimal(c * c)}"
+        assert str(-Fraction(1, d) * Y + 2 ** 1999) == f"-1/{decimal(d)}*y + {2 ** 1999}"
 
     @pytest.mark.parametrize("text, pos", [("x $", 2), ("x+ $", 3)])
     def test_unexpected_character_after_whitespace(self, text, pos):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import decimal
 from lnlab import scene as scene_module
 from lnlab.poly import Chart, Poly, get_degree_limit, set_degree_limit
 from lnlab.forms import DiffForm, Multivector, VForm
@@ -249,13 +250,15 @@ class TestCheckCommand:
                                       "endomorphism": "rx", "field": "rx"}),
         lambda s: s.update(objects={**s["objects"], "X": VECTOR_FIELD},
                            checks=[{"check": "torsion", "endomorphism": "X"}]),
+        lambda s: s["objects"]["pi0"].update(coeffs={"x,y": "1" * 5000}),
     ], ids=["unknown-coordinate", "objects-list", "coeffs-list", "brackets-list",
             "frame-string", "depth-string", "dims-string", "count-string",
             "seed-list", "duplicate-coordinate", "matrix-number", "zero-denominator",
             "dims-negative", "dims-zero", "dims-empty", "count-zero", "hierarchy-depth-negative",
             "deform-depth-zero", "dims-over-bound", "dims-too-many", "count-over-bound",
             "hierarchy-depth-over-bound", "deform-depth-over-bound",
-            "field-not-a-vector-field", "torsion-of-a-vector-field"])
+            "field-not-a-vector-field", "torsion-of-a-vector-field",
+            "literal-past-digit-limit"])
     def test_malformed_scene_reports_input_error(self, scene_file, capsys, edit):
         scene = json.loads(PN_SCENE)
         edit(scene)
@@ -281,6 +284,22 @@ class TestCheckCommand:
         first = capsys.readouterr().out
         main(["check", path, "--format", "table"])
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("e", [1, 15000])
+    def test_text_defect_with_coefficients_of_any_size(self, scene_file, capsys, e):
+        # r = [[c y, 0], [0, x]] has N_r = (-c x + c^2 y) dx^dy (x) @x
+        # + (-x + c y) dx^dy (x) @y; 2^15000 has 4,516 digits
+        scene = json.dumps({
+            "chart": ["x", "y"],
+            "objects": {"r": {"type": "endomorphism",
+                              "matrix": [[f"2^{e}*y", "0"], ["0", "x"]]}},
+            "checks": [{"check": "torsion", "endomorphism": "r"}]})
+        assert main(["check", scene_file(scene)]) == 1
+        out, err = capsys.readouterr()
+        c, cc = decimal(2 ** e), decimal(4 ** e)
+        assert (f"defect: (-{c}*x + {cc}*y) dx^dy (x) @x + (-x + {c}*y) dx^dy (x) @y\n"
+                in out)
+        assert "Traceback" not in out + err
 
     def test_degree_limit_exit_three(self, scene_file, capsys):
         scene = json.dumps({
