@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .matrix import identity, mat_vec
+from .matrix import mat_vec
 from .poly import Chart, Poly, PolyError, _Sum
 
 __all__ = [
@@ -260,13 +260,10 @@ def exterior_d(a: DiffForm) -> DiffForm:
     out: dict[Index, Poly] = {}
     for idx, p in a.coeffs.items():
         for i in range(chart.dim):
-            dp = p.diff(i)
-            if dp.is_zero:
-                continue
             m = sort_index((i,) + idx)
-            if m is None:
-                continue
-            _accumulate(out, m[0], dp, None, m[1])
+            dp = p.diff(i) if m else None
+            if dp:
+                _accumulate(out, m[0], dp, None, m[1])
     return DiffForm._trusted(chart, deg, _sums(out))
 
 
@@ -501,71 +498,86 @@ def vf_bracket(X: VForm, Y: VForm) -> VForm:
     return VForm._trusted(X.chart, 0, len(xs), _sums(out))
 
 
-def frolicher_nijenhuis(K: VForm, L: VForm) -> VForm:
-    """Frolicher-Nijenhuis bracket of tangent-valued forms.
+def _antisymmetrize(P, Q, twist: int, half) -> None:
+    """Add H(P, Q) - (-1)^twist H(Q, P), where ``half(A, B, s)`` adds
+    ``s * H(A, B)`` given each tensor as (degree, [(key, coefficient, its
+    partial derivatives)]); for ``Q is P``, H(P, P) once, times 1 - (-1)^twist."""
+    def part(T) -> tuple:
+        return T.degree, [(key, p, [p.diff(i) for i in range(T.chart.dim)])
+                          for key, p in T.coeffs.items()]
+    if Q is not P:
+        pP, pQ = part(P), part(Q)
+        half(pP, pQ, 1)
+        half(pQ, pP, -1 if twist % 2 == 0 else 1)
+    elif twist % 2:
+        pP = part(P)
+        half(pP, pP, 2)
 
-    Computed by bilinear extension over decomposables c dx_I (x) d/dx_p with
-    constant coordinate frame fields, so the Lie-bracket term of the
-    decomposable expansion drops and only the derivative terms survive.
-    """
+
+def frolicher_nijenhuis(K: VForm, L: VForm) -> VForm:
+    """Frolicher-Nijenhuis bracket of tangent-valued forms, with constant
+    coordinate frame fields (so the Lie-bracket term of the decomposable
+    expansion drops), as [K, L] = H(K, L) - (-1)^(kl) H(L, K) with
+
+        H(K, L) = sum phi ^ d_va psi (x) d/dx_vb + (-1)^k d phi ^ i_va psi (x) d/dx_vb
+
+    over phi = pa dx_ia (x) d/dx_va in K and psi = pb dx_ib (x) d/dx_vb in L.
+    The expansion's other terms, -d_vb phi ^ psi (x) d/dx_va and
+    (-1)^k i_vb phi ^ d psi (x) d/dx_va, are -(-1)^(kl) times H(L, K)'s:
+    dx_ib ^ dx_ia = (-1)^(kl) dx_ia ^ dx_ib, and moving the (k-1)-form
+    i_vb phi past the (l+1)-form d psi costs (-1)^((k-1)(l+1)), which is
+    (-1)^(kl) times (-1)^(k+l+1).  Summed over phi, d phi is d(K^va), built
+    once per half when L has positive degree.  [K, K] is (1 - (-1)^k) H(K, K)."""
     _check_tangent(K)
     _check_tangent(L)
     if K.chart != L.chart:
         raise PolyError("chart mismatch")
-    chart = K.chart
-    n, k = chart.dim, K.degree
-    acc: dict[tuple[Index, int], Poly] = {}
-    dK = [(ia, va, pa, [pa.diff(i) for i in range(n)])
-          for (ia, va), pa in K.coeffs.items()]
-    dL = [(ib, vb, pb, [pb.diff(i) for i in range(n)])
-          for (ib, vb), pb in L.coeffs.items()]
+    acc: dict = {}
 
-    def add(idx: Index, v: int, x: Poly, y: Poly, sign: int) -> None:
-        # sign * x * y dx_idx (x) d/dx_v
-        m = sort_index(idx) if x and y else None
-        if m is not None:
-            _accumulate(acc, (m[0], v), x, y, m[1] * sign)
+    def half(pK: tuple, pL: tuple, sign: int) -> None:
+        (k, entries), dK = pK, {}
+        if pL[0]:  # d(K^va) for each slot va, from the derivatives
+            for (ia, va), _, dpa in entries:
+                for i, q in enumerate(dpa):
+                    m = sort_index((i,) + ia) if q else None
+                    if m is not None:
+                        _accumulate(dK.setdefault(va, {}), m[0], q, None, m[1])
+        dK = {v: _sums(c) for v, c in dK.items()}
+        for (ib, vb), pb, dpb in pL[1]:
+            # (idx, x, y, s): s * x * y dx_idx (x) d/dx_vb; phi ^ d_va psi, then
+            # d(K^va) ^ i_va psi with i_va dx_ib = (-1)^pos dx_(ib - va), va = ib[pos]
+            terms = [(ia + ib, pa, dpb[va], 1) for (ia, va), pa, _ in entries]
+            terms += [(idx + ib[:pos] + ib[pos + 1:], q, pb, (-1) ** (k + pos))
+                      for pos, va in enumerate(ib) for idx, q in dK.get(va, {}).items()]
+            for idx, x, y, s in terms:
+                m = sort_index(idx) if x and y else None
+                if m is not None:
+                    _accumulate(acc, (m[0], vb), x, y, m[1] * s * sign)
 
-    # phi = pa dx_ia (x) d/dx_va, psi = pb dx_ib (x) d/dx_vb
-    for ia, va, pa, dpa in dK:
-        for ib, vb, pb, dpb in dL:
-            # phi ^ d_va psi (x) d/dx_vb - d_vb phi ^ psi (x) d/dx_va
-            add(ia + ib, vb, pa, dpb[va], 1)
-            add(ia + ib, va, dpa[vb], pb, -1)
-            # (-1)^k (d phi ^ i_va psi (x) d/dx_vb + i_vb phi ^ d psi (x) d/dx_va)
-            # with i_v dx_J = (-1)^pos dx_(J without v) for v = J[pos]
-            if va in ib:
-                pos = ib.index(va)
-                rest = ib[:pos] + ib[pos + 1:]
-                for i in range(n):
-                    add((i,) + ia + rest, vb, dpa[i], pb, (-1) ** (pos + k))
-            if vb in ia:
-                pos = ia.index(vb)
-                rest = ia[:pos] + ia[pos + 1:]
-                for i in range(n):
-                    add(rest + (i,) + ib, va, pa, dpb[i], (-1) ** (pos + k))
-    return VForm._trusted(chart, K.degree + L.degree, n, _sums(acc))
+    _antisymmetrize(K, L, K.degree * L.degree, half)
+    return VForm._trusted(K.chart, K.degree + L.degree, K.chart.dim, _sums(acc))
 
 
 def nijenhuis_torsion(r: VForm) -> VForm:
-    """N_r(X, Y) = [rX, rY] - r([rX, Y] + [X, rY] - r([X, Y])) on frame pairs."""
+    """N_r(X, Y) = [rX, rY] - r([rX, Y] + [X, rY] - r([X, Y])) on frame pairs:
+    on d/dx_i, d/dx_j the r^2 term drops, rX is column i of r's matrix and
+    [rX, Y] + [X, rY] = d_i rY - d_j rX."""
     _check_tangent(r)
     if r.degree != 1:
         raise ValueError("torsion is defined for degree-1 forms")
-    chart = r.chart
-    n = chart.dim
-    coeffs: dict[tuple[Index, int], Poly] = {}
-    frame = [VForm.section(chart, row) for row in identity(chart, n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            ri, rj = r.insert_vector(frame[i]), r.insert_vector(frame[j])
-            # [d/dx_i, d/dx_j] = 0, so the r^2 term drops
-            val = (vf_bracket(ri, rj)
-                   - r.insert_vector(vf_bracket(ri, frame[j]))
-                   - r.insert_vector(vf_bracket(frame[i], rj)))
-            for v, p in enumerate(val.section_components()):
-                coeffs[((i, j), v)] = p
-    return VForm._trusted(chart, 2, n, coeffs)
+    n, M, out = r.chart.dim, r.matrix(), {}
+    cols = [[row[i] for row in M] for i in range(n)]
+    for i, ri in enumerate(cols):
+        for j, rj in enumerate(cols[i + 1:], i + 1):
+            w = [rj[u].diff(i) - ri[u].diff(j) for u in range(n)]
+            for v in range(n):
+                key = ((i, j), v)
+                _derive_into(out, key, ri, rj[v])
+                _derive_into(out, key, rj, ri[v], -1)
+                for c, wu in zip(M[v], w):
+                    if c and wu:
+                        _accumulate(out, key, c, wu, -1)
+    return VForm._trusted(r.chart, 2, n, _sums(out))
 
 
 # -- multivector calculus ----------------------------------------------------
@@ -583,30 +595,29 @@ def schouten(P: Multivector, Q: Multivector) -> Multivector:
     decomposable expansion sum (-1)^(s+t) [X_s, Y_t] ^ (the rest), so
     [X, Q] = L_X Q and [X, Y] is the Lie bracket.  Functions are covered by
     the same formula: [P, f] = (-1)^(p-1) i_{df} P and [f, Q] = -i_{df} Q.
+
+    The second sum is -(-1)^((p-1)(q-1)) times the first, S, with the roles
+    swapped: xi_(J-t) ^ xi_I = (-1)^((q-1)p) xi_I ^ xi_(J-t), which with
+    (-1)^(q-1-t) leaves (-1)^t.  So [P, Q] = S(P, Q) - (-1)^((p-1)(q-1)) S(Q, P).
     """
     if P.chart != Q.chart:
         raise PolyError("chart mismatch")
-    chart = P.chart
-    n, p, q = chart.dim, P.degree, Q.degree
-    deg = p + q - 1
+    chart, p, q = P.chart, P.degree, Q.degree
+    n, deg = chart.dim, p + q - 1
     out: dict[Index, Poly] = {}
     if deg < 0 or deg > n:
         return Multivector._trusted(chart, max(deg, 0), out)
-    dP = [(I, c, [c.diff(i) for i in range(n)]) for I, c in P.coeffs.items()]
-    dQ = [(J, e, [e.diff(i) for i in range(n)]) for J, e in Q.coeffs.items()]
 
-    def add(idx: Index, x: Poly, y: Poly, sign: int) -> None:
-        # sign * x * y xi_idx
-        m = sort_index(idx) if x and y else None
-        if m is not None:
-            _accumulate(out, m[0], x, y, m[1] * sign)
+    def half(pP: tuple, pQ: tuple, sign: int) -> None:
+        p, entries = pP
+        for I, c, _ in entries:
+            for J, e, de in pQ[1]:
+                for s, i in enumerate(I):
+                    m = sort_index(I[:s] + I[s + 1:] + J) if de[i] else None
+                    if m is not None:
+                        _accumulate(out, m[0], c, de[i], m[1] * sign * (-1) ** (p - 1 - s))
 
-    for I, c, dc in dP:
-        for J, e, de in dQ:
-            for s, i in enumerate(I):
-                add(I[:s] + I[s + 1:] + J, c, de[i], (-1) ** (p - 1 - s))
-            for t, j in enumerate(J):
-                add(I + J[:t] + J[t + 1:], e, dc[j], -(-1) ** t)
+    _antisymmetrize(P, Q, (p - 1) * (q - 1), half)
     return Multivector._trusted(chart, deg, _sums(out))
 
 

@@ -21,7 +21,12 @@ numerators over one shared denominator, and the finished sum gets one gcd
 pass, not one per term.  Each product is checked against the chart and the
 degree bound as it is added.  ``+``, ``-`` and ``Poly * Poly`` are each one
 step of a fresh accumulator, so the merge loop, the product loop and the
-degree check exist once.
+degree check exist once.  A product's degree is checked before it is formed,
+so no result ever holds a monomial above the limit; but a sum whose top degree
+cancels may pass where forming its terms' products one by one raised (the
+brackets in ``forms`` sum first, then multiply).  ``**`` also bounds the bit
+length of its coefficients by ``_POWER_BITS``: a constant power such as
+``(2^65535)^65535`` has degree 0, so no degree check sees it.
 """
 
 from __future__ import annotations
@@ -67,6 +72,8 @@ MAX_DEGREE_LIMIT = _SLOT_MASK
 
 # Total-degree guardrail.  Exceeding it raises, never truncates.
 _DEGREE_LIMIT = 64
+# Coefficient guardrail of ``**``, in bits: a constant power has degree 0.
+_POWER_BITS = 1 << 20
 
 
 def set_degree_limit(limit: int) -> None:
@@ -274,7 +281,7 @@ class Poly:
     __radd__ = __add__
 
     def __rsub__(self, other: "Poly | Scalar") -> "Poly":
-        return self._coerce(other) - self
+        return -self + other
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -286,12 +293,10 @@ class Poly:
                 out = out * base
             base = base * base if n > 1 else base
             n >>= 1
+            bits = max(c.bit_length() for p in (out, base) for c in (p._den, *p._num.values()))
+            if bits > _POWER_BITS:
+                raise GrowthLimitError(f"coefficient of {bits} bits exceeds limit {_POWER_BITS}")
         return out
-
-    def _coerce(self, other: "Poly | Scalar") -> "Poly":
-        if isinstance(other, Poly):
-            return other
-        return Poly.const(self.chart, other)
 
     # -- calculus ----------------------------------------------------------
 

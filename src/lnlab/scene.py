@@ -125,6 +125,8 @@ def _poly(chart: Chart, text, where: str) -> Poly:
         raise SceneError(f"{where}: polynomial entries must be strings")
     try:
         return parse_poly(chart, text)
+    except GrowthLimitError as e:  # a resource bound, not malformed input
+        raise GrowthLimitError(f"{where}: {e}") from e
     except PolyError as e:
         raise SceneError(f"{where}: {e}") from e
 

@@ -3,6 +3,7 @@ brackets (Lie, Frolicher-Nijenhuis, Schouten) with their defining identities."""
 
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -410,6 +411,32 @@ class TestFusedKernelOracles:
         Q = data.draw(st_forms(chart, data.draw(st.integers(1, 3)), Multivector))
         assert schouten(P, Q) == ref_schouten(P, Q)
 
+    # A self-bracket of the same object forms one half-sum (none when its
+    # sign cancels it); an equal copy takes the general two-half path.
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_frolicher_nijenhuis_self_bracket(self, data):
+        chart = data.draw(DIM_CHARTS)
+        K = data.draw(st_vvforms(chart, data.draw(st.integers(0, 3)), chart.dim))
+        copy = VForm(chart, K.degree, K.vals, dict(K.coeffs))
+        assert copy is not K and copy == K
+        ref = ref_frolicher_nijenhuis(K, K)
+        assert frolicher_nijenhuis(K, K) == ref
+        assert frolicher_nijenhuis(K, copy) == ref
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_schouten_self_bracket(self, data):
+        chart = data.draw(st.sampled_from((CH2, CH3, CH4)))
+        P = data.draw(st_forms(chart, data.draw(st.integers(0, 3)), Multivector))
+        copy = Multivector(chart, P.degree, dict(P.coeffs))
+        assert copy is not P and copy == P
+        # [f, f] would have degree -1; the reference covers degrees >= 1
+        ref = ref_schouten(P, P) if P.degree else Multivector(chart, 0)
+        assert schouten(P, P) == ref
+        assert schouten(P, copy) == ref
+
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_concomitant_C(self, data):
@@ -445,6 +472,127 @@ CONTRACTING = [
 @pytest.mark.parametrize("K, L", CONTRACTING + [(L, K) for K, L in CONTRACTING])
 def test_frolicher_nijenhuis_contraction_terms(K, L):
     assert frolicher_nijenhuis(K, L) == ref_frolicher_nijenhuis(K, L)
+
+
+def dense_poly(rng: random.Random, chart: Chart, degree: int = 4) -> Poly:
+    """A homogeneous polynomial with every monomial of its degree."""
+    return Poly(chart, {e: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 5)))
+                        for e in product(range(degree + 1), repeat=chart.dim)
+                        if sum(e) == degree})
+
+
+def test_brackets_form_each_product_once(monkeypatch):
+    """Products formed on fully dense inputs over CH3: one half-sum per
+    bracket, with the contraction term from d of a value component, one half
+    for a self-bracket and none where its sign cancels it, and r applied once
+    per frame pair."""
+    from lnlab import poly
+    rng = random.Random(17)
+
+    def dense(cls, degree, *vals):
+        keys = combinations(range(3), degree)
+        if vals:
+            keys = [(idx, v) for idx in keys for v in range(3)]
+        return cls(CH3, degree, *vals, {key: dense_poly(rng, CH3) for key in keys})
+    r, s, K2 = dense(VForm, 1, 3), dense(VForm, 1, 3), dense(VForm, 2, 3)
+    P, T = dense(Multivector, 2), dense(Multivector, 3)
+    products = []
+    add = poly._Sum.add
+
+    def counted(self, x, y=None, sign=1):
+        if y is not None:
+            products.append(sign)
+        add(self, x, y, sign)
+    monkeypatch.setattr(poly._Sum, "add", counted)
+    for bracket, expected in (
+            (lambda: frolicher_nijenhuis(r, r), 81),
+            (lambda: frolicher_nijenhuis(r, s), 162),
+            (lambda: nijenhuis_torsion(r), 81),
+            (lambda: schouten(P, P), 6),
+            (lambda: frolicher_nijenhuis(K2, K2), 0),
+            (lambda: schouten(T, T), 0)):
+        products.clear()
+        assert bracket().is_zero == (expected == 0)
+        assert len(products) == expected
+
+
+# -- oracles from the vector-field formulas ----------------------------------
+# Independent of the bracket kernels: frame fields, vf_bracket, insert_vector
+# and plain polynomial arithmetic only.
+
+
+def frame_fields(chart: Chart) -> list[VForm]:
+    return [VForm.section(chart, [Poly.const(chart, int(i == j)) for j in range(chart.dim)])
+            for i in range(chart.dim)]
+
+
+def vf_frolicher_nijenhuis(K: VForm, L: VForm) -> VForm:
+    """[K, L] of degree-1 forms on frame pairs (X, Y):
+    [KX,LY] + [LX,KY] - K([LX,Y] + [X,LY]) - L([KX,Y] + [X,KY]) + (KL+LK)[X,Y]."""
+    chart, n = K.chart, K.chart.dim
+    E = frame_fields(chart)
+    coeffs = {}
+    for i, j in combinations(range(n), 2):
+        X, Y = E[i], E[j]
+        KX, KY, LX, LY = K.insert_vector(X), K.insert_vector(Y), L.insert_vector(X), L.insert_vector(Y)
+        XY = vf_bracket(X, Y)
+        val = (vf_bracket(KX, LY) + vf_bracket(LX, KY)
+               - K.insert_vector(vf_bracket(LX, Y) + vf_bracket(X, LY))
+               - L.insert_vector(vf_bracket(KX, Y) + vf_bracket(X, KY))
+               + K.insert_vector(L.insert_vector(XY)) + L.insert_vector(K.insert_vector(XY)))
+        for v, p in enumerate(val.section_components()):
+            coeffs[((i, j), v)] = p
+    return VForm(chart, 2, n, coeffs)
+
+
+def poisson_bracket(pi: Multivector, f: Poly, g: Poly) -> Poly:
+    """{f, g} = pi(df, dg) = <dg, X_f>, with X_f = pi(df, .) by insert_vector
+    of the gradient of f into pi read as a map of covectors to vectors."""
+    chart, n = pi.chart, pi.chart.dim
+    pi_map = VForm(chart, 1, n, {((a,), b): pi.coeff((a, b)) for a in range(n)
+                                 for b in range(n) if a != b})
+    Xf = pi_map.insert_vector(VForm.section(chart, [f.diff(a) for a in range(n)]))
+    out = Poly.zero(chart)
+    for b, c in enumerate(Xf.section_components()):
+        out = out + c * g.diff(b)
+    return out
+
+
+# so(3)* is Poisson; adding y d/dx ^ d/dy breaks Jacobi on (x, y, z)
+SO3 = Multivector(CH3, 2, {(0, 1): Z3, (1, 2): X3, (0, 2): -Y3})
+NOT_POISSON = SO3 + Multivector(CH3, 2, {(0, 1): Y3})
+
+
+class TestVectorFieldOracles:
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_frolicher_nijenhuis_of_one_forms(self, data):
+        chart = data.draw(DIM_CHARTS)
+        K, L = (data.draw(st_vvforms(chart, 1, chart.dim)) for _ in range(2))
+        assert frolicher_nijenhuis(K, L) == vf_frolicher_nijenhuis(K, L)
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_schouten_square_is_twice_the_jacobiator(self, data):
+        chart = data.draw(st.sampled_from((CH3, CH4)))
+        self.check_jacobiator(data.draw(st_forms(chart, 2, Multivector)))
+
+    @pytest.mark.parametrize("pi, poisson", [(SO3, True), (NOT_POISSON, False)])
+    def test_jacobiator_on_known_bivectors(self, pi, poisson):
+        assert self.check_jacobiator(pi).is_zero == poisson
+
+    @staticmethod
+    def check_jacobiator(pi: Multivector) -> Multivector:
+        """[pi, pi](dx_i, dx_j, dx_k) = 2 ({x_i,{x_j,x_k}} + cyclic)."""
+        chart = pi.chart
+        xs = [Poly.coord(chart, i) for i in range(chart.dim)]
+        S = schouten(pi, pi)
+        for i, j, k in combinations(range(chart.dim), 3):
+            jac = Poly.zero(chart)
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                jac = jac + poisson_bracket(pi, xs[a], poisson_bracket(pi, xs[b], xs[c]))
+            assert S.coeff((i, j, k)) == 2 * jac
+        return S
 
 
 class TestKernelErrorContract:

@@ -1,7 +1,7 @@
 """Polynomial kernel: ring axioms, parsing, differentiation, growth limits."""
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -132,6 +132,25 @@ class TestGrowthLimit:
             assert (Poly.const(CH, 5) * Poly.const(CH, 7)).constant_value() == 35
         finally:
             set_degree_limit(old)
+
+    @pytest.mark.parametrize("text", ["(2^65535)^65535", "(1/2^65535)^65535",
+                                      "((2^65535)^16)^16", "2^4000000000"])
+    def test_constant_power_past_the_bit_cap(self, text):
+        """A constant power has degree 0; ``**`` caps its coefficients at 2^20
+        bits instead, so these stop after a few squarings."""
+        with pytest.raises(GrowthLimitError,
+                           match=r"^coefficient of \d+ bits exceeds limit 1048576$"):
+            parse_poly(CH, text)
+
+    POWERS = [
+        ("(2^65535)^15", 2 ** (65535 * 15)), ("2^15000", 2 ** 15000),
+        ("(1/3)^40000", Fraction(1, 3 ** 40000)), ("(-1)^65535", -1), ("0^65535", 0),
+        ("1^65535", 1), ("(x - y)^2", (X - Y) * (X - Y)), ("2^3*x^3*y^2", 8 * X * X * X * Y * Y),
+        ("(x + 1)^64", Poly(CH, {(k, 0): comb(64, k) for k in range(65)}))]
+
+    @pytest.mark.parametrize("text, value", POWERS, ids=[t for t, _ in POWERS])
+    def test_powers_below_the_cap(self, text, value):
+        assert parse_poly(CH, text) == value
 
 
 def test_exact_rationals():

@@ -7,6 +7,7 @@ import json
 import pathlib
 import re
 import tempfile
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -314,6 +315,22 @@ class TestCheckCommand:
             set_degree_limit(old)
         out = capsys.readouterr().out
         assert "resource bound" in out and "monomial degree 5 exceeds limit 4" in out
+
+    @pytest.mark.parametrize("entry, detail", [
+        ("(2^65535)^65535*y", "coefficient of 2097121 bits exceeds limit 1048576"),
+        ("x^65", "monomial degree 65 exceeds limit 64")])
+    def test_growth_in_an_input_exits_three(self, scene_file, capsys, entry, detail):
+        """An entry past a growth bound is a resource bound, named by its
+        place; the constant power, of degree 0, stops at once."""
+        scene = json.dumps({
+            "chart": ["x", "y"],
+            "objects": {"r": {"type": "endomorphism", "matrix": [[entry, "0"], ["0", "x"]]}},
+            "checks": [{"check": "torsion", "endomorphism": "r"}]})
+        path = scene_file(scene)
+        start = time.perf_counter()
+        assert main(["check", path]) == 3
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == f"resource bound: object 'r': {detail}\n"
 
     @pytest.mark.parametrize("case, expected", [
         ("pass", 0), ("fail", 1), ("input", 2), ("resource", 3)])
