@@ -13,10 +13,10 @@ from typing import Mapping
 
 from .poly import Chart, Poly, PolyError, _Sum
 from .forms import (Multivector, VForm, _Alternating, _accumulate, _derive_into,
-                    _sums, sharp_matrix, schouten, vf_bracket)
+                    _sums, derivative, sharp_matrix, schouten, vf_bracket)
 from .gder import (FramedBundle, GenDer, build_drT, cotangent_bundle,
                    tangent_bundle)
-from .matrix import identity, mat_mul, mat_vec, transpose
+from .matrix import _dot_into, identity, mat_mul, mat_vec, transpose
 from .report import CheckReport
 
 __all__ = [
@@ -93,10 +93,8 @@ class AlgebroidStructure:
     def _rho(self, comps: list[Poly]) -> list[Poly]:
         """rho(s) = sum_a s_a rho(u_a) on a component list."""
         out = [_Sum(self.chart) for _ in range(self.chart.dim)]
-        for s_a, row in zip(comps, self.anchor):
-            if s_a:
-                for acc, p in zip(out, row):
-                    acc.add(s_a, p)
+        for acc, col in zip(out, zip(*self.anchor)):
+            _dot_into(acc, comps, col)
         return [acc.poly() for acc in out]
 
     def anchor_of(self, section: VForm) -> VForm:
@@ -122,8 +120,8 @@ class AlgebroidStructure:
         out: dict = {}
         for (a, b), comps in self.structure.items():
             acc = _Sum(self.chart)
-            acc.add(sc[a], tc[b])
-            acc.add(sc[b], tc[a], -1)
+            _dot_into(acc, (sc[a],), (tc[b],))
+            _dot_into(acc, (sc[b],), (tc[a],), -1)
             f = acc.poly()
             if f:
                 for v, c in enumerate(comps):
@@ -166,24 +164,24 @@ class AlgebroidStructure:
         L_s (p a ^ b) = rho(s)(p) a ^ b + p [s, a] ^ b + p a ^ [s, b]."""
         brackets = {a: self.section_bracket(s, self.bundle.frame_section(a))
                     .section_components() for key in P.coeffs for a in key}
-        return self._lie_on_bivector(self.anchor_of(s).section_components(),
-                                     brackets, P)
-
-    def _lie_on_bivector(self, rho_s: list[Poly], brackets, P: FrameBivector
-                         ) -> FrameBivector:
-        """``lie_on_bivector`` from rho(s) and the components of [s, u_a],
-        given for every frame index a that P's keys name."""
-        rank = self.bundle.rank
         out: dict = {}
+        self._lie_on_bivector_into(out, self.anchor_of(s).section_components(), brackets, P)
+        return FrameBivector._trusted(self.bundle, _sums(out))
+
+    def _lie_on_bivector_into(self, out: dict, rho_s: list[Poly], brackets,
+                              P: FrameBivector, sign: int = 1) -> None:
+        """Add ``sign * lie_on_bivector`` into the sums at ``out``, from rho(s)
+        and the components of [s, u_a], given for every frame index a that
+        P's keys name."""
+        rank = self.bundle.rank
         for (a, b), p in P.coeffs.items():
-            _derive_into(out, (a, b), rho_s, p)
+            _derive_into(out, (a, b), rho_s, p, sign)
             # p [s, u_a] ^ u_b + p u_a ^ [s, u_b], expanded over the frame
             for c in range(rank):
                 for x, y, f in ((c, b, brackets[a][c]), (a, c, brackets[b][c])):
                     if f and x != y:
                         _accumulate(out, (min(x, y), max(x, y)), f, p,
-                                    1 if x < y else -1)
-        return FrameBivector._trusted(self.bundle, _sums(out))
+                                    sign if x < y else -sign)
 
 
 def tangent_algebroid(chart: Chart) -> AlgebroidStructure:
@@ -312,7 +310,18 @@ def _add_cocycle(report: CheckReport, A: AlgebroidStructure,
     structures are already known to be valid."""
     chart, rank, names = A.chart, A.bundle.rank, A.bundle.frame
     units, xs = identity(chart, rank), [Poly.var(chart, c) for c in chart.coords]
-    # probe g u_b, g = x_k or 1 for k = None; delta, rho, [s, u_c] once each
+
+    def delta_into(out: dict, g: Poly | None, dt: FrameBivector, t, dg) -> None:
+        """Add delta(g t) = g delta(t) + d_* g ^ t, given delta(t) and the
+        components of t and of d_* g (g = 1 for None, with no wedge term)."""
+        for key, p in dt.coeffs.items():
+            _accumulate(out, key, p, g)
+        for c, w in enumerate(dg):
+            for e, q in enumerate(t):
+                if w and q and c != e:
+                    _accumulate(out, (min(c, e), max(c, e)), w, q, 1 if c < e else -1)
+    # probe g u_b, g = x_k or 1 for k = None; delta, rho, [s, u_c] and
+    # delta([s, u_c]) once each
     probes = []
     for k in (None, *range(chart.dim)):
         for b in range(rank):
@@ -323,17 +332,28 @@ def _add_cocycle(report: CheckReport, A: AlgebroidStructure,
                     for c, u in enumerate(units)]
             label = names[b] if k is None else f"{chart.coords[k]}*{names[b]}"
             probes.append((label, b, k, ce_differential(Astar, VForm.section(chart, sc)),
-                           rho, rows))
-    for ia, (la, _, _, da, rho_a, br_a) in enumerate(probes):
-        for lb, b, k, db, rho_b, br_b in probes[ia + 1:]:
-            # [s, g u_b] = g [s, u_b] + rho(s)(g) u_b, and rho(s)(x_k) = rho(s)^k
-            st = br_a[b] if k is None else [xs[k] * p if p else p for p in br_a[b]]
-            if k is not None and rho_a[k]:
-                st[b] = st[b] + rho_a[k]
-            defect = (ce_differential(Astar, VForm.section(chart, st))
-                      - A._lie_on_bivector(rho_a, br_a, db)
-                      + A._lie_on_bivector(rho_b, br_b, da))
-            report.add_zero("cocycle condition", defect, detail=f"({la},{lb})")
+                           rho, rows, [ce_differential(Astar, VForm.section(chart, t))
+                                       for t in rows]))
+    if len(probes) > 1 and A.bundle != Astar.bundle.dual():
+        # delta lands in the frame dual to A*'s, L_s in A's: no defect combines them
+        raise PolyError("FrameBivector shape mismatch")
+    for ia, (la, _, _, da, rho_a, br_a, dbr_a) in enumerate(probes):
+        for lb, b, k, db, rho_b, br_b, _ in probes[ia + 1:]:
+            # [s, g u_b] = g [s, u_b] + f u_b with f = rho(s)(g): rho(s)^k for
+            # g = x_k, whose d_* is column k of the dual anchor
+            out: dict = {}
+            if k is None:  # g = 1
+                delta_into(out, None, dbr_a[b], (), ())
+            else:
+                delta_into(out, xs[k], dbr_a[b], br_a[b], [r[k] for r in Astar.anchor])
+                f = rho_a[k]
+                if f:
+                    delta_into(out, f, probes[b][3], units[b],
+                               [derivative(r, f) for r in Astar.anchor])
+            A._lie_on_bivector_into(out, rho_a, br_a, db, -1)
+            A._lie_on_bivector_into(out, rho_b, br_b, da, 1)
+            report.add_zero("cocycle condition", FrameBivector._trusted(A.bundle, _sums(out)),
+                            detail=f"({la},{lb})")
 
 
 def check_im(A: AlgebroidStructure, D: GenDer) -> CheckReport:

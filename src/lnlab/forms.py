@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .matrix import mat_vec
-from .poly import Chart, Poly, PolyError, _Sum
+from .poly import Chart, Poly, PolyError, _Sum, _check_chart
 
 __all__ = [
     "DiffForm",
@@ -58,8 +58,20 @@ def sort_index(idx: Sequence[int]) -> tuple[Index, int] | None:
     """Sort an index tuple into strictly increasing order.
 
     Returns the sorted tuple and the permutation sign, or None when an index
-    repeats (the antisymmetric component vanishes).
+    repeats (the antisymmetric component vanishes).  Up to three indices the
+    answer is direct comparison: the sign is the parity of the inversions.
     """
+    n = len(idx)
+    if n < 2:
+        return tuple(idx), 1
+    if n == 2:
+        a, b = idx
+        return ((a, b), 1) if a < b else ((b, a), -1) if b < a else None
+    if n == 3:
+        a, b, c = idx
+        if a == b or a == c or b == c:
+            return None
+        return tuple(sorted(idx)), -1 if ((a > b) + (a > c) + (b > c)) % 2 else 1
     lst = list(idx)
     sign = 1
     # insertion sort; counts transpositions exactly
@@ -77,11 +89,17 @@ def sort_index(idx: Sequence[int]) -> tuple[Index, int] | None:
 
 def _accumulate(out: dict, key, x: Poly, y: Poly | None = None, sign: int = 1) -> None:
     """Add ``sign * x * y`` (``sign * x`` without ``y``) into the sum at
-    ``out[key]``; ``_sums`` finishes the map."""
+    ``out[key]``; ``_sums`` finishes the map.  A zero factor adds nothing,
+    so only its chart is checked."""
     acc = out.get(key)
     if acc is None:
         acc = out[key] = _Sum(x.chart)
-    acc.add(x, y, sign)
+    if x and (y is None or y):
+        acc.add(x, y, sign)
+    else:
+        _check_chart(acc.chart, x)
+        if y is not None:
+            _check_chart(acc.chart, y)
 
 
 def _sums(out: dict) -> dict:
@@ -258,13 +276,19 @@ def exterior_d(a: DiffForm) -> DiffForm:
     if deg > chart.dim:
         return DiffForm.zero(chart, deg)
     out: dict[Index, Poly] = {}
+    _d_into(out, a)
+    return DiffForm._trusted(chart, deg, _sums(out))
+
+
+def _d_into(out: dict, a: DiffForm, sign: int = 1, slot=None) -> None:
+    """Add ``sign * exterior_d(a)`` into the sums at ``out``, keyed by index
+    tuple, or by (index tuple, ``slot``) like VForm when a slot is given."""
     for idx, p in a.coeffs.items():
-        for i in range(chart.dim):
+        for i in range(a.chart.dim):
             m = sort_index((i,) + idx)
             dp = p.diff(i) if m else None
             if dp:
-                _accumulate(out, m[0], dp, None, m[1])
-    return DiffForm._trusted(chart, deg, _sums(out))
+                _accumulate(out, m[0] if slot is None else (m[0], slot), dp, None, m[1] * sign)
 
 
 def interior_vector(comps: Sequence[Poly], a: DiffForm) -> DiffForm:
@@ -445,8 +469,14 @@ def interior_vvf(K: VForm, a: DiffForm) -> DiffForm:
         raise PolyError("chart mismatch")
     deg = K.degree + a.degree - 1
     out: dict[Index, Poly] = {}
-    if a.degree == 0 or deg > K.chart.dim:
-        return DiffForm._trusted(K.chart, max(deg, 0), out)
+    if a.degree and deg <= K.chart.dim:
+        _interior_vvf_into(out, K, a)
+    return DiffForm._trusted(K.chart, max(deg, 0), _sums(out))
+
+
+def _interior_vvf_into(out: dict, K: VForm, a: DiffForm, sign: int = 1, slot=None) -> None:
+    """Add ``sign * interior_vvf(K, a)`` into the sums at ``out``, keyed as
+    in ``_d_into``."""
     # p dx_idx (x) d/dx_v contracts d/dx_v out of q dx_J at position pos
     for (idx, v), p in K.coeffs.items():
         for J, q in a.coeffs.items():
@@ -455,18 +485,14 @@ def interior_vvf(K: VForm, a: DiffForm) -> DiffForm:
             pos = J.index(v)
             m = sort_index(idx + J[:pos] + J[pos + 1:])
             if m is not None:
-                _accumulate(out, m[0], q, p, m[1] * (-1) ** pos)
-    return DiffForm._trusted(K.chart, deg, _sums(out))
+                _accumulate(out, m[0] if slot is None else (m[0], slot), q, p,
+                            m[1] * sign * (-1) ** pos)
 
 
 def lie_derivative_vvf(K: VForm, a: DiffForm) -> DiffForm:
-    """Lie derivative along a tangent-valued k-form: L_K = [i_K, d]."""
-    return _lie_vvf(K, a, exterior_d(a))
-
-
-def _lie_vvf(K: VForm, a: DiffForm, da: DiffForm) -> DiffForm:
-    """L_K a = i_K da + (-1)^k d i_K a, given da = ``exterior_d(a)``."""
-    first = interior_vvf(K, da)
+    """Lie derivative along a tangent-valued k-form: L_K = [i_K, d], so
+    L_K a = i_K da + (-1)^k d i_K a."""
+    first = interior_vvf(K, exterior_d(a))
     if a.degree == 0:
         return first
     second = exterior_d(interior_vvf(K, a))

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .poly import Chart, Poly, PolyError
-from .forms import (DiffForm, VForm, _accumulate, _lie_vvf, _sums, _wedge_into,
-                    exterior_d, frolicher_nijenhuis, interior_vvf, vf_bracket)
+from .forms import (DiffForm, VForm, _accumulate, _d_into, _interior_vvf_into, _sums,
+                    _wedge_into, exterior_d, frolicher_nijenhuis, interior_vvf, vf_bracket)
 
 __all__ = [
     "FramedBundle",
@@ -142,8 +142,9 @@ class GenDer:
                          - (-1)^(j k) (L_r a) (x) u
 
         Each term is linear over constants in a, so it acts once per value slot;
-        da serves both the l-term and L_r a.  Wedge terms go into one map per
-        result, which is finished once; L_r a is formed whole, then added.
+        da serves both the l-term and L_r a = i_r da + (-1)^k d(i_r a).  Every
+        term, L_r a's two parts included, goes straight into one map per
+        result, which is finished once.
         """
         out: dict = {}
         self._extend_into(out, eta, 1)
@@ -156,15 +157,17 @@ class GenDer:
 
     def _extend_into(self, out: dict, eta: VForm, sign: int) -> None:
         """Add ``sign * extend(eta)`` into the sums at ``out``."""
-        j = eta.degree
-        lie_sign = -sign * (-1) ** (j * self.degree)
+        j, k, r = eta.degree, self.degree, self.r
+        lie_sign = -sign * (-1) ** (j * k)
         for a, alpha in self._slots(eta):
             _wedge_into(out, alpha, self.d_frame[a], sign)
             dalpha = exterior_d(alpha)
             if self.l_frame is not None:
                 _wedge_into(out, dalpha, self.l_frame[a], sign * (-1) ** j)
-            for idx, p in _lie_vvf(self.r, alpha, dalpha).coeffs.items():
-                _accumulate(out, (idx, a), p, None, lie_sign)
+            # L_r alpha = i_r d alpha + (-1)^k d i_r alpha, in slot a
+            _interior_vvf_into(out, r, dalpha, lie_sign, a)
+            if j:
+                _d_into(out, interior_vvf(r, alpha), lie_sign * (-1) ** k, a)
 
     def _finish(self, degree: int, out: dict) -> VForm:
         """The E-valued ``degree``-form of the sums at ``out``."""
@@ -203,28 +206,27 @@ def bracket(D1: GenDer, D2: GenDer) -> GenDer:
     """
     if D1.bundle != D2.bundle:
         raise PolyError("derivations act on different bundles")
-    k1, k2 = D1.degree, D2.degree
-    sign = (-1) ** (k1 * k2)
+    k = D1.degree + D2.degree
+    sign = (-1) ** (D1.degree * D2.degree)
+    # each half (A, B, s) adds s * B o A and s times its part of l; [D, D] for
+    # D of degree j is (1 - (-1)^(j j)) D o D: one half, doubled, or none for even j
+    if D1 is not D2:
+        halves = [(D1, D2, 1), (D2, D1, -sign)]
+    else:
+        halves = [(D1, D1, 2)] if sign == -1 else []
     d_out: list[VForm] = []
     l_out: list[VForm] = []
-    k = k1 + k2
     for a in range(D1.bundle.rank):
-        D1u, D2u = D1.d_frame[a], D2.d_frame[a]
         d_val: dict = {}
-        D2._extend_into(d_val, D1u, 1)
-        D1._extend_into(d_val, D2u, -sign)
+        parts: dict = {}  # the graded commutators [B, l_A] on the frame section
+        for A, B, s in halves:
+            B._extend_into(d_val, A.d_frame[a], s)
+            if A.l_frame is not None:
+                B._extend_into(parts, A.l_frame[a], s)
+                A._l_into(parts, B.d_frame[a], -s * (-1) ** (B.degree * (A.degree - 1)))
         d_out.append(D1._finish(k, d_val))
-        if k == 0:
-            continue
-        # graded commutators [D2, l1] and [D1, l2] on the frame section
-        parts: dict = {}
-        if D1.l_frame is not None:
-            D2._extend_into(parts, D1.l_frame[a], 1)
-            D1._l_into(parts, D2u, -((-1) ** (k2 * (k1 - 1))))
-        if D2.l_frame is not None:
-            D1._extend_into(parts, D2.l_frame[a], -sign)
-            D2._l_into(parts, D1u, sign * (-1) ** (k1 * (k2 - 1)))
-        l_out.append(D1._finish(k - 1, parts))
+        if k:
+            l_out.append(D1._finish(k - 1, parts))
     r_out = frolicher_nijenhuis(D1.r, D2.r)
     return GenDer(D1.bundle, k, d_out, l_out if k > 0 else None, r_out)
 
@@ -260,7 +262,9 @@ def build_drT(r: VForm) -> GenDer:
 
         D(Y) = [Y, r]  (Lie derivative of r along Y),  l = i_. r, symbol r.
 
-    For k = 1 this is D_X(Y) = [Y, r(X)] - r([Y, X]).
+    For k = 1 this is D_X(Y) = [Y, r(X)] - r([Y, X]).  [d/dx_a, r] = L_(d/dx_a) r
+    (Kolar, Michor & Slovak, Natural Operations in Differential Geometry, 1993)
+    is d_a r, coefficient by coefficient, as d/dx_a kills dx_i and d/dx_v.
     """
     chart = r.chart
     if r.vals != chart.dim:
@@ -269,10 +273,10 @@ def build_drT(r: VForm) -> GenDer:
     d_out = []
     l_out = [] if r.degree > 0 else None
     for a in range(chart.dim):
-        e_a = bundle.frame_section(a)
-        d_out.append(frolicher_nijenhuis(e_a, r))
+        d_out.append(VForm._trusted(chart, r.degree, chart.dim,
+                                    {key: p.diff(a) for key, p in r.coeffs.items()}))
         if l_out is not None:
-            l_out.append(r.insert_vector(e_a))
+            l_out.append(r.insert_vector(bundle.frame_section(a)))
     return GenDer(bundle, r.degree, d_out, l_out, r)
 
 

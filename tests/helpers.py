@@ -109,6 +109,20 @@ def st_vvforms(chart: Chart, degree: int, vals: int):
 
 # -- per-decomposable references for the fused kernels -----------------------
 
+def ref_sort_index(idx):
+    """``sort_index`` by insertion sort, counting transpositions; None on a
+    repeated index."""
+    lst, sign = list(idx), 1
+    for i in range(1, len(lst)):
+        j = i
+        while j > 0 and lst[j - 1] > lst[j]:
+            lst[j - 1], lst[j] = lst[j], lst[j - 1]
+            sign, j = -sign, j - 1
+    if any(a == b for a, b in zip(lst, lst[1:])):
+        return None
+    return tuple(lst), sign
+
+
 def ref_interior_vvf(K: VForm, a: DiffForm) -> DiffForm:
     """i_K a = sum over entries p dx_idx (x) d/dx_v of dx_idx ^ i_{p d/dx_v} a."""
     chart = K.chart

@@ -250,6 +250,13 @@ class TestCocycleItems:
         assert {"pi0,J2:TM_r/T*M", "z*pi0,Jxy:T*M/TM_r", "heisenberg"} <= failing
         assert not {"lnb-tangent-xid:A/Astar", "z*pi0,id:TM_r/T*M"} & failing
 
+    def test_frames_that_are_not_dual_raise(self):
+        # delta lands in the frame dual to A*'s, L_s in A's
+        A = tangent_algebroid(CH2)
+        other = AlgebroidStructure(FramedBundle(CH2, ("f1", "f2")), [[ZERO, ZERO]] * 2, {})
+        with pytest.raises(PolyError, match="shape mismatch"):
+            check_bialgebroid(A, other)
+
     def test_heisenberg_fails_on_exactly_e1_e2_among_frame_pairs(self):
         _, A, Astar = heisenberg_pair()[0]
         failing = [i.detail for i in cocycle_report(A, Astar).failures()]

@@ -15,10 +15,11 @@ from lnlab.forms import (DiffForm, Multivector, VForm, bivector_from_sharp,
                          interior_vvf, lie_derivative_vvf, nijenhuis_torsion,
                          pairing, schouten, sharp, sharp_matrix, sort_index,
                          vf_bracket, wedge)
+from lnlab.matrix import mat_vec
 from lnlab.pnlab import concomitant_C
 
 from helpers import (CH2, CH3, ref_concomitant_C, ref_insert_vector,
-                     ref_interior_vvf, ref_schouten, ref_wedge_scalar,
+                     ref_interior_vvf, ref_schouten, ref_sort_index, ref_wedge_scalar,
                      rnd_form, rnd_mv, rnd_one_form, rnd_poly, rnd_vf,
                      rnd_vvform, st_forms, st_vvforms)
 
@@ -41,6 +42,12 @@ class TestSortIndex:
     def test_repeat_vanishes(self):
         assert sort_index((0, 0)) is None
         assert sort_index((1, 2, 1)) is None
+
+    def test_matches_insertion_sort_up_to_five_indices(self):
+        # lengths 0-3 take the direct comparisons, 4 and 5 the loop
+        for n in range(6):
+            for idx in product(range(5), repeat=n):
+                assert sort_index(idx) == sort_index(list(idx)) == ref_sort_index(idx)
 
 
 class TestWedge:
@@ -608,6 +615,15 @@ class TestKernelErrorContract:
             interior_vvf(self.K2, self.A3)
         with pytest.raises(PolyError):
             frolicher_nijenhuis(self.K2, VForm(CH3, 1, 3, {((0,), 1): ONE3}))
+
+    def test_zero_factor_on_another_chart(self):
+        # a zero factor skips the accumulator, but its chart is still checked
+        zero3 = Poly.zero(CH3)
+        for M, v in (([[zero3]], [X2]), ([[X2]], [zero3]), ([[X2, zero3]], [X2, X2])):
+            with pytest.raises(PolyError, match="chart mismatch"):
+                mat_vec(M, v)
+        with pytest.raises(PolyError, match="chart mismatch"):
+            vf_bracket(VForm.section(CH2, [X2, Y2]), VForm.section(CH3, [zero3] * 3))
 
     def test_non_tangent_form(self):
         bundle_valued = VForm(CH2, 1, 3, {((0,), 2): X2})

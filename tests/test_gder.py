@@ -383,8 +383,9 @@ def ref_lie(K: VForm, a: DiffForm) -> DiffForm:
     return first + second if (K.degree - 1) % 2 else first - second
 
 
-def ref_extend(D: GenDer, eta: VForm) -> VForm:
-    """D(a (x) u) = a ^ D(u) + (-1)^j da ^ l(u) - (-1)^(j k) (L_r a) (x) u."""
+def ref_extend(D: GenDer, eta: VForm, lie=ref_lie) -> VForm:
+    """D(a (x) u) = a ^ D(u) + (-1)^j da ^ l(u) - (-1)^(j k) (L_r a) (x) u,
+    with L_r a from ``lie``."""
     chart, k, j, rank = D.bundle.chart, D.degree, eta.degree, D.bundle.rank
     out = D.bundle.zero_form(j + k)
     for (idx, a), p in eta.coeffs.items():
@@ -393,7 +394,7 @@ def ref_extend(D: GenDer, eta: VForm) -> VForm:
         if D.l_frame is not None:
             out = out + ref_wedge_scalar(exterior_d(alpha), D.l_frame[a]) * (-1) ** j
         slots = [DiffForm.zero(chart, j + k)] * rank
-        slots[a] = ref_lie(D.r, alpha) * -((-1) ** (j * k))
+        slots[a] = lie(D.r, alpha) * -((-1) ** (j * k))
         out = out + VForm.from_components(slots, j + k)
     return out
 
@@ -413,7 +414,41 @@ class TestFusedExtensionOracle:
         chart = data.draw(st.sampled_from((CH2, CH3)))
         D = data.draw(st_gder(chart, data.draw(st.integers(0, 2))))
         eta = data.draw(st_vvforms(chart, data.draw(st.integers(0, 3)), 2))
-        assert D.extend(eta) == ref_extend(D, eta)
+        expect = ref_extend(D, eta)
+        assert D.extend(eta) == expect == ref_extend(D, eta, lie_derivative_vvf)
+
+
+def rebuilt(D: GenDer) -> GenDer:
+    """An equal copy of D that shares no object with it."""
+    def copy(v):
+        return VForm(v.chart, v.degree, v.vals, dict(v.coeffs))
+    return GenDer(D.bundle, D.degree, [copy(v) for v in D.d_frame],
+                  None if D.l_frame is None else [copy(v) for v in D.l_frame], copy(D.r))
+
+
+class TestSelfBracketOracle:
+    """[D, D] forms D o D once (twice its value for odd degree, nothing for
+    even degree); an equal copy takes the two-half path."""
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_self_bracket_matches_equal_copy(self, data):
+        chart = data.draw(st.sampled_from((CH2, CH3)))
+        D = data.draw(st_gder(chart, data.draw(st.integers(0, 2))))
+        square = bracket(D, D)
+        assert square == bracket(D, rebuilt(D)) == bracket(rebuilt(D), D)
+        assert square.is_zero or D.degree % 2
+
+
+class TestDrTOracle:
+    def test_frame_values_are_fn_brackets_with_frame_fields(self):
+        # D(d/dx_a) = d_a r coefficient by coefficient, against [d/dx_a, r]_FN
+        for seed, chart, k in product(range(18), (CH2, CH3), range(4)):
+            r = rnd_vvform(random.Random(seed), chart, k)
+            D = build_drT(r)
+            for a in range(chart.dim):
+                e_a = D.bundle.frame_section(a)
+                assert D.d_frame[a] == frolicher_nijenhuis(e_a, r)
 
 
 class TestExtensionErrorContract:
@@ -432,17 +467,19 @@ class TestExtensionErrorContract:
 
 def test_extend_takes_each_exterior_derivative_once(monkeypatch):
     """Per value slot, extend takes da once for the l-term and L_r a, and
-    d(i_r a) once more when a has positive degree."""
+    d(i_r a) once more when a has positive degree.  Every d pass, whether
+    finished by ``exterior_d`` or added straight into the result, goes
+    through ``forms._d_into``."""
     from lnlab import forms, gder
     D = build_drT(VForm(CH2, 1, 2, {((0,), 0): X, ((1,), 0): Y, ((1,), 1): ONE}))
     calls = []
-    exterior_d = forms.exterior_d
+    d_into = forms._d_into
 
-    def counted(a):
+    def counted(out, a, *args):
         calls.append(a)
-        return exterior_d(a)
-    monkeypatch.setattr(forms, "exterior_d", counted)
-    monkeypatch.setattr(gder, "exterior_d", counted)
+        d_into(out, a, *args)
+    monkeypatch.setattr(forms, "_d_into", counted)
+    monkeypatch.setattr(gder, "_d_into", counted)
     for eta, expected in ((VForm.section(CH2, [X * Y, X + ONE]), 2),
                           (VForm(CH2, 1, 2, {((0,), 0): Y, ((1,), 1): X * X}), 4)):
         calls.clear()
