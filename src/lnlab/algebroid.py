@@ -16,7 +16,7 @@ from .forms import (Multivector, VForm, _Alternating, _accumulate, _derive_into,
                     _sums, derivative, sharp_matrix, schouten, vf_bracket)
 from .gder import (FramedBundle, GenDer, build_drT, cotangent_bundle,
                    tangent_bundle)
-from .matrix import _dot_into, identity, mat_mul, mat_vec, transpose
+from .matrix import identity, mat_mul, mat_vec, transpose
 from .report import CheckReport
 
 __all__ = [
@@ -93,8 +93,10 @@ class AlgebroidStructure:
     def _rho(self, comps: list[Poly]) -> list[Poly]:
         """rho(s) = sum_a s_a rho(u_a) on a component list."""
         out = [_Sum(self.chart) for _ in range(self.chart.dim)]
-        for acc, col in zip(out, zip(*self.anchor)):
-            _dot_into(acc, comps, col)
+        for s_a, row in zip(comps, self.anchor):
+            if s_a:
+                for acc, p in zip(out, row):
+                    acc.add(s_a, p)
         return [acc.poly() for acc in out]
 
     def anchor_of(self, section: VForm) -> VForm:
@@ -120,8 +122,8 @@ class AlgebroidStructure:
         out: dict = {}
         for (a, b), comps in self.structure.items():
             acc = _Sum(self.chart)
-            _dot_into(acc, (sc[a],), (tc[b],))
-            _dot_into(acc, (sc[b],), (tc[a],), -1)
+            acc.add(sc[a], tc[b])
+            acc.add(sc[b], tc[a], -1)
             f = acc.poly()
             if f:
                 for v, c in enumerate(comps):
@@ -320,8 +322,7 @@ def _add_cocycle(report: CheckReport, A: AlgebroidStructure,
             for e, q in enumerate(t):
                 if w and q and c != e:
                     _accumulate(out, (min(c, e), max(c, e)), w, q, 1 if c < e else -1)
-    # probe g u_b, g = x_k or 1 for k = None; delta, rho, [s, u_c] and
-    # delta([s, u_c]) once each
+    # probe g u_b, g = x_k or 1 for k = None; delta, rho and [s, u_c] once each
     probes = []
     for k in (None, *range(chart.dim)):
         for b in range(rank):
@@ -332,24 +333,29 @@ def _add_cocycle(report: CheckReport, A: AlgebroidStructure,
                     for c, u in enumerate(units)]
             label = names[b] if k is None else f"{chart.coords[k]}*{names[b]}"
             probes.append((label, b, k, ce_differential(Astar, VForm.section(chart, sc)),
-                           rho, rows, [ce_differential(Astar, VForm.section(chart, t))
-                                       for t in rows]))
+                           rho, rows))
     if len(probes) > 1 and A.bundle != Astar.bundle.dual():
         # delta lands in the frame dual to A*'s, L_s in A's: no defect combines them
         raise PolyError("FrameBivector shape mismatch")
-    for ia, (la, _, _, da, rho_a, br_a, dbr_a) in enumerate(probes):
-        for lb, b, k, db, rho_b, br_b, _ in probes[ia + 1:]:
-            # [s, g u_b] = g [s, u_b] + f u_b with f = rho(s)(g): rho(s)^k for
-            # g = x_k, whose d_* is column k of the dual anchor
+    d_xs = list(zip(*Astar.anchor))  # d_* x_k is column k of the dual anchor
+    for ia, (la, _, _, da, rho_a, br_a) in enumerate(probes):
+        # delta([s, u_b]) and d_* rho(s)^k, once for each b and k a later probe names
+        d_br: dict = {}
+        d_rho: dict = {}
+        for lb, b, k, db, rho_b, br_b in probes[ia + 1:]:
+            if b not in d_br:
+                d_br[b] = ce_differential(Astar, VForm.section(chart, br_a[b]))
+            # [s, g u_b] = g [s, u_b] + f u_b with f = rho(s)(g) = rho(s)^k for g = x_k
             out: dict = {}
             if k is None:  # g = 1
-                delta_into(out, None, dbr_a[b], (), ())
+                delta_into(out, None, d_br[b], (), ())
             else:
-                delta_into(out, xs[k], dbr_a[b], br_a[b], [r[k] for r in Astar.anchor])
+                delta_into(out, xs[k], d_br[b], br_a[b], d_xs[k])
                 f = rho_a[k]
                 if f:
-                    delta_into(out, f, probes[b][3], units[b],
-                               [derivative(r, f) for r in Astar.anchor])
+                    if k not in d_rho:
+                        d_rho[k] = [derivative(r, f) for r in Astar.anchor]
+                    delta_into(out, f, probes[b][3], units[b], d_rho[k])
             A._lie_on_bivector_into(out, rho_a, br_a, db, -1)
             A._lie_on_bivector_into(out, rho_b, br_b, da, 1)
             report.add_zero("cocycle condition", FrameBivector._trusted(A.bundle, _sums(out)),

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .matrix import mat_vec
-from .poly import Chart, Poly, PolyError, _Sum, _check_chart
+from .poly import Chart, Poly, PolyError, _Sum
 
 __all__ = [
     "DiffForm",
@@ -89,17 +89,11 @@ def sort_index(idx: Sequence[int]) -> tuple[Index, int] | None:
 
 def _accumulate(out: dict, key, x: Poly, y: Poly | None = None, sign: int = 1) -> None:
     """Add ``sign * x * y`` (``sign * x`` without ``y``) into the sum at
-    ``out[key]``; ``_sums`` finishes the map.  A zero factor adds nothing,
-    so only its chart is checked."""
+    ``out[key]``; ``_sums`` finishes the map."""
     acc = out.get(key)
     if acc is None:
         acc = out[key] = _Sum(x.chart)
-    if x and (y is None or y):
-        acc.add(x, y, sign)
-    else:
-        _check_chart(acc.chart, x)
-        if y is not None:
-            _check_chart(acc.chart, y)
+    acc.add(x, y, sign)
 
 
 def _sums(out: dict) -> dict:

@@ -249,9 +249,6 @@ class Poly:
     def _plus(self, other: "Poly | Scalar", sign: int) -> "Poly":
         if other.__class__ is not Poly:
             other = Poly.const(self.chart, other)
-        if not (self._num and other._num):  # a zero side adds nothing
-            _check_chart(self.chart, other)
-            return self if not other._num else other if sign == 1 else -other
         acc = _Sum(self.chart)
         acc.num, acc.den = dict(self._num), self._den
         acc.add(other, None, sign)

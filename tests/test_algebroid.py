@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from lnlab.poly import Chart, Poly, PolyError
+from lnlab.poly import (Chart, GrowthLimitError, Poly, PolyError, get_degree_limit,
+                        set_degree_limit)
 from lnlab.forms import Multivector, VForm, vf_bracket
 from lnlab.gder import (FramedBundle, GenDer, build_drT, build_drTstar,
                         build_from_connection, dual)
@@ -256,6 +257,25 @@ class TestCocycleItems:
         other = AlgebroidStructure(FramedBundle(CH2, ("f1", "f2")), [[ZERO, ZERO]] * 2, {})
         with pytest.raises(PolyError, match="shape mismatch"):
             check_bialgebroid(A, other)
+
+    def test_degree_limit_meets_only_formed_products(self):
+        # delta(x_k [s, u_b]) is x_k delta([s, u_b]) + d_* x_k ^ [s, u_b]: with
+        # degree-1 structure and a constant dual anchor nothing past degree 2
+        # is formed, where delta taken of x [e1, e2] = x^2 e1 whole forms degree 3
+        E = FramedBundle(CH2, ("e1", "e2"))
+        A = AlgebroidStructure(E, [[ZERO, ZERO]] * 2, {(0, 1): [X, ZERO]})
+        Astar = AlgebroidStructure(E.dual(), [[ONE, ZERO], [ZERO, ONE]], {})
+        expect = [(i.law, i.detail, i.passed) for i in check_bialgebroid(A, Astar).items]
+        old = get_degree_limit()
+        try:
+            set_degree_limit(2)
+            got = [(i.law, i.detail, i.passed) for i in check_bialgebroid(A, Astar).items]
+            set_degree_limit(1)
+            with pytest.raises(GrowthLimitError, match="degree 2 exceeds limit 1"):
+                check_bialgebroid(A, Astar)
+        finally:
+            set_degree_limit(old)
+        assert got == expect and "(e1,y*e2)" in [d for _, d, ok in got if not ok]
 
     def test_heisenberg_fails_on_exactly_e1_e2_among_frame_pairs(self):
         _, A, Astar = heisenberg_pair()[0]
