@@ -17,7 +17,7 @@ from .forms import (Multivector, VForm, _Alternating, _accumulate, _derive_into,
 from .gder import (FramedBundle, GenDer, build_drT, cotangent_bundle,
                    tangent_bundle)
 from .matrix import identity, mat_mul, mat_vec, transpose
-from .report import CheckReport
+from .report import CheckReport, _once
 
 __all__ = [
     "AlgebroidStructure",
@@ -135,7 +135,11 @@ class AlgebroidStructure:
         return VForm._trusted(self.chart, 0, rank, _sums(out))
 
     def validate(self) -> CheckReport:
-        """Jacobi identity on frame triples, anchor morphism on frame pairs."""
+        """Jacobi identity on frame triples, anchor morphism on frame pairs.
+        Within a scene run each algebroid is verified once."""
+        return _once(AlgebroidStructure._validate, self)
+
+    def _validate(self) -> CheckReport:
         report = CheckReport(f"algebroid on {self.bundle.frame}")
         chart, rank, anchor = self.chart, self.bundle.rank, self.anchor
         units, names = identity(chart, rank), self.bundle.frame
@@ -287,7 +291,8 @@ def check_bialgebroid(A: AlgebroidStructure, Astar: AlgebroidStructure) -> Check
 
     with delta the differential induced by A*.  Checked on frame pairs and on
     coordinate-function multiples of frame sections (which exercises the
-    anchor compatibility hidden in the Leibniz terms).
+    anchor compatibility hidden in the Leibniz terms).  Within a scene run
+    the cocycle items of a pair are computed once.
     """
     report = CheckReport("bialgebroid pair")
     va = A.validate()
@@ -302,14 +307,14 @@ def check_bialgebroid(A: AlgebroidStructure, Astar: AlgebroidStructure) -> Check
         return report
     report.add("base structure valid", True)
     report.add("dual structure valid", True)
-    _add_cocycle(report, A, Astar)
+    report.extend(_once(_cocycle, A, Astar))
     return report
 
 
-def _add_cocycle(report: CheckReport, A: AlgebroidStructure,
-                 Astar: AlgebroidStructure) -> None:
+def _cocycle(A: AlgebroidStructure, Astar: AlgebroidStructure) -> CheckReport:
     """The cocycle items of ``check_bialgebroid``, for a pair whose two
     structures are already known to be valid."""
+    report = CheckReport("cocycle")
     chart, rank, names = A.chart, A.bundle.rank, A.bundle.frame
     units, xs = identity(chart, rank), [Poly.var(chart, c) for c in chart.coords]
 
@@ -360,6 +365,7 @@ def _add_cocycle(report: CheckReport, A: AlgebroidStructure,
             A._lie_on_bivector_into(out, rho_b, br_b, da, 1)
             report.add_zero("cocycle condition", FrameBivector._trusted(A.bundle, _sums(out)),
                             detail=f"({la},{lb})")
+    return report
 
 
 def check_im(A: AlgebroidStructure, D: GenDer) -> CheckReport:
@@ -371,7 +377,13 @@ def check_im(A: AlgebroidStructure, D: GenDer) -> CheckReport:
         (2) l([a,b])   = [a, l(b)] - D_{rho(b)}(a)
         (3) D^{r,T}_X(rho(a)) = rho(D_X(a))
         (4) r o rho = rho o l
+
+    Within a scene run each (A, D) is checked once.
     """
+    return _once(_im_report, A, D)
+
+
+def _im_report(A: AlgebroidStructure, D: GenDer) -> CheckReport:
     if D.bundle != A.bundle or D.degree != 1:
         raise PolyError("need a degree-1 derivation on the same bundle")
     report = CheckReport("IM equations")

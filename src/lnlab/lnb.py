@@ -19,7 +19,7 @@ from .algebroid import (AlgebroidStructure, algebroid_torsion, check_bialgebroid
                         check_im, deform_algebroid)
 from .matrix import identity, mat_mul, transpose
 from .pnlab import PNCandidate, check_pn
-from .report import CheckReport
+from .report import CheckReport, _once
 
 __all__ = [
     "LNCandidate",
@@ -59,7 +59,10 @@ def _l_matrix(D: GenDer) -> list[list[Poly]]:
 
 def check_lnb(c: LNCandidate) -> CheckReport:
     """Full candidate verdict: IM equations for the derivation, IM equations
-    for its dual on the dual algebroid, and vanishing self-bracket."""
+    for its dual on the dual algebroid, and vanishing self-bracket, after
+    both algebroids and the bialgebroid cocycle.  Within one scene run a
+    structure already verified is not verified again; library calls verify
+    in full."""
     for label, rep in (("base algebroid", c.A.validate()),
                        ("dual algebroid", c.Astar.validate())):
         if not rep.passed:
@@ -68,8 +71,8 @@ def check_lnb(c: LNCandidate) -> CheckReport:
         raise PolyError("the pair is not a bialgebroid")
     report = CheckReport("Lie-Nijenhuis bialgebroid")
     report.extend(check_im(c.A, c.D), prefix="base: ")
-    report.extend(check_im(c.Astar, dual(c.D)), prefix="dual: ")
-    sq = bracket(c.D, c.D)
+    report.extend(check_im(c.Astar, _once(dual, c.D)), prefix="dual: ")
+    sq = _once(bracket, c.D, c.D)
     names = c.A.bundle.frame
     for a in range(c.A.bundle.rank):
         report.add_zero("derivation square", sq.d_frame[a], detail=names[a])
@@ -78,7 +81,9 @@ def check_lnb(c: LNCandidate) -> CheckReport:
 
 def base_pn(c: LNCandidate) -> tuple[PNCandidate, CheckReport]:
     """Poisson-Nijenhuis structure induced on the base: the bivector obtained
-    by composing the two anchors, paired with the symbol of the derivation."""
+    by composing the two anchors, paired with the symbol of the derivation.
+    Within one scene run a candidate already verified is not verified again;
+    a library call verifies it in full."""
     if not check_lnb(c).passed:
         raise PolyError("candidate is not a Lie-Nijenhuis bialgebroid")
     chart = c.chart
@@ -97,7 +102,10 @@ def base_pn(c: LNCandidate) -> tuple[PNCandidate, CheckReport]:
 def deform_hierarchy(c: LNCandidate, depth: int) -> tuple[list[LNCandidate], CheckReport]:
     """Candidates obtained by deforming the dual bracket with powers of the
     transposed symbol, plus the base-side bracket deformed by the symbol
-    itself; each member is re-verified in full."""
+    itself; each member goes through ``check_lnb``.  Within one scene run
+    what a member shares with the candidate (an algebroid, the derivation
+    and its dual) is not verified again; a library call verifies each member
+    in full."""
     if depth < 1:
         raise PolyError("depth must be at least 1")
     if not check_lnb(c).passed:
@@ -126,7 +134,8 @@ def deform_hierarchy(c: LNCandidate, depth: int) -> tuple[list[LNCandidate], Che
 def holomorphic_detect(c: LNCandidate) -> CheckReport:
     """Complex-structure recognition: the symbol squares to minus the
     identity on both the tangent and the bundle side and the derivation
-    anticommutes with it."""
+    anticommutes with it.  Within one scene run a candidate already verified
+    is not verified again; a library call verifies it in full."""
     if not check_lnb(c).passed:
         raise PolyError("candidate is not a Lie-Nijenhuis bialgebroid")
     chart = c.chart

@@ -14,7 +14,7 @@ from .forms import (DiffForm, Multivector, VForm, _check_tangent,
                     bivector_from_sharp, frolicher_nijenhuis, interior_vvf,
                     lie_derivative_vvf, nijenhuis_torsion, schouten, sharp,
                     sharp_matrix)
-from .algebroid import (_add_cocycle, cotangent_of_poisson, deform_algebroid,
+from .algebroid import (_cocycle, cotangent_of_poisson, deform_algebroid,
                         tangent_algebroid)
 from .gder import tangent_bundle
 from .matrix import _dot, _dot_into, identity, mat_mul, mat_vec, transpose
@@ -240,8 +240,7 @@ def kosmann_equivalence(c: PNCandidate) -> CheckReport:
     report.add("cotangent algebroid valid", vc.passed)
     if vt.passed and vc.passed:
         for side, pair in (("deformed tangent", (tmr, ctg)), ("cotangent", (ctg, tmr))):
-            cocycle = CheckReport("bialgebroid pair")
-            _add_cocycle(cocycle, *pair)
+            cocycle = _cocycle(*pair)
             report.add(f"cocycle ({side} side)", cocycle.passed,
                        detail="" if cocycle.passed
                        else f"{len(cocycle.failures())} failing pairs")

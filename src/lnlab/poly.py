@@ -24,9 +24,10 @@ step of a fresh accumulator, so the merge loop, the product loop and the
 degree check exist once.  A product's degree is checked before it is formed,
 so no result ever holds a monomial above the limit; but a sum whose top degree
 cancels may pass where forming its terms' products one by one raised (the
-brackets in ``forms`` sum first, then multiply).  ``**`` also bounds the bit
-length of its coefficients by ``_POWER_BITS``: a constant power such as
-``(2^65535)^65535`` has degree 0, so no degree check sees it.
+brackets in ``forms`` sum first, then multiply).  ``**`` and each ``*`` of
+parsed text also bound the bit length of their coefficients by
+``_POWER_BITS``: a constant power such as ``(2^65535)^65535``, or a long
+product of constants, has degree 0, so no degree check sees it.
 """
 
 from __future__ import annotations
@@ -72,8 +73,17 @@ MAX_DEGREE_LIMIT = _SLOT_MASK
 
 # Total-degree guardrail.  Exceeding it raises, never truncates.
 _DEGREE_LIMIT = 64
-# Coefficient guardrail of ``**``, in bits: a constant power has degree 0.
+# Coefficient guardrail of ``**`` and of parsed products, in bits: a constant
+# power or product has degree 0.
 _POWER_BITS = 1 << 20
+
+
+def _check_bits(*polys: "Poly") -> None:
+    """Raise ``GrowthLimitError`` when a numerator or denominator of the
+    polys has more than ``_POWER_BITS`` bits."""
+    bits = max(c.bit_length() for p in polys for c in (p._den, *p._num.values()))
+    if bits > _POWER_BITS:
+        raise GrowthLimitError(f"coefficient of {bits} bits exceeds limit {_POWER_BITS}")
 
 
 def set_degree_limit(limit: int) -> None:
@@ -293,9 +303,7 @@ class Poly:
                 out = out * base
             base = base * base if n > 1 else base
             n >>= 1
-            bits = max(c.bit_length() for p in (out, base) for c in (p._den, *p._num.values()))
-            if bits > _POWER_BITS:
-                raise GrowthLimitError(f"coefficient of {bits} bits exceeds limit {_POWER_BITS}")
+            _check_bits(out, base)
         return out
 
     # -- calculus ----------------------------------------------------------
@@ -587,6 +595,7 @@ class _Parser:
             if tok and tok[1] == "*":
                 self.next()
                 acc = acc * self.power()
+                _check_bits(acc)  # a product of constants has degree 0
             else:
                 return acc
 

@@ -8,8 +8,10 @@ rendered for humans or inspected programmatically.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, Iterator
 
 __all__ = ["CheckItem", "CheckReport"]
 
@@ -84,3 +86,35 @@ class CheckReport:
 
     def __str__(self) -> str:
         return self.render_text()
+
+
+# Verdicts of the current scene run, keyed by the function and the identities
+# of its arguments; None outside a run.
+_verdicts: ContextVar[dict | None] = ContextVar("lnlab_verdicts", default=None)
+
+
+@contextmanager
+def _verification_run() -> Iterator[None]:
+    """Open an empty store of verdicts for the enclosed checks, and drop it
+    on every exit path."""
+    token = _verdicts.set({})
+    try:
+        yield
+    finally:
+        _verdicts.reset(token)
+
+
+def _once(fn: Callable, *args: Any) -> Any:
+    """``fn(*args)``, computed at most once per function and argument objects
+    within a scene run, and afresh outside one.  An exception is not stored,
+    so the next call raises it again.  The value is shared: callers must not
+    modify it."""
+    store = _verdicts.get()
+    if store is None:
+        return fn(*args)
+    key = (fn, *map(id, args))
+    entry = store.get(key)
+    if entry is None:
+        # the entry keeps the arguments alive, so no id is reused in the run
+        entry = store[key] = (args, fn(*args))
+    return entry[1]

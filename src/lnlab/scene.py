@@ -43,6 +43,11 @@ gder_tangent or gder_cotangent object.
     holomorphic         base, dual, gder
     torsion             endomorphism
     correspondence      gder
+
+Within one ``run`` a structure already verified is not verified again: the
+algebroid, cocycle and IM verdicts and the dual and self-bracket of a
+derivation that one check computes serve the later checks of the run, and
+are dropped when it ends.  Library calls outside a run verify in full.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ from .pnlab import PNCandidate, check_pn, hierarchy, kosmann_equivalence, mm1_id
 from .lifts import linearize, verify_correspondence
 from .lnb import (LNCandidate, base_pn, check_lnb, deform_hierarchy,
                   holomorphic_detect)
-from .report import CheckReport
+from .report import CheckReport, _verification_run
 
 __all__ = ["Scene", "Report", "SceneError", "parse_scene", "run", "render"]
 
@@ -317,6 +322,10 @@ def _bind_check(ck: dict, env: dict, where: str) -> Callable[[int], CheckReport]
         return lambda seed: A.validate()
     if kind == "bialgebroid":
         A, Astar = ref("base", AlgebroidStructure), ref("dual", AlgebroidStructure)
+        if A.bundle.dual() != Astar.bundle:
+            raise SceneError(f"{where}: frame ({', '.join(A.bundle.frame)}) of "
+                             f"'{ck['base']}' is not dual to frame "
+                             f"({', '.join(Astar.bundle.frame)}) of '{ck['dual']}'")
         return lambda seed: check_bialgebroid(A, Astar)
     if kind == "im":
         A, D = ref("algebroid", AlgebroidStructure), ref("gder", GenDer)
@@ -370,19 +379,20 @@ def _bind_check(ck: dict, env: dict, where: str) -> Callable[[int], CheckReport]
 def run(scene: Scene, seed: int = 0) -> Report:
     digest = hashlib.sha256(scene.source.encode()).hexdigest()[:16]
     report = Report(digest, __version__)
-    for pos, (name, runner) in enumerate(scene.checks):
-        label = f"{pos + 1}:{name}"
-        start = time.monotonic()
-        try:
-            sub = runner(seed)
-        except GrowthLimitError as e:
-            sub = CheckReport(name)
-            sub.add("resource bound", False, detail=str(e))
-            report.resource_errors += 1
-        except PolyError as e:
-            sub = CheckReport(name)
-            sub.add("precondition", False, detail=str(e))
-        report.items.append((label, sub, time.monotonic() - start))
+    with _verification_run():
+        for pos, (name, runner) in enumerate(scene.checks):
+            label = f"{pos + 1}:{name}"
+            start = time.monotonic()
+            try:
+                sub = runner(seed)
+            except GrowthLimitError as e:
+                sub = CheckReport(name)
+                sub.add("resource bound", False, detail=str(e))
+                report.resource_errors += 1
+            except PolyError as e:
+                sub = CheckReport(name)
+                sub.add("precondition", False, detail=str(e))
+            report.items.append((label, sub, time.monotonic() - start))
     return report
 
 

@@ -1,7 +1,7 @@
 """Polynomial kernel: ring axioms, parsing, differentiation, growth limits."""
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -141,6 +141,18 @@ class TestGrowthLimit:
         with pytest.raises(GrowthLimitError,
                            match=r"^coefficient of \d+ bits exceeds limit 1048576$"):
             parse_poly(CH, text)
+
+    def test_product_of_constants_past_the_bit_cap(self):
+        """Each parsed ``*`` caps its coefficients too: the 17th factor of
+        2^65535 passes 2^20 bits."""
+        text = "*".join(["2^65535"] * 64)
+        with pytest.raises(GrowthLimitError,
+                           match=r"^coefficient of 1114096 bits exceeds limit 1048576$"):
+            parse_poly(CH, text)
+        assert parse_poly(CH, "*".join(["2^65535"] * 16)) == 2 ** (65535 * 16)
+
+    def test_product_of_small_constants_parses(self):
+        assert parse_poly(CH, "*".join(map(str, range(1, 21))) + "*x") == factorial(20) * X
 
     POWERS = [
         ("(2^65535)^15", 2 ** (65535 * 15)), ("2^15000", 2 ** 15000),

@@ -14,11 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import decimal
+from lnlab import algebroid, lnb, report
 from lnlab import scene as scene_module
 from lnlab.poly import Chart, Poly, get_degree_limit, set_degree_limit
 from lnlab.forms import DiffForm, Multivector, VForm
 from lnlab.gder import FramedBundle
-from lnlab.algebroid import AlgebroidStructure, check_bialgebroid
+from lnlab.algebroid import AlgebroidStructure, check_bialgebroid, deform_algebroid
+from lnlab.lnb import LNCandidate, check_lnb
+from lnlab.matrix import transpose
 from lnlab.catalog import example_names, example_source
 from lnlab.cli import main
 from lnlab.report import CheckItem
@@ -208,6 +211,17 @@ class TestCheckCommand:
         assert main(["check", scene_file(failing)]) == 1
         assert "overall: FAIL" in capsys.readouterr().out
 
+    def test_bialgebroid_frames_that_are_not_dual_exit_two(self, scene_file, capsys):
+        """An input error naming both objects and frames, not a failed
+        precondition verdict."""
+        source = (example_source("bialgebra-aff2")
+                  .replace('"e1*", "e2*"', '"f1", "f2"').replace("e1*,e2*", "f1,f2"))
+        assert main(["check", scene_file(source)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: check #3: frame (e1, e2) of 'aff2' is not "
+                                "dual to frame (f1, f2) of 'aff2dual'\n")
+
     def test_missing_file_exits_two(self, capsys):
         assert main(["check", "/nonexistent/scene.json"]) == 2
 
@@ -318,10 +332,13 @@ class TestCheckCommand:
 
     @pytest.mark.parametrize("entry, detail", [
         ("(2^65535)^65535*y", "coefficient of 2097121 bits exceeds limit 1048576"),
+        pytest.param("*".join(["2^65535"] * 64),
+                     "coefficient of 1114096 bits exceeds limit 1048576",
+                     id="64 constant factors"),
         ("x^65", "monomial degree 65 exceeds limit 64")])
     def test_growth_in_an_input_exits_three(self, scene_file, capsys, entry, detail):
         """An entry past a growth bound is a resource bound, named by its
-        place; the constant power, of degree 0, stops at once."""
+        place; the constant power or product, of degree 0, stops at once."""
         scene = json.dumps({
             "chart": ["x", "y"],
             "objects": {"r": {"type": "endomorphism", "matrix": [[entry, "0"], ["0", "x"]]}},
@@ -471,3 +488,90 @@ class TestLiftCommand:
 
     def test_non_liftable_object_exits_two(self, scene_file, capsys):
         assert main(["lift", scene_file(PN_SCENE), "pi0"]) == 2
+
+
+def _count(monkeypatch, calls: dict, label: str, owners, attr: str) -> None:
+    """Count the calls of ``attr`` through each owner that binds it."""
+    for owner in owners:
+        fn = getattr(owner, attr)
+
+        def counted(*args, _fn=fn):
+            calls[label] = calls.get(label, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(owner, attr, counted)
+
+
+def _count_bodies(monkeypatch) -> dict:
+    calls: dict = {}
+    for label, owner, attr in (("validate", AlgebroidStructure, "_validate"),
+                               ("cocycle", algebroid, "_cocycle"),
+                               ("im", algebroid, "_im_report"),
+                               ("dual", lnb, "dual"), ("bracket", lnb, "bracket")):
+        _count(monkeypatch, calls, label, [owner], attr)
+    return calls
+
+
+class TestVerdictStore:
+    """Within one scene run each structure is verified once; outside a run
+    every call verifies in full."""
+
+    def test_each_body_runs_once_per_argument_tuple(self, monkeypatch, capsys):
+        bodies = _count_bodies(monkeypatch)
+        entries: dict = {}
+        _count(monkeypatch, entries, "validate", [AlgebroidStructure], "validate")
+        _count(monkeypatch, entries, "check_lnb", [scene_module, lnb], "check_lnb")
+        _count(monkeypatch, entries, "check_bialgebroid", [lnb], "check_bialgebroid")
+        assert main(["examples", "run", "lnb-tangent-xid", "--format", "table"]) == 0
+        assert capsys.readouterr().out == (GOLDENS / "lnb-tangent-xid.txt").read_text()
+        assert entries == {"check_lnb": 6, "check_bialgebroid": 6, "validate": 24}
+        assert bodies == {"validate": 5, "cocycle": 4, "im": 5, "dual": 1, "bracket": 1}
+
+    def test_library_calls_verify_in_full(self, monkeypatch):
+        objects = parse_scene(example_source("lnb-tangent-xid")).objects
+        c = LNCandidate(objects["A"], objects["Astar"], objects["D"])
+        bodies = _count_bodies(monkeypatch)
+        assert check_lnb(c).passed and check_lnb(c).passed
+        assert bodies == {"validate": 8, "cocycle": 2, "im": 4, "dual": 2, "bracket": 2}
+        assert report._verdicts.get() is None
+
+    @pytest.mark.parametrize("name", example_names())
+    def test_store_is_dropped_when_the_run_ends(self, name, capsys):
+        """Also when a check raised: at --max-degree 1 most scenes stop at a
+        resource bound."""
+        assert main(["--max-degree", "1", "examples", "run", name]) in (0, 1, 3)
+        capsys.readouterr()
+        assert report._verdicts.get() is None
+
+    def test_store_is_dropped_when_an_error_escapes(self, monkeypatch):
+        inside = []
+
+        def boom(c):
+            inside.append(report._verdicts.get())
+            raise RuntimeError("boom")
+        monkeypatch.setattr(scene_module, "check_lnb", boom)
+        with pytest.raises(RuntimeError):
+            main(["examples", "run", "lnb-tangent-xid"])
+        assert inside == [{}]
+        assert report._verdicts.get() is None
+
+    def test_a_resource_error_is_raised_again(self, monkeypatch):
+        """The dual IM check of a deformed member passes the bound; the
+        second check of the same member in the run raises it again."""
+        objects = parse_scene(example_source("lnb-tangent-xid")).objects
+        A, D = objects["A"], objects["D"]
+        Lstar = transpose(lnb._l_matrix(D))
+        member = LNCandidate(A, deform_algebroid(objects["Astar"], Lstar), D)
+        sc = scene_module.Scene(A.chart, objects,
+                                [("lnb", lambda seed: check_lnb(member))] * 2, "")
+        bodies = _count_bodies(monkeypatch)
+        old = get_degree_limit()
+        set_degree_limit(1)
+        try:
+            rep = run(sc)
+        finally:
+            set_degree_limit(old)
+        assert rep.resource_errors == 2
+        assert [sub.items[0].detail for _, sub, _ in rep.items] == [
+            "monomial degree 2 exceeds limit 1"] * 2
+        # the base IM check is stored; the dual one raised both times
+        assert bodies == {"validate": 2, "cocycle": 1, "im": 3, "dual": 1}
