@@ -652,10 +652,18 @@ def sharp(P: Multivector, a: DiffForm) -> VForm:
 
 
 def sharp_matrix(P: Multivector) -> list[list[Poly]]:
-    """Matrix S with sharp(P, a)^j = sum_i S[j][i] a_i."""
-    chart = P.chart
-    n = chart.dim
-    return [[P.coeff((i, j)) for i in range(n)] for j in range(n)]
+    """Matrix S with sharp(P, a)^j = sum_i S[j][i] a_i.
+
+    S[j][i] = P^{ij}: each stored coefficient P^{ij}, i < j, fills S[j][i]
+    and its negation the mirrored S[i][j]."""
+    if P.degree != 2:
+        raise ValueError("sharp_matrix needs a bivector")
+    n = P.chart.dim
+    zero = Poly.zero(P.chart)
+    S = [[zero] * n for _ in range(n)]
+    for (i, j), p in P.coeffs.items():
+        S[j][i], S[i][j] = p, -p
+    return S
 
 
 def pairing(a: DiffForm, X: VForm) -> Poly:

@@ -51,7 +51,8 @@ class PNCandidate:
 
 
 def _comps(a: DiffForm) -> list[Poly]:
-    return [a.coeff((i,)) for i in range(a.chart.dim)]
+    z = Poly.zero(a.chart)
+    return [a.coeffs.get((i,), z) for i in range(a.chart.dim)]
 
 
 def _grad(comps: list[Poly]) -> list[list[Poly]]:
@@ -70,6 +71,18 @@ def _curl(comps: list[Poly]) -> list[list[Poly]]:
     return c
 
 
+def _dot_on(idx: list[int], xs: list[Poly], ys: list[Poly]) -> Poly:
+    """The sum of xs[i] ys[i] over the indices idx, a support of xs or ys."""
+    acc = _Sum(xs[0].chart)
+    for i in idx:
+        acc.add(xs[i], ys[i])
+    return acc.poly()
+
+
+def _support(v: list[Poly]) -> list[int]:
+    return [i for i, p in enumerate(v) if p]
+
+
 def _prep(pi: Multivector, r: VForm):
     """(pi#, r, r*) as matrices, read by every concomitant of (pi, r)."""
     M = r.matrix()
@@ -77,36 +90,78 @@ def _prep(pi: Multivector, r: VForm):
 
 
 def _core(prep, v: list[Poly]):
-    """(v, r*v, pi# v, U = (r pi# - pi# r*) v) for the components v of a form."""
-    S, M, Mt = prep
-    rv, pv = mat_vec(Mt, v), mat_vec(S, v)
-    return v, rv, pv, [x - y for x, y in zip(mat_vec(M, pv), mat_vec(S, rv))]
+    """(v, r*v, pi# v) for the components v of a form; the zero components
+    of v are skipped once for both images."""
+    S, _, Mt = prep
+    nz = _support(v)
+    return (v, [_dot_on(nz, row, v) for row in Mt],
+            [_dot_on(nz, row, v) for row in S])
 
 
-def _a_role(core):
-    """What C(a, .) reads of a: pi# a, U, (grad U)^T, (grad pi# a)^T, da, d(r*a)."""
-    av, ra, pa, U = core
-    return pa, U, transpose(_grad(U)), transpose(_grad(pa)), _curl(av), _curl(ra)
+def _U(prep, core) -> list[Poly]:
+    """(r pi# - pi# r*) v from the core (v, r*v, pi# v)."""
+    S, M, _ = prep
+    _, rv, pv = core
+    return [x - y for x, y in zip(mat_vec(M, pv), mat_vec(S, rv))]
 
 
-def _b_role(core):
-    """What C(., b) reads of b: its core and the gradients of b and r*b."""
-    return (*core, _grad(core[0]), _grad(core[1]))
+def _a_more(prep, core):
+    """What C(a, .) reads of a only when a or b is not constant: U, (grad U)^T, da."""
+    U = _U(prep, core)
+    return U, transpose(_grad(U)), _curl(core[0])
+
+
+def _b_more(prep, core):
+    """What C(., b) reads of b only when a or b is not constant: V and grad b."""
+    return _U(prep, core), _grad(core[0])
+
+
+def _constant(v: list[Poly]) -> bool:
+    return not any(p.total_degree() for p in v)
+
+
+def _a_role(prep, core):
+    """What C(a, .) reads of a: its core, ``_a_more`` (None for a constant
+    a), (grad pi# a)^T and d(r*a)."""
+    more = None if _constant(core[0]) else _a_more(prep, core)
+    return core, more, transpose(_grad(core[2])), _curl(core[1])
+
+
+def _b_role(prep, core):
+    """What C(., b) reads of b: its core, ``_b_more`` (None for a constant
+    b) and grad r*b."""
+    return core, None if _constant(core[0]) else _b_more(prep, core), _grad(core[1])
 
 
 def _pair(chart: Chart, prep, a_role, b_role) -> DiffForm:
     """C(a, b) from the role data of a and b (see ``concomitant_C``)."""
-    pa, U, dUt, dpat, da, dra = a_role
-    bv, rb, pb, V, db, drb = b_role
-    ab = [_dot(pa + bv + pb, db[v] + dpat[v] + da[v]) for v in range(len(bv))]
+    (_, ra, pa), a_more, dpat, dra = a_role
+    (bv, rb, pb), b_more, drb = b_role
+    constant = a_more is None and b_more is None
+    if constant:
+        # d_k <b, U> stands for every term that reads U, V, da or db
+        nz = _support(bv)
+        ab = [_dot_on(nz, bv, row) for row in dpat]
+        f = _Sum(chart)
+        _dot_into(f, rb, pa)
+        _dot_into(f, pb, ra)
+        f = f.poly()
+    else:
+        U, dUt, da = a_more or _a_more(prep, a_role[0])
+        V, db = b_more or _b_more(prep, b_role[0])
+        ab = [_dot(pa + bv + pb, db[v] + dpat[v] + da[v]) for v in range(len(bv))]
+        pos = U + bv + V
     # one sum per k; the products of r*([a, b]_pi) go in first for every k,
     # which fixes the product that a degree-bound error reports
     sums = [_Sum(chart) for _ in bv]
     for acc, row in zip(sums, prep[2]):
         _dot_into(acc, row, ab)
-    pos, neg = U + bv + V, pa + rb + pb
+    neg = pa + rb + pb
     for k, acc in enumerate(sums):
-        _dot_into(acc, pos, db[k] + dUt[k] + da[k])
+        if constant:
+            acc.add(f.diff(k))
+        else:
+            _dot_into(acc, pos, db[k] + dUt[k] + da[k])
         _dot_into(acc, neg, drb[k] + dpat[k] + dra[k], -1)
     return DiffForm._trusted(chart, 1, {(k,): acc.poly() for k, acc in enumerate(sums)})
 
@@ -131,20 +186,38 @@ def concomitant_C(pi: Multivector, r: VForm, a: DiffForm, b: DiffForm) -> DiffFo
               - (pi# b)^i (d r*a)_ki + (r*([a, b]_pi))_k,
 
     with each sharp image and each gradient taken once.
+
+    When a and b are both constant (dx_a, or L_X dx_a for a linear X), da
+    and db vanish, and U and V enter only through b_i d_k U^i = d_k <b, U>:
+
+        <b, U> = <b, r pi# a> - <b, pi# r*a> = <r*b, pi# a> + <pi# b, r*a>.
+
+    The sign of the second term turns because pi# is skew:
+    <b, pi# c> = pi(c, b) = -pi(b, c) = -<c, pi# b>.  So then
+
+        C_k = d_k <b, U> - (pi# a)^i d_i (r*b)_k - (r*b)_i d_k (pi# a)^i
+              - (pi# b)^i (d r*a)_ki + (r*([a, b]_pi))_k,
+
+    where <b, U> costs 2n products and n derivatives in place of the 4n^2
+    products and n^2 derivatives of U and V.  For a = dx_a and b = dx_b,
+    <b, U> is U^b, so its products are among those of U and the other
+    terms form what the U route forms: this route meets the degree limit
+    only where the U route does, and may give a value where forming the
+    other rows of U meets it.  A pair with a non-constant form forms U and V.
     """
     _check_tangent(r)
     if not pi.chart == r.chart == a.chart == b.chart:
         raise PolyError("chart mismatch")
     prep = _prep(pi, r)
-    return _pair(a.chart, prep, _a_role(_core(prep, _comps(a))),
-                 _b_role(_core(prep, _comps(b))))
+    return _pair(a.chart, prep, _a_role(prep, _core(prep, _comps(a))),
+                 _b_role(prep, _core(prep, _comps(b))))
 
 
 def _coframe_roles(prep, vectors: list[list[Poly]]):
     """For the pairs (f_a, f_b), a < b: a-roles but the last, b-roles but the first."""
     cores = [_core(prep, v) for v in vectors]
-    return ({a: _a_role(c) for a, c in enumerate(cores[:-1])},
-            {b: _b_role(c) for b, c in enumerate(cores) if b})
+    return ({a: _a_role(prep, c) for a, c in enumerate(cores[:-1])},
+            {b: _b_role(prep, c) for b, c in enumerate(cores) if b})
 
 
 def concomitant_R(pi: Multivector, r: VForm, a: DiffForm, X: VForm) -> VForm:

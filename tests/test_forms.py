@@ -21,7 +21,7 @@ from lnlab.pnlab import concomitant_C
 from helpers import (CH2, CH3, ref_concomitant_C, ref_insert_vector,
                      ref_interior_vvf, ref_schouten, ref_sort_index, ref_wedge_scalar,
                      rnd_form, rnd_mv, rnd_one_form, rnd_poly, rnd_vf,
-                     rnd_vvform, st_forms, st_vvforms)
+                     rnd_vvform, st_forms, st_polys, st_vvforms)
 
 X2 = Poly.var(CH2, "x")
 Y2 = Poly.var(CH2, "y")
@@ -314,6 +314,19 @@ class TestSharp:
         P = rnd_mv(rng, CH3, 2)
         assert bivector_from_sharp(CH3, sharp_matrix(P)) == P
 
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_matrix_reads_every_entry(self, data):
+        # the mirrored triangle against the signed lookup of every entry
+        chart = data.draw(st.sampled_from((CH1, CH2, CH3, CH4)))
+        P = data.draw(st_forms(chart, 2, Multivector))
+        n = chart.dim
+        assert sharp_matrix(P) == [[P.coeff((i, j)) for i in range(n)] for j in range(n)]
+
+    def test_matrix_needs_a_bivector(self):
+        with pytest.raises(ValueError):
+            sharp_matrix(Multivector(CH3, 3, {(0, 1, 2): ONE3}))
+
 
 class TestConstructorValidation:
     """The public constructors check their keys; operation results do not."""
@@ -359,6 +372,24 @@ class TestConstructorValidation:
 DIM_CHARTS = st.sampled_from((CH2, CH3))
 CH1 = Chart(("x",))
 CH4 = Chart(("x", "y", "z", "w"))
+ONE_FORM_KINDS = ("coframe", "constant", "exact", "general")
+
+
+def st_one_forms(chart: Chart, kind: str):
+    """1-forms of one kind: a coframe form dx_i, a constant form, an exact
+    non-constant form d(f), or a non-constant form."""
+    n = chart.dim
+    if kind == "coframe":
+        return st.integers(0, n - 1).map(lambda i: DiffForm.basis(chart, (i,)))
+    if kind == "constant":
+        return st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(
+            lambda cs: DiffForm(chart, 1, {(i,): Poly.const(chart, c)
+                                           for i, c in enumerate(cs)}))
+    if kind == "exact":
+        return st_polys(chart).filter(lambda f: f.total_degree() == 2).map(
+            lambda f: exterior_d(DiffForm(chart, 0, {(): f})))
+    return st_forms(chart, 1).filter(
+        lambda f: any(p.total_degree() for p in f.coeffs.values()))
 
 
 def ref_frolicher_nijenhuis(K: VForm, L: VForm) -> VForm:
@@ -445,15 +476,15 @@ class TestFusedKernelOracles:
         assert schouten(P, copy) == ref
 
     @given(st.data())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_concomitant_C(self, data):
-        # r o pi# is rarely selfadjoint here, so every term of C is exercised
+        # r o pi# is rarely selfadjoint here, so every term of C is exercised;
+        # a pair of constant forms takes the <b, U> route, any other pair U, V
         chart = data.draw(st.sampled_from((CH1, CH2, CH3, CH4)))
         pi = data.draw(st_forms(chart, 2, Multivector))
         r = data.draw(st_vvforms(chart, 1, chart.dim))
-        a, b = (data.draw(st_forms(chart, 1).filter(
-            lambda f: any(p.total_degree() for p in f.coeffs.values())))
-            for _ in range(2))
+        a, b = (data.draw(st_one_forms(chart, kind))
+                for kind in data.draw(st.tuples(*[st.sampled_from(ONE_FORM_KINDS)] * 2)))
         assert concomitant_C(pi, r, a, b) == ref_concomitant_C(pi, r, a, b)
 
     @given(st.data())
@@ -488,12 +519,26 @@ def dense_poly(rng: random.Random, chart: Chart, degree: int = 4) -> Poly:
                         if sum(e) == degree})
 
 
+def product_log(monkeypatch) -> list[int]:
+    """The list to which every product added into a sum from now on appends
+    its sign."""
+    from lnlab import poly
+    products = []
+    add = poly._Sum.add
+
+    def counted(self, x, y=None, sign=1):
+        if y is not None:
+            products.append(sign)
+        add(self, x, y, sign)
+    monkeypatch.setattr(poly._Sum, "add", counted)
+    return products
+
+
 def test_brackets_form_each_product_once(monkeypatch):
     """Products formed on fully dense inputs over CH3: one half-sum per
     bracket, with the contraction term from d of a value component, one half
     for a self-bracket and none where its sign cancels it, and r applied once
     per frame pair."""
-    from lnlab import poly
     rng = random.Random(17)
 
     def dense(cls, degree, *vals):
@@ -503,14 +548,7 @@ def test_brackets_form_each_product_once(monkeypatch):
         return cls(CH3, degree, *vals, {key: dense_poly(rng, CH3) for key in keys})
     r, s, K2 = dense(VForm, 1, 3), dense(VForm, 1, 3), dense(VForm, 2, 3)
     P, T = dense(Multivector, 2), dense(Multivector, 3)
-    products = []
-    add = poly._Sum.add
-
-    def counted(self, x, y=None, sign=1):
-        if y is not None:
-            products.append(sign)
-        add(self, x, y, sign)
-    monkeypatch.setattr(poly._Sum, "add", counted)
+    products = product_log(monkeypatch)
     for bracket, expected in (
             (lambda: frolicher_nijenhuis(r, r), 81),
             (lambda: frolicher_nijenhuis(r, s), 162),
@@ -520,6 +558,24 @@ def test_brackets_form_each_product_once(monkeypatch):
             (lambda: schouten(T, T), 0)):
         products.clear()
         assert bracket().is_zero == (expected == 0)
+        assert len(products) == expected
+
+
+def test_concomitant_C_products(monkeypatch):
+    """Products formed by C on dense pi and r over CH3.  A coframe pair
+    reads U and V only through d_k <b, U> and skips the zero components of
+    each form once: 6 per form for r*v and pi# v, 3 + 9 for r*[a, b]_pi, 6
+    for <b, U> and 27 for the terms in pi# a, r*b and pi# b.  A general pair
+    forms U and V: 162."""
+    rng = random.Random(18)
+    pi = Multivector(CH3, 2, {k: dense_poly(rng, CH3) for k in combinations(range(3), 2)})
+    r = VForm(CH3, 1, 3, {((i,), v): dense_poly(rng, CH3) for i in range(3) for v in range(3)})
+    a, b = (DiffForm(CH3, 1, {(i,): dense_poly(rng, CH3) for i in range(3)}) for _ in range(2))
+    dx, dz = DiffForm.basis(CH3, (0,)), DiffForm.basis(CH3, (2,))
+    products = product_log(monkeypatch)
+    for pair, expected in (((dx, dz), 57), ((a, b), 162)):
+        products.clear()
+        assert not concomitant_C(pi, r, *pair).is_zero
         assert len(products) == expected
 
 

@@ -5,8 +5,11 @@ import random
 
 import pytest
 
-from lnlab.poly import Chart, Poly, PolyError
-from lnlab.forms import DiffForm, Multivector, VForm, schouten
+from lnlab.poly import (Chart, GrowthLimitError, Poly, PolyError,
+                        get_degree_limit, set_degree_limit)
+from lnlab.forms import (DiffForm, Multivector, VForm, lie_derivative_vvf,
+                         schouten, sharp_matrix)
+from lnlab.matrix import mat_mul
 from lnlab.algebroid import (AlgebroidStructure, deform_algebroid,
                              tangent_algebroid)
 from lnlab import pnlab
@@ -14,8 +17,8 @@ from lnlab.pnlab import (PNCandidate, check_pn, concomitant_C, concomitant_R,
                          hierarchy, kosmann_equivalence, mm1_identity,
                          selfadj_defect)
 
-from helpers import (CH2, CH3, rnd_bivector, rnd_endo, rnd_one_form, rnd_poly,
-                     rnd_vf)
+from helpers import (CH2, CH3, ref_concomitant_C, rnd_bivector, rnd_endo,
+                     rnd_one_form, rnd_poly, rnd_vf)
 
 CH4 = Chart(("x", "y", "z", "w"))
 X = Poly.var(CH2, "x")
@@ -114,6 +117,26 @@ class TestConcomitants:
         a, b = rnd_one_form(rng, CH2), rnd_one_form(rng, CH2)
         assert concomitant_C(PI0, XID, a, b).is_zero
 
+    def test_degree_limit_meets_only_formed_products(self):
+        # for dx, dy the terms that read U and V are d_k <dy, U>, and <dy, U>
+        # forms only the products of r pi# - pi# r* in row y; row x of r pi#
+        # holds y^3 * x, past the limit 3, and is no longer formed
+        pi = Multivector(CH2, 2, {(0, 1): X})
+        Y = Poly.var(CH2, "y")
+        r = VForm(CH2, 1, 2, {((0,), 0): ONE, ((1,), 0): Y * Y * Y, ((1,), 1): -ONE})
+        dx, dy = DiffForm.basis(CH2, (0,)), DiffForm.basis(CH2, (1,))
+        expect = concomitant_C(pi, r, dx, dy)
+        old = get_degree_limit()
+        try:
+            set_degree_limit(3)
+            got = concomitant_C(pi, r, dx, dy)
+            with pytest.raises(GrowthLimitError, match="degree 4 exceeds limit 3"):
+                mat_mul(r.matrix(), sharp_matrix(pi))
+        finally:
+            set_degree_limit(old)
+        assert got == expect == ref_concomitant_C(pi, r, dx, dy)
+        assert not got.is_zero
+
     def test_C_rejects_non_tangent_r_and_chart_mismatch(self):
         rng = random.Random(64)
         a, b = rnd_one_form(rng, CH2), rnd_one_form(rng, CH2)
@@ -142,6 +165,20 @@ class TestMM1:
         rng = random.Random(106)
         c = PNCandidate(rnd_bivector(rng, CH3), rnd_endo(rng, CH3))
         assert mm1_identity(c, rnd_vf(rng, CH3)).passed
+
+    @pytest.mark.parametrize("chart", [CH2, CH3])
+    def test_holds_for_a_quadratic_field(self, chart):
+        """L_X dx_a = d(X^a) is exact but not constant, so the pairs with
+        L_X dx_a take the U, V route and the others the <b, U> route."""
+        rng = random.Random(110 + chart.dim)
+        c = PNCandidate(rnd_bivector(rng, chart), rnd_endo(rng, chart))
+        x, y = (Poly.var(chart, v) for v in chart.coords[:2])
+        comps = rnd_vf(rng, chart).section_components()
+        Xf = VForm.section(chart, [comps[0] + x * y] + comps[1:-1] + [comps[-1] - y * y])
+        assert all(any(p.total_degree() for p in
+                       lie_derivative_vvf(Xf, DiffForm.basis(chart, (a,))).coeffs.values())
+                   for a in (0, chart.dim - 1))
+        assert mm1_identity(c, Xf).passed
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_shares_preps_and_lie_derivatives(self, monkeypatch, n):
