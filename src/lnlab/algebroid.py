@@ -165,20 +165,11 @@ class AlgebroidStructure:
             report.notes.append("structure flagged pre-Lie only")
         return report
 
-    def lie_on_bivector(self, s: VForm, P: FrameBivector) -> FrameBivector:
-        """L_s P: the bracket extended as a derivation of the wedge,
-        L_s (p a ^ b) = rho(s)(p) a ^ b + p [s, a] ^ b + p a ^ [s, b]."""
-        brackets = {a: self.section_bracket(s, self.bundle.frame_section(a))
-                    .section_components() for key in P.coeffs for a in key}
-        out: dict = {}
-        self._lie_on_bivector_into(out, self.anchor_of(s).section_components(), brackets, P)
-        return FrameBivector._trusted(self.bundle, _sums(out))
-
     def _lie_on_bivector_into(self, out: dict, rho_s: list[Poly], brackets,
                               P: FrameBivector, sign: int = 1) -> None:
-        """Add ``sign * lie_on_bivector`` into the sums at ``out``, from rho(s)
-        and the components of [s, u_a], given for every frame index a that
-        P's keys name."""
+        """Add sign * L_s P, L_s (p u_a ^ u_b) = rho(s)(p) u_a ^ u_b + p [s, u_a] ^ u_b
+        + p u_a ^ [s, u_b], into the sums at ``out``, from rho(s) and the
+        components of [s, u_a], given for every frame index a that P's keys name."""
         rank = self.bundle.rank
         for (a, b), p in P.coeffs.items():
             _derive_into(out, (a, b), rho_s, p, sign)

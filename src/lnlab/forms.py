@@ -36,7 +36,6 @@ __all__ = [
     "VForm",
     "wedge",
     "exterior_d",
-    "interior_vector",
     "interior_vvf",
     "lie_derivative_vvf",
     "vf_bracket",
@@ -47,7 +46,6 @@ __all__ = [
     "sharp",
     "sharp_matrix",
     "bivector_from_sharp",
-    "pairing",
     "sort_index",
 ]
 
@@ -283,22 +281,6 @@ def _d_into(out: dict, a: DiffForm, sign: int = 1, slot=None) -> None:
             dp = p.diff(i) if m else None
             if dp:
                 _accumulate(out, m[0] if slot is None else (m[0], slot), dp, None, m[1] * sign)
-
-
-def interior_vector(comps: Sequence[Poly], a: DiffForm) -> DiffForm:
-    """Interior product i_X a for a vector field given by its components;
-    for a multivector, contraction with the 1-form of those components."""
-    chart = a.chart
-    if a.degree == 0:
-        return a.zero(chart, 0)
-    out: dict[Index, Poly] = {}
-    for idx, p in a.coeffs.items():
-        for pos, i in enumerate(idx):
-            if comps[i].is_zero:
-                continue
-            rest = idx[:pos] + idx[pos + 1:]
-            _accumulate(out, rest, p, comps[i], (-1) ** pos)
-    return a._trusted(chart, a.degree - 1, _sums(out))
 
 
 class VForm(_Alternating):
@@ -664,17 +646,6 @@ def sharp_matrix(P: Multivector) -> list[list[Poly]]:
     for (i, j), p in P.coeffs.items():
         S[j][i], S[i][j] = p, -p
     return S
-
-
-def pairing(a: DiffForm, X: VForm) -> Poly:
-    """<a, X> for a 1-form and a vector field."""
-    if a.degree != 1 or X.degree != 0:
-        raise ValueError("pairing needs a 1-form and a vector field")
-    comps = X.section_components()
-    acc = _Sum(a.chart)
-    for i in range(a.chart.dim):
-        acc.add(a.coeff((i,)), comps[i])
-    return acc.poly()
 
 
 def bivector_from_sharp(chart: Chart, S: Sequence[Sequence[Poly]]) -> Multivector:

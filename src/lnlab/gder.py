@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .poly import Chart, Poly, PolyError
-from .forms import (DiffForm, VForm, _accumulate, _d_into, _interior_vvf_into, _sums,
-                    _wedge_into, exterior_d, frolicher_nijenhuis, interior_vvf, vf_bracket)
+from .forms import (VForm, _accumulate, _d_into, _interior_vvf_into, _sums, _wedge_into,
+                    exterior_d, frolicher_nijenhuis, interior_vvf)
 
 __all__ = [
     "FramedBundle",
@@ -35,7 +35,6 @@ __all__ = [
     "build_drT",
     "build_drTstar",
     "build_from_connection",
-    "build_from_theta",
 ]
 
 
@@ -172,17 +171,6 @@ class GenDer:
     def _finish(self, degree: int, out: dict) -> VForm:
         """The E-valued ``degree``-form of the sums at ``out``."""
         return VForm._trusted(self.bundle.chart, degree, self.bundle.rank, _sums(out))
-
-    def leibniz_defect(self, f: Poly, section: VForm) -> VForm:
-        """D(f u) - f D(u) - df ^ l(u) + <df, r> (x) u; zero by construction,
-        kept as an executable statement of the rule."""
-        df = exterior_d(DiffForm.from_poly(f))
-        defect = self.extend(section * f) - self.extend(section) * f
-        if self.l_frame is not None:
-            defect = defect - self.apply_l(section).wedge_scalar(df)
-        rdf = interior_vvf(self.r, df)
-        return defect + VForm.from_components(
-            [rdf * g for g in section.section_components()], self.degree)
 
     def __neg__(self) -> "GenDer":
         lf = None if self.l_frame is None else [-v for v in self.l_frame]
@@ -329,42 +317,3 @@ def build_from_connection(bundle: FramedBundle,
         d_out.append(lr._finish(k, out))
     return GenDer(bundle, k, d_out, lr.l_frame, r)
 
-
-def build_from_theta(A, theta: VForm) -> GenDer:
-    """Degree-1 derivation on an anchored bracket bundle from a bundle map
-    theta: TM -> A:
-
-        D_X(a) = [a, theta(X)] - theta([rho(a), X]),
-        l = theta o rho,  r = rho o theta.
-
-    ``A`` must expose ``bundle``, ``anchor_of`` (section -> vector field) and
-    ``section_bracket``.
-    """
-    bundle: FramedBundle = A.bundle
-    chart = bundle.chart
-    n, rank = chart.dim, bundle.rank
-    if (theta.degree, theta.vals) != (1, rank):
-        raise PolyError("theta must be a 1-form valued in the bundle")
-    d_out = []
-    l_out = []
-    r_coeffs: dict[tuple[tuple[int, ...], int], Poly] = {}
-    coord_fields = [tangent_bundle(chart).frame_section(i) for i in range(n)]
-    theta_cols = [theta.insert_vector(X) for X in coord_fields]
-    for i in range(n):
-        rho_theta = A.anchor_of(theta_cols[i])
-        for j, p in enumerate(rho_theta.section_components()):
-            r_coeffs[((i,), j)] = p
-    r = VForm(chart, 1, n, r_coeffs)
-    for a in range(rank):
-        ua = bundle.frame_section(a)
-        rho_a = A.anchor_of(ua)
-        coeffs: dict[tuple[tuple[int, ...], int], Poly] = {}
-        for i in range(n):
-            br = A.section_bracket(ua, theta_cols[i])
-            lie = vf_bracket(rho_a, coord_fields[i])
-            val = br - theta.insert_vector(lie)
-            for v, p in enumerate(val.section_components()):
-                coeffs[((i,), v)] = p
-        d_out.append(VForm(chart, 1, rank, coeffs))
-        l_out.append(theta.insert_vector(rho_a))
-    return GenDer(bundle, 1, d_out, l_out, r)

@@ -14,20 +14,17 @@ from dataclasses import dataclass
 
 from .poly import Chart, Poly, PolyError, _rechart
 from .forms import (DiffForm, VForm, _accumulate, _sums, frolicher_nijenhuis,
-                    sort_index, vf_bracket)
+                    sort_index)
 from .gder import FramedBundle, GenDer, build_drT, build_drTstar
 from .report import CheckReport
 
 __all__ = [
     "TotalChart",
     "vertical_lift",
-    "euler",
     "v_map",
     "phi_up",
     "linearize",
     "verify_correspondence",
-    "check_linearity",
-    "derivation_from_linear_fields",
     "tangent_lift",
     "cotangent_lift",
 ]
@@ -83,13 +80,6 @@ class TotalChart:
             raise PolyError("polynomial does not live on the base chart")
         return _rechart(p, self.chart)
 
-    def restrict(self, p: Poly) -> Poly:
-        """Push a fiberwise-constant total polynomial down to the base."""
-        q = _rechart(p, self.bundle.chart)
-        if q is None:
-            raise PolyError("polynomial depends on the fiber coordinates")
-        return q
-
     def pull_form(self, a: DiffForm) -> DiffForm:
         """Pull a base form back along the projection (indices unchanged)."""
         return DiffForm(self.chart, a.degree,
@@ -102,15 +92,6 @@ def vertical_lift(tc: TotalChart, u: VForm) -> VForm:
     if u.degree != 0 or u.vals != tc.rank or u.chart != tc.bundle.chart:
         raise PolyError("expected a section of the bundle")
     return v_map(tc, u)
-
-
-def euler(tc: TotalChart) -> VForm:
-    """The fiberwise radial vector field sum of xi^a d/dxi^a."""
-    comps = [Poly.zero(tc.chart)] * tc.dim
-    for a in range(tc.rank):
-        i = tc.fiber_index(a)
-        comps[i] = Poly.coord(tc.chart, i)
-    return VForm.section(tc.chart, comps)
 
 
 def v_map(tc: TotalChart, gamma: VForm) -> VForm:
@@ -206,51 +187,6 @@ def verify_correspondence(K: VForm, D: GenDer) -> CheckReport:
         report.add_zero("symbol pairing", defect,
                         detail=f"d{tc.bundle.chart.coords[j]}")
     return report
-
-
-def check_linearity(tc: TotalChart, K: VForm) -> CheckReport:
-    """A tangent-valued form on the total chart is fiberwise linear exactly
-    when its Lie derivative along the Euler field vanishes."""
-    report = CheckReport("fiberwise linearity")
-    report.add_zero("Euler Lie derivative", frolicher_nijenhuis(euler(tc), K))
-    return report
-
-
-def derivation_from_linear_fields(tc: TotalChart, K: VForm,
-                                  fields: list[VForm]) -> GenDer:
-    """Degree-0 derivation of the linear vector field K(U_1, ..., U_k).
-
-    K and each U_i live on ``tc.chart``; each U_i must be linear.  The result G
-    acts on frame sections by the vertical-lift bracket, G(u)^ = [U, u^],
-    and its symbol is minus the base part of U.
-    """
-    if K.chart != tc.chart:
-        raise PolyError("form does not live on the total chart")
-    if len(fields) != K.degree:
-        raise PolyError("need one linear field per form slot")
-    E = euler(tc)
-    for U in fields:
-        if not vf_bracket(E, U).is_zero:
-            raise PolyError("argument field is not linear")
-    U = K
-    for X in fields:
-        U = U.insert_vector(X)
-    U = VForm.section(tc.chart, U.section_components())
-    if not vf_bracket(E, U).is_zero:
-        raise PolyError("evaluated field is not linear")
-    bundle = tc.bundle
-    m = tc.base_dim
-    d_out = []
-    for a in range(bundle.rank):
-        B = vf_bracket(U, vertical_lift(tc, bundle.frame_section(a)))
-        comps = B.section_components()
-        if any(not p.is_zero for p in comps[:m]):
-            raise PolyError("bracket with a vertical lift is not vertical")
-        d_out.append(VForm.section(bundle.chart,
-                                   [tc.restrict(p) for p in comps[m:]]))
-    Ucomps = U.section_components()
-    symbol = VForm.section(bundle.chart, [-tc.restrict(Ucomps[j]) for j in range(m)])
-    return GenDer(bundle, 0, d_out, None, symbol)
 
 
 def tangent_lift(r: VForm) -> VForm:

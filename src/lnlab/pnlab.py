@@ -232,11 +232,6 @@ def concomitant_R(pi: Multivector, r: VForm, a: DiffForm, X: VForm) -> VForm:
     return sharp(pi, inner) - lr.insert_vector(X)
 
 
-def selfadj_defect(pi: Multivector, r: VForm) -> list[list[Poly]]:
-    """Matrix of r o pi# - pi# o r*."""
-    return _pi_r(pi, r)[1]
-
-
 def _pi_r(pi: Multivector, r: VForm) -> tuple[Multivector | list[list[Poly]],
                                               list[list[Poly]]]:
     """pi_r when the selfadjointness defect vanishes, else the raw composite

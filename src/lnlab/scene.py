@@ -17,7 +17,7 @@ rational coefficients, ``+ - * ^`` and parentheses).  Object types:
     vector_field        components: [poly, ...]
     tangent_algebroid   (no further keys)
     cotangent_algebroid bivector: <name>
-    algebroid           frame: [names], anchor: [[poly, ...], ...],
+    algebroid           frame: [distinct names], anchor: [[poly, ...], ...],
                         brackets: {"e1,e2": [poly, ...], ...}
     gder_tangent        endomorphism: <name>   (the derivation it induces on
                         the tangent frame)
@@ -183,6 +183,8 @@ def _build_object(chart: Chart, name: str, spec: dict, env: dict) -> object:
         frame = _need(spec, "frame", where)
         if not isinstance(frame, list) or not all(isinstance(f, str) for f in frame):
             raise SceneError(f"{where}: 'frame' must be a list of section names")
+        if len(set(frame)) != len(frame):
+            raise SceneError(f"{where}: 'frame' names a section twice")
         frame = tuple(frame)
         bundle = FramedBundle(chart, frame)
         rows = _matrix(_need(spec, "anchor", where), len(frame), n, "anchor", where)
@@ -228,6 +230,10 @@ def parse_scene(text: str) -> Scene:
     if (not isinstance(coords, list) or not coords
             or not all(isinstance(c, str) for c in coords)):
         raise SceneError("scene: 'chart' must be a non-empty list of coordinate names")
+    for c in coords:
+        # the names polynomial entries can read: [A-Za-z_][A-Za-z0-9_]*
+        if not (c.isascii() and c.isidentifier()):
+            raise SceneError(f"scene: coordinate name {c!r} is not a polynomial variable")
     try:
         chart = Chart(tuple(coords))
     except ValueError as e:

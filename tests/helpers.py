@@ -13,9 +13,8 @@ import random
 from hypothesis import strategies as st
 
 from lnlab.poly import Chart, Poly
-from lnlab.forms import (DiffForm, Multivector, VForm, exterior_d,
-                         interior_vector, interior_vvf, lie_derivative_vvf,
-                         sharp_matrix, vf_bracket, wedge)
+from lnlab.forms import (DiffForm, Multivector, VForm, exterior_d, interior_vvf,
+                         lie_derivative_vvf, sharp_matrix, vf_bracket, wedge)
 from lnlab.gder import GenDer, build_drT, tangent_bundle
 from lnlab.matrix import mat_mul, mat_vec
 
@@ -108,6 +107,23 @@ def st_vvforms(chart: Chart, degree: int, vals: int):
 
 
 # -- per-decomposable references for the fused kernels -----------------------
+
+def interior_vector(comps, a):
+    """Interior product i_X a for a vector field given by its components;
+    for a multivector, contraction with the 1-form of those components."""
+    out = {}
+    for idx, p in a.coeffs.items():
+        for pos, i in enumerate(idx):
+            rest = idx[:pos] + idx[pos + 1:]
+            out[rest] = out.get(rest, Poly.zero(a.chart)) + p * comps[i] * (-1) ** pos
+    return type(a)(a.chart, max(a.degree - 1, 0), out)
+
+
+def pairing(a: DiffForm, X: VForm) -> Poly:
+    """<a, X> for a 1-form and a vector field."""
+    comps = X.section_components()
+    return sum((a.coeff((i,)) * comps[i] for i in range(a.chart.dim)), Poly.zero(a.chart))
+
 
 def ref_sort_index(idx):
     """``sort_index`` by insertion sort, counting transpositions; None on a

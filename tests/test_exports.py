@@ -1,5 +1,6 @@
 """Export hygiene: each public name of lnlab is defined once, in the submodule
-whose ``__all__`` lists it, and no module imports a name it never uses."""
+whose ``__all__`` lists it, no module imports a name it never uses, and every
+public function or class has a user."""
 
 import ast
 import importlib
@@ -52,3 +53,46 @@ def test_every_import_is_used():
         unused += [f"{path.name}:{line} {name}" for name, line in bound.items()
                    if name not in read and name not in exported]
     assert not unused, f"unused imports: {', '.join(unused)}"
+
+
+# public names no user path loads yet, each with the reason it stays
+KEEP = {
+    "build_from_connection": "flat Lie bialgebra bundles (ROADMAP item 7)",
+    "courant_operator": "acceptance criterion 6",
+    "concomitants": "bench/tracer.py wraps it by name",
+}
+
+
+def _loaded_names(node: ast.AST) -> set[str]:
+    """Names that ``node`` loads: plain names, attributes and from-imports."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            out.update(alias.name for alias in n.names)
+    return out
+
+
+def test_every_public_function_has_a_user():
+    # a module-level public function or class is loaded somewhere in lnlab
+    # outside its own definition, or by the benchmark, or is a package export
+    src = pathlib.Path(lnlab.__file__).parent
+    defined, used = {}, set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            names = _loaded_names(node)
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defined[node.name] = path.name
+                names.discard(node.name)
+            used |= names
+    for path in sorted((pathlib.Path(__file__).parents[1] / "bench").glob("*.py")):
+        used |= _loaded_names(ast.parse(path.read_text(), filename=str(path)))
+    unused = sorted(f"{home}:{name}" for name, home in defined.items()
+                    if name not in used and name not in lnlab.__all__ and name not in KEEP)
+    assert not unused, f"public names without a user: {', '.join(unused)}"
+    stale = sorted(name for name in KEEP if name not in defined or name in used)
+    assert not stale, f"KEEP entries that name nothing or now have a user: {stale}"

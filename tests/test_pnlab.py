@@ -14,10 +14,9 @@ from lnlab.algebroid import (AlgebroidStructure, deform_algebroid,
                              tangent_algebroid)
 from lnlab import pnlab
 from lnlab.pnlab import (PNCandidate, check_pn, concomitant_C, concomitant_R,
-                         hierarchy, kosmann_equivalence, mm1_identity,
-                         selfadj_defect)
+                         concomitants, hierarchy, kosmann_equivalence, mm1_identity)
 
-from helpers import (CH2, CH3, ref_concomitant_C, rnd_bivector, rnd_endo,
+from helpers import (CH2, CH3, pairing, ref_concomitant_C, rnd_bivector, rnd_endo,
                      rnd_one_form, rnd_poly, rnd_vf)
 
 CH4 = Chart(("x", "y", "z", "w"))
@@ -29,6 +28,13 @@ PI0 = Multivector(CH2, 2, {(0, 1): ONE})
 XID = VForm(CH2, 1, 2, {((0,), 0): X, ((1,), 1): X})
 J2 = VForm(CH2, 1, 2, {((0,), 1): ONE, ((1,), 0): -ONE})
 IDENT = VForm(CH2, 1, 2, {((0,), 0): ONE, ((1,), 1): ONE})
+SELFADJ = "selfadjoint composite r o pi#"
+
+
+def selfadj_item(c: PNCandidate):
+    """check_pn's item for r o pi# - pi# o r*: its defect lists the nonzero
+    entries of that matrix, row by row."""
+    return next(i for i in check_pn(c).items if i.law == SELFADJ)
 
 
 class TestCandidate:
@@ -52,12 +58,10 @@ class TestCorpus:
     def test_rotation_fails_selfadjointness_only(self):
         rep = check_pn(PNCandidate(PI0, J2))
         assert not rep.passed
-        assert {i.law for i in rep.failures()} == {
-            "selfadjoint composite r o pi#"}
-        defect = selfadj_defect(PI0, J2)
+        assert {i.law for i in rep.failures()} == {SELFADJ}
+        # the diagonal of r o pi# - pi# o r* is -2, its off-diagonal zero
         two = Poly.const(CH2, 2)
-        assert defect[0][0] == -two and defect[1][1] == -two
-        assert defect[0][1].is_zero and defect[1][0].is_zero
+        assert [i.defect for i in rep.failures()] == [[-two, -two]]
 
     def test_non_poisson_bivector_fails(self):
         Y3 = Poly.var(CH3, "y")
@@ -83,25 +87,30 @@ class TestConcomitants:
     def test_family_is_selfadjoint(self):
         rng = random.Random(60)
         pi = Multivector(CH3, 2, {(0, 1): Poly.const(CH3, 1)})
-        d = selfadj_defect(pi, selfadjoint_family(rng))
-        assert all(p.is_zero for row in d for p in row)
+        item = selfadj_item(PNCandidate(pi, selfadjoint_family(rng)))
+        assert item.passed and item.defect is None
 
     def test_pairing_identity_under_selfadjointness(self):
-        # <C(a, b), X> = <b, R(a, X)> whenever r o pi# is selfadjoint
+        # <C(a, b), X> = <b, R(a, X)> whenever r o pi# is selfadjoint, on
+        # random forms and fields and on the coframe tables of concomitants
         rng = random.Random(61)
         pi = Multivector(CH3, 2, {(0, 1): Poly.const(CH3, 1)})
-        z = Poly.zero(CH3)
         for _ in range(3):
             r = selfadjoint_family(rng)
             a, b = rnd_one_form(rng, CH3), rnd_one_form(rng, CH3)
             Xf = rnd_vf(rng, CH3)
-            C = concomitant_C(pi, r, a, b)
-            R = concomitant_R(pi, r, a, Xf)
-            xc = Xf.section_components()
-            rc = R.section_components()
-            lhs = sum((C.coeff((i,)) * xc[i] for i in range(3)), z)
-            rhs = sum((b.coeff((i,)) * rc[i] for i in range(3)), z)
-            assert lhs == rhs
+            assert (pairing(concomitant_C(pi, r, a, b), Xf)
+                    == pairing(b, concomitant_R(pi, r, a, Xf)))
+            pi_r, C_table, R_table, defect = concomitants(PNCandidate(pi, r))
+            assert isinstance(pi_r, Multivector)
+            assert all(p.is_zero for row in defect for p in row)
+            assert sorted(C_table) == [(0, 1), (0, 2), (1, 2)]
+            assert sorted(R_table) == [(a, i) for a in range(3) for i in range(3)]
+            for (j, k), C in C_table.items():
+                assert C == concomitant_C(pi, r, DiffForm.basis(CH3, (j,)),
+                                          DiffForm.basis(CH3, (k,)))
+                for i in range(3):
+                    assert C.coeff((i,)) == R_table[(j, i)].section_components()[k]
 
     def test_C_bilinear_over_constants(self):
         rng = random.Random(62)
@@ -157,8 +166,7 @@ class TestMM1:
             rng = random.Random(seed)
             c = PNCandidate(rnd_bivector(rng, chart), rnd_endo(rng, chart))
             if chart.dim > 1:
-                assert any(not p.is_zero for row in selfadj_defect(c.pi, c.r)
-                           for p in row)
+                assert not selfadj_item(c).passed
             assert mm1_identity(c, rnd_vf(rng, chart)).passed
 
     def test_holds_in_dimension_three(self):

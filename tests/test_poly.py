@@ -256,6 +256,11 @@ class TestKernelOracle:
         assert_canonical(p * q, ref_mul(a, b))
         assert_canonical(p * s, ref_scale(a, Fraction(s)))
         assert_canonical(s * p, ref_scale(a, Fraction(s)))
+        c = ref_clean({(0, 0): s})  # the constant map of the scalar
+        assert_canonical(s + p, ref_add(c, a))
+        assert_canonical(p + s, ref_add(a, c))
+        assert_canonical(p - s, ref_add(a, ref_neg(c)))
+        assert_canonical(s - p, ref_add(c, ref_neg(a)))
         assert_canonical(p ** n, ref_pow(a, n))
         for i in range(CH.dim):
             assert_canonical(p.diff(i), ref_diff(a, i))

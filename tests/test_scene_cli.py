@@ -266,6 +266,11 @@ class TestCheckCommand:
         lambda s: s.update(objects={**s["objects"], "X": VECTOR_FIELD},
                            checks=[{"check": "torsion", "endomorphism": "X"}]),
         lambda s: s["objects"]["pi0"].update(coeffs={"x,y": "1" * 5000}),
+        lambda s: s["objects"].update(A={"type": "algebroid", "frame": ["e", "e"],
+                                         "anchor": [["1", "0"], ["0", "1"]]}),
+        lambda s: s.update(chart=["x", "1"], objects={}, checks=[]),
+        lambda s: s.update(chart=["x", "x+y"], objects={}, checks=[]),
+        lambda s: s.update(chart=["x", "y "], objects={}, checks=[]),
     ], ids=["unknown-coordinate", "objects-list", "coeffs-list", "brackets-list",
             "frame-string", "depth-string", "dims-string", "count-string",
             "seed-list", "duplicate-coordinate", "matrix-number", "zero-denominator",
@@ -273,7 +278,8 @@ class TestCheckCommand:
             "deform-depth-zero", "dims-over-bound", "dims-too-many", "count-over-bound",
             "hierarchy-depth-over-bound", "deform-depth-over-bound",
             "field-not-a-vector-field", "torsion-of-a-vector-field",
-            "literal-past-digit-limit"])
+            "literal-past-digit-limit", "frame-repeated-name", "chart-name-number",
+            "chart-name-expression", "chart-name-trailing-space"])
     def test_malformed_scene_reports_input_error(self, scene_file, capsys, edit):
         scene = json.loads(PN_SCENE)
         edit(scene)
