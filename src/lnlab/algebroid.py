@@ -99,10 +99,6 @@ class AlgebroidStructure:
                     acc.add(s_a, p)
         return [acc.poly() for acc in out]
 
-    def anchor_of(self, section: VForm) -> VForm:
-        """rho applied to a polynomial section; a vector field."""
-        return VForm.section(self.chart, self._rho(section.section_components()))
-
     def frame_bracket(self, a: int, b: int) -> VForm:
         key, sign = ((a, b), 1) if a < b else ((b, a), -1)
         comps = self.structure.get(key)

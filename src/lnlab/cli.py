@@ -9,11 +9,18 @@
 Global flags: --max-degree N (1 to 65535) bounds monomial growth, --seed N
 seeds the randomized property checks.  Exit codes: 0 all verdicts pass, 1 some
 verdict failed, 2 malformed input, 3 resource bound exceeded.
+
+Library use: ``main(argv)`` returns the exit code instead of exiting, and can
+be called any number of times in one process.  The global flags apply to that
+call only (the degree bound is restored when it returns), and the argument
+parser is built on the first call and reused by the later ones.  Usage errors
+and ``--version`` raise ``SystemExit``, as argparse does.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import __version__
@@ -33,6 +40,7 @@ EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
 
+@functools.cache  # one parser per process, built on first use; parsing leaves it as is
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lnlab",

@@ -221,10 +221,6 @@ class DiffForm(_Alternating):
     """Differential form of a fixed degree with polynomial coefficients."""
 
     @staticmethod
-    def from_poly(p: Poly) -> "DiffForm":
-        return DiffForm._trusted(p.chart, 0, {(): p})
-
-    @staticmethod
     def basis(chart: Chart, idx: Sequence[int]) -> "DiffForm":
         s = sort_index(idx)
         if s is None:
@@ -333,13 +329,6 @@ class VForm(_Alternating):
         return VForm._trusted(chart, 0, len(comps),
                               {((), v): p for v, p in enumerate(comps)})
 
-    @staticmethod
-    def identity(chart: Chart) -> "VForm":
-        """The identity endomorphism of the tangent frame as a degree-1 form."""
-        one = Poly.const(chart, 1)
-        return VForm._trusted(chart, 1, chart.dim,
-                              {((i,), i): one for i in range(chart.dim)})
-
     # -- access ------------------------------------------------------------
 
     # keys carry a value slot; read ``coeffs.get((idx, v))`` instead
@@ -371,14 +360,6 @@ class VForm(_Alternating):
         for (idx, v), p in self.coeffs.items():
             parts.setdefault(v, {})[idx] = p
         return {v: DiffForm._trusted(self.chart, self.degree, c) for v, c in parts.items()}
-
-    def wedge_scalar(self, a: DiffForm) -> "VForm":
-        """a ^ K, value slot untouched."""
-        if a.chart != self.chart:
-            raise PolyError("chart mismatch in wedge")
-        out: dict = {}
-        _wedge_into(out, a, self)
-        return VForm._trusted(self.chart, a.degree + self.degree, self.vals, _sums(out))
 
     def insert_vector(self, X: "VForm") -> "VForm":
         """Contract a vector field into the first form slot, slot by slot:

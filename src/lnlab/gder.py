@@ -177,11 +177,6 @@ class GenDer:
         return GenDer(self.bundle, self.degree, [-v for v in self.d_frame],
                       lf, -self.r)
 
-    @property
-    def is_zero(self) -> bool:
-        return (all(v.is_zero for v in self.d_frame) and self.r.is_zero
-                and (self.l_frame is None or all(v.is_zero for v in self.l_frame)))
-
 
 def bracket(D1: GenDer, D2: GenDer) -> GenDer:
     """Graded bracket of generalized derivations (degree k1 + k2):

@@ -17,7 +17,8 @@ rational coefficients, ``+ - * ^`` and parentheses).  Object types:
     vector_field        components: [poly, ...]
     tangent_algebroid   (no further keys)
     cotangent_algebroid bivector: <name>
-    algebroid           frame: [distinct names], anchor: [[poly, ...], ...],
+    algebroid           frame: [distinct names, no ',' and no outer spaces],
+                        anchor: [[poly, ...], ...],
                         brackets: {"e1,e2": [poly, ...], ...}
     gder_tangent        endomorphism: <name>   (the derivation it induces on
                         the tangent frame)
@@ -185,6 +186,11 @@ def _build_object(chart: Chart, name: str, spec: dict, env: dict) -> object:
             raise SceneError(f"{where}: 'frame' must be a list of section names")
         if len(set(frame)) != len(frame):
             raise SceneError(f"{where}: 'frame' names a section twice")
+        for f in frame:
+            # bracket keys are split at ',' and stripped: such a name has no key
+            if "," in f or f != f.strip():
+                raise SceneError(f"{where}: frame section name {f!r} cannot be "
+                                 "named by a bracket key")
         frame = tuple(frame)
         bundle = FramedBundle(chart, frame)
         rows = _matrix(_need(spec, "anchor", where), len(frame), n, "anchor", where)

@@ -13,8 +13,8 @@ import random
 from hypothesis import strategies as st
 
 from lnlab.poly import Chart, Poly
-from lnlab.forms import (DiffForm, Multivector, VForm, exterior_d, interior_vvf,
-                         lie_derivative_vvf, sharp_matrix, vf_bracket, wedge)
+from lnlab.forms import (DiffForm, Multivector, VForm, _sums, _wedge_into, exterior_d,
+                         interior_vvf, lie_derivative_vvf, sharp_matrix, vf_bracket, wedge)
 from lnlab.gder import GenDer, build_drT, tangent_bundle
 from lnlab.matrix import mat_mul, mat_vec
 
@@ -158,6 +158,14 @@ def ref_wedge_scalar(a: DiffForm, K: VForm) -> VForm:
                                  a.degree + K.degree)
 
 
+def wedge_scalar(K: VForm, a: DiffForm) -> VForm:
+    """a ^ K, value slot untouched, through ``_wedge_into``: the fused kernel
+    the derivations apply, which ``ref_wedge_scalar`` checks."""
+    out: dict = {}
+    _wedge_into(out, a, K)
+    return VForm(K.chart, a.degree + K.degree, K.vals, _sums(out))
+
+
 def ref_insert_vector(K: VForm, X: VForm) -> VForm:
     """i_X K one value slot at a time, through ``interior_vector``."""
     comps = X.section_components()
@@ -233,6 +241,14 @@ def ref_concomitant_C(pi: Multivector, r: VForm, a: DiffForm,
 # Each returns (law, detail, passed, defect) per item, with every bracket,
 # anchor image and vector-field bracket recomputed through the public API.
 
+def anchor_of(A, section: VForm) -> VForm:
+    """rho applied to a polynomial section of A; a vector field."""
+    comps = section.section_components()
+    return VForm.section(A.chart, [
+        sum((s * row[i] for s, row in zip(comps, A.anchor)), Poly.zero(A.chart))
+        for i in range(A.chart.dim)])
+
+
 def ref_validate(A) -> list[tuple]:
     """``AlgebroidStructure.validate`` with each frame bracket formed anew
     for every pair and triple that reads it."""
@@ -249,8 +265,8 @@ def ref_validate(A) -> list[tuple]:
     for a in range(rank):
         for b in range(a + 1, rank):
             item("anchor morphism",
-                 A.anchor_of(A.section_bracket(frames[a], frames[b]))
-                 - vf_bracket(A.anchor_of(frames[a]), A.anchor_of(frames[b])),
+                 anchor_of(A, A.section_bracket(frames[a], frames[b]))
+                 - vf_bracket(anchor_of(A, frames[a]), anchor_of(A, frames[b])),
                  f"({names[a]},{names[b]})")
     for a in range(rank):
         for b in range(a + 1, rank):
@@ -280,24 +296,24 @@ def ref_check_im(A, D: GenDer) -> list[tuple]:
                      D.extend(ab).insert_vector(X)
                      - A.section_bracket(frames[a], Du[b].insert_vector(X))
                      + A.section_bracket(frames[b], Du[a].insert_vector(X))
-                     - Du[a].insert_vector(vf_bracket(A.anchor_of(frames[b]), X))
-                     + Du[b].insert_vector(vf_bracket(A.anchor_of(frames[a]), X)),
+                     - Du[a].insert_vector(vf_bracket(anchor_of(A, frames[b]), X))
+                     + Du[b].insert_vector(vf_bracket(anchor_of(A, frames[a]), X)),
                      f"({names[a]},{names[b]};d/d{chart.coords[i]})")
             item("IM symbol-bracket compatibility",
                  D.apply_l(ab) - A.section_bracket(frames[a], lf[b])
-                 + Du[a].insert_vector(A.anchor_of(frames[b])),
+                 + Du[a].insert_vector(anchor_of(A, frames[b])),
                  f"({names[a]},{names[b]})")
     drT = build_drT(D.r)
     for a in range(rank):
         for i, X in enumerate(fields):
             item("IM anchor intertwining",
-                 drT.extend(A.anchor_of(frames[a])).insert_vector(X)
-                 - A.anchor_of(Du[a].insert_vector(X)),
+                 drT.extend(anchor_of(A, frames[a])).insert_vector(X)
+                 - anchor_of(A, Du[a].insert_vector(X)),
                  f"({names[a]};d/d{chart.coords[i]})")
     im4 = []
     for a in range(rank):
-        r_rho = D.r.insert_vector(A.anchor_of(frames[a])).section_components()
-        rho_l = A.anchor_of(lf[a]).section_components()
+        r_rho = D.r.insert_vector(anchor_of(A, frames[a])).section_components()
+        rho_l = anchor_of(A, lf[a]).section_components()
         for j, (p, q) in enumerate(zip(r_rho, rho_l)):
             p = p - q
             if not p.is_zero:
@@ -317,6 +333,11 @@ def gd_equal(D1: GenDer, D2: GenDer) -> bool:
         if any(not (a - b).is_zero for a, b in zip(D1.l_frame, D2.l_frame)):
             return False
     return (D1.r - D2.r).is_zero
+
+
+def gd_is_zero(D: GenDer) -> bool:
+    return (all(v.is_zero for v in D.d_frame) and D.r.is_zero
+            and (D.l_frame is None or all(v.is_zero for v in D.l_frame)))
 
 
 def decimal(n: int) -> str:

@@ -18,8 +18,8 @@ from lnlab.catalog import example_names, example_source
 from lnlab.report import CheckReport
 from lnlab.scene import parse_scene
 
-from helpers import (CH2, CH3, ref_check_im, ref_validate, rnd_endo, rnd_poly,
-                     rnd_vf)
+from helpers import (CH2, CH3, anchor_of, ref_check_im, ref_validate, rnd_endo,
+                     rnd_poly, rnd_vf)
 
 X = Poly.var(CH2, "x")
 Y = Poly.var(CH2, "y")
@@ -88,7 +88,7 @@ class TestSectionBracket:
         s, t = rnd_vf(rng, CH2), rnd_vf(rng, CH2)
         f = rnd_poly(rng, CH2)
         lhs = A.section_bracket(s, t * f)
-        rho_s = A.anchor_of(s).section_components()
+        rho_s = anchor_of(A, s).section_components()
         df = sum((rho_s[i] * f.diff(i) for i in range(2)), ZERO)
         rhs = A.section_bracket(s, t) * f + t * df
         assert (lhs - rhs).is_zero
@@ -211,7 +211,7 @@ def heisenberg_pair():
 def lie_on_bivector(A, s: VForm, P: FrameBivector) -> FrameBivector:
     """L_s P: the bracket extended as a derivation of the wedge,
     L_s (p u_a ^ u_b) = rho(s)(p) u_a ^ u_b + p [s, u_a] ^ u_b + p u_a ^ [s, u_b]."""
-    rho_s = A.anchor_of(s).section_components()
+    rho_s = anchor_of(A, s).section_components()
     out = {}
 
     def add(x, y, q):

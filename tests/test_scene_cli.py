@@ -1,6 +1,7 @@
 """Scene parsing, report rendering, the shipped catalog, and the exit-status
 contract of the command line."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -287,6 +288,18 @@ class TestCheckCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("frame", [["a,b", "c"], [" c", "d"]])
+    def test_frame_name_no_bracket_key_can_name_exits_two(self, scene_file, capsys, frame):
+        """Bracket keys are split at ',' and stripped, so such a name could
+        never be given a bracket."""
+        scene = json.loads(PN_SCENE)
+        scene["objects"]["A"] = {"type": "algebroid", "frame": frame,
+                                 "anchor": [["1", "0"], ["0", "1"]]}
+        assert main(["check", scene_file(json.dumps(scene))]) == 2
+        assert capsys.readouterr().err == (
+            f"error: object 'A': frame section name {frame[0]!r} cannot be named "
+            "by a bracket key\n")
+
     @pytest.mark.parametrize("check, key", [
         ({"check": "mm1_random", "count": 10 ** 9}, "count"),
         ({"check": "mm1_random", "dims": [40]}, "dims"),
@@ -445,6 +458,56 @@ def mutated_catalog_scenes(draw) -> str:
     paths = [path for path, _ in _json_paths(json.loads(example_source(name)))]
     path = draw(st.sampled_from(paths))
     return _mutate(name, path, draw(st.just(_DELETE) | _VALUES))
+
+
+class TestParserReuse:
+    """The argument parser is built on the first call of main and reused;
+    each call still parses its own arguments only."""
+
+    def test_later_calls_build_no_parser(self, monkeypatch, capsys):
+        main(["examples", "list"])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert main(["examples", "show", "pn-xid"]) == 0
+        assert main(["--seed", "3", "examples", "run", "pn-xid", "--format", "table"]) == 0
+        assert main(["--max-degree", "8", "examples", "list"]) == 0
+        capsys.readouterr()
+        assert built == []
+
+    def test_usage_error_after_a_reused_parse(self, capsys):
+        def usage_error() -> str:
+            with pytest.raises(SystemExit) as exc:
+                main(["examples", "frob"])
+            assert exc.value.code == 2
+            return capsys.readouterr().err
+
+        first = usage_error()
+        assert main(["examples", "run", "pn-xid", "--format", "table"]) == 0
+        capsys.readouterr()
+        assert usage_error() == first
+        assert first.startswith("usage: lnlab examples") and "invalid choice: 'frob'" in first
+
+    def test_seed_applies_to_its_call_only(self, scene_file, monkeypatch, capsys):
+        seeds = []
+        real = scene_module._run_mm1_random
+
+        def recorded(dims, count, seed):
+            seeds.append(seed)
+            return real(dims, count, seed)
+        monkeypatch.setattr(scene_module, "_run_mm1_random", recorded)
+        source = json.dumps({"chart": ["x"], "objects": {},
+                             "checks": [{"check": "mm1_random", "count": 2}]})
+        path = scene_file(source)
+        assert main(["--seed", "5", "check", path, "--format", "table"]) == 0
+        capsys.readouterr()
+        assert main(["check", path, "--format", "table"]) == 0
+        assert capsys.readouterr().out == render(run(parse_scene(source), seed=0), "table")
+        assert seeds == [5, 0, 0]
 
 
 class TestSceneFuzz:
