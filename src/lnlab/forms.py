@@ -99,6 +99,24 @@ def _sums(out: dict) -> dict:
     return {key: acc.poly() for key, acc in out.items()}
 
 
+def _partials(T) -> list:
+    """(key, coefficient, its partial derivatives) for each term of T."""
+    dim = T.chart.dim
+    return [(key, p, [p.diff(i) for i in range(dim)]) for key, p in T.coeffs.items()]
+
+
+def _slot_d(entries: list) -> dict[int, dict]:
+    """d(K^v), as a map from index tuple to coefficient, for each value slot
+    v of a vector-valued form K, from its ``_partials``."""
+    out: dict = {}
+    for (idx, v), _, dp in entries:
+        for i, q in enumerate(dp):
+            m = sort_index((i,) + idx) if q else None
+            if m is not None:
+                _accumulate(out.setdefault(v, {}), m[0], q, None, m[1])
+    return {v: _sums(c) for v, c in out.items()}
+
+
 class _Alternating:
     """Sparse alternating tensor (see the module docstring).
 
@@ -268,15 +286,15 @@ def exterior_d(a: DiffForm) -> DiffForm:
     return DiffForm._trusted(chart, deg, _sums(out))
 
 
-def _d_into(out: dict, a: DiffForm, sign: int = 1, slot=None) -> None:
-    """Add ``sign * exterior_d(a)`` into the sums at ``out``, keyed by index
-    tuple, or by (index tuple, ``slot``) like VForm when a slot is given."""
+def _d_into(out: dict, a: DiffForm, slot=None) -> None:
+    """Add ``exterior_d(a)`` into the sums at ``out``, keyed by index tuple,
+    or by (index tuple, ``slot``) like VForm when a slot is given."""
     for idx, p in a.coeffs.items():
         for i in range(a.chart.dim):
             m = sort_index((i,) + idx)
             dp = p.diff(i) if m else None
             if dp:
-                _accumulate(out, m[0] if slot is None else (m[0], slot), dp, None, m[1] * sign)
+                _accumulate(out, m[0] if slot is None else (m[0], slot), dp, None, m[1])
 
 
 class VForm(_Alternating):
@@ -427,23 +445,16 @@ def interior_vvf(K: VForm, a: DiffForm) -> DiffForm:
     deg = K.degree + a.degree - 1
     out: dict[Index, Poly] = {}
     if a.degree and deg <= K.chart.dim:
-        _interior_vvf_into(out, K, a)
+        # p dx_idx (x) d/dx_v contracts d/dx_v out of q dx_J at position pos
+        for (idx, v), p in K.coeffs.items():
+            for J, q in a.coeffs.items():
+                if v not in J:
+                    continue
+                pos = J.index(v)
+                m = sort_index(idx + J[:pos] + J[pos + 1:])
+                if m is not None:
+                    _accumulate(out, m[0], q, p, m[1] * (-1) ** pos)
     return DiffForm._trusted(K.chart, max(deg, 0), _sums(out))
-
-
-def _interior_vvf_into(out: dict, K: VForm, a: DiffForm, sign: int = 1, slot=None) -> None:
-    """Add ``sign * interior_vvf(K, a)`` into the sums at ``out``, keyed as
-    in ``_d_into``."""
-    # p dx_idx (x) d/dx_v contracts d/dx_v out of q dx_J at position pos
-    for (idx, v), p in K.coeffs.items():
-        for J, q in a.coeffs.items():
-            if v not in J:
-                continue
-            pos = J.index(v)
-            m = sort_index(idx + J[:pos] + J[pos + 1:])
-            if m is not None:
-                _accumulate(out, m[0] if slot is None else (m[0], slot), q, p,
-                            m[1] * sign * (-1) ** pos)
 
 
 def lie_derivative_vvf(K: VForm, a: DiffForm) -> DiffForm:
@@ -486,8 +497,7 @@ def _antisymmetrize(P, Q, twist: int, half) -> None:
     ``s * H(A, B)`` given each tensor as (degree, [(key, coefficient, its
     partial derivatives)]); for ``Q is P``, H(P, P) once, times 1 - (-1)^twist."""
     def part(T) -> tuple:
-        return T.degree, [(key, p, [p.diff(i) for i in range(T.chart.dim)])
-                          for key, p in T.coeffs.items()]
+        return T.degree, _partials(T)
     if Q is not P:
         pP, pQ = part(P), part(Q)
         half(pP, pQ, 1)
@@ -518,14 +528,8 @@ def frolicher_nijenhuis(K: VForm, L: VForm) -> VForm:
     acc: dict = {}
 
     def half(pK: tuple, pL: tuple, sign: int) -> None:
-        (k, entries), dK = pK, {}
-        if pL[0]:  # d(K^va) for each slot va, from the derivatives
-            for (ia, va), _, dpa in entries:
-                for i, q in enumerate(dpa):
-                    m = sort_index((i,) + ia) if q else None
-                    if m is not None:
-                        _accumulate(dK.setdefault(va, {}), m[0], q, None, m[1])
-        dK = {v: _sums(c) for v, c in dK.items()}
+        k, entries = pK
+        dK = _slot_d(entries) if pL[0] else {}
         for (ib, vb), pb, dpb in pL[1]:
             # (idx, x, y, s): s * x * y dx_idx (x) d/dx_vb; phi ^ d_va psi, then
             # d(K^va) ^ i_va psi with i_va dx_ib = (-1)^pos dx_(ib - va), va = ib[pos]

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .poly import Chart, Poly, PolyError
-from .forms import (VForm, _accumulate, _d_into, _interior_vvf_into, _sums, _wedge_into,
-                    exterior_d, frolicher_nijenhuis, interior_vvf)
+from .forms import (DiffForm, VForm, _accumulate, _d_into, _partials, _slot_d, _sums,
+                    _wedge_into, frolicher_nijenhuis, sort_index)
 
 __all__ = [
     "FramedBundle",
@@ -140,13 +140,24 @@ class GenDer:
                          + (-1)^j da ^ l(u)
                          - (-1)^(j k) (L_r a) (x) u
 
-        Each term is linear over constants in a, so it acts once per value slot;
-        da serves both the l-term and L_r a = i_r da + (-1)^k d(i_r a).  Every
-        term, L_r a's two parts included, goes straight into one map per
-        result, which is finished once.
+        With the symbol r = sum_v r^v (x) d/dx_v, r^v its scalar k-form in
+        slot v, the Lie derivative L_r = [i_r, d] is
+
+            L_r a = sum_v r^v ^ d_v a + (-1)^k d r^v ^ i_v a
+
+        (Kolar, Michor & Slovak, Natural Operations in Differential Geometry,
+        1993, sec. 8), with d_v a the partial derivative of a taken
+        coefficient by coefficient and i_v the contraction with d/dx_v: it is
+        i_r da + (-1)^k d(i_r a), i_r a = sum_v r^v ^ i_v a expanded by
+        Leibniz, as i_v d + d i_v = d_v on constant frame fields.
+
+        Each term is linear over constants in a, so it acts once per value
+        slot.  The partials of a's coefficients give both the d_v a and the da
+        of the l-term; r^v and d r^v are formed once per call.  Every term goes
+        straight into one map per result, which is finished once.
         """
         out: dict = {}
-        self._extend_into(out, eta, 1)
+        self._extend_into(out, eta, 1, _symbol_slots(self.r))
         return self._finish(eta.degree + self.degree, out)
 
     def _l_into(self, out: dict, eta: VForm, sign: int) -> None:
@@ -154,19 +165,37 @@ class GenDer:
         for a, alpha in self._slots(eta):
             _wedge_into(out, alpha, self.l_frame[a], sign)
 
-    def _extend_into(self, out: dict, eta: VForm, sign: int) -> None:
-        """Add ``sign * extend(eta)`` into the sums at ``out``."""
-        j, k, r = eta.degree, self.degree, self.r
-        lie_sign = -sign * (-1) ** (j * k)
-        for a, alpha in self._slots(eta):
+    def _extend_into(self, out: dict, eta: VForm, sign: int, symbol: list) -> None:
+        """Add ``sign * extend(eta)`` into the sums at ``out``, given
+        ``_symbol_slots(self.r)``."""
+        j, k, chart = eta.degree, self.degree, self.bundle.chart
+        slots = self._slots(eta)
+        if j + k > chart.dim:  # every term is a (j + k)-form
+            return
+        for a, alpha in slots:
             _wedge_into(out, alpha, self.d_frame[a], sign)
-            dalpha = exterior_d(alpha)
-            if self.l_frame is not None:
-                _wedge_into(out, dalpha, self.l_frame[a], sign * (-1) ** j)
-            # L_r alpha = i_r d alpha + (-1)^k d i_r alpha, in slot a
-            _interior_vvf_into(out, r, dalpha, lie_sign, a)
-            if j:
-                _d_into(out, interior_vvf(r, alpha), lie_sign * (-1) ** k, a)
+        entries = _partials(eta)
+        if self.l_frame is not None:
+            for a, dalpha in _slot_d(entries).items():
+                _wedge_into(out, DiffForm._trusted(chart, j + 1, dalpha),
+                            self.l_frame[a], sign * (-1) ** j)
+        # L_r alpha in slot a, term by term of alpha = p dx_idx
+        lie_sign = -sign * (-1) ** (j * k)
+        for (idx, a), p, dp in entries:
+            for v, rv, drv in symbol:
+                if dp[v]:  # r^v ^ d_v alpha
+                    for ridx, q in rv:
+                        m = sort_index(ridx + idx)
+                        if m is not None:
+                            _accumulate(out, (m[0], a), dp[v], q, lie_sign * m[1])
+                if v in idx:  # (-1)^k d r^v ^ i_v alpha, i_v dx_idx = (-1)^pos dx_rest
+                    pos = idx.index(v)
+                    rest = idx[:pos] + idx[pos + 1:]
+                    for didx, dq in drv:
+                        m = sort_index(didx + rest)
+                        if m is not None:
+                            _accumulate(out, (m[0], a), p, dq,
+                                        lie_sign * (-1) ** (k + pos) * m[1])
 
     def _finish(self, degree: int, out: dict) -> VForm:
         """The E-valued ``degree``-form of the sums at ``out``."""
@@ -176,6 +205,18 @@ class GenDer:
         lf = None if self.l_frame is None else [-v for v in self.l_frame]
         return GenDer(self.bundle, self.degree, [-v for v in self.d_frame],
                       lf, -self.r)
+
+
+def _symbol_slots(r: VForm) -> list:
+    """(v, r^v, d r^v) for each nonzero value slot v of a symbol r, each
+    scalar form as a list of (index tuple, coefficient): the part of L_r in
+    ``GenDer.extend`` that does not depend on the form it acts on."""
+    rv: dict = {}
+    for (idx, v), q in r.coeffs.items():
+        rv.setdefault(v, []).append((idx, q))
+    dr = _slot_d(_partials(r))
+    return [(v, terms, [(idx, q) for idx, q in dr.get(v, {}).items() if q])
+            for v, terms in rv.items()]
 
 
 def bracket(D1: GenDer, D2: GenDer) -> GenDer:
@@ -191,21 +232,22 @@ def bracket(D1: GenDer, D2: GenDer) -> GenDer:
         raise PolyError("derivations act on different bundles")
     k = D1.degree + D2.degree
     sign = (-1) ** (D1.degree * D2.degree)
-    # each half (A, B, s) adds s * B o A and s times its part of l; [D, D] for
-    # D of degree j is (1 - (-1)^(j j)) D o D: one half, doubled, or none for even j
+    # each half (A, B, s, B's symbol slots) adds s * B o A and s times its part
+    # of l; [D, D] for D of degree j is (1 - (-1)^(j j)) D o D: one half,
+    # doubled, or none for even j
     if D1 is not D2:
-        halves = [(D1, D2, 1), (D2, D1, -sign)]
+        halves = [(D1, D2, 1, _symbol_slots(D2.r)), (D2, D1, -sign, _symbol_slots(D1.r))]
     else:
-        halves = [(D1, D1, 2)] if sign == -1 else []
+        halves = [(D1, D1, 2, _symbol_slots(D1.r))] if sign == -1 else []
     d_out: list[VForm] = []
     l_out: list[VForm] = []
     for a in range(D1.bundle.rank):
         d_val: dict = {}
         parts: dict = {}  # the graded commutators [B, l_A] on the frame section
-        for A, B, s in halves:
-            B._extend_into(d_val, A.d_frame[a], s)
+        for A, B, s, symbol in halves:
+            B._extend_into(d_val, A.d_frame[a], s, symbol)
             if A.l_frame is not None:
-                B._extend_into(parts, A.l_frame[a], s)
+                B._extend_into(parts, A.l_frame[a], s, symbol)
                 A._l_into(parts, B.d_frame[a], -s * (-1) ** (B.degree * (A.degree - 1)))
         d_out.append(D1._finish(k, d_val))
         if k:
@@ -219,24 +261,24 @@ def dual(D: GenDer) -> GenDer:
 
         <D*(xi), u> = d<xi, l(u)> - <xi, D(u)>    on frame pairs,
         <l*(xi), u> = <xi, l(u)>.
+
+    Both go straight into one coefficient map per dual frame value, so the
+    D-term is one sum per coefficient and the l-term is read off l as it is.
     """
     bundle = D.bundle
-    rank, k = bundle.rank, D.degree
-    d_out: list[VForm] = []
-    l_out: list[VForm] = [] if k > 0 else None
-    for b in range(rank):
-        comps = []
-        lcomps = []
-        for a in range(rank):
-            da = -D.d_frame[a].component(b)
-            if D.l_frame is not None:
-                lb = D.l_frame[a].component(b)
-                da = da + exterior_d(lb)
-                lcomps.append(lb)
-            comps.append(da)
-        d_out.append(VForm.from_components(comps, k))
-        if k > 0:
-            l_out.append(VForm.from_components(lcomps, k - 1))
+    chart, rank, k = bundle.chart, bundle.rank, D.degree
+    d_maps: list[dict] = [{} for _ in range(rank)]
+    l_maps: list[dict] = [{} for _ in range(rank)]
+    for a in range(rank):
+        for (idx, b), p in D.d_frame[a].coeffs.items():
+            _accumulate(d_maps[b], (idx, a), p, None, -1)
+        if D.l_frame is not None:
+            for b, lb in D.l_frame[a].slot_components().items():
+                _d_into(d_maps[b], lb, a)
+                for idx, p in lb.coeffs.items():
+                    l_maps[b][(idx, a)] = p
+    d_out = [VForm._trusted(chart, k, rank, _sums(c)) for c in d_maps]
+    l_out = [VForm._trusted(chart, k - 1, rank, c) for c in l_maps] if k else None
     return GenDer(bundle.dual(), k, d_out, l_out, D.r)
 
 

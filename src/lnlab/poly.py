@@ -19,15 +19,21 @@ A sum of products (a bracket, a wedge, a matrix product) is built by the
 private accumulator ``_Sum``: its terms are added in place into one map of
 numerators over one shared denominator, and the finished sum gets one gcd
 pass, not one per term.  Each product is checked against the chart and the
-degree bound as it is added.  ``+``, ``-`` and ``Poly * Poly`` are each one
-step of a fresh accumulator, so the merge loop, the product loop and the
-degree check exist once.  A product's degree is checked before it is formed,
-so no result ever holds a monomial above the limit; but a sum whose top degree
-cancels may pass where forming its terms' products one by one raised (the
-brackets in ``forms`` sum first, then multiply).  ``**`` and each ``*`` of
-parsed text also bound the bit length of their coefficients by
-``_POWER_BITS``: a constant power such as ``(2^65535)^65535``, or a long
-product of constants, has degree 0, so no degree check sees it.
+degree bound as it is added.  When one factor has a single term (a constant
+or a monomial; a plain sum term counts as a product with the unit monomial),
+the product is one shifted, scaled copy of the other factor: one loop, and
+one ``max`` for the degree check.  Two multi-term factors take the double
+loop.  ``+``, ``-`` and ``Poly * Poly`` are each one step of a fresh
+accumulator, so the two loops and the degree check exist once.  A product's
+degree is checked before it is formed, so no result ever holds a monomial
+above the limit; but a sum whose top degree cancels may pass where forming its
+terms' products one by one raised (the brackets in ``forms`` sum first, then
+multiply).  ``**`` and each ``*`` of parsed text also bound the bit length of
+their coefficients by ``_POWER_BITS``: a constant power such as
+``(2^65535)^65535``, or a long product of constants, has degree 0, so no
+degree check sees it.  Parsed text nests parentheses and unary minus signs at
+most ``_NEST_DEPTH`` deep, so deep input is a ``ParseError``, not an exhausted
+interpreter stack.
 """
 
 from __future__ import annotations
@@ -76,6 +82,9 @@ _DEGREE_LIMIT = 64
 # Coefficient guardrail of ``**`` and of parsed products, in bits: a constant
 # power or product has degree 0.
 _POWER_BITS = 1 << 20
+# Nesting guardrail of parsed text: parentheses and unary minus signs within
+# one another, each a level of the parser's recursion.
+_NEST_DEPTH = 100
 
 
 def _check_bits(*polys: "Poly") -> None:
@@ -402,23 +411,30 @@ class _Sum:
         if x.chart is not chart:
             _check_chart(chart, x)
         a = x._num
-        if y is None:
-            d = x._den
+        if y is None:  # x times the unit monomial
+            if not a:
+                return
+            d, one, rest = x._den, (0, 1), a
         else:
             if y.chart is not chart:
                 _check_chart(chart, y)
             b, d = y._num, x._den * y._den
-            if not b:
+            if not a or not b:
                 return
             shift, limit = SLOT_BITS * len(chart.coords), _DEGREE_LIMIT
-            if a and (max(a) >> shift) + (max(b) >> shift) > limit:
+            if len(b) == 1:
+                (one,), rest = b.items(), a
+            elif len(a) == 1:
+                (one,), rest = a.items(), b
+            else:
+                one, rest = None, b
+            top = max(a) if one is None else one[0]
+            if (top >> shift) + (max(rest) >> shift) > limit:
                 # Over Q the product has exactly this total degree.  Report
                 # the first monomial past the bound, in product order.
                 deg = next(s + t for s in (k >> shift for k in a)
                            for t in (k >> shift for k in b) if s + t > limit)
                 raise GrowthLimitError(f"monomial degree {deg} exceeds limit {limit}")
-        if not a:
-            return
         den = self.den
         if den % d:  # grow the shared denominator to a multiple of d
             new = lcm(den, d)
@@ -428,9 +444,12 @@ class _Sum:
         m = den // d * sign
         num = self.num
         get = num.get
-        if y is None:
-            for k, c in a.items():
-                num[k] = get(k, 0) + c * m
+        if one is not None:  # a shifted, scaled copy of the other factor
+            k1, c1 = one
+            c1 *= m
+            for k2, c2 in rest.items():
+                k = k1 + k2
+                num[k] = get(k, 0) + c2 * c1
             return
         bitems = b.items()
         for k1, c1 in a.items():
@@ -544,6 +563,7 @@ class _Parser:
 
     Grammar: integers, rationals ``a/b``, chart variables, ``+ - * ^`` and
     parentheses; whitespace is insignificant.  ``-`` is both unary and binary.
+    Parentheses and unary minus signs nest at most ``_NEST_DEPTH`` deep.
     """
 
     def __init__(self, chart: Chart, text: str) -> None:
@@ -551,6 +571,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.textlen = len(text)
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -631,14 +652,23 @@ class _Parser:
             except KeyError:
                 raise ParseError(f"unknown variable {text!r}", pos) from None
         if text == "(":
-            p = self.expr()
+            p = self.nested(pos, self.expr)
             closing = self.next()
             if closing[1] != ")":
                 raise ParseError("expected ')'", closing[2])
             return p
         if text == "-":
-            return -self.atom()
+            return -self.nested(pos, self.atom)
         raise ParseError(f"unexpected token {text!r}", pos)
+
+    def nested(self, pos: int, parse) -> Poly:
+        """``parse()`` one nesting level down from the token at ``pos``."""
+        if self.depth == _NEST_DEPTH:
+            raise ParseError(f"nesting deeper than {_NEST_DEPTH}", pos)
+        self.depth += 1
+        p = parse()
+        self.depth -= 1
+        return p
 
 
 def parse_poly(chart: Chart, text: str) -> Poly:

@@ -230,6 +230,8 @@ def parse_scene(text: str) -> Scene:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise SceneError(f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except RecursionError:  # the decoder recurses once per nested array or object
+        raise SceneError("JSON nests too deep to read") from None
     if not isinstance(data, dict):
         raise SceneError("scene must be a JSON object")
     coords = _need(data, "chart", "scene")

@@ -145,6 +145,36 @@ class TestLieDerivative:
                - lie_derivative_vvf(Yf, lie_derivative_vvf(Xf, a)))
         assert lhs == rhs
 
+    @given(st.data())
+    @settings(max_examples=75, deadline=None)
+    def test_decomposable_formula(self, data):
+        """[i_K, d] a = sum_u K^u ^ d_u a + (-1)^k dK^u ^ i_u a for constant
+        frame fields (Kolar, Michor & Slovak 1993, sec. 8), with d_u a the
+        coefficientwise partial and i_u the contraction with d/dx_u."""
+        chart = data.draw(st.sampled_from((CH2, CH3)))
+        k = data.draw(st.integers(0, chart.dim))
+        j = data.draw(st.integers(0, chart.dim))
+        K = data.draw(st_vvforms(chart, k, chart.dim))
+        a = data.draw(st_forms(chart, j))
+
+        def contract(u: int) -> DiffForm:  # i_u a, a (j-1)-form
+            out = DiffForm.zero(chart, j - 1)
+            for idx, p in a.coeffs.items():
+                if u in idx:
+                    pos = idx.index(u)
+                    rest = idx[:pos] + idx[pos + 1:]
+                    out = out + DiffForm(chart, j - 1, {rest: p * (-1) ** pos})
+            return out
+
+        expect = DiffForm.zero(chart, k + j)
+        for u in range(chart.dim):
+            Ku = K.component(u)
+            d_u_a = DiffForm(chart, j, {idx: p.diff(u) for idx, p in a.coeffs.items()})
+            expect = expect + wedge(Ku, d_u_a)
+            if j:
+                expect = expect + wedge(exterior_d(Ku), contract(u)) * (-1) ** k
+        assert lie_derivative_vvf(K, a) == expect
+
 
 class TestVectorFieldBracket:
     def test_antisymmetry_and_jacobi(self):

@@ -2,13 +2,15 @@
 the constructors from endomorphisms and connections."""
 
 import random
-from itertools import product
+from collections import Counter
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lnlab.poly import Chart, Poly, PolyError
+from lnlab.poly import (Chart, GrowthLimitError, Poly, PolyError, get_degree_limit,
+                        set_degree_limit)
 from lnlab.forms import (DiffForm, VForm, exterior_d, frolicher_nijenhuis,
                          interior_vvf, lie_derivative_vvf, vf_bracket)
 from lnlab.gder import (FramedBundle, GenDer, bracket, build_drT,
@@ -226,6 +228,30 @@ class TestDual:
         D1 = rnd_gder(rng, TM, 0)
         D2 = rnd_gder(rng, TM, 1)
         assert gd_equal(dual(bracket(D1, D2)), bracket(dual(D1), dual(D2)))
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_construction_from_components(self, data):
+        """<D*(xi_b), u_a> = d<xi_b, l(u_a)> - <xi_b, D(u_a)>, assembled from
+        one scalar form per frame pair."""
+        chart = data.draw(st.sampled_from((CH2, CH3)))
+        D = data.draw(st_gder(chart, data.draw(st.integers(0, 2))))
+        k, rank = D.degree, D.bundle.rank
+        d_out, l_out = [], []
+        for b in range(rank):
+            comps = []
+            for a in range(rank):
+                comp = -D.d_frame[a].component(b)
+                if k:
+                    comp = comp + exterior_d(D.l_frame[a].component(b))
+                comps.append(comp)
+            d_out.append(VForm.from_components(comps, k))
+            if k:
+                l_out.append(VForm.from_components(
+                    [D.l_frame[a].component(b) for a in range(rank)], k - 1))
+        Dd = dual(D)
+        assert Dd.bundle == D.bundle.dual() and Dd.r == D.r
+        assert Dd.d_frame == d_out and Dd.l_frame == (l_out if k else None)
 
 
 class TestConstructors:
@@ -450,29 +476,93 @@ class TestExtensionErrorContract:
         with pytest.raises(PolyError):
             D.extend(VForm(CH3, 1, 2, {((0,), 1): Poly.var(CH3, "x")}))
 
+    def test_lie_term_forms_no_product_of_degree_deg_r_plus_deg_a(self):
+        """L_r a forms products of degree at most deg r + deg a - 1, where the
+        route i_r da + (-1)^k d(i_r a) formed i_r a, of degree deg r + deg a,
+        first: under a bound of deg r + deg a - 1 that route raises, and
+        extend does not."""
+        r = VForm(CH2, 1, 2, {((0,), 1): X * X})  # x^2 dx (x) @y
+        D = build_drT(r)
+        eta = VForm(CH2, 1, 2, {((1,), 0): Y * Y})  # y^2 dy (x) @x
+        alpha = eta.component(0)
+        # L_r alpha = -d(x^2 y^2 dx) = 2 x^2 y dx^dy; D(@x) = 2x dx (x) @y
+        expect = VForm(CH2, 2, 2, {((0, 1), 0): 2 * X * X * Y, ((0, 1), 1): -2 * X * Y * Y})
+        old = get_degree_limit()
+        set_degree_limit(3)
+        try:
+            with pytest.raises(GrowthLimitError, match="degree 4 exceeds limit 3"):
+                lie_derivative_vvf(r, alpha)
+            assert D.extend(eta) == expect
+        finally:
+            set_degree_limit(old)
+        assert D.extend(eta) == ref_extend(D, eta)
+
     def test_degree_above_dim_is_zero_of_the_right_shape(self):
         D = build_drT(VForm(CH2, 1, 2, {((0,), 1): X, ((1,), 0): Y}))
         eta = VForm(CH2, 2, 2, {((0, 1), 0): X * Y, ((0, 1), 1): ONE})
         assert D.extend(eta) == VForm.zero(CH2, 3, 2)
 
 
-def test_extend_takes_each_exterior_derivative_once(monkeypatch):
-    """Per value slot, extend takes da once for the l-term and L_r a, and
-    d(i_r a) once more when a has positive degree.  Every d pass, whether
-    finished by ``exterior_d`` or added straight into the result, goes
-    through ``forms._d_into``."""
-    from lnlab import forms, gder
-    D = build_drT(VForm(CH2, 1, 2, {((0,), 0): X, ((1,), 0): Y, ((1,), 1): ONE}))
-    calls = []
-    d_into = forms._d_into
+def fresh_vvform(chart: Chart, degree: int, vals: int, seed: int) -> VForm:
+    """A dense vector-valued form whose coefficients are distinct objects."""
+    rng = random.Random(seed)
+    return VForm(chart, degree, vals, {(idx, v): rnd_poly(rng, chart) + Poly.var(chart, "x")
+                                       for idx in combinations(range(chart.dim), degree)
+                                       for v in range(vals)})
 
-    def counted(out, a, *args):
-        calls.append(a)
-        d_into(out, a, *args)
-    monkeypatch.setattr(forms, "_d_into", counted)
-    monkeypatch.setattr(gder, "_d_into", counted)
-    for eta, expected in ((VForm.section(CH2, [X * Y, X + ONE]), 2),
-                          (VForm(CH2, 1, 2, {((0,), 0): Y, ((1,), 1): X * X}), 4)):
-        calls.clear()
-        assert not D.extend(eta).is_zero
-        assert len(calls) == expected
+
+def fresh_gder(chart: Chart, k: int, seed: int) -> GenDer:
+    return GenDer(FramedBundle(chart, E2), k,
+                  [fresh_vvform(chart, k, 2, seed + a) for a in range(2)],
+                  None if k == 0 else [fresh_vvform(chart, k - 1, 2, seed + 2 + a)
+                                       for a in range(2)],
+                  fresh_vvform(chart, k, chart.dim, seed + 4))
+
+
+def test_extend_differentiates_each_coefficient_once(monkeypatch):
+    """L_r a = sum_v r^v ^ d_v a + (-1)^k d r^v ^ i_v a: extend and bracket
+    differentiate each coefficient of a form they act on once per coordinate,
+    take r^v and d r^v once per derivation per call, and build neither d a,
+    i_r a nor d(i_r a) as forms."""
+    from lnlab import forms, gder
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a temporary form of the i_r d + d i_r route")
+    for name in ("exterior_d", "interior_vvf", "_d_into"):
+        monkeypatch.setattr(forms, name, forbidden)
+        monkeypatch.setattr(gder, name, forbidden, raising=False)
+    diffs: Counter = Counter()
+    diff = Poly.diff
+
+    def counted_diff(p, i):
+        diffs[id(p), i] += 1
+        return diff(p, i)
+    monkeypatch.setattr(Poly, "diff", counted_diff)
+    symbols = []
+    symbol_slots = gder._symbol_slots
+
+    def counted_slots(r):
+        symbols.append(r)
+        return symbol_slots(r)
+    monkeypatch.setattr(gder, "_symbol_slots", counted_slots)
+
+    def per_coordinate(values, times=1):
+        return Counter({(id(p), i): times for v in values for p in v.coeffs.values()
+                        for i in range(CH3.dim)})
+
+    D = fresh_gder(CH3, 1, 0)
+    eta = fresh_vvform(CH3, 1, 2, 10)
+    assert not D.extend(eta).is_zero
+    assert diffs == per_coordinate([eta, D.r]) and symbols == [D.r]
+
+    # each half extends the other's frame values; the FN bracket of the
+    # symbols differentiates their coefficients once more
+    D1, D2 = fresh_gder(CH3, 1, 20), fresh_gder(CH3, 0, 30)
+    for pair in ((D1, D2), (D1, D1)):
+        ders = list({id(D): D for D in pair}.values())
+        diffs.clear()
+        symbols.clear()
+        assert not gd_is_zero(bracket(*pair))
+        frames = [v for D in ders for v in D.d_frame + (D.l_frame or [])]
+        assert diffs == per_coordinate(frames) + per_coordinate([D.r for D in ders], 2)
+        assert sorted(map(id, symbols)) == sorted(id(D.r) for D in ders)

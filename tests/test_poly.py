@@ -113,6 +113,24 @@ class TestParser:
                            match=rf"unexpected character '\$' \(at position {pos}\)"):
             parse_poly(CH, text)
 
+    def test_nesting_up_to_the_bound_parses(self):
+        assert parse_poly(CH, "(" * 100 + "x" + ")" * 100) == X
+        assert parse_poly(CH, "y*" + "-(" * 50 + "x" + ")" * 50) == X * Y
+        # a leading sign belongs to the sum; the other 100 nest
+        assert parse_poly(CH, "-" * 101 + "x") == -X
+
+    @pytest.mark.parametrize("text, pos", [
+        ("(" * 101 + "x" + ")" * 101, 100), ("(" * 5000 + "x" + ")" * 5000, 100),
+        ("x + " + "-" * 5000 + "x", 104), ("-" * 5000 + "x", 101),
+        ("-(" * 101 + "x" + ")" * 101, 201), ("(--" * 51 + "x" + ")" * 51, 150)],
+        ids=["parentheses-101", "parentheses-5000", "minus-5000-in-a-sum", "minus-5000",
+             "minus-parentheses-101", "parentheses-minus-51"])
+    def test_nesting_past_the_bound(self, text, pos):
+        """A ParseError at the first token past 100 levels of parentheses and
+        unary minus signs, not an exhausted interpreter stack."""
+        with pytest.raises(ParseError, match=rf"^nesting deeper than 100 \(at position {pos}\)$"):
+            parse_poly(CH, text)
+
 
 class TestGrowthLimit:
     def test_degree_cap(self):
@@ -317,6 +335,30 @@ class TestBoundary:
         finally:
             set_degree_limit(old)
 
+    # degrees 1, 3, 4, 2 in term order; times a degree-2 monomial: 3, 5, 6, 4
+    UNSORTED = Poly(CH, {(1, 0): 1, (0, 3): Fraction(1, 2), (2, 2): -1, (1, 1): 3})
+
+    @pytest.mark.parametrize("mono", [X * Y, Fraction(2, 3) * X * X, -(Y * Y)])
+    def test_monomial_factor_names_the_first_term_past_the_bound(self, mono):
+        """One-term factors take the shifted-copy path; the error still names
+        the first monomial past the bound in product order (the other
+        factor's term order), not the top degree of the product."""
+        old = get_degree_limit()
+        set_degree_limit(4)
+        try:
+            for p, q in ((mono, self.UNSORTED), (self.UNSORTED, mono)):
+                with pytest.raises(GrowthLimitError) as by_mul:
+                    _ = p * q
+                acc = _Sum(CH)
+                acc.add(X)
+                with pytest.raises(GrowthLimitError) as by_sum:
+                    acc.add(p, q, -1)
+                assert str(by_mul.value) == str(by_sum.value) == (
+                    "monomial degree 5 exceeds limit 4")
+                assert acc.poly() == X  # the failed product left no trace
+        finally:
+            set_degree_limit(old)
+
     @given(small_polys(), small_polys(), st.integers(1, 8))
     @settings(max_examples=100, deadline=None)
     def test_mul_raises_iff_degree_sum_exceeds_limit(self, p, q, limit):
@@ -502,8 +544,16 @@ def sums(draw):
     term comes back with the opposite sign, in reverse order."""
     chart = draw(st.sampled_from(CHARTS))
     coeff = draw(st.sampled_from((st.integers(-3, 3), MIXED_COEFF, FRACTIONAL)))
-    maps = st.dictionaries(st.tuples(*[st.integers(0, 2)] * chart.dim), coeff, max_size=4)
-    terms = draw(st.lists(st.tuples(maps, st.none() | maps, st.sampled_from((1, -1))),
+    exps = st.tuples(*[st.integers(0, 2)] * chart.dim)
+    maps = st.dictionaries(exps, coeff, max_size=4)
+    # one-term factors, the kernel's shifted-copy path: +-1, a fractional
+    # constant, a monomial with a fractional coefficient
+    nonzero = FRACTIONAL.filter(bool)
+    single = st.one_of(st.sampled_from(({(0,) * chart.dim: 1}, {(0,) * chart.dim: -1})),
+                       nonzero.map(lambda c: {(0,) * chart.dim: c}),
+                       st.builds(lambda e, c: {e: c}, exps, nonzero))
+    factors = maps | single
+    terms = draw(st.lists(st.tuples(factors, st.none() | factors, st.sampled_from((1, -1))),
                           max_size=6))
     if draw(st.booleans()):
         terms += [(x, y, -s) for x, y, s in reversed(terms)]
@@ -526,6 +576,9 @@ class TestAccumulator:
                     ({(1, 0, 0): Fraction(1, 6)}, {(0, 0, 0): Fraction(3, 2)}, -1),
                     ({(0, 0, 1): 2}, None, 1), ({(0, 0, 1): 1}, {(0, 0, 0): 2}, -1)]))
     @example((Chart(()), [({(): Fraction(1, 3)}, {(): 3}, 1), ({(): 1}, None, 1)]))
+    @example((CH, [({(1, 1): Fraction(-3, 4)}, {(2, 0): Fraction(2, 3), (0, 1): 1}, 1),
+                   ({(0, 1): 1, (1, 0): HALF}, {(0, 0): -1}, -1),
+                   ({(1, 1): Fraction(1, 2)}, {(0, 0): Fraction(3, 2)}, 1)]))
     @settings(max_examples=150, deadline=None)
     def test_matches_a_reference_fold(self, drawn):
         chart, terms = drawn

@@ -272,6 +272,9 @@ class TestCheckCommand:
         lambda s: s.update(chart=["x", "1"], objects={}, checks=[]),
         lambda s: s.update(chart=["x", "x+y"], objects={}, checks=[]),
         lambda s: s.update(chart=["x", "y "], objects={}, checks=[]),
+        lambda s: "[" * 100_000,
+        lambda s: s["objects"]["pi0"].update(coeffs={"x,y": "(" * 5000 + "x" + ")" * 5000}),
+        lambda s: s["objects"]["pi0"].update(coeffs={"x,y": "-" * 5000 + "x"}),
     ], ids=["unknown-coordinate", "objects-list", "coeffs-list", "brackets-list",
             "frame-string", "depth-string", "dims-string", "count-string",
             "seed-list", "duplicate-coordinate", "matrix-number", "zero-denominator",
@@ -280,11 +283,13 @@ class TestCheckCommand:
             "hierarchy-depth-over-bound", "deform-depth-over-bound",
             "field-not-a-vector-field", "torsion-of-a-vector-field",
             "literal-past-digit-limit", "frame-repeated-name", "chart-name-number",
-            "chart-name-expression", "chart-name-trailing-space"])
+            "chart-name-expression", "chart-name-trailing-space", "json-nested-100000",
+            "poly-parentheses-5000", "poly-unary-minus-5000"])
     def test_malformed_scene_reports_input_error(self, scene_file, capsys, edit):
+        """An edit changes the scene in place, or returns the file's text."""
         scene = json.loads(PN_SCENE)
-        edit(scene)
-        assert main(["check", scene_file(json.dumps(scene))]) == 2
+        text = edit(scene)
+        assert main(["check", scene_file(json.dumps(scene) if text is None else text)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
@@ -557,6 +562,15 @@ class TestLiftCommand:
 
     def test_non_liftable_object_exits_two(self, scene_file, capsys):
         assert main(["lift", scene_file(PN_SCENE), "pi0"]) == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("[" * 100_000, "JSON nests too deep to read"),
+        (PN_SCENE.replace('"x,y": "1"', '"x,y": "' + "(" * 5000 + "1" + ")" * 5000 + '"'),
+         "object 'pi0': nesting deeper than 100 (at position 100)"),
+    ], ids=["json-nested-100000", "poly-parentheses-5000"])
+    def test_deeply_nested_input_exits_two(self, scene_file, capsys, text, message):
+        assert main(["lift", scene_file(text), "rx"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def _count(monkeypatch, calls: dict, label: str, owners, attr: str) -> None:
