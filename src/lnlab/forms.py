@@ -12,6 +12,8 @@ add only what differs:
   a value slot: ``(index tuple, v)``;
 * ``algebroid.FrameBivector`` has degree 2 and indexes the frame of a bundle.
 
+L_K and i_K along a tangent-valued K have one kernel each: ``_lie_into``, ``_contract_into``.
+
 Brackets follow the conventions that make the classical identities hold
 literally:
 
@@ -115,6 +117,21 @@ def _slot_d(entries: list) -> dict[int, dict]:
             if m is not None:
                 _accumulate(out.setdefault(v, {}), m[0], q, None, m[1])
     return {v: _sums(c) for v, c in out.items()}
+
+
+def _by_slot(items) -> dict[int, dict]:
+    """K^v, as a map from index tuple to coefficient, for each value slot v of
+    a vector-valued form K given by its ((index tuple, v), coefficient) pairs."""
+    out: dict = {}
+    for (idx, v), q in items:
+        out.setdefault(v, {})[idx] = q
+    return out
+
+
+def _symbol_slots(entries: list) -> tuple[dict, dict]:
+    """(``_by_slot``, ``_slot_d``) of a tangent-valued form K from its ``_partials``:
+    the part of ``_lie_into`` that does not depend on the form L_K acts on."""
+    return _by_slot((key, q) for key, q, _ in entries), _slot_d(entries)
 
 
 class _Alternating:
@@ -374,10 +391,8 @@ class VForm(_Alternating):
 
     def slot_components(self) -> dict[int, DiffForm]:
         """The scalar form multiplying each value slot, for nonzero slots."""
-        parts: dict[int, dict[Index, Poly]] = {}
-        for (idx, v), p in self.coeffs.items():
-            parts.setdefault(v, {})[idx] = p
-        return {v: DiffForm._trusted(self.chart, self.degree, c) for v, c in parts.items()}
+        return {v: DiffForm._trusted(self.chart, self.degree, c)
+                for v, c in _by_slot(self.coeffs.items()).items()}
 
     def insert_vector(self, X: "VForm") -> "VForm":
         """Contract a vector field into the first form slot, slot by slot:
@@ -386,13 +401,9 @@ class VForm(_Alternating):
             raise ValueError("cannot contract a vector field into a degree-0 form")
         if (X.chart, X.degree, X.vals) != (self.chart, 0, self.chart.dim):
             raise PolyError("insert_vector needs a vector field on the form's chart")
-        comps = X.section_components()
-        out: dict[tuple[Index, int], Poly] = {}
-        for (idx, v), p in self.coeffs.items():
-            for pos, i in enumerate(idx):
-                if comps[i]:
-                    rest = idx[:pos] + idx[pos + 1:]
-                    _accumulate(out, (rest, v), p, comps[i], -1 if pos % 2 else 1)
+        slots = {i: {(): c} for i, c in enumerate(X.section_components()) if c}
+        out: dict = {}
+        _contract_into(out, slots, self.coeffs.items(), 1)
         return VForm._trusted(self.chart, self.degree - 1, self.vals, _sums(out))
 
     def render(self, frame: Sequence[str]) -> str:
@@ -433,8 +444,47 @@ def _check_tangent(K: VForm) -> None:
         raise PolyError("operation requires a tangent-valued form")
 
 
+def _contract_into(out: dict, K: dict[int, dict], entries, sign: int) -> None:
+    """Add ``sign * sum_v K^v ^ i_v a`` into the sums at ``out``, slot by value
+    slot of a given by ((index tuple, slot), coefficient) pairs, K^v as in
+    ``_by_slot``: i_K a for a tangent-valued K, i_X a for a vector field K = X.
+    The contraction i_v with d/dx_v sends dx_idx to (-1)^pos dx_rest, v = idx[pos]."""
+    for (idx, a), p in entries:
+        for pos, v in enumerate(idx):
+            Kv = K.get(v)
+            if Kv:
+                rest, s = idx[:pos] + idx[pos + 1:], -sign if pos % 2 else sign
+                for kidx, q in Kv.items():
+                    m = sort_index(kidx + rest)
+                    if m is not None:
+                        _accumulate(out, (m[0], a), p, q, s * m[1])
+
+
+def _lie_into(out: dict, k: int, symbol: tuple[dict, dict], entries: list, sign: int) -> None:
+    """Add ``sign * L_K a`` into the sums at ``out``, slot by value slot of a
+    given by its ``_partials``, for a tangent-valued k-form
+    K = sum_v K^v (x) d/dx_v given by its ``_symbol_slots``:
+
+        L_K a = sum_v K^v ^ d_v a + (-1)^k dK^v ^ i_v a
+
+    (Kolar, Michor & Slovak, Natural Operations in Differential Geometry,
+    1993, sec. 8), d_v a the coefficientwise partial and i_v the contraction
+    with d/dx_v.  It is [i_K, d] a = i_K da + (-1)^k d(i_K a) with
+    i_K a = sum_v K^v ^ i_v a expanded by Leibniz, as i_v d + d i_v = d_v on
+    constant frame fields.  No product has degree above deg K + deg a - 1."""
+    slots, dK = symbol
+    for (idx, a), _, dp in entries:
+        for v, Kv in slots.items():
+            if dp[v]:
+                for kidx, q in Kv.items():
+                    m = sort_index(kidx + idx)
+                    if m is not None:
+                        _accumulate(out, (m[0], a), dp[v], q, sign * m[1])
+    _contract_into(out, dK, ((key, p) for key, p, _ in entries), sign * (-1) ** k)
+
+
 def interior_vvf(K: VForm, a: DiffForm) -> DiffForm:
-    """Algebraic interior product i_K a of a tangent-valued k-form.
+    """Algebraic interior product i_K a of a tangent-valued k-form (``_contract_into``).
 
     For decomposable K = w (x) X this is w ^ i_X a; a derivation of degree
     k - 1 over the wedge.  For k = 1 it is precomposition a o K on arguments.
@@ -443,28 +493,24 @@ def interior_vvf(K: VForm, a: DiffForm) -> DiffForm:
     if K.chart != a.chart:
         raise PolyError("chart mismatch")
     deg = K.degree + a.degree - 1
-    out: dict[Index, Poly] = {}
-    if a.degree and deg <= K.chart.dim:
-        # p dx_idx (x) d/dx_v contracts d/dx_v out of q dx_J at position pos
-        for (idx, v), p in K.coeffs.items():
-            for J, q in a.coeffs.items():
-                if v not in J:
-                    continue
-                pos = J.index(v)
-                m = sort_index(idx + J[:pos] + J[pos + 1:])
-                if m is not None:
-                    _accumulate(out, m[0], q, p, m[1] * (-1) ** pos)
-    return DiffForm._trusted(K.chart, max(deg, 0), _sums(out))
+    out: dict = {}
+    if deg <= K.chart.dim:
+        _contract_into(out, _by_slot(K.coeffs.items()),
+                       (((idx, 0), p) for idx, p in a.coeffs.items()), 1)
+    return DiffForm._trusted(K.chart, max(deg, 0), {i: s.poly() for (i, _), s in out.items()})
 
 
 def lie_derivative_vvf(K: VForm, a: DiffForm) -> DiffForm:
-    """Lie derivative along a tangent-valued k-form: L_K = [i_K, d], so
-    L_K a = i_K da + (-1)^k d i_K a."""
-    first = interior_vvf(K, exterior_d(a))
-    if a.degree == 0:
-        return first
-    second = exterior_d(interior_vvf(K, a))
-    return first + second if (K.degree - 1) % 2 else first - second
+    """Lie derivative L_K a = [i_K, d] a along a tangent-valued form (``_lie_into``)."""
+    _check_tangent(K)
+    if K.chart != a.chart:
+        raise PolyError("chart mismatch")
+    deg = K.degree + a.degree
+    out: dict = {}
+    if deg <= K.chart.dim:
+        entries = [((idx, 0), p, dp) for idx, p, dp in _partials(a)]
+        _lie_into(out, K.degree, _symbol_slots(_partials(K)), entries, 1)
+    return DiffForm._trusted(K.chart, deg, {i: s.poly() for (i, _), s in out.items()})
 
 
 def derivative(comps: Sequence[Poly], p: Poly) -> Poly:
@@ -514,13 +560,13 @@ def frolicher_nijenhuis(K: VForm, L: VForm) -> VForm:
 
         H(K, L) = sum phi ^ d_va psi (x) d/dx_vb + (-1)^k d phi ^ i_va psi (x) d/dx_vb
 
-    over phi = pa dx_ia (x) d/dx_va in K and psi = pb dx_ib (x) d/dx_vb in L.
+    over phi = pa dx_ia (x) d/dx_va in K and psi = pb dx_ib (x) d/dx_vb in L:
+    L_K applied to each value slot of L (see ``_lie_into``).
     The expansion's other terms, -d_vb phi ^ psi (x) d/dx_va and
     (-1)^k i_vb phi ^ d psi (x) d/dx_va, are -(-1)^(kl) times H(L, K)'s:
     dx_ib ^ dx_ia = (-1)^(kl) dx_ia ^ dx_ib, and moving the (k-1)-form
     i_vb phi past the (l+1)-form d psi costs (-1)^((k-1)(l+1)), which is
-    (-1)^(kl) times (-1)^(k+l+1).  Summed over phi, d phi is d(K^va), built
-    once per half when L has positive degree.  [K, K] is (1 - (-1)^k) H(K, K)."""
+    (-1)^(kl) times (-1)^(k+l+1).  [K, K] is (1 - (-1)^k) H(K, K)."""
     _check_tangent(K)
     _check_tangent(L)
     if K.chart != L.chart:
@@ -528,18 +574,7 @@ def frolicher_nijenhuis(K: VForm, L: VForm) -> VForm:
     acc: dict = {}
 
     def half(pK: tuple, pL: tuple, sign: int) -> None:
-        k, entries = pK
-        dK = _slot_d(entries) if pL[0] else {}
-        for (ib, vb), pb, dpb in pL[1]:
-            # (idx, x, y, s): s * x * y dx_idx (x) d/dx_vb; phi ^ d_va psi, then
-            # d(K^va) ^ i_va psi with i_va dx_ib = (-1)^pos dx_(ib - va), va = ib[pos]
-            terms = [(ia + ib, pa, dpb[va], 1) for (ia, va), pa, _ in entries]
-            terms += [(idx + ib[:pos] + ib[pos + 1:], q, pb, (-1) ** (k + pos))
-                      for pos, va in enumerate(ib) for idx, q in dK.get(va, {}).items()]
-            for idx, x, y, s in terms:
-                m = sort_index(idx) if x and y else None
-                if m is not None:
-                    _accumulate(acc, (m[0], vb), x, y, m[1] * s * sign)
+        _lie_into(acc, pK[0], _symbol_slots(pK[1]), pL[1], sign)
 
     _antisymmetrize(K, L, K.degree * L.degree, half)
     return VForm._trusted(K.chart, K.degree + L.degree, K.chart.dim, _sums(acc))

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .poly import Chart, Poly, PolyError
-from .forms import (DiffForm, VForm, _accumulate, _d_into, _partials, _slot_d, _sums,
-                    _wedge_into, frolicher_nijenhuis, sort_index)
+from .forms import (DiffForm, VForm, _accumulate, _by_slot, _contract_into, _d_into,
+                    _lie_into, _partials, _slot_d, _sums, _symbol_slots, _wedge_into)
 
 __all__ = [
     "FramedBundle",
@@ -140,24 +140,13 @@ class GenDer:
                          + (-1)^j da ^ l(u)
                          - (-1)^(j k) (L_r a) (x) u
 
-        With the symbol r = sum_v r^v (x) d/dx_v, r^v its scalar k-form in
-        slot v, the Lie derivative L_r = [i_r, d] is
-
-            L_r a = sum_v r^v ^ d_v a + (-1)^k d r^v ^ i_v a
-
-        (Kolar, Michor & Slovak, Natural Operations in Differential Geometry,
-        1993, sec. 8), with d_v a the partial derivative of a taken
-        coefficient by coefficient and i_v the contraction with d/dx_v: it is
-        i_r da + (-1)^k d(i_r a), i_r a = sum_v r^v ^ i_v a expanded by
-        Leibniz, as i_v d + d i_v = d_v on constant frame fields.
-
-        Each term is linear over constants in a, so it acts once per value
-        slot.  The partials of a's coefficients give both the d_v a and the da
-        of the l-term; r^v and d r^v are formed once per call.  Every term goes
-        straight into one map per result, which is finished once.
+        with L_r the Lie derivative along the symbol (``forms._lie_into``).
+        Each term acts once per value slot.  The partials of a's coefficients
+        give the d_v a of L_r and the da of the l-term, r's slot forms are
+        formed once per call, and every term goes into one map per result.
         """
         out: dict = {}
-        self._extend_into(out, eta, 1, _symbol_slots(self.r))
+        self._extend_into(out, eta, 1, _symbol_slots(_partials(self.r)))
         return self._finish(eta.degree + self.degree, out)
 
     def _l_into(self, out: dict, eta: VForm, sign: int) -> None:
@@ -165,9 +154,9 @@ class GenDer:
         for a, alpha in self._slots(eta):
             _wedge_into(out, alpha, self.l_frame[a], sign)
 
-    def _extend_into(self, out: dict, eta: VForm, sign: int, symbol: list) -> None:
+    def _extend_into(self, out: dict, eta: VForm, sign: int, symbol: tuple) -> None:
         """Add ``sign * extend(eta)`` into the sums at ``out``, given
-        ``_symbol_slots(self.r)``."""
+        ``_symbol_slots`` of the partials of ``self.r``."""
         j, k, chart = eta.degree, self.degree, self.bundle.chart
         slots = self._slots(eta)
         if j + k > chart.dim:  # every term is a (j + k)-form
@@ -179,23 +168,7 @@ class GenDer:
             for a, dalpha in _slot_d(entries).items():
                 _wedge_into(out, DiffForm._trusted(chart, j + 1, dalpha),
                             self.l_frame[a], sign * (-1) ** j)
-        # L_r alpha in slot a, term by term of alpha = p dx_idx
-        lie_sign = -sign * (-1) ** (j * k)
-        for (idx, a), p, dp in entries:
-            for v, rv, drv in symbol:
-                if dp[v]:  # r^v ^ d_v alpha
-                    for ridx, q in rv:
-                        m = sort_index(ridx + idx)
-                        if m is not None:
-                            _accumulate(out, (m[0], a), dp[v], q, lie_sign * m[1])
-                if v in idx:  # (-1)^k d r^v ^ i_v alpha, i_v dx_idx = (-1)^pos dx_rest
-                    pos = idx.index(v)
-                    rest = idx[:pos] + idx[pos + 1:]
-                    for didx, dq in drv:
-                        m = sort_index(didx + rest)
-                        if m is not None:
-                            _accumulate(out, (m[0], a), p, dq,
-                                        lie_sign * (-1) ** (k + pos) * m[1])
+        _lie_into(out, k, symbol, entries, -sign * (-1) ** (j * k))
 
     def _finish(self, degree: int, out: dict) -> VForm:
         """The E-valued ``degree``-form of the sums at ``out``."""
@@ -205,18 +178,6 @@ class GenDer:
         lf = None if self.l_frame is None else [-v for v in self.l_frame]
         return GenDer(self.bundle, self.degree, [-v for v in self.d_frame],
                       lf, -self.r)
-
-
-def _symbol_slots(r: VForm) -> list:
-    """(v, r^v, d r^v) for each nonzero value slot v of a symbol r, each
-    scalar form as a list of (index tuple, coefficient): the part of L_r in
-    ``GenDer.extend`` that does not depend on the form it acts on."""
-    rv: dict = {}
-    for (idx, v), q in r.coeffs.items():
-        rv.setdefault(v, []).append((idx, q))
-    dr = _slot_d(_partials(r))
-    return [(v, terms, [(idx, q) for idx, q in dr.get(v, {}).items() if q])
-            for v, terms in rv.items()]
 
 
 def bracket(D1: GenDer, D2: GenDer) -> GenDer:
@@ -230,21 +191,24 @@ def bracket(D1: GenDer, D2: GenDer) -> GenDer:
     """
     if D1.bundle != D2.bundle:
         raise PolyError("derivations act on different bundles")
-    k = D1.degree + D2.degree
+    chart, k = D1.bundle.chart, D1.degree + D2.degree
     sign = (-1) ** (D1.degree * D2.degree)
-    # each half (A, B, s, B's symbol slots) adds s * B o A and s times its part
-    # of l; [D, D] for D of degree j is (1 - (-1)^(j j)) D o D: one half,
-    # doubled, or none for even j
+    # each half (A, B, s, A's symbol partials, B's symbol slots) adds s * B o A and
+    # s times its part of l; [D, D] = (1 - (-1)^(j j)) D o D for D of degree j
     if D1 is not D2:
-        halves = [(D1, D2, 1, _symbol_slots(D2.r)), (D2, D1, -sign, _symbol_slots(D1.r))]
+        p1, p2 = _partials(D1.r), _partials(D2.r)
+        halves = [(D1, D2, 1, p1, _symbol_slots(p2)), (D2, D1, -sign, p2, _symbol_slots(p1))]
+    elif sign == -1:
+        p1 = _partials(D1.r)
+        halves = [(D1, D1, 2, p1, _symbol_slots(p1))]
     else:
-        halves = [(D1, D1, 2, _symbol_slots(D1.r))] if sign == -1 else []
+        halves = []
     d_out: list[VForm] = []
     l_out: list[VForm] = []
     for a in range(D1.bundle.rank):
         d_val: dict = {}
         parts: dict = {}  # the graded commutators [B, l_A] on the frame section
-        for A, B, s, symbol in halves:
+        for A, B, s, _, symbol in halves:
             B._extend_into(d_val, A.d_frame[a], s, symbol)
             if A.l_frame is not None:
                 B._extend_into(parts, A.l_frame[a], s, symbol)
@@ -252,7 +216,11 @@ def bracket(D1: GenDer, D2: GenDer) -> GenDer:
         d_out.append(D1._finish(k, d_val))
         if k:
             l_out.append(D1._finish(k - 1, parts))
-    r_out = frolicher_nijenhuis(D1.r, D2.r)
+    # [r1, r2] = H(r1, r2) - (-1)^(k1 k2) H(r2, r1), H(K, L) = L_K on L's slots
+    r_val: dict = {}
+    for _, B, s, entries, symbol in halves:
+        _lie_into(r_val, B.degree, symbol, entries, -s * sign)
+    r_out = VForm._trusted(chart, k, chart.dim, _sums(r_val))
     return GenDer(D1.bundle, k, d_out, l_out if k > 0 else None, r_out)
 
 
@@ -340,17 +308,14 @@ def build_from_connection(bundle: FramedBundle,
     # carries l and r; its own D is never read
     lr = GenDer(bundle, k, [bundle.zero_form(k)] * rank,
                 list(l_frame) if k > 0 else None, r)
-    d_out = []
+    d_out, r_slots = [], _by_slot(r.coeffs.items())
     for a in range(rank):
         grad = VForm(chart, 1, rank, {((i,), b): gamma[i][b][a]
                                       for i in range(chart.dim) for b in range(rank)})
         out: dict = {}
         if lr.l_frame is not None:
             lr._l_into(out, grad, 1)
-        # i_r grad u_a: the symbol term p dx_idx (x) d/dx_v meets dx_v in slot b
-        for b in range(rank):
-            for (idx, v), p in r.coeffs.items():
-                _accumulate(out, (idx, b), gamma[v][b][a], p, -1)
+        _contract_into(out, r_slots, grad.coeffs.items(), -1)
         d_out.append(lr._finish(k, out))
     return GenDer(bundle, k, d_out, lr.l_frame, r)
 

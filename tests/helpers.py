@@ -153,6 +153,16 @@ def ref_interior_vvf(K: VForm, a: DiffForm) -> DiffForm:
     return out
 
 
+def ref_lie(K: VForm, a: DiffForm) -> DiffForm:
+    """L_K a = [i_K, d] a = i_K da - (-1)^(k-1) d i_K a, through
+    ``ref_interior_vvf`` and ``exterior_d``."""
+    first = ref_interior_vvf(K, exterior_d(a))
+    if a.degree == 0:
+        return first
+    second = exterior_d(ref_interior_vvf(K, a))
+    return first + second if (K.degree - 1) % 2 else first - second
+
+
 def ref_wedge_scalar(a: DiffForm, K: VForm) -> VForm:
     return VForm.from_components([wedge(a, K.component(v)) for v in range(K.vals)],
                                  a.degree + K.degree)

@@ -18,7 +18,7 @@ from lnlab.matrix import mat_vec
 from lnlab.pnlab import concomitant_C
 
 from helpers import (CH2, CH3, gd_is_zero, interior_vector, pairing, ref_concomitant_C,
-                     ref_insert_vector, ref_interior_vvf, ref_schouten, ref_sort_index,
+                     ref_insert_vector, ref_interior_vvf, ref_lie, ref_schouten, ref_sort_index,
                      ref_wedge_scalar, rnd_form, rnd_mv, rnd_one_form, rnd_poly, rnd_vf,
                      rnd_vvform, st_forms, st_polys, st_vvforms, wedge_scalar)
 
@@ -173,7 +173,7 @@ class TestLieDerivative:
             expect = expect + wedge(Ku, d_u_a)
             if j:
                 expect = expect + wedge(exterior_d(Ku), contract(u)) * (-1) ** k
-        assert lie_derivative_vvf(K, a) == expect
+        assert lie_derivative_vvf(K, a) == expect == ref_lie(K, a)
 
 
 class TestVectorFieldBracket:

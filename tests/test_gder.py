@@ -9,15 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lnlab.poly import (Chart, GrowthLimitError, Poly, PolyError, get_degree_limit,
-                        set_degree_limit)
+from lnlab.poly import Chart, Poly, PolyError, get_degree_limit, set_degree_limit
 from lnlab.forms import (DiffForm, VForm, exterior_d, frolicher_nijenhuis,
                          interior_vvf, lie_derivative_vvf, vf_bracket)
 from lnlab.gder import (FramedBundle, GenDer, bracket, build_drT,
                         build_drTstar, build_from_connection, cotangent_bundle,
                         dual, tangent_bundle)
 
-from helpers import (CH2, CH3, gd_equal, gd_is_zero, ref_interior_vvf,
+from helpers import (CH2, CH3, gd_equal, gd_is_zero, ref_lie,
                      ref_wedge_scalar, rnd_endo, rnd_poly, rnd_vf, rnd_vvform, st_vvforms)
 
 X = Poly.var(CH2, "x")
@@ -391,15 +390,6 @@ class TestConstructors:
 E2 = ("e1", "e2")
 
 
-def ref_lie(K: VForm, a: DiffForm) -> DiffForm:
-    """L_K a = i_K da - (-1)^(k-1) d i_K a."""
-    first = ref_interior_vvf(K, exterior_d(a))
-    if a.degree == 0:
-        return first
-    second = exterior_d(ref_interior_vvf(K, a))
-    return first + second if (K.degree - 1) % 2 else first - second
-
-
 def ref_extend(D: GenDer, eta: VForm, lie=ref_lie) -> VForm:
     """D(a (x) u) = a ^ D(u) + (-1)^j da ^ l(u) - (-1)^(j k) (L_r a) (x) u,
     with L_r a from ``lie``."""
@@ -479,8 +469,8 @@ class TestExtensionErrorContract:
     def test_lie_term_forms_no_product_of_degree_deg_r_plus_deg_a(self):
         """L_r a forms products of degree at most deg r + deg a - 1, where the
         route i_r da + (-1)^k d(i_r a) formed i_r a, of degree deg r + deg a,
-        first: under a bound of deg r + deg a - 1 that route raises, and
-        extend does not."""
+        first: under a bound of deg r + deg a - 1 both extend and
+        lie_derivative_vvf return a value."""
         r = VForm(CH2, 1, 2, {((0,), 1): X * X})  # x^2 dx (x) @y
         D = build_drT(r)
         eta = VForm(CH2, 1, 2, {((1,), 0): Y * Y})  # y^2 dy (x) @x
@@ -490,12 +480,12 @@ class TestExtensionErrorContract:
         old = get_degree_limit()
         set_degree_limit(3)
         try:
-            with pytest.raises(GrowthLimitError, match="degree 4 exceeds limit 3"):
-                lie_derivative_vvf(r, alpha)
-            assert D.extend(eta) == expect
+            lie = lie_derivative_vvf(r, alpha)
+            ext = D.extend(eta)
         finally:
             set_degree_limit(old)
-        assert D.extend(eta) == ref_extend(D, eta)
+        assert lie == DiffForm(CH2, 2, {(0, 1): 2 * X * X * Y}) == ext.component(0)
+        assert ext == expect == ref_extend(D, eta)
 
     def test_degree_above_dim_is_zero_of_the_right_shape(self):
         D = build_drT(VForm(CH2, 1, 2, {((0,), 1): X, ((1,), 0): Y}))
@@ -520,15 +510,16 @@ def fresh_gder(chart: Chart, k: int, seed: int) -> GenDer:
 
 
 def test_extend_differentiates_each_coefficient_once(monkeypatch):
-    """L_r a = sum_v r^v ^ d_v a + (-1)^k d r^v ^ i_v a: extend and bracket
-    differentiate each coefficient of a form they act on once per coordinate,
-    take r^v and d r^v once per derivation per call, and build neither d a,
-    i_r a nor d(i_r a) as forms."""
+    """L_r a = sum_v r^v ^ d_v a + (-1)^k d r^v ^ i_v a: lie_derivative_vvf,
+    extend and bracket differentiate each coefficient of a form they act on,
+    and of each symbol, once per coordinate, take r^v and d r^v once per
+    derivation per call, and build neither d a, i_r a nor d(i_r a) as forms;
+    bracket takes the symbols' FN bracket without frolicher_nijenhuis."""
     from lnlab import forms, gder
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a temporary form of the i_r d + d i_r route")
-    for name in ("exterior_d", "interior_vvf", "_d_into"):
+    for name in ("exterior_d", "interior_vvf", "_d_into", "frolicher_nijenhuis"):
         monkeypatch.setattr(forms, name, forbidden)
         monkeypatch.setattr(gder, name, forbidden, raising=False)
     diffs: Counter = Counter()
@@ -539,24 +530,33 @@ def test_extend_differentiates_each_coefficient_once(monkeypatch):
         return diff(p, i)
     monkeypatch.setattr(Poly, "diff", counted_diff)
     symbols = []
-    symbol_slots = gder._symbol_slots
+    symbol_slots = forms._symbol_slots
 
-    def counted_slots(r):
-        symbols.append(r)
-        return symbol_slots(r)
-    monkeypatch.setattr(gder, "_symbol_slots", counted_slots)
+    def counted_slots(entries):
+        symbols.append([id(p) for _, p, _ in entries])
+        return symbol_slots(entries)
+    for module in (forms, gder):
+        monkeypatch.setattr(module, "_symbol_slots", counted_slots)
 
-    def per_coordinate(values, times=1):
-        return Counter({(id(p), i): times for v in values for p in v.coeffs.values()
+    def per_coordinate(values):
+        return Counter({(id(p), i): 1 for v in values for p in v.coeffs.values()
                         for i in range(CH3.dim)})
+
+    def ids(r):
+        return [id(p) for p in r.coeffs.values()]
 
     D = fresh_gder(CH3, 1, 0)
     eta = fresh_vvform(CH3, 1, 2, 10)
     assert not D.extend(eta).is_zero
-    assert diffs == per_coordinate([eta, D.r]) and symbols == [D.r]
+    assert diffs == per_coordinate([eta, D.r]) and symbols == [ids(D.r)]
 
-    # each half extends the other's frame values; the FN bracket of the
-    # symbols differentiates their coefficients once more
+    K, alpha = fresh_vvform(CH3, 1, 3, 40), eta.component(0)
+    diffs.clear()
+    symbols.clear()
+    assert not lie_derivative_vvf(K, alpha).is_zero
+    assert diffs == per_coordinate([K, alpha]) and symbols == [ids(K)]
+
+    # each half extends the other's frame values and takes L_(r_B) r_A
     D1, D2 = fresh_gder(CH3, 1, 20), fresh_gder(CH3, 0, 30)
     for pair in ((D1, D2), (D1, D1)):
         ders = list({id(D): D for D in pair}.values())
@@ -564,5 +564,5 @@ def test_extend_differentiates_each_coefficient_once(monkeypatch):
         symbols.clear()
         assert not gd_is_zero(bracket(*pair))
         frames = [v for D in ders for v in D.d_frame + (D.l_frame or [])]
-        assert diffs == per_coordinate(frames) + per_coordinate([D.r for D in ders], 2)
-        assert sorted(map(id, symbols)) == sorted(id(D.r) for D in ders)
+        assert diffs == per_coordinate(frames + [D.r for D in ders])
+        assert sorted(symbols) == sorted(ids(D.r) for D in ders)
