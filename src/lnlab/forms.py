@@ -101,10 +101,11 @@ def _sums(out: dict) -> dict:
     return {key: acc.poly() for key, acc in out.items()}
 
 
-def _partials(T) -> list:
-    """(key, coefficient, its partial derivatives) for each term of T."""
-    dim = T.chart.dim
-    return [(key, p, [p.diff(i) for i in range(dim)]) for key, p in T.coeffs.items()]
+def _partials(T, slots=None) -> list:
+    """(key, coefficient, its partial derivatives) for each term of T; for a
+    vector-valued T, no partials for terms outside the value ``slots`` if given."""
+    return [(key, p, [p.diff(i) for i in range(T.chart.dim)]
+             if slots is None or key[1] in slots else []) for key, p in T.coeffs.items()]
 
 
 def _slot_d(entries: list) -> dict[int, dict]:
@@ -483,34 +484,32 @@ def _lie_into(out: dict, k: int, symbol: tuple[dict, dict], entries: list, sign:
     _contract_into(out, dK, ((key, p) for key, p, _ in entries), sign * (-1) ** k)
 
 
+def _on_scalar(K: VForm, a: DiffForm, degree: int, kernel) -> DiffForm:
+    """What ``kernel(out, A)`` adds for a as the one-slot form A; K is tangent-valued."""
+    _check_tangent(K)
+    if K.chart != a.chart:
+        raise PolyError("chart mismatch")
+    out: dict = {}
+    if degree <= a.chart.dim:
+        kernel(out, VForm.from_components([a], a.degree))
+    return VForm._trusted(a.chart, degree, 1, _sums(out)).component(0)
+
+
 def interior_vvf(K: VForm, a: DiffForm) -> DiffForm:
     """Algebraic interior product i_K a of a tangent-valued k-form (``_contract_into``).
 
     For decomposable K = w (x) X this is w ^ i_X a; a derivation of degree
     k - 1 over the wedge.  For k = 1 it is precomposition a o K on arguments.
     """
-    _check_tangent(K)
-    if K.chart != a.chart:
-        raise PolyError("chart mismatch")
-    deg = K.degree + a.degree - 1
-    out: dict = {}
-    if deg <= K.chart.dim:
-        _contract_into(out, _by_slot(K.coeffs.items()),
-                       (((idx, 0), p) for idx, p in a.coeffs.items()), 1)
-    return DiffForm._trusted(K.chart, max(deg, 0), {i: s.poly() for (i, _), s in out.items()})
+    return _on_scalar(K, a, max(K.degree + a.degree - 1, 0), lambda out, A: _contract_into(
+        out, _by_slot(K.coeffs.items()), A.coeffs.items(), 1))
 
 
 def lie_derivative_vvf(K: VForm, a: DiffForm) -> DiffForm:
     """Lie derivative L_K a = [i_K, d] a along a tangent-valued form (``_lie_into``)."""
-    _check_tangent(K)
-    if K.chart != a.chart:
-        raise PolyError("chart mismatch")
-    deg = K.degree + a.degree
-    out: dict = {}
-    if deg <= K.chart.dim:
-        entries = [((idx, 0), p, dp) for idx, p, dp in _partials(a)]
-        _lie_into(out, K.degree, _symbol_slots(_partials(K)), entries, 1)
-    return DiffForm._trusted(K.chart, deg, {i: s.poly() for (i, _), s in out.items()})
+    used = {v for idx in a.coeffs for v in idx}  # dK^v ^ i_v a = 0 for other v
+    return _on_scalar(K, a, K.degree + a.degree, lambda out, A: _lie_into(
+        out, K.degree, _symbol_slots(_partials(K, used)), _partials(A), 1))
 
 
 def derivative(comps: Sequence[Poly], p: Poly) -> Poly:
@@ -573,8 +572,9 @@ def frolicher_nijenhuis(K: VForm, L: VForm) -> VForm:
         raise PolyError("chart mismatch")
     acc: dict = {}
 
-    def half(pK: tuple, pL: tuple, sign: int) -> None:
-        _lie_into(acc, pK[0], _symbol_slots(pK[1]), pL[1], sign)
+    def half(pK: tuple, pL: tuple, sign: int) -> None:  # no dK^v ^ i_v on a degree-0 L
+        entries = pK[1] if pL[0] else [(key, q, []) for key, q, _ in pK[1]]
+        _lie_into(acc, pK[0], _symbol_slots(entries), pL[1], sign)
 
     _antisymmetrize(K, L, K.degree * L.degree, half)
     return VForm._trusted(K.chart, K.degree + L.degree, K.chart.dim, _sums(acc))

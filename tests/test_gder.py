@@ -514,7 +514,8 @@ def test_extend_differentiates_each_coefficient_once(monkeypatch):
     extend and bracket differentiate each coefficient of a form they act on,
     and of each symbol, once per coordinate, take r^v and d r^v once per
     derivation per call, and build neither d a, i_r a nor d(i_r a) as forms;
-    bracket takes the symbols' FN bracket without frolicher_nijenhuis."""
+    lie_derivative_vvf differentiates only the r^v with v in an index of a,
+    and bracket takes the symbols' FN bracket without frolicher_nijenhuis."""
     from lnlab import forms, gder
 
     def forbidden(*args, **kwargs):
@@ -550,11 +551,14 @@ def test_extend_differentiates_each_coefficient_once(monkeypatch):
     assert not D.extend(eta).is_zero
     assert diffs == per_coordinate([eta, D.r]) and symbols == [ids(D.r)]
 
-    K, alpha = fresh_vvform(CH3, 1, 3, 40), eta.component(0)
+    # alpha has no dx_2 term, so d K^2 ^ i_2 alpha = 0 and K^2 is not differentiated
+    K = fresh_vvform(CH3, 1, 3, 40)
+    alpha = DiffForm(CH3, 1, {(i,): p for (i,), p in eta.component(0).coeffs.items() if i != 2})
+    used = VForm(CH3, 1, 3, {key: p for key, p in K.coeffs.items() if key[1] != 2})
     diffs.clear()
     symbols.clear()
     assert not lie_derivative_vvf(K, alpha).is_zero
-    assert diffs == per_coordinate([K, alpha]) and symbols == [ids(K)]
+    assert diffs == per_coordinate([used, alpha]) and symbols == [ids(K)]
 
     # each half extends the other's frame values and takes L_(r_B) r_A
     D1, D2 = fresh_gder(CH3, 1, 20), fresh_gder(CH3, 0, 30)

@@ -5,7 +5,7 @@ comment or layout (newlines, indentation), found with ``tokenize``.  A
 statement made of string literals alone (a docstring) is not code.  Blank
 lines hold no token.  Standard library only.
 
-Usage: python tools/src_lines.py [package directory, default src/lnlab]
+Usage: python tools/src_lines.py
 """
 
 from __future__ import annotations
@@ -35,9 +35,8 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
-def main(argv: list[str]) -> int:
-    default = Path(__file__).resolve().parents[1] / "src" / "lnlab"
-    root = Path(argv[1]) if len(argv) > 1 else default
+def main() -> int:
+    root = Path(__file__).resolve().parents[1] / "src" / "lnlab"
     total = code = 0
     for path in sorted(root.glob("*.py")):
         text = path.read_text(encoding="utf-8")
@@ -48,4 +47,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())
