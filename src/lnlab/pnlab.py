@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .poly import Chart, Poly, PolyError, _Sum
-from .forms import (DiffForm, Multivector, VForm, _check_tangent,
-                    bivector_from_sharp, frolicher_nijenhuis, interior_vvf,
-                    lie_derivative_vvf, nijenhuis_torsion, schouten, sharp,
-                    sharp_matrix)
+from .forms import (DiffForm, Multivector, VForm, _check_tangent, _lie_into,
+                    _on_scalar, _partials, _symbol_slots, bivector_from_sharp,
+                    frolicher_nijenhuis, interior_vvf, lie_derivative_vvf,
+                    nijenhuis_torsion, schouten, sharp, sharp_matrix)
 from .algebroid import (_cocycle, cotangent_of_poisson, deform_algebroid,
                         tangent_algebroid)
 from .gder import tangent_bundle
@@ -91,9 +91,13 @@ def _prep(pi: Multivector, r: VForm):
 
 def _core(prep, v: list[Poly]):
     """(v, r*v, pi# v) for the components v of a form; the zero components
-    of v are skipped once for both images."""
+    of v are skipped once for both images.  For a coordinate covector dx_a
+    the images are column a of r* and of pi#, read with no product."""
     S, _, Mt = prep
     nz = _support(v)
+    if len(nz) == 1 and v[nz[0]] == 1:
+        a = nz[0]
+        return v, [row[a] for row in Mt], [row[a] for row in S]
     return (v, [_dot_on(nz, row, v) for row in Mt],
             [_dot_on(nz, row, v) for row in S])
 
@@ -135,6 +139,14 @@ def _b_role(prep, core):
 
 def _pair(chart: Chart, prep, a_role, b_role) -> DiffForm:
     """C(a, b) from the role data of a and b (see ``concomitant_C``)."""
+    sums = [_Sum(chart) for _ in range(chart.dim)]
+    _pair_into(sums, prep, a_role, b_role)
+    return DiffForm._trusted(chart, 1, {(k,): acc.poly() for k, acc in enumerate(sums)})
+
+
+def _pair_into(sums: list[_Sum], prep, a_role, b_role, sign: int = 1) -> None:
+    """Add ``sign * C(a, b)`` into the n sums, one per component, from the
+    role data of a and b."""
     (_, ra, pa), a_more, dpat, dra = a_role
     (bv, rb, pb), b_more, drb = b_role
     constant = a_more is None and b_more is None
@@ -142,7 +154,7 @@ def _pair(chart: Chart, prep, a_role, b_role) -> DiffForm:
         # d_k <b, U> stands for every term that reads U, V, da or db
         nz = _support(bv)
         ab = [_dot_on(nz, bv, row) for row in dpat]
-        f = _Sum(chart)
+        f = _Sum(sums[0].chart)
         _dot_into(f, rb, pa)
         _dot_into(f, pb, ra)
         f = f.poly()
@@ -151,19 +163,17 @@ def _pair(chart: Chart, prep, a_role, b_role) -> DiffForm:
         V, db = b_more or _b_more(prep, b_role[0])
         ab = [_dot(pa + bv + pb, db[v] + dpat[v] + da[v]) for v in range(len(bv))]
         pos = U + bv + V
-    # one sum per k; the products of r*([a, b]_pi) go in first for every k,
-    # which fixes the product that a degree-bound error reports
-    sums = [_Sum(chart) for _ in bv]
+    # the products of r*([a, b]_pi) go in first for every k, which fixes
+    # the product that a degree-bound error reports
     for acc, row in zip(sums, prep[2]):
-        _dot_into(acc, row, ab)
+        _dot_into(acc, row, ab, sign)
     neg = pa + rb + pb
     for k, acc in enumerate(sums):
         if constant:
-            acc.add(f.diff(k))
+            acc.add(f.diff(k), None, sign)
         else:
-            _dot_into(acc, pos, db[k] + dUt[k] + da[k])
-        _dot_into(acc, neg, drb[k] + dpat[k] + dra[k], -1)
-    return DiffForm._trusted(chart, 1, {(k,): acc.poly() for k, acc in enumerate(sums)})
+            _dot_into(acc, pos, db[k] + dUt[k] + da[k], sign)
+        _dot_into(acc, neg, drb[k] + dpat[k] + dra[k], -sign)
 
 
 def concomitant_C(pi: Multivector, r: VForm, a: DiffForm, b: DiffForm) -> DiffForm:
@@ -204,6 +214,18 @@ def concomitant_C(pi: Multivector, r: VForm, a: DiffForm, b: DiffForm) -> DiffFo
     terms form what the U route forms: this route meets the degree limit
     only where the U route does, and may give a value where forming the
     other rows of U meets it.  A pair with a non-constant form forms U and V.
+
+    Each piece is built once: the core (v, r*v, pi# v) of each form, where
+    a coordinate covector dx_a reads r*dx_a and pi# dx_a as column a of the
+    matrices of r* and pi# and forms no product (``_core``); the gradients
+    of each role from its core (``_a_role``, ``_b_role``); and one sum per
+    component k.  Products are formed in this order, which fixes the
+    product that a degree-limit error names: r*a, pi# a and, for a
+    non-constant a, U; r*b, pi# b and, for a non-constant b, V; U and V
+    where the pair still needs them; the components of [a, b]_pi, then
+    <b, U> on the constant route; r*([a, b]_pi) for every k; then per k the
+    terms in U and V (d_k <b, U> forms none) and those in pi# a, r*b and
+    pi# b.
     """
     _check_tangent(r)
     if not pi.chart == r.chart == a.chart == b.chart:
@@ -214,7 +236,10 @@ def concomitant_C(pi: Multivector, r: VForm, a: DiffForm, b: DiffForm) -> DiffFo
 
 
 def _coframe_roles(prep, vectors: list[list[Poly]]):
-    """For the pairs (f_a, f_b), a < b: a-roles but the last, b-roles but the first."""
+    """For the pairs (f_a, f_b), a < b: a-roles but the last, b-roles but the
+    first.  Each form's core is built once and read by both of its roles, and
+    each role by every pair it enters; the core of a coordinate covector is
+    two matrix columns (``_core``)."""
     cores = [_core(prep, v) for v in vectors]
     return ({a: _a_role(prep, c) for a, c in enumerate(cores[:-1])},
             {b: _b_role(prep, c) for b, c in enumerate(cores) if b})
@@ -322,26 +347,43 @@ def mm1_identity(c: PNCandidate, X: VForm) -> CheckReport:
             = C'(a,b) + C''(a,b)
 
     where C' uses the bivector [X, pi] in place of pi and C'' uses the
-    endomorphism [X, r]; holds for every (pi, r, X)."""
+    endomorphism [X, r]; holds for every (pi, r, X).
+
+    Each piece is built once per check: one prep per (bivector,
+    endomorphism), role data once per form and prep, and X's symbol (its
+    components and their n^2 partials) once, read by every L_X through
+    ``forms._lie_into``.  On each coframe pair C_0 = C(dx_a, dx_b) is
+    finished first, as L_X reads its partials; then L_X C_0, the two pairs
+    with L_X dx_a and L_X dx_b, C' and C'' go with their signs into one map
+    of n sums, finished once, with the products formed in that order."""
     chart = c.chart
     n = chart.dim
     report = CheckReport("Lie-derivative expansion of the concomitant")
     Xpi = schouten(X_to_mv(X), c.pi)
     Xr = frolicher_nijenhuis(X, c.r)
-    # one prep per (bivector, endomorphism), and role data once per form
     basis = identity(chart, n)
     p0, p1, p2 = _prep(c.pi, c.r), _prep(Xpi, c.r), _prep(c.pi, Xr)
     (A0, B0), (A1, B1), (A2, B2) = (_coframe_roles(p, basis) for p in (p0, p1, p2))
-    lx = [_comps(lie_derivative_vvf(X, DiffForm.basis(chart, (a,)))) for a in range(n)]
-    LA, LB = _coframe_roles(p0, lx)
+    symbol = _symbol_slots(_partials(X))
+
+    def lie_minus(a: DiffForm, pairs=()) -> DiffForm:
+        """L_X a minus C(f, g) for each (prep, f role, g role) of ``pairs``."""
+        def kernel(out: dict, A: VForm) -> None:
+            _lie_into(out, 0, symbol, _partials(A), 1)
+            if pairs:  # the n sums of the one-slot form A
+                sums = [out.setdefault(((k,), 0), _Sum(chart)) for k in range(n)]
+                for prep, f, g in pairs:
+                    _pair_into(sums, prep, f, g, -1)
+        return _on_scalar(X, a, 1, kernel)
+
+    LA, LB = _coframe_roles(p0, [_comps(lie_minus(DiffForm.basis(chart, (a,))))
+                                 for a in range(n)])
     for a in range(n):
         for b in range(a + 1, n):
-            lhs = (lie_derivative_vvf(X, _pair(chart, p0, A0[a], B0[b]))
-                   - _pair(chart, p0, LA[a], B0[b])
-                   - _pair(chart, p0, A0[a], LB[b]))
-            rhs = (_pair(chart, p1, A1[a], B1[b])
-                   + _pair(chart, p2, A2[a], B2[b]))
-            report.add_zero("concomitant Lie-derivative identity", lhs - rhs,
+            defect = lie_minus(_pair(chart, p0, A0[a], B0[b]),
+                               ((p0, LA[a], B0[b]), (p0, A0[a], LB[b]),
+                                (p1, A1[a], B1[b]), (p2, A2[a], B2[b])))
+            report.add_zero("concomitant Lie-derivative identity", defect,
                             detail=f"(d{chart.coords[a]},d{chart.coords[b]})")
     return report
 

@@ -190,23 +190,107 @@ class TestMM1:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_shares_preps_and_lie_derivatives(self, monkeypatch, n):
-        """Three sharp matrices, one per (bivector, endomorphism), and one Lie
-        derivative per L_X dx_a and per L_X C(dx_a, dx_b)."""
-        counts = {"sharp": 0, "lie": 0}
+        """Three sharp matrices, one per (bivector, endomorphism), and n^2
+        partial derivatives of X's components for every L_X of the check,
+        besides those that [X, pi] and [X, r] take."""
+        counts = {"sharp": 0, "dX": 0, "in bracket": 0}
 
-        def counted(name, fn):
+        def counted_sharp(P):
+            counts["sharp"] += 1
+            return sharp_matrix(P)
+
+        def bracket(fn):
             def wrapper(*args):
-                counts[name] += 1
-                return fn(*args)
+                counts["in bracket"] += 1
+                try:
+                    return fn(*args)
+                finally:
+                    counts["in bracket"] -= 1
             return wrapper
-        monkeypatch.setattr(pnlab, "sharp_matrix", counted("sharp", pnlab.sharp_matrix))
-        monkeypatch.setattr(pnlab, "lie_derivative_vvf",
-                            counted("lie", pnlab.lie_derivative_vvf))
+        diff = Poly.diff
+
+        def counted_diff(p, i):
+            if not counts["in bracket"] and any(p is q for q in comps):
+                counts["dX"] += 1
+            return diff(p, i)
         rng = random.Random(1400 + n)
         chart = Chart(("x", "y", "z", "w")[:n])
         c = PNCandidate(rnd_bivector(rng, chart), rnd_endo(rng, chart))
-        assert mm1_identity(c, rnd_vf(rng, chart)).passed
-        assert counts == {"sharp": 3, "lie": n + n * (n - 1) // 2}
+        Xf = rnd_vf(rng, chart)
+        comps = list(Xf.coeffs.values())
+        assert len(comps) == n
+        monkeypatch.setattr(pnlab, "sharp_matrix", counted_sharp)
+        monkeypatch.setattr(pnlab, "schouten", bracket(pnlab.schouten))
+        monkeypatch.setattr(pnlab, "frolicher_nijenhuis", bracket(pnlab.frolicher_nijenhuis))
+        monkeypatch.setattr(Poly, "diff", counted_diff)
+        assert mm1_identity(c, Xf).passed
+        assert counts == {"sharp": 3, "dX": n * n, "in bracket": 0}
+
+
+class TestMM1Failures:
+    """Exact failure oracle: C is linear in pi and in r, so a constant
+    endomorphism delta added to [X, r] leaves on each coframe pair the defect
+    -C(pi, delta, dx_a, dx_b), and a constant bivector beta added to [X, pi]
+    the defect -C(beta, r, dx_a, dx_b); a pair where that is zero passes."""
+
+    @staticmethod
+    def assert_defects(report, chart, expected):
+        pairs = [(a, b) for a in range(chart.dim) for b in range(a + 1, chart.dim)]
+        assert len(report.items) == len(pairs)
+        for item, (a, b) in zip(report.items, pairs):
+            want = -expected(DiffForm.basis(chart, (a,)), DiffForm.basis(chart, (b,)))
+            assert item.detail == f"(d{chart.coords[a]},d{chart.coords[b]})"
+            assert item.passed == want.is_zero
+            assert item.defect == (None if want.is_zero else want)
+
+    @pytest.mark.parametrize("chart", [CH2, CH3, CH4])
+    def test_endomorphism_shift(self, monkeypatch, chart):
+        n = chart.dim
+        rng = random.Random(1500 + n)
+        c = PNCandidate(rnd_bivector(rng, chart), rnd_endo(rng, chart))
+        Xf = rnd_vf(rng, chart)
+        delta = VForm(chart, 1, n, {((i,), v): Poly.const(chart, rng.randint(-3, 3))
+                                    for i in range(n) for v in range(n)})
+        fn = pnlab.frolicher_nijenhuis
+        monkeypatch.setattr(pnlab, "frolicher_nijenhuis", lambda K, L: fn(K, L) + delta)
+        report = mm1_identity(c, Xf)
+        self.assert_defects(report, chart, lambda a, b: concomitant_C(c.pi, delta, a, b))
+        assert not report.passed
+
+    @pytest.mark.parametrize("chart", [CH2, CH3, CH4])
+    def test_bivector_shift(self, monkeypatch, chart):
+        rng = random.Random(1600 + chart.dim)
+        c = PNCandidate(rnd_bivector(rng, chart), rnd_endo(rng, chart))
+        Xf = rnd_vf(rng, chart)
+        beta = Multivector(chart, 2, {(0, 1): Poly.const(chart, 2),
+                                      (0, chart.dim - 1): Poly.const(chart, -1)})
+        sch = pnlab.schouten
+        monkeypatch.setattr(pnlab, "schouten", lambda P, Q: sch(P, Q) + beta)
+        report = mm1_identity(c, Xf)
+        self.assert_defects(report, chart, lambda a, b: concomitant_C(beta, c.r, a, b))
+        assert not report.passed
+
+    def test_shifts_that_leave_C_zero_pass(self, monkeypatch):
+        """C(pi, 2 Id) = 2([a, b]_pi - [a, b]_pi - [a, b]_pi + [a, b]_pi) = 0,
+        and C(beta, Id) = 0 likewise."""
+        rng = random.Random(1700)
+        c = PNCandidate(rnd_bivector(rng, CH3), rnd_endo(rng, CH3))
+        Xf = rnd_vf(rng, CH3)
+        two = VForm(CH3, 1, 3, {((i,), i): Poly.const(CH3, 2) for i in range(3)})
+        fn = pnlab.frolicher_nijenhuis
+        monkeypatch.setattr(pnlab, "frolicher_nijenhuis", lambda K, L: fn(K, L) + two)
+        report = mm1_identity(c, Xf)
+        self.assert_defects(report, CH3, lambda a, b: concomitant_C(c.pi, two, a, b))
+        assert report.passed
+        monkeypatch.setattr(pnlab, "frolicher_nijenhuis", fn)
+        ident = VForm(CH3, 1, 3, {((i,), i): Poly.const(CH3, 1) for i in range(3)})
+        beta = Multivector(CH3, 2, {(1, 2): Poly.const(CH3, 5)})
+        sch = pnlab.schouten
+        monkeypatch.setattr(pnlab, "schouten", lambda P, Q: sch(P, Q) + beta)
+        c = PNCandidate(c.pi, ident)
+        report = mm1_identity(c, Xf)
+        self.assert_defects(report, CH3, lambda a, b: concomitant_C(beta, ident, a, b))
+        assert report.passed
 
 
 class TestKosmann:
