@@ -52,12 +52,20 @@ class TotalChart:
 
     @staticmethod
     def of(bundle: FramedBundle) -> "TotalChart":
+        """Fiber coordinates are named by ``_fiber_name``; a name already taken
+        by a base or earlier fiber coordinate (as "vx" is when the tangent
+        bundle of a lifted chart is lifted again) gets the first free suffix
+        _1, _2, ..."""
         base = bundle.chart.coords
-        fiber = tuple(_fiber_name(f, base) for f in bundle.frame)
-        names = base + fiber
-        if len(set(names)) != len(names):
-            raise PolyError("fiber coordinate names collide with the base chart")
-        return TotalChart(bundle, Chart(names))
+        names = list(base)
+        for f in bundle.frame:
+            name = fresh = _fiber_name(f, base)
+            k = 0
+            while fresh in names:
+                k += 1
+                fresh = f"{name}_{k}"
+            names.append(fresh)
+        return TotalChart(bundle, Chart(tuple(names)))
 
     @property
     def base_dim(self) -> int:

@@ -10,10 +10,11 @@ from lnlab.poly import (Chart, GrowthLimitError, Poly, PolyError, get_degree_lim
 from lnlab.forms import Multivector, VForm, derivative, vf_bracket
 from lnlab.gder import (FramedBundle, GenDer, build_drT, build_drTstar,
                         build_from_connection, dual)
-from lnlab.algebroid import (AlgebroidStructure, FrameBivector, _cocycle,
-                             ce_differential, check_bialgebroid, check_im,
-                             cotangent_of_poisson, deform_algebroid,
-                             tangent_algebroid)
+from lnlab import algebroid
+from lnlab.algebroid import (AlgebroidStructure, FrameBivector, _big_bracket, _cocycle,
+                             _cocycle_probes, _hamiltonian, ce_differential,
+                             check_bialgebroid, check_im, cotangent_of_poisson,
+                             deform_algebroid, tangent_algebroid)
 from lnlab.catalog import example_names, example_source
 from lnlab.report import CheckReport
 from lnlab.scene import parse_scene
@@ -295,6 +296,195 @@ class TestCocycleItems:
         _, A, Astar = heisenberg_pair()[0]
         failing = [i.detail for i in _cocycle(A, Astar).failures()]
         assert [d for d in failing if "*" not in d] == ["(e1,e2)"]
+
+
+def mu_mu_vanishes(S) -> bool:
+    """{mu, mu} = 0 for the degree-3 function mu of S."""
+    mu = _hamiltonian(S, 0)
+    return not _big_bracket(mu, mu, S.chart, S.bundle.rank)
+
+
+def mu_gamma_vanishes(A, Astar) -> bool:
+    """{mu, gamma} = 0 for the pair (A, A*)."""
+    rank = A.bundle.rank
+    return not _big_bracket(_hamiltonian(A, 0), _hamiltonian(Astar, rank), A.chart, rank)
+
+
+def rnd_low(rng: random.Random, chart: Chart) -> Poly:
+    """One to three monomials of degree <= 2 with coefficients in {-2,-1,1,2}."""
+    n = chart.dim
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    monos = [(0,) * n] + units + [tuple(map(sum, zip(u, v)))
+                                  for i, u in enumerate(units) for v in units[i:]]
+    return Poly(chart, {m: rng.choice((-2, -1, 1, 2))
+                        for m in rng.sample(monos, rng.randint(1, 3))})
+
+
+def rnd_poisson(rng: random.Random, chart: Chart) -> Multivector:
+    """g @x^@y on R^2, and g (c_3 @x^@y + c_1 @y^@z - c_2 @x^@z), the Jacobian
+    bracket of a linear function with weight g, on R^3: Poisson for every g."""
+    g = rnd_low(rng, chart)
+    if chart.dim == 2:
+        return Multivector(chart, 2, {(0, 1): g})
+    c = [rng.randint(-1, 1) for _ in range(3)]
+    return Multivector(chart, 2, {(0, 1): g * c[2], (1, 2): g * c[0], (0, 2): g * -c[1]})
+
+
+def rnd_nijenhuis(rng: random.Random, chart: Chart) -> VForm:
+    """A constant endomorphism, a multiple of the identity (constant, or by a
+    degree-1 function), or a diagonal one whose i-th entry depends on x_i
+    alone: each has vanishing torsion."""
+    n, kind = chart.dim, rng.randrange(4)
+    if kind == 0:
+        return VForm(chart, 1, n, {((i,), j): Poly.const(chart, rng.randint(-2, 2))
+                                   for i in range(n) for j in range(n)})
+    if kind == 3:
+        return VForm(chart, 1, n, {((i,), i): Poly.var(chart, c) * rng.randint(-2, 2)
+                                   + rng.randint(-2, 2) for i, c in enumerate(chart.coords)})
+    f = Poly.const(chart, rng.randint(-2, 2)) if kind == 1 else rnd_poly(rng, chart)
+    return VForm(chart, 1, n, {((i,), i): f for i in range(n)})
+
+
+def random_tm_ctg_pairs(seed: int, count: int) -> list[tuple]:
+    """(TM_r, T*M_pi) in both orientations on R^2 and R^3, for Poisson pi of
+    degree <= 2 and constant or degree-1 Nijenhuis r."""
+    rng, pairs = random.Random(seed), []
+    while len(pairs) < count:
+        chart = rng.choice((CH2, CH3))
+        pi, r = rnd_poisson(rng, chart), rnd_nijenhuis(rng, chart)
+        tmr = deform_algebroid(tangent_algebroid(chart), r.matrix())
+        ctg = cotangent_of_poisson(pi)
+        pairs += [(tmr, ctg), (ctg, tmr)]
+    return pairs
+
+
+def bianchi(rng: random.Random, bundle: FramedBundle) -> AlgebroidStructure:
+    """A zero-anchor rank-3 Lie algebra with constant structure, in Bianchi
+    form [e_i, e_j] = eps_ijk n^kl e_l + a_i e_j - a_j e_i, n = diag(n_1, n_2,
+    n_3) and a a multiple of a basis vector that n kills."""
+    chart = bundle.chart
+    n = [rng.randint(-1, 1) for _ in range(3)]
+    free = [i for i in range(3) if n[i] == 0]
+    a = [0, 0, 0]
+    if free:
+        a[rng.choice(free)] = rng.randint(-1, 1)
+    structure = {}
+    for (i, j), (k, eps) in {(0, 1): (2, 1), (0, 2): (1, -1), (1, 2): (0, 1)}.items():
+        comps = [eps * n[k] * (v == k) + a[i] * (v == j) - a[j] * (v == i) for v in range(3)]
+        structure[(i, j)] = [Poly.const(chart, c) for c in comps]
+    return AlgebroidStructure(bundle, [[Poly.zero(chart)] * chart.dim] * 3, structure)
+
+
+def rank3_bialgebra_pairs(seed: int, count: int) -> list[tuple]:
+    rng = random.Random(seed)
+    E = FramedBundle(CH2, ("e1", "e2", "e3"))
+    return [(bianchi(rng, E), bianchi(rng, E.dual())) for _ in range(count)]
+
+
+def gl2_pair(drop_21_22: bool = False) -> tuple:
+    """The standard Lie bialgebra on gl_2 over a point, or the same without
+    the dual bracket [xi21, xi22] = xi21."""
+    ch = Chart(())
+    E = FramedBundle(ch, ("E11", "E12", "E21", "E22"))
+
+    def vec(*cs):
+        return [Poly.const(ch, c) for c in cs]
+    A = AlgebroidStructure(E, [[]] * 4, {
+        (0, 1): vec(0, 1, 0, 0), (0, 2): vec(0, 0, -1, 0), (1, 2): vec(1, 0, 0, -1),
+        (1, 3): vec(0, 1, 0, 0), (2, 3): vec(0, 0, -1, 0)})
+    dual = {(0, 1): vec(0, 1, 0, 0), (1, 3): vec(0, 1, 0, 0), (0, 2): vec(0, 0, 1, 0),
+            (2, 3): vec(0, 0, 1, 0)}
+    if drop_21_22:
+        del dual[(2, 3)]
+    return A, AlgebroidStructure(E.dual(), [[]] * 4, dual)
+
+
+def verdicts(A, Astar) -> tuple[bool, bool]:
+    return mu_gamma_vanishes(A, Astar), _cocycle_probes(A, Astar).passed
+
+
+class TestBigBracket:
+    """{mu, gamma} = 0 decides the cocycle of a valid pair, and {mu, mu} = 0
+    decides ``validate``, on corpora that contain both verdicts."""
+
+    def test_generator_conventions(self):
+        # rank 2 over R^2: xi^1 is odd index 0, theta_1 is 2; terms are (p
+        # indices, odd indices, coefficient, sign).  F is differentiated from
+        # the right in the odd generators and G from the left, so
+        # {xi^1 xi^2, theta_1} = -xi^2 while {theta_1, xi^1 xi^2} = xi^2
+        def gen(p=(), odd=(), c=ONE):
+            return [(p, odd, c, 1)]
+
+        def bracket(F, G):
+            return _big_bracket(F, G, CH2, 2)
+        assert bracket(gen(odd=(2,)), gen(odd=(0,))) == {((), ()): ONE}
+        assert bracket(gen(odd=(0,)), gen(odd=(2,))) == {((), ()): ONE}
+        assert bracket(gen(p=(0,)), gen(c=X)) == {((), ()): ONE}
+        assert bracket(gen(c=X), gen(p=(0,))) == {((), ()): -ONE}
+        assert bracket(gen(odd=(0, 1)), gen(odd=(2,))) == {((), (1,)): -ONE}
+        assert bracket(gen(odd=(2,)), gen(odd=(0, 1))) == {((), (1,)): ONE}
+        assert bracket(gen(odd=(0,)), gen(odd=(1,))) == {}
+
+    @pytest.mark.parametrize("label, A, Astar", COCYCLE_PAIRS,
+                             ids=[p[0] for p in COCYCLE_PAIRS])
+    def test_cocycle_pairs_agree_with_the_probe_loop(self, label, A, Astar):
+        vanishes, passed = verdicts(A, Astar)
+        assert vanishes == passed
+
+    def test_random_tangent_cotangent_pairs_agree(self):
+        pairs = random_tm_ctg_pairs(26, 160)
+        assert all(A.validate().passed and B.validate().passed for A, B in pairs)
+        got = [verdicts(A, B) for A, B in pairs]
+        assert [i for i, (v, p) in enumerate(got) if v != p] == []
+        assert sum(p for _, p in got) >= 30 and sum(not p for _, p in got) >= 30
+
+    def test_rank3_bialgebras_agree(self):
+        pairs = rank3_bialgebra_pairs(27, 40)
+        assert all(A.validate().passed and B.validate().passed for A, B in pairs)
+        got = [verdicts(A, B) for A, B in pairs]
+        assert [i for i, (v, p) in enumerate(got) if v != p] == []
+        assert sum(p for _, p in got) >= 5 and sum(not p for _, p in got) >= 5
+
+    def test_gl2_standard_bialgebra_and_its_mutilation(self):
+        A, Astar = gl2_pair()
+        assert A.validate().passed and Astar.validate().passed
+        assert verdicts(A, Astar) == (True, True)
+        A, Astar = gl2_pair(drop_21_22=True)
+        assert Astar.validate().passed
+        assert verdicts(A, Astar) == (False, False)
+        assert [i.detail for i in _cocycle(A, Astar).failures()] == ["(E12,E21)"]
+
+    def test_passing_pairs_report_the_probe_items_without_forming_them(self, monkeypatch):
+        cases = [(A, B) for _, A, B in COCYCLE_PAIRS if mu_gamma_vanishes(A, B)]
+        expect = [[(i.law, i.detail, i.passed, i.defect) for i in _cocycle_probes(A, B).items]
+                  for A, B in cases]
+
+        def refuse(A, Astar):
+            raise AssertionError("probe loop ran on a passing pair")
+        monkeypatch.setattr(algebroid, "_cocycle_probes", refuse)
+        assert len(cases) == 10
+        assert [[(i.law, i.detail, i.passed, i.defect) for i in _cocycle(A, B).items]
+                for A, B in cases] == expect
+
+    def test_mu_mu_decides_validate(self):
+        rng = random.Random(28)
+        E = FramedBundle(CH2, ("e1", "e2"))
+        anchored = [AlgebroidStructure(E, [[rnd_poly(rng, CH2, -1, 1) for _ in range(2)]
+                                           for _ in range(2)],
+                                       {(0, 1): [rnd_poly(rng, CH2, -1, 1) for _ in range(2)]})
+                    for _ in range(60)]
+        pairs = random_tm_ctg_pairs(29, 40) + rank3_bialgebra_pairs(30, 10)
+        cases = anchored + [S for pair in pairs for S in pair] + [
+            S for _, S in VALIDATE_CASES]
+        got = [(mu_mu_vanishes(S), S.validate().passed) for S in cases]
+        assert [i for i, (v, p) in enumerate(got) if v != p] == []
+        assert sum(p for _, p in got) >= 40 and sum(not p for _, p in got) >= 40
+
+    def test_mu_mu_sees_the_jacobi_and_koszul_failures(self):
+        failing = {label: S for label, S in VALIDATE_CASES if label in (
+            "rank3-jacobi", "non-poisson")}
+        assert failing["non-poisson"].pre_lie_only
+        assert not any(mu_mu_vanishes(S) for S in failing.values())
 
 
 class TestDeformAlgebroid:

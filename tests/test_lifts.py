@@ -8,9 +8,9 @@ import random
 
 import pytest
 
-from lnlab.poly import Chart, Poly, PolyError
+from lnlab.poly import Chart, Poly, PolyError, parse_poly
 from lnlab.forms import (DiffForm, VForm, exterior_d, frolicher_nijenhuis,
-                         vf_bracket)
+                         nijenhuis_torsion, vf_bracket)
 from lnlab.gder import (FramedBundle, GenDer, bracket, build_drT,
                         build_drTstar, cotangent_bundle, tangent_bundle)
 from lnlab.lifts import (TotalChart, cotangent_lift, linearize, phi_up,
@@ -105,10 +105,14 @@ class TestTotalChart:
         assert TotalChart.of(E.dual()).chart.coords == \
             ("x", "y", "xi_e1s", "xi_e2s")
 
-    def test_name_collision(self):
-        bad = FramedBundle(Chart(("x", "vx")), ("@x", "@vx"))
-        with pytest.raises(PolyError):
-            TotalChart.of(bad)
+    def test_colliding_fiber_names_get_a_suffix(self):
+        E = FramedBundle(Chart(("x", "vx", "vx_1")), ("@x", "@vx", "@vx_1"))
+        assert TotalChart.of(E).chart.coords == \
+            ("x", "vx", "vx_1", "vx_2", "vvx", "vvx_1")
+        lifted = TotalChart.of(tangent_bundle(CH2)).chart
+        twice = TotalChart.of(tangent_bundle(lifted)).chart
+        assert twice.coords == ("x", "y", "vx", "vy", "vx_1", "vy_1", "vvx", "vvy")
+        assert [str(parse_poly(twice, c)) for c in twice.coords] == list(twice.coords)
 
     def test_pull_restrict_round_trip(self):
         rng = random.Random(71)
@@ -188,6 +192,18 @@ class TestCorrespondence:
         assert not rep.passed
         assert {i.law for i in rep.failures()} == {
             "vertical lift of D", "vertical lift of l", "symbol pairing"}
+
+    def test_a_lifted_form_lifts_again(self):
+        # the complete lift commutes with the Frolicher-Nijenhuis bracket, so
+        # the torsion of r vanishes exactly when that of its double lift does
+        torsion = VForm(CH2, 1, 2, {((0,), 0): X, ((1,), 0): ONE})  # x dx(x)@x + dy(x)@x
+        for r in (XID, J2, torsion):
+            twice = tangent_lift(tangent_lift(r))
+            assert twice.chart.coords == ("x", "y", "vx", "vy", "vx_1", "vy_1", "vvx", "vvy")
+            D = build_drT(tangent_lift(r))
+            assert verify_correspondence(twice, D).passed
+            assert nijenhuis_torsion(twice).is_zero == nijenhuis_torsion(r).is_zero
+        assert not nijenhuis_torsion(torsion).is_zero
 
     def test_form_on_another_total_chart_is_rejected(self):
         # the lift of D* lives on (x, y, px, py), D's total chart is (x, y, vx, vy)
