@@ -13,8 +13,7 @@ from typing import Mapping
 
 from .poly import Chart, Poly, PolyError, _Sum
 from .forms import (Multivector, VForm, _Alternating, _accumulate, _derive_into,
-                    _sums, derivative, sharp_matrix, schouten, sort_index,
-                    vf_bracket)
+                    _sums, sharp_matrix, schouten, sort_index, vf_bracket)
 from .gder import (FramedBundle, GenDer, build_drT, cotangent_bundle,
                    tangent_bundle)
 from .matrix import identity, mat_mul, mat_vec, transpose
@@ -27,7 +26,6 @@ __all__ = [
     "cotangent_of_poisson",
     "deform_algebroid",
     "algebroid_torsion",
-    "ce_differential",
     "check_bialgebroid",
     "check_im",
 ]
@@ -162,21 +160,6 @@ class AlgebroidStructure:
             report.notes.append("structure flagged pre-Lie only")
         return report
 
-    def _lie_on_bivector_into(self, out: dict, rho_s: list[Poly], brackets,
-                              P: FrameBivector, sign: int = 1) -> None:
-        """Add sign * L_s P, L_s (p u_a ^ u_b) = rho(s)(p) u_a ^ u_b + p [s, u_a] ^ u_b
-        + p u_a ^ [s, u_b], into the sums at ``out``, from rho(s) and the
-        components of [s, u_a], given for every frame index a that P's keys name."""
-        rank = self.bundle.rank
-        for (a, b), p in P.coeffs.items():
-            _derive_into(out, (a, b), rho_s, p, sign)
-            # p [s, u_a] ^ u_b + p u_a ^ [s, u_b], expanded over the frame
-            for c in range(rank):
-                for x, y, f in ((c, b, brackets[a][c]), (a, c, brackets[b][c])):
-                    if f and x != y:
-                        _accumulate(out, (min(x, y), max(x, y)), f, p,
-                                    sign if x < y else -sign)
-
 
 def tangent_algebroid(chart: Chart) -> AlgebroidStructure:
     """TM with the identity anchor and vanishing structure functions."""
@@ -249,29 +232,6 @@ def algebroid_torsion(A: AlgebroidStructure, M: list[list[Poly]]) -> CheckReport
     return report
 
 
-def ce_differential(Astar: AlgebroidStructure, section: VForm) -> FrameBivector:
-    """Differential on sections of A induced by the structure on A*:
-
-        delta(s)(m1, m2) = L_{rho*(m1)}<m2, s> - L_{rho*(m2)}<m1, s>
-                           - <[m1, m2]*, s>
-
-    evaluated on the dual frame; returns a wedge-square section of A.
-    """
-    rank = Astar.bundle.rank
-    comps = section.section_components()
-    if len(comps) != rank:
-        raise PolyError("section rank does not match the dual structure")
-    A_bundle = Astar.bundle.dual()
-    out: dict = {}
-    for a in range(rank):
-        for b in range(a + 1, rank):
-            _derive_into(out, (a, b), Astar.anchor[a], comps[b])
-            _derive_into(out, (a, b), Astar.anchor[b], comps[a], -1)
-            for c, s in zip(Astar.structure.get((a, b), ()), comps):
-                _accumulate(out, (a, b), c, s, -1)
-    return FrameBivector._trusted(A_bundle, _sums(out))
-
-
 def check_bialgebroid(A: AlgebroidStructure, Astar: AlgebroidStructure) -> CheckReport:
     """Cocycle condition making (A, A*) a dual pair:
 
@@ -280,11 +240,10 @@ def check_bialgebroid(A: AlgebroidStructure, Astar: AlgebroidStructure) -> Check
     with delta the differential induced by A*.  Reported on frame pairs and on
     coordinate-function multiples of frame sections (which exercises the
     anchor compatibility hidden in the Leibniz terms).  The cocycle items run
-    only once both structures are valid, and that is load-bearing: for two
-    Lie algebroids a vanishing big bracket {mu, gamma} certifies every item
-    without forming a probe, and only otherwise are the probe pairs formed
-    (see ``_cocycle``).  Within a scene run the cocycle items of a pair are
-    computed once.
+    only once both structures are valid, and that is load-bearing: each item
+    is read off the big bracket {mu, gamma} (see ``_cocycle``), and for two
+    Lie algebroids its vanishing certifies every item at once.  Within a
+    scene run the cocycle items of a pair are computed once.
     """
     report = CheckReport("bialgebroid pair")
     va = A.validate()
@@ -308,25 +267,42 @@ def _cocycle(A: AlgebroidStructure, Astar: AlgebroidStructure) -> CheckReport:
     structures are already known to be valid.
 
     For Lie algebroids A and A* in duality, (A, A*) is a Lie bialgebroid
-    exactly when the big bracket {mu, gamma} of their degree-3 functions on
-    T*[2]A[1] vanishes (Roytenberg 2002; Kosmann-Schwarzbach, "Quasi, twisted,
-    and all that", 2005), and a Lie bialgebroid satisfies the cocycle
-    condition on all sections (Mackenzie & Xu 1994).  So when {mu, gamma} = 0
-    no probe is formed: every probe pair of ``_cocycle_probes`` is reported
-    passing, under its label and in its order.  Otherwise ``_cocycle_probes``
-    runs and names each failing pair with its defect.  The certificate rests
-    on the precondition: for a structure that is not Lie, {mu, gamma} = 0
-    proves nothing."""
-    rank = A.bundle.rank
-    if A.bundle == Astar.bundle.dual() and not _big_bracket(
-            _hamiltonian(A, 0), _hamiltonian(Astar, rank), A.chart, rank):
-        report = CheckReport("cocycle")
-        labels = [label for label, _, _ in _probes(A)]
-        for i, la in enumerate(labels):
-            for lb in labels[i + 1:]:
+    exactly when Theta = {mu, gamma}, the big bracket of their degree-3
+    functions on T*[2]A[1], vanishes (Roytenberg 2002; Kosmann-Schwarzbach,
+    "Quasi, twisted, and all that", 2005), and a Lie bialgebroid satisfies the
+    cocycle condition on all sections (Mackenzie & Xu 1994).  So when Theta = 0
+    every probe pair is reported passing, under its label and in its order,
+    and no probe is formed.  Otherwise the defect of the probe pair (s, t),
+    s = g theta_b for the probe g u_b, is -{{s, Theta}, t} (derived brackets,
+    Kosmann-Schwarzbach 2004; the sign is the graded Jacobi identity), whose
+    theta_a theta_b components are the frame bivector's: Theta has weight 0
+    when xi counts +1 and theta -1, so nothing else survives.  The
+    certificate rests on the precondition: for a structure that is not Lie,
+    Theta = 0 proves nothing."""
+    if A.bundle != Astar.bundle.dual():
+        # Theta pairs A's theta_a with A*'s xi^a, and each defect is a bivector of A
+        raise PolyError("FrameBivector shape mismatch")
+    chart, rank = A.chart, A.bundle.rank
+    theta = _big_bracket(_hamiltonian(A, 0), _hamiltonian(Astar, rank), rank)
+    report = CheckReport("cocycle")
+    probes = _probes(A)
+    if not theta:
+        for i, (la, _, _) in enumerate(probes):
+            for lb, _, _ in probes[i + 1:]:
                 report.add("cocycle condition", True, detail=f"({la},{lb})")
         return report
-    return _cocycle_probes(A, Astar)
+    one, xs = Poly.const(chart, 1), [Poly.var(chart, c) for c in chart.coords]
+    probes = [(label, rank + b, one if k is None else xs[k]) for label, b, k in probes]
+    # {-s, Theta} for s = g theta_b, once for each probe that opens a pair: the
+    # defect of (s, t) is {{-s, Theta}, t}
+    s_theta = [_big_bracket([((), (u,), g, -1)], theta, rank) for _, u, g in probes[:-1]]
+    for i, (la, _, _) in enumerate(probes):
+        for lb, u, g in probes[i + 1:]:
+            defect = _big_bracket(s_theta[i], [((), (u,), g, 1)], rank)
+            report.add_zero("cocycle condition", FrameBivector._trusted(
+                A.bundle, {(w[0] - rank, w[1] - rank): p for _, w, p, _ in defect}),
+                detail=f"({la},{lb})")
+    return report
 
 
 def _hamiltonian(S: AlgebroidStructure, off: int) -> list[tuple]:
@@ -348,37 +324,49 @@ def _hamiltonian(S: AlgebroidStructure, off: int) -> list[tuple]:
     return terms
 
 
-def _big_bracket(F: list, G: list, chart: Chart, rank: int) -> dict:
-    """The nonzero components {(p indices, odd indices): Poly} of the big
-    bracket of two ``_hamiltonian`` term lists, with {p_i, x^j} = delta_i^j
-    and {theta_a, xi^b} = {xi^b, theta_a} = delta_a^b:
+def _big_bracket(F: list, G: list, rank: int) -> list[tuple]:
+    """The big bracket of two term lists in the form of ``_hamiltonian``'s,
+    as such a list again, one term per nonzero component, with
+    {p_i, x^j} = delta_i^j and {theta_a, xi^b} = {xi^b, theta_a} = delta_a^b:
 
         {F, G} = sum_i (dF/dp_i dG/dx^i - dF/dx^i dG/dp_i)
                  + sum_a (F <-d/dtheta_a d->/dxi^a G + F <-d/dxi^a d->/dtheta_a G),
 
     F differentiated from the right in the odd generators and G from the
-    left.  Each product goes through ``_Sum``, so the degree bound applies."""
+    left.  A term may carry several p (p indices sorted, repeats allowed):
+    d/dp_i takes each distinct p_i once, weighted by its multiplicity.  Each
+    product goes through ``_Sum``, so the degree bound applies."""
     out: dict = {}
-    dF, dG = ([[t[2].diff(i) for i in range(chart.dim)] for t in H] for H in (F, G))
+
+    def prep(H: list, other: list) -> list[tuple]:
+        """Each term with its partials d/dx^i where ``other`` carries p_i, and
+        with (i, the p indices less one p_i, multiplicity of p_i) per
+        distinct p_i of its own."""
+        ps = {i for t in other for i in t[0]}
+        return [(P, w, f, s, {i: f.diff(i) for i in ps},
+                 [(i, P[:j] + P[j + 1:], P.count(i)) for j, i in enumerate(P)
+                  if i not in P[:j]]) for P, w, f, s in H]
 
     def add(P: tuple, w: tuple, f: Poly, g: Poly, sign: int) -> None:
-        m = sort_index(w)  # None when an odd generator repeats
-        if m is not None and f and g:
-            _accumulate(out, (tuple(sorted(P)), m[0]), f, g, sign * m[1])
-    for (P1, w1, f, s1), df in zip(F, dF):
-        for (P2, w2, g, s2), dg in zip(G, dG):
+        if f and g:
+            m = sort_index(w)  # None when an odd generator repeats
+            if m is not None:
+                _accumulate(out, (tuple(sorted(P)), m[0]), f, g, sign * m[1])
+    Gp = prep(G, F)
+    for P1, w1, f, s1, df, dp1 in prep(F, G):
+        for P2, w2, g, s2, dg, dp2 in Gp:
             s = s1 * s2
-            if P1:  # F is linear in p_i: d/dp_i F times d/dx^i G
-                add(P2, w1 + w2, f, dg[P1[0]], s)
-            if P2:
-                add(P1, w1 + w2, df[P2[0]], g, -s)
+            for i, rest, m in dp1:  # d/dp_i F times d/dx^i G
+                add(rest + P2, w1 + w2, f, dg[i], s * m)
+            for i, rest, m in dp2:
+                add(P1 + rest, w1 + w2, df[i], g, -s * m)
             for j1, u in enumerate(w1):
                 v = u - rank if u >= rank else u + rank
                 if v in w2:
                     j2 = w2.index(v)
                     add(P1 + P2, w1[:j1] + w1[j1 + 1:] + w2[:j2] + w2[j2 + 1:], f, g,
                         -s if (len(w1) - 1 - j1 + j2) % 2 else s)
-    return {key: p for key, p in _sums(out).items() if p}
+    return [(P, w, p, 1) for (P, w), p in _sums(out).items() if p]
 
 
 def _probes(A: AlgebroidStructure) -> list[tuple[str, int, int | None]]:
@@ -387,61 +375,6 @@ def _probes(A: AlgebroidStructure) -> list[tuple[str, int, int | None]]:
     chart, names = A.chart, A.bundle.frame
     return [(names[b] if k is None else f"{chart.coords[k]}*{names[b]}", b, k)
             for k in (None, *range(chart.dim)) for b in range(A.bundle.rank)]
-
-
-def _cocycle_probes(A: AlgebroidStructure, Astar: AlgebroidStructure) -> CheckReport:
-    """The cocycle items of ``_cocycle``, each formed on its pair of probe
-    sections: delta([s, t]) - L_s delta(t) + L_t delta(s)."""
-    report = CheckReport("cocycle")
-    chart, rank = A.chart, A.bundle.rank
-    units, xs = identity(chart, rank), [Poly.var(chart, c) for c in chart.coords]
-
-    def delta_into(out: dict, g: Poly | None, dt: FrameBivector, t, dg) -> None:
-        """Add delta(g t) = g delta(t) + d_* g ^ t, given delta(t) and the
-        components of t and of d_* g (g = 1 for None, with no wedge term)."""
-        for key, p in dt.coeffs.items():
-            _accumulate(out, key, p, g)
-        for c, w in enumerate(dg):
-            for e, q in enumerate(t):
-                if w and q and c != e:
-                    _accumulate(out, (min(c, e), max(c, e)), w, q, 1 if c < e else -1)
-    # probe g u_b, g = x_k or 1 for k = None; delta, rho and [s, u_c] once each
-    probes = []
-    for label, b, k in _probes(A):
-        sc = units[b] if k is None else [xs[k] if v == b else p
-                                          for v, p in enumerate(units[b])]
-        rho = A._rho(sc)
-        rows = [A._bracket(sc, rho, u, A.anchor[c]).section_components()
-                for c, u in enumerate(units)]
-        probes.append((label, b, k, ce_differential(Astar, VForm.section(chart, sc)),
-                       rho, rows))
-    if len(probes) > 1 and A.bundle != Astar.bundle.dual():
-        # delta lands in the frame dual to A*'s, L_s in A's: no defect combines them
-        raise PolyError("FrameBivector shape mismatch")
-    d_xs = list(zip(*Astar.anchor))  # d_* x_k is column k of the dual anchor
-    for ia, (la, _, _, da, rho_a, br_a) in enumerate(probes):
-        # delta([s, u_b]) and d_* rho(s)^k, once for each b and k a later probe names
-        d_br: dict = {}
-        d_rho: dict = {}
-        for lb, b, k, db, rho_b, br_b in probes[ia + 1:]:
-            if b not in d_br:
-                d_br[b] = ce_differential(Astar, VForm.section(chart, br_a[b]))
-            # [s, g u_b] = g [s, u_b] + f u_b with f = rho(s)(g) = rho(s)^k for g = x_k
-            out: dict = {}
-            if k is None:  # g = 1
-                delta_into(out, None, d_br[b], (), ())
-            else:
-                delta_into(out, xs[k], d_br[b], br_a[b], d_xs[k])
-                f = rho_a[k]
-                if f:
-                    if k not in d_rho:
-                        d_rho[k] = [derivative(r, f) for r in Astar.anchor]
-                    delta_into(out, f, probes[b][3], units[b], d_rho[k])
-            A._lie_on_bivector_into(out, rho_a, br_a, db, -1)
-            A._lie_on_bivector_into(out, rho_b, br_b, da, 1)
-            report.add_zero("cocycle condition", FrameBivector._trusted(A.bundle, _sums(out)),
-                            detail=f"({la},{lb})")
-    return report
 
 
 def check_im(A: AlgebroidStructure, D: GenDer) -> CheckReport:

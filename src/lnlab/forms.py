@@ -41,7 +41,6 @@ __all__ = [
     "interior_vvf",
     "lie_derivative_vvf",
     "vf_bracket",
-    "derivative",
     "frolicher_nijenhuis",
     "nijenhuis_torsion",
     "schouten",
@@ -512,15 +511,9 @@ def lie_derivative_vvf(K: VForm, a: DiffForm) -> DiffForm:
         out, K.degree, _symbol_slots(_partials(K, used)), _partials(A), 1))
 
 
-def derivative(comps: Sequence[Poly], p: Poly) -> Poly:
-    """X(p) = sum_i X^i d_i p for the vector field with components ``comps``."""
-    out: dict = {}
-    _derive_into(out, 0, comps, p)
-    return out[0].poly() if out else Poly.zero(p.chart)
-
-
 def _derive_into(out: dict, key, comps: Sequence[Poly], p: Poly, sign: int = 1) -> None:
-    """Add ``sign * derivative(comps, p)`` into the sum at ``out[key]``."""
+    """Add ``sign * X(p)``, X(p) = sum_i X^i d_i p for the vector field X with
+    components ``comps``, into the sum at ``out[key]``."""
     for i, c in enumerate(comps):
         if c:
             _accumulate(out, key, c, p.diff(i), sign)

@@ -119,6 +119,11 @@ def interior_vector(comps, a):
     return type(a)(a.chart, max(a.degree - 1, 0), out)
 
 
+def derivative(comps, p: Poly) -> Poly:
+    """X(p) = sum_i X^i d_i p for the vector field with components ``comps``."""
+    return sum((c * p.diff(i) for i, c in enumerate(comps) if c), Poly.zero(p.chart))
+
+
 def pairing(a: DiffForm, X: VForm) -> Poly:
     """<a, X> for a 1-form and a vector field."""
     comps = X.section_components()

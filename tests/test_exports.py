@@ -1,8 +1,10 @@
 """Export hygiene: each public name of lnlab is defined once, in the submodule
-whose ``__all__`` lists it, no module imports a name it never uses, and every
-public function or class has a user."""
+whose ``__all__`` lists it, no module imports a name it never uses, every
+public function or class has a user, and every private function or method
+has a caller in the package or the benchmark."""
 
 import ast
+from collections import Counter
 import importlib
 import inspect
 import pathlib
@@ -63,25 +65,34 @@ KEEP = {
 }
 
 
-def _loaded_names(node: ast.AST) -> set[str]:
-    """Names that ``node`` loads: plain names, attributes and from-imports."""
-    out = set()
+def _loads(node: ast.AST) -> Counter:
+    """How often ``node`` loads each name: plain names, attributes and
+    from-imports."""
+    out = Counter()
     for n in ast.walk(node):
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-            out.add(n.id)
+            out[n.id] += 1
         elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
+            out[n.attr] += 1
         elif isinstance(n, ast.ImportFrom):
             out.update(alias.name for alias in n.names)
     return out
 
 
+def _loaded_names(node: ast.AST) -> set[str]:
+    """Names that ``node`` loads."""
+    return set(_loads(node))
+
+
+SRC = pathlib.Path(lnlab.__file__).parent
+BENCH = pathlib.Path(__file__).parents[1] / "bench"
+
+
 def test_every_public_function_has_a_user():
     # a module-level public function or class is loaded somewhere in lnlab
     # outside its own definition, or by the benchmark, or is a package export
-    src = pathlib.Path(lnlab.__file__).parent
     defined, used = {}, set()
-    for path in sorted(src.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(), filename=str(path)).body:
             names = _loaded_names(node)
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
@@ -89,10 +100,30 @@ def test_every_public_function_has_a_user():
                 defined[node.name] = path.name
                 names.discard(node.name)
             used |= names
-    for path in sorted((pathlib.Path(__file__).parents[1] / "bench").glob("*.py")):
+    for path in sorted(BENCH.glob("*.py")):
         used |= _loaded_names(ast.parse(path.read_text(), filename=str(path)))
     unused = sorted(f"{home}:{name}" for name, home in defined.items()
                     if name not in used and name not in lnlab.__all__ and name not in KEEP)
     assert not unused, f"public names without a user: {', '.join(unused)}"
     stale = sorted(name for name in KEEP if name not in defined or name in used)
     assert not stale, f"KEEP entries that name nothing or now have a user: {stale}"
+
+
+def test_every_private_function_has_a_caller():
+    # a non-dunder _name def of lnlab, at module level or in a class, is
+    # loaded in lnlab or the benchmark outside its own body: a second path
+    # that only tests reach does not stay in the package
+    loads, defs = Counter(), []
+    for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        loads += _loads(tree)
+        if path.parent != SRC:
+            continue
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            defs += [(f"{path.name}:{m.name}", m) for m in members
+                     if isinstance(m, ast.FunctionDef) and m.name.startswith("_")
+                     and not m.name.endswith("__")]
+    assert len(defs) > 80
+    uncalled = [label for label, m in defs if loads[m.name] <= _loads(m)[m.name]]
+    assert not uncalled, f"private functions without a caller: {', '.join(uncalled)}"

@@ -11,16 +11,17 @@ from hypothesis import strategies as st
 
 from lnlab.poly import Chart, Poly, PolyError
 from lnlab.forms import (DiffForm, Multivector, VForm, bivector_from_sharp,
-                         derivative, exterior_d, frolicher_nijenhuis, interior_vvf,
+                         exterior_d, frolicher_nijenhuis, interior_vvf,
                          lie_derivative_vvf, nijenhuis_torsion, schouten, sharp,
                          sharp_matrix, sort_index, vf_bracket, wedge)
 from lnlab.matrix import mat_vec
 from lnlab.pnlab import concomitant_C
 
-from helpers import (CH2, CH3, gd_is_zero, interior_vector, pairing, ref_concomitant_C,
-                     ref_insert_vector, ref_interior_vvf, ref_lie, ref_schouten, ref_sort_index,
-                     ref_wedge_scalar, rnd_form, rnd_mv, rnd_one_form, rnd_poly, rnd_vf,
-                     rnd_vvform, st_forms, st_polys, st_vvforms, wedge_scalar)
+from helpers import (CH2, CH3, derivative, gd_is_zero, interior_vector, pairing,
+                     ref_concomitant_C, ref_insert_vector, ref_interior_vvf, ref_lie,
+                     ref_schouten, ref_sort_index, ref_wedge_scalar, rnd_form, rnd_mv,
+                     rnd_one_form, rnd_poly, rnd_vf, rnd_vvform, st_forms, st_polys,
+                     st_vvforms, wedge_scalar)
 
 X2 = Poly.var(CH2, "x")
 Y2 = Poly.var(CH2, "y")
