@@ -3,12 +3,15 @@
 An algebroid over a chart is given by its anchor matrix and structure
 functions on a fixed frame.  Brackets of arbitrary polynomial sections follow
 from the Leibniz rule, so the Jacobi identity and anchor morphism property on
-frame tuples certify the structure.
+frame tuples certify the structure.  Those laws, the bracket deformed by a
+bundle endomorphism and its torsion, and the bialgebroid cocycle are read off
+big brackets of the structure's degree-3 function on T*[2]A[1].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping
 
 from .poly import Chart, Poly, PolyError, _Sum
@@ -105,14 +108,10 @@ class AlgebroidStructure:
             return self.bundle.zero_form(0)
         return VForm.section(self.chart, [sign * p for p in comps])
 
-    def section_bracket(self, s: VForm, t: VForm) -> VForm:
-        """[s, t] for polynomial sections, via bilinearity and Leibniz."""
-        sc, tc = s.section_components(), t.section_components()
-        return self._bracket(sc, self._rho(sc), tc, self._rho(tc))
-
     def _bracket(self, sc: list[Poly], rho_s: list[Poly], tc: list[Poly],
                  rho_t: list[Poly]) -> VForm:
-        """``section_bracket`` on component lists, given rho of both."""
+        """[s, t] for polynomial sections given as component lists, with rho
+        of both, via bilinearity and Leibniz."""
         rank = self.bundle.rank
         out: dict = {}
         for (a, b), comps in self.structure.items():
@@ -130,32 +129,33 @@ class AlgebroidStructure:
         return VForm._trusted(self.chart, 0, rank, _sums(out))
 
     def validate(self) -> CheckReport:
-        """Jacobi identity on frame triples, anchor morphism on frame pairs.
-        Within a scene run each algebroid is verified once."""
+        """Jacobi identity on frame triples, anchor morphism on frame pairs,
+        read off M = {mu, mu} for the degree-3 function mu of the structure
+        (``_hamiltonian``): mu is a Lie algebroid exactly when M = 0 (Roytenberg
+        2002), and by derived brackets (Kosmann-Schwarzbach 2004) the defect
+        rho([u_a, u_b]) - [rho(u_a), rho(u_b)] is -1/2 the xi^a xi^b p_i
+        components of M, and [[u_a, u_b], u_c] + cyclic is +1/2 its
+        xi^a xi^b xi^c theta_d components.  Within a scene run each algebroid
+        is verified once."""
         return _once(AlgebroidStructure._validate, self)
 
     def _validate(self) -> CheckReport:
         report = CheckReport(f"algebroid on {self.bundle.frame}")
-        chart, rank, anchor = self.chart, self.bundle.rank, self.anchor
-        units, names = identity(chart, rank), self.bundle.frame
-        brackets = {}  # [u_a, u_b] and its rho, once per frame pair a < b
+        chart, rank, names = self.chart, self.bundle.rank, self.bundle.frame
+        mu = _hamiltonian(self, 0)
+        M = {(P, w): p for P, w, p, _ in _big_bracket(mu, mu, rank)}
+        half = Fraction(1, 2)
         for a in range(rank):
             for b in range(a + 1, rank):
-                comps = self.frame_bracket(a, b).section_components()
-                brackets[(a, b)] = comps, self._rho(comps)
-                defect = (VForm.section(chart, brackets[(a, b)][1])
-                          - vf_bracket(VForm.section(chart, anchor[a]),
-                                       VForm.section(chart, anchor[b])))
-                report.add_zero("anchor morphism", defect,
-                                detail=f"({names[a]},{names[b]})")
+                report.add_zero("anchor morphism", VForm.section(chart, _read(
+                    chart, M, [((i,), (a, b)) for i in range(chart.dim)], -half)),
+                    detail=f"({names[a]},{names[b]})")
         for a in range(rank):
             for b in range(a + 1, rank):
                 for c in range(b + 1, rank):
-                    jac = (self._bracket(*brackets[(a, b)], units[c], anchor[c])
-                           + self._bracket(*brackets[(b, c)], units[a], anchor[a])
-                           - self._bracket(*brackets[(a, c)], units[b], anchor[b]))
-                    report.add_zero("Jacobi identity", jac,
-                                    detail=f"({names[a]},{names[b]},{names[c]})")
+                    report.add_zero("Jacobi identity", VForm.section(chart, _read(
+                        chart, M, [((), (a, b, c, rank + d)) for d in range(rank)], half)),
+                        detail=f"({names[a]},{names[b]},{names[c]})")
         if self.pre_lie_only:
             report.notes.append("structure flagged pre-Lie only")
         return report
@@ -187,28 +187,18 @@ def cotangent_of_poisson(pi: Multivector) -> AlgebroidStructure:
                               pre_lie_only=flagged)
 
 
-def _mat_apply(M: list[list[Poly]], s: VForm) -> VForm:
-    return VForm.section(s.chart, mat_vec(M, s.section_components()))
-
-
 def deform_algebroid(A: AlgebroidStructure, M: list[list[Poly]]) -> AlgebroidStructure:
     """Bracket deformed by a bundle endomorphism (frame matrix M):
 
         [a, b]_M = [M a, b] + [a, M b] - M([a, b]),    anchor rho o M.
 
-    A Lie algebroid again exactly when the torsion of M vanishes.
+    Its degree-3 function is {N, mu} for N = sum M[c][b] xi^b theta_c
+    (``_endomorphism``; Kosmann-Schwarzbach, "Derived brackets", 2004), read
+    back into anchor and structure functions by ``_algebroid``.  A Lie
+    algebroid again exactly when the torsion of M vanishes.
     """
     rank = A.bundle.rank
-    frames = [A.bundle.frame_section(a) for a in range(rank)]
-    anchor = mat_mul(transpose(M), A.anchor)
-    structure: dict[tuple[int, int], list[Poly]] = {}
-    for a in range(rank):
-        for b in range(a + 1, rank):
-            val = (A.section_bracket(_mat_apply(M, frames[a]), frames[b])
-                   + A.section_bracket(frames[a], _mat_apply(M, frames[b]))
-                   - _mat_apply(M, A.frame_bracket(a, b)))
-            structure[(a, b)] = val.section_components()
-    return AlgebroidStructure(A.bundle, anchor, structure)
+    return _algebroid(A.bundle, _big_bracket(_endomorphism(M, rank), _hamiltonian(A, 0), rank))
 
 
 def algebroid_torsion(A: AlgebroidStructure, M: list[list[Poly]]) -> CheckReport:
@@ -216,19 +206,19 @@ def algebroid_torsion(A: AlgebroidStructure, M: list[list[Poly]]) -> CheckReport
 
         N(a, b) = [M a, M b] - M([a, b]_M),
 
-    evaluated on frame pairs."""
-    rank = A.bundle.rank
-    frames = [A.bundle.frame_section(a) for a in range(rank)]
-    names = A.bundle.frame
-    deformed = deform_algebroid(A, M)
+    evaluated on frame pairs.  N(u_a, u_b) is -1/2 the xi^a xi^b theta_c
+    components of {N, {N, mu}} - {N^2, mu} (Kosmann-Schwarzbach 2004)."""
+    chart, rank, names = A.chart, A.bundle.rank, A.bundle.frame
+    N, mu = _endomorphism(M, rank), _hamiltonian(A, 0)
+    T = {(P, w): p for P, w, p, _ in _big_bracket(N, _big_bracket(N, mu, rank), rank)}
+    for P, w, p, _ in _big_bracket(_endomorphism(mat_mul(M, M), rank), mu, rank):
+        T[(P, w)] = T[(P, w)] - p if (P, w) in T else -p
     report = CheckReport("endomorphism torsion")
     for a in range(rank):
         for b in range(a + 1, rank):
-            defect = (A.section_bracket(_mat_apply(M, frames[a]),
-                                        _mat_apply(M, frames[b]))
-                      - _mat_apply(M, deformed.frame_bracket(a, b)))
-            report.add_zero("torsion component", defect,
-                            detail=f"({names[a]},{names[b]})")
+            report.add_zero("torsion component", VForm.section(chart, _read(
+                chart, T, [((), (a, b, rank + c)) for c in range(rank)], Fraction(-1, 2))),
+                detail=f"({names[a]},{names[b]})")
     return report
 
 
@@ -324,6 +314,32 @@ def _hamiltonian(S: AlgebroidStructure, off: int) -> list[tuple]:
     return terms
 
 
+def _endomorphism(M: list[list[Poly]], rank: int) -> list[tuple]:
+    """N = sum M[c][b] xi^b theta_c, in ``_hamiltonian``'s form, for a rank x
+    rank frame matrix M (M u_b = sum_c M[c][b] u_c)."""
+    if len(M) != rank or any(len(row) != rank for row in M):
+        raise PolyError("endomorphism must be a rank x rank matrix")
+    return [((), (b, rank + c), p, 1) for c, row in enumerate(M) for b, p in enumerate(row) if p]
+
+
+def _algebroid(bundle: FramedBundle, mu: list) -> AlgebroidStructure:
+    """The inverse of ``_hamiltonian`` at ``off = 0`` on a term list that
+    ``_big_bracket`` returned: anchor[a][i] is the p_i xi^a coefficient and
+    structure[(a, b)][c] minus the xi^a xi^b theta_c one."""
+    chart, rank = bundle.chart, bundle.rank
+    T = {(P, w): p for P, w, p, _ in mu}
+    return AlgebroidStructure(
+        bundle,
+        [_read(chart, T, [((i,), (a,)) for i in range(chart.dim)]) for a in range(rank)],
+        {(a, b): _read(chart, T, [((), (a, b, rank + c)) for c in range(rank)], -1)
+         for a in range(rank) for b in range(a + 1, rank)})
+
+
+def _read(chart: Chart, T: dict, keys: list, scale: int | Fraction = 1) -> list[Poly]:
+    """scale times T[k] for each key k, zero where T has no such key."""
+    return [T[k] * scale if k in T else Poly.zero(chart) for k in keys]
+
+
 def _big_bracket(F: list, G: list, rank: int) -> list[tuple]:
     """The big bracket of two term lists in the form of ``_hamiltonian``'s,
     as such a list again, one term per nonzero component, with
@@ -353,7 +369,7 @@ def _big_bracket(F: list, G: list, rank: int) -> list[tuple]:
             if m is not None:
                 _accumulate(out, (tuple(sorted(P)), m[0]), f, g, sign * m[1])
     Gp = prep(G, F)
-    for P1, w1, f, s1, df, dp1 in prep(F, G):
+    for P1, w1, f, s1, df, dp1 in Gp if F is G else prep(F, G):
         for P2, w2, g, s2, dg, dp2 in Gp:
             s = s1 * s2
             for i, rest, m in dp1:  # d/dp_i F times d/dx^i G

@@ -16,7 +16,8 @@ from lnlab.poly import Chart, Poly
 from lnlab.forms import (DiffForm, Multivector, VForm, _sums, _wedge_into, exterior_d,
                          interior_vvf, lie_derivative_vvf, sharp_matrix, vf_bracket, wedge)
 from lnlab.gder import GenDer, build_drT, tangent_bundle
-from lnlab.matrix import mat_mul, mat_vec
+from lnlab.algebroid import AlgebroidStructure
+from lnlab.matrix import mat_mul, mat_vec, transpose
 
 CH2 = Chart(("x", "y"))
 CH3 = Chart(("x", "y", "z"))
@@ -260,8 +261,58 @@ def anchor_of(A, section: VForm) -> VForm:
     """rho applied to a polynomial section of A; a vector field."""
     comps = section.section_components()
     return VForm.section(A.chart, [
-        sum((s * row[i] for s, row in zip(comps, A.anchor)), Poly.zero(A.chart))
+        sum((s * row[i] for s, row in zip(comps, A.anchor) if s and row[i]), Poly.zero(A.chart))
         for i in range(A.chart.dim)])
+
+
+def section_bracket(A, s: VForm, t: VForm) -> VForm:
+    """[s, t] for polynomial sections of A, via bilinearity and Leibniz:
+    sum_{a<b} (s_a t_b - s_b t_a) [u_a, u_b] + rho(s)(t) - rho(t)(s), on
+    plain ``Poly`` arithmetic."""
+    sc, tc = s.section_components(), t.section_components()
+    rho_s, rho_t = (anchor_of(A, x).section_components() for x in (s, t))
+    out = [derivative(rho_s, q) - derivative(rho_t, p) for p, q in zip(sc, tc)]
+    for (a, b), comps in A.structure.items():
+        f = sc[a] * tc[b] - sc[b] * tc[a]
+        if f:
+            out = [o + f * c if c else o for o, c in zip(out, comps)]
+    return VForm.section(A.chart, out)
+
+
+def apply_matrix(M, s: VForm) -> VForm:
+    """The section M s for a frame matrix M."""
+    return VForm.section(s.chart, mat_vec(M, s.section_components()))
+
+
+def ref_deform(A, M):
+    """``deform_algebroid`` on frame pairs through ``section_bracket``:
+    [a, b]_M = [M a, b] + [a, M b] - M([a, b]), anchor rho o M."""
+    rank = A.bundle.rank
+    frames = [A.bundle.frame_section(a) for a in range(rank)]
+    structure = {}
+    for a in range(rank):
+        for b in range(a + 1, rank):
+            val = (section_bracket(A, apply_matrix(M, frames[a]), frames[b])
+                   + section_bracket(A, frames[a], apply_matrix(M, frames[b]))
+                   - apply_matrix(M, section_bracket(A, frames[a], frames[b])))
+            structure[(a, b)] = val.section_components()
+    return AlgebroidStructure(A.bundle, mat_mul(transpose(M), A.anchor), structure)
+
+
+def ref_torsion(A, M) -> list[tuple]:
+    """``algebroid_torsion``'s items, N(a, b) = [M a, M b] - M([a, b]_M) on
+    frame pairs, through ``section_bracket`` and ``ref_deform``."""
+    rank, names = A.bundle.rank, A.bundle.frame
+    frames = [A.bundle.frame_section(a) for a in range(rank)]
+    deformed = ref_deform(A, M)
+    items = []
+    for a in range(rank):
+        for b in range(a + 1, rank):
+            defect = (section_bracket(A, apply_matrix(M, frames[a]), apply_matrix(M, frames[b]))
+                      - apply_matrix(M, section_bracket(deformed, frames[a], frames[b])))
+            items.append(("torsion component", f"({names[a]},{names[b]})", defect.is_zero,
+                          None if defect.is_zero else defect))
+    return items
 
 
 def ref_validate(A) -> list[tuple]:
@@ -276,11 +327,11 @@ def ref_validate(A) -> list[tuple]:
 
     def br(x, y, z):
         """[[u_x, u_y], u_z]"""
-        return A.section_bracket(A.section_bracket(frames[x], frames[y]), frames[z])
+        return section_bracket(A, section_bracket(A, frames[x], frames[y]), frames[z])
     for a in range(rank):
         for b in range(a + 1, rank):
             item("anchor morphism",
-                 anchor_of(A, A.section_bracket(frames[a], frames[b]))
+                 anchor_of(A, section_bracket(A, frames[a], frames[b]))
                  - vf_bracket(anchor_of(A, frames[a]), anchor_of(A, frames[b])),
                  f"({names[a]},{names[b]})")
     for a in range(rank):
@@ -305,17 +356,17 @@ def ref_check_im(A, D: GenDer) -> list[tuple]:
         items.append((law, detail, defect.is_zero, None if defect.is_zero else defect))
     for a in range(rank):
         for b in range(a + 1, rank):
-            ab = A.section_bracket(frames[a], frames[b])
+            ab = section_bracket(A, frames[a], frames[b])
             for i, X in enumerate(fields):
                 item("IM bracket compatibility",
                      D.extend(ab).insert_vector(X)
-                     - A.section_bracket(frames[a], Du[b].insert_vector(X))
-                     + A.section_bracket(frames[b], Du[a].insert_vector(X))
+                     - section_bracket(A, frames[a], Du[b].insert_vector(X))
+                     + section_bracket(A, frames[b], Du[a].insert_vector(X))
                      - Du[a].insert_vector(vf_bracket(anchor_of(A, frames[b]), X))
                      + Du[b].insert_vector(vf_bracket(anchor_of(A, frames[a]), X)),
                      f"({names[a]},{names[b]};d/d{chart.coords[i]})")
             item("IM symbol-bracket compatibility",
-                 D.apply_l(ab) - A.section_bracket(frames[a], lf[b])
+                 D.apply_l(ab) - section_bracket(A, frames[a], lf[b])
                  + Du[a].insert_vector(anchor_of(A, frames[b])),
                  f"({names[a]},{names[b]})")
     drT = build_drT(D.r)

@@ -13,14 +13,14 @@ from lnlab.gder import (FramedBundle, GenDer, build_drT, build_drTstar,
                         build_from_connection, dual)
 from lnlab import algebroid
 from lnlab.algebroid import (AlgebroidStructure, FrameBivector, _big_bracket, _cocycle,
-                             _hamiltonian, check_bialgebroid, check_im,
+                             _hamiltonian, algebroid_torsion, check_bialgebroid, check_im,
                              cotangent_of_poisson, deform_algebroid, tangent_algebroid)
 from lnlab.catalog import example_names, example_source
 from lnlab.report import CheckReport
 from lnlab.scene import parse_scene
 
-from helpers import (CH2, CH3, anchor_of, derivative, ref_check_im, ref_validate,
-                     rnd_endo, rnd_poly, rnd_vf)
+from helpers import (CH2, CH3, anchor_of, derivative, ref_check_im, ref_deform, ref_torsion,
+                     ref_validate, rnd_endo, rnd_poly, rnd_vf, section_bracket)
 
 X = Poly.var(CH2, "x")
 Y = Poly.var(CH2, "y")
@@ -88,24 +88,24 @@ class TestSectionBracket:
         A = tangent_algebroid(CH2)
         s, t = rnd_vf(rng, CH2), rnd_vf(rng, CH2)
         f = rnd_poly(rng, CH2)
-        lhs = A.section_bracket(s, t * f)
+        lhs = section_bracket(A, s, t * f)
         rho_s = anchor_of(A, s).section_components()
         df = sum((rho_s[i] * f.diff(i) for i in range(2)), ZERO)
-        rhs = A.section_bracket(s, t) * f + t * df
+        rhs = section_bracket(A, s, t) * f + t * df
         assert (lhs - rhs).is_zero
 
     def test_tangent_bracket_is_vf_bracket(self):
         rng = random.Random(51)
         A = tangent_algebroid(CH2)
         s, t = rnd_vf(rng, CH2), rnd_vf(rng, CH2)
-        assert (A.section_bracket(s, t) - vf_bracket(s, t)).is_zero
+        assert (section_bracket(A, s, t) - vf_bracket(s, t)).is_zero
 
     def test_antisymmetry(self):
         rng = random.Random(52)
         pi = Multivector(CH2, 2, {(0, 1): rnd_poly(rng, CH2)})
         A = cotangent_of_poisson(pi)
         s, t = rnd_vf(rng, CH2), rnd_vf(rng, CH2)
-        assert (A.section_bracket(s, t) + A.section_bracket(t, s)).is_zero
+        assert (section_bracket(A, s, t) + section_bracket(A, t, s)).is_zero
 
 
 class TestBialgebroid:
@@ -206,7 +206,7 @@ def lie_on_bivector(A, s: VForm):
     """P -> L_s P: the bracket extended as a derivation of the wedge,
     L_s (p u_a ^ u_b) = rho(s)(p) u_a ^ u_b + p [s, u_a] ^ u_b + p u_a ^ [s, u_b]."""
     rank, rho_s = A.bundle.rank, anchor_of(A, s).section_components()
-    brackets = [A.section_bracket(s, A.bundle.frame_section(c)).section_components()
+    brackets = [section_bracket(A, s, A.bundle.frame_section(c)).section_components()
                 for c in range(rank)]
 
     def lie(P: FrameBivector) -> FrameBivector:
@@ -238,7 +238,7 @@ def cocycle_by_pairs(A, Astar):
     for i, (la, sa) in enumerate(sections):
         for j in range(i + 1, len(sections)):
             lb, sb = sections[j]
-            defect = (ce_differential(Astar, A.section_bracket(sa, sb))
+            defect = (ce_differential(Astar, section_bracket(A, sa, sb))
                       - lies[i](deltas[j]) + lies[j](deltas[i]))
             out.append((f"({la},{lb})", defect))
     return out
@@ -600,6 +600,15 @@ class TestBigBracket:
         assert [items(_cocycle(A, B)) for A, B in cases] == expect
         assert len(calls) == len(cases)
 
+    def test_swapped_pairs_share_the_verdict(self):
+        # {mu, gamma} of (B, A) is that of (A, B) with xi and theta exchanged
+        pairs = ([(A, B) for _, A, B in COCYCLE_PAIRS] + random_tm_ctg_pairs(26, 160)
+                 + rank3_bialgebra_pairs(27, 40))
+        pairs = [(A, B) for A, B in pairs if A.validate().passed and B.validate().passed]
+        got = [(_cocycle(A, B).passed, _cocycle(B, A).passed) for A, B in pairs]
+        assert [i for i, (x, y) in enumerate(got) if x != y] == []
+        assert (len(pairs), sum(not x for x, _ in got)) == (219, 139)
+
     def test_mu_mu_decides_validate(self):
         cases = mu_mu_corpus()
         got = [(mu_mu_vanishes(S), S.validate().passed) for S in cases]
@@ -627,6 +636,42 @@ class TestDeformAlgebroid:
         A = deform_algebroid(tangent_algebroid(CH2), J2.matrix())
         assert A.frame_bracket(0, 1).is_zero
         assert A.validate().passed
+
+
+def rnd_frame_matrix(rng: random.Random, S: AlgebroidStructure) -> list[list[Poly]]:
+    """A rank x rank frame matrix of ``rnd_poly`` entries in [-1, 1]."""
+    rank = S.bundle.rank
+    return [[rnd_poly(rng, S.chart, -1, 1) for _ in range(rank)] for _ in range(rank)]
+
+
+class TestBracketReadings:
+    """``validate``, ``deform_algebroid`` and ``algebroid_torsion`` read their
+    items off {mu, mu}, {N, mu} and {N, {N, mu}} - {N^2, mu}; the references
+    expand section brackets by hand (``helpers.section_bracket``)."""
+
+    def test_items_match_the_section_bracket_oracles(self):
+        rng, cases = random.Random(32), mu_mu_corpus()
+        torsion_failing = 0
+        for S in cases:
+            M = rnd_frame_matrix(rng, S)
+            got, want = deform_algebroid(S, M), ref_deform(S, M)
+            assert (got.anchor, got.structure, got.pre_lie_only) == (
+                want.anchor, want.structure, want.pre_lie_only)
+            rep, expect = algebroid_torsion(S, M), ref_torsion(S, M)
+            assert items(rep) == expect
+            assert [str(i.defect) for i in rep.items] == [str(d) for *_, d in expect]
+            torsion_failing += not rep.passed
+        assert (len(cases), torsion_failing) == (169, 161)
+        assert [i for i, S in enumerate(cases) if items(S.validate()) != ref_validate(S)] == []
+
+    def test_endomorphism_of_the_wrong_shape_raises(self):
+        A = tangent_algebroid(CH2)
+        square3 = [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]
+        ragged = [[ONE, ZERO], [ZERO]]
+        for M in (square3, ragged):
+            for f in (deform_algebroid, algebroid_torsion):
+                with pytest.raises(PolyError, match="rank x rank"):
+                    f(A, M)
 
 
 class TestIMEquations:

@@ -1,7 +1,7 @@
 """Export hygiene: each public name of lnlab is defined once, in the submodule
 whose ``__all__`` lists it, no module imports a name it never uses, every
-public function or class has a user, and every private function or method
-has a caller in the package or the benchmark."""
+public function or class has a user, and every private function and every
+public method has a caller in the package or the benchmark."""
 
 import ast
 from collections import Counter
@@ -109,10 +109,10 @@ def test_every_public_function_has_a_user():
     assert not stale, f"KEEP entries that name nothing or now have a user: {stale}"
 
 
-def test_every_private_function_has_a_caller():
-    # a non-dunder _name def of lnlab, at module level or in a class, is
-    # loaded in lnlab or the benchmark outside its own body: a second path
-    # that only tests reach does not stay in the package
+def _defs_and_loads() -> tuple[list[tuple[str, ast.FunctionDef, bool]], Counter]:
+    """(label, node, whether it is a method) for each def of lnlab at module
+    level or in a module-level class, and how often lnlab and the benchmark
+    load each name."""
     loads, defs = Counter(), []
     for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -120,10 +120,40 @@ def test_every_private_function_has_a_caller():
         if path.parent != SRC:
             continue
         for node in tree.body:
-            members = node.body if isinstance(node, ast.ClassDef) else [node]
-            defs += [(f"{path.name}:{m.name}", m) for m in members
-                     if isinstance(m, ast.FunctionDef) and m.name.startswith("_")
-                     and not m.name.endswith("__")]
+            method = isinstance(node, ast.ClassDef)
+            defs += [(f"{path.name}:{m.name}", m, method)
+                     for m in (node.body if method else [node])
+                     if isinstance(m, ast.FunctionDef)]
+    return defs, loads
+
+
+def test_every_private_function_has_a_caller():
+    # a non-dunder _name def of lnlab, at module level or in a class, is
+    # loaded in lnlab or the benchmark outside its own body: a second path
+    # that only tests reach does not stay in the package
+    defs, loads = _defs_and_loads()
+    defs = [(label, m) for label, m, _ in defs
+            if m.name.startswith("_") and not m.name.endswith("__")]
     assert len(defs) > 80
     uncalled = [label for label, m in defs if loads[m.name] <= _loads(m)[m.name]]
     assert not uncalled, f"private functions without a caller: {', '.join(uncalled)}"
+
+
+# public methods and properties no package or benchmark path loads, each
+# with the reason it stays
+KEEP_METHODS: dict[str, str] = {}
+
+
+def test_every_public_method_has_a_user():
+    # a public method or property of an lnlab class is loaded in lnlab or the
+    # benchmark outside its own body, as the private defs are: a method that
+    # only tests call belongs with the tests
+    defs, loads = _defs_and_loads()
+    methods = [(label, m) for label, m, method in defs
+               if method and not m.name.startswith("_")]
+    assert len(methods) > 60
+    unused = {m.name: label for label, m in methods if loads[m.name] <= _loads(m)[m.name]}
+    flagged = sorted(label for name, label in unused.items() if name not in KEEP_METHODS)
+    assert not flagged, f"public methods without a user: {', '.join(flagged)}"
+    stale = sorted(KEEP_METHODS.keys() - unused.keys())
+    assert not stale, f"KEEP_METHODS entries that name nothing or now have a user: {stale}"

@@ -321,6 +321,29 @@ class TestKosmann:
             kosmann_equivalence(PNCandidate(PI0, r))
             assert len(calls) == 2
 
+    def test_a_passing_cocycle_is_formed_once(self, monkeypatch):
+        # the swapped pair's {mu, gamma} is the same function with xi and
+        # theta exchanged: a passing side serves both, a failing one is
+        # recomputed so that each side counts its own failing pairs
+        calls = []
+        cocycle = pnlab._cocycle
+
+        def counted(A, B):
+            calls.append((A.bundle.frame, B.bundle.frame))
+            return cocycle(A, B)
+        monkeypatch.setattr(pnlab, "_cocycle", counted)
+        assert kosmann_equivalence(PNCandidate(PI0, XID)).passed
+        assert calls == [(("@x", "@y"), ("dx", "dy"))]
+        calls.clear()
+        rep = kosmann_equivalence(PNCandidate(PI0, J2))
+        assert calls == [(("@x", "@y"), ("dx", "dy")), (("dx", "dy"), ("@x", "@y"))]
+        got = {i.law: i.detail for i in rep.failures()}
+        tmr, ctg = (pnlab.deform_algebroid(pnlab.tangent_algebroid(CH2), J2.matrix()),
+                    pnlab.cotangent_of_poisson(PI0))
+        assert got == {
+            "cocycle (deformed tangent side)": f"{len(cocycle(tmr, ctg).failures())} failing pairs",
+            "cocycle (cotangent side)": f"{len(cocycle(ctg, tmr).failures())} failing pairs"}
+
     def test_requires_poisson(self):
         Y3 = Poly.var(CH3, "y")
         X3 = Poly.var(CH3, "x")
