@@ -5,7 +5,9 @@ functions on a fixed frame.  Brackets of arbitrary polynomial sections follow
 from the Leibniz rule, so the Jacobi identity and anchor morphism property on
 frame tuples certify the structure.  Those laws, the bracket deformed by a
 bundle endomorphism and its torsion, and the bialgebroid cocycle are read off
-big brackets of the structure's degree-3 function on T*[2]A[1].
+big brackets of the structure's degree-3 function on T*[2]A[1].  The IM
+equations of a degree-1 derivation are read off the frame data of the
+derivation and the structure, with no section bracket formed (``check_im``).
 """
 
 from __future__ import annotations
@@ -14,12 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .poly import Chart, Poly, PolyError, _Sum
-from .forms import (Multivector, VForm, _Alternating, _accumulate, _derive_into,
-                    _sums, sharp_matrix, schouten, sort_index, vf_bracket)
-from .gder import (FramedBundle, GenDer, build_drT, cotangent_bundle,
-                   tangent_bundle)
-from .matrix import identity, mat_mul, mat_vec, transpose
+from .poly import Chart, Poly, PolyError
+from .forms import (Multivector, VForm, _Alternating, _accumulate, _sums, sharp_matrix,
+                    schouten, sort_index)
+from .gder import FramedBundle, GenDer, cotangent_bundle, tangent_bundle
+from .matrix import identity, mat_mul, transpose
 from .report import CheckReport, _once
 
 __all__ = [
@@ -91,42 +92,6 @@ class AlgebroidStructure:
     @property
     def chart(self) -> Chart:
         return self.bundle.chart
-
-    def _rho(self, comps: list[Poly]) -> list[Poly]:
-        """rho(s) = sum_a s_a rho(u_a) on a component list."""
-        out = [_Sum(self.chart) for _ in range(self.chart.dim)]
-        for s_a, row in zip(comps, self.anchor):
-            if s_a:
-                for acc, p in zip(out, row):
-                    acc.add(s_a, p)
-        return [acc.poly() for acc in out]
-
-    def frame_bracket(self, a: int, b: int) -> VForm:
-        key, sign = ((a, b), 1) if a < b else ((b, a), -1)
-        comps = self.structure.get(key)
-        if a == b or comps is None:
-            return self.bundle.zero_form(0)
-        return VForm.section(self.chart, [sign * p for p in comps])
-
-    def _bracket(self, sc: list[Poly], rho_s: list[Poly], tc: list[Poly],
-                 rho_t: list[Poly]) -> VForm:
-        """[s, t] for polynomial sections given as component lists, with rho
-        of both, via bilinearity and Leibniz."""
-        rank = self.bundle.rank
-        out: dict = {}
-        for (a, b), comps in self.structure.items():
-            acc = _Sum(self.chart)
-            acc.add(sc[a], tc[b])
-            acc.add(sc[b], tc[a], -1)
-            f = acc.poly()
-            if f:
-                for v, c in enumerate(comps):
-                    if c:
-                        _accumulate(out, ((), v), c, f)
-        for b in range(rank):
-            _derive_into(out, ((), b), rho_s, tc[b])
-            _derive_into(out, ((), b), rho_t, sc[b], -1)
-        return VForm._trusted(self.chart, 0, rank, _sums(out))
 
     def validate(self) -> CheckReport:
         """Jacobi identity on frame triples, anchor morphism on frame pairs,
@@ -395,7 +360,8 @@ def _probes(A: AlgebroidStructure) -> list[tuple[str, int, int | None]]:
 
 def check_im(A: AlgebroidStructure, D: GenDer) -> CheckReport:
     """The four compatibility equations between a degree-1 derivation and an
-    anchored bracket, evaluated on frame sections and coordinate fields:
+    anchored bracket (Bursztyn & Drummond, Math. Ann. 2019), evaluated on
+    frame sections and coordinate fields:
 
         (1) D_X([a,b]) = [a, D_X(b)] - [b, D_X(a)]
                          + D_{[rho(b),X]}(a) - D_{[rho(a),X]}(b)
@@ -403,7 +369,26 @@ def check_im(A: AlgebroidStructure, D: GenDer) -> CheckReport:
         (3) D^{r,T}_X(rho(a)) = rho(D_X(a))
         (4) r o rho = rho o l
 
-    Within a scene run each (A, D) is checked once.
+    Every item is read off the frame data: the columns D_i(u_b) = D_{d_i}(u_b)
+    of D(u_b), l(u_b), the anchor rho(u_a) = rho_a^j d_j and the symbol
+    r(d_i) = r_i^v d_v with their partials, and the structure functions
+    [u_a, u_b] = c_ab^c u_c.  No section bracket, vector-field bracket or
+    D^{r,T} is formed:
+
+    * D_X(f u) = f D_X(u) + X(f) l(u) - r(X)(f) u, the Leibniz rule of D,
+      gives D_i([u_a, u_b]) from c_ab^c, D_i(u_c) and l(u_c);
+    * [u_a, t] = t_c [u_a, u_c] + rho(u_a)(t_c) u_c by Leibniz, for
+      t = D_i(u_b) and t = l(u_b);
+    * [rho(u_b), d_i] = -d_i rho_b^j d_j, and D(u_a) is a 1-form, so
+      D_{[rho(u_b), d_i]}(u_a) = -d_i rho_b^j D_j(u_a) in (1) and
+      D_{rho(u_b)}(u_a) = rho_b^j D_j(u_a) in (2);
+    * D^{r,T}_X(Y) = [Y, r(X)] - r([Y, X]) (``gder.build_drT``) and
+      [Y, d_i] = -d_i Y, the coefficientwise partial (Kolar, Michor & Slovak,
+      Natural Operations in Differential Geometry, 1993), so
+      D^{r,T}_{d_i}(Y) = [Y, r(d_i)] + r(d_i Y) in (3).
+
+    Each item is one map of sums, finished once.  Within a scene run each
+    (A, D) is checked once.
     """
     return _once(_im_report, A, D)
 
@@ -413,47 +398,95 @@ def _im_report(A: AlgebroidStructure, D: GenDer) -> CheckReport:
         raise PolyError("need a degree-1 derivation on the same bundle")
     report = CheckReport("IM equations")
     chart, rank, n = A.chart, A.bundle.rank, A.chart.dim
-    names, units = A.bundle.frame, identity(chart, rank)
-    anchors = [VForm.section(chart, row) for row in A.anchor]
-    coord_fields = [tangent_bundle(chart).frame_section(i) for i in range(n)]
-    Du = D.d_frame
-    # D_{d/dx_i}(u_b) and its rho once per (b, i)
-    DX = [[Du[b].insert_vector(X).section_components() for X in coord_fields]
-          for b in range(rank)]
-    rho_DX = [[A._rho(c) for c in row] for row in DX]
-    l_rows = [v.section_components() for v in D.l_frame]
-    rho_l = [A._rho(c) for c in l_rows]
+    names, coords = A.bundle.frame, chart.coords
+
+    def entries(pairs) -> list[tuple]:
+        """(slot, coefficient, its partials) for each nonzero (slot, coefficient)."""
+        return [(v, p, [p.diff(j) for j in range(n)]) for v, p in pairs if p]
+    # D_i(u_b) = DX[b][i], l(u_b), rho(u_a) and r(d_i) = rcol[i]
+    DX = [[entries(enumerate(col)) for col in zip(*Db.matrix())] for Db in D.d_frame]
+    ls = [entries(enumerate(lb.section_components())) for lb in D.l_frame]
+    rho = [entries(enumerate(row)) for row in A.anchor]
+    rcol = [entries(enumerate(col)) for col in zip(*D.r.matrix())]
+    # [u_a, u_c] as (sign, entries of the structure functions)
+    br: dict = {}
+    for (a, c), comps in A.structure.items():
+        br[a, c] = (1, entries(enumerate(comps)))
+        br[c, a] = (-1, br[a, c][1])
+
+    def bracket_into(out: dict, a: int, t: list, sign: int) -> None:
+        """Add sign * [u_a, t] for the section t given by its entries."""
+        for c, tc, dtc in t:
+            s, comps = br.get((a, c), (1, ()))
+            for w, q, _ in comps:
+                _accumulate(out, ((), w), tc, q, sign * s)
+            for j, p, _ in rho[a]:
+                if dtc[j]:
+                    _accumulate(out, ((), c), p, dtc[j], sign)
+
+    def columns_into(out: dict, fs: list, a: int, sign: int) -> None:
+        """Add sign * f_j D_j(u_a) for (j, f_j) in fs."""
+        for j, f in fs:
+            for w, p, _ in DX[a][j]:
+                _accumulate(out, ((), w), f, p, sign)
+
+    def finish(out: dict, vals: int) -> VForm:
+        return VForm._trusted(chart, 0, vals, _sums(out))
     for a in range(rank):
         for b in range(a + 1, rank):
-            ab = A.frame_bracket(a, b)
-            D_ab = D.extend(ab)
-            for i, X in enumerate(coord_fields):
-                defect = (D_ab.insert_vector(X)
-                          - A._bracket(units[a], A.anchor[a], DX[b][i], rho_DX[b][i])
-                          + A._bracket(units[b], A.anchor[b], DX[a][i], rho_DX[a][i])
-                          - Du[a].insert_vector(vf_bracket(anchors[b], X))
-                          + Du[b].insert_vector(vf_bracket(anchors[a], X)))
-                report.add_zero("IM bracket compatibility", defect,
-                                detail=f"({names[a]},{names[b]};d/d{chart.coords[i]})")
-            defect2 = (D.apply_l(ab)
-                       - A._bracket(units[a], A.anchor[a], l_rows[b], rho_l[b])
-                       + Du[a].insert_vector(anchors[b]))
-            report.add_zero("IM symbol-bracket compatibility", defect2,
+            c_ab = br.get((a, b), (1, ()))[1]
+            for i in range(n):
+                out: dict = {}
+                for c, f, df in c_ab:  # D_i([u_a, u_b])
+                    columns_into(out, [(i, f)], c, 1)
+                    if df[i]:
+                        for w, p, _ in ls[c]:
+                            _accumulate(out, ((), w), df[i], p)
+                    for v, q, _ in rcol[i]:
+                        if df[v]:
+                            _accumulate(out, ((), c), q, df[v], -1)
+                bracket_into(out, a, DX[b][i], -1)
+                bracket_into(out, b, DX[a][i], 1)
+                columns_into(out, [(j, dp[i]) for j, _, dp in rho[b] if dp[i]], a, 1)
+                columns_into(out, [(j, dp[i]) for j, _, dp in rho[a] if dp[i]], b, -1)
+                report.add_zero("IM bracket compatibility", finish(out, rank),
+                                detail=f"({names[a]},{names[b]};d/d{coords[i]})")
+            out = {}
+            for c, f, _ in c_ab:  # l([u_a, u_b])
+                for w, p, _ in ls[c]:
+                    _accumulate(out, ((), w), f, p)
+            bracket_into(out, a, ls[b], -1)
+            columns_into(out, [(j, p) for j, p, _ in rho[b]], a, 1)
+            report.add_zero("IM symbol-bracket compatibility", finish(out, rank),
                             detail=f"({names[a]},{names[b]})")
-    drT = build_drT(D.r)
     for a in range(rank):
-        drT_rho_a = drT.extend(anchors[a])
-        for i, X in enumerate(coord_fields):
-            defect3 = drT_rho_a.insert_vector(X) - VForm.section(chart, rho_DX[a][i])
-            report.add_zero("IM anchor intertwining", defect3,
-                            detail=f"({names[a]};d/d{chart.coords[i]})")
-    rmat = D.r.matrix()
+        for i in range(n):
+            out = {}
+            for v, q, dq in rcol[i]:  # [rho(u_a), r(d_i)]
+                for j, p, dp in rho[a]:
+                    if dq[j]:
+                        _accumulate(out, ((), v), p, dq[j])
+                    if dp[v]:
+                        _accumulate(out, ((), j), q, dp[v], -1)
+            for j, _, dp in rho[a]:  # r(d_i rho(u_a))
+                if dp[i]:
+                    for v, q, _ in rcol[j]:
+                        _accumulate(out, ((), v), dp[i], q)
+            for c, t, _ in DX[a][i]:  # rho(D_i(u_a))
+                for j, p, _ in rho[c]:
+                    _accumulate(out, ((), j), t, p, -1)
+            report.add_zero("IM anchor intertwining", finish(out, n),
+                            detail=f"({names[a]};d/d{coords[i]})")
     im4 = []
     for a in range(rank):
-        for j, r_rho in enumerate(mat_vec(rmat, A.anchor[a])):
-            p = r_rho - rho_l[a][j]
-            if not p.is_zero:
-                im4.append(((a, j), p))
+        out = {}
+        for v, p, _ in rho[a]:  # r(rho(u_a))
+            for j, q, _ in rcol[v]:
+                _accumulate(out, j, q, p)
+        for c, t, _ in ls[a]:  # rho(l(u_a))
+            for j, p, _ in rho[c]:
+                _accumulate(out, j, t, p, -1)
+        im4 += [((a, j), p) for j, p in sorted(_sums(out).items()) if p]
     report.add("IM symbol square", not im4,
                defect=None if not im4 else im4,
                detail="r o rho - rho o l")

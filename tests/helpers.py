@@ -265,6 +265,11 @@ def anchor_of(A, section: VForm) -> VForm:
         for i in range(A.chart.dim)])
 
 
+def frame_bracket(A, a: int, b: int) -> list[Poly]:
+    """The components of [u_a, u_b] for a < b, read off the structure table."""
+    return A.structure.get((a, b), [Poly.zero(A.chart)] * A.bundle.rank)
+
+
 def section_bracket(A, s: VForm, t: VForm) -> VForm:
     """[s, t] for polynomial sections of A, via bilinearity and Leibniz:
     sum_{a<b} (s_a t_b - s_b t_a) [u_a, u_b] + rho(s)(t) - rho(t)(s), on

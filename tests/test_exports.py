@@ -62,6 +62,7 @@ KEEP = {
     "build_from_connection": "flat Lie bialgebra bundles (ROADMAP item 7)",
     "courant_operator": "acceptance criterion 6",
     "concomitants": "bench/tracer.py wraps it by name",
+    "vf_bracket": "bench/tracer.py wraps it by name",
 }
 
 
