@@ -14,8 +14,11 @@ add only what differs:
 
 L_K and i_K along a tangent-valued K have one kernel each: ``_lie_into``, ``_contract_into``.
 
-Brackets follow the conventions that make the classical identities hold
-literally:
+Every graded bracket is H(P, Q) - (-1)^t H(Q, P) for a half H of its own,
+and ``_antisymmetrize`` is the one place that puts the two halves together
+(and takes H(P, P) once for [P, P]): the Schouten and Frolicher-Nijenhuis
+brackets here, and ``gder.bracket`` of generalized derivations.  Brackets
+follow the conventions that make the classical identities hold literally:
 
 * the Frolicher-Nijenhuis bracket restricts to the Lie bracket on vector
   fields and satisfies ``[r, r] = 2 N_r`` for a degree-1 form ``r``;
@@ -275,21 +278,15 @@ class Multivector(_Alternating):
 
 
 def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
-    """Exterior product of two forms (or of two multivectors).
+    """Exterior product of two forms (or of two multivectors), as
+    ``_wedge_into`` with b the one-slot form; the result has a's type.
     Graded-commutative and associative."""
     if a.chart != b.chart:
         raise PolyError("chart mismatch in wedge")
-    deg = a.degree + b.degree
-    if deg > a.chart.dim:
-        return a.zero(a.chart, deg)
-    out: dict[Index, Poly] = {}
-    for ia, pa in a.coeffs.items():
-        for ib, pb in b.coeffs.items():
-            m = sort_index(ia + ib)
-            if m is None:
-                continue
-            _accumulate(out, m[0], pa, pb, m[1])
-    return a._trusted(a.chart, deg, _sums(out))
+    out: dict = {}
+    _wedge_into(out, a, VForm.from_components([b], b.degree))
+    return a._trusted(a.chart, a.degree + b.degree,
+                      {idx: p for (idx, _), p in _sums(out).items()})
 
 
 def exterior_d(a: DiffForm) -> DiffForm:
@@ -530,12 +527,12 @@ def vf_bracket(X: VForm, Y: VForm) -> VForm:
     return VForm._trusted(X.chart, 0, len(xs), _sums(out))
 
 
-def _antisymmetrize(P, Q, twist: int, half) -> None:
+def _antisymmetrize(P, Q, twist: int, half,
+                    part=lambda T: (T.degree, _partials(T))) -> None:
     """Add H(P, Q) - (-1)^twist H(Q, P), where ``half(A, B, s)`` adds
-    ``s * H(A, B)`` given each tensor as (degree, [(key, coefficient, its
-    partial derivatives)]); for ``Q is P``, H(P, P) once, times 1 - (-1)^twist."""
-    def part(T) -> tuple:
-        return T.degree, _partials(T)
+    ``s * H(A, B)`` given each operand as ``part`` of it, formed once per
+    operand: by default (degree, [(key, coefficient, its partial
+    derivatives)]).  For ``Q is P``, H(P, P) once, times 1 - (-1)^twist."""
     if Q is not P:
         pP, pQ = part(P), part(Q)
         half(pP, pQ, 1)

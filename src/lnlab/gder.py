@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .poly import Chart, Poly, PolyError
-from .forms import (DiffForm, VForm, _accumulate, _by_slot, _contract_into, _d_into,
-                    _lie_into, _partials, _slot_d, _sums, _symbol_slots, _wedge_into)
+from .forms import (DiffForm, VForm, _accumulate, _antisymmetrize, _by_slot, _contract_into,
+                    _d_into, _lie_into, _partials, _slot_d, _sums, _symbol_slots, _wedge_into)
 
 __all__ = [
     "FramedBundle",
@@ -187,41 +187,38 @@ def bracket(D1: GenDer, D2: GenDer) -> GenDer:
         l  = [D2, l1] - (-1)^(k1 k2) [D1, l2] on sections,
         r  = Frolicher-Nijenhuis bracket of the symbols,
 
-    with [D, l'] the graded commutator of the extended operators.
+    with [D, l'] the graded commutator of the extended operators.  All three
+    are H(D1, D2) - (-1)^(k1 k2) H(D2, D1), put together by
+    ``forms._antisymmetrize``: H(A, B) is B o A and [B, l_A] on each frame
+    section, and -(-1)^(k1 k2) L_{r_B} r_A on the symbol, which makes
+    r = L_{r1} r2 - (-1)^(k1 k2) L_{r2} r1 slot by slot.  So [D, D] is
+    2 H(D, D) for D of odd degree and 0 for D of even degree.
     """
     if D1.bundle != D2.bundle:
         raise PolyError("derivations act on different bundles")
-    chart, k = D1.bundle.chart, D1.degree + D2.degree
+    bundle, k = D1.bundle, D1.degree + D2.degree
     sign = (-1) ** (D1.degree * D2.degree)
-    # each half (A, B, s, A's symbol partials, B's symbol slots) adds s * B o A and
-    # s times its part of l; [D, D] = (1 - (-1)^(j j)) D o D for D of degree j
-    if D1 is not D2:
-        p1, p2 = _partials(D1.r), _partials(D2.r)
-        halves = [(D1, D2, 1, p1, _symbol_slots(p2)), (D2, D1, -sign, p2, _symbol_slots(p1))]
-    elif sign == -1:
-        p1 = _partials(D1.r)
-        halves = [(D1, D1, 2, p1, _symbol_slots(p1))]
-    else:
-        halves = []
-    d_out: list[VForm] = []
-    l_out: list[VForm] = []
-    for a in range(D1.bundle.rank):
-        d_val: dict = {}
-        parts: dict = {}  # the graded commutators [B, l_A] on the frame section
-        for A, B, s, _, symbol in halves:
-            B._extend_into(d_val, A.d_frame[a], s, symbol)
-            if A.l_frame is not None:
-                B._extend_into(parts, A.l_frame[a], s, symbol)
-                A._l_into(parts, B.d_frame[a], -s * (-1) ** (B.degree * (A.degree - 1)))
-        d_out.append(D1._finish(k, d_val))
-        if k:
-            l_out.append(D1._finish(k - 1, parts))
-    # [r1, r2] = H(r1, r2) - (-1)^(k1 k2) H(r2, r1), H(K, L) = L_K on L's slots
+    d_val: list[dict] = [{} for _ in bundle.frame]
+    l_val: list[dict] = [{} for _ in bundle.frame]  # the graded commutators [B, l_A]
     r_val: dict = {}
-    for _, B, s, entries, symbol in halves:
+
+    def part(D: GenDer) -> tuple:  # D, its symbol's partials and slot forms
+        entries = _partials(D.r)
+        return D, entries, _symbol_slots(entries)
+
+    def half(pA: tuple, pB: tuple, s: int) -> None:
+        (A, entries, _), (B, _, symbol) = pA, pB
+        for a in range(bundle.rank):
+            B._extend_into(d_val[a], A.d_frame[a], s, symbol)
+            if A.l_frame is not None:
+                B._extend_into(l_val[a], A.l_frame[a], s, symbol)
+                A._l_into(l_val[a], B.d_frame[a], -s * (-1) ** (B.degree * (A.degree - 1)))
         _lie_into(r_val, B.degree, symbol, entries, -s * sign)
-    r_out = VForm._trusted(chart, k, chart.dim, _sums(r_val))
-    return GenDer(D1.bundle, k, d_out, l_out if k > 0 else None, r_out)
+
+    _antisymmetrize(D1, D2, D1.degree * D2.degree, half, part)
+    return GenDer(bundle, k, [D1._finish(k, c) for c in d_val],
+                  [D1._finish(k - 1, c) for c in l_val] if k else None,
+                  VForm._trusted(bundle.chart, k, bundle.chart.dim, _sums(r_val)))
 
 
 def dual(D: GenDer) -> GenDer:

@@ -2,9 +2,10 @@
 
 A candidate is a dual pair of algebroids together with a degree-1 generalized
 derivation whose IM equations hold on both sides and whose self-bracket
-vanishes.  The module also extracts the induced Poisson-Nijenhuis structure on
-the base, builds the deformation hierarchy, and recognizes holomorphic and
-Courant-type candidates.
+[D, D] vanishes whole: its D, its l and its symbol.  The module also
+extracts the induced Poisson-Nijenhuis structure on the base, builds the
+deformation hierarchy, and recognizes holomorphic and Courant-type
+candidates.
 """
 
 from __future__ import annotations
@@ -60,9 +61,12 @@ def _l_matrix(D: GenDer) -> list[list[Poly]]:
 def check_lnb(c: LNCandidate) -> CheckReport:
     """Full candidate verdict: IM equations for the derivation, IM equations
     for its dual on the dual algebroid, and vanishing self-bracket, after
-    both algebroids and the bialgebroid cocycle.  Within one scene run a
-    structure already verified is not verified again; library calls verify
-    in full."""
+    both algebroids and the bialgebroid cocycle.  The self-bracket [D, D] is
+    checked whole: the "derivation square" row of a frame section u_a passes
+    when D(u_a), l(u_a) and the symbol of [D, D] all vanish, and its defect
+    is D(u_a) when only that is nonzero, else each nonzero part by name.
+    Within one scene run a structure already verified is not verified again;
+    library calls verify in full."""
     for label, rep in (("base algebroid", c.A.validate()),
                        ("dual algebroid", c.Astar.validate())):
         if not rep.passed:
@@ -73,9 +77,14 @@ def check_lnb(c: LNCandidate) -> CheckReport:
     report.extend(check_im(c.A, c.D), prefix="base: ")
     report.extend(check_im(c.Astar, _once(dual, c.D)), prefix="dual: ")
     sq = _once(bracket, c.D, c.D)
-    names = c.A.bundle.frame
-    for a in range(c.A.bundle.rank):
-        report.add_zero("derivation square", sq.d_frame[a], detail=names[a])
+    for a, name in enumerate(c.A.bundle.frame):
+        named = [(part, v) for part, v in (("D", sq.d_frame[a]), ("l", sq.l_frame[a]),
+                                           ("symbol", sq.r)) if not v.is_zero]
+        if [part for part, _ in named] in ([], ["D"]):
+            report.add_zero("derivation square", sq.d_frame[a], detail=name)
+        else:
+            report.add("derivation square", False,
+                       "; ".join(f"{part}: {v}" for part, v in named), detail=name)
     return report
 
 

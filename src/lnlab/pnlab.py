@@ -324,11 +324,11 @@ def kosmann_equivalence(c: PNCandidate) -> CheckReport:
     {mu, gamma} is the same function with xi and theta exchanged, so a
     passing deformed-tangent side is reused for the cotangent side; a failing
     one is computed again, for the cotangent side's own failing pairs."""
-    if not schouten(c.pi, c.pi).is_zero:
+    ctg = cotangent_of_poisson(c.pi)  # flagged pre-Lie only exactly when [pi, pi] != 0
+    if ctg.pre_lie_only:
         raise PolyError("bivector is not Poisson")
     report = CheckReport("bialgebroid characterization")
     tmr = deform_algebroid(tangent_algebroid(c.chart), c.r.matrix())
-    ctg = cotangent_of_poisson(c.pi)
     vt = tmr.validate()
     report.add("deformed tangent algebroid valid", vt.passed,
                detail="equivalent to N_r = 0")

@@ -51,9 +51,13 @@ class CheckReport:
         self.add(law, bool(obj.is_zero), None if obj.is_zero else obj, detail)
 
     def extend(self, other: "CheckReport", prefix: str = "") -> None:
-        for item in other.items:
-            law = f"{prefix}{item.law}" if prefix else item.law
-            self.items.append(CheckItem(law, item.passed, item.defect, item.detail))
+        """Append other's items, renamed with ``prefix`` if given and shared
+        as they are otherwise (no CheckItem is modified), and its notes."""
+        if prefix:
+            self.items += [CheckItem(prefix + i.law, i.passed, i.defect, i.detail)
+                           for i in other.items]
+        else:
+            self.items += other.items
         self.notes.extend(other.notes)
 
     @property

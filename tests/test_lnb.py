@@ -6,13 +6,15 @@ import random
 
 import pytest
 
-from lnlab.poly import Chart, Poly, PolyError
-from lnlab.forms import Multivector, VForm, vf_bracket
-from lnlab.gder import GenDer, build_drT, dual, tangent_bundle
-from lnlab.algebroid import (algebroid_torsion, cotangent_of_poisson,
+from lnlab.poly import Chart, Poly, PolyError, parse_poly
+from lnlab.forms import Multivector, VForm, nijenhuis_torsion, vf_bracket
+from lnlab.gder import (FramedBundle, GenDer, bracket, build_drT, build_from_connection,
+                        dual, tangent_bundle)
+from lnlab.algebroid import (AlgebroidStructure, algebroid_torsion, cotangent_of_poisson,
                              deform_algebroid, tangent_algebroid)
 from lnlab.lnb import (CourantOperator, LNCandidate, base_pn, check_lnb,
                        courant_operator, deform_hierarchy, holomorphic_detect)
+from lnlab.pnlab import PNCandidate, check_pn
 
 from helpers import CH2, frame_bracket, rnd_endo, rnd_poly
 
@@ -64,6 +66,54 @@ class TestVerdicts:
         swapped = LNCandidate(cotangent_of_poisson(PI0), TM,
                               dual(build_drT(XID)))
         assert check_lnb(swapped).passed
+
+    def test_curved_connection_fails_on_the_d_part_alone(self):
+        # zero anchors and brackets on a line bundle, D = -grad_{r(.)} with r = id
+        # and the connection form x dy: [D, D] has the curvature as its only part
+        Z, E = Poly.zero(CH2), FramedBundle(CH2, ("e1",))
+        D = build_from_connection(E, [[[Z]], [[X]]], [E.zero_form(0)], IDENT)
+        rep = check_lnb(LNCandidate(AlgebroidStructure(E, [[Z, Z]], {}),
+                                    AlgebroidStructure(E.dual(), [[Z, Z]], {}), D))
+        assert [i.law for i in rep.failures()] == ["derivation square"]
+        assert rep.render_text().splitlines()[-2:] == [
+            "[FAIL] derivation square  (e1)", "       defect: (-2) dx^dy (x) e1"]
+
+
+class TestConstantTorsion:
+    """(TM, T*M_pi, D^r) on R^4 with pi = @x1^@y1 + @x2^@y2 and an r whose
+    Nijenhuis torsion is the nonzero constant
+    dx1^dx2 (x) @x2 + dx1^dy2 (x) @y2 - dx2^dy2 (x) @y1.  Every IM equation
+    holds, and [D^r, D^r] = 2 D^{N_r} has zero D part on the frame, so only
+    its l part and its symbol show that the candidate is not Lie-Nijenhuis."""
+
+    CH4 = Chart(("x1", "y1", "x2", "y2"))
+    ROWS = [["0", "0", "1", "1"], ["0", "0", "0", "-x1 - 1"],
+            ["-x1 - 1", "-1", "1", "0"], ["0", "1", "0", "1"]]
+
+    def setup_method(self):
+        ch, one = self.CH4, Poly.const(self.CH4, 1)
+        self.pi = Multivector(ch, 2, {(0, 1): one, (2, 3): one})
+        self.r = VForm(ch, 1, 4, {((i,), v): parse_poly(ch, row[i])
+                                  for v, row in enumerate(self.ROWS) for i in range(4)})
+        self.c = LNCandidate(tangent_algebroid(ch), cotangent_of_poisson(self.pi),
+                             build_drT(self.r))
+
+    def test_fails_exactly_on_the_derivation_square(self):
+        rep = check_lnb(self.c)
+        assert [(i.law, i.detail) for i in rep.failures()] == [
+            ("derivation square", name) for name in ("@x1", "@y1", "@x2", "@y2")]
+        assert [i.law for i in check_pn(PNCandidate(self.pi, self.r)).failures()] == [
+            "Nijenhuis torsion N_r", "deformed bivector Poisson [pi_r,pi_r]"]
+
+    def test_square_symbol_is_twice_the_torsion(self):
+        sq = bracket(self.c.D, self.c.D)
+        assert not nijenhuis_torsion(self.r).is_zero
+        assert sq.r == 2 * nijenhuis_torsion(self.r)
+        assert all(v.is_zero for v in sq.d_frame)
+
+    def test_base_pn_refuses(self):
+        with pytest.raises(PolyError):
+            base_pn(self.c)
 
 
 class TestBasePN:

@@ -5,6 +5,8 @@ comment or layout (newlines, indentation), found with ``tokenize``.  A
 statement made of string literals alone (a docstring) is not code.  Blank
 lines hold no token.  Standard library only.
 
+It prints one line per module, then the package totals on the last line.
+
 Usage: python tools/src_lines.py
 """
 
@@ -40,8 +42,10 @@ def main() -> int:
     total = code = 0
     for path in sorted(root.glob("*.py")):
         text = path.read_text(encoding="utf-8")
-        total += len(text.splitlines())
-        code += code_lines(text)
+        lines, code_only = len(text.splitlines()), code_lines(text)
+        print(f"  {path.name}: {lines} lines, {code_only} code-only lines")
+        total += lines
+        code += code_only
     print(f"{root.name}: {total} lines, {code} code-only lines")
     return 0
 
