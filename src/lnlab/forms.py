@@ -105,8 +105,12 @@ def _sums(out: dict) -> dict:
 
 def _partials(T, slots=None) -> list:
     """(key, coefficient, its partial derivatives) for each term of T; for a
-    vector-valued T, no partials for terms outside the value ``slots`` if given."""
-    return [(key, p, [p.diff(i) for i in range(T.chart.dim)]
+    vector-valued T, no partials for terms outside the value ``slots`` if given.
+    A constant coefficient (degree bound 0) gets zero partials, with no
+    ``diff`` call."""
+    n = T.chart.dim
+    zeros = [Poly.zero(T.chart)] * n
+    return [(key, p, ([p.diff(i) for i in range(n)] if p._deg else zeros)
              if slots is None or key[1] in slots else []) for key, p in T.coeffs.items()]
 
 
@@ -527,8 +531,12 @@ def vf_bracket(X: VForm, Y: VForm) -> VForm:
     return VForm._trusted(X.chart, 0, len(xs), _sums(out))
 
 
-def _antisymmetrize(P, Q, twist: int, half,
-                    part=lambda T: (T.degree, _partials(T))) -> None:
+def _part(T) -> tuple:
+    """(degree, ``_partials``) of a form: what ``_antisymmetrize`` reads of it."""
+    return T.degree, _partials(T)
+
+
+def _antisymmetrize(P, Q, twist: int, half, part=_part) -> None:
     """Add H(P, Q) - (-1)^twist H(Q, P), where ``half(A, B, s)`` adds
     ``s * H(A, B)`` given each operand as ``part`` of it, formed once per
     operand: by default (degree, [(key, coefficient, its partial
@@ -556,6 +564,12 @@ def frolicher_nijenhuis(K: VForm, L: VForm) -> VForm:
     dx_ib ^ dx_ia = (-1)^(kl) dx_ia ^ dx_ib, and moving the (k-1)-form
     i_vb phi past the (l+1)-form d psi costs (-1)^((k-1)(l+1)), which is
     (-1)^(kl) times (-1)^(k+l+1).  [K, K] is (1 - (-1)^k) H(K, K)."""
+    return _fn_bracket(K, L, _part)
+
+
+def _fn_bracket(K: VForm, L: VForm, part) -> VForm:
+    """``frolicher_nijenhuis`` with each operand read through ``part`` (see
+    ``_antisymmetrize``), so a caller can form an operand's partials once."""
     _check_tangent(K)
     _check_tangent(L)
     if K.chart != L.chart:
@@ -566,7 +580,7 @@ def frolicher_nijenhuis(K: VForm, L: VForm) -> VForm:
         entries = pK[1] if pL[0] else [(key, q, []) for key, q, _ in pK[1]]
         _lie_into(acc, pK[0], _symbol_slots(entries), pL[1], sign)
 
-    _antisymmetrize(K, L, K.degree * L.degree, half)
+    _antisymmetrize(K, L, K.degree * L.degree, half, part)
     return VForm._trusted(K.chart, K.degree + L.degree, K.chart.dim, _sums(acc))
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .poly import Chart, Poly, PolyError, _rechart
-from .forms import (DiffForm, VForm, _accumulate, _sums, frolicher_nijenhuis,
-                    sort_index)
+from .forms import (DiffForm, VForm, _accumulate, _fn_bracket, _part, _partials,
+                    _sums, _symbol_slots, sort_index)
 from .gder import FramedBundle, GenDer, build_drT, build_drTstar
 from .report import CheckReport
 
@@ -175,16 +175,20 @@ def verify_correspondence(K: VForm, D: GenDer) -> CheckReport:
 
     for probe sections u and base coordinate 1-forms b; all zero exactly when
     K is the linearization of the derivation.  K must be a tangent-valued
-    form on ``TotalChart.of(D.bundle).chart``.
+    form on ``TotalChart.of(D.bundle).chart``.  The partials of K and the
+    slot forms of D's symbol are formed once, not once per probe.
     """
     tc = TotalChart.of(D.bundle)
     if K.chart != tc.chart:
         raise PolyError("form does not live on the total chart of the bundle")
     report = CheckReport("lift/derivation correspondence")
+    symbol, pK = _symbol_slots(_partials(D.r)), _part(K)
     for name, u in _probe_sections(D.bundle):
         up = vertical_lift(tc, u)
-        lhs = v_map(tc, D.extend(u))
-        rhs = frolicher_nijenhuis(up, K)
+        out: dict = {}
+        D._extend_into(out, u, 1, symbol)  # D.extend(u)
+        lhs = v_map(tc, D._finish(D.degree, out))
+        rhs = _fn_bracket(up, K, lambda T: pK if T is K else _part(T))
         report.add_zero("vertical lift of D", lhs - rhs, detail=name)
         if D.degree > 0:
             lhs2 = v_map(tc, D.apply_l(u))

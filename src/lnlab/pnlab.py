@@ -56,8 +56,9 @@ def _comps(a: DiffForm) -> list[Poly]:
 
 
 def _grad(comps: list[Poly]) -> list[list[Poly]]:
-    """g[j][k] = d_k comps[j]."""
-    return [[p.diff(k) if p else p for k in range(p.chart.dim)] for p in comps]
+    """g[j][k] = d_k comps[j]; a constant (degree bound 0) is not differentiated."""
+    return [[p.diff(k) for k in range(p.chart.dim)] if p._deg
+            else [Poly.zero(p.chart)] * p.chart.dim for p in comps]
 
 
 def _curl(comps: list[Poly]) -> list[list[Poly]]:
@@ -170,7 +171,8 @@ def _pair_into(sums: list[_Sum], prep, a_role, b_role, sign: int = 1) -> None:
     neg = pa + rb + pb
     for k, acc in enumerate(sums):
         if constant:
-            acc.add(f.diff(k), None, sign)
+            if f._deg:
+                acc.add(f.diff(k), None, sign)
         else:
             _dot_into(acc, pos, db[k] + dUt[k] + da[k], sign)
         _dot_into(acc, neg, drb[k] + dpat[k] + dra[k], -sign)

@@ -15,19 +15,29 @@ descending key order is graded-lex order.  A slot holds at most
 product is checked against the limit before it is formed, no slot ever
 carries into its neighbour.
 
+Every Poly also carries ``_deg``, an upper bound on its total degree, so
+that the degree check costs one integer per operand.  The bound is exact
+from the constructor, ``zero``, ``const`` and ``coord``; negation, scaling
+by a number and ``_rechart`` keep it, ``diff`` lowers it by one (not below
+0), and a sum takes the largest bound it has added (deg x + deg y for a
+product).  It may exceed the degree when top terms cancel.  Equality,
+hashing, ``terms`` and ``total_degree()`` read the terms, never the bound.
+
 A sum of products (a bracket, a wedge, a matrix product) is built by the
 private accumulator ``_Sum``: its terms are added in place into one map of
 numerators over one shared denominator, and the finished sum gets one gcd
 pass, not one per term.  Each product is checked against the chart and the
-degree bound as it is added.  When one factor has a single term (a constant
-or a monomial; a plain sum term counts as a product with the unit monomial),
-the product is one shifted, scaled copy of the other factor: one loop, and
-one ``max`` for the degree check.  Two multi-term factors take the double
-loop.  ``+``, ``-`` and ``Poly * Poly`` are each one step of a fresh
-accumulator, so the two loops and the degree check exist once.  A product's
-degree is checked before it is formed, so no result ever holds a monomial
-above the limit; but a sum whose top degree cancels may pass where forming its
-terms' products one by one raised (the brackets in ``forms`` sum first, then
+degree limit as it is added: while the operands' bounds add up to at most
+the limit, no key is read; past it, the exact degrees are read off the top
+keys, and they replace the bounds in the sum's own.  When one factor has a
+single term (a constant or a monomial; a plain sum term counts as a product
+with the unit monomial), the product is one shifted, scaled copy of the
+other factor: one loop.  Two multi-term factors take the double loop.
+``+``, ``-`` and ``Poly * Poly`` are each one step of a fresh accumulator,
+so the two loops and the degree check exist once.  A product's degree is
+checked before it is formed, so no result ever holds a monomial above the
+limit; but a sum whose top degree cancels may pass where forming its terms'
+products one by one raised (the brackets in ``forms`` sum first, then
 multiply).  ``**`` and each ``*`` of parsed text also bound the bit length of
 their coefficients by ``_POWER_BITS``: a constant power such as
 ``(2^65535)^65535``, or a long product of constants, has degree 0, so no
@@ -62,7 +72,7 @@ class PolyError(Exception):
 
 
 class GrowthLimitError(PolyError):
-    """Raised when a result would exceed the configured degree bound."""
+    """Raised when a result would exceed the configured degree limit."""
 
 
 class ParseError(PolyError):
@@ -145,21 +155,23 @@ def _unpack(key: int, dim: int) -> tuple[int, ...]:
     return tuple((key >> SLOT_BITS * (dim - 1 - i)) & _SLOT_MASK for i in range(dim))
 
 
-def _make(chart: Chart, num: dict[int, int], den: int) -> "Poly":
+def _make(chart: Chart, num: dict[int, int], den: int, deg: int) -> "Poly":
     """Wrap a representation that is already canonical, without checking it.
 
     Only for results of operations on valid Polys: packed keys within the
-    degree bound, no zero numerators, ``den > 0`` and coprime to the
-    numerators (so ``den == 1`` when ``num`` is empty).
+    degree limit, no zero numerators, ``den > 0`` and coprime to the
+    numerators (so ``den == 1`` when ``num`` is empty), and ``deg`` at least
+    the total degree of every key.
     """
     p = object.__new__(Poly)
     p.chart = chart
     p._num = num
     p._den = den
+    p._deg = deg
     return p
 
 
-def _reduced(chart: Chart, num: dict[int, int], den: int) -> "Poly":
+def _reduced(chart: Chart, num: dict[int, int], den: int, deg: int) -> "Poly":
     """``_make`` after dividing out the common factor of ``den`` and the
     numerators.  With no numerators that factor is ``den`` itself, so zero
     always ends with ``den == 1``."""
@@ -168,7 +180,7 @@ def _reduced(chart: Chart, num: dict[int, int], den: int) -> "Poly":
         if g != 1:
             num = {k: c // g for k, c in num.items()}
             den //= g
-    return _make(chart, num, den)
+    return _make(chart, num, den, deg)
 
 
 class Poly:
@@ -180,25 +192,29 @@ class Poly:
     equal iff charts, numerators and denominators are equal.  Instances are
     immutable; all operations return new values.
 
+    ``_deg`` is an upper bound on the total degree, passed on by every
+    operation (see the module docstring); a bound of 0 means a constant.
+
     ``terms`` is a read-only view ``{exponent tuple: coefficient}``, with an
     ``int`` coefficient when it is integral and a ``Fraction`` otherwise,
     built on first use; the arithmetic never builds it.
 
     Input is validated once, here and in the named constructors and the
     parser.  Results of ``+ - * neg diff **`` are built from valid operands
-    and bypass that validation; the degree bound is enforced on each
+    and bypass that validation; the degree limit is enforced on each
     product's total degree by the sum accumulator ``_Sum``, which ``*``
     goes through.
     """
 
-    # _hash and _terms are caches, unset until first asked for
-    __slots__ = ("chart", "_num", "_den", "_hash", "_terms")
+    # _deg bounds the total degree from above; _hash and _terms are caches,
+    # unset until first asked for
+    __slots__ = ("chart", "_num", "_den", "_deg", "_hash", "_terms")
 
     def __init__(self, chart: Chart, terms: Mapping[tuple[int, ...], Scalar]) -> None:
         dim = chart.dim
         deg_shift = SLOT_BITS * dim
         coeffs: dict[int, Scalar] = {}
-        den = 1
+        den, top = 1, 0
         for exp, c in terms.items():
             if len(exp) != dim:
                 raise PolyError(f"exponent tuple {exp} has wrong length for {chart}")
@@ -221,6 +237,7 @@ class Poly:
                     den = lcm(den, c.denominator)
             if c:
                 coeffs[deg << deg_shift | key] = c
+                top = max(top, deg)
         if den != 1:
             # every prime power of den divides some denominator exactly, and
             # that coefficient's scaled numerator is prime to it: no gcd pass
@@ -230,12 +247,13 @@ class Poly:
         self.chart = chart
         self._num = coeffs
         self._den = den
+        self._deg = top
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(chart: Chart) -> "Poly":
-        return _make(chart, {}, 1)
+        return _make(chart, {}, 1, 0)
 
     @staticmethod
     def const(chart: Chart, c: Scalar) -> "Poly":
@@ -243,8 +261,8 @@ class Poly:
         if c.__class__ is not int:
             c = Fraction(c)
             if c:
-                return _make(chart, {0: c.numerator}, c.denominator)
-        return _make(chart, {0: c} if c else {}, 1)
+                return _make(chart, {0: c.numerator}, c.denominator, 0)
+        return _make(chart, {0: c} if c else {}, 1, 0)
 
     @staticmethod
     def var(chart: Chart, name: str) -> "Poly":
@@ -255,7 +273,7 @@ class Poly:
         if not 0 <= i < chart.dim:
             raise IndexError(f"coordinate index {i} out of range for {chart}")
         n = chart.dim
-        return _make(chart, {(1 << SLOT_BITS * n) | (1 << SLOT_BITS * (n - 1 - i)): 1}, 1)
+        return _make(chart, {(1 << SLOT_BITS * n) | (1 << SLOT_BITS * (n - 1 - i)): 1}, 1, 1)
 
     # -- ring operations ---------------------------------------------------
 
@@ -269,12 +287,13 @@ class Poly:
         if other.__class__ is not Poly:
             other = Poly.const(self.chart, other)
         acc = _Sum(self.chart)
-        acc.num, acc.den = dict(self._num), self._den
+        acc.num, acc.den, acc.deg = dict(self._num), self._den, self._deg
         acc.add(other, None, sign)
         return acc.poly()
 
     def __neg__(self) -> "Poly":
-        return _make(self.chart, {k: -c for k, c in self._num.items()}, self._den)
+        return _make(self.chart, {k: -c for k, c in self._num.items()}, self._den,
+                     self._deg)
 
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
         # Poly x Poly is the common case; test it before the scalar isinstance
@@ -290,8 +309,8 @@ class Poly:
             num = {k: c * a for k, c in self._num.items()}
             den = self._den // g
             if b == 1:
-                return _make(self.chart, num, den)
-            return _reduced(self.chart, num, den * b)
+                return _make(self.chart, num, den, self._deg)
+            return _reduced(self.chart, num, den * b, self._deg)
         acc = _Sum(self.chart)
         acc.add(self, other)
         return acc.poly()
@@ -331,9 +350,10 @@ class Poly:
             e = (k >> shift) & _SLOT_MASK
             if e:
                 out[k - step] = c * e
+        deg = self._deg - 1 if self._deg else 0
         if self._den == 1:
-            return _make(self.chart, out, 1)
-        return _reduced(self.chart, out, self._den)
+            return _make(self.chart, out, 1, deg)
+        return _reduced(self.chart, out, self._den, deg)
 
     # -- predicates & misc -------------------------------------------------
 
@@ -399,12 +419,15 @@ def _check_chart(chart: Chart, p: Poly) -> None:
 
 class _Sum:
     """A sum of terms ``sign * x * y`` (``sign * x`` when ``y`` is None),
-    built in place over one shared denominator (see the module docstring)."""
+    built in place over one shared denominator (see the module docstring).
+    ``deg`` is the largest degree bound added, deg x + deg y per product and
+    deg x per plain term, or the exact degree of a product whose bounds
+    exceed the limit; ``poly()`` gives it to the result (0 when empty)."""
 
-    __slots__ = ("chart", "num", "den")
+    __slots__ = ("chart", "num", "den", "deg")
 
     def __init__(self, chart: Chart) -> None:
-        self.chart, self.num, self.den = chart, {}, 1
+        self.chart, self.num, self.den, self.deg = chart, {}, 1, 0
 
     def add(self, x: Poly, y: Poly | None = None, sign: int = 1) -> None:
         chart = self.chart
@@ -414,27 +437,32 @@ class _Sum:
         if y is None:  # x times the unit monomial
             if not a:
                 return
-            d, one, rest = x._den, (0, 1), a
+            d, one, rest, deg = x._den, (0, 1), a, x._deg
         else:
             if y.chart is not chart:
                 _check_chart(chart, y)
             b, d = y._num, x._den * y._den
             if not a or not b:
                 return
-            shift, limit = SLOT_BITS * len(chart.coords), _DEGREE_LIMIT
             if len(b) == 1:
                 (one,), rest = b.items(), a
             elif len(a) == 1:
                 (one,), rest = a.items(), b
             else:
                 one, rest = None, b
-            top = max(a) if one is None else one[0]
-            if (top >> shift) + (max(rest) >> shift) > limit:
-                # Over Q the product has exactly this total degree.  Report
-                # the first monomial past the bound, in product order.
-                deg = next(s + t for s in (k >> shift for k in a)
-                           for t in (k >> shift for k in b) if s + t > limit)
-                raise GrowthLimitError(f"monomial degree {deg} exceeds limit {limit}")
+            deg = x._deg + y._deg
+            if deg > _DEGREE_LIMIT:  # the bounds may overstate: read the keys
+                shift, limit = SLOT_BITS * len(chart.coords), _DEGREE_LIMIT
+                top = max(a) if one is None else one[0]
+                deg = (top >> shift) + (max(rest) >> shift)
+                if deg > limit:
+                    # Over Q the product has exactly this total degree.  Report
+                    # the first monomial past the bound, in product order.
+                    deg = next(s + t for s in (k >> shift for k in a)
+                               for t in (k >> shift for k in b) if s + t > limit)
+                    raise GrowthLimitError(f"monomial degree {deg} exceeds limit {limit}")
+        if deg > self.deg:
+            self.deg = deg
         den = self.den
         if den % d:  # grow the shared denominator to a multiple of d
             new = lcm(den, d)
@@ -463,7 +491,7 @@ class _Sum:
         num = self.num
         if 0 in num.values():
             num = {k: c for k, c in num.items() if c}
-        return _reduced(self.chart, num, self.den)
+        return _reduced(self.chart, num, self.den, self.deg if num else 0)
 
 
 def _rechart(p: Poly, chart: Chart) -> Poly | None:
@@ -484,7 +512,7 @@ def _rechart(p: Poly, chart: Chart) -> Poly | None:
             if k & tail:
                 return None
             num[(k >> old << new) | (k & low) >> down] = c
-    return _make(chart, num, p._den)
+    return _make(chart, num, p._den, p._deg)
 
 
 def _monomial_str(chart: Chart, exp: tuple[int, ...]) -> str:

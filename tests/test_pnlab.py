@@ -226,6 +226,25 @@ class TestMM1:
         assert mm1_identity(c, Xf).passed
         assert counts == {"sharp": 3, "dX": n * n, "in bracket": 0}
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_differentiates_no_constant(self, monkeypatch, n):
+        """A coefficient whose degree bound is 0, such as that of dx_a, gets
+        zero partials without a ``Poly.diff`` call."""
+        constants = []
+        diff = Poly.diff
+
+        def counted_diff(p, i):
+            if not p.total_degree():
+                constants.append(p)
+            return diff(p, i)
+        rng = random.Random(1500 + n)
+        chart = Chart(("x", "y", "z")[:n])
+        c = PNCandidate(rnd_bivector(rng, chart), rnd_endo(rng, chart))
+        Xf = rnd_vf(rng, chart)
+        monkeypatch.setattr(Poly, "diff", counted_diff)
+        assert mm1_identity(c, Xf).passed
+        assert constants == []
+
 
 class TestMM1Failures:
     """Exact failure oracle: C is linear in pi and in r, so a constant

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import decimal
-from lnlab.poly import (Chart, GrowthLimitError, ParseError, Poly, PolyError, _Sum,
-                        get_degree_limit, parse_poly, set_degree_limit)
+from lnlab.poly import (Chart, GrowthLimitError, ParseError, Poly, PolyError, _rechart,
+                        _Sum, get_degree_limit, parse_poly, set_degree_limit)
 
 CH = Chart(("x", "y"))
 X = Poly.var(CH, "x")
@@ -597,3 +597,105 @@ class TestAccumulator:
         assert den > 0 and all(num.values()) and gcd(den, *num.values()) == 1
         assert num or den == 1
         assert p == fold and hash(p) == hash(fold)
+
+
+# -- the degree bound every Poly carries ----------------------------------------
+
+
+def top_part(p):
+    """The terms of p of its top total degree."""
+    return Poly(p.chart, {e: c for e, c in p.terms.items() if sum(e) == p.total_degree()})
+
+
+def stale(p, extra):
+    """p again, through a sum whose top terms cancel: its bound then exceeds
+    its degree by ``extra`` (for extra > 0)."""
+    h = Poly(p.chart, {(p.total_degree() + extra,) + (0,) * (p.chart.dim - 1): 1})
+    return (p + h) - h
+
+
+OPS = ("+", "-", "*", "scale", "neg", "diff", "pow", "parse", "rechart", "cancel")
+
+
+class TestDegreeBound:
+    """``_deg`` bounds the total degree from above after every operation, and
+    the product gate, which reads only the bounds while they are within the
+    limit, raises exactly when the exact degree rule does."""
+
+    def test_constructors_are_exact(self):
+        for p in (Poly(CH, {(2, 1): 1, (0, 1): 3, (5, 0): 0}), Poly.zero(CH),
+                  Poly.const(CH, Fraction(2, 3)), Poly.const(CH, 0), X, Poly(CH3, {})):
+            assert p._deg == p.total_degree()
+
+    @given(small_polys(), small_polys(), st.lists(st.tuples(
+        st.sampled_from(OPS), st.integers(0, 99), st.integers(0, 99)), max_size=8),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    @settings(max_examples=100, deadline=None)
+    def test_bound_covers_the_degree_after_every_operation(self, p, q, program, s):
+        pool = [p, q, stale(p, 2)]
+        for op, i, j in program:
+            a, b = pool[i % len(pool)], pool[j % len(pool)]
+            if op == "+":
+                out = [a + b]
+            elif op == "-":
+                out = [a - b]
+            elif op == "*":
+                out = [a * b]
+            elif op == "scale":
+                out = [a * s, s * a]
+            elif op == "neg":
+                out = [-a]
+            elif op == "diff":
+                out = [a.diff(0), a.diff(1)]
+            elif op == "pow":
+                out = [a ** (j % 3)]
+            elif op == "parse":
+                out = [parse_poly(CH, str(a))]
+            elif op == "rechart":
+                up = _rechart(a, CH3)
+                out = [up, _rechart(up, CH)]
+            else:  # a sum of products whose top terms cancel
+                acc = _Sum(CH)
+                acc.add(a, b)
+                acc.add(b, None, -1)
+                acc.add(top_part(a), b, -1)
+                acc.add(b)
+                out = [acc.poly()]
+                assert out[0] == (a - top_part(a)) * b
+            for r in out:
+                assert r._deg >= r.total_degree()
+            pool += [r for r in out if r.chart == CH and r.total_degree() <= 6]
+
+    @given(small_polys().filter(bool), small_polys().filter(bool), st.integers(0, 3),
+           st.integers(0, 3), st.integers(-1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_gate_raises_exactly_by_the_exact_rule(self, p0, q0, ep, eq, offset):
+        """Operands whose bounds exceed their degrees by ep and eq, under a
+        limit from just below the product's degree to past the bounds' sum."""
+        p, q = stale(p0, ep), stale(q0, eq)
+        assert (p._deg, q._deg) == (p0.total_degree() + ep, q0.total_degree() + eq)
+        limit = max(p0.total_degree() + q0.total_degree() - 1 + offset, 1)
+        old = get_degree_limit()
+        set_degree_limit(limit)
+        try:
+            degs = [sum(e) + sum(f) for e in p.terms for f in q.terms]
+            over = [d for d in degs if d > limit]
+            acc = _Sum(CH)
+            acc.add(X)
+            if over:  # the first monomial past the limit, in product order
+                message = f"monomial degree {over[0]} exceeds limit {limit}"
+                for r in (p, q), (q, p):
+                    with pytest.raises(GrowthLimitError) as by_mul:
+                        _ = r[0] * r[1]
+                    assert str(by_mul.value) == message
+                with pytest.raises(GrowthLimitError) as by_sum:
+                    acc.add(p, q, -1)
+                assert str(by_sum.value) == message
+                assert acc.poly() == X
+            else:
+                pq = p * q
+                assert pq == p0 * q0 and pq._deg <= limit
+                acc.add(p, q, -1)
+                assert acc.deg <= limit and acc.poly() == X - pq
+        finally:
+            set_degree_limit(old)
