@@ -145,8 +145,7 @@ def cotangent_of_poisson(pi: Multivector) -> AlgebroidStructure:
     structure: dict[tuple[int, int], list[Poly]] = {}
     for a in range(n):
         for b in range(a + 1, n):
-            p = pi.coeff((a, b))
-            structure[(a, b)] = [p.diff(k) for k in range(n)]
+            structure[(a, b)] = pi.coeff((a, b)).grad()
     flagged = not schouten(pi, pi).is_zero
     return AlgebroidStructure(cotangent_bundle(chart), anchor, structure,
                               pre_lie_only=flagged)
@@ -320,11 +319,11 @@ def _big_bracket(F: list, G: list, rank: int) -> list[tuple]:
     out: dict = {}
 
     def prep(H: list, other: list) -> list[tuple]:
-        """Each term with its partials d/dx^i where ``other`` carries p_i, and
-        with (i, the p indices less one p_i, multiplicity of p_i) per
-        distinct p_i of its own."""
+        """Each term with its partials d/dx^i if ``other`` carries some p
+        (none if not), and with (i, the p indices less one p_i, multiplicity
+        of p_i) per distinct p_i of its own."""
         ps = {i for t in other for i in t[0]}
-        return [(P, w, f, s, {i: f.diff(i) for i in ps},
+        return [(P, w, f, s, f.grad() if ps else [],
                  [(i, P[:j] + P[j + 1:], P.count(i)) for j, i in enumerate(P)
                   if i not in P[:j]]) for P, w, f, s in H]
 
@@ -402,7 +401,7 @@ def _im_report(A: AlgebroidStructure, D: GenDer) -> CheckReport:
 
     def entries(pairs) -> list[tuple]:
         """(slot, coefficient, its partials) for each nonzero (slot, coefficient)."""
-        return [(v, p, [p.diff(j) for j in range(n)]) for v, p in pairs if p]
+        return [(v, p, p.grad()) for v, p in pairs if p]
     # D_i(u_b) = DX[b][i], l(u_b), rho(u_a) and r(d_i) = rcol[i]
     DX = [[entries(enumerate(col)) for col in zip(*Db.matrix())] for Db in D.d_frame]
     ls = [entries(enumerate(lb.section_components())) for lb in D.l_frame]

@@ -105,13 +105,9 @@ def _sums(out: dict) -> dict:
 
 def _partials(T, slots=None) -> list:
     """(key, coefficient, its partial derivatives) for each term of T; for a
-    vector-valued T, no partials for terms outside the value ``slots`` if given.
-    A constant coefficient (degree bound 0) gets zero partials, with no
-    ``diff`` call."""
-    n = T.chart.dim
-    zeros = [Poly.zero(T.chart)] * n
-    return [(key, p, ([p.diff(i) for i in range(n)] if p._deg else zeros)
-             if slots is None or key[1] in slots else []) for key, p in T.coeffs.items()]
+    vector-valued T, no partials for terms outside the value ``slots`` if given."""
+    return [(key, p, p.grad() if slots is None or key[1] in slots else [])
+            for key, p in T.coeffs.items()]
 
 
 def _slot_d(entries: list) -> dict[int, dict]:
@@ -308,10 +304,9 @@ def _d_into(out: dict, a: DiffForm, slot=None) -> None:
     """Add ``exterior_d(a)`` into the sums at ``out``, keyed by index tuple,
     or by (index tuple, ``slot``) like VForm when a slot is given."""
     for idx, p in a.coeffs.items():
-        for i in range(a.chart.dim):
-            m = sort_index((i,) + idx)
-            dp = p.diff(i) if m else None
-            if dp:
+        for i, dp in enumerate(p.grad()):
+            m = sort_index((i,) + idx) if dp else None
+            if m:
                 _accumulate(out, m[0] if slot is None else (m[0], slot), dp, None, m[1])
 
 
@@ -512,22 +507,24 @@ def lie_derivative_vvf(K: VForm, a: DiffForm) -> DiffForm:
         out, K.degree, _symbol_slots(_partials(K, used)), _partials(A), 1))
 
 
-def _derive_into(out: dict, key, comps: Sequence[Poly], p: Poly, sign: int = 1) -> None:
+def _derive_into(out: dict, key, comps: Sequence[Poly], dp: list[Poly], sign: int = 1) -> None:
     """Add ``sign * X(p)``, X(p) = sum_i X^i d_i p for the vector field X with
-    components ``comps``, into the sum at ``out[key]``."""
-    for i, c in enumerate(comps):
+    components ``comps``, into the sum at ``out[key]``, given ``dp = p.grad()``."""
+    for c, q in zip(comps, dp):
         if c:
-            _accumulate(out, key, c, p.diff(i), sign)
+            _accumulate(out, key, c, q, sign)
 
 
 def vf_bracket(X: VForm, Y: VForm) -> VForm:
     """Lie bracket of vector fields."""
     _check_tangent(X)
+    if X.chart != Y.chart:
+        raise PolyError("chart mismatch")
     xs, ys = X.section_components(), Y.section_components()
     out: dict = {}
     for v, (x, y) in enumerate(zip(xs, ys)):
-        _derive_into(out, ((), v), xs, y)
-        _derive_into(out, ((), v), ys, x, -1)
+        _derive_into(out, ((), v), xs, y.grad())
+        _derive_into(out, ((), v), ys, x.grad(), -1)
     return VForm._trusted(X.chart, 0, len(xs), _sums(out))
 
 
@@ -587,19 +584,20 @@ def _fn_bracket(K: VForm, L: VForm, part) -> VForm:
 def nijenhuis_torsion(r: VForm) -> VForm:
     """N_r(X, Y) = [rX, rY] - r([rX, Y] + [X, rY] - r([X, Y])) on frame pairs:
     on d/dx_i, d/dx_j the r^2 term drops, rX is column i of r's matrix and
-    [rX, Y] + [X, rY] = d_i rY - d_j rX."""
+    [rX, Y] + [X, rY] = d_i rY - d_j rX.  Each entry's gradient is taken once."""
     _check_tangent(r)
     if r.degree != 1:
         raise ValueError("torsion is defined for degree-1 forms")
     n, M, out = r.chart.dim, r.matrix(), {}
     cols = [[row[i] for row in M] for i in range(n)]
+    grads = [[p.grad() for p in col] for col in cols]  # grads[i][u][k] = d_k r^u_i
     for i, ri in enumerate(cols):
         for j, rj in enumerate(cols[i + 1:], i + 1):
-            w = [rj[u].diff(i) - ri[u].diff(j) for u in range(n)]
+            w = [grads[j][u][i] - grads[i][u][j] for u in range(n)]
             for v in range(n):
                 key = ((i, j), v)
-                _derive_into(out, key, ri, rj[v])
-                _derive_into(out, key, rj, ri[v], -1)
+                _derive_into(out, key, ri, grads[j][v])
+                _derive_into(out, key, rj, grads[i][v], -1)
                 for c, wu in zip(M[v], w):
                     if c and wu:
                         _accumulate(out, key, c, wu, -1)

@@ -259,14 +259,11 @@ def build_drT(r: VForm) -> GenDer:
     chart = r.chart
     if r.vals != chart.dim:
         raise PolyError("expected a tangent-valued form")
-    bundle = tangent_bundle(chart)
-    d_out = []
-    l_out = [] if r.degree > 0 else None
-    for a in range(chart.dim):
-        d_out.append(VForm._trusted(chart, r.degree, chart.dim,
-                                    {key: p.diff(a) for key, p in r.coeffs.items()}))
-        if l_out is not None:
-            l_out.append(r.insert_vector(bundle.frame_section(a)))
+    bundle, grads = tangent_bundle(chart), {key: p.grad() for key, p in r.coeffs.items()}
+    d_out = [VForm._trusted(chart, r.degree, chart.dim, {key: g[a] for key, g in grads.items()})
+             for a in range(chart.dim)]
+    l_out = ([r.insert_vector(bundle.frame_section(a)) for a in range(chart.dim)]
+             if r.degree > 0 else None)
     return GenDer(bundle, r.degree, d_out, l_out, r)
 
 

@@ -55,15 +55,9 @@ def _comps(a: DiffForm) -> list[Poly]:
     return [a.coeffs.get((i,), z) for i in range(a.chart.dim)]
 
 
-def _grad(comps: list[Poly]) -> list[list[Poly]]:
-    """g[j][k] = d_k comps[j]; a constant (degree bound 0) is not differentiated."""
-    return [[p.diff(k) for k in range(p.chart.dim)] if p._deg
-            else [Poly.zero(p.chart)] * p.chart.dim for p in comps]
-
-
 def _curl(comps: list[Poly]) -> list[list[Poly]]:
     """c[i][k] = d_i comps[k] - d_k comps[i], the components of d(comps)."""
-    g = _grad(comps)
+    g = [p.grad() for p in comps]
     c = [[Poly.zero(p.chart)] * len(comps) for p in comps]
     for i in range(len(comps)):
         for k in range(i + 1, len(comps)):
@@ -113,12 +107,12 @@ def _U(prep, core) -> list[Poly]:
 def _a_more(prep, core):
     """What C(a, .) reads of a only when a or b is not constant: U, (grad U)^T, da."""
     U = _U(prep, core)
-    return U, transpose(_grad(U)), _curl(core[0])
+    return U, transpose([p.grad() for p in U]), _curl(core[0])
 
 
 def _b_more(prep, core):
     """What C(., b) reads of b only when a or b is not constant: V and grad b."""
-    return _U(prep, core), _grad(core[0])
+    return _U(prep, core), [p.grad() for p in core[0]]
 
 
 def _constant(v: list[Poly]) -> bool:
@@ -129,13 +123,14 @@ def _a_role(prep, core):
     """What C(a, .) reads of a: its core, ``_a_more`` (None for a constant
     a), (grad pi# a)^T and d(r*a)."""
     more = None if _constant(core[0]) else _a_more(prep, core)
-    return core, more, transpose(_grad(core[2])), _curl(core[1])
+    return core, more, transpose([p.grad() for p in core[2]]), _curl(core[1])
 
 
 def _b_role(prep, core):
     """What C(., b) reads of b: its core, ``_b_more`` (None for a constant
     b) and grad r*b."""
-    return core, None if _constant(core[0]) else _b_more(prep, core), _grad(core[1])
+    more = None if _constant(core[0]) else _b_more(prep, core)
+    return core, more, [p.grad() for p in core[1]]
 
 
 def _pair(chart: Chart, prep, a_role, b_role) -> DiffForm:
@@ -158,7 +153,7 @@ def _pair_into(sums: list[_Sum], prep, a_role, b_role, sign: int = 1) -> None:
         f = _Sum(sums[0].chart)
         _dot_into(f, rb, pa)
         _dot_into(f, pb, ra)
-        f = f.poly()
+        df = f.poly().grad()
     else:
         U, dUt, da = a_more or _a_more(prep, a_role[0])
         V, db = b_more or _b_more(prep, b_role[0])
@@ -171,8 +166,7 @@ def _pair_into(sums: list[_Sum], prep, a_role, b_role, sign: int = 1) -> None:
     neg = pa + rb + pb
     for k, acc in enumerate(sums):
         if constant:
-            if f._deg:
-                acc.add(f.diff(k), None, sign)
+            acc.add(df[k], None, sign)
         else:
             _dot_into(acc, pos, db[k] + dUt[k] + da[k], sign)
         _dot_into(acc, neg, drb[k] + dpat[k] + dra[k], -sign)

@@ -22,6 +22,9 @@ by a number and ``_rechart`` keep it, ``diff`` lowers it by one (not below
 0), and a sum takes the largest bound it has added (deg x + deg y for a
 product).  It may exceed the degree when top terms cancel.  Equality,
 hashing, ``terms`` and ``total_degree()`` read the terms, never the bound.
+Every partial derivative the package forms goes through ``grad``, which
+gives all n partials at once: a bound of 0 means n zeros and no ``diff``
+call.  No other module reads the bound.
 
 A sum of products (a bracket, a wedge, a matrix product) is built by the
 private accumulator ``_Sum``: its terms are added in place into one map of
@@ -354,6 +357,14 @@ class Poly:
         if self._den == 1:
             return _make(self.chart, out, 1, deg)
         return _reduced(self.chart, out, self._den, deg)
+
+    def grad(self) -> list["Poly"]:
+        """The partials ``[d_0 p, ..., d_(n-1) p]`` in chart order.  Every
+        partial derivative the package forms goes through here: a constant
+        (degree bound 0) gets n zeros with no ``diff`` call, any other Poly
+        one ``diff`` per coordinate."""
+        n = len(self.chart.coords)
+        return [self.diff(i) for i in range(n)] if self._deg else [Poly.zero(self.chart)] * n
 
     # -- predicates & misc -------------------------------------------------
 

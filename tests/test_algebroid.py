@@ -5,6 +5,8 @@ from fractions import Fraction
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lnlab.poly import (Chart, GrowthLimitError, Poly, PolyError, get_degree_limit,
                         set_degree_limit)
@@ -853,3 +855,48 @@ class TestValidateItems:
         assert failing["non-poisson"] == {"anchor morphism", "Jacobi identity"}
         assert failing["deformed-TM"] == {"anchor morphism", "Jacobi identity"}
         assert not any(failing[label] for label, _ in VALIDATE_CASES if ":" in label)
+
+
+# zero, a constant, or a polynomial of degree <= 1 over R^2
+LOW_POLYS = st.one_of(
+    st.just(ZERO), st.integers(-2, 2).map(lambda c: Poly.const(CH2, c)),
+    st.dictionaries(st.sampled_from(((0, 0), (1, 0), (0, 1))), st.integers(-2, 2),
+                    max_size=3).map(lambda t: Poly(CH2, t)))
+
+
+def low_rows(count: int, width: int):
+    return st.lists(st.lists(LOW_POLYS, min_size=width, max_size=width),
+                    min_size=count, max_size=count)
+
+
+@st.composite
+def anchored_brackets(draw):
+    """A random anchored bracket of rank 1-3 over R^2, a frame matrix and a
+    degree-1 derivation on the same bundle, each entry from ``LOW_POLYS``."""
+    rank = draw(st.integers(1, 3))
+    E = FramedBundle(CH2, ("e1", "e2", "e3")[:rank])
+    A = AlgebroidStructure(E, draw(low_rows(rank, 2)),
+                           {(a, b): draw(low_rows(1, rank))[0]
+                            for a in range(rank) for b in range(a + 1, rank)})
+    d_frame = [VForm(CH2, 1, rank, {((i,), v): row[v] for i, row in enumerate(rows)
+                                    for v in range(rank)}) for rows in draw(
+                   st.lists(low_rows(2, rank), min_size=rank, max_size=rank))]
+    l_frame = [VForm.section(CH2, row) for row in draw(low_rows(rank, rank))]
+    r = VForm(CH2, 1, 2, {((i,), v): row[v] for i, row in enumerate(draw(low_rows(2, 2)))
+                          for v in range(2)})
+    return A, draw(low_rows(rank, rank)), GenDer(E, 1, d_frame, l_frame, r)
+
+
+class TestRandomAnchoredBrackets:
+    """Every reading of ``_big_bracket`` and of the IM frame data against its
+    section-bracket oracle, on Hypothesis-drawn anchored brackets."""
+
+    @given(anchored_brackets())
+    @settings(max_examples=100, deadline=None)
+    def test_readings_match_the_oracles(self, drawn):
+        A, M, D = drawn
+        assert items(A.validate()) == ref_validate(A)
+        got, want = deform_algebroid(A, M), ref_deform(A, M)
+        assert (got.anchor, got.structure) == (want.anchor, want.structure)
+        assert items(algebroid_torsion(A, M)) == ref_torsion(A, M)
+        assert items(check_im(A, D)) == ref_check_im(A, D)

@@ -158,3 +158,11 @@ def test_every_public_method_has_a_user():
     assert not flagged, f"public methods without a user: {', '.join(flagged)}"
     stale = sorted(KEEP_METHODS.keys() - unused.keys())
     assert not stale, f"KEEP_METHODS entries that name nothing or now have a user: {stale}"
+
+
+def test_only_poly_differentiates():
+    # every partial derivative goes through Poly.grad, so no module but poly
+    # loads the degree bound or calls diff
+    loaders = [f"{path.name}:{name}" for path in sorted(SRC.glob("*.py")) if path.name != "poly.py"
+               for name in ("_deg", "diff") if _loads(ast.parse(path.read_text()))[name]]
+    assert not loaders, f"loads outside poly: {', '.join(loaders)}"

@@ -592,6 +592,22 @@ def test_brackets_form_each_product_once(monkeypatch):
         assert len(products) == expected
 
 
+def test_torsion_forms_each_partial_once(monkeypatch):
+    """N_r of a dense endomorphism over CH3 takes each matrix entry's
+    gradient once per call, not once per frame pair."""
+    rng = random.Random(18)
+    r = VForm(CH3, 1, 3, {((i,), v): dense_poly(rng, CH3) for i in range(3) for v in range(3)})
+    seen, diff = [], Poly.diff
+
+    def counted(p, i):
+        seen.append((p, i))
+        return diff(p, i)
+    monkeypatch.setattr(Poly, "diff", counted)
+    assert not nijenhuis_torsion(r).is_zero
+    assert sorted((id(p), i) for p, i in seen) == sorted(
+        (id(p), i) for p in r.coeffs.values() for i in range(3))
+
+
 def test_concomitant_C_products(monkeypatch):
     """Products formed by C on dense pi and r over CH3.  A coframe pair
     reads r*v and pi# v as matrix columns and U and V only through
@@ -708,6 +724,15 @@ class TestKernelErrorContract:
                 mat_vec(M, v)
         with pytest.raises(PolyError, match="chart mismatch"):
             vf_bracket(VForm.section(CH2, [X2, Y2]), VForm.section(CH3, [zero3] * 3))
+
+    def test_vf_bracket_across_charts(self):
+        # the only nonzero component is on a coordinate the other chart lacks
+        zero2, zero3 = Poly.zero(CH2), Poly.zero(CH3)
+        X = VForm.section(CH3, [zero3, zero3, Poly.var(CH3, "z")])
+        Y = VForm.section(CH2, [zero2, zero2])
+        for P, Q in ((X, Y), (Y, X)):
+            with pytest.raises(PolyError, match="chart mismatch"):
+                vf_bracket(P, Q)
 
     def test_non_tangent_form(self):
         bundle_valued = VForm(CH2, 1, 3, {((0,), 2): X2})

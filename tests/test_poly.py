@@ -614,7 +614,7 @@ def stale(p, extra):
     return (p + h) - h
 
 
-OPS = ("+", "-", "*", "scale", "neg", "diff", "pow", "parse", "rechart", "cancel")
+OPS = ("+", "-", "*", "scale", "neg", "diff", "grad", "pow", "parse", "rechart", "cancel")
 
 
 class TestDegreeBound:
@@ -647,6 +647,8 @@ class TestDegreeBound:
                 out = [-a]
             elif op == "diff":
                 out = [a.diff(0), a.diff(1)]
+            elif op == "grad":
+                out = a.grad()
             elif op == "pow":
                 out = [a ** (j % 3)]
             elif op == "parse":
@@ -699,3 +701,37 @@ class TestDegreeBound:
                 assert acc.deg <= limit and acc.poly() == X - pq
         finally:
             set_degree_limit(old)
+
+
+# -- the gradient, through which every partial derivative is formed -------------
+
+@st.composite
+def chart_polys(draw):
+    """A chart of dimension 0-4 and on it zero, a constant, or up to four
+    terms of degree <= 2, with integer or fractional coefficients."""
+    chart = draw(st.sampled_from(CHARTS + (Chart(("x", "y", "z", "w")),)))
+    coeff = draw(st.sampled_from((st.integers(-3, 3), FRACTIONAL)))
+    exps = st.tuples(*[st.integers(0, 2)] * chart.dim)
+    terms = draw(st.one_of(st.just({}), coeff.map(lambda c: {(0,) * chart.dim: c}),
+                           st.dictionaries(exps, coeff, max_size=4)))
+    return Poly(chart, terms)
+
+
+class TestGrad:
+    @given(chart_polys())
+    @settings(max_examples=150, deadline=None)
+    def test_is_every_diff_and_skips_constants(self, p):
+        n, diff, calls = p.chart.dim, Poly.diff, []
+
+        def counted(q, i):
+            calls.append(i)
+            return diff(q, i)
+        Poly.diff = counted
+        try:
+            g = p.grad()
+        finally:
+            Poly.diff = diff
+        assert g == [p.diff(i) for i in range(n)]
+        assert all(q._deg >= q.total_degree() for q in g)
+        # a constant makes no diff call; any other Poly one per coordinate
+        assert calls == ([] if p.total_degree() == 0 else list(range(n)))

@@ -183,6 +183,22 @@ class TestCatalog:
         assert code == (1 if name == "pn-J2" else 0)
         assert capsys.readouterr().out == (GOLDENS / f"{name}.txt").read_text()
 
+    def test_differentiates_no_constant(self, monkeypatch, capsys):
+        """Every partial goes through ``Poly.grad``, which gives a constant
+        zero partials with no ``Poly.diff`` call."""
+        calls, constants, diff = [], [], Poly.diff
+
+        def counted(p, i):
+            calls.append(i)
+            if not p.total_degree():
+                constants.append(p)
+            return diff(p, i)
+        monkeypatch.setattr(Poly, "diff", counted)
+        for name in example_names():
+            main(["examples", "run", name, "--format", "table"])
+        capsys.readouterr()
+        assert calls and constants == []
+
     def test_show_is_verbatim(self, capsys):
         main(["examples", "show", "pn-xid"])
         assert capsys.readouterr().out == example_source("pn-xid")

@@ -7,7 +7,9 @@ nanoseconds per call:
   factor has one term (nx1), whose factors both have several (nxm), and on
   plain terms, for dimension-2 inputs of degree at most 1 and for
   dimension-3 inputs of degree 3 and 4;
-- ``Poly.diff`` on a constant, a linear and a dense input;
+- ``Poly.diff`` and ``Poly.grad``, through which the package forms every
+  partial, each on a constant, a linear input in dimension 2 and a dense
+  input in dimension 3 of degree 4;
 - ``_Sum.poly()``, which finishes a sum.
 
 A product accumulates into one sum per timing, with alternating signs so its
@@ -68,6 +70,9 @@ def cases() -> list[tuple[str, object]]:
         ("Poly.diff constant", lambda: const.diff(0)),
         ("Poly.diff linear, dim 2", lambda: a.diff(0)),
         ("Poly.diff dense, dim 3, deg 4", lambda: q4.diff(1)),
+        ("Poly.grad constant", const.grad),
+        ("Poly.grad linear, dim 2", a.grad),
+        ("Poly.grad dense, dim 3, deg 4", q4.grad),
         ("_Sum.poly dim 3, deg 7", finished.poly),
     ]
 
