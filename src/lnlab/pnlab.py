@@ -3,6 +3,14 @@
 A candidate is a bivector pi and an endomorphism r on the same chart.  The
 module computes the compatibility concomitants exactly, decides the PN
 property, and cross-checks it against the bialgebroid characterization.
+
+``check_pn`` reads selfadjointness and the concomitant C off two anchored
+brackets on T*M: the bracket of r o pi#, and the Koszul bracket of pi
+deformed by r* (Magri & Morosi 1984; Kosmann-Schwarzbach, "The Lie
+bialgebroid of a Poisson-Nijenhuis manifold", Lett. Math. Phys. 38, 1996).
+Selfadjointness is the equality of their anchors, and C on the coframe is
+the difference of their brackets.  ``concomitant_C`` forms C on arbitrary
+1-forms from the terms of its definition, with no algebroid.
 """
 
 from __future__ import annotations
@@ -10,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .poly import Chart, Poly, PolyError, _Sum
-from .forms import (DiffForm, Multivector, VForm, _check_tangent, _lie_into,
+from .forms import (DiffForm, Multivector, VForm, _lie_into,
                     _on_scalar, _partials, _symbol_slots, bivector_from_sharp,
                     frolicher_nijenhuis, interior_vvf, lie_derivative_vvf,
                     nijenhuis_torsion, schouten, sharp, sharp_matrix)
@@ -178,8 +186,10 @@ def concomitant_C(pi: Multivector, r: VForm, a: DiffForm, b: DiffForm) -> DiffFo
         C(a, b) = [a, b]_{r o pi} - [r*a, b]_pi - [a, r*b]_pi + r*([a, b]_pi)
 
     defined for arbitrary polynomial 1-forms, skewness of r o pi not required;
-    r*a = a o r.  For a bundle map M: T*M -> TM the bracket is
-    [a, b]_M = L_{M a} b - i_{M b} da, in components
+    r*a = a o r.  Raises ``PolyError`` unless pi is a bivector, r a
+    tangent-valued 1-form and a, b 1-forms, all on one chart.  For a bundle
+    map M: T*M -> TM the bracket is [a, b]_M = L_{M a} b - i_{M b} da, in
+    components
 
         ([a, b]_M)_k = X^i d_i b_k + b_i d_k X^i + Y^i (da)_ki,
         X = M a,  Y = M b,  (da)_ki = d_k a_i - d_i a_k.
@@ -223,9 +233,10 @@ def concomitant_C(pi: Multivector, r: VForm, a: DiffForm, b: DiffForm) -> DiffFo
     terms in U and V (d_k <b, U> forms none) and those in pi# a, r*b and
     pi# b.
     """
-    _check_tangent(r)
-    if not pi.chart == r.chart == a.chart == b.chart:
-        raise PolyError("chart mismatch")
+    PNCandidate(pi, r)  # a bivector and a tangent-valued 1-form on one chart
+    if not all(isinstance(f, DiffForm) and f.degree == 1 and f.chart == pi.chart
+               for f in (a, b)):
+        raise PolyError("concomitant C takes two 1-forms on the chart of pi")
     prep = _prep(pi, r)
     return _pair(a.chart, prep, _a_role(prep, _core(prep, _comps(a))),
                  _b_role(prep, _core(prep, _comps(b))))
@@ -253,34 +264,36 @@ def concomitant_R(pi: Multivector, r: VForm, a: DiffForm, X: VForm) -> VForm:
     return sharp(pi, inner) - lr.insert_vector(X)
 
 
-def _pi_r(pi: Multivector, r: VForm) -> tuple[Multivector | list[list[Poly]],
-                                              list[list[Poly]]]:
-    """pi_r when the selfadjointness defect vanishes, else the raw composite
-    matrix of r o pi#; and the defect matrix."""
-    S = sharp_matrix(pi)
-    rm = r.matrix()
-    left = mat_mul(rm, S)
-    right = mat_mul(S, transpose(rm))
-    defect = [[l - q for l, q in zip(lr, qr)] for lr, qr in zip(left, right)]
+def _compatibility(c: PNCandidate):
+    """(pi_r when r o pi# is selfadjoint, else the raw composite matrix; the
+    selfadjointness defect matrix; C on the coframe pairs (dx_a, dx_b), a < b).
+
+    The deformed Koszul algebroid has anchor pi# o r*, so the defect is
+    r o pi# minus that anchor.  [dx_a, dx_b]_{r o pi#} = d((r o pi#)_ba) for
+    every r, so C(dx_a, dx_b) is that minus the deformed structure functions
+    at (a, b).  r o pi# is formed first, so a degree-limit error names it."""
+    chart, n = c.chart, c.chart.dim
+    rm = c.r.matrix()
+    left = mat_mul(rm, sharp_matrix(c.pi))
+    koszul = deform_algebroid(cotangent_of_poisson(c.pi), transpose(rm))
+    defect = [[p - q for p, q in zip(row, col)] for row, col in zip(left, zip(*koszul.anchor))]
+    zero = [Poly.zero(chart)] * n
+    C_table = {(a, b): DiffForm._trusted(chart, 1, {
+        (k,): g - s for k, (g, s) in enumerate(zip(
+            left[b][a].grad(), koszul.structure.get((a, b), zero)))})
+        for a in range(n) for b in range(a + 1, n)}
     if all(p.is_zero for row in defect for p in row):
-        return bivector_from_sharp(pi.chart, left), defect
-    return left, defect
-
-
-def _C_table(c: PNCandidate) -> dict[tuple[int, int], DiffForm]:
-    """C on the coframe pairs (dx_a, dx_b), a < b."""
-    prep = _prep(c.pi, c.r)
-    A, B = _coframe_roles(prep, identity(c.chart, c.chart.dim))
-    return {(a, b): _pair(c.chart, prep, A[a], B[b]) for a in A for b in B if a < b}
+        return bivector_from_sharp(chart, left), defect, C_table
+    return left, defect, C_table
 
 
 def concomitants(c: PNCandidate):
     """All compatibility data: (pi_r or raw composite, C table, R table,
-    selfadjointness defect matrix)."""
+    selfadjointness defect matrix).  The C table and the defect come from
+    ``_compatibility``; R is formed on every (dx_a, d/dx_i)."""
     chart = c.chart
     n = chart.dim
-    pi_r, defect = _pi_r(c.pi, c.r)
-    C_table = _C_table(c)
+    pi_r, defect, C_table = _compatibility(c)
     R_table = {}
     fields = [tangent_bundle(chart).frame_section(i) for i in range(n)]
     for a in range(n):
@@ -292,18 +305,24 @@ def concomitants(c: PNCandidate):
 
 def check_pn(c: PNCandidate) -> CheckReport:
     """PN verdict: pi Poisson, r o pi# selfadjoint, concomitant zero, and
-    vanishing Nijenhuis torsion."""
+    vanishing Nijenhuis torsion.
+
+    (pi, r) with r torsion-free and pi Poisson is PN exactly when two
+    anchored brackets on T*M agree: the bracket of r o pi#, and the Koszul
+    bracket of pi deformed by r* (Magri & Morosi 1984; Kosmann-Schwarzbach,
+    "The Lie bialgebroid of a Poisson-Nijenhuis manifold", Lett. Math. Phys.
+    38, 1996).  Selfadjointness is the equality of their anchors, and each
+    concomitant C item the difference of their brackets on one coframe pair
+    (``_compatibility``)."""
     report = CheckReport("Poisson-Nijenhuis pair")
     chart = c.chart
     report.add_zero("Poisson condition [pi,pi]", schouten(c.pi, c.pi))
-    pi_r_obj, defect = _pi_r(c.pi, c.r)
+    pi_r_obj, defect, C_table = _compatibility(c)
     flat = [p for row in defect for p in row if not p.is_zero]
     report.add("selfadjoint composite r o pi#", not flat,
                defect=flat or None)
-    C_table = _C_table(c)
-    for key in sorted(C_table):
-        a, b = key
-        report.add_zero("concomitant C", C_table[key],
+    for (a, b), C in C_table.items():
+        report.add_zero("concomitant C", C,
                         detail=f"(d{chart.coords[a]},d{chart.coords[b]})")
     report.add_zero("Nijenhuis torsion N_r", nijenhuis_torsion(c.r))
     if isinstance(pi_r_obj, Multivector):

@@ -9,6 +9,13 @@ endomorphism (diagonal coordinate functions, x1 times the identity, or a
 sparse constant matrix), to which half the draws add one monomial of degree
 0-2 in one entry.  The result is often a torsion that is constant or zero,
 where a checker that reads only part of [D^r, D^r] goes wrong.
+
+Equivalence 5 holds for every (pi, r): each concomitant C item of
+``check_pn`` is ``concomitant_C`` on a coframe pair, and the selfadjointness
+item is the equality of r o pi# and pi# o r*.  ``check_pn`` reads both off a
+deformed Koszul algebroid and ``concomitant_C`` forms C term by term, so
+each is the other's oracle.  It runs on the near misses and on dense random
+(pi, r), where r o pi# is rarely selfadjoint and pi rarely Poisson.
 """
 
 import pytest
@@ -16,11 +23,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lnlab.poly import Chart, Poly, PolyError
-from lnlab.forms import Multivector, VForm, nijenhuis_torsion
+from lnlab.forms import DiffForm, Multivector, VForm, nijenhuis_torsion, sharp_matrix
 from lnlab.gder import bracket, build_drT, dual
 from lnlab.algebroid import cotangent_of_poisson, tangent_algebroid
 from lnlab.lnb import LNCandidate, base_pn, check_lnb
-from lnlab.pnlab import PNCandidate, check_pn, kosmann_equivalence
+from lnlab.matrix import mat_mul, transpose
+from lnlab import pnlab
+from lnlab.pnlab import PNCandidate, check_pn, concomitant_C, kosmann_equivalence
 
 CHARTS = {n: Chart(tuple(f"x{i}" for i in range(1, n + 1))) for n in (2, 3, 4)}
 
@@ -92,3 +101,52 @@ def test_pn_lnb_and_kosmann_verdicts_agree(case):
     else:
         with pytest.raises(PolyError, match="not a Lie-Nijenhuis"):
             base_pn(c)
+
+
+@st.composite
+def dense_pair(draw):
+    """(pi, r) on R^2, R^3 or R^4 with every entry of pi and of r an affine
+    function, coefficients in [-2, 2]."""
+    n = draw(st.sampled_from(sorted(CHARTS)))
+    ch = CHARTS[n]
+    affine = st.lists(st.integers(-2, 2), min_size=n + 1, max_size=n + 1).map(
+        lambda cs: Poly(ch, {tuple(int(i == k) for i in range(n)): c
+                             for k, c in enumerate(cs, -1)}))
+    pi = {(i, j): draw(affine) for i in range(n) for j in range(i + 1, n)}
+    r = {((i,), v): draw(affine) for i in range(n) for v in range(n)}
+    return Multivector(ch, 2, pi), VForm(ch, 1, n, r)
+
+
+def _no_pair_into(*args):
+    raise AssertionError("check_pn formed C through the role path")
+
+
+def assert_equivalence_5(pi, r):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pnlab, "_pair_into", _no_pair_into)
+        rep = check_pn(PNCandidate(pi, r))
+    ch = pi.chart
+    basis = [DiffForm.basis(ch, (a,)) for a in range(ch.dim)]
+    pairs = [(a, b) for a in range(ch.dim) for b in range(a + 1, ch.dim)]
+    items = [i for i in rep.items if i.law == "concomitant C"]
+    assert [i.detail for i in items] == [f"(d{ch.coords[a]},d{ch.coords[b]})"
+                                         for a, b in pairs]
+    for item, (a, b) in zip(items, pairs):
+        want = concomitant_C(pi, r, basis[a], basis[b])
+        assert item.passed == want.is_zero
+        assert item.defect == (None if want.is_zero else want)
+    S, M = sharp_matrix(pi), r.matrix()
+    (selfadj,) = [i for i in rep.items if i.law == "selfadjoint composite r o pi#"]
+    assert selfadj.passed == (mat_mul(M, S) == mat_mul(S, transpose(M)))
+
+
+@given(near_miss())
+@settings(max_examples=40, deadline=None)
+def test_check_pn_C_items_are_concomitant_C_on_near_misses(case):
+    assert_equivalence_5(*case)
+
+
+@given(dense_pair())
+@settings(max_examples=40, deadline=None)
+def test_check_pn_C_items_are_concomitant_C_for_dense_r(case):
+    assert_equivalence_5(*case)

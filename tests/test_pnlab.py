@@ -155,6 +155,24 @@ class TestConcomitants:
         with pytest.raises(PolyError):
             concomitant_C(PI0, XID, a, rnd_one_form(rng, CH3))
 
+    def test_C_rejects_inputs_of_the_wrong_degree(self):
+        """A 2-form argument is not read as the zero 1-form, and a degree-2
+        r or a 3-vector pi raises ``PolyError``."""
+        x, y, z = (Poly.var(CH3, c) for c in "xyz")
+        one = Poly.const(CH3, 1)
+        pi = Multivector(CH3, 2, {(0, 1): z, (1, 2): x})
+        r = VForm(CH3, 1, 3, {((0,), 1): y, ((1,), 1): x, ((2,), 0): one})
+        a = DiffForm(CH3, 2, {(0, 1): x})
+        b = DiffForm(CH3, 1, {(0,): y, (2,): x})
+        bad = [(pi, r, a, b), (pi, r, b, a), (pi, r, DiffForm(CH3, 0, {(): x}), b),
+               (pi, r, b, Multivector(CH3, 1, {(0,): x})),
+               (pi, VForm(CH3, 2, 3, {((0, 1), 0): one}), b, b),
+               (Multivector(CH3, 3, {(0, 1, 2): one}), r, b, b)]
+        for args in bad:
+            with pytest.raises(PolyError):
+                concomitant_C(*args)
+        assert concomitant_C(pi, r, b, b) == ref_concomitant_C(pi, r, b, b)
+
 
 class TestMM1:
     def test_holds_for_random_data(self):
