@@ -139,16 +139,16 @@ def cotangent_of_poisson(pi: Multivector) -> AlgebroidStructure:
     A non-closed (non-Poisson) bivector still yields bracket data; the result
     is then flagged pre-Lie only.
     """
-    chart = pi.chart
-    n = chart.dim
+    return _koszul(pi, not schouten(pi, pi).is_zero)
+
+
+def _koszul(pi: Multivector, pre_lie_only: bool = False) -> AlgebroidStructure:
+    """The bracket data of ``cotangent_of_poisson``, flagged as given, so a
+    caller that has formed [pi, pi] or needs no flag does not form it again."""
+    n = pi.chart.dim
     anchor = transpose(sharp_matrix(pi))  # row a: sharp(dx_a)
-    structure: dict[tuple[int, int], list[Poly]] = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            structure[(a, b)] = pi.coeff((a, b)).grad()
-    flagged = not schouten(pi, pi).is_zero
-    return AlgebroidStructure(cotangent_bundle(chart), anchor, structure,
-                              pre_lie_only=flagged)
+    structure = {(a, b): pi.coeff((a, b)).grad() for a in range(n) for b in range(a + 1, n)}
+    return AlgebroidStructure(cotangent_bundle(pi.chart), anchor, structure, pre_lie_only)
 
 
 def deform_algebroid(A: AlgebroidStructure, M: list[list[Poly]]) -> AlgebroidStructure:

@@ -9,8 +9,19 @@ brackets on T*M: the bracket of r o pi#, and the Koszul bracket of pi
 deformed by r* (Magri & Morosi 1984; Kosmann-Schwarzbach, "The Lie
 bialgebroid of a Poisson-Nijenhuis manifold", Lett. Math. Phys. 38, 1996).
 Selfadjointness is the equality of their anchors, and C on the coframe is
-the difference of their brackets.  ``concomitant_C`` forms C on arbitrary
-1-forms from the terms of its definition, with no algebroid.
+the difference of their brackets; the Koszul algebroid deformed there is
+built without [pi, pi], which ``check_pn`` forms once for its first item.
+
+``concomitant_C`` forms C on arbitrary 1-forms, with no algebroid, from one
+formula that Cartan's formula gives for every pair (with U = r pi# - pi# r*):
+
+    C(a, b) = d<r*a, pi# b> + i_{pi# b} d(r*a) - i_{pi# a} d(r*b)
+              + r*([a, b]_pi) + i_{U a} db - i_{U b} da.
+
+Each form enters it through one role, the same in either slot, and U is
+formed only against a form that is not closed; ``mm1_identity`` pairs only
+closed forms (dx_a and L_X dx_a), so it never forms U.  ``concomitant_C``
+documents the order of the products.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from .forms import (DiffForm, Multivector, VForm, _lie_into,
                     _on_scalar, _partials, _symbol_slots, bivector_from_sharp,
                     frolicher_nijenhuis, interior_vvf, lie_derivative_vvf,
                     nijenhuis_torsion, schouten, sharp, sharp_matrix)
-from .algebroid import (_cocycle, cotangent_of_poisson, deform_algebroid,
+from .algebroid import (_cocycle, _koszul, cotangent_of_poisson, deform_algebroid,
                         tangent_algebroid)
 from .gder import tangent_bundle
 from .matrix import _dot, _dot_into, identity, mat_mul, mat_vec, transpose
@@ -74,18 +85,6 @@ def _curl(comps: list[Poly]) -> list[list[Poly]]:
     return c
 
 
-def _dot_on(idx: list[int], xs: list[Poly], ys: list[Poly]) -> Poly:
-    """The sum of xs[i] ys[i] over the indices idx, a support of xs or ys."""
-    acc = _Sum(xs[0].chart)
-    for i in idx:
-        acc.add(xs[i], ys[i])
-    return acc.poly()
-
-
-def _support(v: list[Poly]) -> list[int]:
-    return [i for i, p in enumerate(v) if p]
-
-
 def _prep(pi: Multivector, r: VForm):
     """(pi#, r, r*) as matrices, read by every concomitant of (pi, r)."""
     M = r.matrix()
@@ -93,56 +92,46 @@ def _prep(pi: Multivector, r: VForm):
 
 
 def _core(prep, v: list[Poly]):
-    """(v, r*v, pi# v) for the components v of a form; the zero components
-    of v are skipped once for both images.  For a coordinate covector dx_a
-    the images are column a of r* and of pi#, read with no product."""
+    """(v, r*v, pi# v) for the components v of a form.  For a coordinate
+    covector dx_a the images are column a of r* and of pi#, read with no
+    product."""
     S, _, Mt = prep
-    nz = _support(v)
+    nz = [i for i, p in enumerate(v) if p]
     if len(nz) == 1 and v[nz[0]] == 1:
         a = nz[0]
         return v, [row[a] for row in Mt], [row[a] for row in S]
-    return (v, [_dot_on(nz, row, v) for row in Mt],
-            [_dot_on(nz, row, v) for row in S])
+    return v, mat_vec(Mt, v), mat_vec(S, v)
 
 
-def _U(prep, core) -> list[Poly]:
-    """(r pi# - pi# r*) v from the core (v, r*v, pi# v)."""
+def _role(prep, v: list[Poly]):
+    """What C reads of a 1-form with components v, in either slot:
+    (v, r*v, pi# v, dv, d(r*v)), each 2-form as the rows of ``_curl``, and
+    dv None when v is closed."""
+    v, rv, pv = _core(prep, v)
+    dv = _curl(v)
+    return v, rv, pv, dv if any(p for row in dv for p in row) else None, _curl(rv)
+
+
+def _U(prep, role) -> list[Poly]:
+    """(r pi# - pi# r*) v from the role of v."""
     S, M, _ = prep
-    _, rv, pv = core
+    _, rv, pv, _, _ = role
     return [x - y for x, y in zip(mat_vec(M, pv), mat_vec(S, rv))]
 
 
-def _a_more(prep, core):
-    """What C(a, .) reads of a only when a or b is not constant: U, (grad U)^T, da."""
-    U = _U(prep, core)
-    return U, transpose([p.grad() for p in U]), _curl(core[0])
-
-
-def _b_more(prep, core):
-    """What C(., b) reads of b only when a or b is not constant: V and grad b."""
-    return _U(prep, core), [p.grad() for p in core[0]]
-
-
-def _constant(v: list[Poly]) -> bool:
-    return not any(p.total_degree() for p in v)
-
-
-def _a_role(prep, core):
-    """What C(a, .) reads of a: its core, ``_a_more`` (None for a constant
-    a), (grad pi# a)^T and d(r*a)."""
-    more = None if _constant(core[0]) else _a_more(prep, core)
-    return core, more, transpose([p.grad() for p in core[2]]), _curl(core[1])
-
-
-def _b_role(prep, core):
-    """What C(., b) reads of b: its core, ``_b_more`` (None for a constant
-    b) and grad r*b."""
-    more = None if _constant(core[0]) else _b_more(prep, core)
-    return core, more, [p.grad() for p in core[1]]
+def _cartan_into(sums: list[_Sum], f: Poly, terms, sign: int = 1) -> None:
+    """Add ``sign`` times df + sum of s i_X dv over the terms (X, dv, s) into
+    the n sums, one per component, each component in that order.  Over the
+    rows of ``_curl``, (i_X dv)_k = -X . dv[k]."""
+    df = f.grad()
+    for k, acc in enumerate(sums):
+        acc.add(df[k], None, sign)
+        for X, dv, s in terms:
+            _dot_into(acc, X, dv[k], -s * sign)
 
 
 def _pair(chart: Chart, prep, a_role, b_role) -> DiffForm:
-    """C(a, b) from the role data of a and b (see ``concomitant_C``)."""
+    """C(a, b) from the roles of a and b (see ``concomitant_C``)."""
     sums = [_Sum(chart) for _ in range(chart.dim)]
     _pair_into(sums, prep, a_role, b_role)
     return DiffForm._trusted(chart, 1, {(k,): acc.poly() for k, acc in enumerate(sums)})
@@ -150,34 +139,23 @@ def _pair(chart: Chart, prep, a_role, b_role) -> DiffForm:
 
 def _pair_into(sums: list[_Sum], prep, a_role, b_role, sign: int = 1) -> None:
     """Add ``sign * C(a, b)`` into the n sums, one per component, from the
-    role data of a and b."""
-    (_, ra, pa), a_more, dpat, dra = a_role
-    (bv, rb, pb), b_more, drb = b_role
-    constant = a_more is None and b_more is None
-    if constant:
-        # d_k <b, U> stands for every term that reads U, V, da or db
-        nz = _support(bv)
-        ab = [_dot_on(nz, bv, row) for row in dpat]
-        f = _Sum(sums[0].chart)
-        _dot_into(f, rb, pa)
-        _dot_into(f, pb, ra)
-        df = f.poly().grad()
-    else:
-        U, dUt, da = a_more or _a_more(prep, a_role[0])
-        V, db = b_more or _b_more(prep, b_role[0])
-        ab = [_dot(pa + bv + pb, db[v] + dpat[v] + da[v]) for v in range(len(bv))]
-        pos = U + bv + V
-    # the products of r*([a, b]_pi) go in first for every k, which fixes
-    # the product that a degree-bound error reports
+    roles of a and b, in the product order of ``concomitant_C``."""
+    _, ra, pa, da, dra = a_role
+    bv, _, pb, db, drb = b_role
+    inner, outer = [], [(pb, dra, 1), (pa, drb, -1)]
+    if db is not None:
+        inner.append((pa, db, 1))
+        outer.append((_U(prep, a_role), db, 1))
+    if da is not None:
+        inner.append((pb, da, -1))
+        outer.append((_U(prep, b_role), da, -1))
+    bracket = [_Sum(sums[0].chart) for _ in bv]
+    _cartan_into(bracket, _dot(bv, pa), inner)  # [a, b]_pi
+    bracket = [acc.poly() for acc in bracket]
+    f = _dot(ra, pb)
     for acc, row in zip(sums, prep[2]):
-        _dot_into(acc, row, ab, sign)
-    neg = pa + rb + pb
-    for k, acc in enumerate(sums):
-        if constant:
-            acc.add(df[k], None, sign)
-        else:
-            _dot_into(acc, pos, db[k] + dUt[k] + da[k], sign)
-        _dot_into(acc, neg, drb[k] + dpat[k] + dra[k], -sign)
+        _dot_into(acc, row, bracket, sign)
+    _cartan_into(sums, f, outer, sign)
 
 
 def concomitant_C(pi: Multivector, r: VForm, a: DiffForm, b: DiffForm) -> DiffForm:
@@ -187,69 +165,46 @@ def concomitant_C(pi: Multivector, r: VForm, a: DiffForm, b: DiffForm) -> DiffFo
 
     defined for arbitrary polynomial 1-forms, skewness of r o pi not required;
     r*a = a o r.  Raises ``PolyError`` unless pi is a bivector, r a
-    tangent-valued 1-form and a, b 1-forms, all on one chart.  For a bundle
-    map M: T*M -> TM the bracket is [a, b]_M = L_{M a} b - i_{M b} da, in
-    components
+    tangent-valued 1-form and a, b 1-forms, all on one chart.
 
-        ([a, b]_M)_k = X^i d_i b_k + b_i d_k X^i + Y^i (da)_ki,
-        X = M a,  Y = M b,  (da)_ki = d_k a_i - d_i a_k.
+    For a bundle map M: T*M -> TM, Cartan's formula L_X = d i_X + i_X d
+    turns the bracket [a, b]_M = L_{M a} b - i_{M b} da into
 
-    The first two brackets share b and the first and third share da, so with
-    U = (r pi# - pi# r*) a and V = (r pi# - pi# r*) b the sum is one pass
+        [a, b]_M = d<b, M a> + i_{M a} db - i_{M b} da.
 
-        C_k = U^i d_i b_k + b_i d_k U^i + V^i (da)_ki
-              - (pi# a)^i d_i (r*b)_k - (r*b)_i d_k (pi# a)^i
-              - (pi# b)^i (d r*a)_ki + (r*([a, b]_pi))_k,
+    In the sum of the four brackets the scalar parts collapse, since pi# is
+    skew (<b, pi# c> = -<c, pi# b>):
 
-    with each sharp image and each gradient taken once.
+        <b, r pi# a> - <b, pi# r*a> - <r*b, pi# a> = <r*a, pi# b>,
 
-    When a and b are both constant (dx_a, or L_X dx_a for a linear X), da
-    and db vanish, and U and V enter only through b_i d_k U^i = d_k <b, U>:
+    and with U = r pi# - pi# r* the terms in db and da pair up:
 
-        <b, U> = <b, r pi# a> - <b, pi# r*a> = <r*b, pi# a> + <pi# b, r*a>.
+        C(a, b) = d<r*a, pi# b> + i_{pi# b} d(r*a) - i_{pi# a} d(r*b)
+                  + r*([a, b]_pi) + i_{U a} db - i_{U b} da.
 
-    The sign of the second term turns because pi# is skew:
-    <b, pi# c> = pi(c, b) = -pi(b, c) = -<c, pi# b>.  So then
+    This one formula serves every pair.  A form enters through its role
+    (v, r*v, pi# v, dv, d(r*v)) (``_role``), the same in either slot; a
+    coordinate covector dx_a reads r*dx_a and pi# dx_a as matrix columns and
+    forms no product (``_core``).  U a is formed only when db is nonzero and
+    U b only when da is, so a pair of closed forms, such as dx_a and
+    L_X dx_a = d(X^a), forms neither.
 
-        C_k = d_k <b, U> - (pi# a)^i d_i (r*b)_k - (r*b)_i d_k (pi# a)^i
-              - (pi# b)^i (d r*a)_ki + (r*([a, b]_pi))_k,
-
-    where <b, U> costs 2n products and n derivatives in place of the 4n^2
-    products and n^2 derivatives of U and V.  For a = dx_a and b = dx_b,
-    <b, U> is U^b, so its products are among those of U and the other
-    terms form what the U route forms: this route meets the degree limit
-    only where the U route does, and may give a value where forming the
-    other rows of U meets it.  A pair with a non-constant form forms U and V.
-
-    Each piece is built once: the core (v, r*v, pi# v) of each form, where
-    a coordinate covector dx_a reads r*dx_a and pi# dx_a as column a of the
-    matrices of r* and pi# and forms no product (``_core``); the gradients
-    of each role from its core (``_a_role``, ``_b_role``); and one sum per
-    component k.  Products are formed in this order, which fixes the
-    product that a degree-limit error names: r*a, pi# a and, for a
-    non-constant a, U; r*b, pi# b and, for a non-constant b, V; U and V
-    where the pair still needs them; the components of [a, b]_pi, then
-    <b, U> on the constant route; r*([a, b]_pi) for every k; then per k the
-    terms in U and V (d_k <b, U> forms none) and those in pi# a, r*b and
-    pi# b.
+    Products are formed in this order, which fixes the product that a
+    degree-limit error names: r*a and pi# a; r*b and pi# b; U a, then U b,
+    where formed; <b, pi# a>, then per component the interior terms of
+    [a, b]_pi; <r*a, pi# b>; r*([a, b]_pi) for every component; then per
+    component the terms in pi# b, pi# a, U a and U b.  <r*a, pi# b> can lie
+    one degree above every product of the U terms, so on forms that are not
+    constant the limit may fire there first.
     """
     PNCandidate(pi, r)  # a bivector and a tangent-valued 1-form on one chart
     if not all(isinstance(f, DiffForm) and f.degree == 1 and f.chart == pi.chart
                for f in (a, b)):
         raise PolyError("concomitant C takes two 1-forms on the chart of pi")
     prep = _prep(pi, r)
-    return _pair(a.chart, prep, _a_role(prep, _core(prep, _comps(a))),
-                 _b_role(prep, _core(prep, _comps(b))))
+    return _pair(a.chart, prep, _role(prep, _comps(a)), _role(prep, _comps(b)))
 
 
-def _coframe_roles(prep, vectors: list[list[Poly]]):
-    """For the pairs (f_a, f_b), a < b: a-roles but the last, b-roles but the
-    first.  Each form's core is built once and read by both of its roles, and
-    each role by every pair it enters; the core of a coordinate covector is
-    two matrix columns (``_core``)."""
-    cores = [_core(prep, v) for v in vectors]
-    return ({a: _a_role(prep, c) for a, c in enumerate(cores[:-1])},
-            {b: _b_role(prep, c) for b, c in enumerate(cores) if b})
 
 
 def concomitant_R(pi: Multivector, r: VForm, a: DiffForm, X: VForm) -> VForm:
@@ -275,7 +230,7 @@ def _compatibility(c: PNCandidate):
     chart, n = c.chart, c.chart.dim
     rm = c.r.matrix()
     left = mat_mul(rm, sharp_matrix(c.pi))
-    koszul = deform_algebroid(cotangent_of_poisson(c.pi), transpose(rm))
+    koszul = deform_algebroid(_koszul(c.pi), transpose(rm))  # unflagged: no [pi, pi]
     defect = [[p - q for p, q in zip(row, col)] for row, col in zip(left, zip(*koszul.anchor))]
     zero = [Poly.zero(chart)] * n
     C_table = {(a, b): DiffForm._trusted(chart, 1, {
@@ -369,7 +324,8 @@ def mm1_identity(c: PNCandidate, X: VForm) -> CheckReport:
     endomorphism [X, r]; holds for every (pi, r, X).
 
     Each piece is built once per check: one prep per (bivector,
-    endomorphism), role data once per form and prep, and X's symbol (its
+    endomorphism), one role list per prep (the dx_a under each prep, and the
+    L_X dx_a under pi and r), and X's symbol (its
     components and their n^2 partials) once, read by every L_X through
     ``forms._lie_into``.  On each coframe pair C_0 = C(dx_a, dx_b) is
     finished first, as L_X reads its partials; then L_X C_0, the two pairs
@@ -382,7 +338,7 @@ def mm1_identity(c: PNCandidate, X: VForm) -> CheckReport:
     Xr = frolicher_nijenhuis(X, c.r)
     basis = identity(chart, n)
     p0, p1, p2 = _prep(c.pi, c.r), _prep(Xpi, c.r), _prep(c.pi, Xr)
-    (A0, B0), (A1, B1), (A2, B2) = (_coframe_roles(p, basis) for p in (p0, p1, p2))
+    R0, R1, R2 = ([_role(p, v) for v in basis] for p in (p0, p1, p2))
     symbol = _symbol_slots(_partials(X))
 
     def lie_minus(a: DiffForm, pairs=()) -> DiffForm:
@@ -395,13 +351,12 @@ def mm1_identity(c: PNCandidate, X: VForm) -> CheckReport:
                     _pair_into(sums, prep, f, g, -1)
         return _on_scalar(X, a, 1, kernel)
 
-    LA, LB = _coframe_roles(p0, [_comps(lie_minus(DiffForm.basis(chart, (a,))))
-                                 for a in range(n)])
+    L = [_role(p0, _comps(lie_minus(DiffForm.basis(chart, (a,))))) for a in range(n)]
     for a in range(n):
         for b in range(a + 1, n):
-            defect = lie_minus(_pair(chart, p0, A0[a], B0[b]),
-                               ((p0, LA[a], B0[b]), (p0, A0[a], LB[b]),
-                                (p1, A1[a], B1[b]), (p2, A2[a], B2[b])))
+            defect = lie_minus(_pair(chart, p0, R0[a], R0[b]),
+                               ((p0, L[a], R0[b]), (p0, R0[a], L[b]),
+                                (p1, R1[a], R1[b]), (p2, R2[a], R2[b])))
             report.add_zero("concomitant Lie-derivative identity", defect,
                             detail=f"(d{chart.coords[a]},d{chart.coords[b]})")
     return report

@@ -129,12 +129,7 @@ def _is_int(value) -> bool:
 def _poly(chart: Chart, text, where: str) -> Poly:
     if not isinstance(text, str):
         raise SceneError(f"{where}: polynomial entries must be strings")
-    try:
-        return parse_poly(chart, text)
-    except GrowthLimitError as e:  # a resource bound, not malformed input
-        raise GrowthLimitError(f"{where}: {e}") from e
-    except PolyError as e:
-        raise SceneError(f"{where}: {e}") from e
+    return parse_poly(chart, text)
 
 
 def _coord_pair(chart: Chart, key: str, where: str) -> tuple[int, int]:
@@ -208,7 +203,7 @@ def _build_object(chart: Chart, name: str, spec: dict, env: dict) -> object:
             structure[(a, b)] = [_poly(chart, t, where) for t in comps]
         return AlgebroidStructure(bundle, anchor, structure)
     if kind in ("gder_tangent", "gder_cotangent"):
-        r = _resolve(env, _need(spec, "endomorphism", where), VForm, where)
+        r = _endomorphism(env, spec, where)
         return build_drT(r) if kind == "gder_tangent" else build_drTstar(r)
     raise SceneError(f"{where}: unknown type '{kind}'")
 
@@ -223,6 +218,15 @@ def _resolve(env: dict, name, expected, where: str):
         raise SceneError(f"{where}: object '{name}' has the wrong type "
                          f"(expected {expected.__name__})")
     return obj
+
+
+def _endomorphism(env: dict, spec: dict, where: str) -> VForm:
+    """The object that ``spec``'s 'endomorphism' key names; a vector field,
+    also a VForm, is refused."""
+    r = _resolve(env, _need(spec, "endomorphism", where), VForm, where)
+    if r.degree != 1:
+        raise SceneError(f"{where}: 'endomorphism' must name an endomorphism")
+    return r
 
 
 def parse_scene(text: str) -> Scene:
@@ -248,7 +252,12 @@ def parse_scene(text: str) -> Scene:
         raise SceneError(f"scene: {e}") from None
     env: dict[str, object] = {}
     for name, spec in _dict(data.get("objects", {}), "objects", "scene").items():
-        env[name] = _build_object(chart, name, spec, env)
+        try:
+            env[name] = _build_object(chart, name, spec, env)
+        except GrowthLimitError as e:  # a resource bound, not malformed input
+            raise GrowthLimitError(f"object '{name}': {e}") from e
+        except PolyError as e:
+            raise SceneError(f"object '{name}': {e}") from e
     checks = data.get("checks", [])
     if not isinstance(checks, list):
         raise SceneError("scene: 'checks' must be a list")
@@ -380,9 +389,7 @@ def _bind_check(ck: dict, env: dict, where: str) -> Callable[[int], CheckReport]
         c = ln()
         return lambda seed: holomorphic_detect(c)
     if kind == "torsion":
-        r = ref("endomorphism", VForm)
-        if r.degree != 1:
-            raise SceneError(f"{where}: 'endomorphism' must name an endomorphism")
+        r = _endomorphism(env, ck, where)
         return lambda seed: _run_torsion(r)
     if kind == "correspondence":
         D = ref("gder", GenDer)

@@ -510,7 +510,7 @@ class TestFusedKernelOracles:
     @settings(max_examples=80, deadline=None)
     def test_concomitant_C(self, data):
         # r o pi# is rarely selfadjoint here, so every term of C is exercised;
-        # a pair of constant forms takes the <b, U> route, any other pair U, V
+        # U a and U b enter only where db and da are nonzero, as for "general"
         chart = data.draw(st.sampled_from((CH1, CH2, CH3, CH4)))
         pi = data.draw(st_forms(chart, 2, Multivector))
         r = data.draw(st_vvforms(chart, 1, chart.dim))
@@ -610,16 +610,18 @@ def test_torsion_forms_each_partial_once(monkeypatch):
 
 def test_concomitant_C_products(monkeypatch):
     """Products formed by C on dense pi and r over CH3.  A coframe pair
-    reads r*v and pi# v as matrix columns and U and V only through
-    d_k <b, U>: 3 + 9 for r*[a, b]_pi, 6 for <b, U> and 27 for the terms in
-    pi# a, r*b and pi# b.  A general pair forms U and V: 162."""
+    reads r*v and pi# v as matrix columns and, being closed, forms no U and
+    no V: 3 for <b, pi# a>, 3 for <r*a, pi# b>, 9 for r*[a, b]_pi and 18
+    for the terms in pi# b and pi# a.  A general pair adds 36 for r*a, pi# a,
+    r*b and pi# b, 36 for U a and U b, 18 for the interior terms of
+    [a, b]_pi and 18 for the terms in U a and U b: 141."""
     rng = random.Random(18)
     pi = Multivector(CH3, 2, {k: dense_poly(rng, CH3) for k in combinations(range(3), 2)})
     r = VForm(CH3, 1, 3, {((i,), v): dense_poly(rng, CH3) for i in range(3) for v in range(3)})
     a, b = (DiffForm(CH3, 1, {(i,): dense_poly(rng, CH3) for i in range(3)}) for _ in range(2))
     dx, dz = DiffForm.basis(CH3, (0,)), DiffForm.basis(CH3, (2,))
     products = product_log(monkeypatch)
-    for pair, expected in (((dx, dz), 45), ((a, b), 162)):
+    for pair, expected in (((dx, dz), 33), ((a, b), 141)):
         products.clear()
         assert not concomitant_C(pi, r, *pair).is_zero
         assert len(products) == expected

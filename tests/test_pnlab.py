@@ -127,9 +127,9 @@ class TestConcomitants:
         assert concomitant_C(PI0, XID, a, b).is_zero
 
     def test_degree_limit_meets_only_formed_products(self):
-        # for dx, dy the terms that read U and V are d_k <dy, U>, and <dy, U>
-        # forms only the products of r pi# - pi# r* in row y; row x of r pi#
-        # holds y^3 * x, past the limit 3, and is no longer formed
+        # dx and dy are closed, so C(dx, dy) forms no U and no V and so no
+        # entry of r pi#; row x of r pi# holds y^3 * x, past the limit 3,
+        # and is never formed
         pi = Multivector(CH2, 2, {(0, 1): X})
         Y = Poly.var(CH2, "y")
         r = VForm(CH2, 1, 2, {((0,), 0): ONE, ((1,), 0): Y * Y * Y, ((1,), 1): -ONE})
@@ -145,6 +145,42 @@ class TestConcomitants:
             set_degree_limit(old)
         assert got == expect == ref_concomitant_C(pi, r, dx, dy)
         assert not got.is_zero
+
+    def test_degree_limit_on_non_constant_closed_forms(self):
+        """On a = x dx and b = y dy the one formula forms <r*a, pi# b> =
+        x^3 y, one degree above every other product of C(a, b): limit 3
+        raises there, limit 4 gives the value."""
+        x, y = X, Poly.var(CH2, "y")
+        pi = Multivector(CH2, 2, {(0, 1): x})
+        r = VForm(CH2, 1, 2, {((0,), 0): x, ((1,), 1): x + y})
+        a, b = DiffForm(CH2, 1, {(0,): x}), DiffForm(CH2, 1, {(1,): y})
+        old = get_degree_limit()
+        try:
+            set_degree_limit(3)
+            with pytest.raises(GrowthLimitError, match="^monomial degree 4 exceeds limit 3$"):
+                concomitant_C(pi, r, a, b)
+            set_degree_limit(4)
+            got = concomitant_C(pi, r, a, b)
+        finally:
+            set_degree_limit(old)
+        assert got == DiffForm(CH2, 1, {(1,): x * x * y}) == ref_concomitant_C(pi, r, a, b)
+
+    def test_U_is_formed_only_for_forms_that_are_not_closed(self, monkeypatch):
+        calls = []
+        U = pnlab._U
+        monkeypatch.setattr(pnlab, "_U", lambda *args: calls.append(1) or U(*args))
+        rng = random.Random(65)
+        pi, r = rnd_bivector(rng, CH3), rnd_endo(rng, CH3)
+        x, y = (Poly.var(CH3, c) for c in "xy")
+        exact = DiffForm(CH3, 1, {(0,): y, (1,): x})  # d(x y)
+        curled = DiffForm(CH3, 1, {(0,): y, (2,): x})
+        assert concomitant_C(pi, r, exact, DiffForm.basis(CH3, (2,))) \
+            == ref_concomitant_C(pi, r, exact, DiffForm.basis(CH3, (2,)))
+        assert calls == []
+        for a, b, formed in ((curled, exact, 1), (exact, curled, 1), (curled, curled, 2)):
+            calls.clear()
+            assert concomitant_C(pi, r, a, b) == ref_concomitant_C(pi, r, a, b)
+            assert len(calls) == formed
 
     def test_C_rejects_non_tangent_r_and_chart_mismatch(self):
         rng = random.Random(64)
@@ -194,8 +230,8 @@ class TestMM1:
 
     @pytest.mark.parametrize("chart", [CH2, CH3])
     def test_holds_for_a_quadratic_field(self, chart):
-        """L_X dx_a = d(X^a) is exact but not constant, so the pairs with
-        L_X dx_a take the U, V route and the others the <b, U> route."""
+        """L_X dx_a = d(X^a) is exact but not constant; like dx_a it is
+        closed, so no pair of the check forms U or V (``test_forms_no_U``)."""
         rng = random.Random(110 + chart.dim)
         c = PNCandidate(rnd_bivector(rng, chart), rnd_endo(rng, chart))
         x, y = (Poly.var(chart, v) for v in chart.coords[:2])
@@ -205,6 +241,23 @@ class TestMM1:
                        lie_derivative_vvf(Xf, DiffForm.basis(chart, (a,))).coeffs.values())
                    for a in (0, chart.dim - 1))
         assert mm1_identity(c, Xf).passed
+
+    @pytest.mark.parametrize("quadratic", [False, True])
+    def test_forms_no_U(self, monkeypatch, quadratic):
+        """dx_a and L_X dx_a = d(X^a) are closed, so ``pnlab._U`` is never
+        called, for a linear X and for a quadratic one."""
+        calls = []
+        U = pnlab._U
+        monkeypatch.setattr(pnlab, "_U", lambda *args: calls.append(1) or U(*args))
+        rng = random.Random(1450 + quadratic)
+        c = PNCandidate(rnd_bivector(rng, CH3), rnd_endo(rng, CH3))
+        comps = rnd_vf(rng, CH3).section_components()
+        if quadratic:
+            x, y, z = (Poly.var(CH3, v) for v in "xyz")
+            comps = [comps[0] + x * y, comps[1] - z * z, comps[2] + x * z]
+        assert max(p.total_degree() for p in comps) == 1 + quadratic
+        assert mm1_identity(c, VForm.section(CH3, comps)).passed
+        assert calls == []
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_shares_preps_and_lie_derivatives(self, monkeypatch, n):

@@ -5,6 +5,7 @@ assertion is made on the timings themselves."""
 import importlib.util
 import pathlib
 
+from lnlab import algebroid, pnlab
 from lnlab.pnlab import PNCandidate, check_pn
 
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "scale_probe.py"
@@ -31,3 +32,18 @@ def test_the_torsion_point_fails_only_the_torsion_and_its_corollary():
     pi, r = scale_probe.benenti(2, e12=True)
     assert {i.law for i in check_pn(PNCandidate(pi, r)).failures()} == {
         "Nijenhuis torsion N_r", "deformed bivector Poisson [pi_r,pi_r]"}
+
+
+def test_check_pn_forms_pi_pi_once(monkeypatch):
+    """[pi, pi] for the first item and [pi_r, pi_r] for the last: the
+    Koszul algebroid that ``check_pn`` deforms is built without [pi, pi]."""
+    calls = []
+
+    def wrap(module):
+        schouten = module.schouten
+        monkeypatch.setattr(module, "schouten", lambda P, Q: calls.append(P) or schouten(P, Q))
+    wrap(pnlab)
+    wrap(algebroid)
+    pi, r = scale_probe.benenti(2)
+    assert check_pn(PNCandidate(pi, r)).passed
+    assert len(calls) == 2 and calls[0] is pi and calls[1] is not pi

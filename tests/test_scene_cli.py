@@ -321,6 +321,44 @@ class TestCheckCommand:
             f"error: object 'A': frame section name {frame[0]!r} cannot be named "
             "by a bracket key\n")
 
+    @pytest.mark.parametrize("kind", ["gder_tangent", "gder_cotangent"])
+    def test_derivation_of_a_vector_field_exits_two(self, scene_file, capsys, kind):
+        """Both derivation types refuse a vector field as the torsion check
+        does, naming the object."""
+        scene = json.loads(PN_SCENE)
+        scene["objects"].update(X=VECTOR_FIELD, D={"type": kind, "endomorphism": "X"})
+        assert main(["check", scene_file(json.dumps(scene))]) == 2
+        assert capsys.readouterr().err == (
+            "error: object 'D': 'endomorphism' must name an endomorphism\n")
+
+    def test_library_error_while_building_an_object_names_it(self, scene_file, capsys,
+                                                             monkeypatch):
+        def refuse(pi):
+            raise scene_module.PolyError("refused")
+        monkeypatch.setattr(scene_module, "cotangent_of_poisson", refuse)
+        scene = json.loads(PN_SCENE)
+        scene["objects"]["Astar"] = LN_OBJECTS["Astar"]
+        with pytest.raises(SceneError, match="^object 'Astar': refused$"):
+            parse_scene(json.dumps(scene))
+        assert main(["check", scene_file(json.dumps(scene))]) == 2
+        assert capsys.readouterr().err == "error: object 'Astar': refused\n"
+
+    def test_growth_while_building_an_object_names_it(self, scene_file, capsys):
+        """[pi, pi] of the cotangent algebroid's bivector passes the limit
+        while the object is built: a resource bound, named by the object."""
+        scene = json.dumps({
+            "chart": ["x", "y", "z"],
+            "objects": {"pi": {"type": "bivector", "coeffs": {"x,y": "x^2", "y,z": "y^2"}},
+                        "Astar": {"type": "cotangent_algebroid", "bivector": "pi"}},
+            "checks": []})
+        old = get_degree_limit()
+        try:
+            assert main(["--max-degree", "2", "check", scene_file(scene)]) == 3
+        finally:
+            set_degree_limit(old)
+        assert capsys.readouterr().err == (
+            "resource bound: object 'Astar': monomial degree 3 exceeds limit 2\n")
+
     @pytest.mark.parametrize("check, key", [
         ({"check": "mm1_random", "count": 10 ** 9}, "count"),
         ({"check": "mm1_random", "dims": [40]}, "dims"),
