@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import Chart, Poly, PolyError
-from .forms import bivector_from_sharp
-from .gder import FramedBundle, GenDer, bracket, dual, tangent_bundle
+from .forms import VForm, bivector_from_sharp
+from .gder import FramedBundle, GenDer, bracket, dual
 from .algebroid import (AlgebroidStructure, algebroid_torsion, check_bialgebroid,
                         check_im, deform_algebroid)
 from .matrix import identity, mat_mul, transpose
@@ -142,30 +142,30 @@ def deform_hierarchy(c: LNCandidate, depth: int) -> tuple[list[LNCandidate], Che
 
 def holomorphic_detect(c: LNCandidate) -> CheckReport:
     """Complex-structure recognition: the symbol squares to minus the
-    identity on both the tangent and the bundle side and the derivation
-    anticommutes with it.  Within one scene run a candidate already verified
-    is not verified again; a library call verifies it in full."""
+    identity on both the tangent and the bundle side (R = ``r.matrix()`` and
+    L = ``_l_matrix``), and the derivation anticommutes with it: for each
+    frame section u_a and coordinate field d/dx_i, D_{r(d/dx_i)} u_a +
+    l(D_{d/dx_i} u_a) vanishes, which is column i of M_a R + L M_a with M_a
+    the frame matrix of D(u_a).  Within one scene run a candidate already
+    verified is not verified again; a library call verifies it in full."""
     if not check_lnb(c).passed:
         raise PolyError("candidate is not a Lie-Nijenhuis bialgebroid")
     chart = c.chart
-    n, rank = chart.dim, c.A.bundle.rank
     report = CheckReport("holomorphic structure")
-    for side, M in (("r", c.D.r.matrix()), ("l", _l_matrix(c.D))):
+    R, L = c.D.r.matrix(), _l_matrix(c.D)
+    for side, M in (("r", R), ("l", L)):
         sums = [p + q for row, unit in zip(mat_mul(M, M), identity(chart, len(M)))
                 for p, q in zip(row, unit)]
         defect = [p for p in sums if not p.is_zero]
         report.add(f"{side} squares to minus identity", not defect,
                    defect=defect or None)
-    coord_fields = [tangent_bundle(chart).frame_section(i) for i in range(n)]
-    names = c.A.bundle.frame
-    for a in range(rank):
-        Da = c.D.d_frame[a]
-        for i in range(n):
-            X = coord_fields[i]
-            defect = (Da.insert_vector(c.D.r.insert_vector(X))
-                      + c.D.apply_l(Da.insert_vector(X)))
-            report.add_zero("derivation anticommutes with the symbol", defect,
-                            detail=f"({names[a]};d/d{chart.coords[i]})")
+    for name, Da in zip(c.A.bundle.frame, c.D.d_frame):
+        M = Da.matrix()
+        anti = [[p + q for p, q in zip(*rows)] for rows in zip(mat_mul(M, R), mat_mul(L, M))]
+        for i, column in enumerate(zip(*anti)):
+            report.add_zero("derivation anticommutes with the symbol",
+                            VForm.section(chart, column),
+                            detail=f"({name};d/d{chart.coords[i]})")
     return report
 
 

@@ -19,9 +19,14 @@ formula that Cartan's formula gives for every pair (with U = r pi# - pi# r*):
               + r*([a, b]_pi) + i_{U a} db - i_{U b} da.
 
 Each form enters it through one role, the same in either slot, and U is
-formed only against a form that is not closed; ``mm1_identity`` pairs only
-closed forms (dx_a and L_X dx_a), so it never forms U.  ``concomitant_C``
-documents the order of the products.
+formed only against a form that is not closed.  ``concomitant_C`` documents
+the order of the products.
+
+``mm1_identity`` takes every Lie derivative from the same Cartan formula
+L_X = d i_X + i_X d (``_cartan_into``): L_X dx_a = d(X^a), and
+L_X C_0 = d<C_0, X> + i_X dC_0 for C_0 on a coframe pair.  It pairs only
+closed forms (dx_a and d(X^a)), so it never forms U; its docstring
+documents its product order.
 """
 
 from __future__ import annotations
@@ -29,8 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .poly import Chart, Poly, PolyError, _Sum
-from .forms import (DiffForm, Multivector, VForm, _lie_into,
-                    _on_scalar, _partials, _symbol_slots, bivector_from_sharp,
+from .forms import (DiffForm, Multivector, VForm, bivector_from_sharp,
                     frolicher_nijenhuis, interior_vvf, lie_derivative_vvf,
                     nijenhuis_torsion, schouten, sharp, sharp_matrix)
 from .algebroid import (_cocycle, _koszul, cotangent_of_poisson, deform_algebroid,
@@ -201,6 +205,8 @@ def concomitant_C(pi: Multivector, r: VForm, a: DiffForm, b: DiffForm) -> DiffFo
     if not all(isinstance(f, DiffForm) and f.degree == 1 and f.chart == pi.chart
                for f in (a, b)):
         raise PolyError("concomitant C takes two 1-forms on the chart of pi")
+    if not pi.chart.dim:  # over a point every 1-form is zero
+        return DiffForm(pi.chart, 1)
     prep = _prep(pi, r)
     return _pair(a.chart, prep, _role(prep, _comps(a)), _role(prep, _comps(b)))
 
@@ -323,14 +329,18 @@ def mm1_identity(c: PNCandidate, X: VForm) -> CheckReport:
     where C' uses the bivector [X, pi] in place of pi and C'' uses the
     endomorphism [X, r]; holds for every (pi, r, X).
 
-    Each piece is built once per check: one prep per (bivector,
-    endomorphism), one role list per prep (the dx_a under each prep, and the
-    L_X dx_a under pi and r), and X's symbol (its
-    components and their n^2 partials) once, read by every L_X through
-    ``forms._lie_into``.  On each coframe pair C_0 = C(dx_a, dx_b) is
-    finished first, as L_X reads its partials; then L_X C_0, the two pairs
-    with L_X dx_a and L_X dx_b, C' and C'' go with their signs into one map
-    of n sums, finished once, with the products formed in that order."""
+    Every L_X comes from Cartan's formula L_X = d i_X + i_X d
+    (``_cartan_into``): L_X dx_a = d(X^a), the gradient of component a of X,
+    and L_X C_0 = d<C_0, X> + i_X dC_0.  Each piece is built once per check:
+    [X, pi] and [X, r], one prep per (bivector, endomorphism), and one role
+    list per prep (the dx_a under each prep, and the d(X^a) under pi and r).
+    On each coframe pair C_0 = C(dx_a, dx_b) is finished first; then
+    <C_0, X>, per component the terms X . dC_0 of i_X dC_0, and the pairs
+    C(L_X dx_a, dx_b), C(dx_a, L_X dx_b), C' and C'' go with their signs into
+    one map of n sums, finished once, with the products formed in that
+    order.  <C_0, X> lies one degree above the products X . dC_0, so on some
+    input the degree limit fires there, one degree earlier than an expansion
+    of L_X C_0 as X(C_0) + C_0 . dX would."""
     chart = c.chart
     n = chart.dim
     report = CheckReport("Lie-derivative expansion of the concomitant")
@@ -339,24 +349,17 @@ def mm1_identity(c: PNCandidate, X: VForm) -> CheckReport:
     basis = identity(chart, n)
     p0, p1, p2 = _prep(c.pi, c.r), _prep(Xpi, c.r), _prep(c.pi, Xr)
     R0, R1, R2 = ([_role(p, v) for v in basis] for p in (p0, p1, p2))
-    symbol = _symbol_slots(_partials(X))
-
-    def lie_minus(a: DiffForm, pairs=()) -> DiffForm:
-        """L_X a minus C(f, g) for each (prep, f role, g role) of ``pairs``."""
-        def kernel(out: dict, A: VForm) -> None:
-            _lie_into(out, 0, symbol, _partials(A), 1)
-            if pairs:  # the n sums of the one-slot form A
-                sums = [out.setdefault(((k,), 0), _Sum(chart)) for k in range(n)]
-                for prep, f, g in pairs:
-                    _pair_into(sums, prep, f, g, -1)
-        return _on_scalar(X, a, 1, kernel)
-
-    L = [_role(p0, _comps(lie_minus(DiffForm.basis(chart, (a,))))) for a in range(n)]
+    Xc = X.section_components()
+    L = [_role(p0, x.grad()) for x in Xc]
     for a in range(n):
         for b in range(a + 1, n):
-            defect = lie_minus(_pair(chart, p0, R0[a], R0[b]),
-                               ((p0, L[a], R0[b]), (p0, R0[a], L[b]),
-                                (p1, R1[a], R1[b]), (p2, R2[a], R2[b])))
+            C0 = _comps(_pair(chart, p0, R0[a], R0[b]))
+            sums = [_Sum(chart) for _ in range(n)]
+            _cartan_into(sums, _dot(C0, Xc), [(Xc, _curl(C0), 1)])
+            for prep, f, g in ((p0, L[a], R0[b]), (p0, R0[a], L[b]),
+                               (p1, R1[a], R1[b]), (p2, R2[a], R2[b])):
+                _pair_into(sums, prep, f, g, -1)
+            defect = DiffForm._trusted(chart, 1, {(k,): acc.poly() for k, acc in enumerate(sums)})
             report.add_zero("concomitant Lie-derivative identity", defect,
                             detail=f"(d{chart.coords[a]},d{chart.coords[b]})")
     return report

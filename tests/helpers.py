@@ -9,6 +9,7 @@ end draw rational coefficients for the kernel oracles.
 from fractions import Fraction
 from itertools import combinations, product
 import random
+import sys
 
 from hypothesis import strategies as st
 
@@ -419,3 +420,16 @@ def decimal(n: int) -> str:
         n, low = divmod(n, 10 ** 100)
         pieces.append(f"{low:0100d}")
     return str(n) + "".join(reversed(pieces))
+
+
+def codes_entered(fn, *args) -> tuple:
+    """(``fn(*args)``, the code objects of every Python function it enters),
+    recorded with a profile hook, so a function counts under any name it is
+    bound to."""
+    seen = set()
+    previous = sys.getprofile()
+    sys.setprofile(lambda frame, event, arg: seen.add(frame.f_code) if event == "call" else None)
+    try:
+        return fn(*args), seen
+    finally:
+        sys.setprofile(previous)

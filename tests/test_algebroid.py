@@ -869,15 +869,22 @@ def low_rows(count: int, width: int):
                     min_size=count, max_size=count)
 
 
+def bracket_on(draw, E: FramedBundle) -> AlgebroidStructure:
+    """A random anchored bracket on the frame of E over R^2, each entry from
+    ``LOW_POLYS``; ``draw`` is a Hypothesis draw function."""
+    rank = E.rank
+    return AlgebroidStructure(E, draw(low_rows(rank, 2)),
+                              {(a, b): draw(low_rows(1, rank))[0]
+                               for a in range(rank) for b in range(a + 1, rank)})
+
+
 @st.composite
 def anchored_brackets(draw):
     """A random anchored bracket of rank 1-3 over R^2, a frame matrix and a
     degree-1 derivation on the same bundle, each entry from ``LOW_POLYS``."""
     rank = draw(st.integers(1, 3))
     E = FramedBundle(CH2, ("e1", "e2", "e3")[:rank])
-    A = AlgebroidStructure(E, draw(low_rows(rank, 2)),
-                           {(a, b): draw(low_rows(1, rank))[0]
-                            for a in range(rank) for b in range(a + 1, rank)})
+    A = bracket_on(draw, E)
     d_frame = [VForm(CH2, 1, rank, {((i,), v): row[v] for i, row in enumerate(rows)
                                     for v in range(rank)}) for rows in draw(
                    st.lists(low_rows(2, rank), min_size=rank, max_size=rank))]
@@ -900,3 +907,13 @@ class TestRandomAnchoredBrackets:
         assert (got.anchor, got.structure) == (want.anchor, want.structure)
         assert items(algebroid_torsion(A, M)) == ref_torsion(A, M)
         assert items(check_im(A, D)) == ref_check_im(A, D)
+
+    @given(anchored_brackets(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_cocycle_matches_the_pairwise_oracle(self, drawn, data):
+        """The items of ``_cocycle`` read off {mu, gamma}, defects included,
+        equal ``cocycle_by_pairs`` for a second bracket drawn on the dual
+        frame; neither bracket need be Lie."""
+        A = drawn[0]
+        Astar = bracket_on(data.draw, A.bundle.dual())
+        assert items(_cocycle(A, Astar)) == oracle_items(A, Astar)

@@ -16,7 +16,7 @@ from lnlab.lnb import (CourantOperator, LNCandidate, base_pn, check_lnb,
                        courant_operator, deform_hierarchy, holomorphic_detect)
 from lnlab.pnlab import PNCandidate, check_pn
 
-from helpers import CH2, frame_bracket, rnd_endo, rnd_poly
+from helpers import CH2, codes_entered, frame_bracket, rnd_endo, rnd_poly
 
 X = Poly.var(CH2, "x")
 ONE = Poly.const(CH2, 1)
@@ -26,6 +26,9 @@ ZERO_PI = Multivector(CH2, 2, {})
 XID = VForm(CH2, 1, 2, {((0,), 0): X, ((1,), 1): X})
 J2 = VForm(CH2, 1, 2, {((0,), 1): ONE, ((1,), 0): -ONE})
 IDENT = VForm(CH2, 1, 2, {((0,), 0): ONE, ((1,), 1): ONE})
+# a complex structure that is not constant, so D^r != 0
+JX = VForm(CH2, 1, 2, {((0,), 0): X, ((0,), 1): ONE, ((1,), 0): -(ONE + X * X),
+                       ((1,), 1): -X})
 
 
 def candidate(pi: Multivector, r: VForm) -> LNCandidate:
@@ -184,6 +187,44 @@ class TestHolomorphic:
         failing = {i.law for i in rep.failures()}
         assert "r squares to minus identity" in failing
         assert "l squares to minus identity" in failing
+
+
+ANTI = "derivation anticommutes with the symbol"
+
+
+def anticommutation_oracle(c: LNCandidate) -> list:
+    """(detail, defect) of each anticommutation item, contracted field by
+    field: D_{r(d/dx_i)} u_a + l(D_{d/dx_i} u_a)."""
+    fields = [tangent_bundle(CH2).frame_section(i) for i in range(2)]
+    return [(f"({name};d/d{CH2.coords[i]})",
+             Da.insert_vector(c.D.r.insert_vector(v)) + c.D.apply_l(Da.insert_vector(v)))
+            for name, Da in zip(c.A.bundle.frame, c.D.d_frame)
+            for i, v in enumerate(fields)]
+
+
+class TestHolomorphicAnticommutation:
+    @pytest.mark.parametrize("pi, r, passes", [(PI0, XID, False), (ZERO_PI, J2, True),
+                                               (ZERO_PI, JX, True)], ids=["XID", "J2", "JX"])
+    def test_defects_match_the_contraction_oracle(self, pi, r, passes):
+        """Each item of M_a R + L M_a equals the field-by-field contraction;
+        on XID some fail, on J2 (where D = 0) and on JX (where it is not) all
+        pass."""
+        c = candidate(pi, r)
+        assert any(not v.is_zero for v in c.D.d_frame) == (r is not J2)
+        got = [(i.detail, i.passed, i.defect) for i in holomorphic_detect(c).items
+               if i.law == ANTI]
+        want = [(detail, d.is_zero, None if d.is_zero else d)
+                for detail, d in anticommutation_oracle(c)]
+        assert got == want
+        assert all(passed for _, passed, _ in got) == passes
+
+    @pytest.mark.parametrize("pi, r", [(PI0, XID), (ZERO_PI, J2)], ids=["XID", "J2"])
+    def test_contracts_no_field(self, pi, r):
+        """The anticommutation law is read off frame matrices: no
+        ``insert_vector`` or ``apply_l`` is entered."""
+        c = candidate(pi, r)
+        _, entered = codes_entered(holomorphic_detect, c)
+        assert not {VForm.insert_vector.__code__, GenDer.apply_l.__code__} & entered
 
 
 class TestCourant:

@@ -12,12 +12,12 @@ from lnlab.forms import (DiffForm, Multivector, VForm, lie_derivative_vvf,
 from lnlab.matrix import mat_mul
 from lnlab.algebroid import (AlgebroidStructure, deform_algebroid,
                              tangent_algebroid)
-from lnlab import pnlab
+from lnlab import forms, pnlab
 from lnlab.pnlab import (PNCandidate, check_pn, concomitant_C, concomitant_R,
                          concomitants, hierarchy, kosmann_equivalence, mm1_identity)
 
-from helpers import (CH2, CH3, pairing, ref_concomitant_C, rnd_bivector, rnd_endo,
-                     rnd_one_form, rnd_poly, rnd_vf)
+from helpers import (CH2, CH3, codes_entered, pairing, ref_concomitant_C, rnd_bivector,
+                     rnd_endo, rnd_one_form, rnd_poly, rnd_vf)
 
 CH4 = Chart(("x", "y", "z", "w"))
 X = Poly.var(CH2, "x")
@@ -146,6 +146,15 @@ class TestConcomitants:
         assert got == expect == ref_concomitant_C(pi, r, dx, dy)
         assert not got.is_zero
 
+    def test_over_a_point_is_the_zero_form(self):
+        """Over a chart of dimension 0 every 1-form is zero, so C is too, as
+        ``check_pn`` of the same pair finds."""
+        ch = Chart(())
+        pi, r, a = Multivector(ch, 2, {}), VForm(ch, 1, 0, {}), DiffForm(ch, 1, {})
+        got = concomitant_C(pi, r, a, a)
+        assert isinstance(got, DiffForm) and got.degree == 1 and got.is_zero
+        assert check_pn(PNCandidate(pi, r)).passed
+
     def test_degree_limit_on_non_constant_closed_forms(self):
         """On a = x dx and b = y dy the one formula forms <r*a, pi# b> =
         x^3 y, one degree above every other product of C(a, b): limit 3
@@ -262,8 +271,9 @@ class TestMM1:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_shares_preps_and_lie_derivatives(self, monkeypatch, n):
         """Three sharp matrices, one per (bivector, endomorphism), and n^2
-        partial derivatives of X's components for every L_X of the check,
-        besides those that [X, pi] and [X, r] take."""
+        partial derivatives of X's components, the gradients d(X^a) = L_X dx_a,
+        for every L_X of the check, besides those that [X, pi] and [X, r]
+        take: L_X C_0 by Cartan's formula differentiates no component of X."""
         counts = {"sharp": 0, "dX": 0, "in bracket": 0}
 
         def counted_sharp(P):
@@ -296,6 +306,47 @@ class TestMM1:
         monkeypatch.setattr(Poly, "diff", counted_diff)
         assert mm1_identity(c, Xf).passed
         assert counts == {"sharp": 3, "dX": n * n, "in bracket": 0}
+
+    @pytest.mark.parametrize("quadratic", [False, True])
+    def test_takes_every_lie_derivative_by_cartan(self, monkeypatch, quadratic):
+        """Neither the general kernel ``forms._lie_into`` nor its one-slot
+        wrapper ``forms._on_scalar`` is entered, for a linear X and for a
+        quadratic one.  [X, r] is formed beforehand, as the Frolicher-Nijenhuis
+        bracket takes its own L_X through ``_lie_into``."""
+        rng = random.Random(1460 + quadratic)
+        c = PNCandidate(rnd_bivector(rng, CH3), rnd_endo(rng, CH3))
+        comps = rnd_vf(rng, CH3).section_components()
+        if quadratic:
+            x, y, z = (Poly.var(CH3, v) for v in "xyz")
+            comps = [comps[0] + y * z, comps[1] - x * x, comps[2] + x * y]
+        Xf = VForm.section(CH3, comps)
+        Xr = pnlab.frolicher_nijenhuis(Xf, c.r)
+        monkeypatch.setattr(pnlab, "frolicher_nijenhuis", lambda K, L: Xr)
+        report, entered = codes_entered(mm1_identity, c, Xf)
+        assert report.passed
+        assert pnlab._cartan_into.__code__ in entered
+        assert not {forms._lie_into.__code__, forms._on_scalar.__code__} & entered
+
+    def test_degree_limit_at_the_pairing_with_X(self):
+        """For pi = y @x^@y, r = x @y (x) dx + y @x (x) dy and X = x @x,
+        C_0 = C(dx, dy) = x dx, and L_X C_0 = d<C_0, X> + i_X dC_0 forms
+        <C_0, X> = x^2, one degree above every other product of the check:
+        limit 1 raises there, limit 2 passes."""
+        y = Poly.var(CH2, "y")
+        c = PNCandidate(Multivector(CH2, 2, {(0, 1): y}),
+                        VForm(CH2, 1, 2, {((0,), 1): X, ((1,), 0): y}))
+        Xf = VForm.section(CH2, [X, ZERO])
+        assert concomitant_C(c.pi, c.r, DiffForm.basis(CH2, (0,)),
+                             DiffForm.basis(CH2, (1,))) == DiffForm(CH2, 1, {(0,): X})
+        old = get_degree_limit()
+        try:
+            set_degree_limit(1)
+            with pytest.raises(GrowthLimitError, match="^monomial degree 2 exceeds limit 1$"):
+                mm1_identity(c, Xf)
+            set_degree_limit(2)
+            assert mm1_identity(c, Xf).passed
+        finally:
+            set_degree_limit(old)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_differentiates_no_constant(self, monkeypatch, n):

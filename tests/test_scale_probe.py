@@ -1,6 +1,7 @@
 """Smoke test of ``tools/scale_probe.py`` at dimension 4: every line prints
-the verdicts the families are known to have and a positive time.  No
-assertion is made on the timings themselves."""
+the verdicts the families are known to have, a positive median time and a
+nonnegative interquartile range.  No assertion is made on the timings
+themselves."""
 
 import importlib.util
 import pathlib
@@ -19,13 +20,14 @@ VERDICTS = {"separable": ("PASS", "PASS", "PASS"), "benenti": ("PASS", "PASS", "
 
 
 def test_dimension_4_verdicts(capsys):
-    assert scale_probe.main(dims=(4,), repeat=1) == 0
+    assert scale_probe.main(dims=(4,), repeat=3) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(": ")[0] for line in lines] == [f"{name} dim 4" for name in VERDICTS]
     for line, verdicts in zip(lines, VERDICTS.values()):
         parts = [part.split() for part in line.split(": ", 1)[1].split(", ")]
         assert [p[:2] for p in parts] == [[c, v] for c, v in zip(CHECKS, verdicts)]
-        assert all(p[3] == "ms" and float(p[2]) > 0 for p in parts)
+        assert all(p[3:5] == ["ms", "(IQR"] and float(p[2]) > 0
+                   and p[5].endswith(")") and float(p[5][:-1]) >= 0 for p in parts)
 
 
 def test_the_torsion_point_fails_only_the_torsion_and_its_corollary():

@@ -228,6 +228,31 @@ class TestCheckCommand:
         assert main(["check", scene_file(failing)]) == 1
         assert "overall: FAIL" in capsys.readouterr().out
 
+    def test_kosmann_on_a_non_poisson_bivector_is_a_failed_precondition(self, scene_file,
+                                                                        capsys):
+        """[pi, pi] != 0 for pi = z @x^@y + xy @y^@z, so ``kosmann_equivalence``
+        raises at run time and the run records a failed precondition."""
+        scene = {"chart": ["x", "y", "z"],
+                 "objects": {"pi": {"type": "bivector", "coeffs": {"x,y": "z", "y,z": "x*y"}},
+                             "r": {"type": "endomorphism",
+                                   "matrix": [["1", "0", "0"], ["0", "1", "0"],
+                                              ["0", "0", "1"]]}},
+                 "checks": [{"check": "kosmann", "bivector": "pi", "endomorphism": "r"}]}
+        assert main(["check", scene_file(json.dumps(scene)), "--format", "table"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[1] == "overall: FAIL"
+        assert "precondition | FAIL   | bivector is not Poisson" in out
+
+    def test_im_check_of_the_scaling_derivation_passes(self, scene_file, capsys):
+        """The ``im`` check on (TM, D^r) for r = x id."""
+        scene = json.loads(PN_SCENE)
+        scene["objects"].update(A=LN_OBJECTS["A"], D=LN_OBJECTS["D"])
+        scene["checks"] = [{"check": "im", "algebroid": "A", "gder": "D"}]
+        assert main(["check", scene_file(json.dumps(scene)), "--format", "table"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[1:5] == ["overall: PASS", "", "-- 1:im", "IM equations: PASS"]
+        assert out[-1] == "IM symbol square                | pass   | r o rho - rho o l"
+
     def test_bialgebroid_frames_that_are_not_dual_exit_two(self, scene_file, capsys):
         """An input error naming both objects and frames, not a failed
         precondition verdict."""
