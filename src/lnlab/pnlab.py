@@ -25,8 +25,15 @@ the order of the products.
 ``mm1_identity`` takes every Lie derivative from the same Cartan formula
 L_X = d i_X + i_X d (``_cartan_into``): L_X dx_a = d(X^a), and
 L_X C_0 = d<C_0, X> + i_X dC_0 for C_0 on a coframe pair.  It pairs only
-closed forms (dx_a and d(X^a)), so it never forms U; its docstring
-documents its product order.
+closed forms (dx_a and d(X^a)), so it never forms U, and on closed forms
+the formula reads (``_parts``)
+
+    C(a, b) = d<r*a, pi# b> + r*(d<b, pi# a>) + i_{pi# b} d(r*a) - i_{pi# a} d(r*b).
+
+Since d is linear, the exact parts of L_X C_0 and of the four subtracted C
+terms collapse into one gradient per coframe pair, and their r*(d.) parts
+into two, so each pair is one Cartan sum; its docstring documents that sum
+and its product order.
 """
 
 from __future__ import annotations
@@ -78,15 +85,18 @@ def _comps(a: DiffForm) -> list[Poly]:
     return [a.coeffs.get((i,), z) for i in range(a.chart.dim)]
 
 
-def _curl(comps: list[Poly]) -> list[list[Poly]]:
-    """c[i][k] = d_i comps[k] - d_k comps[i], the components of d(comps)."""
+def _curl(comps: list[Poly]):
+    """The rows c[i][k] = d_i comps[k] - d_k comps[i] of d(comps), or None
+    when d(comps) = 0.  An entry whose two partials vanish forms no
+    subtraction and no negation."""
     g = [p.grad() for p in comps]
     c = [[Poly.zero(p.chart)] * len(comps) for p in comps]
     for i in range(len(comps)):
         for k in range(i + 1, len(comps)):
-            c[i][k] = g[k][i] - g[i][k]
-            c[k][i] = -c[i][k]
-    return c
+            if g[k][i] or g[i][k]:
+                c[i][k] = g[k][i] - g[i][k]
+                c[k][i] = -c[i][k]
+    return c if any(p for row in c for p in row) else None
 
 
 def _prep(pi: Multivector, r: VForm):
@@ -107,13 +117,13 @@ def _core(prep, v: list[Poly]):
     return v, mat_vec(Mt, v), mat_vec(S, v)
 
 
-def _role(prep, v: list[Poly]):
+def _role(prep, v: list[Poly], closed: bool = False):
     """What C reads of a 1-form with components v, in either slot:
-    (v, r*v, pi# v, dv, d(r*v)), each 2-form as the rows of ``_curl``, and
-    dv None when v is closed."""
+    (v, r*v, pi# v, dv, d(r*v)), each 2-form as the rows of ``_curl`` or
+    None when zero.  A form known to be ``closed``, such as a gradient
+    (d o d = 0), gets dv None with no curl built."""
     v, rv, pv = _core(prep, v)
-    dv = _curl(v)
-    return v, rv, pv, dv if any(p for row in dv for p in row) else None, _curl(rv)
+    return v, rv, pv, None if closed else _curl(v), _curl(rv)
 
 
 def _U(prep, role) -> list[Poly]:
@@ -123,43 +133,47 @@ def _U(prep, role) -> list[Poly]:
     return [x - y for x, y in zip(mat_vec(M, pv), mat_vec(S, rv))]
 
 
-def _cartan_into(sums: list[_Sum], f: Poly, terms, sign: int = 1) -> None:
+def _cartan_into(sums: list[_Sum], f: Poly, terms, sign: int = 1, pulls=()) -> None:
     """Add ``sign`` times df + sum of s i_X dv over the terms (X, dv, s) into
-    the n sums, one per component, each component in that order.  Over the
-    rows of ``_curl``, (i_X dv)_k = -X . dv[k]."""
+    the n sums, one per component, each component in that order; a term
+    whose dv is None (zero) is skipped.  Over the rows of ``_curl``,
+    (i_X dv)_k = -X . dv[k].  Before them it adds ``sign`` times s r*v over
+    the ``pulls`` (Mt, v, s), with Mt the matrix of r*, for every component."""
+    for Mt, v, s in pulls:
+        for acc, row in zip(sums, Mt):
+            _dot_into(acc, row, v, s * sign)
     df = f.grad()
+    terms = [t for t in terms if t[1] is not None]
     for k, acc in enumerate(sums):
         acc.add(df[k], None, sign)
         for X, dv, s in terms:
             _dot_into(acc, X, dv[k], -s * sign)
 
 
-def _pair(chart: Chart, prep, a_role, b_role) -> DiffForm:
-    """C(a, b) from the roles of a and b (see ``concomitant_C``)."""
-    sums = [_Sum(chart) for _ in range(chart.dim)]
-    _pair_into(sums, prep, a_role, b_role)
-    return DiffForm._trusted(chart, 1, {(k,): acc.poly() for k, acc in enumerate(sums)})
+def _parts(a_role, b_role):
+    """C(a, b) on closed a and b, d<r*a, pi# b> + r*(d<b, pi# a>)
+    + i_{pi# b} d(r*a) - i_{pi# a} d(r*b), as the factor pairs (r*a, pi# b)
+    and (b, pi# a) of its two scalars and its interior terms (X, dv, s) as
+    ``_cartan_into`` reads them (it skips those whose d(r*.) is zero)."""
+    _, ra, pa, _, dra = a_role
+    bv, _, pb, _, drb = b_role
+    return (ra, pb), (bv, pa), [(pb, dra, 1), (pa, drb, -1)]
 
 
-def _pair_into(sums: list[_Sum], prep, a_role, b_role, sign: int = 1) -> None:
+def _pair_into(sums: list[_Sum], prep, a_role, b_role, sign: int = 1) -> list[Poly]:
     """Add ``sign * C(a, b)`` into the n sums, one per component, from the
-    roles of a and b, in the product order of ``concomitant_C``."""
-    _, ra, pa, da, dra = a_role
-    bv, _, pb, db, drb = b_role
-    inner, outer = [], [(pb, dra, 1), (pa, drb, -1)]
-    if db is not None:
-        inner.append((pa, db, 1))
-        outer.append((_U(prep, a_role), db, 1))
-    if da is not None:
-        inner.append((pb, da, -1))
-        outer.append((_U(prep, b_role), da, -1))
-    bracket = [_Sum(sums[0].chart) for _ in bv]
-    _cartan_into(bracket, _dot(bv, pa), inner)  # [a, b]_pi
+    roles of a and b, in the product order of ``concomitant_C``; return
+    [a, b]_pi by component."""
+    f, g, outer = _parts(a_role, b_role)
+    curled = [(x, dv, s) for x, dv, s in ((a_role, b_role[3], 1), (b_role, a_role[3], -1))
+              if dv is not None]  # (x, d of its partner, s) where that is not zero
+    inner = [(x[2], dv, s) for x, dv, s in curled]
+    outer += [(_U(prep, x), dv, s) for x, dv, s in curled]
+    bracket = [_Sum(sums[0].chart) for _ in sums]
+    _cartan_into(bracket, _dot(*g), inner)  # [a, b]_pi
     bracket = [acc.poly() for acc in bracket]
-    f = _dot(ra, pb)
-    for acc, row in zip(sums, prep[2]):
-        _dot_into(acc, row, bracket, sign)
-    _cartan_into(sums, f, outer, sign)
+    _cartan_into(sums, _dot(*f), outer, sign, [(prep[2], bracket, 1)])
+    return bracket
 
 
 def concomitant_C(pi: Multivector, r: VForm, a: DiffForm, b: DiffForm) -> DiffForm:
@@ -208,7 +222,9 @@ def concomitant_C(pi: Multivector, r: VForm, a: DiffForm, b: DiffForm) -> DiffFo
     if not pi.chart.dim:  # over a point every 1-form is zero
         return DiffForm(pi.chart, 1)
     prep = _prep(pi, r)
-    return _pair(a.chart, prep, _role(prep, _comps(a)), _role(prep, _comps(b)))
+    sums = [_Sum(pi.chart) for _ in range(pi.chart.dim)]
+    _pair_into(sums, prep, _role(prep, _comps(a)), _role(prep, _comps(b)))
+    return DiffForm._trusted(pi.chart, 1, {(k,): acc.poly() for k, acc in enumerate(sums)})
 
 
 
@@ -329,36 +345,72 @@ def mm1_identity(c: PNCandidate, X: VForm) -> CheckReport:
     where C' uses the bivector [X, pi] in place of pi and C'' uses the
     endomorphism [X, r]; holds for every (pi, r, X).
 
-    Every L_X comes from Cartan's formula L_X = d i_X + i_X d
-    (``_cartan_into``): L_X dx_a = d(X^a), the gradient of component a of X,
-    and L_X C_0 = d<C_0, X> + i_X dC_0.  Each piece is built once per check:
-    [X, pi] and [X, r], one prep per (bivector, endomorphism), and one role
-    list per prep (the dx_a under each prep, and the d(X^a) under pi and r).
-    On each coframe pair C_0 = C(dx_a, dx_b) is finished first; then
-    <C_0, X>, per component the terms X . dC_0 of i_X dC_0, and the pairs
-    C(L_X dx_a, dx_b), C(dx_a, L_X dx_b), C' and C'' go with their signs into
-    one map of n sums, finished once, with the products formed in that
-    order.  <C_0, X> lies one degree above the products X . dC_0, so on some
-    input the degree limit fires there, one degree earlier than an expansion
-    of L_X C_0 as X(C_0) + C_0 . dX would."""
+    Raises ``PolyError`` unless X is a vector field on the candidate's chart.
+
+    Every L_X comes from Cartan's formula L_X = d i_X + i_X d: L_X dx_a =
+    d(X^a), the gradient of component a of X, and L_X C_0 = d<C_0, X>
+    + i_X dC_0 for C_0 = C(dx_a, dx_b).  Each piece is built once per check:
+    [X, pi] and [X, r], one prep per (bivector, endomorphism), and the roles
+    of the dx_a under each prep and of the d(X^a) under (pi, r).  The roles
+    under ([X, pi], r) reuse r*dx_a and d(r*dx_a) from those under (pi, r),
+    and no role builds the zero curl of its closed form.
+
+    Every form paired is closed, so each subtracted term t, with (pi_t, r_t)
+    one of (pi, r) twice, ([X, pi], r) and (pi, [X, r]), is
+    d<r_t* a_t, pi_t# b_t> + r_t*(d<b_t, pi_t# a_t>) plus two interior
+    terms (``_parts``).  As d is linear, a coframe pair's defect is one
+    Cartan sum (``_cartan_into``),
+
+        dF + r*(dG) - [X, r]*([dx_a, dx_b]_pi) + i_X dC_0
+           - sum_t (i_{pi_t# b_t} d(r_t* a_t) - i_{pi_t# a_t} d(r_t* b_t)),
+
+    with F = <C_0, X> - sum_t <r_t* a_t, pi_t# b_t> over the four terms and
+    G = -sum_t <b_t, pi_t# a_t> over the three that use r.  The fourth
+    term's scalar is C_0's own <dx_b, pi# dx_a>, whose gradient
+    [dx_a, dx_b]_pi is taken once, for C_0.  An interior term whose d(r_t*.)
+    is zero is skipped.  Per pair that is four gradients and three
+    r*-images besides dC_0, where expanding each term on its own takes
+    eleven and five.
+
+    Products are formed in this order, which fixes the product that a
+    degree-limit error names: C_0, in the order of ``concomitant_C``;
+    <C_0, X>; the four <r_t* a_t, pi_t# b_t>; the three <b_t, pi_t# a_t>;
+    r*(dG) for every component, then [X, r]*([dx_a, dx_b]_pi) for every
+    component; then per component the terms X . dC_0 of i_X dC_0 and the
+    interior terms, term by term.  <C_0, X> lies one degree above the
+    products X . dC_0, so on some input the limit fires there, one degree
+    earlier than an expansion of L_X C_0 as X(C_0) + C_0 . dX would.  A
+    product of r*(dG) has no higher degree than some product
+    r* . d<b_t, pi_t# a_t> of the term-by-term expansion, and every other
+    product is one of that expansion, so the check raises at no limit where
+    that expansion passes; on some input it passes where that expansion
+    raises."""
     chart = c.chart
     n = chart.dim
+    if not (isinstance(X, VForm) and (X.chart, X.degree, X.vals) == (chart, 0, n)):
+        raise PolyError("mm1 identity needs a vector field on the candidate's chart")
     report = CheckReport("Lie-derivative expansion of the concomitant")
     Xpi = schouten(X_to_mv(X), c.pi)
     Xr = frolicher_nijenhuis(X, c.r)
-    basis = identity(chart, n)
     p0, p1, p2 = _prep(c.pi, c.r), _prep(Xpi, c.r), _prep(c.pi, Xr)
-    R0, R1, R2 = ([_role(p, v) for v in basis] for p in (p0, p1, p2))
+    R0, R2 = ([_role(p, v, True) for v in identity(chart, n)] for p in (p0, p2))
+    R1 = [(v, rv, _core(p1, v)[2], dv, drv) for v, rv, _, dv, drv in R0]  # r* as in R0
     Xc = X.section_components()
-    L = [_role(p0, x.grad()) for x in Xc]
+    L = [_role(p0, x.grad(), True) for x in Xc]
     for a in range(n):
         for b in range(a + 1, n):
-            C0 = _comps(_pair(chart, p0, R0[a], R0[b]))
             sums = [_Sum(chart) for _ in range(n)]
-            _cartan_into(sums, _dot(C0, Xc), [(Xc, _curl(C0), 1)])
-            for prep, f, g in ((p0, L[a], R0[b]), (p0, R0[a], L[b]),
-                               (p1, R1[a], R1[b]), (p2, R2[a], R2[b])):
-                _pair_into(sums, prep, f, g, -1)
+            bracket = _pair_into(sums, p0, R0[a], R0[b])  # [dx_a, dx_b]_pi
+            C0 = [acc.poly() for acc in sums]
+            parts = [_parts(f, g) for f, g in ((L[a], R0[b]), (R0[a], L[b]),
+                                               (R1[a], R1[b]), (R2[a], R2[b]))]
+            F, G, sums = _Sum(chart), _Sum(chart), [_Sum(chart) for _ in range(n)]
+            _dot_into(F, C0, Xc)
+            for acc, pair in [(F, f) for f, _, _ in parts] + [(G, g) for _, g, _ in parts[:3]]:
+                _dot_into(acc, *pair, -1)  # the fourth g is C_0's <dx_b, pi# dx_a>
+            _cartan_into(sums, F.poly(), [(Xc, _curl(C0), 1)]
+                         + [(v, dv, -s) for *_, t in parts for v, dv, s in t],
+                         pulls=[(p0[2], G.poly().grad(), 1), (p2[2], bracket, -1)])
             defect = DiffForm._trusted(chart, 1, {(k,): acc.poly() for k, acc in enumerate(sums)})
             report.add_zero("concomitant Lie-derivative identity", defect,
                             detail=f"(d{chart.coords[a]},d{chart.coords[b]})")

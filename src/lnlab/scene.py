@@ -295,7 +295,8 @@ def _run_mm1_random(dims: list[int], count: int, seed: int) -> CheckReport:
             X = VForm.section(chart, [_random_linear(rng, chart) for _ in range(dim)])
             sub = mm1_identity(PNCandidate(pi, r), X)
             report.add(f"dim {dim} trial {trial + 1}", sub.passed,
-                       detail="" if sub.passed else f"{len(sub.failures())} components")
+                       detail="" if sub.passed
+                       else f"{len(sub.failures())} of {len(sub.items)} coframe pairs")
     return report
 
 

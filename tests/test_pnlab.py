@@ -4,17 +4,21 @@ bialgebroid characterization, and the deformation hierarchy."""
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from lnlab.poly import (Chart, GrowthLimitError, Poly, PolyError,
+from lnlab.poly import (Chart, GrowthLimitError, Poly, PolyError, _Sum,
                         get_degree_limit, set_degree_limit)
 from lnlab.forms import (DiffForm, Multivector, VForm, lie_derivative_vvf,
                          schouten, sharp_matrix)
-from lnlab.matrix import mat_mul
+from lnlab.matrix import mat_mul, transpose
 from lnlab.algebroid import (AlgebroidStructure, deform_algebroid,
                              tangent_algebroid)
 from lnlab import forms, pnlab
+from lnlab.cli import main
 from lnlab.pnlab import (PNCandidate, check_pn, concomitant_C, concomitant_R,
-                         concomitants, hierarchy, kosmann_equivalence, mm1_identity)
+                         concomitants, hierarchy, kosmann_equivalence, mm1_identity,
+                         X_to_mv)
 
 from helpers import (CH2, CH3, codes_entered, pairing, ref_concomitant_C, rnd_bivector,
                      rnd_endo, rnd_one_form, rnd_poly, rnd_vf)
@@ -220,6 +224,21 @@ class TestConcomitants:
 
 
 class TestMM1:
+    @pytest.mark.parametrize("field", [
+        XID,  # degree 1
+        VForm.section(CH2, [X, ONE, X]),  # too many values
+        VForm.section(CH2, [X]),  # too few values
+        VForm.section(CH3, [Poly.var(CH3, v) for v in "xyz"]),  # another chart
+    ], ids=["degree-1", "too-many-values", "too-few-values", "another-chart"])
+    def test_refuses_a_malformed_field_before_any_work(self, monkeypatch, field):
+        def no_work(*args):
+            raise AssertionError("formed a bracket before checking the field")
+        monkeypatch.setattr(pnlab, "schouten", no_work)
+        monkeypatch.setattr(pnlab, "frolicher_nijenhuis", no_work)
+        with pytest.raises(PolyError, match="^mm1 identity needs a vector field on the "
+                                            "candidate's chart$"):
+            mm1_identity(PNCandidate(PI0, XID), field)
+
     def test_holds_for_random_data(self):
         """Non-selfadjoint composites r o pi# in dimensions 2 and 4, so each
         of the three (bivector, endomorphism) preps and each role enters."""
@@ -348,6 +367,21 @@ class TestMM1:
         finally:
             set_degree_limit(old)
 
+    def test_kernel_counts_of_the_mm1_random_scene(self, monkeypatch, capsys):
+        """Exact calls of the kernel's accumulator and of ``Poly.diff`` over
+        ``lnlab examples run mm1-random``: one Cartan sum per coframe pair,
+        closed roles with no curl, and the roles under [X, pi] sharing r*
+        with those under pi.  The counts repeat exactly from run to run."""
+        counts = dict.fromkeys(("add", "poly", "diff"), 0)
+        for owner, attr in ((_Sum, "add"), (_Sum, "poly"), (Poly, "diff")):
+            def counted(*args, _fn=getattr(owner, attr), _key=attr):
+                counts[_key] += 1
+                return _fn(*args)
+            monkeypatch.setattr(owner, attr, counted)
+        assert main(["examples", "run", "mm1-random", "--format", "table"]) == 0
+        capsys.readouterr()
+        assert counts == {"add": 2451, "poly": 449, "diff": 801}
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_differentiates_no_constant(self, monkeypatch, n):
         """A coefficient whose degree bound is 0, such as that of dx_a, gets
@@ -366,6 +400,63 @@ class TestMM1:
         monkeypatch.setattr(Poly, "diff", counted_diff)
         assert mm1_identity(c, Xf).passed
         assert constants == []
+
+
+@st.composite
+def mm1_cases(draw):
+    """(candidate, X, shift) on R^2 to R^4: r o pi# not selfadjoint, X with
+    affine components and, half the time, a quadratic monomial added to one
+    of them, and a constant shift of [X, r] (a tangent-valued 1-form) or of
+    [X, pi] (a bivector)."""
+    n = draw(st.integers(2, 4))
+    chart = Chart(("x", "y", "z", "w")[:n])
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    c = PNCandidate(rnd_bivector(rng, chart), rnd_endo(rng, chart))
+    S, M = sharp_matrix(c.pi), c.r.matrix()
+    assume(mat_mul(M, S) != mat_mul(S, transpose(M)))
+    comps = rnd_vf(rng, chart).section_components()
+    if draw(st.booleans()):
+        k, i, j = (draw(st.integers(0, n - 1)) for _ in range(3))
+        comps[k] = comps[k] + Poly.coord(chart, i) * Poly.coord(chart, j)
+    const = st.integers(-2, 2).map(lambda v: Poly.const(chart, v))
+    if draw(st.booleans()):
+        shift = VForm(chart, 1, n, {((i,), v): draw(const) for i in range(n) for v in range(n)})
+    else:
+        shift = Multivector(chart, 2, {(i, j): draw(const)
+                                       for i in range(n) for j in range(i + 1, n)})
+    return c, VForm.section(chart, comps), shift
+
+
+class TestMM1PairSum:
+    @given(mm1_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_defects_match_the_five_term_expansion(self, case):
+        """Each item's defect is L_X C(a, b) - C(L_X a, b) - C(a, L_X b)
+        - C_[X,pi](a, b) - C_pi,[X,r](a, b), each term formed on its own
+        from the public ``concomitant_C`` and ``lie_derivative_vvf``, with
+        the shifted bracket in place of [X, r] or [X, pi]."""
+        c, Xf, shift = case
+        chart = c.chart
+        Xpi, Xr = schouten(X_to_mv(Xf), c.pi), forms.frolicher_nijenhuis(Xf, c.r)
+        name = "frolicher_nijenhuis" if isinstance(shift, VForm) else "schouten"
+        with pytest.MonkeyPatch.context() as mp:
+            fn = getattr(pnlab, name)
+            mp.setattr(pnlab, name, lambda P, Q: fn(P, Q) + shift)
+            report = mm1_identity(c, Xf)
+        if isinstance(shift, VForm):
+            Xr = Xr + shift
+        else:
+            Xpi = Xpi + shift
+        C, L = concomitant_C, lie_derivative_vvf
+        pairs = [(a, b) for a in range(chart.dim) for b in range(a + 1, chart.dim)]
+        assert len(report.items) == len(pairs)
+        for item, (a, b) in zip(report.items, pairs):
+            da, db = DiffForm.basis(chart, (a,)), DiffForm.basis(chart, (b,))
+            want = (L(Xf, C(c.pi, c.r, da, db)) - C(c.pi, c.r, L(Xf, da), db)
+                    - C(c.pi, c.r, da, L(Xf, db)) - C(Xpi, c.r, da, db) - C(c.pi, Xr, da, db))
+            assert item.detail == f"(d{chart.coords[a]},d{chart.coords[b]})"
+            assert item.passed == want.is_zero
+            assert item.defect == (None if want.is_zero else want)
 
 
 class TestMM1Failures:

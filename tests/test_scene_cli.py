@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import decimal
-from lnlab import algebroid, lnb, report
+from lnlab import algebroid, lnb, pnlab, report
 from lnlab import scene as scene_module
 from lnlab.poly import Chart, Poly, get_degree_limit, set_degree_limit
 from lnlab.forms import DiffForm, Multivector, VForm
@@ -25,6 +25,7 @@ from lnlab.lnb import LNCandidate, check_lnb
 from lnlab.matrix import transpose
 from lnlab.catalog import example_names, example_source
 from lnlab.cli import main
+from lnlab.pnlab import concomitant_C
 from lnlab.report import CheckItem
 from lnlab.scene import SceneError, parse_scene, render, run
 
@@ -50,6 +51,24 @@ LN_OBJECTS = {
 }
 
 VECTOR_FIELD = {"type": "vector_field", "components": ["y", "x"]}
+
+# J @x = x @x + @y, J @y = -(1 + x^2) @x - x @y: a complex structure on R^2
+# that is not constant, so its derivation D^J is not zero
+JX_SCENE = {
+    "chart": ["x", "y"],
+    "objects": {
+        "zero": {"type": "bivector", "coeffs": {}},
+        "J": {"type": "endomorphism", "matrix": [["x", "-(1 + x^2)"], ["1", "-x"]]},
+        "A": {"type": "tangent_algebroid"},
+        "Astar": {"type": "cotangent_algebroid", "bivector": "zero"},
+        "D": {"type": "gder_tangent", "endomorphism": "J"},
+    },
+    "checks": [
+        {"check": "lnb", "base": "A", "dual": "Astar", "gder": "D"},
+        {"check": "holomorphic", "base": "A", "dual": "Astar", "gder": "D"},
+    ],
+}
+ANTICOMMUTES = "derivation anticommutes with the symbol"
 
 
 @pytest.fixture
@@ -199,6 +218,33 @@ class TestCatalog:
         capsys.readouterr()
         assert calls and constants == []
 
+    def test_mm1_random_failure_counts_the_failing_coframe_pairs(self, monkeypatch, capsys):
+        """With [X, r] shifted by the constant dx_n (x) @x_n, each trial of
+        ``mm1_random`` fails on the coframe pairs where C(pi, shift) != 0
+        (the oracle of ``TestMM1Failures`` in test_pnlab.py), and its detail
+        reads "N of M coframe pairs"."""
+        def shift(chart):
+            n = chart.dim
+            return VForm(chart, 1, n, {((n - 1,), n - 1): Poly.const(chart, 1)})
+        fn, mm1 = pnlab.frolicher_nijenhuis, scene_module.mm1_identity
+        monkeypatch.setattr(pnlab, "frolicher_nijenhuis", lambda K, L: fn(K, L) + shift(K.chart))
+        trials = []
+        monkeypatch.setattr(scene_module, "mm1_identity",
+                            lambda c, X: trials.append(c) or mm1(c, X))
+        assert main(["examples", "run", "mm1-random", "--format", "table"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        rows = out[out.index("-- 2:mm1_random") + 4:]
+        want = []
+        for c, label in zip(trials[1:], [f"dim {d} trial {t}" for d in (2, 3) for t in (1, 2, 3)]):
+            ch = c.chart
+            pairs = [(a, b) for a in range(ch.dim) for b in range(a + 1, ch.dim)]
+            bad = sum(not concomitant_C(c.pi, shift(ch), DiffForm.basis(ch, (a,)),
+                                        DiffForm.basis(ch, (b,))).is_zero for a, b in pairs)
+            want.append(f"{label} | FAIL   | {bad} of {len(pairs)} coframe pairs" if bad
+                        else f"{label} | pass   | ")
+        assert len(trials) == 7 and rows == want
+        assert "dim 3 trial 1 | FAIL   | 2 of 3 coframe pairs" in rows
+
     def test_show_is_verbatim(self, capsys):
         main(["examples", "show", "pn-xid"])
         assert capsys.readouterr().out == example_source("pn-xid")
@@ -252,6 +298,40 @@ class TestCheckCommand:
         out = capsys.readouterr().out.splitlines()
         assert out[1:5] == ["overall: PASS", "", "-- 1:im", "IM equations: PASS"]
         assert out[-1] == "IM symbol square                | pass   | r o rho - rho o l"
+
+    def test_holomorphic_law_on_a_complex_structure_that_is_not_constant(self, scene_file,
+                                                                         capsys):
+        """JX passes ``check_lnb`` and ``holomorphic_detect`` with D^J != 0, so
+        its anticommutation rows depend on the derivation term, which the
+        constant J of the catalog scene leaves at zero.  Its table is the
+        catalog scene's row for row."""
+        scene = json.dumps(JX_SCENE)
+        assert any(not v.is_zero for v in parse_scene(scene).objects["D"].d_frame)
+        assert main(["check", scene_file(scene), "--format", "table"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        golden = (GOLDENS / "lnb-holomorphic-J2.txt").read_text().splitlines()
+        assert out[1:] == golden[1:] and len(out) == 36
+        assert out[-6:] == ["r squares to minus identity             | pass   | ",
+                            "l squares to minus identity             | pass   | "] + [
+            f"{ANTICOMMUTES} | pass   | ({u};d/d{v})" for u in ("@x", "@y") for v in "xy"]
+
+    def test_holomorphic_law_on_a_product_structure_fails_the_squares(self, scene_file,
+                                                                      capsys):
+        """J @x = x @x + @y, J @y = (1 - x^2) @x - x @y squares to +id: the
+        pair is still a Lie-Nijenhuis bialgebroid, and the holomorphic check
+        fails on the two squares alone."""
+        scene = json.loads(json.dumps(JX_SCENE))
+        scene["objects"]["J"]["matrix"] = [["x", "1 - x^2"], ["1", "-x"]]
+        assert main(["check", scene_file(json.dumps(scene)), "--format", "table"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[1] == "overall: FAIL"
+        assert out[4] == "Lie-Nijenhuis bialgebroid: PASS"
+        assert out[-9:] == ["holomorphic structure: FAIL",
+                            "law                                     | status | detail",
+                            "----------------------------------------+--------+-------",
+                            "r squares to minus identity             | FAIL   | ",
+                            "l squares to minus identity             | FAIL   | "] + [
+            f"{ANTICOMMUTES} | pass   | ({u};d/d{v})" for u in ("@x", "@y") for v in "xy"]
 
     def test_bialgebroid_frames_that_are_not_dual_exit_two(self, scene_file, capsys):
         """An input error naming both objects and frames, not a failed

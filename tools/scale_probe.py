@@ -15,10 +15,15 @@ Each family gives a pair (pi, r) on R^d, d = 4, 6 and 8:
 Each point runs ``check_pn``, ``check_bialgebroid(TM, T*M_pi)`` and
 ``check_lnb(TM, T*M_pi, D^r)`` and prints one line with each verdict, then
 the median and the interquartile range (inclusive quartiles) of ``REPEAT``
-single calls in milliseconds, as ``check_pn PASS 0.93 ms (IQR 0.05)``.  On a
-shared host the best of a few calls moves by tens of percent between runs
-of the same code, so a before/after comparison reads the median against the
-spread.  Standard library and the public lnlab API only; no argument.
+single calls in milliseconds, then the work of one call: its calls of the
+polynomial kernel's accumulator ``_Sum.add``, of ``_Sum.poly``, which
+finishes a sum, and of ``Poly.diff``, as ``check_pn PASS 0.87 ms (IQR 0.09)
+add 304 sum 128 diff 120``.  On a shared host the best of a few calls
+moves by tens of percent between runs of the same code, so a before/after
+comparison reads the median against the spread; the counts repeat exactly
+and show a change of work with no timing noise.  Standard library and the
+lnlab API only, with the three kernel methods wrapped here for the counts;
+no argument.
 
 Usage: PYTHONPATH=src python tools/scale_probe.py
 """
@@ -35,10 +40,11 @@ from lnlab.gder import build_drT, cotangent_bundle
 from lnlab.lifts import TotalChart, cotangent_lift
 from lnlab.lnb import LNCandidate, check_lnb
 from lnlab.pnlab import PNCandidate, check_pn
-from lnlab.poly import Chart, Poly
+from lnlab.poly import Chart, Poly, _Sum
 
 DIMS = (4, 6, 8)
 REPEAT = 11
+KERNEL = ((_Sum, "add"), (_Sum, "poly"), (Poly, "diff"))
 
 
 def separable(n: int) -> tuple[Multivector, VForm]:
@@ -77,9 +83,31 @@ def checks(pi: Multivector, r: VForm) -> list[tuple[str, object]]:
             ("check_lnb", lambda: check_lnb(LNCandidate(TM, TsM, build_drT(r))))]
 
 
+def work_counts(fn) -> list[int]:
+    """The calls of ``_Sum.add``, ``_Sum.poly`` and ``Poly.diff`` made by
+    one call of ``fn``, in that order."""
+    counts = [0] * len(KERNEL)
+    saved = [getattr(owner, attr) for owner, attr in KERNEL]
+
+    def counting(i, method):
+        def counted(*args, **kwargs):
+            counts[i] += 1
+            return method(*args, **kwargs)
+        return counted
+    try:
+        for i, ((owner, attr), method) in enumerate(zip(KERNEL, saved)):
+            setattr(owner, attr, counting(i, method))
+        fn()
+    finally:
+        for (owner, attr), method in zip(KERNEL, saved):
+            setattr(owner, attr, method)
+    return counts
+
+
 def main(dims=DIMS, repeat: int = REPEAT) -> int:
     """Print one line per point, timing ``repeat`` (at least 2, for the
-    quartiles) single calls of each checker."""
+    quartiles) single calls of each checker and counting the kernel calls
+    of one more."""
     for name, d, pi, r in points(dims):
         parts = []
         for check, fn in checks(pi, r):
@@ -87,7 +115,9 @@ def main(dims=DIMS, repeat: int = REPEAT) -> int:
             q1, median, q3 = statistics.quantiles(
                 [t * 1e3 for t in timeit.repeat(fn, number=1, repeat=repeat)],
                 n=4, method="inclusive")
-            parts.append(f"{check} {verdict} {median:.2f} ms (IQR {q3 - q1:.2f})")
+            add, finished, diff = work_counts(fn)
+            parts.append(f"{check} {verdict} {median:.2f} ms (IQR {q3 - q1:.2f})"
+                         f" add {add} sum {finished} diff {diff}")
         print(f"{name} dim {d}: " + ", ".join(parts))
     return 0
 
