@@ -32,10 +32,15 @@ numerators over one shared denominator, and the finished sum gets one gcd
 pass, not one per term.  Each product is checked against the chart and the
 degree limit as it is added: while the operands' bounds add up to at most
 the limit, no key is read; past it, the exact degrees are read off the top
-keys, and they replace the bounds in the sum's own.  When one factor has a
-single term (a constant or a monomial; a plain sum term counts as a product
-with the unit monomial), the product is one shifted, scaled copy of the
-other factor: one loop.  Two multi-term factors take the double loop.
+keys, and they replace the bounds in the sum's own.  ``_Sum.add`` does
+only the bookkeeping a product's shape needs, in this order: after the
+chart check, a zero operand returns at once; after the degree check, a
+product with a one-term factor (a constant or a monomial, the right factor
+tried first; a plain sum term counts as a product with the unit monomial)
+is one shifted, scaled copy of the other factor: one loop; two multi-term
+factors take the double loop.  When both operands' denominators are 1 (the
+integer path) no remainder, ``lcm`` or division is taken: the scale is the
+sign, times the sum's own denominator only when that is not 1.
 ``+``, ``-`` and ``Poly * Poly`` are each one step of a fresh accumulator,
 so the two loops and the degree check exist once.  A product's degree is
 checked before it is formed, so no result ever holds a monomial above the
@@ -52,7 +57,7 @@ interpreter stack.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
@@ -128,18 +133,18 @@ class Chart:
     """A coordinate chart: an ordered tuple of distinct coordinate names.
 
     ``dim == 0`` is legal (a point); polynomials then degenerate to rational
-    scalars, which is what Lie bialgebras over a point need.
+    scalars, which is what Lie bialgebras over a point need.  ``dim`` is
+    stored when the chart is built; it is not a constructor argument and
+    takes no part in equality, hashing or ``repr``.
     """
 
     coords: tuple[str, ...]
+    dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(set(self.coords)) != len(self.coords):
             raise ValueError(f"coordinate names must be distinct: {self.coords}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
+        object.__setattr__(self, "dim", len(self.coords))
 
     def index(self, name: str) -> int:
         try:
@@ -341,7 +346,7 @@ class Poly:
 
     def diff(self, i: int) -> "Poly":
         """Formal partial derivative with respect to coordinate ``i``."""
-        n = len(self.chart.coords)
+        n = self.chart.dim
         if not 0 <= i < n:
             raise IndexError(f"coordinate index {i} out of range for {self.chart}")
         # lowering slot i and the total degree by one is injective on the
@@ -363,7 +368,7 @@ class Poly:
         partial derivative the package forms goes through here: a constant
         (degree bound 0) gets n zeros with no ``diff`` call, any other Poly
         one ``diff`` per coordinate."""
-        n = len(self.chart.coords)
+        n = self.chart.dim
         return [self.diff(i) for i in range(n)] if self._deg else [Poly.zero(self.chart)] * n
 
     # -- predicates & misc -------------------------------------------------
@@ -428,12 +433,33 @@ def _check_chart(chart: Chart, p: Poly) -> None:
         raise PolyError(f"chart mismatch: {chart} vs {p.chart}")
 
 
+def _product_degree(chart: Chart, a: dict[int, int], b: dict[int, int]) -> int:
+    """The exact total degree of the product of the terms ``a`` and ``b``,
+    read off their top keys.  Over the limit, raise ``GrowthLimitError``
+    naming the first monomial past it in product order (``a`` outer)."""
+    shift, limit = SLOT_BITS * chart.dim, _DEGREE_LIMIT
+    deg = (max(a) >> shift) + (max(b) >> shift)
+    if deg > limit:
+        # Over Q the product has exactly this total degree.
+        deg = next(s + t for s in (k >> shift for k in a)
+                   for t in (k >> shift for k in b) if s + t > limit)
+        raise GrowthLimitError(f"monomial degree {deg} exceeds limit {limit}")
+    return deg
+
+
 class _Sum:
     """A sum of terms ``sign * x * y`` (``sign * x`` when ``y`` is None),
     built in place over one shared denominator (see the module docstring).
     ``deg`` is the largest degree bound added, deg x + deg y per product and
     deg x per plain term, or the exact degree of a product whose bounds
-    exceed the limit; ``poly()`` gives it to the result (0 when empty)."""
+    exceed the limit; ``poly()`` gives it to the result (0 when empty).
+
+    ``add`` dispatches on the operands' shape, in the module docstring's
+    order: a zero operand adds nothing, a one-term factor (or a plain term)
+    makes one loop over the other factor, and two multi-term factors the
+    double loop.  Integer operands (both denominators 1) take no ``%``,
+    ``lcm`` or ``//``; only a sum whose own denominator is not 1 scales
+    them by it."""
 
     __slots__ = ("chart", "num", "den", "deg")
 
@@ -448,43 +474,40 @@ class _Sum:
         if y is None:  # x times the unit monomial
             if not a:
                 return
-            d, one, rest, deg = x._den, (0, 1), a, x._deg
+            k1, c1, rest, d, deg = 0, 1, a, x._den, x._deg
         else:
             if y.chart is not chart:
                 _check_chart(chart, y)
-            b, d = y._num, x._den * y._den
+            b = y._num
             if not a or not b:
                 return
-            if len(b) == 1:
-                (one,), rest = b.items(), a
-            elif len(a) == 1:
-                (one,), rest = a.items(), b
-            else:
-                one, rest = None, b
             deg = x._deg + y._deg
             if deg > _DEGREE_LIMIT:  # the bounds may overstate: read the keys
-                shift, limit = SLOT_BITS * len(chart.coords), _DEGREE_LIMIT
-                top = max(a) if one is None else one[0]
-                deg = (top >> shift) + (max(rest) >> shift)
-                if deg > limit:
-                    # Over Q the product has exactly this total degree.  Report
-                    # the first monomial past the bound, in product order.
-                    deg = next(s + t for s in (k >> shift for k in a)
-                               for t in (k >> shift for k in b) if s + t > limit)
-                    raise GrowthLimitError(f"monomial degree {deg} exceeds limit {limit}")
+                deg = _product_degree(chart, a, b)
+            d = x._den * y._den
+            if len(b) == 1:
+                ((k1, c1),) = b.items()
+                rest = a
+            elif len(a) == 1:
+                ((k1, c1),) = a.items()
+                rest = b
+            else:
+                rest = None
         if deg > self.deg:
             self.deg = deg
         den = self.den
-        if den % d:  # grow the shared denominator to a multiple of d
-            new = lcm(den, d)
-            f = new // den
-            self.num = {k: c * f for k, c in self.num.items()}
-            self.den = den = new
-        m = den // d * sign
+        if d == 1:  # integer operands: no gcd, no division
+            m = sign if den == 1 else den * sign
+        else:
+            if den % d:  # grow the shared denominator to a multiple of d
+                new = lcm(den, d)
+                f = new // den
+                self.num = {k: c * f for k, c in self.num.items()}
+                self.den = den = new
+            m = den // d * sign
         num = self.num
         get = num.get
-        if one is not None:  # a shifted, scaled copy of the other factor
-            k1, c1 = one
+        if rest is not None:  # a shifted, scaled copy of the other factor
             c1 *= m
             for k2, c2 in rest.items():
                 k = k1 + k2

@@ -274,10 +274,10 @@ def parse_scene(text: str) -> Scene:
 
 
 def _random_linear(rng: random.Random, chart: Chart) -> Poly:
-    terms = {(0,) * chart.dim: Fraction(rng.randint(-2, 2))}
+    terms = {(0,) * chart.dim: rng.randint(-2, 2)}
     for i in range(chart.dim):
         exp = tuple(1 if j == i else 0 for j in range(chart.dim))
-        terms[exp] = Fraction(rng.randint(-2, 2))
+        terms[exp] = rng.randint(-2, 2)
     return Poly(chart, terms)
 
 

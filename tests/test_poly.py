@@ -579,6 +579,30 @@ class TestAccumulator:
     @example((CH, [({(1, 1): Fraction(-3, 4)}, {(2, 0): Fraction(2, 3), (0, 1): 1}, 1),
                    ({(0, 1): 1, (1, 0): HALF}, {(0, 0): -1}, -1),
                    ({(1, 1): Fraction(1, 2)}, {(0, 0): Fraction(3, 2)}, 1)]))
+    # each branch of add's dispatch, with integer operands into a sum that
+    # already holds a fraction and fractional operands into an integer sum:
+    # a plain term
+    @example((CH, [({(1, 0): HALF}, None, 1), ({(0, 1): 2, (0, 0): -1}, None, -1)]))
+    @example((CH, [({(0, 1): 3}, None, 1), ({(1, 0): Fraction(2, 3), (0, 0): 1}, None, 1)]))
+    # a one-term factor on the left
+    @example((CH, [({(1, 0): Fraction(1, 3)}, None, 1),
+                   ({(0, 0): 2}, {(1, 0): 1, (0, 1): -1}, -1)]))
+    @example((CH, [({(0, 1): 1}, None, 1),
+                   ({(1, 1): Fraction(3, 4)}, {(1, 0): 2, (0, 0): 1}, 1)]))
+    # a one-term factor on the right
+    @example((CH, [({(0, 0): HALF}, None, 1), ({(1, 0): 1, (0, 1): 2}, {(0, 1): -3}, 1)]))
+    @example((CH, [({(1, 0): 2}, {(0, 0): 1}, 1),
+                   ({(1, 0): 1, (0, 0): -2}, {(1, 1): Fraction(1, 6)}, -1)]))
+    # two multi-term factors
+    @example((CH, [({(0, 0): Fraction(2, 3)}, None, -1),
+                   ({(1, 0): 1, (0, 0): 2}, {(0, 1): 1, (0, 0): -1}, 1)]))
+    @example((CH, [({(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 0): -1}, 1),
+                   ({(1, 0): HALF, (0, 0): 1}, {(0, 1): Fraction(1, 3), (0, 0): 2}, -1)]))
+    # a zero operand: plain, left and right, into a fractional and an integer sum
+    @example((CH, [({(1, 0): HALF}, None, 1), ({}, None, 1), ({}, {(1, 0): 1}, 1),
+                   ({(0, 1): 1}, {}, -1), ({(0, 0): 3}, {(0, 1): 1}, 1)]))
+    @example((CH, [({(1, 0): 2}, None, 1), ({}, {(0, 1): HALF}, 1),
+                   ({(0, 1): Fraction(1, 3)}, {}, -1), ({(1, 0): 1}, {(0, 1): 1}, 1)]))
     @settings(max_examples=150, deadline=None)
     def test_matches_a_reference_fold(self, drawn):
         chart, terms = drawn
@@ -597,6 +621,18 @@ class TestAccumulator:
         assert den > 0 and all(num.values()) and gcd(den, *num.values()) == 1
         assert num or den == 1
         assert p == fold and hash(p) == hash(fold)
+
+    def test_chart_mismatch_raises_on_a_zero_operand(self):
+        # a zero operand adds nothing, but only after its chart is checked;
+        # the sum is left as it was
+        zero3, other = Poly.zero(CH3), Poly(CH3, {(0, 1, 0): 1})
+        for args in ((zero3,), (zero3, X), (X, zero3), (zero3, other), (other, zero3),
+                     (Poly.zero(CH), other), (other, Poly.zero(CH))):
+            acc = _Sum(CH)
+            acc.add(X, Y)
+            with pytest.raises(PolyError, match="chart mismatch"):
+                acc.add(*args)
+            assert acc.poly() == X * Y
 
 
 # -- the degree bound every Poly carries ----------------------------------------

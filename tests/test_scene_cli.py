@@ -70,6 +70,144 @@ JX_SCENE = {
 }
 ANTICOMMUTES = "derivation anticommutes with the symbol"
 
+# Scenes that fail (exit 1) or that the command line refuses (exit 2 or 3);
+# the reachability lint of test_reachability.py runs them too.
+FAILING_PN_SCENE = PN_SCENE.replace('[["x", "0"], ["0", "x"]]', '[["0", "-1"], ["1", "0"]]')
+# [pi, pi] != 0 for pi = z @x^@y + xy @y^@z
+NON_POISSON_KOSMANN = {
+    "chart": ["x", "y", "z"],
+    "objects": {"pi": {"type": "bivector", "coeffs": {"x,y": "z", "y,z": "x*y"}},
+                "r": {"type": "endomorphism",
+                      "matrix": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}},
+    "checks": [{"check": "kosmann", "bivector": "pi", "endomorphism": "r"}]}
+# J @x = x @x + @y, J @y = (1 - x^2) @x - x @y squares to +id
+PRODUCT_JX_SCENE = {**JX_SCENE, "objects": {
+    **JX_SCENE["objects"], "J": {"type": "endomorphism", "matrix": [["x", "1 - x^2"], ["1", "-x"]]}}}
+NOT_DUAL_FRAMES = (example_source("bialgebra-aff2")
+                   .replace('"e1*", "e2*"', '"f1", "f2"').replace("e1*,e2*", "f1,f2"))
+# the pn check on the same bivector fails [pi, pi] = 0
+NON_POISSON_PN = {**NON_POISSON_KOSMANN,
+                  "checks": [{"check": "pn", "bivector": "pi", "endomorphism": "r"}]}
+# acceptance criterion 7 on R^2: the rank-3 Heisenberg algebra [e1, e2] = e3
+# with [e1*, e2*] = e1* fails the cocycle condition on (e1, e2)
+HEISENBERG_COCYCLE = {
+    "chart": ["x", "y"],
+    "objects": {"h": {"type": "algebroid", "frame": ["e1", "e2", "e3"],
+                      "anchor": [["0", "0"]] * 3, "brackets": {"e1,e2": ["0", "0", "1"]}},
+                "hdual": {"type": "algebroid", "frame": ["e1*", "e2*", "e3*"],
+                          "anchor": [["0", "0"]] * 3, "brackets": {"e1*,e2*": ["1", "0", "0"]}}},
+    "checks": [{"check": "bialgebroid", "base": "h", "dual": "hdual"}]}
+# rho(e1) = @x and rho(e2) = @y, but [e1, e2] = e1 while [@x, @y] = 0
+NOT_AN_ALGEBROID = {
+    "chart": ["x", "y"],
+    "objects": {"a": {"type": "algebroid", "frame": ["e1", "e2"],
+                      "anchor": [["1", "0"], ["0", "1"]], "brackets": {"e1,e2": ["1", "0"]}},
+                "adual": {"type": "algebroid", "frame": ["e1*", "e2*"],
+                          "anchor": [["0", "0"], ["0", "0"]], "brackets": {}}},
+    "checks": [{"check": "algebroid", "target": "a"},
+               {"check": "bialgebroid", "base": "a", "dual": "adual"}]}
+# [pi, pi] has degree 3, past a limit of 2, while the object is built
+GROWTH_WHILE_BUILDING = {
+    "chart": ["x", "y", "z"],
+    "objects": {"pi": {"type": "bivector", "coeffs": {"x,y": "x^2", "y,z": "y^2"}},
+                "Astar": {"type": "cotangent_algebroid", "bivector": "pi"}},
+    "checks": []}
+
+# edits of PN_SCENE that the command line refuses with exit 2, by id: an
+# edit changes the scene in place, or returns the file's text
+MALFORMED_EDITS = {
+    "unknown-coordinate":
+        lambda s: s["objects"]["pi0"].update(coeffs={"x,z": "1"}),
+    "objects-list":
+        lambda s: s.update(objects=[]),
+    "coeffs-list":
+        lambda s: s["objects"]["pi0"].update(coeffs=["1"]),
+    "brackets-list":
+        lambda s: s["objects"].update(A={"type": "algebroid", "frame": ["e"],
+                                         "anchor": [["1", "0"]], "brackets": []}),
+    "frame-string":
+        lambda s: s["objects"].update(A={"type": "algebroid", "frame": "ef",
+                                         "anchor": [["1", "0"], ["0", "1"]]}),
+    "depth-string":
+        lambda s: s["checks"].append({"check": "hierarchy", "bivector": "pi0",
+                                      "endomorphism": "rx", "depth": "2"}),
+    "dims-string":
+        lambda s: s["checks"].append({"check": "mm1_random", "dims": "23"}),
+    "count-string":
+        lambda s: s["checks"].append({"check": "mm1_random", "count": "5"}),
+    "seed-list":
+        lambda s: s["checks"].append({"check": "mm1_random", "seed": [7]}),
+    "duplicate-coordinate":
+        lambda s: s.update(chart=["x", "x"]),
+    "matrix-number":
+        lambda s: s["objects"]["rx"].update(matrix=7),
+    "zero-denominator":
+        lambda s: s["objects"]["pi0"].update(coeffs={"x,y": "1/0"}),
+    "dims-negative":
+        lambda s: s["checks"].append({"check": "mm1_random", "dims": [-1]}),
+    "dims-zero":
+        lambda s: s["checks"].append({"check": "mm1_random", "dims": [2, 0]}),
+    "dims-empty":
+        lambda s: s["checks"].append({"check": "mm1_random", "dims": []}),
+    "count-zero":
+        lambda s: s["checks"].append({"check": "mm1_random", "count": 0}),
+    "hierarchy-depth-negative":
+        lambda s: s["checks"].append({"check": "hierarchy", "bivector": "pi0",
+                                      "endomorphism": "rx", "depth": -3}),
+    "deform-depth-zero":
+        lambda s: s.update(objects={**s["objects"], **LN_OBJECTS},
+                           checks=[{"check": "deform_hierarchy", "base": "A",
+                                    "dual": "Astar", "gder": "D", "depth": 0}]),
+    "dims-over-bound":
+        lambda s: s["checks"].append({"check": "mm1_random", "dims": [2, 7]}),
+    "dims-too-many":
+        lambda s: s["checks"].append({"check": "mm1_random", "dims": [2] * 6}),
+    "count-over-bound":
+        lambda s: s["checks"].append({"check": "mm1_random", "count": 51}),
+    "hierarchy-depth-over-bound":
+        lambda s: s["checks"].append({"check": "hierarchy", "bivector": "pi0",
+                                      "endomorphism": "rx", "depth": 17}),
+    "deform-depth-over-bound":
+        lambda s: s.update(objects={**s["objects"], **LN_OBJECTS},
+                           checks=[{"check": "deform_hierarchy", "base": "A",
+                                    "dual": "Astar", "gder": "D", "depth": 17}]),
+    "field-not-a-vector-field":
+        lambda s: s["checks"].append({"check": "mm1", "bivector": "pi0",
+                                      "endomorphism": "rx", "field": "rx"}),
+    "torsion-of-a-vector-field":
+        lambda s: s.update(objects={**s["objects"], "X": VECTOR_FIELD},
+                           checks=[{"check": "torsion", "endomorphism": "X"}]),
+    "literal-past-digit-limit":
+        lambda s: s["objects"]["pi0"].update(coeffs={"x,y": "1" * 5000}),
+    "frame-repeated-name":
+        lambda s: s["objects"].update(A={"type": "algebroid", "frame": ["e", "e"],
+                                         "anchor": [["1", "0"], ["0", "1"]]}),
+    "chart-name-number":
+        lambda s: s.update(chart=["x", "1"], objects={}, checks=[]),
+    "chart-name-expression":
+        lambda s: s.update(chart=["x", "x+y"], objects={}, checks=[]),
+    "chart-name-trailing-space":
+        lambda s: s.update(chart=["x", "y "], objects={}, checks=[]),
+    "json-nested-100000":
+        lambda s: "[" * 100_000,
+    "poly-parentheses-5000":
+        lambda s: s["objects"]["pi0"].update(coeffs={"x,y": "(" * 5000 + "x" + ")" * 5000}),
+    "poly-unary-minus-5000":
+        lambda s: s["objects"]["pi0"].update(coeffs={"x,y": "-" * 5000 + "x"}),
+}
+
+# matrix entries past a growth bound: a constant power, a product of 64
+# constants, and a monomial past the default degree limit
+GROWING_ENTRIES = ("(2^65535)^65535*y", "*".join(["2^65535"] * 64), "x^65")
+
+
+def torsion_scene(matrix: list[list[str]]) -> str:
+    """A scene whose one check is the torsion of the endomorphism on R^2
+    with these rows."""
+    return json.dumps({"chart": ["x", "y"],
+                       "objects": {"r": {"type": "endomorphism", "matrix": matrix}},
+                       "checks": [{"check": "torsion", "endomorphism": "r"}]})
+
 
 @pytest.fixture
 def scene_file(tmp_path):
@@ -269,25 +407,37 @@ class TestCheckCommand:
         assert "overall: PASS" in out
 
     def test_failing_scene_exits_one(self, scene_file, capsys):
-        failing = PN_SCENE.replace('[["x", "0"], ["0", "x"]]',
-                                   '[["0", "-1"], ["1", "0"]]')
-        assert main(["check", scene_file(failing)]) == 1
+        assert main(["check", scene_file(FAILING_PN_SCENE)]) == 1
         assert "overall: FAIL" in capsys.readouterr().out
 
     def test_kosmann_on_a_non_poisson_bivector_is_a_failed_precondition(self, scene_file,
                                                                         capsys):
         """[pi, pi] != 0 for pi = z @x^@y + xy @y^@z, so ``kosmann_equivalence``
         raises at run time and the run records a failed precondition."""
-        scene = {"chart": ["x", "y", "z"],
-                 "objects": {"pi": {"type": "bivector", "coeffs": {"x,y": "z", "y,z": "x*y"}},
-                             "r": {"type": "endomorphism",
-                                   "matrix": [["1", "0", "0"], ["0", "1", "0"],
-                                              ["0", "0", "1"]]}},
-                 "checks": [{"check": "kosmann", "bivector": "pi", "endomorphism": "r"}]}
-        assert main(["check", scene_file(json.dumps(scene)), "--format", "table"]) == 1
+        scene = json.dumps(NON_POISSON_KOSMANN)
+        assert main(["check", scene_file(scene), "--format", "table"]) == 1
         out = capsys.readouterr().out.splitlines()
         assert out[1] == "overall: FAIL"
         assert "precondition | FAIL   | bivector is not Poisson" in out
+
+    @pytest.mark.parametrize("scene, lines", [
+        (NON_POISSON_PN, ["[FAIL] Poisson condition [pi,pi]",
+                          "       defect: (2*x*z) @x^@y^@z"]),
+        (HEISENBERG_COCYCLE, ["[FAIL] cocycle condition  ((e1,e2))",
+                              "       defect: (-1) e2^e3"]),
+        (NOT_AN_ALGEBROID, ["[FAIL] anchor morphism  ((e1,e2))", "       defect: (1) @x",
+                            "", "-- 2:bialgebroid (0.00s)", "bialgebroid pair: FAIL",
+                            "[FAIL] base structure valid  (1 defects)"]),
+    ], ids=["multivector", "frame-bivector", "invalid-base"])
+    def test_text_report_renders_each_failing_defect(self, scene_file, capsys, scene, lines):
+        """The text report of a failing check renders its defect, whatever
+        container holds it; a bialgebroid whose base is not a Lie algebroid
+        counts the base's defects."""
+        assert main(["check", scene_file(json.dumps(scene))]) == 1
+        out = re.sub(r"\(\d+\.\d\ds\)", "(0.00s)", capsys.readouterr().out).splitlines()
+        assert out[1] == "overall: FAIL"
+        start = out.index(lines[0])
+        assert out[start:start + len(lines)] == lines
 
     def test_im_check_of_the_scaling_derivation_passes(self, scene_file, capsys):
         """The ``im`` check on (TM, D^r) for r = x id."""
@@ -320,9 +470,8 @@ class TestCheckCommand:
         """J @x = x @x + @y, J @y = (1 - x^2) @x - x @y squares to +id: the
         pair is still a Lie-Nijenhuis bialgebroid, and the holomorphic check
         fails on the two squares alone."""
-        scene = json.loads(json.dumps(JX_SCENE))
-        scene["objects"]["J"]["matrix"] = [["x", "1 - x^2"], ["1", "-x"]]
-        assert main(["check", scene_file(json.dumps(scene)), "--format", "table"]) == 1
+        scene = json.dumps(PRODUCT_JX_SCENE)
+        assert main(["check", scene_file(scene), "--format", "table"]) == 1
         out = capsys.readouterr().out.splitlines()
         assert out[1] == "overall: FAIL"
         assert out[4] == "Lie-Nijenhuis bialgebroid: PASS"
@@ -336,9 +485,7 @@ class TestCheckCommand:
     def test_bialgebroid_frames_that_are_not_dual_exit_two(self, scene_file, capsys):
         """An input error naming both objects and frames, not a failed
         precondition verdict."""
-        source = (example_source("bialgebra-aff2")
-                  .replace('"e1*", "e2*"', '"f1", "f2"').replace("e1*,e2*", "f1,f2"))
-        assert main(["check", scene_file(source)]) == 2
+        assert main(["check", scene_file(NOT_DUAL_FRAMES)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("error: check #3: frame (e1, e2) of 'aff2' is not "
@@ -350,62 +497,7 @@ class TestCheckCommand:
     def test_malformed_scene_exits_two(self, scene_file, capsys):
         assert main(["check", scene_file("{not json")]) == 2
 
-    @pytest.mark.parametrize("edit", [
-        lambda s: s["objects"]["pi0"].update(coeffs={"x,z": "1"}),
-        lambda s: s.update(objects=[]),
-        lambda s: s["objects"]["pi0"].update(coeffs=["1"]),
-        lambda s: s["objects"].update(A={"type": "algebroid", "frame": ["e"],
-                                         "anchor": [["1", "0"]], "brackets": []}),
-        lambda s: s["objects"].update(A={"type": "algebroid", "frame": "ef",
-                                         "anchor": [["1", "0"], ["0", "1"]]}),
-        lambda s: s["checks"].append({"check": "hierarchy", "bivector": "pi0",
-                                      "endomorphism": "rx", "depth": "2"}),
-        lambda s: s["checks"].append({"check": "mm1_random", "dims": "23"}),
-        lambda s: s["checks"].append({"check": "mm1_random", "count": "5"}),
-        lambda s: s["checks"].append({"check": "mm1_random", "seed": [7]}),
-        lambda s: s.update(chart=["x", "x"]),
-        lambda s: s["objects"]["rx"].update(matrix=7),
-        lambda s: s["objects"]["pi0"].update(coeffs={"x,y": "1/0"}),
-        lambda s: s["checks"].append({"check": "mm1_random", "dims": [-1]}),
-        lambda s: s["checks"].append({"check": "mm1_random", "dims": [2, 0]}),
-        lambda s: s["checks"].append({"check": "mm1_random", "dims": []}),
-        lambda s: s["checks"].append({"check": "mm1_random", "count": 0}),
-        lambda s: s["checks"].append({"check": "hierarchy", "bivector": "pi0",
-                                      "endomorphism": "rx", "depth": -3}),
-        lambda s: s.update(objects={**s["objects"], **LN_OBJECTS},
-                           checks=[{"check": "deform_hierarchy", "base": "A",
-                                    "dual": "Astar", "gder": "D", "depth": 0}]),
-        lambda s: s["checks"].append({"check": "mm1_random", "dims": [2, 7]}),
-        lambda s: s["checks"].append({"check": "mm1_random", "dims": [2] * 6}),
-        lambda s: s["checks"].append({"check": "mm1_random", "count": 51}),
-        lambda s: s["checks"].append({"check": "hierarchy", "bivector": "pi0",
-                                      "endomorphism": "rx", "depth": 17}),
-        lambda s: s.update(objects={**s["objects"], **LN_OBJECTS},
-                           checks=[{"check": "deform_hierarchy", "base": "A",
-                                    "dual": "Astar", "gder": "D", "depth": 17}]),
-        lambda s: s["checks"].append({"check": "mm1", "bivector": "pi0",
-                                      "endomorphism": "rx", "field": "rx"}),
-        lambda s: s.update(objects={**s["objects"], "X": VECTOR_FIELD},
-                           checks=[{"check": "torsion", "endomorphism": "X"}]),
-        lambda s: s["objects"]["pi0"].update(coeffs={"x,y": "1" * 5000}),
-        lambda s: s["objects"].update(A={"type": "algebroid", "frame": ["e", "e"],
-                                         "anchor": [["1", "0"], ["0", "1"]]}),
-        lambda s: s.update(chart=["x", "1"], objects={}, checks=[]),
-        lambda s: s.update(chart=["x", "x+y"], objects={}, checks=[]),
-        lambda s: s.update(chart=["x", "y "], objects={}, checks=[]),
-        lambda s: "[" * 100_000,
-        lambda s: s["objects"]["pi0"].update(coeffs={"x,y": "(" * 5000 + "x" + ")" * 5000}),
-        lambda s: s["objects"]["pi0"].update(coeffs={"x,y": "-" * 5000 + "x"}),
-    ], ids=["unknown-coordinate", "objects-list", "coeffs-list", "brackets-list",
-            "frame-string", "depth-string", "dims-string", "count-string",
-            "seed-list", "duplicate-coordinate", "matrix-number", "zero-denominator",
-            "dims-negative", "dims-zero", "dims-empty", "count-zero", "hierarchy-depth-negative",
-            "deform-depth-zero", "dims-over-bound", "dims-too-many", "count-over-bound",
-            "hierarchy-depth-over-bound", "deform-depth-over-bound",
-            "field-not-a-vector-field", "torsion-of-a-vector-field",
-            "literal-past-digit-limit", "frame-repeated-name", "chart-name-number",
-            "chart-name-expression", "chart-name-trailing-space", "json-nested-100000",
-            "poly-parentheses-5000", "poly-unary-minus-5000"])
+    @pytest.mark.parametrize("edit", list(MALFORMED_EDITS.values()), ids=list(MALFORMED_EDITS))
     def test_malformed_scene_reports_input_error(self, scene_file, capsys, edit):
         """An edit changes the scene in place, or returns the file's text."""
         scene = json.loads(PN_SCENE)
@@ -451,11 +543,7 @@ class TestCheckCommand:
     def test_growth_while_building_an_object_names_it(self, scene_file, capsys):
         """[pi, pi] of the cotangent algebroid's bivector passes the limit
         while the object is built: a resource bound, named by the object."""
-        scene = json.dumps({
-            "chart": ["x", "y", "z"],
-            "objects": {"pi": {"type": "bivector", "coeffs": {"x,y": "x^2", "y,z": "y^2"}},
-                        "Astar": {"type": "cotangent_algebroid", "bivector": "pi"}},
-            "checks": []})
+        scene = json.dumps(GROWTH_WHILE_BUILDING)
         old = get_degree_limit()
         try:
             assert main(["--max-degree", "2", "check", scene_file(scene)]) == 3
@@ -487,11 +575,7 @@ class TestCheckCommand:
     def test_text_defect_with_coefficients_of_any_size(self, scene_file, capsys, e):
         # r = [[c y, 0], [0, x]] has N_r = (-c x + c^2 y) dx^dy (x) @x
         # + (-x + c y) dx^dy (x) @y; 2^15000 has 4,516 digits
-        scene = json.dumps({
-            "chart": ["x", "y"],
-            "objects": {"r": {"type": "endomorphism",
-                              "matrix": [[f"2^{e}*y", "0"], ["0", "x"]]}},
-            "checks": [{"check": "torsion", "endomorphism": "r"}]})
+        scene = torsion_scene([[f"2^{e}*y", "0"], ["0", "x"]])
         assert main(["check", scene_file(scene)]) == 1
         out, err = capsys.readouterr()
         c, cc = decimal(2 ** e), decimal(4 ** e)
@@ -500,11 +584,7 @@ class TestCheckCommand:
         assert "Traceback" not in out + err
 
     def test_degree_limit_exit_three(self, scene_file, capsys):
-        scene = json.dumps({
-            "chart": ["x", "y"],
-            "objects": {"r": {"type": "endomorphism",
-                              "matrix": [["0", "y^3"], ["x^3", "0"]]}},
-            "checks": [{"check": "torsion", "endomorphism": "r"}]})
+        scene = torsion_scene([["0", "y^3"], ["x^3", "0"]])
         old = get_degree_limit()
         try:
             assert main(["--max-degree", "4", "check", scene_file(scene)]) == 3
@@ -514,19 +594,14 @@ class TestCheckCommand:
         assert "resource bound" in out and "monomial degree 5 exceeds limit 4" in out
 
     @pytest.mark.parametrize("entry, detail", [
-        ("(2^65535)^65535*y", "coefficient of 2097121 bits exceeds limit 1048576"),
-        pytest.param("*".join(["2^65535"] * 64),
-                     "coefficient of 1114096 bits exceeds limit 1048576",
+        (GROWING_ENTRIES[0], "coefficient of 2097121 bits exceeds limit 1048576"),
+        pytest.param(GROWING_ENTRIES[1], "coefficient of 1114096 bits exceeds limit 1048576",
                      id="64 constant factors"),
-        ("x^65", "monomial degree 65 exceeds limit 64")])
+        (GROWING_ENTRIES[2], "monomial degree 65 exceeds limit 64")])
     def test_growth_in_an_input_exits_three(self, scene_file, capsys, entry, detail):
         """An entry past a growth bound is a resource bound, named by its
         place; the constant power or product, of degree 0, stops at once."""
-        scene = json.dumps({
-            "chart": ["x", "y"],
-            "objects": {"r": {"type": "endomorphism", "matrix": [[entry, "0"], ["0", "x"]]}},
-            "checks": [{"check": "torsion", "endomorphism": "r"}]})
-        path = scene_file(scene)
+        path = scene_file(torsion_scene([[entry, "0"], ["0", "x"]]))
         start = time.perf_counter()
         assert main(["check", path]) == 3
         assert time.perf_counter() - start < 1

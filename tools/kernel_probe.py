@@ -3,10 +3,13 @@
 Each case prints the best of ``REPEAT`` timings of ``NUMBER`` calls, in
 nanoseconds per call:
 
-- ``_Sum.add`` on products whose left factor has one term (1xn), whose right
-  factor has one term (nx1), whose factors both have several (nxm), and on
-  plain terms, for dimension-2 inputs of degree at most 1 and for
-  dimension-3 inputs of degree 3 and 4;
+- ``_Sum.add`` per operand shape: on products whose left factor has one
+  term (1xn), whose right factor has one term (nx1), whose factors both
+  have several (nxm), and on plain terms, for dimension-2 inputs of degree
+  at most 1 and for dimension-3 inputs of degree 3 and 4; and, in
+  dimension 2, on an integer constant times a linear input (the most common
+  product of the identity checks), on that product added into a sum that
+  already holds a fraction, and on a zero operand;
 - ``Poly.diff`` and ``Poly.grad``, through which the package forms every
   partial, each on a constant, a linear input in dimension 2 and a dense
   input in dimension 3 of degree 4;
@@ -43,12 +46,14 @@ def cases() -> list[tuple[str, object]]:
     ch2, ch3 = Chart(("x", "y")), Chart(("x", "y", "z"))
     x2, y2 = Poly.var(ch2, "x"), Poly.var(ch2, "y")
     a, b, mono2 = 2 + x2 - 3 * y2, 2 * x2 + y2 - 1, 3 * x2
-    const = Poly.const(ch2, Fraction(5, 3))
+    const, three, zero = Poly.const(ch2, Fraction(5, 3)), Poly.const(ch2, 3), Poly.zero(ch2)
     p3, q4 = _homogeneous(ch3, 3), _homogeneous(ch3, 4)
     mono3 = Fraction(2, 3) * Poly(ch3, {(1, 1, 1): 1})
 
-    def add(chart: Chart, x: Poly, y: Poly | None):
+    def add(chart: Chart, x: Poly, y: Poly | None, start: Poly | None = None):
         acc, signs = _Sum(chart), [1, -1]
+        if start is not None:
+            acc.add(start)
 
         def run() -> None:
             signs.reverse()
@@ -63,6 +68,10 @@ def cases() -> list[tuple[str, object]]:
         ("_Sum.add nx1, dim 2, deg <= 1", add(ch2, a, mono2)),
         ("_Sum.add nxm, dim 2, deg <= 1", add(ch2, a, b)),
         ("_Sum.add plain, dim 2, deg <= 1", add(ch2, a, None)),
+        ("_Sum.add integer constant x linear, dim 2", add(ch2, three, a)),
+        ("_Sum.add integer constant x linear into a fraction, dim 2",
+         add(ch2, three, a, const)),
+        ("_Sum.add zero operand, dim 2", add(ch2, zero, a)),
         ("_Sum.add 1xn, dim 3, deg 3 x 4", add(ch3, mono3, q4)),
         ("_Sum.add nx1, dim 3, deg 4 x 3", add(ch3, q4, mono3)),
         ("_Sum.add nxm, dim 3, deg 3 x 4", add(ch3, p3, q4)),
