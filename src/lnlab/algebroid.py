@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from .poly import Chart, Poly, PolyError
-from .forms import (Multivector, VForm, _Alternating, _accumulate, _sums, sharp_matrix,
-                    schouten, sort_index)
+from .forms import (Multivector, VForm, _Alternating, _accumulate, _sort_tuple, _sums,
+                    sharp_matrix, schouten, sort_index)
 from .gder import FramedBundle, GenDer, cotangent_bundle, tangent_bundle
 from .matrix import identity, mat_mul, transpose
 from .report import CheckReport, _once
@@ -329,7 +329,7 @@ def _big_bracket(F: list, G: list, rank: int) -> list[tuple]:
 
     def add(P: tuple, w: tuple, f: Poly, g: Poly, sign: int) -> None:
         if f and g:
-            m = sort_index(w)  # None when an odd generator repeats
+            m = _sort_tuple(w)  # None when an odd generator repeats
             if m is not None:
                 _accumulate(out, (tuple(sorted(P)), m[0]), f, g, sign * m[1])
     Gp = prep(G, F)

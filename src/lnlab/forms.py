@@ -14,6 +14,16 @@ add only what differs:
 
 L_K and i_K along a tangent-valued K have one kernel each: ``_lie_into``, ``_contract_into``.
 
+Every kernel that merges index tuples (wedge, d, L_K, i_K, the Schouten
+bracket and ``algebroid._big_bracket``) reads the sorted tuple and its sign
+off ``_sort_tuple``, a ``functools.cache`` of ``sort_index`` on tuples.  The
+answer depends on the tuple alone, so the cache is pure: it cannot change a
+result or carry state from one check to the next.  Its keys are merges of
+index tuples below the chart dimension (twice the bundle rank for the big
+bracket), so the dimension bounds its size: one ``identities`` pass of the
+benchmark fills 13 entries, every catalog scene together 36, and the three
+checkers on the Benenti pair of dimension 8 in ``tools/scale_probe.py`` 273.
+
 Every graded bracket is H(P, Q) - (-1)^t H(Q, P) for a half H of its own,
 and ``_antisymmetrize`` is the one place that puts the two halves together
 (and takes H(P, P) once for [P, P]): the Schouten and Frolicher-Nijenhuis
@@ -29,6 +39,7 @@ follow the conventions that make the classical identities hold literally:
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -60,12 +71,23 @@ def sort_index(idx: Sequence[int]) -> tuple[Index, int] | None:
     """Sort an index tuple into strictly increasing order.
 
     Returns the sorted tuple and the permutation sign, or None when an index
-    repeats (the antisymmetric component vanishes).  Up to three indices the
-    answer is direct comparison: the sign is the parity of the inversions.
+    repeats (the antisymmetric component vanishes).  Any sequence is
+    accepted.  The kernels of this package call the cached ``_sort_tuple``
+    on tuples they build from valid keys; a caller's sequence goes to its
+    uncached body, so the cache never holds an index that is not an int
+    (``1.0`` and ``True`` hash like ``1``).
     """
+    return _sort_tuple.__wrapped__(tuple(idx))
+
+
+@functools.cache
+def _sort_tuple(idx: Index) -> tuple[Index, int] | None:
+    """``sort_index`` of a tuple of ints, cached (see the module docstring).
+    Up to three indices the answer is direct comparison: the sign is the
+    parity of the inversions."""
     n = len(idx)
     if n < 2:
-        return tuple(idx), 1
+        return idx, 1
     if n == 2:
         a, b = idx
         return ((a, b), 1) if a < b else ((b, a), -1) if b < a else None
@@ -116,7 +138,7 @@ def _slot_d(entries: list) -> dict[int, dict]:
     out: dict = {}
     for (idx, v), _, dp in entries:
         for i, q in enumerate(dp):
-            m = sort_index((i,) + idx) if q else None
+            m = _sort_tuple((i,) + idx) if q else None
             if m is not None:
                 _accumulate(out.setdefault(v, {}), m[0], q, None, m[1])
     return {v: _sums(c) for v, c in out.items()}
@@ -305,7 +327,7 @@ def _d_into(out: dict, a: DiffForm, slot=None) -> None:
     or by (index tuple, ``slot``) like VForm when a slot is given."""
     for idx, p in a.coeffs.items():
         for i, dp in enumerate(p.grad()):
-            m = sort_index((i,) + idx) if dp else None
+            m = _sort_tuple((i,) + idx) if dp else None
             if m:
                 _accumulate(out, m[0] if slot is None else (m[0], slot), dp, None, m[1])
 
@@ -427,7 +449,7 @@ def _wedge_into(out: dict, a: DiffForm, K: VForm, sign: int = 1) -> None:
     if a.degree + K.degree <= K.chart.dim:
         for ia, pa in a.coeffs.items():
             for (idx, v), p in K.coeffs.items():
-                m = sort_index(ia + idx)
+                m = _sort_tuple(ia + idx)
                 if m is not None:
                     _accumulate(out, (m[0], v), pa, p, m[1] * sign)
 
@@ -451,7 +473,7 @@ def _contract_into(out: dict, K: dict[int, dict], entries, sign: int) -> None:
             if Kv:
                 rest, s = idx[:pos] + idx[pos + 1:], -sign if pos % 2 else sign
                 for kidx, q in Kv.items():
-                    m = sort_index(kidx + rest)
+                    m = _sort_tuple(kidx + rest)
                     if m is not None:
                         _accumulate(out, (m[0], a), p, q, s * m[1])
 
@@ -473,7 +495,7 @@ def _lie_into(out: dict, k: int, symbol: tuple[dict, dict], entries: list, sign:
         for v, Kv in slots.items():
             if dp[v]:
                 for kidx, q in Kv.items():
-                    m = sort_index(kidx + idx)
+                    m = _sort_tuple(kidx + idx)
                     if m is not None:
                         _accumulate(out, (m[0], a), dp[v], q, sign * m[1])
     _contract_into(out, dK, ((key, p) for key, p, _ in entries), sign * (-1) ** k)
@@ -637,7 +659,7 @@ def schouten(P: Multivector, Q: Multivector) -> Multivector:
         for I, c, _ in entries:
             for J, e, de in pQ[1]:
                 for s, i in enumerate(I):
-                    m = sort_index(I[:s] + I[s + 1:] + J) if de[i] else None
+                    m = _sort_tuple(I[:s] + I[s + 1:] + J) if de[i] else None
                     if m is not None:
                         _accumulate(out, m[0], c, de[i], m[1] * sign * (-1) ** (p - 1 - s))
 

@@ -24,7 +24,10 @@ product).  It may exceed the degree when top terms cancel.  Equality,
 hashing, ``terms`` and ``total_degree()`` read the terms, never the bound.
 Every partial derivative the package forms goes through ``grad``, which
 gives all n partials at once: a bound of 0 means n zeros and no ``diff``
-call.  No other module reads the bound.
+call.  A bound of 1 means a linear polynomial: ``diff`` reads its partial
+with one lookup at the key of x_i, not a pass over the terms (as it does
+when called on a constant).  That is still one ``diff`` call per partial,
+so ``diff`` call counts do not change.  No other module reads the bound.
 
 A sum of products (a bracket, a wedge, a matrix product) is built by the
 private accumulator ``_Sum``: its terms are added in place into one map of
@@ -345,14 +348,24 @@ class Poly:
     # -- calculus ----------------------------------------------------------
 
     def diff(self, i: int) -> "Poly":
-        """Formal partial derivative with respect to coordinate ``i``."""
+        """Formal partial derivative with respect to coordinate ``i``.  On a
+        bound of at most 1 it is one lookup: the coefficient of x_i, or 0
+        without one (also where the bound overstates, as for ``(x + 1) - x``)."""
         n = self.chart.dim
         if not 0 <= i < n:
             raise IndexError(f"coordinate index {i} out of range for {self.chart}")
+        shift = SLOT_BITS * (n - 1 - i)
+        step = (1 << shift) | (1 << SLOT_BITS * n)  # also the key of x_i
+        if self._deg <= 1:  # linear: the partial is x_i's coefficient, or 0
+            c = self._num.get(step)
+            if c is None:
+                return _make(self.chart, {}, 1, 0)
+            if self._den == 1:
+                return _make(self.chart, {0: c}, 1, 0)
+            g = gcd(c, self._den)
+            return _make(self.chart, {0: c // g}, self._den // g, 0)
         # lowering slot i and the total degree by one is injective on the
         # terms it keeps, so no two terms collide and no numerator cancels
-        shift = SLOT_BITS * (n - 1 - i)
-        step = (1 << shift) | (1 << SLOT_BITS * n)
         out: dict[int, int] = {}
         for k, c in self._num.items():
             e = (k >> shift) & _SLOT_MASK
@@ -367,7 +380,7 @@ class Poly:
         """The partials ``[d_0 p, ..., d_(n-1) p]`` in chart order.  Every
         partial derivative the package forms goes through here: a constant
         (degree bound 0) gets n zeros with no ``diff`` call, any other Poly
-        one ``diff`` per coordinate."""
+        one ``diff`` per coordinate, each one lookup on a bound of 1."""
         n = self.chart.dim
         return [self.diff(i) for i in range(n)] if self._deg else [Poly.zero(self.chart)] * n
 
@@ -525,7 +538,10 @@ class _Sum:
         num = self.num
         if 0 in num.values():
             num = {k: c for k, c in num.items() if c}
-        return _reduced(self.chart, num, self.den, self.deg if num else 0)
+        deg = self.deg if num else 0
+        if self.den == 1:  # integer sum: already canonical
+            return _make(self.chart, num, 1, deg)
+        return _reduced(self.chart, num, self.den, deg)
 
 
 def _rechart(p: Poly, chart: Chart) -> Poly | None:

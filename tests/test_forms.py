@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lnlab.poly import Chart, Poly, PolyError
-from lnlab.forms import (DiffForm, Multivector, VForm, bivector_from_sharp,
+from lnlab.catalog import example_names
+from lnlab.cli import main
+from lnlab.forms import (DiffForm, Multivector, VForm, _sort_tuple, bivector_from_sharp,
                          exterior_d, frolicher_nijenhuis, interior_vvf,
                          lie_derivative_vvf, nijenhuis_torsion, schouten, sharp,
                          sharp_matrix, sort_index, vf_bracket, wedge)
@@ -49,6 +51,39 @@ class TestSortIndex:
         for n in range(6):
             for idx in product(range(5), repeat=n):
                 assert sort_index(idx) == sort_index(list(idx)) == ref_sort_index(idx)
+
+
+class TestSortCache:
+    """``_sort_tuple``, the cached path the kernels read index merges from."""
+
+    def test_matches_insertion_sort_up_to_six_indices(self):
+        try:
+            for n in range(7):
+                for idx in product(range(6), repeat=n):
+                    want = ref_sort_index(idx)
+                    assert _sort_tuple(idx) == want  # the miss computes it
+                    assert _sort_tuple(idx) == want  # the hit reads it back
+                    assert sort_index(list(idx)) == want
+        finally:
+            _sort_tuple.cache_clear()  # pure, so clearing changes no result
+
+    def test_public_path_keeps_other_number_types_out_of_the_cache(self):
+        _sort_tuple.cache_clear()
+        assert sort_index((1.0, 0)) == ((0, 1.0), -1)
+        assert sort_index([True, 0]) == ((0, True), -1)
+        assert _sort_tuple.cache_info().currsize == 0
+        key, _ = _sort_tuple((1, 0))
+        assert all(type(i) is int for i in key)
+
+    def test_every_catalog_scene_keeps_the_cache_small(self, capsys):
+        """The cache's size is bounded by the chart dimension, not by the
+        work done: every catalog scene together fills fewer than 100 entries."""
+        _sort_tuple.cache_clear()
+        for name in example_names():
+            main(["examples", "run", name, "--format", "table"])
+        capsys.readouterr()
+        info = _sort_tuple.cache_info()
+        assert 0 < info.currsize < 100 and info.hits > info.misses
 
 
 class TestWedge:

@@ -771,3 +771,48 @@ class TestGrad:
         assert all(q._deg >= q.total_degree() for q in g)
         # a constant makes no diff call; any other Poly one per coordinate
         assert calls == ([] if p.total_degree() == 0 else list(range(n)))
+
+
+@st.composite
+def linear_polys(draw):
+    """(chart, terms, cancel): a chart of dimension 0-4, a constant and some
+    of its linear terms with integer or fractional coefficients, and None or
+    linear terms that are added and taken away again, which leaves the bound
+    at 1 where the terms alone have degree 0."""
+    chart = draw(st.sampled_from(CHARTS + (Chart(("x", "y", "z", "w")),)))
+    coeff = draw(st.sampled_from((st.integers(-3, 3), FRACTIONAL)))
+    n = chart.dim
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    exps = st.sampled_from([(0,) * n] + units)
+    terms = draw(st.dictionaries(exps, coeff, max_size=n + 1))
+    cancel = draw(st.none() | st.dictionaries(st.sampled_from(units), coeff.filter(bool),
+                                              min_size=1)) if n else None
+    return chart, terms, cancel
+
+
+class TestLinearDiff:
+    """On a bound of at most 1, ``diff`` reads x_i's coefficient off its key."""
+
+    @given(linear_polys())
+    @example((CH, {(0, 0): 3, (1, 0): 1}, None))  # no key for y
+    @example((CH, {(0, 0): 3}, {(1, 0): 1}))  # the bound overstates: no key at all
+    @example((CH3, {(1, 0, 0): 2, (0, 0, 1): -3}, None))  # integer
+    @example((CH, {(1, 0): Fraction(2, 3), (0, 1): Fraction(1, 6)}, None))  # 4/6 -> 2/3
+    @example((CH, {(1, 0): Fraction(1, 2), (0, 0): 1}, None))  # 1/2, no common factor
+    @settings(max_examples=150, deadline=None)
+    def test_reads_the_partial_off_the_key(self, drawn):
+        chart, terms, cancel = drawn
+        p = Poly(chart, terms)
+        if cancel is not None:
+            h = Poly(chart, cancel)
+            p = (p + h) - h
+        n = chart.dim
+        assert p._deg == (1 if p and (cancel or any(map(sum, p.terms))) else 0)
+        for i in range(n):
+            q, ref = p.diff(i), Poly(chart, {(0,) * n: c for e, c in p.terms.items() if e[i]})
+            assert q.terms == ref.terms and q == ref and hash(q) == hash(ref)
+            assert q._deg == 0 and q._den > 0 and gcd(q._den, *q._num.values()) == 1
+            assert 0 not in q._num.values()
+        for i in (-1, n):
+            with pytest.raises(IndexError):
+                p.diff(i)

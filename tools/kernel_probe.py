@@ -1,4 +1,5 @@
-"""Time the polynomial kernel's inner operations on fixed inputs.
+"""Time the polynomial kernel's inner operations, and the index merges of
+exterior calculus, on fixed inputs.
 
 Each case prints the best of ``REPEAT`` timings of ``NUMBER`` calls, in
 nanoseconds per call:
@@ -12,8 +13,13 @@ nanoseconds per call:
   already holds a fraction, and on a zero operand;
 - ``Poly.diff`` and ``Poly.grad``, through which the package forms every
   partial, each on a constant, a linear input in dimension 2 and a dense
-  input in dimension 3 of degree 4;
-- ``_Sum.poly()``, which finishes a sum.
+  input in dimension 3 of degree 4; and ``Poly.diff`` on a linear input in
+  dimension 3 whose partial is a fraction that a gcd reduces (linear inputs
+  take the one-lookup path);
+- ``_Sum.poly()``, which finishes a sum;
+- the sort of an index merge of length 2, 3 and 4 into increasing order
+  with its sign, through the public ``sort_index`` (uncached) and through
+  ``_sort_tuple``, the cached path the kernels call.
 
 A product accumulates into one sum per timing, with alternating signs so its
 numerators stay small.  Standard library only; no argument.
@@ -28,6 +34,7 @@ import timeit
 from fractions import Fraction
 from itertools import product
 
+from lnlab.forms import _sort_tuple, sort_index
 from lnlab.poly import Chart, Poly, _Sum
 
 NUMBER = 1000
@@ -49,6 +56,8 @@ def cases() -> list[tuple[str, object]]:
     const, three, zero = Poly.const(ch2, Fraction(5, 3)), Poly.const(ch2, 3), Poly.zero(ch2)
     p3, q4 = _homogeneous(ch3, 3), _homogeneous(ch3, 4)
     mono3 = Fraction(2, 3) * Poly(ch3, {(1, 1, 1): 1})
+    lin3 = Poly(ch3, {(1, 0, 0): Fraction(2, 3), (0, 1, 0): Fraction(1, 6), (0, 0, 0): 1})
+    merges = [(2, (1, 0)), (3, (2, 0, 1)), (4, (3, 1, 0, 2))]
 
     def add(chart: Chart, x: Poly, y: Poly | None, start: Poly | None = None):
         acc, signs = _Sum(chart), [1, -1]
@@ -82,8 +91,12 @@ def cases() -> list[tuple[str, object]]:
         ("Poly.grad constant", const.grad),
         ("Poly.grad linear, dim 2", a.grad),
         ("Poly.grad dense, dim 3, deg 4", q4.grad),
+        ("Poly.diff linear, dim 3, fraction reduced by a gcd", lambda: lin3.diff(0)),
         ("_Sum.poly dim 3, deg 7", finished.poly),
-    ]
+    ] + [(f"sort_index merge of length {n}", lambda idx=idx: sort_index(idx))
+         for n, idx in merges] + [
+        (f"_sort_tuple merge of length {n}", lambda idx=idx: _sort_tuple(idx))
+        for n, idx in merges]
 
 
 def main(number: int = NUMBER, repeat: int = REPEAT) -> int:
