@@ -21,8 +21,10 @@ answer depends on the tuple alone, so the cache is pure: it cannot change a
 result or carry state from one check to the next.  Its keys are merges of
 index tuples below the chart dimension (twice the bundle rank for the big
 bracket), so the dimension bounds its size: one ``identities`` pass of the
-benchmark fills 13 entries, every catalog scene together 36, and the three
+benchmark fills 13 entries, a catalog scene at most 24, and the three
 checkers on the Benenti pair of dimension 8 in ``tools/scale_probe.py`` 273.
+A scene run clears it on exit (``report._verification_run``), so no entry
+outlives the run; library calls outside a run keep it.
 
 Every graded bracket is H(P, Q) - (-1)^t H(Q, P) for a half H of its own,
 and ``_antisymmetrize`` is the one place that puts the two halves together

@@ -33,7 +33,17 @@ the formula reads (``_parts``)
 Since d is linear, the exact parts of L_X C_0 and of the four subtracted C
 terms collapse into one gradient per coframe pair, and their r*(d.) parts
 into two, so each pair is one Cartan sum; its docstring documents that sum
-and its product order.
+and its product order.  The brackets [X, pi] and [X, r] it reads are L_X of
+the frame matrices it holds (``_lie_frames``): with J[v][u] = d_u X^v, the
+gradients L_X dx_v = d(X^v), and X(A) = sum_u X^u d_u A entrywise,
+
+    [X, pi]# = X(S) - J S - S J^T  on the sharp matrix S of pi,
+    [X, r]   = X(M) - J M + M J    on the matrix M of r,
+
+so no Schouten or Frolicher-Nijenhuis kernel runs.
+
+``_curl`` stores only the nonzero entries of a 2-form d(v), so an interior
+term sums over those alone.
 """
 
 from __future__ import annotations
@@ -86,23 +96,57 @@ def _comps(a: DiffForm) -> list[Poly]:
 
 
 def _curl(comps: list[Poly]):
-    """The rows c[i][k] = d_i comps[k] - d_k comps[i] of d(comps), or None
-    when d(comps) = 0.  An entry whose two partials vanish forms no
-    subtraction and no negation."""
+    """d(comps) as its nonzero rows {i: {k: c[i][k]}}, with
+    c[i][k] = d_i comps[k] - d_k comps[i], each row in increasing k, or None
+    when d(comps) = 0.  Only nonzero entries are stored; an entry whose two
+    partials vanish forms no subtraction and no negation."""
     g = [p.grad() for p in comps]
-    c = [[Poly.zero(p.chart)] * len(comps) for p in comps]
-    for i in range(len(comps)):
+    c: dict[int, dict[int, Poly]] = {}
+    for i, gi in enumerate(g):
         for k in range(i + 1, len(comps)):
-            if g[k][i] or g[i][k]:
-                c[i][k] = g[k][i] - g[i][k]
-                c[k][i] = -c[i][k]
-    return c if any(p for row in c for p in row) else None
+            if g[k][i] or gi[k]:
+                d = g[k][i] - gi[k]
+                if d:
+                    c.setdefault(i, {})[k] = d
+                    c.setdefault(k, {})[i] = -d
+    return c or None
 
 
 def _prep(pi: Multivector, r: VForm):
     """(pi#, r, r*) as matrices, read by every concomitant of (pi, r)."""
     M = r.matrix()
     return sharp_matrix(pi), M, transpose(M)
+
+
+def _lie_frames(chart: Chart, Xc: list[Poly], J, S, M):
+    """The sharp matrix of [X, pi] and the matrix of [X, r], from the
+    components Xc of X, J[v][u] = d_u X^v, S = pi# and M = r.  With X(A) the
+    entrywise sum_u X^u d_u A, L_X is the matrix identity
+
+        [X, pi]# = X(S) - J S - S J^T,    [X, r] = X(M) - J M + M J.
+
+    [X, pi]# is skew like S, so only the entries below the diagonal are
+    summed, as X(S[j][i]) - (J S)[j][i] + (J S)[i][j] for j > i, and the
+    entries above are their negations.  Each entry is one sum, its products
+    formed in this order, which fixes the product that a degree-limit error
+    names: the entries of [X, pi]# row by row, then those of [X, r] row by
+    row; in each, the products X^u d_u A over u, then those of (J A) at the
+    entry, then those of (J S)[i][j] or (M J)[v][i]."""
+    def entry(a: Poly, *dots) -> Poly:  # X(a) plus the signed dot products
+        acc = _Sum(chart)
+        for xs, ys, sign in ((Xc, a.grad(), 1),) + dots:
+            _dot_into(acc, xs, ys, sign)
+        return acc.poly()
+    n = chart.dim
+    St, Mt, Jt = transpose(S), transpose(M), transpose(J)  # rows are columns
+    XS = [[Poly.zero(chart)] * n for _ in range(n)]
+    for j in range(n):
+        for i in range(j):
+            XS[j][i] = entry(S[j][i], (J[j], St[i], -1), (J[i], St[j], 1))
+            XS[i][j] = -XS[j][i]
+    XM = [[entry(m, (J[v], Mt[i], -1), (row, Jt[i], 1)) for i, m in enumerate(row)]
+          for v, row in enumerate(M)]
+    return XS, XM
 
 
 def _core(prep, v: list[Poly]):
@@ -137,7 +181,8 @@ def _cartan_into(sums: list[_Sum], f: Poly, terms, sign: int = 1, pulls=()) -> N
     """Add ``sign`` times df + sum of s i_X dv over the terms (X, dv, s) into
     the n sums, one per component, each component in that order; a term
     whose dv is None (zero) is skipped.  Over the rows of ``_curl``,
-    (i_X dv)_k = -X . dv[k].  Before them it adds ``sign`` times s r*v over
+    (i_X dv)_k = -sum_u X^u dv[k][u], over the stored entries of row k in
+    increasing u.  Before them it adds ``sign`` times s r*v over
     the ``pulls`` (Mt, v, s), with Mt the matrix of r*, for every component."""
     for Mt, v, s in pulls:
         for acc, row in zip(sums, Mt):
@@ -147,7 +192,8 @@ def _cartan_into(sums: list[_Sum], f: Poly, terms, sign: int = 1, pulls=()) -> N
     for k, acc in enumerate(sums):
         acc.add(df[k], None, sign)
         for X, dv, s in terms:
-            _dot_into(acc, X, dv[k], -s * sign)
+            for u, q in dv.get(k, {}).items():
+                acc.add(X[u], q, -s * sign)
 
 
 def _parts(a_role, b_role):
@@ -347,13 +393,16 @@ def mm1_identity(c: PNCandidate, X: VForm) -> CheckReport:
 
     Raises ``PolyError`` unless X is a vector field on the candidate's chart.
 
-    Every L_X comes from Cartan's formula L_X = d i_X + i_X d: L_X dx_a =
-    d(X^a), the gradient of component a of X, and L_X C_0 = d<C_0, X>
-    + i_X dC_0 for C_0 = C(dx_a, dx_b).  Each piece is built once per check:
-    [X, pi] and [X, r], one prep per (bivector, endomorphism), and the roles
-    of the dx_a under each prep and of the d(X^a) under (pi, r).  The roles
-    under ([X, pi], r) reuse r*dx_a and d(r*dx_a) from those under (pi, r),
-    and no role builds the zero curl of its closed form.
+    Every L_X of a form comes from Cartan's formula L_X = d i_X + i_X d:
+    L_X dx_a = d(X^a), the gradient of component a of X, and L_X C_0 =
+    d<C_0, X> + i_X dC_0 for C_0 = C(dx_a, dx_b).  Each piece is built once
+    per check: the gradients J[v][u] = d_u X^v, the frame matrices S = pi#
+    and M = r (one ``sharp_matrix``), the sharp matrix X(S) - J S - S J^T of
+    [X, pi] and the matrix X(M) - J M + M J of [X, r] (``_lie_frames``), with
+    X(A) = sum_u X^u d_u A entrywise, and the roles of the dx_a under the
+    preps (pi, r), ([X, pi], r) and (pi, [X, r]) and of the d(X^a) under
+    (pi, r).  The roles under ([X, pi], r) reuse r*dx_a and d(r*dx_a) from
+    those under (pi, r), and no role builds the zero curl of its closed form.
 
     Every form paired is closed, so each subtracted term t, with (pi_t, r_t)
     one of (pi, r) twice, ([X, pi], r) and (pi, [X, r]), is
@@ -373,30 +422,33 @@ def mm1_identity(c: PNCandidate, X: VForm) -> CheckReport:
     eleven and five.
 
     Products are formed in this order, which fixes the product that a
-    degree-limit error names: C_0, in the order of ``concomitant_C``;
-    <C_0, X>; the four <r_t* a_t, pi_t# b_t>; the three <b_t, pi_t# a_t>;
-    r*(dG) for every component, then [X, r]*([dx_a, dx_b]_pi) for every
-    component; then per component the terms X . dC_0 of i_X dC_0 and the
-    interior terms, term by term.  <C_0, X> lies one degree above the
-    products X . dC_0, so on some input the limit fires there, one degree
-    earlier than an expansion of L_X C_0 as X(C_0) + C_0 . dX would.  A
-    product of r*(dG) has no higher degree than some product
-    r* . d<b_t, pi_t# a_t> of the term-by-term expansion, and every other
-    product is one of that expansion, so the check raises at no limit where
-    that expansion passes; on some input it passes where that expansion
-    raises."""
+    degree-limit error names: the entries of [X, pi]# below the diagonal,
+    then those of [X, r], in the order of ``_lie_frames``; r* d(X^a), then
+    pi# d(X^a), for each a; then per coframe pair C_0, in the order of
+    ``concomitant_C``; <C_0, X>; the four <r_t* a_t, pi_t# b_t>; the three
+    <b_t, pi_t# a_t>; r*(dG) for every component, then
+    [X, r]*([dx_a, dx_b]_pi) for every component; then per component the
+    terms X . dC_0 of i_X dC_0 and the interior terms, term by term.
+    <C_0, X> lies one degree above the products X . dC_0, so on some input
+    the limit fires there, one degree earlier than an expansion of L_X C_0
+    as X(C_0) + C_0 . dX would.  A product of r*(dG) has no higher degree
+    than some product r* . d<b_t, pi_t# a_t> of the term-by-term expansion,
+    and every other product is one of that expansion, so the check raises
+    at no limit where that expansion passes; on some input it passes where
+    that expansion raises."""
     chart = c.chart
     n = chart.dim
     if not (isinstance(X, VForm) and (X.chart, X.degree, X.vals) == (chart, 0, n)):
         raise PolyError("mm1 identity needs a vector field on the candidate's chart")
     report = CheckReport("Lie-derivative expansion of the concomitant")
-    Xpi = schouten(X_to_mv(X), c.pi)
-    Xr = frolicher_nijenhuis(X, c.r)
-    p0, p1, p2 = _prep(c.pi, c.r), _prep(Xpi, c.r), _prep(c.pi, Xr)
+    Xc = X.section_components()
+    J = [x.grad() for x in Xc]  # J[v][u] = d_u X^v; row a is L_X dx_a = d(X^a)
+    p0 = S, M, Mt = _prep(c.pi, c.r)
+    XS, XM = _lie_frames(chart, Xc, J, S, M)
+    p1, p2 = (XS, M, Mt), (S, XM, transpose(XM))
     R0, R2 = ([_role(p, v, True) for v in identity(chart, n)] for p in (p0, p2))
     R1 = [(v, rv, _core(p1, v)[2], dv, drv) for v, rv, _, dv, drv in R0]  # r* as in R0
-    Xc = X.section_components()
-    L = [_role(p0, x.grad(), True) for x in Xc]
+    L = [_role(p0, g, True) for g in J]
     for a in range(n):
         for b in range(a + 1, n):
             sums = [_Sum(chart) for _ in range(n)]

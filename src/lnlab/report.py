@@ -13,6 +13,8 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
+from .forms import _sort_tuple
+
 __all__ = ["CheckItem", "CheckReport"]
 
 
@@ -100,12 +102,16 @@ _verdicts: ContextVar[dict | None] = ContextVar("lnlab_verdicts", default=None)
 @contextmanager
 def _verification_run() -> Iterator[None]:
     """Open an empty store of verdicts for the enclosed checks, and drop it
-    on every exit path."""
+    on every exit path, together with the index merges cached in
+    ``forms._sort_tuple``, so that no entry outlives the run.  Library calls
+    outside a run keep that cache: it is pure, and its size is bounded by
+    the chart dimension (see the ``forms`` module docstring)."""
     token = _verdicts.set({})
     try:
         yield
     finally:
         _verdicts.reset(token)
+        _sort_tuple.cache_clear()
 
 
 def _once(fn: Callable, *args: Any) -> Any:

@@ -13,6 +13,7 @@ import sys
 
 from hypothesis import strategies as st
 
+from lnlab import pnlab
 from lnlab.poly import Chart, Poly
 from lnlab.forms import (DiffForm, Multivector, VForm, _sums, _wedge_into, exterior_d,
                          interior_vvf, lie_derivative_vvf, sharp_matrix, vf_bracket, wedge)
@@ -433,3 +434,22 @@ def codes_entered(fn, *args) -> tuple:
         return fn(*args), seen
     finally:
         sys.setprofile(previous)
+
+
+def shift_lie_frames(mp, shift) -> list:
+    """Patch ``pnlab._lie_frames`` through the monkeypatch ``mp`` so that it
+    adds the constant ``shift(chart)``, written as a matrix, to the matrix of
+    [X, r] when that is a tangent-valued 1-form, or to the sharp matrix of
+    [X, pi] when it is a bivector.  Returns the list of the charts the
+    patched seam was entered with, one per call."""
+    frames, entered = pnlab._lie_frames, []
+
+    def shifted(chart, *args):
+        entered.append(chart)
+        XS, XM = frames(chart, *args)
+        s = shift(chart)
+        if isinstance(s, VForm):
+            return XS, [[p + q for p, q in zip(*rows)] for rows in zip(XM, s.matrix())]
+        return [[p + q for p, q in zip(*rows)] for rows in zip(XS, sharp_matrix(s))], XM
+    mp.setattr(pnlab, "_lie_frames", shifted)
+    return entered

@@ -1,6 +1,7 @@
 """Exterior calculus layer: wedge, d, interior products, and the three
 brackets (Lie, Frolicher-Nijenhuis, Schouten) with their defining identities."""
 
+import contextlib
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lnlab import report, scene
 from lnlab.poly import Chart, Poly, PolyError
 from lnlab.catalog import example_names
 from lnlab.cli import main
@@ -75,15 +77,36 @@ class TestSortCache:
         key, _ = _sort_tuple((1, 0))
         assert all(type(i) is int for i in key)
 
-    def test_every_catalog_scene_keeps_the_cache_small(self, capsys):
+    def test_every_catalog_scene_keeps_the_cache_small(self, monkeypatch, capsys):
         """The cache's size is bounded by the chart dimension, not by the
-        work done: every catalog scene together fills fewer than 100 entries."""
-        _sort_tuple.cache_clear()
+        work done: read as each scene's run ends, every catalog scene
+        together fills fewer than 100 entries, and reads more than it fills."""
+        infos, run = [], report._verification_run
+
+        @contextlib.contextmanager
+        def spied():
+            with run():
+                yield
+                infos.append(_sort_tuple.cache_info())
+        monkeypatch.setattr(scene, "_verification_run", spied)
         for name in example_names():
             main(["examples", "run", name, "--format", "table"])
         capsys.readouterr()
-        info = _sort_tuple.cache_info()
-        assert 0 < info.currsize < 100 and info.hits > info.misses
+        assert len(infos) == len(example_names())
+        assert 0 < sum(i.currsize for i in infos) < 100
+        assert sum(i.hits for i in infos) > sum(i.misses for i in infos)
+
+    def test_a_scene_run_empties_the_cache_and_a_library_call_keeps_it(self, capsys):
+        """Entries from before a run and from within it are gone when
+        ``examples run`` returns; a library call outside a run keeps its."""
+        _sort_tuple((1, 0))
+        wedge(DiffForm.basis(CH3, (2,)), DiffForm.basis(CH3, (0, 1)))
+        assert _sort_tuple.cache_info().currsize > 1
+        assert main(["examples", "run", "pn-xid", "--format", "table"]) == 0
+        capsys.readouterr()
+        assert _sort_tuple.cache_info().currsize == 0
+        wedge(DiffForm.basis(CH3, (2,)), DiffForm.basis(CH3, (0, 1)))
+        assert _sort_tuple.cache_info().currsize > 0
 
 
 class TestWedge:
@@ -646,17 +669,18 @@ def test_torsion_forms_each_partial_once(monkeypatch):
 def test_concomitant_C_products(monkeypatch):
     """Products formed by C on dense pi and r over CH3.  A coframe pair
     reads r*v and pi# v as matrix columns and, being closed, forms no U and
-    no V: 3 for <b, pi# a>, 3 for <r*a, pi# b>, 9 for r*[a, b]_pi and 18
-    for the terms in pi# b and pi# a.  A general pair adds 36 for r*a, pi# a,
-    r*b and pi# b, 36 for U a and U b, 18 for the interior terms of
-    [a, b]_pi and 18 for the terms in U a and U b: 141."""
+    no V: 3 for <b, pi# a>, 3 for <r*a, pi# b>, 9 for r*[a, b]_pi and 12
+    for the terms in pi# b and pi# a, as each row of a curl stores at most
+    its 2 off-diagonal entries.  A general pair adds 36 for r*a, pi# a,
+    r*b and pi# b, 36 for U a and U b, 12 for the interior terms of
+    [a, b]_pi and 12 for the terms in U a and U b: 123."""
     rng = random.Random(18)
     pi = Multivector(CH3, 2, {k: dense_poly(rng, CH3) for k in combinations(range(3), 2)})
     r = VForm(CH3, 1, 3, {((i,), v): dense_poly(rng, CH3) for i in range(3) for v in range(3)})
     a, b = (DiffForm(CH3, 1, {(i,): dense_poly(rng, CH3) for i in range(3)}) for _ in range(2))
     dx, dz = DiffForm.basis(CH3, (0,)), DiffForm.basis(CH3, (2,))
     products = product_log(monkeypatch)
-    for pair, expected in (((dx, dz), 33), ((a, b), 141)):
+    for pair, expected in (((dx, dz), 27), ((a, b), 123)):
         products.clear()
         assert not concomitant_C(pi, r, *pair).is_zero
         assert len(products) == expected

@@ -2,6 +2,7 @@
 bialgebroid characterization, and the deformation hierarchy."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,7 +22,7 @@ from lnlab.pnlab import (PNCandidate, check_pn, concomitant_C, concomitant_R,
                          X_to_mv)
 
 from helpers import (CH2, CH3, codes_entered, pairing, ref_concomitant_C, rnd_bivector,
-                     rnd_endo, rnd_one_form, rnd_poly, rnd_vf)
+                     rnd_endo, rnd_one_form, rnd_poly, rnd_vf, shift_lie_frames)
 
 CH4 = Chart(("x", "y", "z", "w"))
 X = Poly.var(CH2, "x")
@@ -232,9 +233,9 @@ class TestMM1:
     ], ids=["degree-1", "too-many-values", "too-few-values", "another-chart"])
     def test_refuses_a_malformed_field_before_any_work(self, monkeypatch, field):
         def no_work(*args):
-            raise AssertionError("formed a bracket before checking the field")
-        monkeypatch.setattr(pnlab, "schouten", no_work)
-        monkeypatch.setattr(pnlab, "frolicher_nijenhuis", no_work)
+            raise AssertionError("formed a prep or a bracket before checking the field")
+        monkeypatch.setattr(pnlab, "_prep", no_work)
+        monkeypatch.setattr(pnlab, "_lie_frames", no_work)
         with pytest.raises(PolyError, match="^mm1 identity needs a vector field on the "
                                             "candidate's chart$"):
             mm1_identity(PNCandidate(PI0, XID), field)
@@ -289,28 +290,19 @@ class TestMM1:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_shares_preps_and_lie_derivatives(self, monkeypatch, n):
-        """Three sharp matrices, one per (bivector, endomorphism), and n^2
-        partial derivatives of X's components, the gradients d(X^a) = L_X dx_a,
-        for every L_X of the check, besides those that [X, pi] and [X, r]
-        take: L_X C_0 by Cartan's formula differentiates no component of X."""
-        counts = {"sharp": 0, "dX": 0, "in bracket": 0}
+        """One sharp matrix, that of pi, and n^2 partial derivatives of X's
+        components, the gradients d(X^a) = L_X dx_a, for every L_X of the
+        check: [X, pi] and [X, r] are formed from pi#, r and those gradients,
+        and L_X C_0 by Cartan's formula differentiates no component of X."""
+        counts = {"sharp": 0, "dX": 0}
 
         def counted_sharp(P):
             counts["sharp"] += 1
             return sharp_matrix(P)
-
-        def bracket(fn):
-            def wrapper(*args):
-                counts["in bracket"] += 1
-                try:
-                    return fn(*args)
-                finally:
-                    counts["in bracket"] -= 1
-            return wrapper
         diff = Poly.diff
 
         def counted_diff(p, i):
-            if not counts["in bracket"] and any(p is q for q in comps):
+            if any(p is q for q in comps):
                 counts["dX"] += 1
             return diff(p, i)
         rng = random.Random(1400 + n)
@@ -320,18 +312,16 @@ class TestMM1:
         comps = list(Xf.coeffs.values())
         assert len(comps) == n
         monkeypatch.setattr(pnlab, "sharp_matrix", counted_sharp)
-        monkeypatch.setattr(pnlab, "schouten", bracket(pnlab.schouten))
-        monkeypatch.setattr(pnlab, "frolicher_nijenhuis", bracket(pnlab.frolicher_nijenhuis))
         monkeypatch.setattr(Poly, "diff", counted_diff)
         assert mm1_identity(c, Xf).passed
-        assert counts == {"sharp": 3, "dX": n * n, "in bracket": 0}
+        assert counts == {"sharp": 1, "dX": n * n}
 
     @pytest.mark.parametrize("quadratic", [False, True])
-    def test_takes_every_lie_derivative_by_cartan(self, monkeypatch, quadratic):
+    def test_takes_every_lie_derivative_by_cartan(self, quadratic):
         """Neither the general kernel ``forms._lie_into`` nor its one-slot
         wrapper ``forms._on_scalar`` is entered, for a linear X and for a
-        quadratic one.  [X, r] is formed beforehand, as the Frolicher-Nijenhuis
-        bracket takes its own L_X through ``_lie_into``."""
+        quadratic one: the forms' L_X come from ``_cartan_into``, and [X, pi]
+        and [X, r] from the frame matrices (``_lie_frames``)."""
         rng = random.Random(1460 + quadratic)
         c = PNCandidate(rnd_bivector(rng, CH3), rnd_endo(rng, CH3))
         comps = rnd_vf(rng, CH3).section_components()
@@ -339,12 +329,25 @@ class TestMM1:
             x, y, z = (Poly.var(CH3, v) for v in "xyz")
             comps = [comps[0] + y * z, comps[1] - x * x, comps[2] + x * y]
         Xf = VForm.section(CH3, comps)
-        Xr = pnlab.frolicher_nijenhuis(Xf, c.r)
-        monkeypatch.setattr(pnlab, "frolicher_nijenhuis", lambda K, L: Xr)
         report, entered = codes_entered(mm1_identity, c, Xf)
         assert report.passed
-        assert pnlab._cartan_into.__code__ in entered
+        assert {pnlab._cartan_into.__code__, pnlab._lie_frames.__code__} <= entered
         assert not {forms._lie_into.__code__, forms._on_scalar.__code__} & entered
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_enters_no_generic_bracket(self, n):
+        """[X, pi] and [X, r] are read off the frame matrices the check
+        holds, so neither the Schouten nor the Frolicher-Nijenhuis kernel is
+        entered, nor the Lie-derivative kernels they take L_X through."""
+        rng = random.Random(1470 + n)
+        chart = Chart(("x", "y", "z", "w")[:n])
+        c = PNCandidate(rnd_bivector(rng, chart), rnd_endo(rng, chart))
+        comps = rnd_vf(rng, chart).section_components()
+        comps[0] = comps[0] + Poly.coord(chart, 1) * Poly.coord(chart, n - 1)
+        report, entered = codes_entered(mm1_identity, c, VForm.section(chart, comps))
+        assert report.passed
+        generic = {forms.schouten, forms.frolicher_nijenhuis, forms._lie_into, forms._on_scalar}
+        assert not {fn.__code__ for fn in generic} & entered
 
     def test_degree_limit_at_the_pairing_with_X(self):
         """For pi = y @x^@y, r = x @y (x) dx + y @x (x) dy and X = x @x,
@@ -370,8 +373,10 @@ class TestMM1:
     def test_kernel_counts_of_the_mm1_random_scene(self, monkeypatch, capsys):
         """Exact calls of the kernel's accumulator and of ``Poly.diff`` over
         ``lnlab examples run mm1-random``: one Cartan sum per coframe pair,
-        closed roles with no curl, and the roles under [X, pi] sharing r*
-        with those under pi.  The counts repeat exactly from run to run."""
+        closed roles with no curl, the roles under [X, pi] sharing r* with
+        those under pi, [X, pi] and [X, r] summed off the frame matrices
+        (below the diagonal only for [X, pi]), and curls that store only
+        their nonzero entries.  The counts repeat exactly from run to run."""
         counts = dict.fromkeys(("add", "poly", "diff"), 0)
         for owner, attr in ((_Sum, "add"), (_Sum, "poly"), (Poly, "diff")):
             def counted(*args, _fn=getattr(owner, attr), _key=attr):
@@ -380,7 +385,7 @@ class TestMM1:
             monkeypatch.setattr(owner, attr, counted)
         assert main(["examples", "run", "mm1-random", "--format", "table"]) == 0
         capsys.readouterr()
-        assert counts == {"add": 2451, "poly": 449, "diff": 801}
+        assert counts == {"add": 2100, "poly": 417, "diff": 719}
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_differentiates_no_constant(self, monkeypatch, n):
@@ -400,6 +405,50 @@ class TestMM1:
         monkeypatch.setattr(Poly, "diff", counted_diff)
         assert mm1_identity(c, Xf).passed
         assert constants == []
+
+
+def fractional_poly(rng: random.Random, chart: Chart, quadratic: bool = False) -> Poly:
+    """An affine polynomial with coefficients over denominators 1 to 4, plus,
+    if ``quadratic``, a quadratic monomial with a fractional coefficient."""
+    p = rnd_poly(rng, chart) * Fraction(rng.randint(1, 5), rng.randint(1, 4))
+    if quadratic and chart.dim:
+        i, j = rng.randrange(chart.dim), rng.randrange(chart.dim)
+        p = p + Poly.coord(chart, i) * Poly.coord(chart, j) * Fraction(rng.randint(-3, 3), 2)
+    return p
+
+
+class TestLieFrames:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("quadratic", [False, True])
+    def test_matches_the_generic_brackets(self, n, quadratic):
+        """The frame matrices of [X, pi] and [X, r] equal the sharp matrix
+        of the Schouten bracket [X, pi] and the matrix of the
+        Frolicher-Nijenhuis bracket [X, r], on random (pi, r, X) with
+        fractional coefficients and a linear or quadratic X."""
+        chart = Chart(("x", "y", "z", "w")[:n])
+        for seed in range(4):
+            rng = random.Random(1800 + 10 * n + 5 * quadratic + seed)
+            pi = Multivector(chart, 2, {(i, j): fractional_poly(rng, chart, quadratic)
+                                        for i in range(n) for j in range(i + 1, n)})
+            r = VForm(chart, 1, n, {((i,), v): fractional_poly(rng, chart, quadratic)
+                                    for i in range(n) for v in range(n)})
+            Xc = [fractional_poly(rng, chart, quadratic) for _ in range(n)]
+            Xf = VForm.section(chart, Xc)
+            XS, XM = pnlab._lie_frames(chart, Xc, [x.grad() for x in Xc],
+                                       sharp_matrix(pi), r.matrix())
+            assert XS == sharp_matrix(schouten(X_to_mv(Xf), pi))
+            assert XM == forms.frolicher_nijenhuis(Xf, r).matrix()
+
+    @pytest.mark.parametrize("coords", [(), ("x",)], ids=["point", "line"])
+    def test_point_and_line_pass_with_no_item(self, coords):
+        """Over a point and on a line there is no coframe pair, so the check
+        passes with no item, as it does with the generic brackets."""
+        chart = Chart(coords)
+        n = chart.dim
+        rng = random.Random(1850 + n)
+        c = PNCandidate(Multivector(chart, 2, {}), rnd_endo(rng, chart))
+        report = mm1_identity(c, rnd_vf(rng, chart))
+        assert report.passed and report.items == []
 
 
 @st.composite
@@ -438,11 +487,10 @@ class TestMM1PairSum:
         c, Xf, shift = case
         chart = c.chart
         Xpi, Xr = schouten(X_to_mv(Xf), c.pi), forms.frolicher_nijenhuis(Xf, c.r)
-        name = "frolicher_nijenhuis" if isinstance(shift, VForm) else "schouten"
         with pytest.MonkeyPatch.context() as mp:
-            fn = getattr(pnlab, name)
-            mp.setattr(pnlab, name, lambda P, Q: fn(P, Q) + shift)
+            entered = shift_lie_frames(mp, lambda ch: shift)
             report = mm1_identity(c, Xf)
+        assert entered == [chart]
         if isinstance(shift, VForm):
             Xr = Xr + shift
         else:
@@ -463,7 +511,9 @@ class TestMM1Failures:
     """Exact failure oracle: C is linear in pi and in r, so a constant
     endomorphism delta added to [X, r] leaves on each coframe pair the defect
     -C(pi, delta, dx_a, dx_b), and a constant bivector beta added to [X, pi]
-    the defect -C(beta, r, dx_a, dx_b); a pair where that is zero passes."""
+    the defect -C(beta, r, dx_a, dx_b); a pair where that is zero passes.
+    The shift is added, as a matrix, to what ``pnlab._lie_frames`` returns,
+    and each test checks that the shifted seam was entered."""
 
     @staticmethod
     def assert_defects(report, chart, expected):
@@ -483,9 +533,9 @@ class TestMM1Failures:
         Xf = rnd_vf(rng, chart)
         delta = VForm(chart, 1, n, {((i,), v): Poly.const(chart, rng.randint(-3, 3))
                                     for i in range(n) for v in range(n)})
-        fn = pnlab.frolicher_nijenhuis
-        monkeypatch.setattr(pnlab, "frolicher_nijenhuis", lambda K, L: fn(K, L) + delta)
+        entered = shift_lie_frames(monkeypatch, lambda ch: delta)
         report = mm1_identity(c, Xf)
+        assert entered == [chart]
         self.assert_defects(report, chart, lambda a, b: concomitant_C(c.pi, delta, a, b))
         assert not report.passed
 
@@ -496,9 +546,9 @@ class TestMM1Failures:
         Xf = rnd_vf(rng, chart)
         beta = Multivector(chart, 2, {(0, 1): Poly.const(chart, 2),
                                       (0, chart.dim - 1): Poly.const(chart, -1)})
-        sch = pnlab.schouten
-        monkeypatch.setattr(pnlab, "schouten", lambda P, Q: sch(P, Q) + beta)
+        entered = shift_lie_frames(monkeypatch, lambda ch: beta)
         report = mm1_identity(c, Xf)
+        assert entered == [chart]
         self.assert_defects(report, chart, lambda a, b: concomitant_C(beta, c.r, a, b))
         assert not report.passed
 
@@ -509,18 +559,18 @@ class TestMM1Failures:
         c = PNCandidate(rnd_bivector(rng, CH3), rnd_endo(rng, CH3))
         Xf = rnd_vf(rng, CH3)
         two = VForm(CH3, 1, 3, {((i,), i): Poly.const(CH3, 2) for i in range(3)})
-        fn = pnlab.frolicher_nijenhuis
-        monkeypatch.setattr(pnlab, "frolicher_nijenhuis", lambda K, L: fn(K, L) + two)
-        report = mm1_identity(c, Xf)
+        with monkeypatch.context() as mp:
+            entered = shift_lie_frames(mp, lambda ch: two)
+            report = mm1_identity(c, Xf)
+        assert entered == [CH3]
         self.assert_defects(report, CH3, lambda a, b: concomitant_C(c.pi, two, a, b))
         assert report.passed
-        monkeypatch.setattr(pnlab, "frolicher_nijenhuis", fn)
         ident = VForm(CH3, 1, 3, {((i,), i): Poly.const(CH3, 1) for i in range(3)})
         beta = Multivector(CH3, 2, {(1, 2): Poly.const(CH3, 5)})
-        sch = pnlab.schouten
-        monkeypatch.setattr(pnlab, "schouten", lambda P, Q: sch(P, Q) + beta)
+        entered = shift_lie_frames(monkeypatch, lambda ch: beta)
         c = PNCandidate(c.pi, ident)
         report = mm1_identity(c, Xf)
+        assert entered == [CH3]
         self.assert_defects(report, CH3, lambda a, b: concomitant_C(beta, ident, a, b))
         assert report.passed
 

@@ -14,9 +14,10 @@ _spec = importlib.util.spec_from_file_location("scale_probe", TOOL)
 scale_probe = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(scale_probe)
 
-CHECKS = ("check_pn", "check_bialgebroid", "check_lnb")
-VERDICTS = {"separable": ("PASS", "PASS", "PASS"), "benenti": ("PASS", "PASS", "PASS"),
-            "benenti+E12": ("FAIL", "PASS", "FAIL")}
+CHECKS = ("check_pn", "check_bialgebroid", "check_lnb", "mm1_identity")
+VERDICTS = {"separable": ("PASS", "PASS", "PASS", "PASS"),
+            "benenti": ("PASS", "PASS", "PASS", "PASS"),
+            "benenti+E12": ("FAIL", "PASS", "FAIL", "PASS")}
 
 
 def run_dimension_4(capsys) -> list[list[list[str]]]:

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import decimal
-from lnlab import algebroid, lnb, pnlab, report
+from helpers import decimal, shift_lie_frames
+from lnlab import algebroid, lnb, report
 from lnlab import scene as scene_module
 from lnlab.poly import Chart, Poly, get_degree_limit, set_degree_limit
 from lnlab.forms import DiffForm, Multivector, VForm
@@ -364,8 +364,8 @@ class TestCatalog:
         def shift(chart):
             n = chart.dim
             return VForm(chart, 1, n, {((n - 1,), n - 1): Poly.const(chart, 1)})
-        fn, mm1 = pnlab.frolicher_nijenhuis, scene_module.mm1_identity
-        monkeypatch.setattr(pnlab, "frolicher_nijenhuis", lambda K, L: fn(K, L) + shift(K.chart))
+        mm1 = scene_module.mm1_identity
+        entered = shift_lie_frames(monkeypatch, shift)
         trials = []
         monkeypatch.setattr(scene_module, "mm1_identity",
                             lambda c, X: trials.append(c) or mm1(c, X))
@@ -381,6 +381,7 @@ class TestCatalog:
             want.append(f"{label} | FAIL   | {bad} of {len(pairs)} coframe pairs" if bad
                         else f"{label} | pass   | ")
         assert len(trials) == 7 and rows == want
+        assert entered == [c.chart for c in trials]
         assert "dim 3 trial 1 | FAIL   | 2 of 3 coframe pairs" in rows
 
     def test_show_is_verbatim(self, capsys):

@@ -12,12 +12,14 @@ Each family gives a pair (pi, r) on R^d, d = 4, 6 and 8:
   ``check_pn`` on exactly "Nijenhuis torsion N_r" and "deformed bivector
   Poisson [pi_r,pi_r]", fails ``check_lnb`` and passes ``check_bialgebroid``.
 
-Each point runs ``check_pn``, ``check_bialgebroid(TM, T*M_pi)`` and
-``check_lnb(TM, T*M_pi, D^r)`` and prints one line with each verdict, then
-the median and the interquartile range (inclusive quartiles) of ``REPEAT``
-single calls in milliseconds, then the work of one call: its calls of the
-polynomial kernel's accumulator ``_Sum.add``, of ``_Sum.poly``, which
-finishes a sum, and of ``Poly.diff``, as ``check_pn PASS 0.87 ms (IQR 0.09)
+Each point runs ``check_pn``, ``check_bialgebroid(TM, T*M_pi)``,
+``check_lnb(TM, T*M_pi, D^r)`` and ``mm1_identity`` along the Euler field
+X = sum x_k @x_k (the derivation identity of the concomitant C holds for
+every (pi, r, X), so it passes at every point) and prints one line with each
+verdict, then the median and the interquartile range (inclusive quartiles)
+of ``REPEAT`` single calls in milliseconds, then the work of one call: its
+calls of the polynomial kernel's accumulator ``_Sum.add``, of
+``_Sum.poly``, which finishes a sum, and of ``Poly.diff``, as ``check_pn PASS 0.87 ms (IQR 0.09)
 add 304 sum 128 diff 120``.  On a shared host the best of a few calls
 moves by tens of percent between runs of the same code, so a before/after
 comparison reads the median against the spread; the counts repeat exactly
@@ -39,7 +41,7 @@ from lnlab.forms import Multivector, VForm
 from lnlab.gder import build_drT, cotangent_bundle
 from lnlab.lifts import TotalChart, cotangent_lift
 from lnlab.lnb import LNCandidate, check_lnb
-from lnlab.pnlab import PNCandidate, check_pn
+from lnlab.pnlab import PNCandidate, check_pn, mm1_identity
 from lnlab.poly import Chart, Poly, _Sum
 
 DIMS = (4, 6, 8)
@@ -77,10 +79,13 @@ def points(dims=DIMS) -> list[tuple[str, int, Multivector, VForm]]:
 
 def checks(pi: Multivector, r: VForm) -> list[tuple[str, object]]:
     """(checker, callable of no argument returning its report) for one point."""
-    TM, TsM = tangent_algebroid(pi.chart), cotangent_of_poisson(pi)
+    chart = pi.chart
+    TM, TsM = tangent_algebroid(chart), cotangent_of_poisson(pi)
+    euler = VForm.section(chart, [Poly.coord(chart, k) for k in range(chart.dim)])
     return [("check_pn", lambda: check_pn(PNCandidate(pi, r))),
             ("check_bialgebroid", lambda: check_bialgebroid(TM, TsM)),
-            ("check_lnb", lambda: check_lnb(LNCandidate(TM, TsM, build_drT(r))))]
+            ("check_lnb", lambda: check_lnb(LNCandidate(TM, TsM, build_drT(r)))),
+            ("mm1_identity", lambda: mm1_identity(PNCandidate(pi, r), euler))]
 
 
 def work_counts(fn) -> list[int]:
