@@ -14,14 +14,31 @@ tied together by the Leibniz rule
 Everything is stored by its values on the frame, so D is determined by
 finitely many polynomial coefficients and identities between derivations are
 decidable by exact zero-testing.
+
+``bracket`` chooses its route by the degrees.  When both are at most 1 it
+reads each operand's frame values as matrices, each entry differentiated
+once: Q_a = D(u_a) (n x R, coefficients of dx_i (x) u_b; an R-vector for
+degree 0), L = l (R x R) and K = r (n x n; a vector field for degree 0).
+Every product is then one of two entries or their partials, in
+
+    alpha ^ Q_b,  (-1)^j d alpha ^ L_b,  [B, l_A],  Lie_{r_B} r_A,
+    Lie_K alpha = sum_v K^v ^ d_v alpha + (-1)^k dK^v ^ i_v alpha,
+
+alpha a coefficient form of degree j <= 1 of a frame value, so an index
+merge is one comparison and i_v alpha is alpha_v.  It goes straight into
+the sum of its result coefficient, made at the first product with no zero
+factor.  Above degree 1 ``bracket`` extends one derivation to each frame
+value of the other (``GenDer._extend_into``), the only route there.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
-from .poly import Chart, Poly, PolyError
+from .poly import Chart, Poly, PolyError, _Sum
 from .forms import (DiffForm, VForm, _accumulate, _antisymmetrize, _by_slot, _contract_into,
                     _d_into, _lie_into, _partials, _slot_d, _sums, _symbol_slots, _wedge_into)
 
@@ -193,32 +210,151 @@ def bracket(D1: GenDer, D2: GenDer) -> GenDer:
     section, and -(-1)^(k1 k2) L_{r_B} r_A on the symbol, which makes
     r = L_{r1} r2 - (-1)^(k1 k2) L_{r2} r1 slot by slot.  So [D, D] is
     2 H(D, D) for D of odd degree and 0 for D of even degree.
+
+    The route follows the degrees, with no option.  When both are at most
+    1, ``_frame_half`` forms H off the frame matrices Q_a = D(u_a),
+    L_a = l(u_a) and K = r of each operand (p = deg A, q = deg B, alpha_ab
+    the coefficient form of u_b in Q^A_a):
+
+        B(A(u_a)) = sum_b alpha_ab ^ Q^B_b + (-1)^p d alpha_ab ^ L^B_b
+                    - (-1)^(pq) (Lie_{K^B} alpha_ab) u_b,
+        [B, l_A](u_a) = B(L^A_a) - l_A(Q^B_a),
+        Lie_K alpha = sum_v K^v ^ d_v alpha + (-1)^q dK^v ^ i_v alpha,
+
+    each product straight into the sum of its coefficient.  Otherwise
+    ``_extend_half`` extends B to each frame value of A
+    (``GenDer._extend_into``); it is the only route above degree 1.
     """
+    frame = D1.degree <= 1 and D2.degree <= 1
+    return _bracket(D1, D2, *((_frame_part, _frame_half) if frame
+                              else (_extend_part, _extend_half)))
+
+
+def _bracket(D1: GenDer, D2: GenDer, part, half) -> GenDer:
+    """[D1, D2] from ``half(out, pA, pB, s)``, which adds s H(A, B) into the
+    sums ``out`` = (D, l, symbol) given each operand as ``part`` of it."""
     if D1.bundle != D2.bundle:
         raise PolyError("derivations act on different bundles")
     bundle, k = D1.bundle, D1.degree + D2.degree
-    sign = (-1) ** (D1.degree * D2.degree)
-    d_val: list[dict] = [{} for _ in bundle.frame]
-    l_val: list[dict] = [{} for _ in bundle.frame]  # the graded commutators [B, l_A]
-    r_val: dict = {}
-
-    def part(D: GenDer) -> tuple:  # D, its symbol's partials and slot forms
-        entries = _partials(D.r)
-        return D, entries, _symbol_slots(entries)
-
-    def half(pA: tuple, pB: tuple, s: int) -> None:
-        (A, entries, _), (B, _, symbol) = pA, pB
-        for a in range(bundle.rank):
-            B._extend_into(d_val[a], A.d_frame[a], s, symbol)
-            if A.l_frame is not None:
-                B._extend_into(l_val[a], A.l_frame[a], s, symbol)
-                A._l_into(l_val[a], B.d_frame[a], -s * (-1) ** (B.degree * (A.degree - 1)))
-        _lie_into(r_val, B.degree, symbol, entries, -s * sign)
-
-    _antisymmetrize(D1, D2, D1.degree * D2.degree, half, part)
+    sums = partial(defaultdict, partial(_Sum, bundle.chart))  # each sum made on first use
+    out = [sums() for _ in bundle.frame], [sums() for _ in bundle.frame], sums()
+    _antisymmetrize(D1, D2, D1.degree * D2.degree, partial(half, out), part)
+    d_val, l_val, r_val = out
     return GenDer(bundle, k, [D1._finish(k, c) for c in d_val],
                   [D1._finish(k - 1, c) for c in l_val] if k else None,
                   VForm._trusted(bundle.chart, k, bundle.chart.dim, _sums(r_val)))
+
+
+def _extend_part(D: GenDer) -> tuple:
+    """D, its symbol's partials and slot forms: what ``_extend_half`` reads."""
+    entries = _partials(D.r)
+    return D, entries, _symbol_slots(entries)
+
+
+def _extend_half(out: tuple, pA: tuple, pB: tuple, s: int) -> None:
+    """Add s H(A, B) (see ``bracket``) into ``out``, for operands of any
+    degree given by ``_extend_part``: B extended to each frame value of A,
+    l_A applied to those of B, and L_{r_B} r_A slot by slot."""
+    d_val, l_val, r_val = out  # l_val holds the graded commutators [B, l_A]
+    (A, entries, _), (B, _, symbol) = pA, pB
+    for a in range(A.bundle.rank):
+        B._extend_into(d_val[a], A.d_frame[a], s, symbol)
+        if A.l_frame is not None:
+            B._extend_into(l_val[a], A.l_frame[a], s, symbol)
+            A._l_into(l_val[a], B.d_frame[a], -s * (-1) ** (B.degree * (A.degree - 1)))
+    _lie_into(r_val, B.degree, symbol, entries, -s * (-1) ** (A.degree * B.degree))
+
+
+def _frame_part(D: GenDer) -> tuple:
+    """What ``_frame_half`` reads of a derivation of degree at most 1:
+    (degree, Q, L, K, K by slot) with Q[a] the terms of D(u_a), L[a] those
+    of l(u_a) (None for degree 0) and K those of the symbol, each term
+    (index tuple, value slot, coefficient, {coordinate: nonzero partial}),
+    so every coefficient is differentiated once per bracket."""
+    def terms(v: VForm) -> list:
+        return [(idx, b, p, {m: q for m, q in enumerate(p.grad()) if q})
+                for (idx, b), p in v.coeffs.items()]
+    K, slots = terms(D.r), {}
+    for idx, v, p, _ in K:
+        slots.setdefault(v, []).append((idx, p))
+    return (D.degree, [terms(v) for v in D.d_frame],
+            None if D.l_frame is None else [terms(v) for v in D.l_frame], K, slots)
+
+
+def _join(I: tuple, J: tuple):
+    """dx_I ^ dx_J for index tuples of length at most 1, as (index tuple,
+    sign); None when they repeat."""
+    if I and J:
+        i, j = I[0], J[0]
+        return (I + J, 1) if i < j else (J + I, -1) if j < i else None
+    return I or J, 1
+
+
+def _d_slots(terms: list) -> dict:
+    """d of the form in each value slot, as {slot: [(index tuple,
+    coefficient)]} over its nonzero coefficients, from the ``_frame_part``
+    terms of a form of degree at most 1.  A coefficient d_m a_i - d_i a_m of
+    d of a 1-form is one difference of partials."""
+    out: dict = {}
+    for idx, b, _, g in terms:
+        row = out.setdefault(b, {})
+        for m, q in g.items():
+            mk = _join((m,), idx)
+            if mk:
+                key, q = mk[0], q if mk[1] > 0 else -q
+                prev = row.get(key)
+                row[key] = q if prev is None else prev + q
+    return {b: [(key, q) for key, q in row.items() if q] for b, row in out.items()}
+
+
+def _frame_half(out: tuple, pA: tuple, pB: tuple, s: int) -> None:
+    """Add s H(A, B) into the sums ``out`` = (d, l, r) by frame section, for
+    A and B of degree p, q <= 1 given by ``_frame_part``, by the formulas in
+    ``bracket``: B o l_A is the first with p = 0, and the symbol gets
+    -(-1)^(pq) Lie_{r_B} r_A slot by slot.  Every form here has degree 0 or
+    1, so an index merge is a comparison (``_join``), and i_v a is a_v for a
+    1-form a and 0 for a function.  The terms come in the generic half's
+    order (per frame section the D-part, then the l-part; the symbol last),
+    and within a term the products run over A's coefficients in storage
+    order."""
+    d_out, l_out, r_out = out
+    (p, QA, LA, KA, _), (q, QB, LB, KB, KBs) = pA, pB
+    dKB = _d_slots(KB) if p else {}  # only 1-forms meet i_v
+
+    def lie(acc, terms: list, t: int) -> None:  # t Lie_{r_B} of each slot form
+        for I, b, _, g in terms:
+            for v, x in g.items():
+                for J, y in KBs.get(v, ()):
+                    m = _join(J, I)
+                    if m:
+                        acc[m[0], b].add(x, y, t * m[1])
+        t *= (-1) ** q
+        for I, b, x, _ in terms:
+            for J, y in dKB.get(I[0], ()) if I else ():
+                acc[J, b].add(x, y, t)
+
+    def extend(acc, terms: list, j: int) -> None:  # s B(eta), eta a j-form
+        for I, b, x, _ in terms:
+            for J, c, y, _ in QB[b]:
+                m = _join(I, J)
+                if m:
+                    acc[m[0], c].add(x, y, s * m[1])
+        if LB is not None:
+            t = s * (-1) ** j
+            for b, dx in _d_slots(terms).items():
+                for J, x in dx:
+                    for _, c, y, _ in LB[b]:
+                        acc[J, c].add(x, y, t)
+        lie(acc, terms, -s * (-1) ** (j * q))
+
+    for a, terms in enumerate(QA):
+        extend(d_out[a], terms, p)
+        if LA is not None:
+            extend(l_out[a], LA[a], 0)
+            for J, b, x, _ in QB[a]:
+                for _, c, y, _ in LA[b]:
+                    l_out[a][J, c].add(x, y, -s)
+    lie(r_out, KA, -s * (-1) ** (p * q))
 
 
 def dual(D: GenDer) -> GenDer:

@@ -127,19 +127,27 @@ def _lie_frames(chart: Chart, Xc: list[Poly], J, S, M):
 
     [X, pi]# is skew like S, so only the entries below the diagonal are
     summed, as X(S[j][i]) - (J S)[j][i] + (J S)[i][j] for j > i, and the
-    entries above are their negations.  Each entry is one sum, its products
-    formed in this order, which fixes the product that a degree-limit error
-    names: the entries of [X, pi]# row by row, then those of [X, r] row by
-    row; in each, the products X^u d_u A over u, then those of (J A) at the
-    entry, then those of (J S)[i][j] or (M J)[v][i]."""
+    entries above are their negations.  Each entry is one sum of its
+    products with no zero factor, made at the first such product, so an
+    entry with none is zero with no sum.  The products are formed in this
+    order, which fixes the product that a degree-limit error names: the
+    entries of [X, pi]# row by row, then those of [X, r] row by row; in
+    each, the products X^u d_u A over u, then those of (J A) at the entry,
+    then those of (J S)[i][j] or (M J)[v][i]."""
+    zero = Poly.zero(chart)
+
     def entry(a: Poly, *dots) -> Poly:  # X(a) plus the signed dot products
-        acc = _Sum(chart)
+        acc = None
         for xs, ys, sign in ((Xc, a.grad(), 1),) + dots:
-            _dot_into(acc, xs, ys, sign)
-        return acc.poly()
+            for x, y in zip(xs, ys):
+                if x and y:
+                    if acc is None:
+                        acc = _Sum(chart)
+                    acc.add(x, y, sign)
+        return zero if acc is None else acc.poly()
     n = chart.dim
     St, Mt, Jt = transpose(S), transpose(M), transpose(J)  # rows are columns
-    XS = [[Poly.zero(chart)] * n for _ in range(n)]
+    XS = [[zero] * n for _ in range(n)]
     for j in range(n):
         for i in range(j):
             XS[j][i] = entry(S[j][i], (J[j], St[i], -1), (J[i], St[j], 1))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lnlab import gder
 from lnlab.poly import Chart, Poly, PolyError, get_degree_limit, set_degree_limit
 from lnlab.forms import (DiffForm, VForm, exterior_d, frolicher_nijenhuis,
                          interior_vvf, lie_derivative_vvf, vf_bracket)
@@ -447,6 +448,84 @@ class TestSelfBracketOracle:
         assert gd_is_zero(square) or D.degree % 2
 
 
+# -- oracles for the frame route of bracket ------------------------------------
+# On operands of degree at most 1 bracket reads the frame values
+# (gder._frame_half).  It must equal the generic half, which extends B to
+# each frame value of A and is the only route above degree 1, and a
+# term-by-term expansion that uses only extend, apply_l and the
+# Frolicher-Nijenhuis bracket.
+
+POINT = Chart(())
+
+
+def generic_bracket(D1: GenDer, D2: GenDer) -> GenDer:
+    return gder._bracket(D1, D2, gder._extend_part, gder._extend_half)
+
+
+def ref_bracket(D1: GenDer, D2: GenDer) -> GenDer:
+    """On each frame section u: D2(D1 u) - (-1)^(k1 k2) D1(D2 u) and
+    [D2, l1] u - (-1)^(k1 k2) [D1, l2] u, with [B, l_A] u =
+    B(l_A u) - (-1)^(kB (kA - 1)) l_A(B u) (zero for A of degree 0); the
+    symbol is [r1, r2]_FN."""
+    bundle, k = D1.bundle, D1.degree + D2.degree
+    sign = (-1) ** (D1.degree * D2.degree)
+
+    def commutator(B: GenDer, A: GenDer, u: VForm) -> VForm:
+        if A.l_frame is None:
+            return bundle.zero_form(k - 1)
+        return (B.extend(A.apply_l(u))
+                - A.apply_l(B.extend(u)) * (-1) ** (B.degree * (A.degree - 1)))
+    frame = [bundle.frame_section(a) for a in range(bundle.rank)]
+    d = [D2.extend(D1.extend(u)) - D1.extend(D2.extend(u)) * sign for u in frame]
+    l = ([commutator(D2, D1, u) - commutator(D1, D2, u) * sign for u in frame]
+         if k else None)
+    return GenDer(bundle, k, d, l, frolicher_nijenhuis(D1.r, D2.r))
+
+
+@st.composite
+def st_bundle_gder(draw, bundle: FramedBundle, k: int) -> GenDer:
+    chart, rank = bundle.chart, bundle.rank
+    d = [draw(st_vvforms(chart, k, rank)) for _ in range(rank)]
+    lf = None if k == 0 else [draw(st_vvforms(chart, k - 1, rank)) for _ in range(rank)]
+    return GenDer(bundle, k, d, lf, draw(st_vvforms(chart, k, chart.dim)))
+
+
+class TestFrameRouteOracle:
+    @pytest.mark.parametrize("degrees", [(0, 0), (0, 1), (1, 0), (1, 1)],
+                             ids=lambda ks: "".join(map(str, ks)))
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_the_generic_half_and_the_expansion(self, degrees, data):
+        """Ranks 1-3 on a frame that is not the tangent frame, over a point
+        and over CH2 and CH3; a second operand of the same degree may be the
+        first itself or an equal copy."""
+        chart = data.draw(st.sampled_from((POINT, CH2, CH3)))
+        bundle = FramedBundle(chart, ("e1", "e2", "e3")[:data.draw(st.integers(1, 3))])
+        D1 = data.draw(st_bundle_gder(bundle, degrees[0]))
+        how = data.draw(st.sampled_from(("other", "self", "copy")))
+        if degrees[0] != degrees[1] or how == "other":
+            D2 = data.draw(st_bundle_gder(bundle, degrees[1]))
+        else:
+            D2 = D1 if how == "self" else rebuilt(D1)
+        got = bracket(D1, D2)
+        assert got == generic_bracket(D1, D2) == ref_bracket(D1, D2)
+
+    def test_routes_by_degree(self, monkeypatch):
+        """The frame half runs exactly when both degrees are at most 1."""
+        halves = []
+        for name in ("_frame_half", "_extend_half"):
+            def counted(*args, _fn=getattr(gder, name), _name=name):
+                halves.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(gder, name, counted)
+        D = {k: fresh_gder(CH3, k, 70 + 5 * k) for k in range(3)}
+        for k1, k2 in product(range(3), repeat=2):
+            halves.clear()
+            bracket(D[k1], fresh_gder(CH3, k2, 90 + 5 * k2))
+            route = "_frame_half" if max(k1, k2) <= 1 else "_extend_half"
+            assert halves == [route, route]
+
+
 class TestDrTOracle:
     def test_frame_values_are_fn_brackets_with_frame_fields(self):
         # D(d/dx_a) = d_a r coefficient by coefficient, against [d/dx_a, r]_FN
@@ -512,10 +591,13 @@ def fresh_gder(chart: Chart, k: int, seed: int) -> GenDer:
 def test_extend_differentiates_each_coefficient_once(monkeypatch):
     """L_r a = sum_v r^v ^ d_v a + (-1)^k d r^v ^ i_v a: lie_derivative_vvf,
     extend and bracket differentiate each coefficient of a form they act on,
-    and of each symbol, once per coordinate, take r^v and d r^v once per
-    derivation per call, and build neither d a, i_r a nor d(i_r a) as forms;
-    lie_derivative_vvf differentiates only the r^v with v in an index of a,
-    and bracket takes the symbols' FN bracket without frolicher_nijenhuis."""
+    and of each symbol, once per coordinate, and build neither d a, i_r a
+    nor d(i_r a) as forms; lie_derivative_vvf differentiates only the r^v
+    with v in an index of a, and bracket takes the symbols' FN bracket
+    without frolicher_nijenhuis.  extend, and bracket on an operand of
+    degree 2 (the generic half), take r^v and d r^v once per derivation per
+    call; bracket on degrees at most 1 reads the frame values and takes no
+    slot forms at all."""
     from lnlab import forms, gder
 
     def forbidden(*args, **kwargs):
@@ -561,12 +643,14 @@ def test_extend_differentiates_each_coefficient_once(monkeypatch):
     assert diffs == per_coordinate([used, alpha]) and symbols == [ids(K)]
 
     # each half extends the other's frame values and takes L_(r_B) r_A
-    D1, D2 = fresh_gder(CH3, 1, 20), fresh_gder(CH3, 0, 30)
-    for pair in ((D1, D2), (D1, D1)):
+    D0, E0 = fresh_gder(CH3, 0, 30), fresh_gder(CH3, 0, 60)
+    D1, D2 = fresh_gder(CH3, 1, 20), fresh_gder(CH3, 2, 50)
+    for pair in ((D1, D0), (D0, D1), (D0, E0), (D1, D1), (D2, D1), (D0, D2)):
         ders = list({id(D): D for D in pair}.values())
         diffs.clear()
         symbols.clear()
         assert not gd_is_zero(bracket(*pair))
         frames = [v for D in ders for v in D.d_frame + (D.l_frame or [])]
         assert diffs == per_coordinate(frames + [D.r for D in ders])
-        assert sorted(symbols) == sorted(ids(D.r) for D in ders)
+        generic = max(D.degree for D in ders) > 1
+        assert sorted(symbols) == (sorted(ids(D.r) for D in ders) if generic else [])

@@ -6,10 +6,11 @@ import random
 
 import pytest
 
-from lnlab.poly import Chart, Poly, PolyError, parse_poly
+from lnlab.poly import Chart, Poly, PolyError, _Sum, parse_poly
 from lnlab.forms import Multivector, VForm, nijenhuis_torsion, vf_bracket
 from lnlab.gder import (FramedBundle, GenDer, bracket, build_drT, build_from_connection,
                         dual, tangent_bundle)
+from lnlab.cli import main
 from lnlab.algebroid import (AlgebroidStructure, algebroid_torsion, cotangent_of_poisson,
                              deform_algebroid, tangent_algebroid)
 from lnlab.lnb import (CourantOperator, LNCandidate, base_pn, check_lnb,
@@ -80,6 +81,23 @@ class TestVerdicts:
         assert [i.law for i in rep.failures()] == ["derivation square"]
         assert rep.render_text().splitlines()[-2:] == [
             "[FAIL] derivation square  (e1)", "       defect: (-2) dx^dy (x) e1"]
+
+
+class TestWork:
+    def test_kernel_counts_of_the_lnb_tangent_xid_scene(self, monkeypatch, capsys):
+        """Exact calls of the kernel's accumulator and of ``Poly.diff`` over
+        ``lnlab examples run lnb-tangent-xid``: its [D, D] is read off the
+        frame values, with no sum made for a product with a zero factor.
+        The counts repeat exactly from run to run."""
+        counts = dict.fromkeys(("add", "poly", "diff"), 0)
+        for owner, attr in ((_Sum, "add"), (_Sum, "poly"), (Poly, "diff")):
+            def counted(*args, _fn=getattr(owner, attr), _key=attr):
+                counts[_key] += 1
+                return _fn(*args)
+            monkeypatch.setattr(owner, attr, counted)
+        assert main(["examples", "run", "lnb-tangent-xid", "--format", "table"]) == 0
+        capsys.readouterr()
+        assert counts == {"add": 203, "poly": 110, "diff": 132}
 
 
 class TestConstantTorsion:

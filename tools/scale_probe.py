@@ -1,4 +1,4 @@
-"""Time the three checkers on two known-verdict families at dimensions 4-8.
+"""Time the checkers and [D^r, D^r] on two known-verdict families at dimensions 4-8.
 
 Each family gives a pair (pi, r) on R^d, d = 4, 6 and 8:
 
@@ -13,19 +13,21 @@ Each family gives a pair (pi, r) on R^d, d = 4, 6 and 8:
   Poisson [pi_r,pi_r]", fails ``check_lnb`` and passes ``check_bialgebroid``.
 
 Each point runs ``check_pn``, ``check_bialgebroid(TM, T*M_pi)``,
-``check_lnb(TM, T*M_pi, D^r)`` and ``mm1_identity`` along the Euler field
+``check_lnb(TM, T*M_pi, D^r)``, ``mm1_identity`` along the Euler field
 X = sum x_k @x_k (the derivation identity of the concomitant C holds for
-every (pi, r, X), so it passes at every point) and prints one line with each
-verdict, then the median and the interquartile range (inclusive quartiles)
-of ``REPEAT`` single calls in milliseconds, then the work of one call: its
-calls of the polynomial kernel's accumulator ``_Sum.add``, of
-``_Sum.poly``, which finishes a sum, and of ``Poly.diff``, as ``check_pn PASS 0.87 ms (IQR 0.09)
-add 304 sum 128 diff 120``.  On a shared host the best of a few calls
-moves by tens of percent between runs of the same code, so a before/after
-comparison reads the median against the spread; the counts repeat exactly
-and show a change of work with no timing noise.  Standard library and the
-lnlab API only, with the three kernel methods wrapped here for the counts;
-no argument.
+every (pi, r, X), so it passes at every point) and ``gder.bracket(D^r,
+D^r)``, the self-bracket that ``check_lnb`` forms, which passes when it is
+zero: [D^r, D^r] = 2 D^{N_r}, so it fails only at the torsion point.  It
+prints one line with each verdict, then the median and the interquartile
+range (inclusive quartiles) of ``REPEAT`` single calls in milliseconds, then
+the work of one call: its calls of the polynomial kernel's accumulator
+``_Sum.add``, of ``_Sum.poly``, which finishes a sum, and of ``Poly.diff``,
+as ``check_pn PASS 0.87 ms (IQR 0.09) add 304 sum 128 diff 120``.  On a
+shared host the best of a few calls moves by tens of percent between runs of
+the same code, so a before/after comparison reads the median against the
+spread; the counts repeat exactly and show a change of work with no timing
+noise.  Standard library and the lnlab API only, with the three kernel
+methods wrapped here for the counts; no argument.
 
 Usage: PYTHONPATH=src python tools/scale_probe.py
 """
@@ -38,7 +40,7 @@ import timeit
 
 from lnlab.algebroid import check_bialgebroid, cotangent_of_poisson, tangent_algebroid
 from lnlab.forms import Multivector, VForm
-from lnlab.gder import build_drT, cotangent_bundle
+from lnlab.gder import GenDer, bracket, build_drT, cotangent_bundle
 from lnlab.lifts import TotalChart, cotangent_lift
 from lnlab.lnb import LNCandidate, check_lnb
 from lnlab.pnlab import PNCandidate, check_pn, mm1_identity
@@ -78,14 +80,25 @@ def points(dims=DIMS) -> list[tuple[str, int, Multivector, VForm]]:
 
 
 def checks(pi: Multivector, r: VForm) -> list[tuple[str, object]]:
-    """(checker, callable of no argument returning its report) for one point."""
+    """(checker, callable of no argument returning its report, or the
+    bracket [D^r, D^r]) for one point."""
     chart = pi.chart
     TM, TsM = tangent_algebroid(chart), cotangent_of_poisson(pi)
     euler = VForm.section(chart, [Poly.coord(chart, k) for k in range(chart.dim)])
+    D = build_drT(r)
     return [("check_pn", lambda: check_pn(PNCandidate(pi, r))),
             ("check_bialgebroid", lambda: check_bialgebroid(TM, TsM)),
             ("check_lnb", lambda: check_lnb(LNCandidate(TM, TsM, build_drT(r)))),
-            ("mm1_identity", lambda: mm1_identity(PNCandidate(pi, r), euler))]
+            ("mm1_identity", lambda: mm1_identity(PNCandidate(pi, r), euler)),
+            ("bracket", lambda: bracket(D, D))]
+
+
+def verdict(out) -> str:
+    """A checker report's verdict; for a derivation, PASS when it is zero."""
+    if isinstance(out, GenDer):
+        parts = out.d_frame + (out.l_frame or []) + [out.r]
+        return "PASS" if all(v.is_zero for v in parts) else "FAIL"
+    return out.verdict
 
 
 def work_counts(fn) -> list[int]:
@@ -116,12 +129,12 @@ def main(dims=DIMS, repeat: int = REPEAT) -> int:
     for name, d, pi, r in points(dims):
         parts = []
         for check, fn in checks(pi, r):
-            verdict = fn().verdict
+            result = verdict(fn())
             q1, median, q3 = statistics.quantiles(
                 [t * 1e3 for t in timeit.repeat(fn, number=1, repeat=repeat)],
                 n=4, method="inclusive")
             add, finished, diff = work_counts(fn)
-            parts.append(f"{check} {verdict} {median:.2f} ms (IQR {q3 - q1:.2f})"
+            parts.append(f"{check} {result} {median:.2f} ms (IQR {q3 - q1:.2f})"
                          f" add {add} sum {finished} diff {diff}")
         print(f"{name} dim {d}: " + ", ".join(parts))
     return 0
